@@ -6,151 +6,9 @@ of the interaction skeleton, alternating least-squares coefficient fits,
 an optional errors-in-variables estimator for noisy coordinates, and
 separated space/stochastic representations for field-valued data. Moments
 and sensitivity indices come out in closed form.
+
+The package re-exports nothing: import from its modules (basis, data,
+selection, fitting, model, separated, testbed, cli).
 """
-
-from .basis import (
-    BasisConfig,
-    eval_tensor,
-    eval_univariate,
-    eval_univariate_deriv,
-    univariate_deriv_table,
-    univariate_table,
-)
-from .data import (
-    NoiseModel,
-    SampleSet,
-    empirical_inner,
-    inject_noise,
-    load_csv,
-    rng_stream,
-    save_csv,
-    split,
-)
-from .fitting import (
-    CovarianceBlocks,
-    FitConfig,
-    FitDiagnostics,
-    PassRecord,
-    build_sample_covariance,
-    covariance_blocks,
-    fit_cp_mode,
-    fit_dense_mode,
-    fit_hdmr,
-    ls_solve,
-    relative_error,
-    save_diagnostics,
-    wtls_solve,
-)
-from .model import (
-    CPMode,
-    DenseMode,
-    HdmrModel,
-    dense_design,
-    dictionary_cardinality,
-    enumerate_dense_indices,
-    evaluate_model,
-    load_model,
-    model_mean,
-    model_variance,
-    save_model,
-    sobol_indices,
-    total_sobol,
-    variance_by_group,
-)
-from .selection import (
-    PathStep,
-    SelectionConfig,
-    SelectionPath,
-    build_group_dictionary,
-    glars_select,
-    group_correlation,
-    save_path,
-    worker_count,
-)
-from .separated import (
-    SeparatedConfig,
-    SeparatedModel,
-    SpatialBasis,
-    evaluate_separated,
-    fit_separated,
-    load_separated,
-    save_separated,
-    spatial_design,
-)
-from .testbed import (
-    DiffusionConfig,
-    KLField,
-    generate_dataset,
-    kl_eigendecompose,
-    sample_field,
-    save_spectrum,
-    solve_diffusion,
-)
-
-__all__ = [
-    "BasisConfig",
-    "CPMode",
-    "CovarianceBlocks",
-    "DenseMode",
-    "DiffusionConfig",
-    "FitConfig",
-    "FitDiagnostics",
-    "HdmrModel",
-    "KLField",
-    "NoiseModel",
-    "PassRecord",
-    "PathStep",
-    "SampleSet",
-    "SelectionConfig",
-    "SelectionPath",
-    "SeparatedConfig",
-    "SeparatedModel",
-    "SpatialBasis",
-    "build_group_dictionary",
-    "build_sample_covariance",
-    "covariance_blocks",
-    "dense_design",
-    "dictionary_cardinality",
-    "empirical_inner",
-    "enumerate_dense_indices",
-    "eval_tensor",
-    "eval_univariate",
-    "eval_univariate_deriv",
-    "evaluate_model",
-    "evaluate_separated",
-    "fit_cp_mode",
-    "fit_dense_mode",
-    "fit_hdmr",
-    "fit_separated",
-    "generate_dataset",
-    "glars_select",
-    "group_correlation",
-    "inject_noise",
-    "kl_eigendecompose",
-    "load_csv",
-    "load_model",
-    "load_separated",
-    "ls_solve",
-    "model_mean",
-    "model_variance",
-    "relative_error",
-    "rng_stream",
-    "sample_field",
-    "save_csv",
-    "save_diagnostics",
-    "save_model",
-    "save_path",
-    "save_separated",
-    "save_spectrum",
-    "sobol_indices",
-    "solve_diffusion",
-    "spatial_design",
-    "split",
-    "total_sobol",
-    "univariate_deriv_table",
-    "univariate_table",
-    "variance_by_group",
-    "worker_count",
-]
 
 __version__ = "0.1.0"

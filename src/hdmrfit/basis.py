@@ -15,8 +15,6 @@ import numpy as np
 __all__ = [
     "BasisConfig",
     "eval_univariate",
-    "eval_univariate_deriv",
-    "eval_tensor",
     "univariate_table",
     "univariate_deriv_table",
 ]
@@ -128,39 +126,3 @@ def eval_univariate(cfg: BasisConfig, alpha: int, xi):
     table = univariate_table(cfg, xi)
     val = table[..., alpha - 1]
     return float(val) if np.isscalar(xi) else val
-
-
-def eval_univariate_deriv(cfg: BasisConfig, alpha: int, xi):
-    """Derivative of ``psi_alpha`` at ``xi`` (scalar or array)."""
-    _check_index(cfg, alpha)
-    table = univariate_deriv_table(cfg, xi)
-    val = table[..., alpha - 1]
-    return float(val) if np.isscalar(xi) else val
-
-
-def eval_tensor(cfg: BasisConfig, gamma, alphas, xi_vec):
-    """Tensor-product value prod_{i in gamma} psi_{alpha_i}(xi_i).
-
-    Parameters
-    ----------
-    gamma : sequence of int
-        1-based dimension indices.
-    alphas : sequence of int
-        Basis indices, one per dimension of ``gamma``.
-    xi_vec : array_like
-        Full coordinate vector, or a (nq, Nd) batch of them; entry ``i - 1``
-        is used for dimension ``i``.
-    """
-    gamma = tuple(gamma)
-    alphas = tuple(alphas)
-    if len(gamma) != len(alphas):
-        raise ValueError(
-            f"group has {len(gamma)} dims but multi-index has {len(alphas)} entries"
-        )
-    xi_vec = np.asarray(xi_vec, dtype=float)
-    single = xi_vec.ndim == 1
-    rows = xi_vec[None, :] if single else xi_vec
-    out = np.ones(rows.shape[0])
-    for i, a in zip(gamma, alphas):
-        out = out * eval_univariate(cfg, a, rows[:, i - 1])
-    return float(out[0]) if single else out

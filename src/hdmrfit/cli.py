@@ -18,7 +18,8 @@ import time
 import numpy as np
 
 from .basis import BasisConfig
-from .data import NoiseModel, inject_noise, load_csv, rng_stream, save_csv, split
+from .data import (NoiseModel, SampleSet, inject_noise, load_csv, rng_stream,
+                   save_csv, split)
 from .fitting import (
     FitConfig,
     fit_hdmr,
@@ -27,8 +28,8 @@ from .fitting import (
 )
 from .model import (
     HdmrModel,
+    dictionary_cardinality,
     evaluate_model,
-    load_model,
     model_mean,
     model_variance,
     save_model,
@@ -41,7 +42,7 @@ from .separated import (
     SpatialBasis,
     evaluate_separated,
     fit_separated,
-    load_separated,
+    load_any_model,
     save_separated,
 )
 from .testbed import DiffusionConfig, generate_dataset, save_spectrum
@@ -50,6 +51,12 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_FIT = 4
+
+# bench --kind scaling: timed runs per measurement (median reported)
+BENCH_REPEATS = 5
+# bench --kind convergence: seed of the held-out rows. Fixed, so the test
+# set does not change with --seed or --seeds, and far above any training seed.
+BENCH_TEST_SEED = 2**40 + 1
 
 
 def _versions() -> dict:
@@ -91,14 +98,6 @@ def _manifest_path(args, outputs):
 def _fail(code: int, msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return code
-
-
-def _load_any_model(path):
-    with open(path, encoding="utf-8") as fh:
-        head = json.load(fh)
-    if head.get("kind") == "separated":
-        return load_separated(path)
-    return load_model(path)
 
 
 def cmd_fit(args) -> int:
@@ -183,9 +182,9 @@ def cmd_fit(args) -> int:
 def cmd_predict(args) -> int:
     t_all = time.perf_counter()
     try:
-        model = _load_any_model(args.model)
+        model = load_any_model(args.model)
         data = load_csv(args.data)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(EXIT_DATA, str(exc))
     try:
         if isinstance(model, HdmrModel):
@@ -207,8 +206,8 @@ def cmd_predict(args) -> int:
 def cmd_stats(args) -> int:
     t_all = time.perf_counter()
     try:
-        model = _load_any_model(args.model)
-    except (OSError, ValueError, KeyError) as exc:
+        model = load_any_model(args.model)
+    except (OSError, ValueError) as exc:
         return _fail(EXIT_DATA, str(exc))
     if not isinstance(model, HdmrModel):
         return _fail(EXIT_CONFIG,
@@ -271,68 +270,79 @@ def cmd_gen_diffusion(args) -> int:
     return EXIT_OK
 
 
+def _median_seconds(run) -> float:
+    """Median over BENCH_REPEATS calls of ``run`` (which returns seconds),
+    after one warm-up call."""
+    run()
+    return float(np.median([run() for _ in range(BENCH_REPEATS)]))
+
+
 def _bench_scaling(args):
     """Inactive-scan time vs dictionary cardinality, and coefficient-fit
-    time vs Nd at a fixed selected set."""
-    from .model import dictionary_cardinality
-    from .data import SampleSet
+    time vs Nd at a fixed selected set, for each of ``--dims``."""
+    if min(args.dims) < 4:
+        raise ValueError("--dims entries must be >= 4: the synthetic "
+                         "target reads xi1..xi4")
 
-    rows = []
+    def synthetic(nd, namespace):
+        xi = rng_stream(args.seed, namespace, nd).uniform(-1.0, 1.0, (args.nq, nd))
+        u = np.sin(xi[:, 0]) + xi[:, 1] * xi[:, 2] + 0.1 * xi[:, 3]
+        return SampleSet(np.empty((args.nq, 0)), xi, u)
+
+    def fit_seconds(ds):
+        t0 = time.perf_counter()
+        fit_hdmr(ds, None, groups, fitc, basis, retain="all")
+        return time.perf_counter() - t0
+
     sel = SelectionConfig(nolars=args.nolars, ninter=3,
                           max_groups=args.bench_steps)
     basis = BasisConfig(lo=-1.0, hi=1.0, max_order=args.nolars + 1)
-    for nd in (args.nd, args.nd2):
-        g = rng_stream(args.seed, 9, nd)
-        xi = g.uniform(-1.0, 1.0, size=(args.nq, nd))
-        u = np.sin(xi[:, 0]) + xi[:, 1] * xi[:, 2] + 0.1 * xi[:, 3]
-        ds = SampleSet(np.empty((args.nq, 0)), xi, u)
-        path = glars_select(ds, sel, basis)
-        card = dictionary_cardinality(nd, args.nolars, 3, 3, 1)
-        rows.append(("scan", nd, card, path.scan_seconds))
-
     groups = [(1,), (2,), (3,), (1, 2), (2, 3)]
     fitc = FitConfig(no=args.no, npc=2, ninter=2, seed=args.seed)
-    for nd in (args.nd, args.nd2):
-        g = rng_stream(args.seed, 10, nd)
-        xi = g.uniform(-1.0, 1.0, size=(args.nq, nd))
-        u = np.sin(xi[:, 0]) + xi[:, 1] * xi[:, 2] + 0.1 * xi[:, 3]
-        ds = SampleSet(np.empty((args.nq, 0)), xi, u)
-        fit_hdmr(ds, None, groups, fitc, basis, retain="all")  # warm-up
-        times = []
-        for _ in range(5):
-            t0 = time.perf_counter()
-            fit_hdmr(ds, None, groups, fitc, basis, retain="all")
-            times.append(time.perf_counter() - t0)
-        rows.append(("coeff", nd, len(groups), float(np.median(times))))
+    rows = []
+    for nd in args.dims:
+        ds = synthetic(nd, 9)
+        sec = _median_seconds(lambda: glars_select(ds, sel, basis).scan_seconds)
+        rows.append(("scan", nd, dictionary_cardinality(nd, args.nolars, 3, 3, 1), sec))
+    for nd in args.dims:
+        ds = synthetic(nd, 10)
+        rows.append(("coeff", nd, len(groups),
+                     _median_seconds(lambda: fit_seconds(ds))))
     return rows
 
 
 def _bench_convergence(args):
-    """Test error of the full pipeline vs training-set size."""
+    """Test error of the full pipeline vs training-set size, one row per
+    training seed (seed .. seed + seeds - 1), all on the same held-out rows
+    (BENCH_TEST_SEED)."""
+    if args.seeds < 1:
+        raise ValueError("--seeds must be >= 1")
     cfg = DiffusionConfig(nd_nu=args.nd_nu, nd_f=args.nd_f, m_x=args.mx,
                           m_k=args.mk)
-    test = generate_dataset(cfg, args.ntest, args.seed + 1)
+    test = generate_dataset(cfg, args.ntest, BENCH_TEST_SEED)
     basis = BasisConfig(lo=0.0, hi=1.0, max_order=args.no + 1)
     sel = SelectionConfig(nolars=args.nolars, ninter=3, max_groups=48)
-    fitc = FitConfig(no=args.no, npc=3, ninter=3, seed=args.seed)
     rows = []
-    for nq in args.sizes:
-        data = generate_dataset(cfg, nq + max(1, nq // 5), args.seed)
-        train, val, _ = split(data, nq, max(1, nq // 5), 0, args.seed)
-        path = glars_select(train, sel, basis)
-        model, _ = fit_hdmr(train, val, path, fitc, basis)
-        rows.append(("eps", nq, len(path), relative_error(model, test)))
+    for nq in args.nq_list:
+        errs = []
+        for seed in range(args.seed, args.seed + args.seeds):
+            data = generate_dataset(cfg, nq + max(1, nq // 5), seed)
+            train, val, _ = split(data, nq, max(1, nq // 5), 0, seed)
+            path = glars_select(train, sel, basis)
+            model, _ = fit_hdmr(train, val, path,
+                                FitConfig(no=args.no, npc=3, ninter=3, seed=seed),
+                                basis)
+            errs.append(relative_error(model, test))
+            rows.append(("eps", nq, seed, errs[-1]))
+        print(f"nq {nq}: median test error {np.median(errs):.4e} "
+              f"over {args.seeds} seed(s)")
     return rows
 
 
 def cmd_bench(args) -> int:
     t_all = time.perf_counter()
     try:
-        if args.kind == "scaling":
-            rows = _bench_scaling(args)
-        else:
-            args.sizes = [int(s) for s in args.nq_list.split(",")]
-            rows = _bench_convergence(args)
+        rows = (_bench_scaling if args.kind == "scaling" else _bench_convergence)(args)
     except ValueError as exc:
         return _fail(EXIT_CONFIG, str(exc))
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -343,6 +353,10 @@ def cmd_bench(args) -> int:
     _write_manifest(_manifest_path(args, [args.out]), "bench", args, [],
                     [args.out], {"total": time.perf_counter() - t_all})
     return EXIT_OK
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(v) for v in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -430,9 +444,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="bench.csv")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--nq", type=int, default=800)
-    p.add_argument("--nq-list", default="300,600")
-    p.add_argument("--nd", type=int, default=24)
-    p.add_argument("--nd2", type=int, default=30)
+    p.add_argument("--nq-list", type=_int_list, default="300,600",
+                   help="convergence: comma-separated training budgets")
+    p.add_argument("--seeds", type=int, default=1,
+                   help="convergence: training seeds per budget")
+    p.add_argument("--dims", type=_int_list, default="24,30",
+                   help="scaling: comma-separated stochastic dimensions")
     p.add_argument("--no", type=int, default=4)
     p.add_argument("--nolars", type=int, default=4)
     p.add_argument("--bench-steps", type=int, default=3)

@@ -18,7 +18,6 @@ __all__ = [
     "save_csv",
     "split",
     "inject_noise",
-    "empirical_inner",
     "rng_stream",
 ]
 
@@ -239,12 +238,3 @@ def inject_noise(sset: SampleSet, noise: NoiseModel, seed: int) -> SampleSet:
         if noise.s_u > 0:
             u[q] = u[q] * (1.0 + noise.s_u * zeta_u)
     return SampleSet(sset.x, xi, u, sset.tag)
-
-
-def empirical_inner(v, w) -> float:
-    """Data-driven inner product <v, w> = sum_q v_q w_q."""
-    v = np.asarray(v, dtype=float).ravel()
-    w = np.asarray(w, dtype=float).ravel()
-    if v.shape != w.shape:
-        raise ValueError(f"length mismatch: {v.shape[0]} vs {w.shape[0]}")
-    return float(np.dot(v, w))

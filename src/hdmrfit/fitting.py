@@ -39,8 +39,8 @@ __all__ = [
     "fit_dense_mode",
     "fit_cp_mode",
     "fit_hdmr",
+    "merge_train_validation",
     "relative_error",
-    "build_sample_covariance",
     "covariance_blocks",
     "wtls_solve",
     "save_diagnostics",
@@ -276,13 +276,42 @@ def _mode_train_values(mode, table, no):
     return _cp_values(table, mode, no)
 
 
-def _concat_sets(a: SampleSet, b: SampleSet) -> SampleSet:
-    return SampleSet(
-        np.vstack([a.x, b.x]) if a.ndx else np.empty((a.nq + b.nq, 0)),
-        np.vstack([a.xi, b.xi]),
-        np.concatenate([a.u, b.u]),
+def _vector(v, default):
+    return default if v is None else np.asarray(v, dtype=float).ravel()
+
+
+def _total(modes, n: int, attr: str = "values") -> np.ndarray:
+    # sum of the active modes' values at the training (or validation) rows
+    tot = np.zeros(n)
+    for m in modes:
+        tot += getattr(m, attr)
+    return tot
+
+
+def merge_train_validation(train: SampleSet, validation: SampleSet,
+                           row_weights=None, val_row_weights=None,
+                           response=None, val_response=None):
+    """Stack the validation rows under the training rows for a final refit.
+
+    Returns (combined SampleSet, row weights, response). The weights (the
+    response) are None when neither part overrides them; otherwise a missing
+    part is filled with ones (with the observed values).
+    """
+    combined = SampleSet(
+        np.vstack([train.x, validation.x]),
+        np.vstack([train.xi, validation.xi]),
+        np.concatenate([train.u, validation.u]),
         "train",
     )
+    weights = None
+    if row_weights is not None or val_row_weights is not None:
+        weights = np.concatenate([_vector(row_weights, np.ones(train.nq)),
+                                  _vector(val_row_weights, np.ones(validation.nq))])
+    merged = None
+    if response is not None or val_response is not None:
+        merged = np.concatenate([_vector(response, train.u),
+                                 _vector(val_response, validation.u)])
+    return combined, weights, merged
 
 
 def fit_hdmr(train: SampleSet, validation: SampleSet | None, path, cfg: FitConfig,
@@ -290,9 +319,10 @@ def fit_hdmr(train: SampleSet, validation: SampleSet | None, path, cfg: FitConfi
              response=None, val_response=None, retain: str = "cv"):
     """Multi-pass driver: grow the surrogate along a selection path.
 
-    Groups from ``path`` are added one per pass; each pass fits the new mode
-    on the current residual, cyclically re-fits all active modes (update
-    sweeps), and evaluates the error on the validation set. Growth stops
+    ``path`` is a SelectionPath or any iterable of groups; its groups are
+    added one per pass in order. Each pass fits the new mode on the current
+    residual, cyclically re-fits all active modes (update sweeps), and
+    evaluates the error on the validation set. Growth stops
     once the validation error has increased over two consecutive passes; the
     returned model keeps the pass with the smallest validation error and is
     refitted on train plus validation. ``retain="all"`` fits every group
@@ -302,7 +332,7 @@ def fit_hdmr(train: SampleSet, validation: SampleSet | None, path, cfg: FitConfi
     """
     if train.nq < 1:
         raise ValueError("empty training set")
-    groups = path.groups() if hasattr(path, "groups") else [tuple(g) for g in path]
+    groups = [tuple(g) for g in path]
     have_val = validation is not None and validation.nq > 0
     if retain == "cv" and not have_val:
         warnings.warn("no validation samples: fitting the whole path")
@@ -316,23 +346,10 @@ def fit_hdmr(train: SampleSet, validation: SampleSet | None, path, cfg: FitConfi
     if retain == "all":
         return model, diag
 
-    kept = groups[: diag.retained]
-    combined = _concat_sets(train, validation)
-    w_c = None
-    if row_weights is not None or val_row_weights is not None:
-        wt = np.ones(train.nq) if row_weights is None \
-            else np.asarray(row_weights, dtype=float).ravel()
-        wv = np.ones(validation.nq) if val_row_weights is None \
-            else np.asarray(val_row_weights, dtype=float).ravel()
-        w_c = np.concatenate([wt, wv])
-    r_c = None
-    if response is not None or val_response is not None:
-        rt = train.u if response is None else np.asarray(response, dtype=float).ravel()
-        rv = validation.u if val_response is None \
-            else np.asarray(val_response, dtype=float).ravel()
-        r_c = np.concatenate([rt, rv])
-    model, _ = _fit_passes(combined, None, kept, cfg, basis, w_c, None,
-                           r_c, None, "all")
+    combined, w_c, r_c = merge_train_validation(
+        train, validation, row_weights, val_row_weights, response, val_response)
+    model, _ = _fit_passes(combined, None, groups[: diag.retained], cfg, basis,
+                           w_c, None, r_c, None, "all")
     return model, diag
 
 
@@ -340,11 +357,10 @@ def _fit_passes(train, validation, groups, cfg, basis, row_weights,
                 val_row_weights, response, val_response, retain):
     fbasis = fit_basis(basis, cfg)
     table = univariate_table(fbasis, train.xi)
-    u = train.u if response is None else np.asarray(response, dtype=float).ravel()
+    u = _vector(response, train.u)
     if u.shape[0] != train.nq:
         raise ValueError("response length does not match the training set")
-    w = np.ones(train.nq) if row_weights is None \
-        else np.asarray(row_weights, dtype=float).ravel()
+    w = _vector(row_weights, np.ones(train.nq))
     wsq = float(w @ w)
     if wsq <= 0:
         raise ValueError("row weights are identically zero")
@@ -352,10 +368,8 @@ def _fit_passes(train, validation, groups, cfg, basis, row_weights,
     have_val = validation is not None and validation.nq > 0
     if have_val:
         vtable = univariate_table(fbasis, validation.xi)
-        uval = validation.u if val_response is None \
-            else np.asarray(val_response, dtype=float).ravel()
-        wv = np.ones(validation.nq) if val_row_weights is None \
-            else np.asarray(val_row_weights, dtype=float).ravel()
+        uval = _vector(val_response, validation.u)
+        wv = _vector(val_row_weights, np.ones(validation.nq))
         val_norm = float(np.linalg.norm(uval))
         if val_norm == 0.0:
             warnings.warn("validation values are identically zero: no early stopping")
@@ -363,18 +377,10 @@ def _fit_passes(train, validation, groups, cfg, basis, row_weights,
 
     modes: list[_ActiveMode] = []
 
-    def predicted():
-        tot = np.zeros(train.nq)
-        for m in modes:
-            tot += m.values
-        return tot
-
     def cv_eps(f0):
         if not have_val:
             return float("nan")
-        tot = np.zeros(validation.nq)
-        for m in modes:
-            tot += m.val_values
+        tot = _total(modes, validation.nq, "val_values")
         return float(np.linalg.norm(uval - wv * (f0 + tot)) / val_norm)
 
     f0 = float(w @ u) / wsq
@@ -391,7 +397,7 @@ def _fit_passes(train, validation, groups, cfg, basis, row_weights,
             raise ValueError(f"group {dims} appears twice in the path")
         unique.add(dims)
         am = _ActiveMode(dims, "dense" if len(dims) <= cfg.npc else "cp")
-        base = f0 + predicted()
+        base = f0 + _total(modes, train.nq)
         r = u - w * base
         _refit_mode(am, r, train, cfg, fbasis, w, table, u_base=base)
         if have_val:
@@ -400,11 +406,11 @@ def _fit_passes(train, validation, groups, cfg, basis, row_weights,
 
         if cfg.update_sweeps:
             f0 = _update_sweeps(modes, u, train, cfg, fbasis, w, wsq, table, f0)
-        f0 = float(w @ (u - w * predicted())) / wsq
+        f0 = float(w @ (u - w * _total(modes, train.nq))) / wsq
         if have_val:
             for m in modes:
                 m.val_values = _mode_train_values(m.mode, vtable, cfg.no)
-        rnorm = float(np.linalg.norm(u - w * (f0 + predicted())))
+        rnorm = float(np.linalg.norm(u - w * (f0 + _total(modes, train.nq))))
         eps = cv_eps(f0)
         records.append(PassRecord(s, dims, rnorm, eps))
 
@@ -438,20 +444,14 @@ def _refit_mode(am: _ActiveMode, r, train, cfg, fbasis, w, table, u_base=None):
 
 
 def _update_sweeps(modes, u, train, cfg, fbasis, w, wsq, table, f0):
-    def total():
-        tot = np.zeros(train.nq)
-        for m in modes:
-            tot += m.values
-        return tot
-
-    prev = float(np.linalg.norm(u - w * (f0 + total())))
+    prev = float(np.linalg.norm(u - w * (f0 + _total(modes, train.nq))))
     for _ in range(cfg.max_update_sweeps):
-        f0 = float(w @ (u - w * total())) / wsq
+        f0 = float(w @ (u - w * _total(modes, train.nq))) / wsq
         for m in modes:
-            base = f0 + total() - m.values
+            base = f0 + _total(modes, train.nq) - m.values
             r_m = u - w * base
             _refit_mode(m, r_m, train, cfg, fbasis, w, table, u_base=base)
-        cur = float(np.linalg.norm(u - w * (f0 + total())))
+        cur = float(np.linalg.norm(u - w * (f0 + _total(modes, train.nq))))
         if abs(prev - cur) <= cfg.update_sweeps_tol * max(cur, _TINY):
             break
         prev = cur
@@ -494,38 +494,13 @@ class CovarianceBlocks:
         return self.blocks.shape[0]
 
 
-def build_sample_covariance(xi_q, dims, indices, noise: NoiseModel, u_q,
-                            basis: BasisConfig) -> np.ndarray:
-    """First-order noise covariance block for one sample.
+def covariance_blocks(train: SampleSet, dims, indices, noise: NoiseModel,
+                      basis: BasisConfig, u_ref=None) -> CovarianceBlocks:
+    """First-order noise covariance blocks of one group, for every training row.
 
     Predictor rows get s^2 * sum_i (dpsi_a/dxi_i)(dpsi_b/dxi_i); the residual
     row variance is (s_u * u_q)^2; cross terms vanish because coordinate and
     value noise are independent.
-    """
-    xi_q = np.asarray(xi_q, dtype=float).ravel()
-    dims = tuple(int(d) for d in dims)
-    p = len(indices)
-    lam = np.zeros((p + 1, p + 1))
-    if noise.s > 0:
-        sub = xi_q[[d - 1 for d in dims]]
-        vals = univariate_table(basis, sub)
-        ders = univariate_deriv_table(basis, sub)
-        der = np.empty((p, len(dims)))
-        for a, idx in enumerate(indices):
-            for i, al in enumerate(idx):
-                prod = 1.0
-                for j, aj in enumerate(idx):
-                    if j != i:
-                        prod *= vals[j, aj - 1]
-                der[a, i] = ders[i, al - 1] * prod
-        lam[:p, :p] = noise.s**2 * (der @ der.T)
-    lam[p, p] = (noise.s_u * float(u_q)) ** 2
-    return lam
-
-
-def covariance_blocks(train: SampleSet, dims, indices, noise: NoiseModel,
-                      basis: BasisConfig, u_ref=None) -> CovarianceBlocks:
-    """Vectorized build_sample_covariance over every training row.
 
     u_ref supplies the response values for the residual-row variance;
     it defaults to the observed train.u. A denoised estimate (the current

@@ -10,6 +10,7 @@ constant, so every mode has zero mean under the uniform measure.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from math import comb
 
@@ -320,33 +321,58 @@ def save_model(model: HdmrModel, path) -> None:
         fh.write("\n")
 
 
-def load_model(path) -> HdmrModel:
+def _read_document(path) -> dict:
+    """The JSON object stored in a model file.
+
+    Raises ValueError naming the file when it is not JSON or holds anything
+    but an object.
+    """
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not a JSON model file ({exc})") from None
+    if not isinstance(doc, dict):
+        raise ValueError(
+            f"{path}: a model file holds a JSON object, not a {type(doc).__name__}")
+    return doc
+
+
+def load_model(path) -> HdmrModel:
+    return _model_from_document(_read_document(path), path)
+
+
+def _model_from_document(doc, path) -> HdmrModel:
+    """Rebuild a model from its document (a whole file, or a payload nested
+    in a separated model file); ValueError naming ``path`` when the schema
+    or kind is wrong or any field is missing or of the wrong type."""
     if doc.get("schema") != _SCHEMA:
-        raise ValueError(f"unsupported model schema {doc.get('schema')!r}")
+        raise ValueError(f"{path}: unsupported model schema {doc.get('schema')!r}")
     if doc.get("kind", "hdmr") != "hdmr":
         raise ValueError(
-            f"model file holds a {doc.get('kind')!r} model; use the matching loader"
+            f"{path}: model file holds a {doc.get('kind')!r} model; "
+            "use the matching loader"
         )
-    return _model_from_payload(doc)
-
-
-def _model_from_payload(doc) -> HdmrModel:
-    basis = BasisConfig(
-        lo=doc["basis"]["lo"],
-        hi=doc["basis"]["hi"],
-        max_order=doc["basis"]["max_order"],
-        family=doc["basis"]["family"],
-    )
-    dense = [
-        DenseMode(tuple(m["dims"]), tuple(tuple(i) for i in m["indices"]),
-                  np.asarray(m["coeffs"]))
-        for m in doc["dense"]
-    ]
-    cp = [CPMode(tuple(m["dims"]), np.asarray(m["factors"])) for m in doc["cp"]]
-    return HdmrModel(
-        f0=doc["f0"], basis=basis, nd=doc["nd"], no=doc["no"],
-        ninter=doc["ninter"], npc=doc["npc"], nr=doc["nr"],
-        dense=dense, cp=cp,
-    )
+    integer = operator.index
+    try:
+        basis = BasisConfig(
+            lo=float(doc["basis"]["lo"]),
+            hi=float(doc["basis"]["hi"]),
+            max_order=integer(doc["basis"]["max_order"]),
+            family=doc["basis"]["family"],
+        )
+        dense = [
+            DenseMode(tuple(m["dims"]), tuple(tuple(i) for i in m["indices"]),
+                      np.asarray(m["coeffs"], dtype=float))
+            for m in doc["dense"]
+        ]
+        cp = [CPMode(tuple(m["dims"]), np.asarray(m["factors"], dtype=float))
+              for m in doc["cp"]]
+        return HdmrModel(
+            f0=float(doc["f0"]), basis=basis, nd=integer(doc["nd"]),
+            no=integer(doc["no"]), ninter=integer(doc["ninter"]),
+            npc=integer(doc["npc"]), nr=integer(doc["nr"]),
+            dense=dense, cp=cp,
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed model document ({exc!r})") from exc

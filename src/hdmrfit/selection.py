@@ -30,8 +30,6 @@ __all__ = [
     "SelectionConfig",
     "PathStep",
     "SelectionPath",
-    "build_group_dictionary",
-    "group_correlation",
     "glars_select",
     "save_path",
 ]
@@ -106,6 +104,10 @@ class SelectionPath:
     def groups(self) -> list[Group]:
         return [st.dims for st in self.steps]
 
+    def __iter__(self):
+        # a path reads as its groups in entry order, like a plain group list
+        return iter(self.groups())
+
     def __len__(self) -> int:
         return len(self.steps)
 
@@ -120,34 +122,21 @@ def save_path(path: SelectionPath, file) -> None:
             fh.write(f"{s},{dims},{st.entry_score!r},{st.residual_norm_after!r}\n")
 
 
-def build_group_dictionary(nd: int, cfg: SelectionConfig, active=()):
-    """Lazily enumerate candidate (dims, predictor multi-indices) pairs.
-
-    With cfg.hierarchical, a group is admitted only when all of its
-    cardinality-(l-1) subsets appear in ``active``. Groups whose predictor
-    set is empty at degree nolars are skipped.
-    """
-    if nd < 1:
-        raise ValueError("nd must be >= 1")
-    act = {tuple(g) for g in active}
+def _group_classes(nd: int, cfg: SelectionConfig):
+    """Yield (predictor multi-indices, groups) for each cardinality class of
+    the selection dictionary, in increasing cardinality. Classes with no
+    predictor at degree nolars are skipped."""
     for card in range(1, min(cfg.ninter, nd) + 1):
         indices = enumerate_dense_indices(tuple(range(1, card + 1)), cfg.nolars)
-        if not indices:
-            continue
-        for dims in combinations(range(1, nd + 1), card):
-            if cfg.hierarchical and card > 1:
-                if any(dims[:i] + dims[i + 1:] not in act for i in range(card)):
-                    continue
-            yield dims, indices
+        if indices:
+            yield indices, list(combinations(range(1, nd + 1), card))
 
 
-def group_correlation(gamma: Group, residual, design) -> float:
-    """Score ||design' residual||^2 / p for a group's orthonormalized columns."""
-    design = np.asarray(design, dtype=float)
-    if design.ndim != 2 or design.shape[1] == 0:
-        raise ValueError(f"group {tuple(gamma)} has no usable predictors")
-    proj = design.T @ np.asarray(residual, dtype=float).ravel()
-    return float(proj @ proj) / design.shape[1]
+def _parents_active(dims: Group, active: set[Group]) -> bool:
+    """Hierarchy rule: a group of cardinality l > 1 is admissible once all of
+    its cardinality-(l-1) subsets are active; singletons always are."""
+    return len(dims) == 1 or all(
+        dims[:i] + dims[i + 1:] in active for i in range(len(dims)))
 
 
 class _ClassScan:
@@ -224,9 +213,6 @@ class _ClassScan:
             sub = d[g][:, keep]
             self.kept[-1].append(keep)
             self.linv[-1].append(np.linalg.inv(np.linalg.cholesky(sub.T @ sub)))
-
-    def _chunk_ids(self):
-        return range(len(self._starts))
 
     def project(self, vecs, cid):
         """Orthonormal-coordinate projections L^-1 D' v for chunk ``cid``.
@@ -314,11 +300,7 @@ def glars_select(train: SampleSet, cfg: SelectionConfig, basis: BasisConfig,
     scans: list[_ClassScan] = []
     offsets: list[int] = []
     total = 0
-    for card in range(1, min(cfg.ninter, train.nd) + 1):
-        indices = enumerate_dense_indices(tuple(range(1, card + 1)), cfg.nolars)
-        if not indices:
-            continue
-        groups = list(combinations(range(1, train.nd + 1), card))
+    for indices, groups in _group_classes(train.nd, cfg):
         scans.append(_ClassScan(table, groups, indices, w))
         offsets.append(total)
         total += len(groups)
@@ -331,7 +313,7 @@ def glars_select(train: SampleSet, cfg: SelectionConfig, basis: BasisConfig,
     pcounts = np.concatenate([sc.pcount for sc in scans])
     usable = pcounts > 0
 
-    jobs = [(si, cid) for si, sc in enumerate(scans) for cid in sc._chunk_ids()]
+    jobs = [(si, cid) for si, sc in enumerate(scans) for cid in range(len(sc._starts))]
     pool = ThreadPoolExecutor(max_workers=worker_count()) if worker_count() > 1 else None
 
     def projections(vecs):
@@ -339,18 +321,6 @@ def glars_select(train: SampleSet, cfg: SelectionConfig, basis: BasisConfig,
         if pool is None:
             return [scans[si].project(vecs, cid) for si, cid in jobs]
         return list(pool.map(lambda jc: scans[jc[0]].project(vecs, jc[1]), jobs))
-
-    def hierarchy_mask(active_set):
-        mask = np.ones(total, dtype=bool)
-        if not cfg.hierarchical:
-            return mask
-        for gi, dims in enumerate(all_groups):
-            if len(dims) == 1:
-                continue
-            mask[gi] = all(
-                dims[:i] + dims[i + 1:] in active_set for i in range(len(dims))
-            )
-        return mask
 
     active: list[int] = []
     active_set: set[Group] = set()
@@ -372,7 +342,9 @@ def glars_select(train: SampleSet, cfg: SelectionConfig, basis: BasisConfig,
                 scores[pos:pos + g] = (pr[:, :, 0] ** 2).sum(axis=1)
                 pos += g
             scores = np.where(usable, scores / np.maximum(pcounts, 1), -np.inf)
-            cand = usable & hierarchy_mask(active_set)
+            cand = usable.copy()
+            if cfg.hierarchical:
+                cand &= [_parents_active(dims, active_set) for dims in all_groups]
             cand[active] = False
             if not np.any(cand):
                 break

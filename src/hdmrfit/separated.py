@@ -10,6 +10,7 @@ by the current spatial profile) until the stochastic-mode norm settles.
 from __future__ import annotations
 
 import json
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -17,8 +18,9 @@ import numpy as np
 
 from .basis import BasisConfig, univariate_table
 from .data import SampleSet
-from .fitting import FitConfig, fit_hdmr, ls_solve
-from .model import HdmrModel, _model_from_payload, _model_payload, evaluate_model
+from .fitting import FitConfig, fit_hdmr, ls_solve, merge_train_validation
+from .model import (HdmrModel, _model_from_document, _model_payload, _read_document,
+                    evaluate_model)
 from .selection import SelectionConfig, glars_select
 
 __all__ = [
@@ -31,6 +33,7 @@ __all__ = [
     "evaluate_separated",
     "save_separated",
     "load_separated",
+    "load_any_model",
 ]
 
 _TINY = 1e-300
@@ -262,20 +265,11 @@ def _refit_lambda(train, validation, groups, fit_cfg, basis, w_train, w_val,
                   res, res_val):
     # coefficient-only refit on the frozen skeleton; fit on the union of
     # train and validation to match the first iteration's final refit
-    if validation is None:
-        model, _ = fit_hdmr(train, None, groups, fit_cfg, basis,
-                            row_weights=w_train, response=res, retain="all")
-        return model
-    combined = SampleSet(
-        np.vstack([train.x, validation.x]),
-        np.vstack([train.xi, validation.xi]),
-        np.concatenate([train.u, validation.u]),
-        "train",
-    )
-    model, _ = fit_hdmr(
-        combined, None, groups, fit_cfg, basis,
-        row_weights=np.concatenate([w_train, w_val]),
-        response=np.concatenate([res, res_val]), retain="all")
+    if validation is not None:
+        train, w_train, res = merge_train_validation(
+            train, validation, w_train, w_val, res, res_val)
+    model, _ = fit_hdmr(train, None, groups, fit_cfg, basis,
+                        row_weights=w_train, response=res, retain="all")
     return model
 
 
@@ -347,20 +341,34 @@ def save_separated(m: SeparatedModel, path) -> None:
 
 
 def load_separated(path) -> SeparatedModel:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    return _separated_from_document(_read_document(path), path)
+
+
+def load_any_model(path) -> HdmrModel | SeparatedModel:
+    """Load a plain or a separated model file, whichever its "kind" names;
+    ValueError naming ``path`` for any malformed file."""
+    doc = _read_document(path)
+    if doc.get("kind") == "separated":
+        return _separated_from_document(doc, path)
+    return _model_from_document(doc, path)
+
+
+def _separated_from_document(doc: dict, path) -> SeparatedModel:
     if doc.get("schema") != 1 or doc.get("kind") != "separated":
         raise ValueError(f"{path}: not a separated model file")
-    sb = SpatialBasis(
-        kind=doc["spatial_basis"]["kind"],
-        cardx=doc["spatial_basis"]["cardx"],
-        domain=tuple(doc["spatial_basis"]["domain"]),
-    )
-    pairs = []
-    for pair in doc["pairs"]:
-        c = np.asarray(pair["w"], dtype=float)
-        lam = None
-        if pair["lambda"] != "unit":
-            lam = _model_from_payload(pair["lambda"])
-        pairs.append((c, lam))
-    return SeparatedModel(spatial_basis=sb, pairs=pairs)
+    try:
+        spec = doc["spatial_basis"]
+        sb = SpatialBasis(
+            kind=spec["kind"],
+            cardx=operator.index(spec["cardx"]),
+            domain=tuple(float(v) for v in spec["domain"]),
+        )
+        pairs = [
+            (np.asarray(pair["w"], dtype=float),
+             None if pair["lambda"] == "unit"
+             else _model_from_document(pair["lambda"], path))
+            for pair in doc["pairs"]
+        ]
+        return SeparatedModel(spatial_basis=sb, pairs=pairs)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed separated model document ({exc!r})") from exc

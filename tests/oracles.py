@@ -1,0 +1,72 @@
+"""Slow, obvious reference implementations the library is checked against.
+
+Each function works one basis function or one sample at a time, straight
+from the defining formula: they are the pointwise forms of
+``univariate_deriv_table``, of a ``dense_design`` column and of
+``covariance_blocks``.
+"""
+
+import numpy as np
+
+from hdmrfit.basis import (BasisConfig, _check_index, eval_univariate,
+                           univariate_deriv_table, univariate_table)
+from hdmrfit.data import NoiseModel
+
+
+def eval_univariate_deriv(cfg: BasisConfig, alpha: int, xi):
+    """Derivative of ``psi_alpha`` at ``xi`` (scalar or array)."""
+    _check_index(cfg, alpha)
+    table = univariate_deriv_table(cfg, xi)
+    val = table[..., alpha - 1]
+    return float(val) if np.isscalar(xi) else val
+
+
+def eval_tensor(cfg: BasisConfig, gamma, alphas, xi_vec):
+    """Tensor-product value prod_{i in gamma} psi_{alpha_i}(xi_i).
+
+    ``gamma`` holds 1-based dimension indices and ``alphas`` one basis index
+    per dimension; ``xi_vec`` is a full coordinate vector, or a (nq, Nd)
+    batch of them, whose entry ``i - 1`` is used for dimension ``i``.
+    """
+    gamma = tuple(gamma)
+    alphas = tuple(alphas)
+    if len(gamma) != len(alphas):
+        raise ValueError(
+            f"group has {len(gamma)} dims but multi-index has {len(alphas)} entries"
+        )
+    xi_vec = np.asarray(xi_vec, dtype=float)
+    single = xi_vec.ndim == 1
+    rows = xi_vec[None, :] if single else xi_vec
+    out = np.ones(rows.shape[0])
+    for i, a in zip(gamma, alphas):
+        out = out * eval_univariate(cfg, a, rows[:, i - 1])
+    return float(out[0]) if single else out
+
+
+def build_sample_covariance(xi_q, dims, indices, noise: NoiseModel, u_q,
+                            basis: BasisConfig) -> np.ndarray:
+    """First-order noise covariance block for one sample.
+
+    Predictor rows get s^2 * sum_i (dpsi_a/dxi_i)(dpsi_b/dxi_i); the residual
+    row variance is (s_u * u_q)^2; cross terms vanish because coordinate and
+    value noise are independent.
+    """
+    xi_q = np.asarray(xi_q, dtype=float).ravel()
+    dims = tuple(int(d) for d in dims)
+    p = len(indices)
+    lam = np.zeros((p + 1, p + 1))
+    if noise.s > 0:
+        sub = xi_q[[d - 1 for d in dims]]
+        vals = univariate_table(basis, sub)
+        ders = univariate_deriv_table(basis, sub)
+        der = np.empty((p, len(dims)))
+        for a, idx in enumerate(indices):
+            for i, al in enumerate(idx):
+                prod = 1.0
+                for j, aj in enumerate(idx):
+                    if j != i:
+                        prod *= vals[j, aj - 1]
+                der[a, i] = ders[i, al - 1] * prod
+        lam[:p, :p] = noise.s**2 * (der @ der.T)
+    lam[p, p] = (noise.s_u * float(u_q)) ** 2
+    return lam

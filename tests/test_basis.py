@@ -5,12 +5,11 @@ from hypothesis import strategies as st
 
 from hdmrfit.basis import (
     BasisConfig,
-    eval_tensor,
     eval_univariate,
-    eval_univariate_deriv,
     univariate_deriv_table,
     univariate_table,
 )
+from oracles import eval_tensor, eval_univariate_deriv
 
 B = BasisConfig(lo=-1.0, hi=1.0, max_order=10)
 

@@ -6,12 +6,18 @@ test is the exit code and the files a command leaves behind.
 
 import json
 import os
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hdmrfit.cli import main
-from hdmrfit.model import evaluate_model, load_model
+from hdmrfit.basis import BasisConfig
+from hdmrfit.cli import build_parser, main
+from hdmrfit.model import DenseMode, HdmrModel, evaluate_model, load_model, save_model
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -174,10 +180,49 @@ def test_predict_rejects_bad_model_file(tmp_path):
     assert main(["predict", str(bad), str(csv)]) == 3
 
 
+def _malformed_list(doc):
+    return [doc]
+
+
+def _malformed_dense(doc):
+    return dict(doc, dense=5)
+
+
+def _malformed_f0(doc):
+    return dict(doc, f0="abc")
+
+
+@pytest.mark.parametrize("corrupt", [_malformed_list, _malformed_dense, _malformed_f0])
+def test_malformed_model_file_exits_3(tmp_path, capsys, corrupt):
+    good = tmp_path / "good.json"
+    save_model(HdmrModel(f0=0.5, basis=BasisConfig(lo=0.0, hi=1.0, max_order=4),
+                         nd=1, no=3, ninter=1, npc=1, nr=1,
+                         dense=[DenseMode((1,), ((2,),), np.array([1.0]))]), good)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(corrupt(json.loads(good.read_text()))))
+    csv = tmp_path / "d.csv"
+    csv.write_text("xi1,u\n0.5,1.0\n")
+    assert main(["predict", str(bad), str(csv), "--out", str(tmp_path / "p.csv")]) == 3
+    assert main(["stats", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.count(f"error: {bad}") == 2
+
+
+def test_readme_cli_block_parses():
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## CLI.*?```\n(.*?)```", text, re.S).group(1)
+    lines = [ln for ln in block.replace("\\\n", " ").splitlines()
+             if ln.startswith("hdmrfit ")]
+    assert len(lines) >= 5
+    parser = build_parser()
+    for ln in lines:
+        parser.parse_args(shlex.split(ln)[1:])
+
+
 def test_bench_scaling_writes_rows(tmp_path):
     out = tmp_path / "bench.csv"
     rc = main(["bench", "--kind", "scaling", "--out", str(out),
-               "--nq", "120", "--nd", "5", "--nd2", "6", "--no", "3",
+               "--nq", "120", "--dims", "5,6", "--no", "3",
                "--nolars", "3", "--bench-steps", "2"])
     assert rc == 0
     rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
@@ -187,6 +232,12 @@ def test_bench_scaling_writes_rows(tmp_path):
     # cardinality grows with the dimension; timings are positive
     assert int(scans[1][2]) > int(scans[0][2])
     assert all(float(r[3]) > 0 for r in rows)
+
+
+def test_bench_rejects_bad_counts(tmp_path):
+    out = str(tmp_path / "bench.csv")
+    assert main(["bench", "--dims", "3,5", "--out", out]) == 2
+    assert main(["bench", "--kind", "convergence", "--seeds", "0", "--out", out]) == 2
 
 
 def test_bench_convergence_writes_rows(tmp_path):
@@ -200,6 +251,20 @@ def test_bench_convergence_writes_rows(tmp_path):
     assert [r[0] for r in rows] == ["eps", "eps"]
     assert [int(r[1]) for r in rows] == [80, 160]
     assert all(0 <= float(r[3]) < 1 for r in rows)
+
+
+def test_bench_convergence_test_rows_do_not_depend_on_seeds(tmp_path):
+    small = ["--nq-list", "80", "--nd-nu", "2", "--nd-f", "2", "--mx", "32",
+             "--mk", "48", "--ntest", "200", "--no", "3", "--nolars", "3"]
+    values = []
+    for seeds in ("1", "2"):
+        out = tmp_path / f"conv{seeds}.csv"
+        assert main(["bench", "--kind", "convergence", "--out", str(out),
+                     "--seeds", seeds] + small) == 0
+        values.append([ln.split(",") for ln in out.read_text().splitlines()[1:]])
+    # the (nq, seed 0) row is the same fit on the same held-out rows
+    assert values[0][0] == values[1][0]
+    assert [int(r[2]) for r in values[1]] == [0, 1]
 
 
 def test_threads_flag_seeds_env(tmp_path, monkeypatch):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from hdmrfit.data import (
     NoiseModel,
     SampleSet,
-    empirical_inner,
     inject_noise,
     load_csv,
     rng_stream,
@@ -158,14 +157,6 @@ def test_rng_stream_independent_keys():
     c = rng_stream(7, 1, 0).standard_normal(5)
     assert np.array_equal(a, c)
     assert not np.array_equal(a, b)
-
-
-def test_empirical_inner_matches_dot():
-    v = np.arange(4.0)
-    w = np.array([1.0, -1.0, 2.0, 0.5])
-    assert empirical_inner(v, w) == pytest.approx(float(v @ w))
-    with pytest.raises(ValueError):
-        empirical_inner(v, w[:-1])
 
 
 @given(st.floats(min_value=-5, max_value=5),

@@ -8,7 +8,6 @@ from hdmrfit.data import NoiseModel, SampleSet, inject_noise, rng_stream
 from hdmrfit.fitting import (
     CovarianceBlocks,
     FitConfig,
-    build_sample_covariance,
     covariance_blocks,
     fit_cp_mode,
     fit_dense_mode,
@@ -20,6 +19,7 @@ from hdmrfit.fitting import (
 )
 from hdmrfit.model import HdmrModel, dense_design, evaluate_model
 from hdmrfit.selection import SelectionConfig, glars_select
+from oracles import build_sample_covariance, eval_univariate_deriv
 
 B = BasisConfig(lo=-1.0, hi=1.0, max_order=5)
 
@@ -207,7 +207,6 @@ def test_covariance_block_pinned_example():
 
 def test_covariance_block_coordinate_part():
     # single predictor psi_2 on dim 1: derivative row gives s^2 psi_2'(xi)^2
-    from hdmrfit.basis import eval_univariate_deriv
     xi = np.array([0.4, -0.2])
     lam = build_sample_covariance(xi, (1,), [(2,)],
                                   NoiseModel(s=0.1, s_u=0.0), 1.0, B)

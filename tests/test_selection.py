@@ -3,11 +3,11 @@ import pytest
 
 from hdmrfit.basis import BasisConfig, univariate_table
 from hdmrfit.data import SampleSet, rng_stream
+from hdmrfit.model import dense_design
 from hdmrfit.selection import (
     SelectionConfig,
-    build_group_dictionary,
+    _group_classes,
     glars_select,
-    group_correlation,
     save_path,
     worker_count,
 )
@@ -144,25 +144,30 @@ def test_hierarchical_filter():
 
 def test_group_dictionary_classes():
     cfg = SelectionConfig(nolars=3, ninter=2)
-    pairs = list(build_group_dictionary(5, cfg))
-    cards = {len(dims) for dims, _ in pairs}
-    assert cards == {1, 2}
-    n1 = sum(1 for dims, _ in pairs if len(dims) == 1)
-    n2 = sum(1 for dims, _ in pairs if len(dims) == 2)
-    assert (n1, n2) == (5, 10)
-    # every group carries the same per-class predictor count
-    p1 = {len(idx) for dims, idx in pairs if len(dims) == 1}
-    assert p1 == {3}
+    classes = list(_group_classes(5, cfg))
+    assert [len(groups[0]) for _, groups in classes] == [1, 2]
+    # every group of a class shares the class's predictor multi-indices
+    assert [len(groups) for _, groups in classes] == [5, 10]
+    assert len(classes[0][0]) == 3
 
 
-def test_group_correlation_matches_direct_formula():
-    xi, tab = uniform_set(300, 3, seed=29)
-    r = tab[:, 0, 1] + 0.2 * tab[:, 1, 1]
-    design = tab[:, 0, 1:4]  # orthonormal-ish columns of dim 1
-    got = group_correlation((1,), r, design)
-    assert got == pytest.approx(float(np.sum((design.T @ r) ** 2)) / 3, rel=1e-12)
-    with pytest.raises(ValueError):
-        group_correlation((1,), r, design[:, :0])
+def test_entry_score_matches_qr_oracle():
+    # the batched scan's score of a group is ||Q' r||^2 / p, with Q the
+    # group's design orthonormalized and r the centered response; the first
+    # group to enter has the largest score of the whole dictionary
+    xi, tab = uniform_set(300, 4, seed=29)
+    u = tab[:, 0, 1] + 0.4 * tab[:, 1, 2] * tab[:, 2, 1] + 0.2 * tab[:, 3, 3]
+    cfg = SelectionConfig(nolars=3, ninter=2, max_groups=1)
+    path = glars_select(as_set(xi, u), cfg, B)
+    r = u - u.mean()
+    oracle = {}
+    for indices, groups in _group_classes(4, cfg):
+        for dims in groups:
+            q, _ = np.linalg.qr(dense_design(tab, dims, indices))
+            oracle[dims] = float(np.sum((q.T @ r) ** 2)) / len(indices)
+    first = path.steps[0]
+    assert first.dims == max(oracle, key=oracle.get)
+    assert first.entry_score == pytest.approx(oracle[first.dims], rel=1e-10)
 
 
 def test_selected_groups_independent_of_worker_count(monkeypatch):

@@ -100,6 +100,17 @@ def _fail(code: int, msg: str) -> int:
     return code
 
 
+def _check_interval(path, xi, lo: float, hi: float) -> None:
+    """Raise ValueError naming the first data row (1-based, header excluded)
+    of ``path`` and its xi column with a coordinate outside [lo, hi]. The
+    basis is orthonormal on that interval only; the endpoints are inside."""
+    bad = (xi < lo) | (xi > hi)
+    if np.any(bad):
+        q, j = np.argwhere(bad)[0]
+        raise ValueError(f"{path}: row {q + 1} has xi{j + 1} = {float(xi[q, j])!r} "
+                         f"outside the basis interval [{lo!r}, {hi!r}]")
+
+
 def cmd_fit(args) -> int:
     timings = {}
     t_all = time.perf_counter()
@@ -136,7 +147,11 @@ def cmd_fit(args) -> int:
         return _fail(EXIT_CONFIG, str(exc))
 
     try:
+        _check_interval(args.data, data.xi, basis.lo, basis.hi)
         train, val, test = split(data, n_train, n_val, n_test, args.seed)
+        if test is not None and float(np.linalg.norm(test.u)) == 0.0:
+            raise ValueError("the test rows' response is identically zero: "
+                             "their relative error is undefined")
     except ValueError as exc:
         return _fail(EXIT_DATA, str(exc))
     if args.mode == "separated" and data.ndx != 1:
@@ -186,7 +201,12 @@ def cmd_predict(args) -> int:
         data = load_csv(args.data)
     except (OSError, ValueError) as exc:
         return _fail(EXIT_DATA, str(exc))
+    # a separated model's stochastic modes share one basis; rank 0 has none
+    basis = model.basis if isinstance(model, HdmrModel) else next(
+        (lam.basis for _, lam in model.pairs if lam is not None), None)
     try:
+        if basis is not None:
+            _check_interval(args.data, data.xi, basis.lo, basis.hi)
         if isinstance(model, HdmrModel):
             pred = np.atleast_1d(evaluate_model(model, data.xi))
         else:
@@ -257,13 +277,12 @@ def cmd_gen_diffusion(args) -> int:
         return _fail(EXIT_FIT, f"generation failed: {exc}")
     save_csv(data, args.out)
     outputs = [args.out]
-    if args.spectrum_out:
-        nu_f, ff = cfg.fields()
-        save_spectrum(nu_f, args.spectrum_out)
-        outputs.append(args.spectrum_out)
-        if args.spectrum_f_out:
-            save_spectrum(ff, args.spectrum_f_out)
-            outputs.append(args.spectrum_f_out)
+    spectra = (args.spectrum_out, args.spectrum_f_out)
+    if any(spectra):
+        for fld, out in zip(cfg.fields(), spectra):
+            if out:
+                save_spectrum(fld, out)
+                outputs.append(out)
     print(f"wrote {data.nq} samples (Nd={data.nd}, Ndx={data.ndx}) to {args.out}")
     _write_manifest(_manifest_path(args, outputs), "gen-diffusion", args,
                     [], outputs, {"total": time.perf_counter() - t_all})

@@ -133,8 +133,9 @@ class NoiseModel:
 def load_csv(path) -> SampleSet:
     """Read a SampleSet from ``path``.
 
-    Raises ValueError naming the offending data row (1-based) on non-numeric
-    or non-finite cells, and on width mismatches.
+    Raises ValueError naming the offending data row (1-based, blank lines
+    not counted, so row q is sample q) on non-numeric or non-finite cells,
+    and on width mismatches.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -157,9 +158,10 @@ def load_csv(path) -> SampleSet:
             )
         width = len(header)
         rows = []
-        for lineno, row in enumerate(reader, start=1):
+        for row in reader:
             if not row:
                 continue
+            lineno = len(rows) + 1
             if len(row) != width:
                 raise ValueError(
                     f"{path}: row {lineno} has {len(row)} cells, expected {width}"

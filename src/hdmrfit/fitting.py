@@ -25,6 +25,7 @@ from .model import (
     DenseMode,
     Group,
     HdmrModel,
+    _cp_values,
     dense_design,
     enumerate_dense_indices,
     evaluate_model,
@@ -47,27 +48,29 @@ __all__ = [
 ]
 
 _TINY = 1e-300
+# solver internals: each loop stops once its objective changes by at most its
+# tol (relative), or at its cap
+_ALS_TOL = 1e-8                 # ALS sweeps of one CP rank
+_ALS_MAX_SWEEPS = 100
+_UPDATE_SWEEPS_TOL = 1e-6       # cyclic refits of all active modes per pass
+_MAX_UPDATE_SWEEPS = 20
+_WTLS_TOL = 1e-10               # reweighting iterations of wtls_solve
+_WTLS_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Structural and algorithmic knobs of the coefficient stage."""
+    """Structural choices of the coefficient stage; robust with a NoiseModel
+    selects weighted total least squares."""
 
     no: int = 4
     npc: int = 2
     ninter: int = 2
     nr: int = 3
-    als_tol: float = 1e-8
-    als_max_sweeps: int = 100
-    update_sweeps: bool = True
-    update_sweeps_tol: float = 1e-6
-    max_update_sweeps: int = 20
     beta: float = 0.0
     seed: int = 0
     robust: bool = False
     noise: NoiseModel | None = None
-    wtls_tol: float = 1e-10
-    wtls_max_iter: int = 50
 
     def __post_init__(self):
         if self.npc > self.ninter:
@@ -106,9 +109,8 @@ def ls_solve(psi, r, beta: float = 0.0) -> np.ndarray:
 
 
 def _is_noisy(cfg: FitConfig) -> bool:
-    return cfg.robust and cfg.noise is not None and (
-        cfg.noise.s > 0 or cfg.noise.s_u > 0
-    )
+    # __post_init__ guarantees a NoiseModel whenever robust is set
+    return cfg.robust and (cfg.noise.s > 0 or cfg.noise.s_u > 0)
 
 
 def fit_dense_mode(gamma, residual, train: SampleSet, cfg: FitConfig,
@@ -144,8 +146,7 @@ def fit_dense_mode(gamma, residual, train: SampleSet, cfg: FitConfig,
             u_ref = u_ref + np.asarray(u_base, dtype=float).ravel()
         blocks = covariance_blocks(train, gamma, indices, cfg.noise,
                                    fit_basis(basis, cfg), u_ref=u_ref)
-        c = wtls_solve(psi, residual, blocks, c0=c0,
-                       tol=cfg.wtls_tol, max_iter=cfg.wtls_max_iter)
+        c = wtls_solve(psi, residual, blocks, c0=c0)
     else:
         c = ls_solve(psi, residual, cfg.beta)
     return DenseMode(gamma, tuple(indices), c)
@@ -184,7 +185,7 @@ def fit_cp_mode(gamma, residual, train: SampleSet, cfg: FitConfig,
             else:
                 g = rng_stream(cfg.seed, 4, *gamma, rank, attempt)
                 fac = g.uniform(-1.0, 1.0, size=(card, nord))
-            fac, contr = _als_rank(target, blocks_t, fac, w, cfg)
+            fac, contr = _als_rank(target, blocks_t, fac, w, cfg.beta)
             if fac is not None:
                 break
         else:
@@ -198,14 +199,14 @@ def fit_cp_mode(gamma, residual, train: SampleSet, cfg: FitConfig,
     return CPMode(gamma, factors)
 
 
-def _als_rank(target, blocks_t, fac, w, cfg: FitConfig):
+def _als_rank(target, blocks_t, fac, w, beta: float):
     """ALS sweeps for one rank. Returns (factors, weighted contribution),
     or (None, None) when a partial product vanishes."""
     card = len(blocks_t)
     vals = [blocks_t[i] @ fac[i] for i in range(card)]
     prev = np.inf
     contr = np.zeros_like(target)
-    for _ in range(cfg.als_max_sweeps):
+    for _ in range(_ALS_MAX_SWEEPS):
         for i in range(card):
             partial = np.ones_like(target)
             for j in range(card):
@@ -216,7 +217,7 @@ def _als_rank(target, blocks_t, fac, w, cfg: FitConfig):
             psi = blocks_t[i] * partial[:, None]
             if w is not None:
                 psi = psi * w[:, None]
-            fac[i] = ls_solve(psi, target, cfg.beta)
+            fac[i] = ls_solve(psi, target, beta)
             vals[i] = blocks_t[i] @ fac[i]
         contr = np.ones_like(target)
         for v in vals:
@@ -224,7 +225,7 @@ def _als_rank(target, blocks_t, fac, w, cfg: FitConfig):
         if w is not None:
             contr = contr * w
         res = float(np.linalg.norm(target - contr))
-        if abs(prev - res) <= cfg.als_tol * max(res, _TINY):
+        if abs(prev - res) <= _ALS_TOL * max(res, _TINY):
             break
         prev = res
     return fac, contr
@@ -257,7 +258,7 @@ def save_diagnostics(diag: FitDiagnostics, path) -> None:
 
 
 class _ActiveMode:
-    __slots__ = ("dims", "kind", "mode", "values", "val_values", "psi", "vdesign")
+    __slots__ = ("dims", "kind", "mode", "values", "val_values")
 
     def __init__(self, dims, kind):
         self.dims = dims
@@ -265,14 +266,11 @@ class _ActiveMode:
         self.mode = None
         self.values = None
         self.val_values = None
-        self.psi = None
-        self.vdesign = None
 
 
 def _mode_train_values(mode, table, no):
     if isinstance(mode, DenseMode):
         return dense_design(table, mode.dims, mode.indices) @ mode.coeffs
-    from .model import _cp_values
     return _cp_values(table, mode, no)
 
 
@@ -400,12 +398,9 @@ def _fit_passes(train, validation, groups, cfg, basis, row_weights,
         base = f0 + _total(modes, train.nq)
         r = u - w * base
         _refit_mode(am, r, train, cfg, fbasis, w, table, u_base=base)
-        if have_val:
-            am.val_values = _mode_train_values(am.mode, vtable, cfg.no)
         modes.append(am)
 
-        if cfg.update_sweeps:
-            f0 = _update_sweeps(modes, u, train, cfg, fbasis, w, wsq, table, f0)
+        f0 = _update_sweeps(modes, u, train, cfg, fbasis, w, wsq, table, f0)
         f0 = float(w @ (u - w * _total(modes, train.nq))) / wsq
         if have_val:
             for m in modes:
@@ -445,14 +440,14 @@ def _refit_mode(am: _ActiveMode, r, train, cfg, fbasis, w, table, u_base=None):
 
 def _update_sweeps(modes, u, train, cfg, fbasis, w, wsq, table, f0):
     prev = float(np.linalg.norm(u - w * (f0 + _total(modes, train.nq))))
-    for _ in range(cfg.max_update_sweeps):
+    for _ in range(_MAX_UPDATE_SWEEPS):
         f0 = float(w @ (u - w * _total(modes, train.nq))) / wsq
         for m in modes:
             base = f0 + _total(modes, train.nq) - m.values
             r_m = u - w * base
             _refit_mode(m, r_m, train, cfg, fbasis, w, table, u_base=base)
         cur = float(np.linalg.norm(u - w * (f0 + _total(modes, train.nq))))
-        if abs(prev - cur) <= cfg.update_sweeps_tol * max(cur, _TINY):
+        if abs(prev - cur) <= _UPDATE_SWEEPS_TOL * max(cur, _TINY):
             break
         prev = cur
     return f0
@@ -532,8 +527,7 @@ def covariance_blocks(train: SampleSet, dims, indices, noise: NoiseModel,
     return CovarianceBlocks(blocks)
 
 
-def wtls_solve(psi, r, blocks: CovarianceBlocks, c0=None, tol: float = 1e-10,
-               max_iter: int = 50) -> np.ndarray:
+def wtls_solve(psi, r, blocks: CovarianceBlocks, c0=None) -> np.ndarray:
     """Weighted total least squares via iteratively reweighted projections.
 
     Minimizes rho^2 = sum_q (psi_q c - r_q)^2 / (a' Lambda_q a) with
@@ -566,7 +560,7 @@ def wtls_solve(psi, r, blocks: CovarianceBlocks, c0=None, tol: float = 1e-10,
     prev = rho2(c)
     best_c, best_rho = c.copy(), prev
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_WTLS_MAX_ITER):
         sw = 1.0 / np.sqrt(denom(c))
         c_prop = ls_solve(psi * sw[:, None], r * sw, 0.0)
         step, cand, rho_new = 1.0, None, prev
@@ -581,7 +575,7 @@ def wtls_solve(psi, r, blocks: CovarianceBlocks, c0=None, tol: float = 1e-10,
         c = cand
         if rho_new < best_rho:
             best_c, best_rho = c.copy(), rho_new
-        if abs(prev - rho_new) <= tol * max(prev, _TINY):
+        if abs(prev - rho_new) <= _WTLS_TOL * max(prev, _TINY):
             converged = True
             break
         prev = rho_new

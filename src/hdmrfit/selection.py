@@ -41,6 +41,11 @@ log = logging.getLogger(__name__)
 # for any HDMR_THREADS setting
 _CHUNK_FLOATS = 4_000_000
 _ROOT_FLOOR = 1e-10
+# the path stops once the residual norm falls to this fraction of the
+# centered response's norm
+_RESIDUAL_TOL = 1e-10
+# predictor columns the active set leaves free below the sample count
+_DOF_BUFFER = 1
 
 
 def worker_count() -> int:
@@ -61,9 +66,7 @@ class SelectionConfig:
     nolars: int = 3
     ninter: int = 2
     max_groups: int = 64
-    residual_tol: float = 1e-10
     hierarchical: bool = False
-    dof_buffer: int = 1
 
     def __post_init__(self):
         if self.nolars < 1:
@@ -72,8 +75,6 @@ class SelectionConfig:
             raise ValueError("max_groups must be >= 1")
         if self.ninter < 1:
             raise ValueError("ninter must be >= 1")
-        if self.dof_buffer < 0:
-            raise ValueError("dof_buffer must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -158,10 +159,10 @@ class _ClassScan:
         self.p = self.idx.shape[0]
         self.card = self.dims.shape[1]
         self.chunk = max(1, min(256, _CHUNK_FLOATS // max(1, self.nq * self.p)))
+        self.nchunks = -(-self.ngroups // self.chunk)
         self.kept: list = []        # per chunk: None or list of kept-column index arrays
         self.linv: list = []        # per chunk: (g,p,p) array, or list of ragged factors
         self.pcount = np.full(self.ngroups, self.p)
-        self._starts = list(range(0, self.ngroups, self.chunk))
         self._factorize()
 
     def _design(self, lo, hi):
@@ -173,8 +174,17 @@ class _ClassScan:
             d *= self.w[None, :, None]
         return d
 
+    def columns(self, g):
+        """Design columns of group ``g`` (index within the class) that the
+        scan keeps, shape (nq, pcount[g])."""
+        d = self._design(g, g + 1)[0]
+        kept = self.kept[g // self.chunk]
+        keep = None if kept is None else kept[g % self.chunk]
+        return d if keep is None else d[:, keep]
+
     def _factorize(self):
-        for lo in self._starts:
+        for cid in range(self.nchunks):
+            lo = cid * self.chunk
             hi = min(lo + self.chunk, self.ngroups)
             d = self._design(lo, hi)
             gram = np.einsum("gqi,gqj->gij", d, d)
@@ -202,7 +212,7 @@ class _ClassScan:
             rank = int(np.sum(diag > max(d[g].shape) * np.finfo(float).eps * diag[0])) \
                 if diag.size and diag[0] > 0 else 0
             keep = np.sort(piv[:rank])
-            dims = tuple(self.dims[lo + g] + 1)
+            dims = tuple((self.dims[lo + g] + 1).tolist())
             log.warning("group %s: dropped %d dependent predictor column(s)",
                         dims, self.p - rank)
             self.pcount[lo + g] = rank
@@ -219,7 +229,7 @@ class _ClassScan:
 
         vecs is (nq, k); returns (g, p, k) with zero rows for dropped columns.
         """
-        lo = self._starts[cid]
+        lo = cid * self.chunk
         hi = min(lo + self.chunk, self.ngroups)
         d = self._design(lo, hi)
         m = np.einsum("gqi,qk->gik", d, vecs)
@@ -313,7 +323,7 @@ def glars_select(train: SampleSet, cfg: SelectionConfig, basis: BasisConfig,
     pcounts = np.concatenate([sc.pcount for sc in scans])
     usable = pcounts > 0
 
-    jobs = [(si, cid) for si, sc in enumerate(scans) for cid in range(len(sc._starts))]
+    jobs = [(si, cid) for si, sc in enumerate(scans) for cid in range(sc.nchunks)]
     pool = ThreadPoolExecutor(max_workers=worker_count()) if worker_count() > 1 else None
 
     def projections(vecs):
@@ -328,7 +338,7 @@ def glars_select(train: SampleSet, cfg: SelectionConfig, basis: BasisConfig,
     steps: list[PathStep] = []
     pred_count = 0
     scan_seconds = 0.0
-    dof_cap = train.nq - cfg.dof_buffer
+    dof_cap = train.nq - _DOF_BUFFER
 
     try:
         while len(active) < cfg.max_groups:
@@ -360,17 +370,9 @@ def glars_select(train: SampleSet, cfg: SelectionConfig, basis: BasisConfig,
 
             # materialize the entering group's columns for the direction solve
             si = int(np.searchsorted(offsets, gi, side="right")) - 1
-            sc = scans[si]
-            local = gi - offsets[si]
-            dcol = sc._design(local, local + 1)[0]
-            kpt = sc.kept[local // sc.chunk]
-            if kpt is not None:
-                keep = kpt[local % sc.chunk]
-                if keep is not None:
-                    dcol = dcol[:, keep]
             active.append(gi)
             active_set.add(all_groups[gi])
-            active_cols.append(dcol)
+            active_cols.append(scans[si].columns(gi - offsets[si]))
             pred_count += p_gi
 
             x = np.hstack(active_cols)
@@ -398,7 +400,7 @@ def glars_select(train: SampleSet, cfg: SelectionConfig, basis: BasisConfig,
             r = r - alpha * v
             rnorm = float(np.linalg.norm(r))
             steps.append(PathStep(all_groups[gi], float(best_score), float(alpha), rnorm))
-            if rnorm <= cfg.residual_tol * unorm:
+            if rnorm <= _RESIDUAL_TOL * unorm:
                 break
             if pred_count >= dof_cap:
                 break

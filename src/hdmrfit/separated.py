@@ -36,7 +36,12 @@ __all__ = [
     "load_any_model",
 ]
 
-_TINY = 1e-300
+# inner alternation of one rank: it stops once ||lambda_n|| changes by at most
+# _OUTER_TOL relative, or after _MAX_OUTER_ITERS alternations
+_OUTER_TOL = 1e-4
+_MAX_OUTER_ITERS = 50
+# rank growth stops once ||lambda_n|| falls below this fraction of ||u||
+_STOP_NORM_FRAC = 1e-3
 
 
 @dataclass(frozen=True)
@@ -86,19 +91,15 @@ def spatial_design(sb: SpatialBasis, x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SeparatedConfig:
-    """Rank growth and inner-alternation controls."""
+    """Rank growth: lmax caps the stochastic ranks; update_spatial_joint
+    re-solves every spatial profile jointly after each accepted rank."""
 
     lmax: int = 2
-    outer_tol: float = 1e-4
-    max_outer_iters: int = 50
-    stop_norm_frac: float = 1e-3
     update_spatial_joint: bool = False
 
     def __post_init__(self):
         if self.lmax < 0:
             raise ValueError("lmax must be >= 0")
-        if self.max_outer_iters < 1:
-            raise ValueError("max_outer_iters must be >= 1")
 
 
 @dataclass
@@ -170,7 +171,7 @@ def fit_separated(train: SampleSet, sel_cfg: SelectionConfig, fit_cfg: FitConfig
     inner alternation, and kept fixed while the spatial and stochastic
     coefficients are alternated to convergence of ||lambda_n||. Ranks stop
     at sep_cfg.lmax or once ||lambda_n|| falls below
-    stop_norm_frac * ||u||; a rank whose pair fails to reduce the training
+    _STOP_NORM_FRAC * ||u||; a rank whose pair fails to reduce the training
     residual is discarded.
     """
     if train.nq < 1:
@@ -199,10 +200,8 @@ def fit_separated(train: SampleSet, sel_cfg: SelectionConfig, fit_cfg: FitConfig
         w_c = w_c / float(np.linalg.norm(phi @ w_c))
         prev_norm = None
         kept_groups = None
-        lam_model = None
-        lam_vals = None
         degenerate = False
-        for it in range(sep_cfg.max_outer_iters):
+        for _ in range(_MAX_OUTER_ITERS):
             w_train = phi @ w_c
             w_val = phi_val @ w_c if have_val else None
             if kept_groups is None:
@@ -213,8 +212,7 @@ def fit_separated(train: SampleSet, sel_cfg: SelectionConfig, fit_cfg: FitConfig
                     basis, row_weights=w_train, val_row_weights=w_val,
                     response=res, val_response=res_val if have_val else None,
                     retain="cv" if have_val else "all")
-                kept_groups = path.groups()[: diag.retained] if have_val \
-                    else path.groups()
+                kept_groups = path.groups()[: diag.retained]
             else:
                 lam_model = _refit_lambda(train, validation if have_val else None,
                                           kept_groups, fit_cfg, basis,
@@ -226,16 +224,16 @@ def fit_separated(train: SampleSet, sel_cfg: SelectionConfig, fit_cfg: FitConfig
                 degenerate = True
                 break
             if prev_norm is not None and \
-                    abs(lam_norm - prev_norm) <= sep_cfg.outer_tol * lam_norm:
+                    abs(lam_norm - prev_norm) <= _OUTER_TOL * lam_norm:
                 break
             prev_norm = lam_norm
             w_c, scale = fit_spatial_mode(res, lam_vals, train, sb)
             if scale == 0.0:
                 degenerate = True
                 break
-        if degenerate or lam_model is None:
+        if degenerate:
             break
-        if float(np.linalg.norm(lam_vals)) < sep_cfg.stop_norm_frac * unorm:
+        if float(np.linalg.norm(lam_vals)) < _STOP_NORM_FRAC * unorm:
             break  # negligible stochastic content left; drop this rank
 
         w_train = phi @ w_c

@@ -1,12 +1,14 @@
-"""What the traced benchmark run (perfbench/) needs from the library.
+"""What the benchmark (perfbench/) and the study scripts need from the library.
 
 perfbench/spans.py replaces library functions by traced wrappers in the
 namespace of the module that calls them, and its counter hooks read a few
-result attributes. A refactor that renames or removes one of these breaks
-the traced run without failing any other test.
+result attributes. The workloads and scripts build the stage configs by
+keyword. A refactor that renames or removes one of these breaks the
+benchmark without failing any other test.
 """
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -16,8 +18,11 @@ from hdmrfit.basis import BasisConfig
 from hdmrfit.data import SampleSet, rng_stream
 from hdmrfit.fitting import FitConfig, fit_hdmr
 from hdmrfit.selection import SelectionConfig, glars_select
+from hdmrfit.separated import SeparatedConfig
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
+CONFIGS = {cls.__name__: cls for cls in (FitConfig, SelectionConfig, SeparatedConfig)}
 
 
 def _patches():
@@ -49,3 +54,26 @@ def test_hook_attributes_exist():
     _, diag = fit_hdmr(train, val, path, FitConfig(no=2, npc=2, ninter=2), basis)
     assert len(diag.records) >= 1
     assert isinstance(diag.retained, int)
+
+
+def _config_keywords():
+    # (file, line, config name, keyword) of every keyword passed to a stage
+    # config constructor, read without importing the benchmark or scripts
+    files = sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in CONFIGS:
+                for kw in node.keywords:
+                    if kw.arg is not None:
+                        yield path.name, node.lineno, name, kw.arg
+
+
+def test_config_keywords_are_fields():
+    used = list(_config_keywords())
+    assert {name for _, _, name, _ in used} == set(CONFIGS)
+    for fname, line, name, kw in used:
+        fields = {f.name for f in dataclasses.fields(CONFIGS[name])}
+        assert kw in fields, f"{fname}:{line}: {name}({kw}=...) is not a field"

@@ -26,7 +26,7 @@ def ws(tmp_path_factory):
     d = tmp_path_factory.mktemp("cli")
     rc = main(["gen-diffusion", "--out", str(d / "diff.csv"), "--nq", "260",
                "--nd-nu", "2", "--nd-f", "2", "--mx", "32", "--mk", "48",
-               "--seed", "3"])
+               "--seed", "3", "--spectrum-f-out", str(d / "spec_f.csv")])
     assert rc == 0
     return d
 
@@ -48,6 +48,11 @@ def test_gen_writes_csv_and_manifest(ws):
     assert set(doc["versions"]) >= {"python", "numpy", "scipy"}
     assert doc["timings"]["total"] > 0
     assert str(csv) in doc["outputs"]
+    # the forcing-field spectrum is written without --spectrum-out
+    spec = ws / "spec_f.csv"
+    lines = spec.read_text().splitlines()
+    assert lines[0] == "k,eigenvalue" and len(lines) == 1 + 2
+    assert doc["outputs"] == [str(csv), str(spec)]
 
 
 def test_fit_predict_stats_round_trip(ws, tmp_path, capsys):
@@ -123,6 +128,61 @@ def test_bad_basis_interval_exits_2(ws, tmp_path):
 def test_oversubscribed_split_exits_3(ws, tmp_path):
     rc = main(_fit_args(ws, tmp_path / "m.json", "--train", "10000"))
     assert rc == 3
+
+
+def _write_rows(path, rows, blank_after=None):
+    with open(path, "w") as fh:
+        fh.write(",".join(f"xi{j}" for j in range(1, len(rows[0]))) + ",u\n")
+        for q, row in enumerate(rows):
+            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+            if q == blank_after:
+                fh.write("\n")
+
+
+def test_fit_rejects_out_of_interval_row_exits_3(tmp_path, capsys):
+    xi = np.random.default_rng(2).uniform(0.0, 1.0, (60, 3))
+    xi[0] = [0.0, 1.0, 0.5]          # the endpoints are inside
+    xi[40, 2] = 1.25
+    xi[50, 0] = -0.5
+    csv = tmp_path / "d.csv"
+    _write_rows(csv, np.column_stack([xi, xi.sum(axis=1)]))
+    out = tmp_path / "m.json"
+    rc = main(["fit", str(csv), "--out", str(out), "--no", "3", "--nolars", "2"])
+    assert rc == 3
+    assert "row 41 has xi3 = 1.25 outside the basis interval [0.0, 1.0]" \
+        in capsys.readouterr().err
+    assert not out.exists()
+    # the same rows fit on an interval that holds them
+    assert main(["fit", str(csv), "--out", str(out), "--no", "3", "--nolars", "2",
+                 "--basis-lo", "-0.5", "--basis-hi", "1.25"]) == 0
+
+
+def test_predict_rejects_out_of_interval_row_exits_3(ws, tmp_path, capsys):
+    model_path = tmp_path / "m.json"
+    assert main(_fit_args(ws, model_path)) == 0
+    csv = tmp_path / "q.csv"
+    # a blank line is not a data row: the offending row is still row 2
+    _write_rows(csv, [[0.0, 1.0, 0.3, 0.7, 0.0], [0.2, 0.4, 5.0, 0.1, 0.0]],
+                blank_after=0)
+    pred = tmp_path / "p.csv"
+    rc = main(["predict", str(model_path), str(csv), "--out", str(pred)])
+    assert rc == 3
+    assert "row 2 has xi3 = 5.0 outside the basis interval" in capsys.readouterr().err
+    assert not pred.exists()
+    _write_rows(csv, [[0.0, 1.0, 0.3, 0.7, 0.0]])
+    assert main(["predict", str(model_path), str(csv), "--out", str(pred)]) == 0
+
+
+def test_zero_test_response_exits_3_before_fitting(tmp_path, capsys):
+    xi = np.random.default_rng(3).uniform(0.0, 1.0, (60, 2))
+    csv = tmp_path / "z.csv"
+    _write_rows(csv, np.column_stack([xi, np.zeros(60)]))
+    out = tmp_path / "m.json"
+    rc = main(["fit", str(csv), "--out", str(out), "--no", "3", "--nolars", "2",
+               "--test", "10"])
+    assert rc == 3
+    assert "identically zero" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_separated_without_spatial_column_exits_3(ws, tmp_path):

@@ -81,6 +81,14 @@ def test_load_reports_offending_row(tmp_path):
         load_csv(p)
 
 
+def test_load_row_numbers_skip_blank_lines(tmp_path):
+    # row q is sample q, as the CLI's basis-interval check numbers them
+    p = tmp_path / "d.csv"
+    p.write_text("xi1,u\n0.5,1.0\n\n0.25,oops\n")
+    with pytest.raises(ValueError, match="row 2 "):
+        load_csv(p)
+
+
 def test_load_rejects_ragged_row(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("xi1,xi2,u\n0.5,0.5,1.0\n0.25,3.0\n")

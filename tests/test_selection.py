@@ -6,6 +6,7 @@ from hdmrfit.data import SampleSet, rng_stream
 from hdmrfit.model import dense_design
 from hdmrfit.selection import (
     SelectionConfig,
+    _ClassScan,
     _group_classes,
     glars_select,
     save_path,
@@ -110,7 +111,7 @@ def test_dof_budget_respected():
     xi, tab = uniform_set(25, 6, seed=17)
     g = rng_stream(17, 1004)
     u = tab[:, 0, 1] + 0.3 * g.standard_normal(25)
-    cfg = SelectionConfig(nolars=3, ninter=2, max_groups=50, dof_buffer=1)
+    cfg = SelectionConfig(nolars=3, ninter=2, max_groups=50)
     path = glars_select(as_set(xi, u), cfg, B)
     pred = sum(len(_indices(s.dims)) for s in path.steps)
     assert pred <= 25 - 1
@@ -168,6 +169,38 @@ def test_entry_score_matches_qr_oracle():
     first = path.steps[0]
     assert first.dims == max(oracle, key=oracle.get)
     assert first.entry_score == pytest.approx(oracle[first.dims], rel=1e-10)
+
+
+def test_rank_deficient_group_drops_dependent_column(caplog):
+    # with xi2 = xi1 the pair (1, 2) has columns P1P1, P1P2 and P2P1, and
+    # the last two coincide: the scan keeps 2 independent columns and scores
+    # the group on their span
+    xi, _ = uniform_set(200, 3, seed=43)
+    xi[:, 1] = xi[:, 0]
+    tab = univariate_table(B, xi)
+    cfg = SelectionConfig(nolars=3, ninter=2)
+    indices, groups = list(_group_classes(3, cfg))[1]
+    assert len(indices) == 3 and groups[0] == (1, 2)
+    with caplog.at_level("WARNING", logger="hdmrfit.selection"):
+        scan = _ClassScan(tab, groups, indices, None)
+    dropped = [rec.getMessage() for rec in caplog.records if "dropped" in rec.getMessage()]
+    assert dropped == ["group (1, 2): dropped 1 dependent predictor column(s)"]
+    assert scan.pcount[0] == 2
+    assert list(scan.pcount[1:]) == [3, 3]
+
+    design = dense_design(tab, (1, 2), indices)
+    uu, sv, _ = np.linalg.svd(design, full_matrices=False)
+    basis_u = uu[:, sv > 1e-10 * sv[0]]
+    assert basis_u.shape[1] == 2
+    r = tab[:, 0, 1] * tab[:, 1, 2] + tab[:, 2, 1] - 0.3
+    proj = scan.project(r[:, None], 0)[0, :, 0]
+    oracle = float(np.sum((basis_u.T @ r) ** 2))
+    assert float(proj @ proj) == pytest.approx(oracle, rel=1e-10)
+
+    cols = scan.columns(0)
+    assert cols.shape == (200, 2)
+    q, _ = np.linalg.qr(cols)
+    assert np.allclose(q @ q.T, basis_u @ basis_u.T, atol=1e-10)
 
 
 def test_selected_groups_independent_of_worker_count(monkeypatch):

@@ -100,15 +100,17 @@ def _fail(code: int, msg: str) -> int:
     return code
 
 
-def _check_interval(path, xi, lo: float, hi: float) -> None:
+def _check_interval(path, values, lo: float, hi: float, column: str = "xi",
+                    interval: str = "the basis interval") -> None:
     """Raise ValueError naming the first data row (1-based, header excluded)
-    of ``path`` and its xi column with a coordinate outside [lo, hi]. The
-    basis is orthonormal on that interval only; the endpoints are inside."""
-    bad = (xi < lo) | (xi > hi)
+    of ``path`` and its ``column`` with a coordinate outside [lo, hi]. The
+    stochastic basis is orthonormal on its interval only, and the spatial
+    basis is defined on its domain only; the endpoints are inside."""
+    bad = (values < lo) | (values > hi)
     if np.any(bad):
         q, j = np.argwhere(bad)[0]
-        raise ValueError(f"{path}: row {q + 1} has xi{j + 1} = {float(xi[q, j])!r} "
-                         f"outside the basis interval [{lo!r}, {hi!r}]")
+        raise ValueError(f"{path}: row {q + 1} has {column}{j + 1} = "
+                         f"{float(values[q, j])!r} outside {interval} [{lo!r}, {hi!r}]")
 
 
 def cmd_fit(args) -> int:
@@ -148,15 +150,16 @@ def cmd_fit(args) -> int:
 
     try:
         _check_interval(args.data, data.xi, basis.lo, basis.hi)
+        if args.mode == "separated":
+            if data.ndx != 1:
+                raise ValueError("separated fitting needs exactly one spatial column")
+            _check_interval(args.data, data.x, *sb.domain, "x", "the spatial domain")
         train, val, test = split(data, n_train, n_val, n_test, args.seed)
         if test is not None and float(np.linalg.norm(test.u)) == 0.0:
             raise ValueError("the test rows' response is identically zero: "
                              "their relative error is undefined")
     except ValueError as exc:
         return _fail(EXIT_DATA, str(exc))
-    if args.mode == "separated" and data.ndx != 1:
-        return _fail(EXIT_DATA,
-                     "separated fitting needs exactly one spatial column")
     if args.noise_s > 0 or args.noise_su > 0:
         train = inject_noise(train, noise, args.seed)
 
@@ -207,6 +210,9 @@ def cmd_predict(args) -> int:
     try:
         if basis is not None:
             _check_interval(args.data, data.xi, basis.lo, basis.hi)
+        if not isinstance(model, HdmrModel) and data.ndx == 1:
+            _check_interval(args.data, data.x, *model.spatial_basis.domain, "x",
+                            "the spatial domain")
         if isinstance(model, HdmrModel):
             pred = np.atleast_1d(evaluate_model(model, data.xi))
         else:

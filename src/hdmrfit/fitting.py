@@ -9,6 +9,14 @@ All fits accept optional per-row weights w_q: the surrogate then predicts
 w_q * model(xi_q) at the sample rows, which is what the separated
 representation driver needs when a stochastic mode is fitted under a fixed
 spatial profile.
+
+One ``_fit_passes`` call (the driver behind ``fit_hdmr``) owns everything its
+refits reuse, for the life of that call and no longer: the univariate tables
+over the columns its groups touch, and per active mode the train and
+validation designs (dense) or factor blocks (CP), plus for a dense mode the
+least-squares operator of its row-weighted design. A dense refit is then two
+matrix-vector products, and an ALS step solves a small Gram system. Nothing
+is cached between calls.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .basis import BasisConfig, univariate_deriv_table, univariate_table
 from .data import NoiseModel, SampleSet, rng_stream
@@ -25,6 +34,7 @@ from .model import (
     DenseMode,
     Group,
     HdmrModel,
+    _cp_blocks,
     _cp_values,
     dense_design,
     enumerate_dense_indices,
@@ -56,6 +66,12 @@ _UPDATE_SWEEPS_TOL = 1e-6       # cyclic refits of all active modes per pass
 _MAX_UPDATE_SWEEPS = 20
 _WTLS_TOL = 1e-10               # reweighting iterations of wtls_solve
 _WTLS_MAX_ITER = 50
+# an ALS subproblem is solved through its Gram while the Cholesky pivots stay
+# within this ratio of each other, and by ls_solve otherwise: the Gram
+# squares the design's condition number. On ALS-shaped probes the Gram
+# solution stayed within 1e-9 of lstsq above the ratio (1e-7 at 1e-3); the
+# benchmark workloads' subproblems never go below 0.37.
+_GRAM_MIN_PIVOT_RATIO = 1e-2
 
 
 @dataclass(frozen=True)
@@ -113,6 +129,61 @@ def _is_noisy(cfg: FitConfig) -> bool:
     return cfg.robust and (cfg.noise.s > 0 or cfg.noise.s_u > 0)
 
 
+def _check_finite(*arrays) -> None:
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise ValueError("non-finite entries in the least-squares system")
+
+
+def _lstsq_operator(psi, beta: float) -> np.ndarray:
+    """Matrix P with P @ r == ls_solve(psi, r, beta) for every r.
+
+    One SVD of psi, stacked over beta * I when beta > 0, cut off where
+    numpy.linalg.lstsq(rcond=None) cuts off (eps * max(n, p) * sigma_max),
+    so rank-deficient designs still get the minimum-norm solution.
+    """
+    _check_finite(psi)
+    n, p = psi.shape
+    a = np.vstack([psi, beta * np.eye(p)]) if beta > 0 else psi
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(a.shape) * s[0]
+    return (vt[keep].T / s[keep]) @ u[:n, keep].T
+
+
+class _DenseFactor:
+    """A dense mode's train design, its validation design (or None) and the
+    least-squares operator of its row-weighted train design."""
+
+    __slots__ = ("design", "vdesign", "weighted", "lsq")
+
+    def __init__(self, table, dims, indices, w, beta: float, vtable=None):
+        self.design = dense_design(table, dims, indices)
+        self.vdesign = None if vtable is None else dense_design(vtable, dims, indices)
+        self.weighted = self.design if w is None else self.design * w[:, None]
+        self.lsq = _lstsq_operator(self.weighted, beta)
+
+
+def _dense_indices(gamma, cfg: FitConfig) -> list[tuple[int, ...]]:
+    if len(gamma) > cfg.npc:
+        raise ValueError(f"group {gamma} exceeds the dense cutoff npc={cfg.npc}")
+    indices = enumerate_dense_indices(gamma, cfg.no)
+    if not indices:
+        raise ValueError(f"group {gamma} has no predictors at degree no={cfg.no}")
+    return indices
+
+
+def _dense_coeffs(fac: _DenseFactor, gamma, indices, residual, train, cfg,
+                  basis, noisy: bool, u_base) -> np.ndarray:
+    c = fac.lsq @ residual
+    if noisy:
+        u_ref = fac.weighted @ c
+        if u_base is not None:
+            u_ref = u_ref + np.asarray(u_base, dtype=float).ravel()
+        blocks = covariance_blocks(train, gamma, indices, cfg.noise,
+                                   fit_basis(basis, cfg), u_ref=u_ref)
+        c = wtls_solve(fac.weighted, residual, blocks, c0=c)
+    return c
+
+
 def fit_dense_mode(gamma, residual, train: SampleSet, cfg: FitConfig,
                    basis: BasisConfig, row_weights=None, table=None,
                    u_base=None) -> DenseMode:
@@ -123,32 +194,22 @@ def fit_dense_mode(gamma, residual, train: SampleSet, cfg: FitConfig,
     least squares. u_base is the current model prediction excluding this
     mode; together with the mode's own least-squares estimate it provides
     the denoised response for the value-noise variance.
+
+    This is the one-shot form of a ``_fit_passes`` refit: it builds the
+    mode's designs and least-squares operator for this call alone, where
+    ``_fit_passes`` builds them once per mode and owns them for its whole
+    fit.
     """
     gamma = tuple(int(d) for d in gamma)
-    if len(gamma) > cfg.npc:
-        raise ValueError(f"group {gamma} exceeds the dense cutoff npc={cfg.npc}")
-    indices = enumerate_dense_indices(gamma, cfg.no)
-    if not indices:
-        raise ValueError(f"group {gamma} has no predictors at degree no={cfg.no}")
+    indices = _dense_indices(gamma, cfg)
     if table is None:
         table = univariate_table(fit_basis(basis, cfg), train.xi)
-    psi = dense_design(table, gamma, indices)
-    plain_rows = row_weights is None
-    if row_weights is not None:
-        rw = np.asarray(row_weights, dtype=float)
-        plain_rows = bool(np.all(rw == 1.0))
-        psi = psi * rw[:, None]
+    w = None if row_weights is None else np.asarray(row_weights, dtype=float).ravel()
     residual = np.asarray(residual, dtype=float).ravel()
-    if _is_noisy(cfg) and plain_rows:
-        c0 = ls_solve(psi, residual, cfg.beta)
-        u_ref = psi @ c0
-        if u_base is not None:
-            u_ref = u_ref + np.asarray(u_base, dtype=float).ravel()
-        blocks = covariance_blocks(train, gamma, indices, cfg.noise,
-                                   fit_basis(basis, cfg), u_ref=u_ref)
-        c = wtls_solve(psi, residual, blocks, c0=c0)
-    else:
-        c = ls_solve(psi, residual, cfg.beta)
+    _check_finite(residual)
+    fac = _DenseFactor(table, gamma, indices, w, cfg.beta)
+    noisy = _is_noisy(cfg) and (w is None or bool(np.all(w == 1.0)))
+    c = _dense_coeffs(fac, gamma, indices, residual, train, cfg, basis, noisy, u_base)
     return DenseMode(gamma, tuple(indices), c)
 
 
@@ -160,19 +221,31 @@ def fit_cp_mode(gamma, residual, train: SampleSet, cfg: FitConfig,
     Each rank starts from seeded uniform draws in [-1, 1] (or from ``init``
     factors when warm-starting a refit), then cycles the dimensions solving
     the exact least-squares subproblem for one factor block at a time.
+    This is the one-shot form of a ``_fit_passes`` refit, which keeps each
+    CP mode's factor blocks for its whole fit.
     """
     gamma = tuple(int(d) for d in gamma)
+    _check_cp_range(gamma, cfg)
+    if table is None:
+        table = univariate_table(fit_basis(basis, cfg), train.xi)
+    residual = np.asarray(residual, dtype=float).ravel()
+    _check_finite(residual)
+    w = None if row_weights is None else np.asarray(row_weights, dtype=float).ravel()
+    factors = _cp_factors(gamma, residual, _cp_blocks(table, gamma, cfg.no), cfg,
+                          w, init)
+    return CPMode(gamma, factors)
+
+
+def _check_cp_range(gamma, cfg: FitConfig) -> None:
     if len(gamma) <= cfg.npc or len(gamma) > cfg.ninter:
         raise ValueError(
             f"group {gamma} is not in the separated range ({cfg.npc}, {cfg.ninter}]"
         )
-    if table is None:
-        table = univariate_table(fit_basis(basis, cfg), train.xi)
-    residual = np.asarray(residual, dtype=float).ravel()
-    w = None if row_weights is None else np.asarray(row_weights, dtype=float).ravel()
+
+
+def _cp_factors(gamma, residual, blocks_t, cfg: FitConfig, w, init) -> np.ndarray:
+    # rank-by-rank ALS on per-dimension design blocks over orders 2..no
     card = len(gamma)
-    # per-dimension design blocks over orders alpha = 2..no
-    blocks_t = [table[:, d - 1, 1:cfg.no] for d in gamma]
     nord = cfg.no - 1
     factors = np.zeros((cfg.nr, card, nord))
     target = residual.copy()
@@ -196,7 +269,7 @@ def fit_cp_mode(gamma, residual, train: SampleSet, cfg: FitConfig,
             continue
         factors[rank] = fac
         target = target - contr
-    return CPMode(gamma, factors)
+    return factors
 
 
 def _als_rank(target, blocks_t, fac, w, beta: float):
@@ -214,10 +287,9 @@ def _als_rank(target, blocks_t, fac, w, beta: float):
                     partial = partial * vals[j]
             if not np.any(partial):
                 return None, None
-            psi = blocks_t[i] * partial[:, None]
             if w is not None:
-                psi = psi * w[:, None]
-            fac[i] = ls_solve(psi, target, beta)
+                partial = partial * w
+            fac[i] = _gram_solve(blocks_t[i] * partial[:, None], target, beta)
             vals[i] = blocks_t[i] @ fac[i]
         contr = np.ones_like(target)
         for v in vals:
@@ -231,15 +303,36 @@ def _als_rank(target, blocks_t, fac, w, beta: float):
     return fac, contr
 
 
+def _gram_solve(psi, r, beta: float) -> np.ndarray:
+    """ls_solve(psi, r, beta) for a tall design with few columns, through
+    the Cholesky factor of psi'psi + beta^2 I; ls_solve itself when that
+    Gram is not numerically positive definite."""
+    g = psi.T @ psi
+    if beta > 0:
+        g[np.diag_indices_from(g)] += beta * beta
+    # LAPACK potrf flags a non-positive or NaN pivot with info > 0; a NaN
+    # pivot also fails the ratio test, so non-finite systems reach ls_solve
+    low, info = dpotrf(g, lower=1, clean=0)
+    if info == 0:
+        piv = low.diagonal()
+        if piv.min() > _GRAM_MIN_PIVOT_RATIO * piv.max():
+            c, info = dpotrs(low, psi.T @ r, lower=1)
+            if info == 0:
+                return c
+    return ls_solve(psi, r, beta)
+
+
 @dataclass(frozen=True)
 class PassRecord:
     """One driver pass: the group added, training residual norm after the
-    update sweeps, and the validation error (nan without a validation set)."""
+    update sweeps, the validation error (nan without a validation set) and
+    the number of update sweeps the pass ran."""
 
     s: int
     dims: Group | None
     train_residual_norm: float
     cv_eps: float
+    update_sweeps: int
 
 
 @dataclass
@@ -249,40 +342,71 @@ class FitDiagnostics:
 
 
 def save_diagnostics(diag: FitDiagnostics, path) -> None:
-    """CSV export: pass, dims (semicolon-joined), train residual norm, CVeps."""
+    """CSV export: pass, dims (semicolon-joined), train residual norm, CVeps,
+    update sweeps."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("pass,dims,train_residual_norm,cv_eps\n")
+        fh.write("pass,dims,train_residual_norm,cv_eps,update_sweeps\n")
         for rec in diag.records:
             dims = ";".join(str(d) for d in rec.dims) if rec.dims else ""
-            fh.write(f"{rec.s},{dims},{rec.train_residual_norm!r},{rec.cv_eps!r}\n")
+            fh.write(f"{rec.s},{dims},{rec.train_residual_norm!r},{rec.cv_eps!r},"
+                     f"{rec.update_sweeps}\n")
 
 
 class _ActiveMode:
-    __slots__ = ("dims", "kind", "mode", "values", "val_values")
+    """One mode of a ``_fit_passes`` call with what its refits reuse.
 
-    def __init__(self, dims, kind):
+    Built when its group enters a pass and kept for the rest of the call;
+    ``at`` gives the group's columns in the call's tables. A dense mode holds
+    its _DenseFactor, a CP mode its train and validation factor blocks;
+    ``params`` are the current coefficients (dense) or factors (CP), and
+    ``values`` the mode's unweighted values at the training rows.
+    """
+
+    __slots__ = ("dims", "kind", "indices", "dense", "blocks", "vblocks",
+                 "params", "values")
+
+    def __init__(self, dims, at, cfg: FitConfig, table, vtable, w):
         self.dims = dims
-        self.kind = kind
-        self.mode = None
+        self.kind = "dense" if len(dims) <= cfg.npc else "cp"
+        self.params = None
         self.values = None
-        self.val_values = None
+        if self.kind == "dense":
+            self.indices = _dense_indices(dims, cfg)
+            self.dense = _DenseFactor(table, at, self.indices, w, cfg.beta, vtable)
+        else:
+            _check_cp_range(dims, cfg)
+            self.blocks = [np.ascontiguousarray(b) for b in _cp_blocks(table, at, cfg.no)]
+            self.vblocks = None if vtable is None else _cp_blocks(vtable, at, cfg.no)
 
+    def refit(self, r, train, cfg, fbasis, w, noisy: bool, u_base) -> None:
+        if self.kind == "dense":
+            self.params = _dense_coeffs(self.dense, self.dims, self.indices, r,
+                                        train, cfg, fbasis, noisy, u_base)
+            self.values = self.dense.design @ self.params
+        else:
+            self.params = _cp_factors(self.dims, r, self.blocks, cfg, w, self.params)
+            self.values = _cp_values(self.blocks, self.params)
 
-def _mode_train_values(mode, table, no):
-    if isinstance(mode, DenseMode):
-        return dense_design(table, mode.dims, mode.indices) @ mode.coeffs
-    return _cp_values(table, mode, no)
+    def val_values(self) -> np.ndarray:
+        if self.kind == "dense":
+            return self.dense.vdesign @ self.params
+        return _cp_values(self.vblocks, self.params)
+
+    def mode(self):
+        if self.kind == "dense":
+            return DenseMode(self.dims, tuple(self.indices), self.params)
+        return CPMode(self.dims, self.params)
 
 
 def _vector(v, default):
     return default if v is None else np.asarray(v, dtype=float).ravel()
 
 
-def _total(modes, n: int, attr: str = "values") -> np.ndarray:
-    # sum of the active modes' values at the training (or validation) rows
+def _total(modes, n: int) -> np.ndarray:
+    # sum of the active modes' values at the training rows
     tot = np.zeros(n)
     for m in modes:
-        tot += getattr(m, attr)
+        tot += m.values
     return tot
 
 
@@ -354,18 +478,25 @@ def fit_hdmr(train: SampleSet, validation: SampleSet | None, path, cfg: FitConfi
 def _fit_passes(train, validation, groups, cfg, basis, row_weights,
                 val_row_weights, response, val_response, retain):
     fbasis = fit_basis(basis, cfg)
-    table = univariate_table(fbasis, train.xi)
+    # the tables hold only the columns the path's groups touch; a group's
+    # columns there are its 1-based positions among them
+    cols = sorted({int(d) for g in groups for d in g})
+    at = {d: k + 1 for k, d in enumerate(cols)}
+    table = univariate_table(fbasis, train.xi[:, [d - 1 for d in cols]])
     u = _vector(response, train.u)
     if u.shape[0] != train.nq:
         raise ValueError("response length does not match the training set")
     w = _vector(row_weights, np.ones(train.nq))
+    _check_finite(u, w)
     wsq = float(w @ w)
     if wsq <= 0:
         raise ValueError("row weights are identically zero")
+    noisy = _is_noisy(cfg) and bool(np.all(w == 1.0))
 
     have_val = validation is not None and validation.nq > 0
+    vtable = None
     if have_val:
-        vtable = univariate_table(fbasis, validation.xi)
+        vtable = univariate_table(fbasis, validation.xi[:, [d - 1 for d in cols]])
         uval = _vector(val_response, validation.u)
         wv = _vector(val_row_weights, np.ones(validation.nq))
         val_norm = float(np.linalg.norm(uval))
@@ -378,13 +509,15 @@ def _fit_passes(train, validation, groups, cfg, basis, row_weights,
     def cv_eps(f0):
         if not have_val:
             return float("nan")
-        tot = _total(modes, validation.nq, "val_values")
+        tot = np.zeros(validation.nq)
+        for m in modes:
+            tot += m.val_values()
         return float(np.linalg.norm(uval - wv * (f0 + tot)) / val_norm)
 
     f0 = float(w @ u) / wsq
     r0 = float(np.linalg.norm(u - w * f0))
     eps0 = cv_eps(f0)
-    records = [PassRecord(0, None, r0, eps0)]
+    records = [PassRecord(0, None, r0, eps0, 0)]
     best_eps, best_s = (eps0, 0) if have_val else (np.inf, len(groups))
     prev_eps, inc = eps0, 0
     unique = set()
@@ -394,20 +527,17 @@ def _fit_passes(train, validation, groups, cfg, basis, row_weights,
         if dims in unique:
             raise ValueError(f"group {dims} appears twice in the path")
         unique.add(dims)
-        am = _ActiveMode(dims, "dense" if len(dims) <= cfg.npc else "cp")
+        am = _ActiveMode(dims, tuple(at[d] for d in dims), cfg, table,
+                         vtable if have_val else None, w)
         base = f0 + _total(modes, train.nq)
-        r = u - w * base
-        _refit_mode(am, r, train, cfg, fbasis, w, table, u_base=base)
+        am.refit(u - w * base, train, cfg, fbasis, w, noisy, base)
         modes.append(am)
 
-        f0 = _update_sweeps(modes, u, train, cfg, fbasis, w, wsq, table, f0)
+        f0, sweeps = _update_sweeps(modes, u, train, cfg, fbasis, w, wsq, noisy, f0)
         f0 = float(w @ (u - w * _total(modes, train.nq))) / wsq
-        if have_val:
-            for m in modes:
-                m.val_values = _mode_train_values(m.mode, vtable, cfg.no)
         rnorm = float(np.linalg.norm(u - w * (f0 + _total(modes, train.nq))))
         eps = cv_eps(f0)
-        records.append(PassRecord(s, dims, rnorm, eps))
+        records.append(PassRecord(s, dims, rnorm, eps, sweeps))
 
         if retain == "cv" and have_val:
             inc = inc + 1 if eps > prev_eps else 0
@@ -421,36 +551,26 @@ def _fit_passes(train, validation, groups, cfg, basis, row_weights,
     model = HdmrModel(
         f0=f0, basis=fbasis, nd=train.nd, no=cfg.no, ninter=cfg.ninter,
         npc=cfg.npc, nr=cfg.nr,
-        dense=[m.mode for m in modes if m.kind == "dense"],
-        cp=[m.mode for m in modes if m.kind == "cp"],
+        dense=[m.mode() for m in modes if m.kind == "dense"],
+        cp=[m.mode() for m in modes if m.kind == "cp"],
     )
     return model, FitDiagnostics(records=records, retained=retained)
 
 
-def _refit_mode(am: _ActiveMode, r, train, cfg, fbasis, w, table, u_base=None):
-    if am.kind == "dense":
-        am.mode = fit_dense_mode(am.dims, r, train, cfg, fbasis,
-                                 row_weights=w, table=table, u_base=u_base)
-    else:
-        init = am.mode.factors if am.mode is not None else None
-        am.mode = fit_cp_mode(am.dims, r, train, cfg, fbasis,
-                              row_weights=w, table=table, init=init)
-    am.values = _mode_train_values(am.mode, table, cfg.no)
-
-
-def _update_sweeps(modes, u, train, cfg, fbasis, w, wsq, table, f0):
+def _update_sweeps(modes, u, train, cfg, fbasis, w, wsq, noisy, f0):
+    # cyclic refits of every active mode; returns (f0, sweeps run)
     prev = float(np.linalg.norm(u - w * (f0 + _total(modes, train.nq))))
-    for _ in range(_MAX_UPDATE_SWEEPS):
+    sweeps = 0
+    for sweeps in range(1, _MAX_UPDATE_SWEEPS + 1):
         f0 = float(w @ (u - w * _total(modes, train.nq))) / wsq
         for m in modes:
             base = f0 + _total(modes, train.nq) - m.values
-            r_m = u - w * base
-            _refit_mode(m, r_m, train, cfg, fbasis, w, table, u_base=base)
+            m.refit(u - w * base, train, cfg, fbasis, w, noisy, base)
         cur = float(np.linalg.norm(u - w * (f0 + _total(modes, train.nq))))
         if abs(prev - cur) <= _UPDATE_SWEEPS_TOL * max(cur, _TINY):
             break
         prev = cur
-    return f0
+    return f0, sweeps
 
 
 def relative_error(model, test: SampleSet) -> float:

@@ -198,13 +198,17 @@ def dense_design(table: np.ndarray, dims: Group, indices) -> np.ndarray:
     return cols
 
 
-def _cp_values(table: np.ndarray, mode: CPMode, no: int) -> np.ndarray:
+def _cp_blocks(table: np.ndarray, dims: Group, no: int) -> list[np.ndarray]:
+    # per dimension, the columns alpha = 2..no (table slots 1..no-1) that a
+    # CP factor multiplies
+    return [table[:, d - 1, 1:no] for d in dims]
+
+
+def _cp_values(blocks: list[np.ndarray], factors: np.ndarray) -> np.ndarray:
     # per-rank products of univariate factor evaluations, summed over ranks
-    vals = np.ones((mode.rank, table.shape[0]))
-    for i, d in enumerate(mode.dims):
-        # columns alpha = 2..no map to table slots 1..no-1
-        block = table[:, d - 1, 1:no]
-        vals *= mode.factors[:, i, :] @ block.T
+    vals = np.ones((factors.shape[0], blocks[0].shape[0]))
+    for i, block in enumerate(blocks):
+        vals *= factors[:, i, :] @ block.T
     return vals.sum(axis=0)
 
 
@@ -221,7 +225,7 @@ def evaluate_model(model: HdmrModel, xi) -> np.ndarray:
     for m in model.dense:
         out += dense_design(table, m.dims, m.indices) @ m.coeffs
     for m in model.cp:
-        out += _cp_values(table, m, model.no)
+        out += _cp_values(_cp_blocks(table, m.dims, model.no), m.factors)
     return out[0] if squeeze else out
 
 

@@ -3,7 +3,10 @@
 Each function works one basis function or one sample at a time, straight
 from the defining formula: they are the pointwise forms of
 ``univariate_deriv_table``, of a ``dense_design`` column and of
-``covariance_blocks``.
+``covariance_blocks``. The least-squares oracles rebuild the design and
+solve it by ``ls_solve`` (an SVD ``lstsq``) every time, as the coefficient
+passes once did: they check the cached dense-mode operator and the Gram
+solves of the ALS subproblems.
 """
 
 import numpy as np
@@ -11,6 +14,8 @@ import numpy as np
 from hdmrfit.basis import (BasisConfig, _check_index, eval_univariate,
                            univariate_deriv_table, univariate_table)
 from hdmrfit.data import NoiseModel
+from hdmrfit.fitting import ls_solve
+from hdmrfit.model import dense_design
 
 
 def eval_univariate_deriv(cfg: BasisConfig, alpha: int, xi):
@@ -70,3 +75,19 @@ def build_sample_covariance(xi_q, dims, indices, noise: NoiseModel, u_q,
         lam[:p, :p] = noise.s**2 * (der @ der.T)
     lam[p, p] = (noise.s_u * float(u_q)) ** 2
     return lam
+
+
+def dense_mode_lstsq(table, dims, indices, w, r, beta: float) -> np.ndarray:
+    """Coefficients of one dense mode: minimize ||r - w * (psi c)||^2 +
+    beta^2 ||c||^2 with psi rebuilt from the table."""
+    psi = dense_design(table, dims, indices) * np.asarray(w, dtype=float)[:, None]
+    return ls_solve(psi, r, beta)
+
+
+def als_factor_lstsq(block, partial, w, target, beta: float) -> np.ndarray:
+    """One ALS factor update: the block's columns scaled row by row by the
+    other factors' product (and the row weights), solved by lstsq."""
+    psi = block * partial[:, None]
+    if w is not None:
+        psi = psi * w[:, None]
+    return ls_solve(psi, target, beta)

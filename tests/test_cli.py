@@ -190,20 +190,35 @@ def test_separated_without_spatial_column_exits_3(ws, tmp_path):
     assert rc == 3
 
 
-def test_out_of_domain_spatial_exits_4(tmp_path):
+def test_out_of_domain_spatial_exits_3(tmp_path, capsys):
     # x runs over [0, 2] but the spatial basis defaults to [0, 1]
     csv = tmp_path / "sp.csv"
     g = np.random.default_rng(0)
+    xs = g.uniform(0, 2, 60)
     with open(csv, "w") as fh:
         fh.write("x1,xi1,xi2,u\n")
-        for _ in range(60):
-            x = float(g.uniform(0, 2))
+        for x in xs:
             a, b = (float(v) for v in g.uniform(0, 1, 2))
-            fh.write(f"{x!r},{a!r},{b!r},{float(np.sin(x) * (1 + a))!r}\n")
-    rc = main(["fit", str(csv), "--mode", "separated",
-               "--out", str(tmp_path / "m.json"), "--no", "2", "--nolars", "2",
-               "--ninter", "1", "--npc", "1", "--cardx", "4", "--rank", "1"])
-    assert rc == 4
+            fh.write(f"{float(x)!r},{a!r},{b!r},{float(np.sin(x) * (1 + a))!r}\n")
+    row = int(np.argmax(xs > 1.0)) + 1
+    out = tmp_path / "m.json"
+    args = ["fit", str(csv), "--mode", "separated", "--out", str(out), "--no", "2",
+            "--nolars", "2", "--ninter", "1", "--npc", "1", "--cardx", "4",
+            "--rank", "1"]
+    assert main(args) == 3
+    assert (f"row {row} has x1 = {float(xs[row - 1])!r} outside the spatial "
+            "domain [0.0, 1.0]") in capsys.readouterr().err
+    assert not out.exists()
+    # the same rows fit on a domain that holds them; predict names the row
+    # of a query outside it
+    assert main(args + ["--x-hi", "2.0"]) == 0
+    query = tmp_path / "q.csv"
+    query.write_text("x1,xi1,xi2,u\n0.5,0.2,0.3,0.0\n2.5,0.2,0.3,0.0\n")
+    pred = tmp_path / "p.csv"
+    assert main(["predict", str(out), str(query), "--out", str(pred)]) == 3
+    assert "row 2 has x1 = 2.5 outside the spatial domain [0.0, 2.0]" \
+        in capsys.readouterr().err
+    assert not pred.exists()
 
 
 def test_separated_fit_predict_and_stats_rejection(tmp_path):

@@ -18,9 +18,10 @@ from hdmrfit.fitting import (
     save_diagnostics,
     wtls_solve,
 )
-from hdmrfit.model import HdmrModel, dense_design, evaluate_model
+from hdmrfit.model import HdmrModel, dense_design, enumerate_dense_indices, evaluate_model
 from hdmrfit.selection import SelectionConfig, glars_select
-from oracles import build_sample_covariance, eval_univariate_deriv
+from oracles import (als_factor_lstsq, build_sample_covariance, dense_mode_lstsq,
+                     eval_univariate_deriv)
 
 B = BasisConfig(lo=-1.0, hi=1.0, max_order=5)
 
@@ -194,9 +195,14 @@ def test_diagnostics_csv(tmp_path):
     p = tmp_path / "diag.csv"
     save_diagnostics(diag, p)
     lines = p.read_text().strip().splitlines()
-    assert lines[0] == "pass,dims,train_residual_norm,cv_eps"
+    assert lines[0] == "pass,dims,train_residual_norm,cv_eps,update_sweeps"
     assert len(lines) == len(diag.records) + 1
     assert lines[1].split(",")[1] == ""  # pass 0 has no group
+    # pass 0 runs no update sweep; every later pass runs at least one
+    sweeps = [int(ln.split(",")[-1]) for ln in lines[1:]]
+    assert sweeps == [rec.update_sweeps for rec in diag.records]
+    assert sweeps[0] == 0 and all(1 <= k <= fitting._MAX_UPDATE_SWEEPS
+                                  for k in sweeps[1:])
 
 
 def test_covariance_block_pinned_example():
@@ -301,3 +307,143 @@ def test_fit_config_validation():
         FitConfig(robust=True)
     with pytest.raises(ValueError):
         FitConfig(nr=0)
+
+
+def _rel(a, b):
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+def _counting(monkeypatch, name):
+    """Replace fitting.<name> by a wrapper that records its positional args."""
+    calls = []
+    orig = getattr(fitting, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(fitting, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3])
+def test_dense_operator_matches_lstsq_oracle(beta):
+    ds, tab = uniform_set(120, 3, seed=30)
+    g = rng_stream(30, 1)
+    w = g.uniform(0.2, 2.0, 120)
+    idx = enumerate_dense_indices((1, 3), 4)
+    fac = fitting._DenseFactor(tab, (1, 3), idx, w, beta)
+    for _ in range(3):
+        r = g.standard_normal(120)
+        assert _rel(fac.lsq @ r, dense_mode_lstsq(tab, (1, 3), idx, w, r, beta)) < 1e-10
+    # the one-shot form solves the same system
+    r = g.standard_normal(120)
+    mode = fit_dense_mode((1, 3), r, ds, FitConfig(no=4, npc=2, beta=beta), B,
+                          row_weights=w, table=tab)
+    assert _rel(mode.coeffs, dense_mode_lstsq(tab, (1, 3), idx, w, r, beta)) < 1e-10
+
+
+def test_dense_operator_minimum_norm_on_rank_deficient_group():
+    # xi2 == xi1: psi_a(xi1) psi_b(xi2) and psi_b(xi1) psi_a(xi2) coincide
+    g = rng_stream(31, 1)
+    xi = g.uniform(-1, 1, size=(150, 2))
+    xi[:, 1] = xi[:, 0]
+    tab = univariate_table(B, xi)
+    idx = enumerate_dense_indices((1, 2), 4)
+    w = g.uniform(0.5, 1.5, 150)
+    psi = dense_design(tab, (1, 2), idx) * w[:, None]
+    assert np.linalg.matrix_rank(psi) < len(idx)
+    fac = fitting._DenseFactor(tab, (1, 2), idx, w, 0.0)
+    r = g.standard_normal(150)
+    c = fac.lsq @ r
+    c_ref = dense_mode_lstsq(tab, (1, 2), idx, w, r, 0.0)
+    assert _rel(c, c_ref) < 1e-10
+    # minimum norm: no component in the design's null space
+    _, s, vt = np.linalg.svd(psi)
+    null = vt[np.sum(s > 1e-10 * s[0]):]
+    assert np.linalg.norm(null @ c) < 1e-10 * np.linalg.norm(c)
+
+
+def _als_subproblem(seed, n=300, nord=5):
+    g = rng_stream(seed, 2)
+    tab = univariate_table(BasisConfig(lo=-1.0, hi=1.0, max_order=nord + 1),
+                           g.uniform(-1, 1, size=(n, 1)))
+    block = tab[:, 0, 1:]
+    partial = g.uniform(-1, 1, n) * g.uniform(-1, 1, n)
+    return g, block, partial, g.standard_normal(n)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.05])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gram_solve_matches_lstsq_oracle(monkeypatch, seed, beta):
+    g, block, partial, target = _als_subproblem(40 + seed)
+    w = g.uniform(0.5, 2.0, partial.shape[0])
+    fallbacks = _counting(monkeypatch, "ls_solve")
+    for weights in (None, w):
+        psi = block * (partial if weights is None else partial * weights)[:, None]
+        c = fitting._gram_solve(psi, target, beta)
+        assert _rel(c, als_factor_lstsq(block, partial, weights, target, beta)) < 1e-8
+    assert not fallbacks
+
+
+@pytest.mark.parametrize("width,scale,fallback",
+                         [(0.4, 1e-2, False), (0.2, 1e-4, True), (0.1, 0.0, True)])
+def test_gram_solve_ill_conditioned_matches_lstsq_oracle(monkeypatch, width, scale,
+                                                         fallback):
+    # partial products near zero except where xi lies in a narrow window at
+    # the right end, where the polynomial columns are close to collinear
+    g, block, partial, target = _als_subproblem(50)
+    xi = block[:, 0] / np.sqrt(3.0)
+    partial = np.where(xi > 1.0 - width, partial, scale * partial)
+    psi = block * partial[:, None]
+    assert np.linalg.cond(psi) > 50.0
+    calls = _counting(monkeypatch, "ls_solve")
+    c = fitting._gram_solve(psi, target, 0.0)
+    assert len(calls) == int(fallback)
+    assert _rel(c, als_factor_lstsq(block, partial, None, target, 0.0)) < 1e-8
+
+
+def test_gram_solve_falls_back_to_ls_solve_on_singular_gram(monkeypatch):
+    # partial products vanish on all but 3 rows: the 5-column Gram is singular
+    g, block, partial, target = _als_subproblem(60)
+    partial[3:] = 0.0
+    fallbacks = _counting(monkeypatch, "ls_solve")
+    c = fitting._gram_solve(block * partial[:, None], target, 0.0)
+    assert len(fallbacks) == 1
+    assert _rel(c, als_factor_lstsq(block, partial, None, target, 0.0)) < 1e-10
+
+
+def test_fit_builds_each_dense_design_once_per_pass_call(monkeypatch):
+    ds, tab = uniform_set(400, 4, seed=33)
+    u = tab[:, 0, 1] + tab[:, 0, 1] * tab[:, 1, 1] + 0.5 * tab[:, 1, 1] * tab[:, 2, 1] * tab[:, 3, 2]
+    vs, vtab = uniform_set(100, 4, seed=34)
+    uv = vtab[:, 0, 1] + vtab[:, 0, 1] * vtab[:, 1, 1] + 0.5 * vtab[:, 1, 1] * vtab[:, 2, 1] * vtab[:, 3, 2]
+    groups = [(1,), (2,), (1, 2), (2, 3, 4), (3,), (1, 3)]
+    cfg = FitConfig(no=3, npc=2, ninter=3, seed=0)
+    designs = _counting(monkeypatch, "dense_design")
+    passes = _counting(monkeypatch, "_fit_passes")
+    _, diag = fit_hdmr(with_u(ds, u), with_u(vs, uv), groups, cfg, B)
+    assert len(passes) == 2
+    # the cyclic update sweeps refit every mode many times over
+    assert sum(rec.update_sweeps for rec in diag.records) > len(diag.records)
+    entered = [rec.dims for rec in diag.records[1:] if len(rec.dims) <= cfg.npc]
+    kept = [g for g in groups[: diag.retained] if len(g) <= cfg.npc]
+    rows = [args[0].shape[0] for args in designs]
+    # first call: one train and one validation design per dense mode that
+    # entered; final refit on train + validation: one design per kept mode
+    assert rows.count(400) == len(entered)
+    assert rows.count(100) == len(entered)
+    assert rows.count(500) == len(kept)
+    assert len(rows) == 2 * len(entered) + len(kept)
+
+
+def test_cp_refit_makes_no_ls_solve_call(monkeypatch):
+    ds, tab = uniform_set(500, 3, seed=35)
+    g = rng_stream(35, 1)
+    u = tab[:, 0, 1] * tab[:, 1, 2] * tab[:, 2, 1] + 0.01 * g.standard_normal(500)
+    calls = _counting(monkeypatch, "ls_solve")
+    model, diag = fit_hdmr(with_u(ds, u), None, [(1, 2, 3)],
+                           FitConfig(no=3, npc=2, ninter=3, nr=2), B, retain="all")
+    assert calls == []
+    assert diag.records[1].update_sweeps >= 1
+    assert relative_error(model, with_u(ds, u).retag("test")) < 0.05

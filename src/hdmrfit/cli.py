@@ -18,8 +18,7 @@ import time
 import numpy as np
 
 from .basis import BasisConfig
-from .data import (NoiseModel, SampleSet, inject_noise, load_csv, rng_stream,
-                   save_csv, split)
+from .data import NoiseModel, inject_noise, load_csv, save_csv, split
 from .fitting import (
     FitConfig,
     fit_hdmr,
@@ -28,7 +27,6 @@ from .fitting import (
 )
 from .model import (
     HdmrModel,
-    dictionary_cardinality,
     evaluate_model,
     model_mean,
     model_variance,
@@ -52,10 +50,8 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_FIT = 4
 
-# bench --kind scaling: timed runs per measurement (median reported)
-BENCH_REPEATS = 5
-# bench --kind convergence: seed of the held-out rows. Fixed, so the test
-# set does not change with --seed or --seeds, and far above any training seed.
+# bench: seed of the held-out rows. Fixed, so the test set does not change
+# with --seed or --seeds, and far above any training seed.
 BENCH_TEST_SEED = 2**40 + 1
 
 
@@ -124,6 +120,10 @@ def cmd_fit(args) -> int:
     timings["load"] = time.perf_counter() - t0
 
     try:
+        if args.val is not None and args.val < 0:
+            raise ValueError("--val must be >= 0")
+        if args.test < 0:
+            raise ValueError("--test must be >= 0")
         n_val = args.val if args.val is not None else max(1, data.nq // 5)
         n_test = args.test
         n_train = args.train if args.train is not None \
@@ -142,6 +142,11 @@ def cmd_fit(args) -> int:
                             robust=args.robust,
                             noise=noise if args.robust else None)
         if args.mode == "separated":
+            if args.robust:
+                raise ValueError("--robust applies to --mode hdmr only: the "
+                                 "separated driver fits row-weighted "
+                                 "stochastic modes, which weighted TLS does "
+                                 "not cover")
             sb = SpatialBasis(kind=args.spatial_kind, cardx=args.cardx,
                               domain=(args.x_lo, args.x_hi))
             sep_cfg = SeparatedConfig(lmax=args.rank)
@@ -295,47 +300,6 @@ def cmd_gen_diffusion(args) -> int:
     return EXIT_OK
 
 
-def _median_seconds(run) -> float:
-    """Median over BENCH_REPEATS calls of ``run`` (which returns seconds),
-    after one warm-up call."""
-    run()
-    return float(np.median([run() for _ in range(BENCH_REPEATS)]))
-
-
-def _bench_scaling(args):
-    """Inactive-scan time vs dictionary cardinality, and coefficient-fit
-    time vs Nd at a fixed selected set, for each of ``--dims``."""
-    if min(args.dims) < 4:
-        raise ValueError("--dims entries must be >= 4: the synthetic "
-                         "target reads xi1..xi4")
-
-    def synthetic(nd, namespace):
-        xi = rng_stream(args.seed, namespace, nd).uniform(-1.0, 1.0, (args.nq, nd))
-        u = np.sin(xi[:, 0]) + xi[:, 1] * xi[:, 2] + 0.1 * xi[:, 3]
-        return SampleSet(np.empty((args.nq, 0)), xi, u)
-
-    def fit_seconds(ds):
-        t0 = time.perf_counter()
-        fit_hdmr(ds, None, groups, fitc, basis, retain="all")
-        return time.perf_counter() - t0
-
-    sel = SelectionConfig(nolars=args.nolars, ninter=3,
-                          max_groups=args.bench_steps)
-    basis = BasisConfig(lo=-1.0, hi=1.0, max_order=args.nolars + 1)
-    groups = [(1,), (2,), (3,), (1, 2), (2, 3)]
-    fitc = FitConfig(no=args.no, npc=2, ninter=2, seed=args.seed)
-    rows = []
-    for nd in args.dims:
-        ds = synthetic(nd, 9)
-        sec = _median_seconds(lambda: glars_select(ds, sel, basis).scan_seconds)
-        rows.append(("scan", nd, dictionary_cardinality(nd, args.nolars, 3, 3, 1), sec))
-    for nd in args.dims:
-        ds = synthetic(nd, 10)
-        rows.append(("coeff", nd, len(groups),
-                     _median_seconds(lambda: fit_seconds(ds))))
-    return rows
-
-
 def _bench_convergence(args):
     """Test error of the full pipeline vs training-set size, one row per
     training seed (seed .. seed + seeds - 1), all on the same held-out rows
@@ -367,7 +331,7 @@ def _bench_convergence(args):
 def cmd_bench(args) -> int:
     t_all = time.perf_counter()
     try:
-        rows = (_bench_scaling if args.kind == "scaling" else _bench_convergence)(args)
+        rows = _bench_convergence(args)
     except ValueError as exc:
         return _fail(EXIT_CONFIG, str(exc))
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -463,21 +427,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", default=None)
     p.set_defaults(func=cmd_gen_diffusion)
 
-    p = sub.add_parser("bench", help="scaling and convergence measurements")
-    p.add_argument("--kind", choices=("scaling", "convergence"),
-                   default="scaling")
+    p = sub.add_parser("bench", help="test error against the training budget")
     p.add_argument("--out", default="bench.csv")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--nq", type=int, default=800)
     p.add_argument("--nq-list", type=_int_list, default="300,600",
-                   help="convergence: comma-separated training budgets")
+                   help="comma-separated training budgets")
     p.add_argument("--seeds", type=int, default=1,
-                   help="convergence: training seeds per budget")
-    p.add_argument("--dims", type=_int_list, default="24,30",
-                   help="scaling: comma-separated stochastic dimensions")
+                   help="training seeds per budget")
     p.add_argument("--no", type=int, default=4)
     p.add_argument("--nolars", type=int, default=4)
-    p.add_argument("--bench-steps", type=int, default=3)
     p.add_argument("--nd-nu", type=int, default=5)
     p.add_argument("--nd-f", type=int, default=5)
     p.add_argument("--mx", type=int, default=64)

@@ -14,8 +14,10 @@ One ``_fit_passes`` call (the driver behind ``fit_hdmr``) owns everything its
 refits reuse, for the life of that call and no longer: the univariate tables
 over the columns its groups touch, and per active mode the train and
 validation designs (dense) or factor blocks (CP), plus for a dense mode the
-least-squares operator of its row-weighted design. A dense refit is then two
-matrix-vector products, and an ALS step solves a small Gram system. Nothing
+least-squares operator of its row-weighted design and, in a robust fit, the
+noise-covariance factor of its rows. A dense refit is then two
+matrix-vector products (and a weighted TLS solve that refreshes only the
+value-noise variances), and an ALS step solves a small Gram system. Nothing
 is cached between calls.
 """
 
@@ -150,16 +152,22 @@ def _lstsq_operator(psi, beta: float) -> np.ndarray:
 
 
 class _DenseFactor:
-    """A dense mode's train design, its validation design (or None) and the
-    least-squares operator of its row-weighted train design."""
+    """A dense mode's train design, its validation design (or None), the
+    least-squares operator of its row-weighted train design and, for a
+    weighted TLS fit, its noise covariance ``cov`` (else None), whose
+    ``value_var`` each refit replaces from the ``noise`` model."""
 
-    __slots__ = ("design", "vdesign", "weighted", "lsq")
+    __slots__ = ("design", "vdesign", "weighted", "lsq", "cov", "noise")
 
-    def __init__(self, table, dims, indices, w, beta: float, vtable=None):
+    def __init__(self, table, dims, indices, w, beta: float, vtable=None,
+                 cov: CovarianceBlocks | None = None,
+                 noise: NoiseModel | None = None):
         self.design = dense_design(table, dims, indices)
         self.vdesign = None if vtable is None else dense_design(vtable, dims, indices)
         self.weighted = self.design if w is None else self.design * w[:, None]
         self.lsq = _lstsq_operator(self.weighted, beta)
+        self.cov = cov
+        self.noise = noise
 
 
 def _dense_indices(gamma, cfg: FitConfig) -> list[tuple[int, ...]]:
@@ -171,16 +179,14 @@ def _dense_indices(gamma, cfg: FitConfig) -> list[tuple[int, ...]]:
     return indices
 
 
-def _dense_coeffs(fac: _DenseFactor, gamma, indices, residual, train, cfg,
-                  basis, noisy: bool, u_base) -> np.ndarray:
+def _dense_coeffs(fac: _DenseFactor, residual, u_base) -> np.ndarray:
     c = fac.lsq @ residual
-    if noisy:
+    if fac.cov is not None:
         u_ref = fac.weighted @ c
         if u_base is not None:
-            u_ref = u_ref + np.asarray(u_base, dtype=float).ravel()
-        blocks = covariance_blocks(train, gamma, indices, cfg.noise,
-                                   fit_basis(basis, cfg), u_ref=u_ref)
-        c = wtls_solve(fac.weighted, residual, blocks, c0=c)
+            u_ref = u_ref + u_base
+        cov = replace(fac.cov, value_var=(fac.noise.s_u * u_ref) ** 2)
+        c = wtls_solve(fac.weighted, residual, cov, c0=c)
     return c
 
 
@@ -207,9 +213,11 @@ def fit_dense_mode(gamma, residual, train: SampleSet, cfg: FitConfig,
     w = None if row_weights is None else np.asarray(row_weights, dtype=float).ravel()
     residual = np.asarray(residual, dtype=float).ravel()
     _check_finite(residual)
-    fac = _DenseFactor(table, gamma, indices, w, cfg.beta)
-    noisy = _is_noisy(cfg) and (w is None or bool(np.all(w == 1.0)))
-    c = _dense_coeffs(fac, gamma, indices, residual, train, cfg, basis, noisy, u_base)
+    cov = None
+    if _is_noisy(cfg) and (w is None or bool(np.all(w == 1.0))):
+        cov = covariance_blocks(train, gamma, indices, cfg.noise, fit_basis(basis, cfg))
+    fac = _DenseFactor(table, gamma, indices, w, cfg.beta, cov=cov, noise=cfg.noise)
+    c = _dense_coeffs(fac, residual, _vector(u_base, None))
     return DenseMode(gamma, tuple(indices), c)
 
 
@@ -357,7 +365,9 @@ class _ActiveMode:
 
     Built when its group enters a pass and kept for the rest of the call;
     ``at`` gives the group's columns in the call's tables. A dense mode holds
-    its _DenseFactor, a CP mode its train and validation factor blocks;
+    its _DenseFactor, whose noise covariance is built here from
+    ``robust_rows`` (the training rows of a weighted TLS fit, else None), a
+    CP mode its train and validation factor blocks;
     ``params`` are the current coefficients (dense) or factors (CP), and
     ``values`` the mode's unweighted values at the training rows.
     """
@@ -365,23 +375,28 @@ class _ActiveMode:
     __slots__ = ("dims", "kind", "indices", "dense", "blocks", "vblocks",
                  "params", "values")
 
-    def __init__(self, dims, at, cfg: FitConfig, table, vtable, w):
+    def __init__(self, dims, at, cfg: FitConfig, table, vtable, w,
+                 robust_rows: SampleSet | None, fbasis: BasisConfig):
         self.dims = dims
         self.kind = "dense" if len(dims) <= cfg.npc else "cp"
         self.params = None
         self.values = None
         if self.kind == "dense":
             self.indices = _dense_indices(dims, cfg)
-            self.dense = _DenseFactor(table, at, self.indices, w, cfg.beta, vtable)
+            cov = None
+            if robust_rows is not None:
+                cov = covariance_blocks(robust_rows, dims, self.indices, cfg.noise,
+                                        fbasis)
+            self.dense = _DenseFactor(table, at, self.indices, w, cfg.beta, vtable,
+                                      cov, cfg.noise)
         else:
             _check_cp_range(dims, cfg)
             self.blocks = [np.ascontiguousarray(b) for b in _cp_blocks(table, at, cfg.no)]
             self.vblocks = None if vtable is None else _cp_blocks(vtable, at, cfg.no)
 
-    def refit(self, r, train, cfg, fbasis, w, noisy: bool, u_base) -> None:
+    def refit(self, r, cfg, w, u_base) -> None:
         if self.kind == "dense":
-            self.params = _dense_coeffs(self.dense, self.dims, self.indices, r,
-                                        train, cfg, fbasis, noisy, u_base)
+            self.params = _dense_coeffs(self.dense, r, u_base)
             self.values = self.dense.design @ self.params
         else:
             self.params = _cp_factors(self.dims, r, self.blocks, cfg, w, self.params)
@@ -528,12 +543,13 @@ def _fit_passes(train, validation, groups, cfg, basis, row_weights,
             raise ValueError(f"group {dims} appears twice in the path")
         unique.add(dims)
         am = _ActiveMode(dims, tuple(at[d] for d in dims), cfg, table,
-                         vtable if have_val else None, w)
+                         vtable if have_val else None, w,
+                         train if noisy else None, fbasis)
         base = f0 + _total(modes, train.nq)
-        am.refit(u - w * base, train, cfg, fbasis, w, noisy, base)
+        am.refit(u - w * base, cfg, w, base)
         modes.append(am)
 
-        f0, sweeps = _update_sweeps(modes, u, train, cfg, fbasis, w, wsq, noisy, f0)
+        f0, sweeps = _update_sweeps(modes, u, cfg, w, wsq, f0)
         f0 = float(w @ (u - w * _total(modes, train.nq))) / wsq
         rnorm = float(np.linalg.norm(u - w * (f0 + _total(modes, train.nq))))
         eps = cv_eps(f0)
@@ -557,16 +573,17 @@ def _fit_passes(train, validation, groups, cfg, basis, row_weights,
     return model, FitDiagnostics(records=records, retained=retained)
 
 
-def _update_sweeps(modes, u, train, cfg, fbasis, w, wsq, noisy, f0):
+def _update_sweeps(modes, u, cfg, w, wsq, f0):
     # cyclic refits of every active mode; returns (f0, sweeps run)
-    prev = float(np.linalg.norm(u - w * (f0 + _total(modes, train.nq))))
+    nq = u.shape[0]
+    prev = float(np.linalg.norm(u - w * (f0 + _total(modes, nq))))
     sweeps = 0
     for sweeps in range(1, _MAX_UPDATE_SWEEPS + 1):
-        f0 = float(w @ (u - w * _total(modes, train.nq))) / wsq
+        f0 = float(w @ (u - w * _total(modes, nq))) / wsq
         for m in modes:
-            base = f0 + _total(modes, train.nq) - m.values
-            m.refit(u - w * base, train, cfg, fbasis, w, noisy, base)
-        cur = float(np.linalg.norm(u - w * (f0 + _total(modes, train.nq))))
+            base = f0 + _total(modes, nq) - m.values
+            m.refit(u - w * base, cfg, w, base)
+        cur = float(np.linalg.norm(u - w * (f0 + _total(modes, nq))))
         if abs(prev - cur) <= _UPDATE_SWEEPS_TOL * max(cur, _TINY):
             break
         prev = cur
@@ -590,49 +607,37 @@ def relative_error(model, test: SampleSet) -> float:
 
 @dataclass(frozen=True)
 class CovarianceBlocks:
-    """Per-sample (p+1)x(p+1) noise covariance blocks, predictor rows first,
-    residual row last."""
+    """First-order noise covariance of one group's (design row, response)
+    pair, for every training row, in factored form.
 
-    blocks: np.ndarray
+    Row q's (p+1)x(p+1) covariance is Lambda_q = J_q J_q' (+) v_q: ``jac``
+    (Nq, p, card) holds J_q = s * dpsi_a/dxi_i over the group's dimensions
+    i, and ``value_var`` (Nq,) holds v_q = (s_u * u_q)^2. Cross terms vanish
+    because coordinate and value noise are independent, and the form is
+    symmetric by construction.
+    """
 
-    def __post_init__(self):
-        b = np.asarray(self.blocks, dtype=float)
-        if b.ndim != 3 or b.shape[1] != b.shape[2]:
-            raise ValueError(f"blocks must be (Nq, p+1, p+1), got {b.shape}")
-        if np.max(np.abs(b - b.transpose(0, 2, 1)), initial=0.0) > 1e-12:
-            raise ValueError("covariance blocks are not symmetric")
-        b.setflags(write=False)
-        object.__setattr__(self, "blocks", b)
-
-    @property
-    def nq(self) -> int:
-        return self.blocks.shape[0]
+    jac: np.ndarray
+    value_var: np.ndarray
 
 
 def covariance_blocks(train: SampleSet, dims, indices, noise: NoiseModel,
                       basis: BasisConfig, u_ref=None) -> CovarianceBlocks:
-    """First-order noise covariance blocks of one group, for every training row.
+    """First-order noise covariance of one group, for every training row.
 
-    Predictor rows get s^2 * sum_i (dpsi_a/dxi_i)(dpsi_b/dxi_i); the residual
-    row variance is (s_u * u_q)^2; cross terms vanish because coordinate and
-    value noise are independent.
-
-    u_ref supplies the response values for the residual-row variance;
+    u_ref supplies the response values for the value-noise variance;
     it defaults to the observed train.u. A denoised estimate (the current
     model prediction) avoids feeding the value noise back into its own
     weights, which otherwise biases the fit toward rows the noise happened
     to pull toward zero.
     """
     dims = tuple(int(d) for d in dims)
-    p = len(indices)
-    nq = train.nq
-    blocks = np.zeros((nq, p + 1, p + 1))
+    nq, card = train.nq, len(dims)
+    jac = np.zeros((nq, len(indices), card))
     if noise.s > 0:
         sub = train.xi[:, [d - 1 for d in dims]]
         vals = univariate_table(basis, sub)   # (nq, card, ord)
         ders = univariate_deriv_table(basis, sub)
-        card = len(dims)
-        der = np.empty((nq, p, card))
         for a, idx in enumerate(indices):
             cols = [vals[:, i, al - 1] for i, al in enumerate(idx)]
             for i in range(card):
@@ -640,11 +645,29 @@ def covariance_blocks(train: SampleSet, dims, indices, noise: NoiseModel,
                 for j in range(card):
                     if j != i:
                         prod = prod * cols[j]
-                der[:, a, i] = ders[:, i, idx[i] - 1] * prod
-        blocks[:, :p, :p] = noise.s**2 * np.einsum("qai,qbi->qab", der, der)
+                jac[:, a, i] = ders[:, i, idx[i] - 1] * prod
+        jac *= noise.s
     uref = train.u if u_ref is None else np.asarray(u_ref, dtype=float).ravel()
-    blocks[:, p, p] = (noise.s_u * uref) ** 2
-    return CovarianceBlocks(blocks)
+    return CovarianceBlocks(jac, (noise.s_u * uref) ** 2)
+
+
+def _wtls_denominator(blocks: CovarianceBlocks):
+    """The function c -> a' Lambda_q a + tau_q a'a over the rows q, for
+    a = (c', -1)': ||J_q' c||^2 + v_q + tau_q (||c||^2 + 1), with the
+    regularizer tau_q = 1e-12 trace Lambda_q = 1e-12 (||J_q||_F^2 + v_q),
+    floored at 1e-14 of its largest entry."""
+    jac, v = blocks.jac, blocks.value_var
+    nq, p, card = jac.shape
+    tau = 1e-12 * (np.einsum("qai,qai->q", jac, jac) + v)
+    # rows (q, i) hold column i of J_q, so one GEMV gives every J_q' c
+    jt = np.ascontiguousarray(jac.transpose(0, 2, 1)).reshape(nq * card, p)
+
+    def denom(c):
+        jc = jt @ c
+        d = (jc * jc).reshape(nq, card).sum(axis=1) + v + tau * (float(c @ c) + 1.0)
+        return np.maximum(d, 1e-14 * d.max())
+
+    return denom
 
 
 def wtls_solve(psi, r, blocks: CovarianceBlocks, c0=None) -> np.ndarray:
@@ -658,19 +681,16 @@ def wtls_solve(psi, r, blocks: CovarianceBlocks, c0=None) -> np.ndarray:
     """
     psi = np.asarray(psi, dtype=float)
     r = np.asarray(r, dtype=float).ravel()
-    b = blocks.blocks
-    if b.shape[0] != psi.shape[0] or b.shape[1] != psi.shape[1] + 1:
+    jac, v = blocks.jac, blocks.value_var
+    if jac.shape[:2] != psi.shape or v.shape != (psi.shape[0],):
         raise ValueError(
-            f"blocks shaped {b.shape} do not match design {psi.shape}"
+            f"covariance factors shaped {jac.shape} and {v.shape} do not match "
+            f"design {psi.shape}"
         )
-    if not np.any(b):
+    if not (np.any(jac) or np.any(v)):
         return ls_solve(psi, r, 0.0)
-    tau = 1e-12 * np.trace(b, axis1=1, axis2=2)
 
-    def denom(c):
-        a = np.concatenate([c, [-1.0]])
-        d = np.einsum("i,qij,j->q", a, b, a) + tau * float(a @ a)
-        return np.maximum(d, 1e-14 * d.max())
+    denom = _wtls_denominator(blocks)
 
     def rho2(c):
         e = psi @ c - r

@@ -172,8 +172,12 @@ def fit_separated(train: SampleSet, sel_cfg: SelectionConfig, fit_cfg: FitConfig
     coefficients are alternated to convergence of ||lambda_n||. Ranks stop
     at sep_cfg.lmax or once ||lambda_n|| falls below
     _STOP_NORM_FRAC * ||u||; a rank whose pair fails to reduce the training
-    residual is discarded.
+    residual is discarded. Weighted TLS (fit_cfg.robust) is rejected: it
+    covers plain rows only, and every stochastic fit here is row-weighted.
     """
+    if fit_cfg.robust:
+        raise ValueError("robust fitting does not apply to the separated "
+                         "representation: its stochastic fits are row-weighted")
     if train.nq < 1:
         raise ValueError("empty dataset")
     if train.ndx != 1:

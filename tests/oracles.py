@@ -6,14 +6,19 @@ from the defining formula: they are the pointwise forms of
 ``covariance_blocks``. The least-squares oracles rebuild the design and
 solve it by ``ls_solve`` (an SVD ``lstsq``) every time, as the coefficient
 passes once did: they check the cached dense-mode operator and the Gram
-solves of the ALS subproblems.
+solves of the ALS subproblems. The weighted TLS oracle works on the dense
+(Nq, p+1, p+1) covariance blocks, stacked one sample at a time, that the
+factored form in ``fitting`` replaces.
 """
+
+import warnings
 
 import numpy as np
 
+from hdmrfit import fitting
 from hdmrfit.basis import (BasisConfig, _check_index, eval_univariate,
                            univariate_deriv_table, univariate_table)
-from hdmrfit.data import NoiseModel
+from hdmrfit.data import NoiseModel, SampleSet
 from hdmrfit.fitting import ls_solve
 from hdmrfit.model import dense_design
 
@@ -75,6 +80,63 @@ def build_sample_covariance(xi_q, dims, indices, noise: NoiseModel, u_q,
         lam[:p, :p] = noise.s**2 * (der @ der.T)
     lam[p, p] = (noise.s_u * float(u_q)) ** 2
     return lam
+
+
+def stack_sample_covariance(train: SampleSet, dims, indices, noise: NoiseModel,
+                            basis: BasisConfig, u_ref=None) -> np.ndarray:
+    """(Nq, p+1, p+1) covariance blocks of every training row, one
+    ``build_sample_covariance`` per row; u_ref defaults to train.u."""
+    u = train.u if u_ref is None else np.asarray(u_ref, dtype=float).ravel()
+    return np.stack([build_sample_covariance(train.xi[q], dims, indices, noise,
+                                             u[q], basis)
+                     for q in range(train.nq)])
+
+
+def wtls_denominators_dense(lam, c) -> np.ndarray:
+    """a' Lambda_q a + tau_q a'a for a = (c', -1)', tau_q = 1e-12 trace
+    Lambda_q, contracted on the dense blocks and floored at 1e-14 of the
+    largest."""
+    a = np.concatenate([np.asarray(c, dtype=float), [-1.0]])
+    tau = 1e-12 * np.trace(lam, axis1=1, axis2=2)
+    d = np.einsum("i,qij,j->q", a, lam, a) + tau * float(a @ a)
+    return np.maximum(d, 1e-14 * d.max())
+
+
+def wtls_solve_dense(psi, r, lam, c0=None) -> np.ndarray:
+    """Weighted TLS on dense covariance blocks: the reweighted projections,
+    backtracking and stopping rule of ``wtls_solve``."""
+    psi = np.asarray(psi, dtype=float)
+    r = np.asarray(r, dtype=float).ravel()
+    if not np.any(lam):
+        return ls_solve(psi, r, 0.0)
+
+    def rho2(c):
+        e = psi @ c - r
+        return float(np.sum(e * e / wtls_denominators_dense(lam, c)))
+
+    c = ls_solve(psi, r, 0.0) if c0 is None else np.asarray(c0, dtype=float).ravel()
+    prev = rho2(c)
+    best_c, best_rho = c.copy(), prev
+    for _ in range(fitting._WTLS_MAX_ITER):
+        sw = 1.0 / np.sqrt(wtls_denominators_dense(lam, c))
+        c_prop = ls_solve(psi * sw[:, None], r * sw, 0.0)
+        step, cand, rho_new = 1.0, None, prev
+        for _ in range(30):
+            cand = c + step * (c_prop - c)
+            rho_new = rho2(cand)
+            if rho_new <= prev * (1.0 + 1e-12):
+                break
+            step *= 0.5
+        else:
+            cand, rho_new = c, prev
+        c = cand
+        if rho_new < best_rho:
+            best_c, best_rho = c.copy(), rho_new
+        if abs(prev - rho_new) <= fitting._WTLS_TOL * max(prev, fitting._TINY):
+            return best_c
+        prev = rho_new
+    warnings.warn("weighted TLS did not converge; returning best iterate")
+    return best_c
 
 
 def dense_mode_lstsq(table, dims, indices, w, r, beta: float) -> np.ndarray:

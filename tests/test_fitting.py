@@ -7,7 +7,6 @@ from hdmrfit import fitting
 from hdmrfit.basis import BasisConfig, univariate_table
 from hdmrfit.data import NoiseModel, SampleSet, inject_noise, rng_stream
 from hdmrfit.fitting import (
-    CovarianceBlocks,
     FitConfig,
     covariance_blocks,
     fit_cp_mode,
@@ -21,7 +20,8 @@ from hdmrfit.fitting import (
 from hdmrfit.model import HdmrModel, dense_design, enumerate_dense_indices, evaluate_model
 from hdmrfit.selection import SelectionConfig, glars_select
 from oracles import (als_factor_lstsq, build_sample_covariance, dense_mode_lstsq,
-                     eval_univariate_deriv)
+                     eval_univariate_deriv, stack_sample_covariance,
+                     wtls_denominators_dense, wtls_solve_dense)
 
 B = BasisConfig(lo=-1.0, hi=1.0, max_order=5)
 
@@ -231,14 +231,63 @@ def test_covariance_blocks_match_per_sample():
     blocks = covariance_blocks(with_u(ds, u), (2,), idx, nm, B)
     for q in (0, 7, 19):
         lam = build_sample_covariance(ds.xi[q], (2,), idx, nm, u[q], B)
-        assert np.allclose(blocks.blocks[q], lam, atol=1e-13)
+        jac = blocks.jac[q]
+        dense = np.zeros((len(idx) + 1, len(idx) + 1))
+        dense[:-1, :-1] = jac @ jac.T
+        dense[-1, -1] = blocks.value_var[q]
+        assert np.allclose(dense, lam, atol=1e-13)
 
 
-def test_covariance_blocks_symmetry_enforced():
-    bad = np.zeros((2, 3, 3))
-    bad[0, 0, 1] = 1.0
-    with pytest.raises(ValueError):
-        CovarianceBlocks(bad)
+@pytest.mark.parametrize("s,s_u", [(0.05, 0.1), (0.0, 0.1), (0.05, 0.0)])
+@pytest.mark.parametrize("dims", [(2,), (1, 3)])
+def test_factored_denominators_match_dense_oracle(s, s_u, dims):
+    ds, _ = uniform_set(40, 3, seed=19)
+    u_ref = np.linspace(-1.5, 2.0, 40)
+    nm = NoiseModel(s=s, s_u=s_u)
+    idx = enumerate_dense_indices(dims, 4)
+    blocks = covariance_blocks(with_u(ds, np.ones(40)), dims, idx, nm, B, u_ref=u_ref)
+    assert blocks.jac.shape == (40, len(idx), len(dims))
+    lam = stack_sample_covariance(ds, dims, idx, nm, B, u_ref=u_ref)
+    g = rng_stream(19, 1)
+    for _ in range(3):
+        c = g.standard_normal(len(idx))
+        ref = wtls_denominators_dense(lam, c)
+        assert _rel(fitting._wtls_denominator(blocks)(c), ref) < 1e-12
+
+
+def test_wtls_solve_matches_dense_oracle_on_pair_group():
+    ds, tab = uniform_set(300, 3, seed=20)
+    nm = NoiseModel(s=0.02, s_u=0.15)
+    idx = enumerate_dense_indices((1, 3), 4)
+    clean = 1.0 + tab[:, 0, 1] * tab[:, 2, 2] + 0.3 * tab[:, 0, 2]
+    noisy = inject_noise(with_u(ds, clean), nm, seed=6)
+    psi = dense_design(univariate_table(B, noisy.xi), (1, 3), idx)
+    blocks = covariance_blocks(noisy, (1, 3), idx, nm, B)
+    lam = stack_sample_covariance(noisy, (1, 3), idx, nm, B)
+    c_ls = ls_solve(psi, noisy.u)
+    c_ref = wtls_solve_dense(psi, noisy.u, lam, c0=c_ls)
+    assert _rel(c_ref, c_ls) > 1e-6   # the weights move the solution
+    assert _rel(wtls_solve(psi, noisy.u, blocks, c0=c_ls), c_ref) < 1e-12
+
+
+def test_robust_dense_mode_weights_by_its_own_prediction():
+    # the value-noise variance comes from psi c_ls + u_base, not from the
+    # observed response, which here is far from it
+    ds, tab = uniform_set(250, 2, seed=21)
+    nm = NoiseModel(s=0.01, s_u=0.2)
+    idx = enumerate_dense_indices((2,), 4)
+    g = rng_stream(21, 1)
+    r = 0.8 * tab[:, 1, 1] - 0.2 * tab[:, 1, 3] + 0.05 * g.standard_normal(250)
+    u_base = 2.0 + 0.5 * tab[:, 0, 1]
+    train = with_u(ds, g.uniform(5.0, 10.0, 250))
+    cfg = FitConfig(no=4, npc=2, robust=True, noise=nm)
+    mode = fit_dense_mode((2,), r, train, cfg, B, table=tab, u_base=u_base)
+    psi = dense_design(tab, (2,), idx)
+    c_ls = dense_mode_lstsq(tab, (2,), idx, np.ones(250), r, 0.0)
+    lam = stack_sample_covariance(train, (2,), idx, nm, B, u_ref=psi @ c_ls + u_base)
+    c_ref = wtls_solve_dense(psi, r, lam, c0=c_ls)
+    assert _rel(c_ref, c_ls) > 1e-6
+    assert _rel(mode.coeffs, c_ref) < 1e-12
 
 
 def test_wtls_zero_noise_equals_ls():
@@ -259,14 +308,11 @@ def test_wtls_objective_not_above_ls_start():
     ntab = univariate_table(B, noisy.xi)
     psi = dense_design(ntab, (1,), [(2,), (3,)])
     blocks = covariance_blocks(noisy, (1,), [(2,), (3,)], nm, B)
-    b = blocks.blocks
-    tau = 1e-12 * np.trace(b, axis1=1, axis2=2)
+    lam = stack_sample_covariance(noisy, (1,), [(2,), (3,)], nm, B)
 
     def rho2(c):
-        a = np.concatenate([c, [-1.0]])
-        den = np.einsum("i,qij,j->q", a, b, a) + tau * float(a @ a)
         e = psi @ c - noisy.u
-        return float(np.sum(e * e / np.maximum(den, 1e-14 * den.max())))
+        return float(np.sum(e * e / wtls_denominators_dense(lam, c)))
 
     c_ls = ls_solve(psi, noisy.u)
     c_w = wtls_solve(psi, noisy.u, blocks, c0=c_ls)
@@ -435,6 +481,30 @@ def test_fit_builds_each_dense_design_once_per_pass_call(monkeypatch):
     assert rows.count(100) == len(entered)
     assert rows.count(500) == len(kept)
     assert len(rows) == 2 * len(entered) + len(kept)
+
+
+def test_robust_fit_builds_each_covariance_once_per_pass_call(monkeypatch):
+    ds, tab = uniform_set(400, 4, seed=36)
+    u = 2.0 + tab[:, 0, 1] + tab[:, 0, 1] * tab[:, 1, 1] + 0.5 * tab[:, 2, 2]
+    vs, vtab = uniform_set(100, 4, seed=37)
+    uv = 2.0 + vtab[:, 0, 1] + vtab[:, 0, 1] * vtab[:, 1, 1] + 0.5 * vtab[:, 2, 2]
+    nm = NoiseModel(s=0.01, s_u=0.1)
+    train = inject_noise(with_u(ds, u), nm, seed=36)
+    groups = [(1,), (1, 2), (2, 3, 4), (3,), (2,)]
+    cfg = FitConfig(no=3, npc=2, ninter=3, seed=0, robust=True, noise=nm)
+    covs = _counting(monkeypatch, "covariance_blocks")
+    solves = _counting(monkeypatch, "wtls_solve")
+    passes = _counting(monkeypatch, "_fit_passes")
+    _, diag = fit_hdmr(train, with_u(vs, uv), groups, cfg, B)
+    assert len(passes) == 2
+    entered = [rec.dims for rec in diag.records[1:] if len(rec.dims) <= cfg.npc]
+    kept = [g for g in groups[: diag.retained] if len(g) <= cfg.npc]
+    # every dense refit is a weighted TLS solve, and there are many of them
+    assert len(solves) > 2 * (len(entered) + len(kept))
+    # one covariance per dense mode per call: the modes that entered the
+    # first call, then the kept ones on train + validation
+    assert [(args[0].nq, args[1]) for args in covs] == \
+        [(400, g) for g in entered] + [(500, g) for g in kept]
 
 
 def test_cp_refit_makes_no_ls_solve_call(monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hdmrfit.basis import BasisConfig, univariate_table
-from hdmrfit.data import SampleSet, rng_stream
+from hdmrfit.data import NoiseModel, SampleSet, rng_stream
 from hdmrfit.fitting import FitConfig
 from hdmrfit.selection import SelectionConfig
 from hdmrfit.separated import (
@@ -84,6 +84,17 @@ def test_spatial_mode_rejects_zero_lambda():
     ds = SampleSet(x, xi, np.ones(50))
     with pytest.raises(ValueError):
         fit_spatial_mode(ds.u, np.zeros(50), ds, SpatialBasis(cardx=4))
+
+
+def test_fit_rejects_robust_config():
+    # weighted TLS covers plain rows only; every stochastic fit here is
+    # row-weighted, so a robust config would be silently ignored
+    x, xi, _ = field_set(50)
+    robust = FitConfig(no=3, npc=2, ninter=2, robust=True,
+                       noise=NoiseModel(s=0.0, s_u=0.1))
+    with pytest.raises(ValueError, match="row-weighted"):
+        fit_separated(SampleSet(x, xi, np.ones(50)), SEL, robust,
+                      SeparatedConfig(lmax=1), SpatialBasis(cardx=4), B)
 
 
 def test_rank_zero_captures_deterministic_profile():

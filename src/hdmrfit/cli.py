@@ -380,8 +380,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hierarchical", action="store_true")
     p.add_argument("--robust", action="store_true",
                    help="errors-in-variables fitting for dense modes")
-    p.add_argument("--noise-s", type=float, default=0.0)
-    p.add_argument("--noise-su", type=float, default=0.0)
+    p.add_argument("--noise-s", type=float, default=0.0,
+                   help="coordinate noise scale: adds synthetic noise to the "
+                        "training rows before the fit; with --robust it also "
+                        "describes that noise to weighted TLS")
+    p.add_argument("--noise-su", type=float, default=0.0,
+                   help="relative value noise scale: adds synthetic value "
+                        "noise to the training rows before the fit; with "
+                        "--robust it also describes that noise to weighted TLS")
     p.add_argument("--cardx", type=int, default=16)
     p.add_argument("--spatial-kind", default="nodal-piecewise-linear",
                    choices=("nodal-piecewise-linear", "legendre-tensor"))

@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
-import scipy.linalg
 
 from .basis import BasisConfig, univariate_table
 from .data import SampleSet
@@ -143,9 +142,12 @@ def _parents_active(dims: Group, active: set[Group]) -> bool:
 class _ClassScan:
     """Batched score machinery for all groups of one cardinality.
 
-    Holds per-chunk inverse Cholesky factors of the group Gram matrices;
-    design tensors are rebuilt per scan so memory stays bounded by the chunk
-    size regardless of the dictionary cardinality.
+    Holds per chunk the map W = S^-1 V' of each group's thin SVD D = U S V',
+    with zero rows past the group's rank, so W D' v are the coordinates of v
+    in the orthonormal basis U of the group's span. The rank cutoff is
+    lstsq's (eps * max(nq, p) * sigma_max). Design tensors are rebuilt per
+    scan so memory stays bounded by the chunk size regardless of the
+    dictionary cardinality.
     """
 
     def __init__(self, table, groups, indices, weights):
@@ -159,11 +161,10 @@ class _ClassScan:
         self.p = self.idx.shape[0]
         self.card = self.dims.shape[1]
         self.chunk = max(1, min(256, _CHUNK_FLOATS // max(1, self.nq * self.p)))
-        self.nchunks = -(-self.ngroups // self.chunk)
-        self.kept: list = []        # per chunk: None or list of kept-column index arrays
-        self.linv: list = []        # per chunk: (g,p,p) array, or list of ragged factors
-        self.pcount = np.full(self.ngroups, self.p)
-        self._factorize()
+        self.bounds = [(lo, min(lo + self.chunk, self.ngroups))
+                       for lo in range(0, self.ngroups, self.chunk)]
+        self.pcount = np.empty(self.ngroups, dtype=int)
+        self.wmap = [self._factorize(lo, hi) for lo, hi in self.bounds]
 
     def _design(self, lo, hi):
         d = np.ones((hi - lo, self.nq, self.p))
@@ -174,77 +175,32 @@ class _ClassScan:
             d *= self.w[None, :, None]
         return d
 
-    def columns(self, g):
-        """Design columns of group ``g`` (index within the class) that the
-        scan keeps, shape (nq, pcount[g])."""
-        d = self._design(g, g + 1)[0]
-        kept = self.kept[g // self.chunk]
-        keep = None if kept is None else kept[g % self.chunk]
-        return d if keep is None else d[:, keep]
-
-    def _factorize(self):
-        for cid in range(self.nchunks):
-            lo = cid * self.chunk
-            hi = min(lo + self.chunk, self.ngroups)
-            d = self._design(lo, hi)
-            gram = np.einsum("gqi,gqj->gij", d, d)
-            try:
-                linv = np.linalg.inv(np.linalg.cholesky(gram))
-                self.kept.append(None)
-                self.linv.append(linv)
-            except np.linalg.LinAlgError:
-                self.kept.append([])
-                self.linv.append([])
-                self._factorize_ragged(lo, hi, d, gram)
-
-    def _factorize_ragged(self, lo, hi, d, gram):
-        # rank-deficient chunk: orthonormalize group by group, dropping
-        # dependent columns found by pivoted QR
-        for g in range(hi - lo):
-            try:
-                self.kept[-1].append(None)
-                self.linv[-1].append(np.linalg.inv(np.linalg.cholesky(gram[g])))
-                continue
-            except np.linalg.LinAlgError:
-                self.kept[-1].pop()
-            r, piv = scipy.linalg.qr(d[g], mode="r", pivoting=True)
-            diag = np.abs(np.diag(r))
-            rank = int(np.sum(diag > max(d[g].shape) * np.finfo(float).eps * diag[0])) \
-                if diag.size and diag[0] > 0 else 0
-            keep = np.sort(piv[:rank])
+    def _factorize(self, lo, hi):
+        _, s, vt = np.linalg.svd(self._design(lo, hi), full_matrices=False)
+        keep = s > np.finfo(float).eps * max(self.nq, self.p) * s[:, :1]
+        rank = keep.sum(axis=1)
+        self.pcount[lo:hi] = rank
+        for g in np.flatnonzero(rank < self.p):
             dims = tuple((self.dims[lo + g] + 1).tolist())
             log.warning("group %s: dropped %d dependent predictor column(s)",
-                        dims, self.p - rank)
-            self.pcount[lo + g] = rank
-            if rank == 0:
-                self.kept[-1].append(np.empty(0, dtype=int))
-                self.linv[-1].append(None)
-                continue
-            sub = d[g][:, keep]
-            self.kept[-1].append(keep)
-            self.linv[-1].append(np.linalg.inv(np.linalg.cholesky(sub.T @ sub)))
+                        dims, int(self.p - rank[g]))
+        inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+        return inv[:, :, None] * vt
+
+    def columns(self, g):
+        """Orthonormal basis of group ``g``'s span (index within the class),
+        shape (nq, pcount[g])."""
+        wg = self.wmap[g // self.chunk][g % self.chunk]
+        return self._design(g, g + 1)[0] @ wg[: self.pcount[g]].T
 
     def project(self, vecs, cid):
-        """Orthonormal-coordinate projections L^-1 D' v for chunk ``cid``.
+        """Orthonormal-coordinate projections W D' v for chunk ``cid``.
 
-        vecs is (nq, k); returns (g, p, k) with zero rows for dropped columns.
+        vecs is (nq, k); returns (g, min(nq, p), k) with zero rows past each
+        group's rank.
         """
-        lo = cid * self.chunk
-        hi = min(lo + self.chunk, self.ngroups)
-        d = self._design(lo, hi)
-        m = np.einsum("gqi,qk->gik", d, vecs)
-        if self.kept[cid] is None:
-            return np.einsum("gij,gjk->gik", self.linv[cid], m)
-        out = np.zeros_like(m)
-        for g in range(hi - lo):
-            keep, linv = self.kept[cid][g], self.linv[cid][g]
-            if linv is None:
-                continue
-            if keep is None:
-                out[g] = linv @ m[g]
-            else:
-                out[g, : keep.size] = linv @ m[g][keep]
-        return out
+        d = self._design(*self.bounds[cid])
+        return self.wmap[cid] @ np.einsum("gqi,qk->gik", d, vecs)
 
 
 def _quadratic_step(uu, uw, ww, c_score):
@@ -282,24 +238,31 @@ def glars_select(train: SampleSet, cfg: SelectionConfig, basis: BasisConfig,
 
     ``response`` overrides train.u and ``row_weights`` scales every design
     row (both used by the separated-representation driver); the response is
-    first centered by its (weighted) constant projection.
+    first centered by its (weighted) constant projection. A non-finite
+    response or row weight, or row weights that are identically zero, raise
+    ValueError.
     """
     u = np.asarray(train.u if response is None else response, dtype=float).ravel()
     if u.shape[0] != train.nq:
         raise ValueError("response length does not match the sample set")
-    w = None
-    if row_weights is not None:
-        w = np.asarray(row_weights, dtype=float).ravel()
-        if w.shape[0] != train.nq:
-            raise ValueError("row_weights length does not match the sample set")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("non-finite response values")
     if train.nq < 2:
         raise ValueError("selection needs at least two samples")
 
-    if w is None:
+    if row_weights is None:
+        w = None
         r = u - u.mean()
     else:
-        denom = float(w @ w)
-        r = u - w * (float(w @ u) / denom) if denom > 0 else u.copy()
+        w = np.asarray(row_weights, dtype=float).ravel()
+        if w.shape[0] != train.nq:
+            raise ValueError("row_weights length does not match the sample set")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("non-finite row weights")
+        wsq = float(w @ w)
+        if wsq <= 0:
+            raise ValueError("row weights are identically zero")
+        r = u - w * (float(w @ u) / wsq)
     unorm = float(np.linalg.norm(r))
     if unorm == 0.0:
         return SelectionPath(steps=[])
@@ -307,23 +270,19 @@ def glars_select(train: SampleSet, cfg: SelectionConfig, basis: BasisConfig,
     need = max(basis.max_order, cfg.nolars + 1)
     table = univariate_table(replace(basis, max_order=need), train.xi)
 
-    scans: list[_ClassScan] = []
-    offsets: list[int] = []
-    total = 0
-    for indices, groups in _group_classes(train.nd, cfg):
-        scans.append(_ClassScan(table, groups, indices, w))
-        offsets.append(total)
-        total += len(groups)
+    scans = [_ClassScan(table, groups, indices, w)
+             for indices, groups in _group_classes(train.nd, cfg)]
+    # offsets[k] is the position of class k's first group in the dictionary
+    offsets = np.cumsum([0] + [sc.ngroups for sc in scans])
+    total = int(offsets[-1])
     if total == 0:
         return SelectionPath(steps=[])
 
-    all_groups: list[Group] = []
-    for sc in scans:
-        all_groups.extend(sc.groups)
+    all_groups = [dims for sc in scans for dims in sc.groups]
     pcounts = np.concatenate([sc.pcount for sc in scans])
     usable = pcounts > 0
 
-    jobs = [(si, cid) for si, sc in enumerate(scans) for cid in range(sc.nchunks)]
+    jobs = [(si, cid) for si, sc in enumerate(scans) for cid in range(len(sc.bounds))]
     pool = ThreadPoolExecutor(max_workers=worker_count()) if worker_count() > 1 else None
 
     def projections(vecs):
@@ -345,12 +304,7 @@ def glars_select(train: SampleSet, cfg: SelectionConfig, basis: BasisConfig,
             t0 = time.perf_counter()
             proj_r = projections(r[:, None])
             scan_seconds += time.perf_counter() - t0
-            scores = np.empty(total)
-            pos = 0
-            for pr in proj_r:
-                g = pr.shape[0]
-                scores[pos:pos + g] = (pr[:, :, 0] ** 2).sum(axis=1)
-                pos += g
+            scores = np.concatenate([(pr[:, :, 0] ** 2).sum(axis=1) for pr in proj_r])
             scores = np.where(usable, scores / np.maximum(pcounts, 1), -np.inf)
             cand = usable.copy()
             if cfg.hierarchical:

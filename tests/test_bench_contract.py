@@ -1,10 +1,10 @@
-"""What the benchmark (perfbench/) and the study scripts need from the library.
+"""What the benchmark (perfbench/) needs from the library.
 
 perfbench/spans.py replaces library functions by traced wrappers in the
 namespace of the module that calls them, and its counter hooks read a few
-result attributes. The workloads and scripts build the stage configs by
-keyword. A refactor that renames or removes one of these breaks the
-benchmark without failing any other test.
+result attributes. The workloads build the stage configs by keyword. A
+refactor that renames or removes one of these breaks the benchmark without
+failing any other test.
 """
 
 import ast
@@ -58,9 +58,8 @@ def test_hook_attributes_exist():
 
 def _config_keywords():
     # (file, line, config name, keyword) of every keyword passed to a stage
-    # config constructor, read without importing the benchmark or scripts
-    files = sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
-    for path in files:
+    # config constructor, read without importing the benchmark
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(node, ast.Call):
                 continue

@@ -247,3 +247,106 @@ def test_scan_seconds_populated():
     path = glars_select(as_set(xi, u),
                         SelectionConfig(nolars=2, ninter=2, max_groups=2), B)
     assert path.scan_seconds > 0
+
+
+# degenerate data: each case makes some group designs rank-deficient
+DEGENERATE = ("duplicated", "negated", "constant", "two-valued", "repeated-rows")
+B5 = BasisConfig(lo=-1.0, hi=1.0, max_order=5)
+
+
+def degenerate_xi(case, nq=120, nd=8, seed=47):
+    g = rng_stream(seed, 1007)
+    xi = g.uniform(-1.0, 1.0, size=(nq, nd))
+    if case == "duplicated":
+        xi[:, 1] = xi[:, 0]
+    elif case == "negated":
+        xi[:, 2] = -xi[:, 0]
+    elif case == "constant":
+        xi[:, 4] = 0.3
+    elif case == "two-valued":
+        xi[:, 3] = g.choice([-0.5, 0.5], size=nq)
+    elif case == "repeated-rows":
+        xi = np.repeat(xi[:5], 6, axis=0)
+    return xi
+
+
+@pytest.mark.parametrize("case", DEGENERATE)
+def test_degenerate_group_rank_matches_oracle(case):
+    # every group keeps exactly numpy's rank of its design and is scored on
+    # that span: ||W D' r||^2 == ||U' r||^2 with U an SVD basis of the span
+    xi = degenerate_xi(case)
+    tab = univariate_table(B5, xi)
+    r = tab[:, 0, 1] + tab[:, 3, 2] * tab[:, 5, 1] + 0.5 * tab[:, 4, 1] - 0.2
+    cfg = SelectionConfig(nolars=4, ninter=3)
+    deficient = 0
+    for indices, groups in _group_classes(xi.shape[1], cfg):
+        scan = _ClassScan(tab, groups, indices, None)
+        proj = np.concatenate([scan.project(r[:, None], cid)[:, :, 0]
+                               for cid in range(len(scan.bounds))])
+        for g, dims in enumerate(groups):
+            design = dense_design(tab, dims, indices)
+            rank = np.linalg.matrix_rank(design)
+            assert scan.pcount[g] == rank, dims
+            deficient += rank < len(indices)
+            uu, _, _ = np.linalg.svd(design, full_matrices=False)
+            oracle = float(np.sum((uu[:, :rank].T @ r) ** 2))
+            assert float(proj[g] @ proj[g]) == pytest.approx(
+                oracle, rel=1e-10, abs=1e-12 * float(r @ r)), dims
+    assert deficient > 0
+
+
+def test_repeated_rows_scale_entry_scores():
+    # repeating every row 3 times multiplies each score by 3 and leaves the
+    # path unchanged until the unique-row path hits its predictor budget
+    xi = degenerate_xi(None, nq=40, nd=4, seed=53)
+    tab = univariate_table(B5, xi)
+    u = tab[:, 0, 1] + 0.5 * tab[:, 1, 2] * tab[:, 2, 1] + 0.1 * tab[:, 3, 3]
+    cfg = SelectionConfig(nolars=4, ninter=3, max_groups=20)
+    uni = glars_select(as_set(xi, u), cfg, B)
+    rep = glars_select(as_set(np.repeat(xi, 3, axis=0), np.repeat(u, 3)), cfg, B)
+    assert len(uni) > 1 and len(rep) >= len(uni)
+    assert [s.dims for s in rep.steps[: len(uni)]] == [s.dims for s in uni.steps]
+    for a, b in zip(uni.steps, rep.steps):
+        assert b.entry_score == pytest.approx(3 * a.entry_score, rel=1e-10)
+
+
+@pytest.mark.parametrize("nq", [3, 5, 6])
+def test_few_rows_respect_rank_budget(nq):
+    # with no more rows than a group has predictors, the entered groups'
+    # ranks add up to at most nq - 1
+    xi = degenerate_xi(None, nq=nq, nd=4, seed=59)
+    tab = univariate_table(B5, xi)
+    u = tab[:, 0, 1] + tab[:, 1, 1] * tab[:, 2, 2]
+    cfg = SelectionConfig(nolars=4, ninter=3)
+    path = glars_select(as_set(xi, u), cfg, B)
+    index_of = {len(groups[0]): indices for indices, groups in _group_classes(4, cfg)}
+    ranks = [np.linalg.matrix_rank(dense_design(tab, dims, index_of[len(dims)]))
+             for dims in path.groups()]
+    assert sum(ranks) <= nq - 1
+    # a singleton spans min(nq, 4) directions, so with 4 rows or fewer no
+    # group fits the budget
+    assert (len(path) == 0) == (nq <= 4)
+
+
+@pytest.mark.parametrize("response, weights, match", [
+    (np.nan, None, "non-finite response"),
+    (np.inf, None, "non-finite response"),
+    (None, np.nan, "non-finite row weights"),
+    (None, 0.0, "identically zero"),
+])
+def test_glars_rejects_bad_response_or_weights(response, weights, match, caplog):
+    xi, tab = uniform_set(50, 3, seed=61)
+    u = tab[:, 0, 1] + tab[:, 1, 1]
+    resp = None
+    if response is not None:
+        resp = u.copy()
+        resp[7] = response
+    w = None
+    if weights is not None:
+        w = np.ones(50) if weights != 0.0 else np.zeros(50)
+        w[7] = weights
+    with caplog.at_level("WARNING", logger="hdmrfit.selection"):
+        with pytest.raises(ValueError, match=match):
+            glars_select(as_set(xi, u), SelectionConfig(nolars=2, ninter=2), B,
+                         response=resp, row_weights=w)
+    assert not caplog.records

@@ -354,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Sparse interaction surrogates of random variables and "
                     "fields from scattered samples.")
     ap.add_argument("--threads", type=int, default=None,
-                    help="worker count for the selection scan "
+                    help="worker count for the selection scan, >= 1 "
                          "(HDMR_THREADS overrides)")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -453,9 +453,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if "HDMR_THREADS" not in os.environ and args.threads:
-        os.environ["HDMR_THREADS"] = str(max(1, args.threads))
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.threads is not None:
+        if args.threads < 1:
+            parser.error(f"argument --threads: must be >= 1, got {args.threads}")
+        # an explicit HDMR_THREADS wins over the flag
+        os.environ.setdefault("HDMR_THREADS", str(args.threads))
     return args.func(args)
 
 

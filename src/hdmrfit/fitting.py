@@ -97,6 +97,14 @@ class FitConfig:
             raise ValueError("nr must be >= 1")
         if self.no < 1:
             raise ValueError("no must be >= 1")
+        # a dense group of cardinality npc has comb(no, npc) predictors, and
+        # a CP factor fits orders 2..no
+        if self.no < self.npc:
+            raise ValueError(f"no={self.no} must be >= npc={self.npc}: a dense "
+                             f"group of {self.npc} dims has no predictors")
+        if self.no < 2 and self.ninter > self.npc:
+            raise ValueError(f"no={self.no} must be >= 2 when ninter={self.ninter} "
+                             f"> npc={self.npc}: CP factors have no orders")
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
         if self.robust and self.noise is None:
@@ -173,10 +181,7 @@ class _DenseFactor:
 def _dense_indices(gamma, cfg: FitConfig) -> list[tuple[int, ...]]:
     if len(gamma) > cfg.npc:
         raise ValueError(f"group {gamma} exceeds the dense cutoff npc={cfg.npc}")
-    indices = enumerate_dense_indices(gamma, cfg.no)
-    if not indices:
-        raise ValueError(f"group {gamma} has no predictors at degree no={cfg.no}")
-    return indices
+    return enumerate_dense_indices(gamma, cfg.no)
 
 
 def _dense_coeffs(fac: _DenseFactor, residual, u_base) -> np.ndarray:

@@ -139,68 +139,77 @@ def _parents_active(dims: Group, active: set[Group]) -> bool:
         dims[:i] + dims[i + 1:] in active for i in range(len(dims)))
 
 
-class _ClassScan:
-    """Batched score machinery for all groups of one cardinality.
+class _Scan:
+    """Batched score machinery for the whole selection dictionary.
 
-    Holds per chunk the map W = S^-1 V' of each group's thin SVD D = U S V',
-    with zero rows past the group's rank, so W D' v are the coordinates of v
-    in the orthonormal basis U of the group's span. The rank cutoff is
-    lstsq's (eps * max(nq, p) * sigma_max). Design tensors are rebuilt per
-    scan so memory stays bounded by the chunk size regardless of the
-    dictionary cardinality.
+    ``groups`` and ``pcount`` are flat in dictionary order. The dictionary is
+    cut into chunks that never span a cardinality class, so the groups of a
+    chunk share one predictor multi-index set. Per chunk it holds the map
+    W = S^-1 V' of each group's thin SVD D = U S V', with zero rows past the
+    group's rank, so W D' v are the coordinates of v in the orthonormal basis
+    U of the group's span. The rank cutoff is lstsq's
+    (eps * max(nq, p) * sigma_max). Design tensors are rebuilt per scan so
+    memory stays bounded by the chunk size regardless of the dictionary
+    cardinality.
     """
 
-    def __init__(self, table, groups, indices, weights):
+    def __init__(self, table, classes, weights):
         self.table = table
-        self.groups = groups
-        self.dims = np.asarray(groups, dtype=int) - 1          # (G, l)
-        self.idx = np.asarray(indices, dtype=int) - 1          # (p, l)
         self.w = weights
         self.nq = table.shape[0]
-        self.ngroups = self.dims.shape[0]
-        self.p = self.idx.shape[0]
-        self.card = self.dims.shape[1]
-        self.chunk = max(1, min(256, _CHUNK_FLOATS // max(1, self.nq * self.p)))
-        self.bounds = [(lo, min(lo + self.chunk, self.ngroups))
-                       for lo in range(0, self.ngroups, self.chunk)]
-        self.pcount = np.empty(self.ngroups, dtype=int)
-        self.wmap = [self._factorize(lo, hi) for lo, hi in self.bounds]
+        self.groups: list[Group] = []
+        # (first group, zero-based dims (g, l), zero-based indices (p, l))
+        self.chunks = []
+        for indices, groups in classes:
+            idx = np.asarray(indices, dtype=int) - 1
+            dims = np.asarray(groups, dtype=int) - 1
+            size = max(1, min(256, _CHUNK_FLOATS // max(1, self.nq * idx.shape[0])))
+            self.chunks += [(len(self.groups) + lo, dims[lo:lo + size], idx)
+                            for lo in range(0, len(groups), size)]
+            self.groups += groups
+        # chunk_of[g] is the chunk holding dictionary group g
+        self.chunk_of = np.repeat(np.arange(len(self.chunks)),
+                                  [len(dims) for _, dims, _ in self.chunks])
+        self.pcount = np.empty(len(self.groups), dtype=int)
+        self.wmap = [self._factorize(c) for c in range(len(self.chunks))]
 
-    def _design(self, lo, hi):
-        d = np.ones((hi - lo, self.nq, self.p))
-        for i in range(self.card):
-            cols = self.table[:, self.dims[lo:hi, i], :][:, :, self.idx[:, i]]
+    def _design(self, dims, idx):
+        d = np.ones((dims.shape[0], self.nq, idx.shape[0]))
+        for i in range(idx.shape[1]):
+            cols = self.table[:, dims[:, i], :][:, :, idx[:, i]]
             d *= cols.transpose(1, 0, 2)
         if self.w is not None:
             d *= self.w[None, :, None]
         return d
 
-    def _factorize(self, lo, hi):
-        _, s, vt = np.linalg.svd(self._design(lo, hi), full_matrices=False)
-        keep = s > np.finfo(float).eps * max(self.nq, self.p) * s[:, :1]
+    def _factorize(self, c):
+        lo, dims, idx = self.chunks[c]
+        p = idx.shape[0]
+        _, s, vt = np.linalg.svd(self._design(dims, idx), full_matrices=False)
+        keep = s > np.finfo(float).eps * max(self.nq, p) * s[:, :1]
         rank = keep.sum(axis=1)
-        self.pcount[lo:hi] = rank
-        for g in np.flatnonzero(rank < self.p):
-            dims = tuple((self.dims[lo + g] + 1).tolist())
+        self.pcount[lo:lo + len(dims)] = rank
+        for g in np.flatnonzero(rank < p):
             log.warning("group %s: dropped %d dependent predictor column(s)",
-                        dims, int(self.p - rank[g]))
+                        self.groups[lo + g], int(p - rank[g]))
         inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
         return inv[:, :, None] * vt
 
     def columns(self, g):
-        """Orthonormal basis of group ``g``'s span (index within the class),
-        shape (nq, pcount[g])."""
-        wg = self.wmap[g // self.chunk][g % self.chunk]
-        return self._design(g, g + 1)[0] @ wg[: self.pcount[g]].T
+        """Orthonormal basis of dictionary group ``g``'s span, shape
+        (nq, pcount[g])."""
+        c = self.chunk_of[g]
+        lo, dims, idx = self.chunks[c]
+        wg = self.wmap[c][g - lo]
+        return self._design(dims[g - lo:g - lo + 1], idx)[0] @ wg[: self.pcount[g]].T
 
-    def project(self, vecs, cid):
-        """Orthonormal-coordinate projections W D' v for chunk ``cid``.
-
-        vecs is (nq, k); returns (g, min(nq, p), k) with zero rows past each
-        group's rank.
-        """
-        d = self._design(*self.bounds[cid])
-        return self.wmap[cid] @ np.einsum("gqi,qk->gik", d, vecs)
+    def project(self, v, c):
+        """Orthonormal-coordinate projections W D' v of the vector ``v``
+        (nq,) for chunk ``c``: shape (g, min(nq, p)), zero past each group's
+        rank."""
+        _, dims, idx = self.chunks[c]
+        dv = np.einsum("gqi,q->gi", self._design(dims, idx), v)
+        return (self.wmap[c] @ dv[:, :, None])[:, :, 0]
 
 
 def _quadratic_step(uu, uw, ww, c_score):
@@ -270,90 +279,74 @@ def glars_select(train: SampleSet, cfg: SelectionConfig, basis: BasisConfig,
     need = max(basis.max_order, cfg.nolars + 1)
     table = univariate_table(replace(basis, max_order=need), train.xi)
 
-    scans = [_ClassScan(table, groups, indices, w)
-             for indices, groups in _group_classes(train.nd, cfg)]
-    # offsets[k] is the position of class k's first group in the dictionary
-    offsets = np.cumsum([0] + [sc.ngroups for sc in scans])
-    total = int(offsets[-1])
-    if total == 0:
+    scan = _Scan(table, _group_classes(train.nd, cfg), w)
+    if not scan.groups:
         return SelectionPath(steps=[])
+    usable = scan.pcount > 0
+    pk = np.maximum(scan.pcount, 1)
 
-    all_groups = [dims for sc in scans for dims in sc.groups]
-    pcounts = np.concatenate([sc.pcount for sc in scans])
-    usable = pcounts > 0
-
-    jobs = [(si, cid) for si, sc in enumerate(scans) for cid in range(len(sc.bounds))]
+    chunks = range(len(scan.chunks))
     pool = ThreadPoolExecutor(max_workers=worker_count()) if worker_count() > 1 else None
+    scan_seconds = 0.0
 
-    def projections(vecs):
-        # fixed job order; the pool only reorders execution, not reduction
+    def projections(v):
+        # fixed chunk order; the pool only reorders execution, not reduction
+        nonlocal scan_seconds
+        t0 = time.perf_counter()
         if pool is None:
-            return [scans[si].project(vecs, cid) for si, cid in jobs]
-        return list(pool.map(lambda jc: scans[jc[0]].project(vecs, jc[1]), jobs))
+            out = [scan.project(v, c) for c in chunks]
+        else:
+            out = list(pool.map(lambda c: scan.project(v, c), chunks))
+        scan_seconds += time.perf_counter() - t0
+        return out
 
     active: list[int] = []
     active_set: set[Group] = set()
     active_cols: list[np.ndarray] = []
     steps: list[PathStep] = []
     pred_count = 0
-    scan_seconds = 0.0
     dof_cap = train.nq - _DOF_BUFFER
 
     try:
         while len(active) < cfg.max_groups:
-            t0 = time.perf_counter()
-            proj_r = projections(r[:, None])
-            scan_seconds += time.perf_counter() - t0
-            scores = np.concatenate([(pr[:, :, 0] ** 2).sum(axis=1) for pr in proj_r])
-            scores = np.where(usable, scores / np.maximum(pcounts, 1), -np.inf)
+            proj_r = projections(r)
+            uu = np.concatenate([(pr ** 2).sum(axis=1) for pr in proj_r]) / pk
             cand = usable.copy()
             if cfg.hierarchical:
-                cand &= [_parents_active(dims, active_set) for dims in all_groups]
+                cand &= [_parents_active(dims, active_set) for dims in scan.groups]
             cand[active] = False
             if not np.any(cand):
                 break
-            masked = np.where(cand, scores, -np.inf)
+            masked = np.where(cand, uu, -np.inf)
             best_score = float(masked.max())
             if not best_score > 0.0:
                 break
             ties = np.flatnonzero(masked == best_score)
-            gi = int(min(ties, key=lambda t: all_groups[t]))
-            p_gi = int(pcounts[gi])
+            gi = int(min(ties, key=lambda t: scan.groups[t]))
+            p_gi = int(scan.pcount[gi])
             if pred_count + p_gi > dof_cap:
                 break
 
             # materialize the entering group's columns for the direction solve
-            si = int(np.searchsorted(offsets, gi, side="right")) - 1
             active.append(gi)
-            active_set.add(all_groups[gi])
-            active_cols.append(scans[si].columns(gi - offsets[si]))
+            active_set.add(scan.groups[gi])
+            active_cols.append(scan.columns(gi))
             pred_count += p_gi
 
             x = np.hstack(active_cols)
             coef, *_ = np.linalg.lstsq(x, r, rcond=None)
             v = x @ coef
 
-            t0 = time.perf_counter()
-            proj = projections(np.stack([r, v], axis=1))
-            scan_seconds += time.perf_counter() - t0
-            in_active = np.zeros(total, dtype=bool)
-            in_active[active] = True
-            alpha = 1.0
-            pos = 0
-            for pr in proj:
-                g = pr.shape[0]
-                sel = cand[pos:pos + g] & ~in_active[pos:pos + g]
-                if np.any(sel):
-                    pk = np.maximum(pcounts[pos:pos + g][sel], 1)
-                    uu = (pr[sel, :, 0] ** 2).sum(axis=1) / pk
-                    uw = (pr[sel, :, 0] * pr[sel, :, 1]).sum(axis=1) / pk
-                    ww = (pr[sel, :, 1] ** 2).sum(axis=1) / pk
-                    alpha = min(alpha, _quadratic_step(uu, uw, ww, best_score))
-                pos += g
+            proj_v = projections(v)
+            uw = np.concatenate([(pr * pv).sum(axis=1)
+                                 for pr, pv in zip(proj_r, proj_v)]) / pk
+            ww = np.concatenate([(pv ** 2).sum(axis=1) for pv in proj_v]) / pk
+            cand[gi] = False
+            alpha = min(1.0, _quadratic_step(uu[cand], uw[cand], ww[cand], best_score))
 
             r = r - alpha * v
             rnorm = float(np.linalg.norm(r))
-            steps.append(PathStep(all_groups[gi], float(best_score), float(alpha), rnorm))
+            steps.append(PathStep(scan.groups[gi], float(best_score), float(alpha), rnorm))
             if rnorm <= _RESIDUAL_TOL * unorm:
                 break
             if pred_count >= dof_cap:

@@ -191,7 +191,13 @@ class DiffusionConfig:
         if self.nd_nu < 0 or self.nd_f < 0 or self.nd_nu + self.nd_f < 1:
             raise ValueError("need nd_nu + nd_f >= 1, both non-negative")
         if self.m_x < 16:
-            raise ValueError("m_x must be >= 16")
+            raise ValueError("m_x (--mx) must be >= 16")
+        if not self.lc > 0:
+            raise ValueError(f"lc (--lc) must be > 0, got {self.lc!r}")
+        if self.m_k < max(1, self.nd_nu, self.nd_f):
+            raise ValueError(f"m_k (--mk) = {self.m_k} must be >= 1 and >= "
+                             f"max(nd_nu, nd_f) = {max(self.nd_nu, self.nd_f)}: "
+                             "the KL quadrature needs a node per term")
         lo, hi = self.domain
         if not lo <= self.x_star <= hi:
             raise ValueError(f"x_star {self.x_star} outside {self.domain}")

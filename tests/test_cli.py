@@ -209,6 +209,36 @@ def test_negative_split_size_exits_2(ws, tmp_path, capsys, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ("--no", "1", "--ninter", "2", "--npc", "2"),
+    ("--no", "2", "--ninter", "3", "--npc", "3"),
+    ("--no", "1", "--npc", "1", "--ninter", "2"),
+])
+def test_degree_below_group_classes_exits_2(ws, tmp_path, capsys, flags):
+    # rejected by the configuration, before selection runs
+    out = tmp_path / "m.json"
+    argv = ["fit", str(ws / "diff.csv"), "--out", str(out), "--nolars", "2",
+            *flags]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"no={flags[1]} must be >= " in err and "fit failed" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, name", [
+    (("--mk", "2", "--nd-nu", "5"), "--mk"),
+    (("--lc", "0"), "--lc"),
+    (("--lc", "-0.3"), "--lc"),
+    (("--mk", "0", "--nd-nu", "0", "--nd-f", "1"), "--mk"),
+])
+def test_gen_diffusion_bad_config_exits_2(tmp_path, capsys, flags, name):
+    out = tmp_path / "d.csv"
+    assert main(["gen-diffusion", "--out", str(out), "--nq", "5", *flags]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "generation failed" not in err
+    assert not out.exists()
+
+
 def test_out_of_domain_spatial_exits_3(tmp_path, capsys):
     # x runs over [0, 2] but the spatial basis defaults to [0, 1]
     csv = tmp_path / "sp.csv"
@@ -356,3 +386,14 @@ def test_threads_flag_seeds_env(tmp_path, monkeypatch):
     main(["--threads", "2", "predict", str(tmp_path / "no.json"),
           str(tmp_path / "no.csv")])
     assert os.environ["HDMR_THREADS"] == "7"
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_threads_below_one_exits_2(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.delenv("HDMR_THREADS", raising=False)
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", value, "predict", str(tmp_path / "no.json"),
+              str(tmp_path / "no.csv")])
+    assert exc.value.code == 2
+    assert "argument --threads: must be >= 1" in capsys.readouterr().err
+    assert "HDMR_THREADS" not in os.environ

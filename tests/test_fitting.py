@@ -353,6 +353,13 @@ def test_fit_config_validation():
         FitConfig(robust=True)
     with pytest.raises(ValueError):
         FitConfig(nr=0)
+    # a dense class of cardinality npc needs comb(no, npc) > 0 predictors,
+    # and CP factors (ninter > npc) need orders 2..no
+    for no, npc, ninter in ((1, 2, 2), (2, 3, 3), (1, 1, 2)):
+        with pytest.raises(ValueError, match="no="):
+            FitConfig(no=no, npc=npc, ninter=ninter)
+    FitConfig(no=1, npc=1, ninter=1)
+    FitConfig(no=2, npc=2, ninter=3)
 
 
 def _rel(a, b):

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from hdmrfit import selection
 from hdmrfit.basis import BasisConfig, univariate_table
 from hdmrfit.data import SampleSet, rng_stream
 from hdmrfit.model import dense_design
 from hdmrfit.selection import (
     SelectionConfig,
-    _ClassScan,
     _group_classes,
+    _Scan,
     glars_select,
     save_path,
     worker_count,
@@ -182,7 +183,7 @@ def test_rank_deficient_group_drops_dependent_column(caplog):
     indices, groups = list(_group_classes(3, cfg))[1]
     assert len(indices) == 3 and groups[0] == (1, 2)
     with caplog.at_level("WARNING", logger="hdmrfit.selection"):
-        scan = _ClassScan(tab, groups, indices, None)
+        scan = _Scan(tab, [(indices, groups)], None)
     dropped = [rec.getMessage() for rec in caplog.records if "dropped" in rec.getMessage()]
     assert dropped == ["group (1, 2): dropped 1 dependent predictor column(s)"]
     assert scan.pcount[0] == 2
@@ -193,7 +194,7 @@ def test_rank_deficient_group_drops_dependent_column(caplog):
     basis_u = uu[:, sv > 1e-10 * sv[0]]
     assert basis_u.shape[1] == 2
     r = tab[:, 0, 1] * tab[:, 1, 2] + tab[:, 2, 1] - 0.3
-    proj = scan.project(r[:, None], 0)[0, :, 0]
+    proj = scan.project(r, 0)[0]
     oracle = float(np.sum((basis_u.T @ r) ** 2))
     assert float(proj @ proj) == pytest.approx(oracle, rel=1e-10)
 
@@ -201,6 +202,36 @@ def test_rank_deficient_group_drops_dependent_column(caplog):
     assert cols.shape == (200, 2)
     q, _ = np.linalg.qr(cols)
     assert np.allclose(q @ q.T, basis_u @ basis_u.T, atol=1e-10)
+
+
+def test_flat_scan_matches_svd_oracle_across_chunks(monkeypatch):
+    # a tiny chunk budget cuts every cardinality class into several chunks;
+    # for every group in dictionary order the projection of v carries the
+    # energy of v in the weighted design's span, and columns(g) spans it
+    monkeypatch.setattr(selection, "_CHUNK_FLOATS", 1)
+    xi, tab = uniform_set(40, 5, seed=67)
+    w = rng_stream(67, 1008).uniform(0.5, 2.0, size=40)
+    v = tab[:, 0, 1] + tab[:, 1, 2] * tab[:, 3, 1] - 0.4 * tab[:, 4, 3]
+    classes = list(_group_classes(5, SelectionConfig(nolars=3, ninter=3)))
+    assert [len(groups) for _, groups in classes] == [5, 10, 10]
+    scan = _Scan(tab, classes, w)
+    sizes = [len(dims) for _, dims, _ in scan.chunks]
+    assert len(sizes) > len(classes) and max(sizes) < 5
+    assert scan.groups == [dims for _, groups in classes for dims in groups]
+    proj = [row for c in range(len(scan.chunks)) for row in scan.project(v, c)]
+    assert len(proj) == len(scan.groups)
+    index_of = {len(groups[0]): indices for indices, groups in classes}
+    for g, dims in enumerate(scan.groups):
+        design = w[:, None] * dense_design(tab, dims, index_of[len(dims)])
+        uu, sv, _ = np.linalg.svd(design, full_matrices=False)
+        basis_u = uu[:, sv > 1e-10 * sv[0]]
+        assert scan.pcount[g] == basis_u.shape[1], dims
+        oracle = float(np.sum((basis_u.T @ v) ** 2))
+        assert abs(float(proj[g] @ proj[g]) - oracle) <= 1e-10, dims
+        cols = scan.columns(g)
+        assert cols.shape == basis_u.shape, dims
+        q, _ = np.linalg.qr(cols)
+        assert np.allclose(q @ q.T, basis_u @ basis_u.T, atol=1e-10), dims
 
 
 def test_selected_groups_independent_of_worker_count(monkeypatch):
@@ -279,19 +310,20 @@ def test_degenerate_group_rank_matches_oracle(case):
     r = tab[:, 0, 1] + tab[:, 3, 2] * tab[:, 5, 1] + 0.5 * tab[:, 4, 1] - 0.2
     cfg = SelectionConfig(nolars=4, ninter=3)
     deficient = 0
-    for indices, groups in _group_classes(xi.shape[1], cfg):
-        scan = _ClassScan(tab, groups, indices, None)
-        proj = np.concatenate([scan.project(r[:, None], cid)[:, :, 0]
-                               for cid in range(len(scan.bounds))])
-        for g, dims in enumerate(groups):
-            design = dense_design(tab, dims, indices)
-            rank = np.linalg.matrix_rank(design)
-            assert scan.pcount[g] == rank, dims
-            deficient += rank < len(indices)
-            uu, _, _ = np.linalg.svd(design, full_matrices=False)
-            oracle = float(np.sum((uu[:, :rank].T @ r) ** 2))
-            assert float(proj[g] @ proj[g]) == pytest.approx(
-                oracle, rel=1e-10, abs=1e-12 * float(r @ r)), dims
+    classes = list(_group_classes(xi.shape[1], cfg))
+    scan = _Scan(tab, classes, None)
+    proj = [row for c in range(len(scan.chunks)) for row in scan.project(r, c)]
+    index_of = {len(groups[0]): indices for indices, groups in classes}
+    for g, dims in enumerate(scan.groups):
+        indices = index_of[len(dims)]
+        design = dense_design(tab, dims, indices)
+        rank = np.linalg.matrix_rank(design)
+        assert scan.pcount[g] == rank, dims
+        deficient += rank < len(indices)
+        uu, _, _ = np.linalg.svd(design, full_matrices=False)
+        oracle = float(np.sum((uu[:, :rank].T @ r) ** 2))
+        assert float(proj[g] @ proj[g]) == pytest.approx(
+            oracle, rel=1e-10, abs=1e-12 * float(r @ r)), dims
     assert deficient > 0
 
 

@@ -194,3 +194,10 @@ def test_config_validation():
         DiffusionConfig(m_x=8)
     with pytest.raises(ValueError):
         DiffusionConfig(nd_nu=0, nd_f=0)
+    for lc in (0.0, -0.3, float("nan")):
+        with pytest.raises(ValueError, match="lc"):
+            DiffusionConfig(lc=lc)
+    for nd_nu, nd_f, m_k in ((5, 5, 2), (0, 1, 0), (2, 6, 5)):
+        with pytest.raises(ValueError, match="m_k"):
+            DiffusionConfig(nd_nu=nd_nu, nd_f=nd_f, m_k=m_k)
+    DiffusionConfig(nd_nu=2, nd_f=6, m_k=6)

@@ -91,6 +91,30 @@ def _manifest_path(args, outputs):
     return "run-manifest.json"
 
 
+def _check_outputs(args) -> None:
+    """Raise ValueError naming the first flag whose file cannot be written,
+    before the command does any work. The manifest's default path sits next
+    to the first output, or next to the model when stats writes no table."""
+    paths = [(f"--{dest.replace('_', '-')}", getattr(args, dest, None))
+             for dest in ("out", "diagnostics", "path_csv", "spectrum_out",
+                          "spectrum_f_out")]
+    paths.append(("--manifest", _manifest_path(args, [args.out or args.model])))
+    for flag, path in paths:
+        if path is None:
+            continue
+        parent = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path):
+            reason = "it is a directory"
+        elif not os.path.isdir(parent):
+            reason = f"no directory {parent}"
+        elif not os.access(parent, os.W_OK) or (
+                os.path.exists(path) and not os.access(path, os.W_OK)):
+            reason = "permission denied"
+        else:
+            continue
+        raise ValueError(f"{flag}: cannot write {path}: {reason}")
+
+
 def _fail(code: int, msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return code
@@ -353,9 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hdmrfit",
         description="Sparse interaction surrogates of random variables and "
                     "fields from scattered samples.")
-    ap.add_argument("--threads", type=int, default=None,
-                    help="worker count for the selection scan, >= 1 "
-                         "(HDMR_THREADS overrides)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fit", help="fit a surrogate to a CSV dataset")
@@ -455,11 +476,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        if args.threads < 1:
-            parser.error(f"argument --threads: must be >= 1, got {args.threads}")
-        # an explicit HDMR_THREADS wins over the flag
-        os.environ.setdefault("HDMR_THREADS", str(args.threads))
+    try:
+        _check_outputs(args)
+    except ValueError as exc:
+        return _fail(EXIT_CONFIG, str(exc))
     return args.func(args)
 
 

@@ -39,7 +39,7 @@ Group = tuple[int, ...]
 
 
 def _check_dims(dims: Group, nd: int | None = None) -> Group:
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(operator.index(d) for d in dims)
     if not dims:
         raise ValueError("a mode needs at least one dimension")
     if any(b <= a for a, b in zip(dims, dims[1:])) or dims[0] < 1:
@@ -84,7 +84,7 @@ class DenseMode:
 
     def __post_init__(self):
         dims = _check_dims(self.dims)
-        indices = tuple(tuple(int(a) for a in idx) for idx in self.indices)
+        indices = tuple(tuple(operator.index(a) for a in idx) for idx in self.indices)
         coeffs = np.asarray(self.coeffs, dtype=float).ravel()
         if len(indices) != coeffs.shape[0]:
             raise ValueError(

@@ -13,9 +13,7 @@ coefficients are discarded and re-estimated downstream.
 from __future__ import annotations
 
 import logging
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import combinations
 
@@ -35,9 +33,8 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# scan chunks are sized from (Nq, p) only, never from the worker count, so
-# per-chunk reductions happen in a fixed order and results are bit-identical
-# for any HDMR_THREADS setting
+# floats of one factorization chunk's design tensor: bounds the SVD's scratch
+# memory, not the stacked basis it fills
 _CHUNK_FLOATS = 4_000_000
 _ROOT_FLOOR = 1e-10
 # the path stops once the residual norm falls to this fraction of the
@@ -45,13 +42,6 @@ _ROOT_FLOOR = 1e-10
 _RESIDUAL_TOL = 1e-10
 # predictor columns the active set leaves free below the sample count
 _DOF_BUFFER = 1
-
-
-def worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("HDMR_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -140,76 +130,59 @@ def _parents_active(dims: Group, active: set[Group]) -> bool:
 
 
 class _Scan:
-    """Batched score machinery for the whole selection dictionary.
+    """Orthonormal bases of every group of the selection dictionary, stacked.
 
-    ``groups`` and ``pcount`` are flat in dictionary order. The dictionary is
-    cut into chunks that never span a cardinality class, so the groups of a
-    chunk share one predictor multi-index set. Per chunk it holds the map
-    W = S^-1 V' of each group's thin SVD D = U S V', with zero rows past the
-    group's rank, so W D' v are the coordinates of v in the orthonormal basis
-    U of the group's span. The rank cutoff is lstsq's
-    (eps * max(nq, p) * sigma_max). Design tensors are rebuilt per scan so
-    memory stays bounded by the chunk size regardless of the dictionary
-    cardinality.
+    ``groups`` and ``pcount`` are flat in dictionary order. Group g owns the
+    rows ``start[g]:start[g] + min(nq, p_g)`` of ``basis``: there it holds
+    U_g' of its design's thin SVD D = U S V', zeroed past the group's rank,
+    so ``basis @ v`` holds the coordinates of v in every group's span. The
+    rank cutoff is lstsq's (eps * max(nq, p) * sigma_max). Design tensors
+    are built only here, chunk by chunk, and a chunk never spans a
+    cardinality class, so its groups share one predictor multi-index set.
     """
 
     def __init__(self, table, classes, weights):
-        self.table = table
-        self.w = weights
-        self.nq = table.shape[0]
+        nq = table.shape[0]
         self.groups: list[Group] = []
         # (first group, zero-based dims (g, l), zero-based indices (p, l))
-        self.chunks = []
+        chunks = []
+        rows = []
         for indices, groups in classes:
             idx = np.asarray(indices, dtype=int) - 1
             dims = np.asarray(groups, dtype=int) - 1
-            size = max(1, min(256, _CHUNK_FLOATS // max(1, self.nq * idx.shape[0])))
-            self.chunks += [(len(self.groups) + lo, dims[lo:lo + size], idx)
-                            for lo in range(0, len(groups), size)]
+            size = max(1, min(256, _CHUNK_FLOATS // max(1, nq * idx.shape[0])))
+            chunks += [(len(self.groups) + lo, dims[lo:lo + size], idx)
+                       for lo in range(0, len(groups), size)]
             self.groups += groups
-        # chunk_of[g] is the chunk holding dictionary group g
-        self.chunk_of = np.repeat(np.arange(len(self.chunks)),
-                                  [len(dims) for _, dims, _ in self.chunks])
+            rows += [min(nq, idx.shape[0])] * len(groups)
+        self.start = np.cumsum([0] + rows[:-1])
         self.pcount = np.empty(len(self.groups), dtype=int)
-        self.wmap = [self._factorize(c) for c in range(len(self.chunks))]
+        self.basis = np.empty((sum(rows), nq))
+        for lo, dims, idx in chunks:
+            self._factorize(table, weights, lo, dims, idx)
 
-    def _design(self, dims, idx):
-        d = np.ones((dims.shape[0], self.nq, idx.shape[0]))
+    def _factorize(self, table, weights, lo, dims, idx):
+        d = np.ones((dims.shape[0], table.shape[0], idx.shape[0]))
         for i in range(idx.shape[1]):
-            cols = self.table[:, dims[:, i], :][:, :, idx[:, i]]
-            d *= cols.transpose(1, 0, 2)
-        if self.w is not None:
-            d *= self.w[None, :, None]
-        return d
-
-    def _factorize(self, c):
-        lo, dims, idx = self.chunks[c]
-        p = idx.shape[0]
-        _, s, vt = np.linalg.svd(self._design(dims, idx), full_matrices=False)
-        keep = s > np.finfo(float).eps * max(self.nq, p) * s[:, :1]
+            d *= table[:, dims[:, i], :][:, :, idx[:, i]].transpose(1, 0, 2)
+        if weights is not None:
+            d *= weights[None, :, None]
+        u, s, _ = np.linalg.svd(d, full_matrices=False)
+        nq, p = d.shape[1:]
+        keep = s > np.finfo(float).eps * max(nq, p) * s[:, :1]
         rank = keep.sum(axis=1)
         self.pcount[lo:lo + len(dims)] = rank
         for g in np.flatnonzero(rank < p):
             log.warning("group %s: dropped %d dependent predictor column(s)",
                         self.groups[lo + g], int(p - rank[g]))
-        inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
-        return inv[:, :, None] * vt
+        first = self.start[lo]
+        block = self.basis[first:first + s.size].reshape(s.shape + (nq,))
+        np.multiply(u.transpose(0, 2, 1), keep[:, :, None], out=block)
 
     def columns(self, g):
         """Orthonormal basis of dictionary group ``g``'s span, shape
         (nq, pcount[g])."""
-        c = self.chunk_of[g]
-        lo, dims, idx = self.chunks[c]
-        wg = self.wmap[c][g - lo]
-        return self._design(dims[g - lo:g - lo + 1], idx)[0] @ wg[: self.pcount[g]].T
-
-    def project(self, v, c):
-        """Orthonormal-coordinate projections W D' v of the vector ``v``
-        (nq,) for chunk ``c``: shape (g, min(nq, p)), zero past each group's
-        rank."""
-        _, dims, idx = self.chunks[c]
-        dv = np.einsum("gqi,q->gi", self._design(dims, idx), v)
-        return (self.wmap[c] @ dv[:, :, None])[:, :, 0]
+        return self.basis[self.start[g]:self.start[g] + self.pcount[g]].T
 
 
 def _quadratic_step(uu, uw, ww, c_score):
@@ -280,25 +253,20 @@ def glars_select(train: SampleSet, cfg: SelectionConfig, basis: BasisConfig,
     table = univariate_table(replace(basis, max_order=need), train.xi)
 
     scan = _Scan(table, _group_classes(train.nd, cfg), w)
-    if not scan.groups:
-        return SelectionPath(steps=[])
     usable = scan.pcount > 0
     pk = np.maximum(scan.pcount, 1)
-
-    chunks = range(len(scan.chunks))
-    pool = ThreadPoolExecutor(max_workers=worker_count()) if worker_count() > 1 else None
     scan_seconds = 0.0
 
-    def projections(v):
-        # fixed chunk order; the pool only reorders execution, not reduction
+    def project(v):
         nonlocal scan_seconds
         t0 = time.perf_counter()
-        if pool is None:
-            out = [scan.project(v, c) for c in chunks]
-        else:
-            out = list(pool.map(lambda c: scan.project(v, c), chunks))
+        out = scan.basis @ v
         scan_seconds += time.perf_counter() - t0
         return out
+
+    def group_sums(a, b):
+        # per-group inner products of two projections, divided by p_g
+        return np.add.reduceat(a * b, scan.start) / pk
 
     active: list[int] = []
     active_set: set[Group] = set()
@@ -307,52 +275,46 @@ def glars_select(train: SampleSet, cfg: SelectionConfig, basis: BasisConfig,
     pred_count = 0
     dof_cap = train.nq - _DOF_BUFFER
 
-    try:
-        while len(active) < cfg.max_groups:
-            proj_r = projections(r)
-            uu = np.concatenate([(pr ** 2).sum(axis=1) for pr in proj_r]) / pk
-            cand = usable.copy()
-            if cfg.hierarchical:
-                cand &= [_parents_active(dims, active_set) for dims in scan.groups]
-            cand[active] = False
-            if not np.any(cand):
-                break
-            masked = np.where(cand, uu, -np.inf)
-            best_score = float(masked.max())
-            if not best_score > 0.0:
-                break
-            ties = np.flatnonzero(masked == best_score)
-            gi = int(min(ties, key=lambda t: scan.groups[t]))
-            p_gi = int(scan.pcount[gi])
-            if pred_count + p_gi > dof_cap:
-                break
+    while len(active) < cfg.max_groups:
+        proj_r = project(r)
+        uu = group_sums(proj_r, proj_r)
+        cand = usable.copy()
+        if cfg.hierarchical:
+            cand &= [_parents_active(dims, active_set) for dims in scan.groups]
+        cand[active] = False
+        if not np.any(cand):
+            break
+        masked = np.where(cand, uu, -np.inf)
+        best_score = float(masked.max())
+        if not best_score > 0.0:
+            break
+        ties = np.flatnonzero(masked == best_score)
+        gi = int(min(ties, key=lambda t: scan.groups[t]))
+        p_gi = int(scan.pcount[gi])
+        if pred_count + p_gi > dof_cap:
+            break
 
-            # materialize the entering group's columns for the direction solve
-            active.append(gi)
-            active_set.add(scan.groups[gi])
-            active_cols.append(scan.columns(gi))
-            pred_count += p_gi
+        active.append(gi)
+        active_set.add(scan.groups[gi])
+        active_cols.append(scan.columns(gi))
+        pred_count += p_gi
 
-            x = np.hstack(active_cols)
-            coef, *_ = np.linalg.lstsq(x, r, rcond=None)
-            v = x @ coef
+        x = np.hstack(active_cols)
+        coef, *_ = np.linalg.lstsq(x, r, rcond=None)
+        v = x @ coef
 
-            proj_v = projections(v)
-            uw = np.concatenate([(pr * pv).sum(axis=1)
-                                 for pr, pv in zip(proj_r, proj_v)]) / pk
-            ww = np.concatenate([(pv ** 2).sum(axis=1) for pv in proj_v]) / pk
-            cand[gi] = False
-            alpha = min(1.0, _quadratic_step(uu[cand], uw[cand], ww[cand], best_score))
+        proj_v = project(v)
+        uw = group_sums(proj_r, proj_v)
+        ww = group_sums(proj_v, proj_v)
+        cand[gi] = False
+        alpha = min(1.0, _quadratic_step(uu[cand], uw[cand], ww[cand], best_score))
 
-            r = r - alpha * v
-            rnorm = float(np.linalg.norm(r))
-            steps.append(PathStep(scan.groups[gi], float(best_score), float(alpha), rnorm))
-            if rnorm <= _RESIDUAL_TOL * unorm:
-                break
-            if pred_count >= dof_cap:
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+        r = r - alpha * v
+        rnorm = float(np.linalg.norm(r))
+        steps.append(PathStep(scan.groups[gi], float(best_score), float(alpha), rnorm))
+        if rnorm <= _RESIDUAL_TOL * unorm:
+            break
+        if pred_count >= dof_cap:
+            break
 
     return SelectionPath(steps=steps, scan_seconds=scan_seconds)

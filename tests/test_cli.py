@@ -5,7 +5,6 @@ test is the exit code and the files a command leaves behind.
 """
 
 import json
-import os
 import re
 import shlex
 from pathlib import Path
@@ -316,7 +315,13 @@ def _malformed_f0(doc):
     return dict(doc, f0="abc")
 
 
-@pytest.mark.parametrize("corrupt", [_malformed_list, _malformed_dense, _malformed_f0])
+def _fractional_dims_and_index(doc):
+    # int() would read these as dim 1 and index 2
+    return dict(doc, dense=[dict(doc["dense"][0], dims=[1.7], indices=[[2.5]])])
+
+
+@pytest.mark.parametrize("corrupt", [_malformed_list, _malformed_dense, _malformed_f0,
+                                     _fractional_dims_and_index])
 def test_malformed_model_file_exits_3(tmp_path, capsys, corrupt):
     good = tmp_path / "good.json"
     save_model(HdmrModel(f0=0.5, basis=BasisConfig(lo=0.0, hi=1.0, max_order=4),
@@ -375,25 +380,28 @@ def test_bench_convergence_test_rows_do_not_depend_on_seeds(tmp_path):
     assert [int(r[2]) for r in values[1]] == [0, 1]
 
 
-def test_threads_flag_seeds_env(tmp_path, monkeypatch):
-    monkeypatch.delenv("HDMR_THREADS", raising=False)
-    rc = main(["--threads", "2", "predict", str(tmp_path / "no.json"),
-               str(tmp_path / "no.csv")])
-    assert rc == 3
-    assert os.environ["HDMR_THREADS"] == "2"
-    # an explicit environment setting wins over the flag
-    monkeypatch.setenv("HDMR_THREADS", "7")
-    main(["--threads", "2", "predict", str(tmp_path / "no.json"),
-          str(tmp_path / "no.csv")])
-    assert os.environ["HDMR_THREADS"] == "7"
-
-
-@pytest.mark.parametrize("value", ["0", "-3"])
-def test_threads_below_one_exits_2(tmp_path, monkeypatch, capsys, value):
-    monkeypatch.delenv("HDMR_THREADS", raising=False)
+def test_threads_flag_is_rejected(tmp_path):
+    # selection runs in one thread; there is no worker count to set
     with pytest.raises(SystemExit) as exc:
-        main(["--threads", value, "predict", str(tmp_path / "no.json"),
+        main(["--threads", "2", "predict", str(tmp_path / "no.json"),
               str(tmp_path / "no.csv")])
     assert exc.value.code == 2
-    assert "argument --threads: must be >= 1" in capsys.readouterr().err
-    assert "HDMR_THREADS" not in os.environ
+
+
+@pytest.mark.parametrize("command, flag", [
+    (["gen-diffusion", "--nq", "10"], "--out"),
+    (["fit", "data.csv"], "--out"),
+    (["fit", "data.csv", "--out", "model.json"], "--manifest"),
+    (["predict", "model.json", "data.csv"], "--out"),
+    (["stats", "model.json"], "--out"),
+    (["bench"], "--out"),
+], ids=["gen-diffusion", "fit-out", "fit-manifest", "predict", "stats", "bench"])
+def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, command, flag):
+    # the run stops before any work, naming the flag and the path; the
+    # inputs need not exist, since outputs are checked first
+    monkeypatch.chdir(tmp_path)
+    bad = str(tmp_path / "missing" / "out.csv")
+    assert main(command + [flag, bad]) == 2
+    err = capsys.readouterr().err
+    assert f"{flag}: cannot write {bad}" in err
+    assert not (tmp_path / "missing").exists()

@@ -235,3 +235,16 @@ def test_load_rejects_wrong_schema(tmp_path):
     p.write_text('{"schema": 99, "kind": "hdmr"}')
     with pytest.raises(ValueError):
         load_model(p)
+
+
+@pytest.mark.parametrize("field, value", [("dims", [2.7]), ("indices", [[2.5]])])
+def test_load_rejects_fractional_dims_and_indices(tmp_path, field, value):
+    # int() would truncate these to dim 2 and index 2 and load a different
+    # model; a model file holds integers only
+    p = tmp_path / "m.json"
+    save_model(small_model(), p)
+    doc = json.loads(p.read_text())
+    doc["dense"][0][field] = value
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="malformed model document"):
+        load_model(p)

@@ -11,7 +11,6 @@ from hdmrfit.selection import (
     _Scan,
     glars_select,
     save_path,
-    worker_count,
 )
 
 B = BasisConfig(lo=-1.0, hi=1.0, max_order=4)
@@ -153,6 +152,37 @@ def test_group_dictionary_classes():
     assert len(classes[0][0]) == 3
 
 
+def stacked_blocks(scan, v):
+    """Each group's block of the stacked projection ``basis @ v``, in
+    dictionary order, after checking the block's rows of ``basis``: the first
+    pcount[g] orthonormal, the rest zero."""
+    ends = list(scan.start[1:]) + [scan.basis.shape[0]]
+    proj = scan.basis @ v
+    blocks = []
+    for g, (lo, hi) in enumerate(zip(scan.start, ends)):
+        k = scan.pcount[g]
+        assert np.allclose(scan.basis[lo:lo + k] @ scan.basis[lo:lo + k].T,
+                           np.eye(k), atol=1e-10), scan.groups[g]
+        assert not np.any(scan.basis[lo + k:hi]), scan.groups[g]
+        blocks.append(proj[lo:hi])
+    return blocks
+
+
+def chunk_sizes(monkeypatch):
+    """Cut every cardinality class into one-group chunks; the returned list
+    collects the group count of each factored chunk."""
+    monkeypatch.setattr(selection, "_CHUNK_FLOATS", 1)
+    sizes = []
+    factorize = _Scan._factorize
+
+    def counting(self, table, weights, lo, dims, idx):
+        sizes.append(len(dims))
+        return factorize(self, table, weights, lo, dims, idx)
+
+    monkeypatch.setattr(_Scan, "_factorize", counting)
+    return sizes
+
+
 def test_entry_score_matches_qr_oracle():
     # the batched scan's score of a group is ||Q' r||^2 / p, with Q the
     # group's design orthonormalized and r the centered response; the first
@@ -172,10 +202,11 @@ def test_entry_score_matches_qr_oracle():
     assert first.entry_score == pytest.approx(oracle[first.dims], rel=1e-10)
 
 
-def test_rank_deficient_group_drops_dependent_column(caplog):
+def test_rank_deficient_group_drops_dependent_column(caplog, monkeypatch):
     # with xi2 = xi1 the pair (1, 2) has columns P1P1, P1P2 and P2P1, and
     # the last two coincide: the scan keeps 2 independent columns and scores
     # the group on their span
+    sizes = chunk_sizes(monkeypatch)
     xi, _ = uniform_set(200, 3, seed=43)
     xi[:, 1] = xi[:, 0]
     tab = univariate_table(B, xi)
@@ -188,13 +219,14 @@ def test_rank_deficient_group_drops_dependent_column(caplog):
     assert dropped == ["group (1, 2): dropped 1 dependent predictor column(s)"]
     assert scan.pcount[0] == 2
     assert list(scan.pcount[1:]) == [3, 3]
+    assert sizes == [1, 1, 1]
 
     design = dense_design(tab, (1, 2), indices)
     uu, sv, _ = np.linalg.svd(design, full_matrices=False)
     basis_u = uu[:, sv > 1e-10 * sv[0]]
     assert basis_u.shape[1] == 2
     r = tab[:, 0, 1] * tab[:, 1, 2] + tab[:, 2, 1] - 0.3
-    proj = scan.project(r, 0)[0]
+    proj = stacked_blocks(scan, r)[0]
     oracle = float(np.sum((basis_u.T @ r) ** 2))
     assert float(proj @ proj) == pytest.approx(oracle, rel=1e-10)
 
@@ -206,19 +238,18 @@ def test_rank_deficient_group_drops_dependent_column(caplog):
 
 def test_flat_scan_matches_svd_oracle_across_chunks(monkeypatch):
     # a tiny chunk budget cuts every cardinality class into several chunks;
-    # for every group in dictionary order the projection of v carries the
+    # for every group in dictionary order its block of basis @ v carries the
     # energy of v in the weighted design's span, and columns(g) spans it
-    monkeypatch.setattr(selection, "_CHUNK_FLOATS", 1)
+    sizes = chunk_sizes(monkeypatch)
     xi, tab = uniform_set(40, 5, seed=67)
     w = rng_stream(67, 1008).uniform(0.5, 2.0, size=40)
     v = tab[:, 0, 1] + tab[:, 1, 2] * tab[:, 3, 1] - 0.4 * tab[:, 4, 3]
     classes = list(_group_classes(5, SelectionConfig(nolars=3, ninter=3)))
     assert [len(groups) for _, groups in classes] == [5, 10, 10]
     scan = _Scan(tab, classes, w)
-    sizes = [len(dims) for _, dims, _ in scan.chunks]
     assert len(sizes) > len(classes) and max(sizes) < 5
     assert scan.groups == [dims for _, groups in classes for dims in groups]
-    proj = [row for c in range(len(scan.chunks)) for row in scan.project(v, c)]
+    proj = stacked_blocks(scan, v)
     assert len(proj) == len(scan.groups)
     index_of = {len(groups[0]): indices for indices, groups in classes}
     for g, dims in enumerate(scan.groups):
@@ -232,30 +263,6 @@ def test_flat_scan_matches_svd_oracle_across_chunks(monkeypatch):
         assert cols.shape == basis_u.shape, dims
         q, _ = np.linalg.qr(cols)
         assert np.allclose(q @ q.T, basis_u @ basis_u.T, atol=1e-10), dims
-
-
-def test_selected_groups_independent_of_worker_count(monkeypatch):
-    xi, tab = uniform_set(500, 6, seed=31)
-    g = rng_stream(31, 1006)
-    u = tab[:, 0, 1] + tab[:, 2, 1] * tab[:, 4, 1] + 0.02 * g.standard_normal(500)
-    cfg = SelectionConfig(nolars=3, ninter=2, max_groups=6)
-    monkeypatch.setenv("HDMR_THREADS", "1")
-    p1 = glars_select(as_set(xi, u), cfg, B)
-    monkeypatch.setenv("HDMR_THREADS", "3")
-    p3 = glars_select(as_set(xi, u), cfg, B)
-    assert [s.dims for s in p1.steps] == [s.dims for s in p3.steps]
-    for a, b in zip(p1.steps, p3.steps):
-        assert a.entry_score == b.entry_score  # bit-exact
-        assert a.residual_norm_after == b.residual_norm_after
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("HDMR_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("HDMR_THREADS", "5")
-    assert worker_count() == 5
-    monkeypatch.setenv("HDMR_THREADS", "0")
-    assert worker_count() == 1
 
 
 def test_save_path_csv(tmp_path):
@@ -302,9 +309,11 @@ def degenerate_xi(case, nq=120, nd=8, seed=47):
 
 
 @pytest.mark.parametrize("case", DEGENERATE)
-def test_degenerate_group_rank_matches_oracle(case):
+def test_degenerate_group_rank_matches_oracle(case, monkeypatch):
     # every group keeps exactly numpy's rank of its design and is scored on
-    # that span: ||W D' r||^2 == ||U' r||^2 with U an SVD basis of the span
+    # that span: its block of basis @ r has the norm of U' r, with U an SVD
+    # basis of the span
+    sizes = chunk_sizes(monkeypatch)
     xi = degenerate_xi(case)
     tab = univariate_table(B5, xi)
     r = tab[:, 0, 1] + tab[:, 3, 2] * tab[:, 5, 1] + 0.5 * tab[:, 4, 1] - 0.2
@@ -312,7 +321,8 @@ def test_degenerate_group_rank_matches_oracle(case):
     deficient = 0
     classes = list(_group_classes(xi.shape[1], cfg))
     scan = _Scan(tab, classes, None)
-    proj = [row for c in range(len(scan.chunks)) for row in scan.project(r, c)]
+    assert len(sizes) == len(scan.groups)
+    proj = stacked_blocks(scan, r)
     index_of = {len(groups[0]): indices for indices, groups in classes}
     for g, dims in enumerate(scan.groups):
         indices = index_of[len(dims)]

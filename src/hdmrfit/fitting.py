@@ -12,13 +12,14 @@ spatial profile.
 
 One ``_fit_passes`` call (the driver behind ``fit_hdmr``) owns everything its
 refits reuse, for the life of that call and no longer: the univariate tables
-over the columns its groups touch, and per active mode the train and
-validation designs (dense) or factor blocks (CP), plus for a dense mode the
-least-squares operator of its row-weighted design and, in a robust fit, the
-noise-covariance factor of its rows. A dense refit is then two
-matrix-vector products (and a weighted TLS solve that refreshes only the
-value-noise variances), and an ALS step solves a small Gram system. Nothing
-is cached between calls.
+over the columns its groups touch, and one ``_ActiveMode`` per mode that
+holds the train and validation designs (dense) or factor blocks (CP), plus
+for a dense mode the least-squares operator of its row-weighted design and,
+in a robust fit, the noise-covariance factor of its rows. A dense refit is
+then two matrix-vector products (and a weighted TLS solve that refreshes
+only the value-noise variances), and an ALS step solves a small Gram
+system. Nothing is cached between calls; ``fit_dense_mode`` and
+``fit_cp_mode`` build one ``_ActiveMode`` for a single refit.
 """
 
 from __future__ import annotations
@@ -134,11 +135,6 @@ def ls_solve(psi, r, beta: float = 0.0) -> np.ndarray:
     return c
 
 
-def _is_noisy(cfg: FitConfig) -> bool:
-    # __post_init__ guarantees a NoiseModel whenever robust is set
-    return cfg.robust and (cfg.noise.s > 0 or cfg.noise.s_u > 0)
-
-
 def _check_finite(*arrays) -> None:
     if not all(np.all(np.isfinite(a)) for a in arrays):
         raise ValueError("non-finite entries in the least-squares system")
@@ -159,42 +155,6 @@ def _lstsq_operator(psi, beta: float) -> np.ndarray:
     return (vt[keep].T / s[keep]) @ u[:n, keep].T
 
 
-class _DenseFactor:
-    """A dense mode's train design, its validation design (or None), the
-    least-squares operator of its row-weighted train design and, for a
-    weighted TLS fit, its noise covariance ``cov`` (else None), whose
-    ``value_var`` each refit replaces from the ``noise`` model."""
-
-    __slots__ = ("design", "vdesign", "weighted", "lsq", "cov", "noise")
-
-    def __init__(self, table, dims, indices, w, beta: float, vtable=None,
-                 cov: CovarianceBlocks | None = None,
-                 noise: NoiseModel | None = None):
-        self.design = dense_design(table, dims, indices)
-        self.vdesign = None if vtable is None else dense_design(vtable, dims, indices)
-        self.weighted = self.design if w is None else self.design * w[:, None]
-        self.lsq = _lstsq_operator(self.weighted, beta)
-        self.cov = cov
-        self.noise = noise
-
-
-def _dense_indices(gamma, cfg: FitConfig) -> list[tuple[int, ...]]:
-    if len(gamma) > cfg.npc:
-        raise ValueError(f"group {gamma} exceeds the dense cutoff npc={cfg.npc}")
-    return enumerate_dense_indices(gamma, cfg.no)
-
-
-def _dense_coeffs(fac: _DenseFactor, residual, u_base) -> np.ndarray:
-    c = fac.lsq @ residual
-    if fac.cov is not None:
-        u_ref = fac.weighted @ c
-        if u_base is not None:
-            u_ref = u_ref + u_base
-        cov = replace(fac.cov, value_var=(fac.noise.s_u * u_ref) ** 2)
-        c = wtls_solve(fac.weighted, residual, cov, c0=c)
-    return c
-
-
 def fit_dense_mode(gamma, residual, train: SampleSet, cfg: FitConfig,
                    basis: BasisConfig, row_weights=None, table=None,
                    u_base=None) -> DenseMode:
@@ -206,47 +166,40 @@ def fit_dense_mode(gamma, residual, train: SampleSet, cfg: FitConfig,
     mode; together with the mode's own least-squares estimate it provides
     the denoised response for the value-noise variance.
 
-    This is the one-shot form of a ``_fit_passes`` refit: it builds the
-    mode's designs and least-squares operator for this call alone, where
-    ``_fit_passes`` builds them once per mode and owns them for its whole
-    fit.
+    This is one ``_fit_passes`` refit on its own: one ``_ActiveMode`` built
+    and refitted once for this call.
     """
     gamma = tuple(int(d) for d in gamma)
-    indices = _dense_indices(gamma, cfg)
-    if table is None:
-        table = univariate_table(fit_basis(basis, cfg), train.xi)
-    w = None if row_weights is None else np.asarray(row_weights, dtype=float).ravel()
-    residual = np.asarray(residual, dtype=float).ravel()
-    _check_finite(residual)
-    cov = None
-    if _is_noisy(cfg) and (w is None or bool(np.all(w == 1.0))):
-        cov = covariance_blocks(train, gamma, indices, cfg.noise, fit_basis(basis, cfg))
-    fac = _DenseFactor(table, gamma, indices, w, cfg.beta, cov=cov, noise=cfg.noise)
-    c = _dense_coeffs(fac, residual, _vector(u_base, None))
-    return DenseMode(gamma, tuple(indices), c)
+    if len(gamma) > cfg.npc:
+        raise ValueError(f"group {gamma} exceeds the dense cutoff npc={cfg.npc}")
+    return _fit_one(gamma, residual, train, cfg, basis, row_weights, table, u_base)
 
 
 def fit_cp_mode(gamma, residual, train: SampleSet, cfg: FitConfig,
-                basis: BasisConfig, row_weights=None, table=None,
-                init=None) -> CPMode:
+                basis: BasisConfig, row_weights=None, table=None) -> CPMode:
     """Greedy rank-by-rank ALS fit of a separated mode against a residual.
 
-    Each rank starts from seeded uniform draws in [-1, 1] (or from ``init``
-    factors when warm-starting a refit), then cycles the dimensions solving
-    the exact least-squares subproblem for one factor block at a time.
-    This is the one-shot form of a ``_fit_passes`` refit, which keeps each
-    CP mode's factor blocks for its whole fit.
+    Each rank starts from seeded uniform draws in [-1, 1], then cycles the
+    dimensions solving the exact least-squares subproblem for one factor
+    block at a time. This is one ``_fit_passes`` refit on its own, like
+    ``fit_dense_mode``.
     """
     gamma = tuple(int(d) for d in gamma)
     _check_cp_range(gamma, cfg)
+    return _fit_one(gamma, residual, train, cfg, basis, row_weights, table, None)
+
+
+def _fit_one(gamma, residual, train, cfg, basis, row_weights, table, u_base):
+    # the table spans every column of train.xi, so a group's columns are its dims
+    fbasis = fit_basis(basis, cfg)
     if table is None:
-        table = univariate_table(fit_basis(basis, cfg), train.xi)
+        table = univariate_table(fbasis, train.xi)
     residual = np.asarray(residual, dtype=float).ravel()
-    _check_finite(residual)
-    w = None if row_weights is None else np.asarray(row_weights, dtype=float).ravel()
-    factors = _cp_factors(gamma, residual, _cp_blocks(table, gamma, cfg.no), cfg,
-                          w, init)
-    return CPMode(gamma, factors)
+    w = _vector(row_weights, np.ones(train.nq))
+    _check_finite(residual, w)
+    am = _ActiveMode(gamma, gamma, cfg, table, None, w, train, fbasis)
+    am.refit(residual, cfg, w, _vector(u_base, 0.0))
+    return am.mode()
 
 
 def _check_cp_range(gamma, cfg: FitConfig) -> None:
@@ -369,31 +322,40 @@ class _ActiveMode:
     """One mode of a ``_fit_passes`` call with what its refits reuse.
 
     Built when its group enters a pass and kept for the rest of the call;
-    ``at`` gives the group's columns in the call's tables. A dense mode holds
-    its _DenseFactor, whose noise covariance is built here from
-    ``robust_rows`` (the training rows of a weighted TLS fit, else None), a
-    CP mode its train and validation factor blocks;
-    ``params`` are the current coefficients (dense) or factors (CP), and
-    ``values`` the mode's unweighted values at the training rows.
+    ``at`` gives the group's columns in the call's tables (``vtable`` is the
+    validation rows' table, or None). A dense mode holds its train and
+    validation designs, the row-weighted train design ``weighted`` and its
+    least-squares operator ``lsq``; when weighted TLS applies (a noisy
+    ``cfg`` and plain rows), also the noise covariance ``cov`` of ``train``,
+    whose ``value_var`` each refit replaces. A CP mode holds its train and
+    validation factor blocks. ``params`` are the current coefficients
+    (dense) or factors (CP), and ``values`` the mode's unweighted values at
+    the training rows.
     """
 
-    __slots__ = ("dims", "kind", "indices", "dense", "blocks", "vblocks",
-                 "params", "values")
+    __slots__ = ("dims", "kind", "indices", "design", "vdesign", "weighted", "lsq",
+                 "cov", "blocks", "vblocks", "params", "values")
 
     def __init__(self, dims, at, cfg: FitConfig, table, vtable, w,
-                 robust_rows: SampleSet | None, fbasis: BasisConfig):
+                 train: SampleSet, fbasis: BasisConfig):
         self.dims = dims
         self.kind = "dense" if len(dims) <= cfg.npc else "cp"
         self.params = None
         self.values = None
         if self.kind == "dense":
-            self.indices = _dense_indices(dims, cfg)
-            cov = None
-            if robust_rows is not None:
-                cov = covariance_blocks(robust_rows, dims, self.indices, cfg.noise,
-                                        fbasis)
-            self.dense = _DenseFactor(table, at, self.indices, w, cfg.beta, vtable,
-                                      cov, cfg.noise)
+            self.indices = enumerate_dense_indices(dims, cfg.no)
+            self.cov = None
+            # weighted TLS covers plain rows only; __post_init__ guarantees
+            # a NoiseModel whenever robust is set
+            if cfg.robust and (cfg.noise.s > 0 or cfg.noise.s_u > 0) \
+                    and bool(np.all(w == 1.0)):
+                self.cov = covariance_blocks(train, dims, self.indices, cfg.noise,
+                                             fbasis)
+            self.design = dense_design(table, at, self.indices)
+            self.vdesign = None if vtable is None else dense_design(vtable, at,
+                                                                    self.indices)
+            self.weighted = self.design * w[:, None]
+            self.lsq = _lstsq_operator(self.weighted, cfg.beta)
         else:
             _check_cp_range(dims, cfg)
             self.blocks = [np.ascontiguousarray(b) for b in _cp_blocks(table, at, cfg.no)]
@@ -401,15 +363,20 @@ class _ActiveMode:
 
     def refit(self, r, cfg, w, u_base) -> None:
         if self.kind == "dense":
-            self.params = _dense_coeffs(self.dense, r, u_base)
-            self.values = self.dense.design @ self.params
+            c = self.lsq @ r
+            if self.cov is not None:
+                u_ref = self.weighted @ c + u_base
+                cov = replace(self.cov, value_var=(cfg.noise.s_u * u_ref) ** 2)
+                c = wtls_solve(self.weighted, r, cov, c0=c)
+            self.params = c
+            self.values = self.design @ c
         else:
             self.params = _cp_factors(self.dims, r, self.blocks, cfg, w, self.params)
             self.values = _cp_values(self.blocks, self.params)
 
     def val_values(self) -> np.ndarray:
         if self.kind == "dense":
-            return self.dense.vdesign @ self.params
+            return self.vdesign @ self.params
         return _cp_values(self.vblocks, self.params)
 
     def mode(self):
@@ -458,45 +425,35 @@ def merge_train_validation(train: SampleSet, validation: SampleSet,
 
 def fit_hdmr(train: SampleSet, validation: SampleSet | None, path, cfg: FitConfig,
              basis: BasisConfig, row_weights=None, val_row_weights=None,
-             response=None, val_response=None, retain: str = "cv"):
+             response=None, val_response=None):
     """Multi-pass driver: grow the surrogate along a selection path.
 
     ``path`` is a SelectionPath or any iterable of groups; its groups are
     added one per pass in order. Each pass fits the new mode on the current
     residual, cyclically re-fits all active modes (update sweeps), and
-    evaluates the error on the validation set. Growth stops
-    once the validation error has increased over two consecutive passes; the
+    evaluates the error on the validation set. Growth stops once the
+    validation error has increased over two consecutive passes; the
     returned model keeps the pass with the smallest validation error and is
-    refitted on train plus validation. ``retain="all"`` fits every group
-    with no early stopping (used for refits on a fixed skeleton).
+    refitted on train plus validation. With ``validation=None`` every group
+    is fitted, with no early stopping (as for refits on a fixed skeleton).
 
     Returns (HdmrModel, FitDiagnostics).
     """
-    if train.nq < 1:
-        raise ValueError("empty training set")
     groups = [tuple(g) for g in path]
-    have_val = validation is not None and validation.nq > 0
-    if retain == "cv" and not have_val:
-        warnings.warn("no validation samples: fitting the whole path")
-        retain = "all"
-    if retain not in ("cv", "all"):
-        raise ValueError(f"unknown retain policy {retain!r}")
-
-    model, diag = _fit_passes(train, validation if have_val else None, groups,
-                              cfg, basis, row_weights, val_row_weights,
-                              response, val_response, retain)
-    if retain == "all":
+    model, diag = _fit_passes(train, validation, groups, cfg, basis, row_weights,
+                              val_row_weights, response, val_response)
+    if validation is None:
         return model, diag
 
     combined, w_c, r_c = merge_train_validation(
         train, validation, row_weights, val_row_weights, response, val_response)
     model, _ = _fit_passes(combined, None, groups[: diag.retained], cfg, basis,
-                           w_c, None, r_c, None, "all")
+                           w_c, None, r_c, None)
     return model, diag
 
 
 def _fit_passes(train, validation, groups, cfg, basis, row_weights,
-                val_row_weights, response, val_response, retain):
+                val_row_weights, response, val_response):
     fbasis = fit_basis(basis, cfg)
     # the tables hold only the columns the path's groups touch; a group's
     # columns there are its 1-based positions among them
@@ -511,9 +468,8 @@ def _fit_passes(train, validation, groups, cfg, basis, row_weights,
     wsq = float(w @ w)
     if wsq <= 0:
         raise ValueError("row weights are identically zero")
-    noisy = _is_noisy(cfg) and bool(np.all(w == 1.0))
 
-    have_val = validation is not None and validation.nq > 0
+    have_val = validation is not None
     vtable = None
     if have_val:
         vtable = univariate_table(fbasis, validation.xi[:, [d - 1 for d in cols]])
@@ -548,8 +504,7 @@ def _fit_passes(train, validation, groups, cfg, basis, row_weights,
             raise ValueError(f"group {dims} appears twice in the path")
         unique.add(dims)
         am = _ActiveMode(dims, tuple(at[d] for d in dims), cfg, table,
-                         vtable if have_val else None, w,
-                         train if noisy else None, fbasis)
+                         vtable if have_val else None, w, train, fbasis)
         base = f0 + _total(modes, train.nq)
         am.refit(u - w * base, cfg, w, base)
         modes.append(am)
@@ -560,7 +515,7 @@ def _fit_passes(train, validation, groups, cfg, basis, row_weights,
         eps = cv_eps(f0)
         records.append(PassRecord(s, dims, rnorm, eps, sweeps))
 
-        if retain == "cv" and have_val:
+        if have_val:
             inc = inc + 1 if eps > prev_eps else 0
             if eps < best_eps:
                 best_eps, best_s = eps, s
@@ -568,7 +523,7 @@ def _fit_passes(train, validation, groups, cfg, basis, row_weights,
             if inc >= 2:
                 break
 
-    retained = best_s if (retain == "cv" and have_val) else len(modes)
+    retained = best_s if have_val else len(modes)
     model = HdmrModel(
         f0=f0, basis=fbasis, nd=train.nd, no=cfg.no, ninter=cfg.ninter,
         npc=cfg.npc, nr=cfg.nr,

@@ -182,7 +182,7 @@ def fit_separated(train: SampleSet, sel_cfg: SelectionConfig, fit_cfg: FitConfig
         raise ValueError("empty dataset")
     if train.ndx != 1:
         raise ValueError("separated fitting needs one spatial column")
-    have_val = validation is not None and validation.nq > 0
+    have_val = validation is not None
 
     phi = spatial_design(sb, train.x[:, 0])
     u = train.u
@@ -190,6 +190,7 @@ def fit_separated(train: SampleSet, sel_cfg: SelectionConfig, fit_cfg: FitConfig
     c0 = ls_solve(phi, u, 0.0)
     pairs: list[tuple[np.ndarray, HdmrModel | None]] = [(c0, None)]
     res = u - phi @ c0
+    res_val = None
     if have_val:
         phi_val = spatial_design(sb, validation.x[:, 0])
         res_val = validation.u - phi_val @ c0
@@ -212,16 +213,12 @@ def fit_separated(train: SampleSet, sel_cfg: SelectionConfig, fit_cfg: FitConfig
                 path = glars_select(train, sel_cfg, basis,
                                     response=res, row_weights=w_train)
                 lam_model, diag = fit_hdmr(
-                    train, validation if have_val else None, path, fit_cfg,
-                    basis, row_weights=w_train, val_row_weights=w_val,
-                    response=res, val_response=res_val if have_val else None,
-                    retain="cv" if have_val else "all")
+                    train, validation, path, fit_cfg, basis, row_weights=w_train,
+                    val_row_weights=w_val, response=res, val_response=res_val)
                 kept_groups = path.groups()[: diag.retained]
             else:
-                lam_model = _refit_lambda(train, validation if have_val else None,
-                                          kept_groups, fit_cfg, basis,
-                                          w_train, w_val, res,
-                                          res_val if have_val else None)
+                lam_model = _refit_lambda(train, validation, kept_groups, fit_cfg,
+                                          basis, w_train, w_val, res, res_val)
             lam_vals = evaluate_model(lam_model, train.xi)
             lam_norm = float(np.linalg.norm(lam_vals))
             if lam_norm == 0.0:
@@ -271,7 +268,7 @@ def _refit_lambda(train, validation, groups, fit_cfg, basis, w_train, w_val,
         train, w_train, res = merge_train_validation(
             train, validation, w_train, w_val, res, res_val)
     model, _ = fit_hdmr(train, None, groups, fit_cfg, basis,
-                        row_weights=w_train, response=res, retain="all")
+                        row_weights=w_train, response=res)
     return model
 
 

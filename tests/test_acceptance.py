@@ -375,11 +375,11 @@ def _coeff_seconds(nd: int, nq: int, basis: BasisConfig) -> float:
     ds = SampleSet(np.empty((nq, 0)), xi, u)
     groups = [(1,), (2,), (3,), (1, 2), (2, 3)]
     fitc = FitConfig(no=6, npc=2, ninter=2, seed=0)
-    fit_hdmr(ds, None, groups, fitc, basis, retain="all")  # warm-up
+    fit_hdmr(ds, None, groups, fitc, basis)  # warm-up
     times = []
     for _ in range(5):
         t0 = time.perf_counter()
-        fit_hdmr(ds, None, groups, fitc, basis, retain="all")
+        fit_hdmr(ds, None, groups, fitc, basis)
         times.append(time.perf_counter() - t0)
     return float(np.median(times))
 

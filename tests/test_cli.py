@@ -7,6 +7,7 @@ test is the exit code and the files a command leaves behind.
 import json
 import re
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -405,3 +406,56 @@ def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, command, flag)
     err = capsys.readouterr().err
     assert f"{flag}: cannot write {bad}" in err
     assert not (tmp_path / "missing").exists()
+
+
+def test_fit_without_validation_rows_fits_whole_path(ws, tmp_path, capsys):
+    diag, path_csv = tmp_path / "d.csv", tmp_path / "path.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(_fit_args(ws, tmp_path / "m.json", "--val", "0",
+                            "--diagnostics", str(diag), "--path-csv", str(path_csv)))
+    assert rc == 0
+    assert not [w for w in caught if "validation" in str(w.message)]
+    assert "validation" not in capsys.readouterr().err
+    steps = path_csv.read_text().splitlines()[1:]
+    rows = [ln.split(",") for ln in diag.read_text().splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == list(range(len(steps) + 1))
+    assert all(r[3] == "nan" for r in rows)
+
+
+def _degenerate_rows(case):
+    g = np.random.default_rng(61)
+    nq = 40 if case == "40-rows" else 300
+    xi = g.uniform(0.0, 1.0, size=(nq, 4))
+    if case == "constant":
+        xi[:, 3] = 0.3
+    elif case == "duplicate":
+        xi[:, 3] = xi[:, 0]
+    elif case == "mirrored":
+        xi[:, 3] = 1.0 - xi[:, 0]
+    elif case == "two-valued":
+        xi[:, 3] = np.where(g.uniform(size=nq) < 0.5, 0.25, 0.75)
+    elif case == "repeated-rows":
+        xi = np.tile(xi[:30], (10, 1))
+    elif case == "all-constant":
+        xi[:] = [0.2, 0.4, 0.6, 0.8]
+    u = np.sin(3 * xi[:, 0]) + xi[:, 1] * xi[:, 2]
+    return np.column_stack([xi, u])
+
+
+@pytest.mark.parametrize("case", ["constant", "duplicate", "mirrored", "two-valued",
+                                  "repeated-rows", "40-rows", "all-constant"])
+def test_degenerate_data_fits_and_predicts(tmp_path, case):
+    # dependent, constant and repeated columns or rows are handled by the
+    # selection's rank cutoff and the fit's minimum-norm solves: the fit
+    # exits 0 and its model predicts finite values at the training rows
+    data, rows = tmp_path / "data.csv", _degenerate_rows(case)
+    _write_rows(data, rows)
+    model, pred = tmp_path / "m.json", tmp_path / "p.csv"
+    test = "5" if case == "40-rows" else "20"
+    assert main(["fit", str(data), "--out", str(model), "--no", "4", "--nolars", "3",
+                 "--ninter", "2", "--npc", "2", "--test", test]) == 0
+    assert main(["predict", str(model), str(data), "--out", str(pred)]) == 0
+    values = np.loadtxt(pred, skiprows=1)
+    assert values.shape == (rows.shape[0],)
+    assert np.all(np.isfinite(values))

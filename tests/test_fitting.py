@@ -13,11 +13,13 @@ from hdmrfit.fitting import (
     fit_dense_mode,
     fit_hdmr,
     ls_solve,
+    merge_train_validation,
     relative_error,
     save_diagnostics,
     wtls_solve,
 )
-from hdmrfit.model import HdmrModel, dense_design, enumerate_dense_indices, evaluate_model
+from hdmrfit.model import (HdmrModel, dense_design, enumerate_dense_indices, evaluate_model,
+                           save_model)
 from hdmrfit.selection import SelectionConfig, glars_select
 from oracles import (als_factor_lstsq, build_sample_covariance, dense_mode_lstsq,
                      eval_univariate_deriv, stack_sample_covariance,
@@ -132,7 +134,7 @@ def test_fit_hdmr_accepts_plain_group_list():
     ds, tab = uniform_set(300, 3, seed=9)
     u = tab[:, 0, 1]
     model, diag = fit_hdmr(with_u(ds, u), None, [(1,)],
-                           FitConfig(no=3, npc=1, ninter=1), B, retain="all")
+                           FitConfig(no=3, npc=1, ninter=1), B)
     assert relative_error(model, with_u(ds, u).retag("test")) < 1e-10
     assert diag.retained == 1
 
@@ -140,17 +142,52 @@ def test_fit_hdmr_accepts_plain_group_list():
 def test_fit_hdmr_no_validation_warns_and_fits_all():
     ds, tab = uniform_set(200, 3, seed=10)
     u = tab[:, 0, 1] + tab[:, 1, 1]
-    with pytest.warns(UserWarning, match="validation"):
-        model, diag = fit_hdmr(with_u(ds, u), None, [(1,), (2,)],
-                               FitConfig(no=3, npc=1, ninter=1), B)
+    model, diag = fit_hdmr(with_u(ds, u), None, [(1,), (2,)],
+                           FitConfig(no=3, npc=1, ninter=1), B)
     assert diag.retained == 2
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_fit_hdmr_with_validation_is_refit_of_retained_on_merged_rows(tmp_path,
+                                                                      weighted):
+    # the cross-validated fit equals a fit of its retained groups on train
+    # plus validation with no validation rows, which the separated driver's
+    # refits on a frozen skeleton rely on
+    ds, tab = uniform_set(150, 4, seed=22)
+    vs, vtab = uniform_set(80, 4, seed=23)
+    g = rng_stream(22, 1)
+
+    def truth(t, n):
+        return (2 * t[:, 0, 1] + t[:, 1, 1] * t[:, 2, 1]
+                + t[:, 0, 1] * t[:, 1, 1] * t[:, 3, 1] + 0.3 * g.standard_normal(n))
+
+    train, val = with_u(ds, truth(tab, 150)), with_u(vs, truth(vtab, 80))
+    kw = {}
+    if weighted:
+        kw = dict(row_weights=g.uniform(0.5, 1.5, 150),
+                  val_row_weights=g.uniform(0.5, 1.5, 80),
+                  response=truth(tab, 150), val_response=truth(vtab, 80))
+    groups = [(1,), (2, 3), (1, 2, 4), (4,), (2,), (1, 3), (3, 4), (1, 4), (2, 4), (3,)]
+    cfg = FitConfig(no=3, npc=2, ninter=3, nr=2, seed=0)
+    model, diag = fit_hdmr(train, val, groups, cfg, B, **kw)
+    # CV stopped early, and the kept groups include the CP mode (1, 2, 4)
+    assert len(diag.records) <= len(groups) and diag.retained >= 3
+    merged, w, r = merge_train_validation(
+        train, val, kw.get("row_weights"), kw.get("val_row_weights"),
+        kw.get("response"), kw.get("val_response"))
+    ref, ref_diag = fit_hdmr(merged, None, groups[: diag.retained], cfg, B,
+                             row_weights=w, response=r)
+    assert ref_diag.retained == diag.retained
+    save_model(model, tmp_path / "cv.json")
+    save_model(ref, tmp_path / "ref.json")
+    assert (tmp_path / "cv.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
 
 
 def test_fit_hdmr_mean_estimation():
     ds, tab = uniform_set(400, 3, seed=11)
     u = 3.25 + tab[:, 0, 1]
     model, _ = fit_hdmr(with_u(ds, u), None, [(1,)],
-                        FitConfig(no=3, npc=1, ninter=1), B, retain="all")
+                        FitConfig(no=3, npc=1, ninter=1), B)
     assert model.f0 == pytest.approx(3.25, abs=1e-10)
 
 
@@ -160,10 +197,10 @@ def test_update_sweeps_help_correlated_modes(monkeypatch):
     u = tab[:, 0, 1] + tab[:, 0, 1] * tab[:, 1, 1]
     groups = [(1,), (1, 2)]
     cfg = FitConfig(no=3, npc=2, ninter=2)
-    m1, _ = fit_hdmr(with_u(ds, u), None, groups, cfg, B, retain="all")
+    m1, _ = fit_hdmr(with_u(ds, u), None, groups, cfg, B)
     # baseline without update sweeps: a sweep cap of 0 returns f0 unchanged
     monkeypatch.setattr(fitting, "_MAX_UPDATE_SWEEPS", 0)
-    m0, _ = fit_hdmr(with_u(ds, u), None, groups, cfg, B, retain="all")
+    m0, _ = fit_hdmr(with_u(ds, u), None, groups, cfg, B)
     t = with_u(ds, u).retag("test")
     assert relative_error(m1, t) <= relative_error(m0, t) + 1e-12
 
@@ -174,7 +211,7 @@ def test_response_override_changes_target():
     r = tab[:, 1, 1]
     model, _ = fit_hdmr(with_u(ds, u), None, [(2,)],
                         FitConfig(no=3, npc=1, ninter=1), B,
-                        response=r, retain="all")
+                        response=r)
     pred = evaluate_model(model, ds.xi)
     assert np.linalg.norm(pred - r) / np.linalg.norm(r) < 1e-10
 
@@ -182,7 +219,7 @@ def test_response_override_changes_target():
 def test_relative_error_zero_truth_rejected():
     ds, _ = uniform_set(50, 2, seed=14)
     m, _ = fit_hdmr(with_u(ds, np.ones(50)), None, [],
-                    FitConfig(no=2, npc=1, ninter=1), B, retain="all")
+                    FitConfig(no=2, npc=1, ninter=1), B)
     with pytest.raises(ValueError):
         relative_error(m, with_u(ds, np.zeros(50)).retag("test"))
 
@@ -191,7 +228,7 @@ def test_diagnostics_csv(tmp_path):
     ds, tab = uniform_set(300, 3, seed=15)
     u = tab[:, 0, 1] + 0.5 * tab[:, 1, 1]
     _, diag = fit_hdmr(with_u(ds, u), None, [(1,), (2,)],
-                       FitConfig(no=3, npc=1, ninter=1), B, retain="all")
+                       FitConfig(no=3, npc=1, ninter=1), B)
     p = tmp_path / "diag.csv"
     save_diagnostics(diag, p)
     lines = p.read_text().strip().splitlines()
@@ -385,10 +422,10 @@ def test_dense_operator_matches_lstsq_oracle(beta):
     g = rng_stream(30, 1)
     w = g.uniform(0.2, 2.0, 120)
     idx = enumerate_dense_indices((1, 3), 4)
-    fac = fitting._DenseFactor(tab, (1, 3), idx, w, beta)
+    lsq = fitting._lstsq_operator(dense_design(tab, (1, 3), idx) * w[:, None], beta)
     for _ in range(3):
         r = g.standard_normal(120)
-        assert _rel(fac.lsq @ r, dense_mode_lstsq(tab, (1, 3), idx, w, r, beta)) < 1e-10
+        assert _rel(lsq @ r, dense_mode_lstsq(tab, (1, 3), idx, w, r, beta)) < 1e-10
     # the one-shot form solves the same system
     r = g.standard_normal(120)
     mode = fit_dense_mode((1, 3), r, ds, FitConfig(no=4, npc=2, beta=beta), B,
@@ -406,9 +443,9 @@ def test_dense_operator_minimum_norm_on_rank_deficient_group():
     w = g.uniform(0.5, 1.5, 150)
     psi = dense_design(tab, (1, 2), idx) * w[:, None]
     assert np.linalg.matrix_rank(psi) < len(idx)
-    fac = fitting._DenseFactor(tab, (1, 2), idx, w, 0.0)
+    lsq = fitting._lstsq_operator(dense_design(tab, (1, 2), idx) * w[:, None], 0.0)
     r = g.standard_normal(150)
-    c = fac.lsq @ r
+    c = lsq @ r
     c_ref = dense_mode_lstsq(tab, (1, 2), idx, w, r, 0.0)
     assert _rel(c, c_ref) < 1e-10
     # minimum norm: no component in the design's null space
@@ -520,7 +557,7 @@ def test_cp_refit_makes_no_ls_solve_call(monkeypatch):
     u = tab[:, 0, 1] * tab[:, 1, 2] * tab[:, 2, 1] + 0.01 * g.standard_normal(500)
     calls = _counting(monkeypatch, "ls_solve")
     model, diag = fit_hdmr(with_u(ds, u), None, [(1, 2, 3)],
-                           FitConfig(no=3, npc=2, ninter=3, nr=2), B, retain="all")
+                           FitConfig(no=3, npc=2, ninter=3, nr=2), B)
     assert calls == []
     assert diag.records[1].update_sweeps >= 1
     assert relative_error(model, with_u(ds, u).retag("test")) < 0.05

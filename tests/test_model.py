@@ -1,7 +1,10 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hdmrfit.basis import BasisConfig, univariate_table
 from hdmrfit.data import rng_stream
@@ -248,3 +251,86 @@ def test_load_rejects_fractional_dims_and_indices(tmp_path, field, value):
     p.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="malformed model document"):
         load_model(p)
+
+
+QB = BasisConfig(lo=0.0, hi=1.0, max_order=4)
+_COEF = st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def _stat_models(draw):
+    # no = 3: dense modes on singletons and pairs, one CP mode on (1, 2, 3)
+    nd = draw(st.integers(1, 3))
+    dense = []
+    for card in (1, 2):
+        for dims in itertools.combinations(range(1, nd + 1), card):
+            if draw(st.booleans()):
+                idx = enumerate_dense_indices(dims, 3)
+                c = draw(st.lists(_COEF, min_size=len(idx), max_size=len(idx)))
+                dense.append(DenseMode(dims, tuple(idx), np.array(c)))
+    cp = []
+    if nd == 3 and draw(st.booleans()):
+        nr = draw(st.integers(1, 2))
+        c = draw(st.lists(_COEF, min_size=nr * 6, max_size=nr * 6))
+        cp.append(CPMode((1, 2, 3), np.reshape(c, (nr, 3, 2))))
+    npc = min(2, nd)
+    return HdmrModel(f0=draw(_COEF), basis=QB, nd=nd, no=3, ninter=3 if cp else npc,
+                     npc=npc, nr=2, dense=dense, cp=cp)
+
+
+def _relabel(m, perm):
+    # dimension d of m becomes dimension perm[d - 1]
+    def move(dims):
+        new = [perm[d - 1] for d in dims]
+        order = np.argsort(new)
+        return tuple(new[k] for k in order), order
+
+    dense = []
+    for mode in m.dense:
+        dims, order = move(mode.dims)
+        dense.append(DenseMode(dims, tuple(tuple(idx[k] for k in order)
+                                           for idx in mode.indices), mode.coeffs))
+    cp = []
+    for mode in m.cp:
+        dims, order = move(mode.dims)
+        cp.append(CPMode(dims, mode.factors[:, order, :]))
+    return HdmrModel(f0=m.f0, basis=m.basis, nd=m.nd, no=m.no, ninter=m.ninter,
+                     npc=m.npc, nr=m.nr, dense=dense, cp=cp), move
+
+
+@given(_stat_models(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_closed_form_statistics_match_tensor_quadrature(m, data):
+    # Gauss-Legendre with no + 2 points per dimension integrates f^2 exactly
+    t, w = np.polynomial.legendre.leggauss(m.no + 2)
+    t, w = 0.5 * (t + 1.0), 0.5 * w      # uniform probability measure on [0, 1]
+    grid = np.stack(np.meshgrid(*[t] * m.nd, indexing="ij"), axis=-1).reshape(-1, m.nd)
+    f = evaluate_model(m, grid).reshape((t.size,) * m.nd)
+
+    def expect(vals, axes):
+        for ax in sorted(axes, reverse=True):
+            vals = np.tensordot(vals, w, axes=([ax], [0]))
+        return vals
+
+    mean = float(expect(f, range(m.nd)))
+    var = float(expect((f - mean) ** 2, range(m.nd)))
+    assert model_mean(m) == pytest.approx(mean, abs=1e-12)
+    assert model_variance(m) == pytest.approx(var, rel=1e-10, abs=1e-13)
+    assume(var > 1e-6)
+    for i in range(m.nd):
+        # E[Var(f | xi_~i)]: the variance along axis i, averaged over the rest
+        cond = np.expand_dims(expect(f, [i]), i)
+        total = float(expect(expect((f - cond) ** 2, [i]), range(m.nd - 1))) / var
+        assert total_sobol(m, i + 1) == pytest.approx(total, abs=1e-10)
+
+    perm = data.draw(st.permutations(range(1, m.nd + 1)))
+    moved, move = _relabel(m, perm)
+    # the relabeled model at relabeled points is the same function
+    pts = np.empty_like(grid)
+    pts[:, [d - 1 for d in perm]] = grid
+    assert np.allclose(evaluate_model(moved, pts), f.ravel(), rtol=0, atol=1e-12)
+    s, s_moved = sobol_indices(m), sobol_indices(moved)
+    assert sum(s.values()) == pytest.approx(1.0, abs=1e-12)
+    assert set(s_moved) == {move(g)[0] for g in s}
+    for g, v in s.items():
+        assert s_moved[move(g)[0]] == pytest.approx(v, abs=1e-14)

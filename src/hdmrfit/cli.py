@@ -203,6 +203,8 @@ def cmd_fit(args) -> int:
         else:
             path = glars_select(train, sel_cfg, basis)
             timings["select"] = time.perf_counter() - t0
+            timings["select_scan"] = path.scan_seconds
+            timings["select_direction"] = path.direction_seconds
             if args.path_csv:
                 save_path(path, args.path_csv)
                 outputs.append(args.path_csv)

@@ -552,8 +552,6 @@ def _update_sweeps(modes, u, cfg, w, wsq, f0):
 
 def relative_error(model, test: SampleSet) -> float:
     """Relative L2 error ||u - u_hat|| / ||u|| over a test set."""
-    if test.nq < 1:
-        raise ValueError("empty test set")
     denom = float(np.linalg.norm(test.u))
     if denom == 0.0:
         raise ValueError("zero-norm reference values: relative error undefined")

@@ -80,6 +80,7 @@ class SelectionPath:
 
     steps: list[PathStep]
     scan_seconds: float = 0.0
+    direction_seconds: float = 0.0
 
     def __post_init__(self):
         seen = set()
@@ -214,6 +215,19 @@ def _quadratic_step(uu, uw, ww, c_score):
     return best
 
 
+def _direction(q, cols, r):
+    """Extend q, an orthonormal basis of the active span, by a group's
+    orthonormal columns (classical Gram-Schmidt with one reorthogonalization,
+    then a thin SVD of the remainder); return it and v = q q' r, lstsq's fit
+    of r. A direction joins q if its singular value clears eps * nq, lstsq's
+    cutoff eps * max(nq, P) * sigma_max for unit columns and P < nq."""
+    for _ in range(2):
+        cols = cols - q @ (q.T @ cols)
+    u, s, _ = np.linalg.svd(cols, full_matrices=False)
+    q = np.concatenate((q, u[:, s > np.finfo(float).eps * q.shape[0]]), axis=1)
+    return q, q @ (q.T @ r)
+
+
 def glars_select(train: SampleSet, cfg: SelectionConfig, basis: BasisConfig,
                  response=None, row_weights=None) -> SelectionPath:
     """Run the group selection path on a training set.
@@ -270,7 +284,8 @@ def glars_select(train: SampleSet, cfg: SelectionConfig, basis: BasisConfig,
 
     active: list[int] = []
     active_set: set[Group] = set()
-    active_cols: list[np.ndarray] = []
+    q = np.empty((train.nq, 0))
+    direction_seconds = 0.0
     steps: list[PathStep] = []
     pred_count = 0
     dof_cap = train.nq - _DOF_BUFFER
@@ -296,12 +311,11 @@ def glars_select(train: SampleSet, cfg: SelectionConfig, basis: BasisConfig,
 
         active.append(gi)
         active_set.add(scan.groups[gi])
-        active_cols.append(scan.columns(gi))
         pred_count += p_gi
 
-        x = np.hstack(active_cols)
-        coef, *_ = np.linalg.lstsq(x, r, rcond=None)
-        v = x @ coef
+        t0 = time.perf_counter()
+        q, v = _direction(q, scan.columns(gi), r)
+        direction_seconds += time.perf_counter() - t0
 
         proj_v = project(v)
         uw = group_sums(proj_r, proj_v)
@@ -317,4 +331,4 @@ def glars_select(train: SampleSet, cfg: SelectionConfig, basis: BasisConfig,
         if pred_count >= dof_cap:
             break
 
-    return SelectionPath(steps=steps, scan_seconds=scan_seconds)
+    return SelectionPath(steps, scan_seconds, direction_seconds)

@@ -178,8 +178,6 @@ def fit_separated(train: SampleSet, sel_cfg: SelectionConfig, fit_cfg: FitConfig
     if fit_cfg.robust:
         raise ValueError("robust fitting does not apply to the separated "
                          "representation: its stochastic fits are row-weighted")
-    if train.nq < 1:
-        raise ValueError("empty dataset")
     if train.ndx != 1:
         raise ValueError("separated fitting needs one spatial column")
     have_val = validation is not None

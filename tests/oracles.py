@@ -8,7 +8,9 @@ solve it by ``ls_solve`` (an SVD ``lstsq``) every time, as the coefficient
 passes once did: they check the cached dense-mode operator and the Gram
 solves of the ALS subproblems. The weighted TLS oracle works on the dense
 (Nq, p+1, p+1) covariance blocks, stacked one sample at a time, that the
-factored form in ``fitting`` replaces.
+factored form in ``fitting`` replaces. The selection path's direction
+oracle runs one lstsq on all active columns at every step: it checks the
+orthonormal basis of the active span that ``glars_select`` grows.
 """
 
 import warnings
@@ -137,6 +139,14 @@ def wtls_solve_dense(psi, r, lam, c0=None) -> np.ndarray:
         prev = rho_new
     warnings.warn("weighted TLS did not converge; returning best iterate")
     return best_c
+
+
+def lstsq_direction(active_cols, r) -> np.ndarray:
+    """Least-squares fit of r on the stacked columns of every active group:
+    the path's direction, solved by one lstsq on the whole active set."""
+    x = np.hstack(active_cols)
+    coef, *_ = np.linalg.lstsq(x, r, rcond=None)
+    return x @ coef
 
 
 def dense_mode_lstsq(table, dims, indices, w, r, beta: float) -> np.ndarray:

@@ -106,6 +106,16 @@ def test_fit_manifest_records_run(ws, tmp_path):
     assert {"load", "select", "fit", "total"} <= set(doc["timings"])
 
 
+def test_fit_manifest_splits_selection_time(ws, tmp_path):
+    # the selection's dictionary scan and direction solves are timed inside
+    # the select stage and recorded next to it
+    mf = tmp_path / "mf.json"
+    assert main(_fit_args(ws, tmp_path / "m.json", "--manifest", str(mf))) == 0
+    timings = json.loads(mf.read_text())["timings"]
+    assert timings["select_scan"] > 0 and timings["select_direction"] > 0
+    assert timings["select_scan"] + timings["select_direction"] < timings["select"]
+
+
 def test_fit_model_bytes_deterministic(ws, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(_fit_args(ws, a)) == 0
@@ -130,9 +140,12 @@ def test_oversubscribed_split_exits_3(ws, tmp_path):
     assert rc == 3
 
 
-def _write_rows(path, rows, blank_after=None):
+def _write_rows(path, rows, blank_after=None, ndx=0):
+    """Write rows as CSV: ndx spatial columns, then xi columns, then u."""
     with open(path, "w") as fh:
-        fh.write(",".join(f"xi{j}" for j in range(1, len(rows[0]))) + ",u\n")
+        header = [f"x{j}" for j in range(1, ndx + 1)]
+        header += [f"xi{j}" for j in range(1, len(rows[0]) - ndx)]
+        fh.write(",".join(header) + ",u\n")
         for q, row in enumerate(rows):
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
             if q == blank_after:
@@ -424,6 +437,8 @@ def test_fit_without_validation_rows_fits_whole_path(ws, tmp_path, capsys):
 
 
 def _degenerate_rows(case):
+    """Columns x1, xi1..xi4 and u; x1 is uniform on [0, 1] and u does not
+    depend on it."""
     g = np.random.default_rng(61)
     nq = 40 if case == "40-rows" else 300
     xi = g.uniform(0.0, 1.0, size=(nq, 4))
@@ -440,22 +455,28 @@ def _degenerate_rows(case):
     elif case == "all-constant":
         xi[:] = [0.2, 0.4, 0.6, 0.8]
     u = np.sin(3 * xi[:, 0]) + xi[:, 1] * xi[:, 2]
-    return np.column_stack([xi, u])
+    x = g.uniform(0.0, 1.0, size=nq)
+    if case == "repeated-rows":
+        x = np.tile(x[:30], 10)
+    return np.column_stack([x, xi, u])
 
 
 @pytest.mark.parametrize("case", ["constant", "duplicate", "mirrored", "two-valued",
                                   "repeated-rows", "40-rows", "all-constant"])
 def test_degenerate_data_fits_and_predicts(tmp_path, case):
     # dependent, constant and repeated columns or rows are handled by the
-    # selection's rank cutoff and the fit's minimum-norm solves: the fit
-    # exits 0 and its model predicts finite values at the training rows
+    # selection's rank cutoff and the fit's minimum-norm solves: in both
+    # modes the fit exits 0 and its model predicts finite values at the
+    # training rows (the HDMR mode ignores the x1 column)
     data, rows = tmp_path / "data.csv", _degenerate_rows(case)
-    _write_rows(data, rows)
-    model, pred = tmp_path / "m.json", tmp_path / "p.csv"
+    _write_rows(data, rows, ndx=1)
     test = "5" if case == "40-rows" else "20"
-    assert main(["fit", str(data), "--out", str(model), "--no", "4", "--nolars", "3",
-                 "--ninter", "2", "--npc", "2", "--test", test]) == 0
-    assert main(["predict", str(model), str(data), "--out", str(pred)]) == 0
-    values = np.loadtxt(pred, skiprows=1)
-    assert values.shape == (rows.shape[0],)
-    assert np.all(np.isfinite(values))
+    for mode, extra in (("hdmr", []), ("separated", ["--cardx", "4"])):
+        model, pred = tmp_path / f"{mode}.json", tmp_path / f"{mode}.csv"
+        assert main(["fit", str(data), "--mode", mode, "--out", str(model),
+                     "--no", "4", "--nolars", "3", "--ninter", "2", "--npc", "2",
+                     "--test", test, *extra]) == 0, mode
+        assert main(["predict", str(model), str(data), "--out", str(pred)]) == 0, mode
+        values = np.loadtxt(pred, skiprows=1)
+        assert values.shape == (rows.shape[0],)
+        assert np.all(np.isfinite(values)), mode

@@ -43,6 +43,13 @@ def test_rejects_nonfinite():
         SampleSet(s.x, s.xi, u)
 
 
+def test_rejects_zero_rows():
+    # selection, fitting and the relative error rely on this check instead
+    # of testing for an empty set themselves
+    with pytest.raises(ValueError, match="at least one row"):
+        SampleSet(np.empty((0, 1)), np.empty((0, 3)), np.empty(0))
+
+
 def test_rejects_row_mismatch():
     s = make_set()
     with pytest.raises(ValueError):

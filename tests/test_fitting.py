@@ -139,7 +139,7 @@ def test_fit_hdmr_accepts_plain_group_list():
     assert diag.retained == 1
 
 
-def test_fit_hdmr_no_validation_warns_and_fits_all():
+def test_fit_hdmr_without_validation_fits_every_group():
     ds, tab = uniform_set(200, 3, seed=10)
     u = tab[:, 0, 1] + tab[:, 1, 1]
     model, diag = fit_hdmr(with_u(ds, u), None, [(1,), (2,)],

@@ -12,6 +12,7 @@ from hdmrfit.selection import (
     glars_select,
     save_path,
 )
+from oracles import lstsq_direction
 
 B = BasisConfig(lo=-1.0, hi=1.0, max_order=4)
 
@@ -285,6 +286,30 @@ def test_scan_seconds_populated():
     path = glars_select(as_set(xi, u),
                         SelectionConfig(nolars=2, ninter=2, max_groups=2), B)
     assert path.scan_seconds > 0
+    assert path.direction_seconds > 0
+
+
+def test_grown_basis_direction_matches_lstsq_oracle(monkeypatch):
+    # on a 64-group path every direction of the grown basis equals the
+    # lstsq fit of the residual on all active columns, and the basis stays
+    # orthonormal
+    xi, tab = uniform_set(400, 12, seed=71)
+    noise = rng_stream(71, 1009).standard_normal(400)
+    u = tab[:, 0, 1] + tab[:, 1, 2] * tab[:, 4, 1] + 0.3 * tab[:, 7, 3] + 0.5 * noise
+    active, errors, grown = [], [], selection._direction
+
+    def checked(q, cols, r):
+        active.append(cols)
+        q, v = grown(q, cols, r)
+        errors.append(np.linalg.norm(v - lstsq_direction(active, r))
+                      / np.linalg.norm(r))
+        assert np.allclose(q.T @ q, np.eye(q.shape[1]), rtol=0, atol=1e-12)
+        return q, v
+
+    monkeypatch.setattr(selection, "_direction", checked)
+    path = glars_select(as_set(xi, u), SelectionConfig(nolars=3, ninter=2), B)
+    assert len(path) == len(errors) == 64
+    assert max(errors) <= 1e-10
 
 
 # degenerate data: each case makes some group designs rank-deficient
@@ -335,6 +360,42 @@ def test_degenerate_group_rank_matches_oracle(case, monkeypatch):
         assert float(proj[g] @ proj[g]) == pytest.approx(
             oracle, rel=1e-10, abs=1e-12 * float(r @ r)), dims
     assert deficient > 0
+
+
+@pytest.mark.parametrize("case", DEGENERATE)
+def test_degenerate_path_matches_lstsq_direction(case, monkeypatch):
+    # dependent columns enter the active set here: the grown basis keeps only
+    # the directions lstsq's rank cutoff keeps, so the path is the oracle's
+    # until the residual falls to 1e-6 of the centred response. Past that
+    # point both chase rounding noise with steps of about 0.5, and their
+    # tails may differ by a group at residuals near 1e-9 relative.
+    # With a duplicated or negated dimension, a group whose span lies inside
+    # the active span stays tied with the active groups, so rounding alone
+    # can decide a step there; this response (the one the rank test above
+    # scores) lets no such tie bind before the 1e-6 point.
+    def lstsq_step(x, cols, r):
+        # x stacks the active groups' columns as they entered, not a basis
+        x = np.hstack([x, cols])
+        return x, lstsq_direction([x], r)
+
+    xi = degenerate_xi(case)
+    tab = univariate_table(B5, xi)
+    u = tab[:, 0, 1] + tab[:, 3, 2] * tab[:, 5, 1] + 0.5 * tab[:, 4, 1] - 0.2
+    cfg = SelectionConfig(nolars=4, ninter=3)
+    path = glars_select(as_set(xi, u), cfg, B5)
+    monkeypatch.setattr(selection, "_direction", lstsq_step)
+    oracle = glars_select(as_set(xi, u), cfg, B5)
+    unorm = float(np.linalg.norm(u - u.mean()))
+    for k, (a, b) in enumerate(zip(path.steps, oracle.steps)):
+        assert a.dims == b.dims
+        if b.residual_norm_after <= 1e-6 * unorm:
+            break
+        assert a.entry_score == pytest.approx(b.entry_score, rel=1e-8)
+        assert a.step_size == pytest.approx(b.step_size, rel=1e-8)
+        assert a.residual_norm_after == pytest.approx(b.residual_norm_after, rel=1e-8)
+    else:
+        assert len(path) == len(oracle)
+    assert k > 0
 
 
 def test_repeated_rows_scale_entry_scores():

@@ -2,8 +2,10 @@
 
 Covers ordinary least squares, dense-mode fits, separated-rank (CP) mode
 fits by alternating least squares, the multi-pass driver with
-cross-validation stopping, and a weighted total least squares alternative
-for data with noisy stochastic coordinates.
+cross-validation stopping, and a weighted total least squares (WTLS) refit
+for data with noisy stochastic coordinates. With validation rows, the
+cross-validated passes fit by least squares and only the final refit on
+train plus validation is weighted TLS; without them every pass is.
 
 All fits accept optional per-row weights w_q: the surrogate then predicts
 w_q * model(xi_q) at the sample rows, which is what the separated
@@ -24,6 +26,7 @@ system. Nothing is cached between calls; ``fit_dense_mode`` and
 
 from __future__ import annotations
 
+import time
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -303,8 +306,17 @@ class PassRecord:
 
 @dataclass
 class FitDiagnostics:
+    """``records`` are the passes of the (cross-validated) pass loop and
+    ``retained`` the number of groups the model keeps. With validation rows,
+    ``refit_records`` are the passes of the final refit on train plus
+    validation (empty without them). ``cv_seconds`` times the pass loop and
+    ``refit_seconds`` the final refit (0 without validation rows)."""
+
     records: list[PassRecord] = field(default_factory=list)
     retained: int = 0
+    refit_records: list[PassRecord] = field(default_factory=list)
+    cv_seconds: float = 0.0
+    refit_seconds: float = 0.0
 
 
 def save_diagnostics(diag: FitDiagnostics, path) -> None:
@@ -437,18 +449,29 @@ def fit_hdmr(train: SampleSet, validation: SampleSet | None, path, cfg: FitConfi
     refitted on train plus validation. With ``validation=None`` every group
     is fitted, with no early stopping (as for refits on a fixed skeleton).
 
+    A robust ``cfg`` applies weighted TLS where the model is fitted: with
+    validation rows the cross-validated passes, whose model only decides how
+    many groups to keep, fit by least squares, and the final refit on train
+    plus validation is weighted TLS; with ``validation=None`` every pass is.
+
     Returns (HdmrModel, FitDiagnostics).
     """
     groups = [tuple(g) for g in path]
-    model, diag = _fit_passes(train, validation, groups, cfg, basis, row_weights,
+    cv_cfg = cfg if validation is None else replace(cfg, robust=False)
+    t0 = time.perf_counter()
+    model, diag = _fit_passes(train, validation, groups, cv_cfg, basis, row_weights,
                               val_row_weights, response, val_response)
+    diag.cv_seconds = time.perf_counter() - t0
     if validation is None:
         return model, diag
 
     combined, w_c, r_c = merge_train_validation(
         train, validation, row_weights, val_row_weights, response, val_response)
-    model, _ = _fit_passes(combined, None, groups[: diag.retained], cfg, basis,
-                           w_c, None, r_c, None)
+    t0 = time.perf_counter()
+    model, refit = _fit_passes(combined, None, groups[: diag.retained], cfg, basis,
+                               w_c, None, r_c, None)
+    diag.refit_seconds = time.perf_counter() - t0
+    diag.refit_records = refit.records
     return model, diag
 
 
@@ -651,26 +674,29 @@ def wtls_solve(psi, r, blocks: CovarianceBlocks, c0=None) -> np.ndarray:
     denom = _wtls_denominator(blocks)
 
     def rho2(c):
+        # the objective and the denominators it divides by, which the next
+        # iteration's weights reuse if c is accepted
+        d = denom(c)
         e = psi @ c - r
-        return float(np.sum(e * e / denom(c)))
+        return float(np.sum(e * e / d)), d
 
     c = ls_solve(psi, r, 0.0) if c0 is None else np.asarray(c0, dtype=float).ravel()
-    prev = rho2(c)
+    prev, d = rho2(c)
     best_c, best_rho = c.copy(), prev
     converged = False
     for _ in range(_WTLS_MAX_ITER):
-        sw = 1.0 / np.sqrt(denom(c))
+        sw = 1.0 / np.sqrt(d)
         c_prop = ls_solve(psi * sw[:, None], r * sw, 0.0)
-        step, cand, rho_new = 1.0, None, prev
+        step = 1.0
         for _ in range(30):
             cand = c + step * (c_prop - c)
-            rho_new = rho2(cand)
+            rho_new, d_new = rho2(cand)
             if rho_new <= prev * (1.0 + 1e-12):
                 break
             step *= 0.5
         else:
-            cand, rho_new = c, prev
-        c = cand
+            cand, rho_new, d_new = c, prev, d
+        c, d = cand, d_new
         if rho_new < best_rho:
             best_c, best_rho = c.copy(), rho_new
         if abs(prev - rho_new) <= _WTLS_TOL * max(prev, _TINY):

@@ -116,6 +116,18 @@ def test_fit_manifest_splits_selection_time(ws, tmp_path):
     assert timings["select_scan"] + timings["select_direction"] < timings["select"]
 
 
+@pytest.mark.parametrize("extra", [(), ("--robust", "--noise-su", "0.05")],
+                         ids=["plain", "robust"])
+def test_fit_manifest_splits_fit_time(ws, tmp_path, extra):
+    # the cross-validated passes and the final refit on train + validation
+    # are timed inside the fit stage and recorded next to it
+    mf = tmp_path / "mf.json"
+    assert main(_fit_args(ws, tmp_path / "m.json", "--manifest", str(mf), *extra)) == 0
+    timings = json.loads(mf.read_text())["timings"]
+    assert timings["fit_cv"] > 0 and timings["fit_refit"] > 0
+    assert timings["fit_cv"] + timings["fit_refit"] <= timings["fit"]
+
+
 def test_fit_model_bytes_deterministic(ws, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(_fit_args(ws, a)) == 0

@@ -527,7 +527,7 @@ def test_fit_builds_each_dense_design_once_per_pass_call(monkeypatch):
     assert len(rows) == 2 * len(entered) + len(kept)
 
 
-def test_robust_fit_builds_each_covariance_once_per_pass_call(monkeypatch):
+def _noisy_cv_instance():
     ds, tab = uniform_set(400, 4, seed=36)
     u = 2.0 + tab[:, 0, 1] + tab[:, 0, 1] * tab[:, 1, 1] + 0.5 * tab[:, 2, 2]
     vs, vtab = uniform_set(100, 4, seed=37)
@@ -536,19 +536,52 @@ def test_robust_fit_builds_each_covariance_once_per_pass_call(monkeypatch):
     train = inject_noise(with_u(ds, u), nm, seed=36)
     groups = [(1,), (1, 2), (2, 3, 4), (3,), (2,)]
     cfg = FitConfig(no=3, npc=2, ninter=3, seed=0, robust=True, noise=nm)
+    return train, with_u(vs, uv), groups, cfg
+
+
+def test_robust_fit_builds_covariances_only_for_the_final_refit(monkeypatch):
+    train, val, groups, cfg = _noisy_cv_instance()
     covs = _counting(monkeypatch, "covariance_blocks")
     solves = _counting(monkeypatch, "wtls_solve")
     passes = _counting(monkeypatch, "_fit_passes")
-    _, diag = fit_hdmr(train, with_u(vs, uv), groups, cfg, B)
+    _, diag = fit_hdmr(train, val, groups, cfg, B)
     assert len(passes) == 2
-    entered = [rec.dims for rec in diag.records[1:] if len(rec.dims) <= cfg.npc]
     kept = [g for g in groups[: diag.retained] if len(g) <= cfg.npc]
-    # every dense refit is a weighted TLS solve, and there are many of them
-    assert len(solves) > 2 * (len(entered) + len(kept))
-    # one covariance per dense mode per call: the modes that entered the
-    # first call, then the kept ones on train + validation
-    assert [(args[0].nq, args[1]) for args in covs] == \
-        [(400, g) for g in entered] + [(500, g) for g in kept]
+    # the cross-validated passes fit by least squares; only the final refit
+    # on the 500 train + validation rows is weighted TLS, one covariance per
+    # kept dense mode
+    assert [(args[0].nq, args[1]) for args in covs] == [(500, g) for g in kept]
+    assert len(solves) > 2 * len(kept)
+    assert all(args[0].shape[0] == 500 for args in solves)
+
+
+def test_robust_fit_with_validation_is_robust_refit_of_plain_cv_choice():
+    # the robust fit keeps what a least-squares CV fit keeps, and its model
+    # is the weighted TLS fit of those groups on train plus validation
+    train, val, groups, robust_cfg = _noisy_cv_instance()
+    plain_cfg = FitConfig(no=3, npc=2, ninter=3, seed=0)
+    plain, plain_diag = fit_hdmr(train, val, groups, plain_cfg, B)
+    model, diag = fit_hdmr(train, val, groups, robust_cfg, B)
+    assert diag.records == plain_diag.records
+    assert diag.retained == plain_diag.retained >= 2
+    merged, _, _ = merge_train_validation(train, val)
+    ref, ref_diag = fit_hdmr(merged, None, groups[: plain_diag.retained], robust_cfg, B)
+
+    def no_cv(records):
+        return [(r.s, r.dims, r.train_residual_norm, r.update_sweeps) for r in records]
+
+    # the diagnostics keep the final refit's passes; a fit without
+    # validation rows has no final refit
+    assert no_cv(diag.refit_records) == no_cv(ref_diag.records)
+    assert ref_diag.refit_records == [] and ref_diag.refit_seconds == 0.0
+    assert diag.cv_seconds > 0 and diag.refit_seconds > 0
+    assert model.f0 == ref.f0
+    assert [m.dims for m in model.dense] == [m.dims for m in ref.dense]
+    assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(model.dense, ref.dense))
+    assert [m.dims for m in model.cp] == [m.dims for m in ref.cp]
+    assert all(np.array_equal(a.factors, b.factors) for a, b in zip(model.cp, ref.cp))
+    # and the final refit is weighted TLS, not the plain fit
+    assert not np.array_equal(model.dense[0].coeffs, plain.dense[0].coeffs)
 
 
 def test_cp_refit_makes_no_ls_solve_call(monkeypatch):

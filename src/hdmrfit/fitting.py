@@ -7,10 +7,12 @@ for data with noisy stochastic coordinates. With validation rows, the
 cross-validated passes fit by least squares and only the final refit on
 train plus validation is weighted TLS; without them every pass is.
 
-All fits accept optional per-row weights w_q: the surrogate then predicts
-w_q * model(xi_q) at the sample rows, which is what the separated
-representation driver needs when a stochastic mode is fitted under a fixed
-spatial profile.
+Every fit targets the u of its SampleSet. All fits accept optional per-row
+weights w_q: the surrogate then predicts w_q * model(xi_q) at the sample
+rows, which is what the separated representation driver needs when a
+stochastic mode is fitted to its deflated residual under a fixed spatial
+profile. Weighted TLS covers plain rows only: a robust fit with row weights
+raises ValueError.
 
 One ``_fit_passes`` call (the driver behind ``fit_hdmr``) owns everything its
 refits reuse, for the life of that call and no longer: the univariate tables
@@ -158,16 +160,15 @@ def _lstsq_operator(psi, beta: float) -> np.ndarray:
     return (vt[keep].T / s[keep]) @ u[:n, keep].T
 
 
-def fit_dense_mode(gamma, residual, train: SampleSet, cfg: FitConfig,
-                   basis: BasisConfig, row_weights=None, table=None,
-                   u_base=None) -> DenseMode:
-    """Least-squares (or robust) fit of one dense mode against a residual.
+def fit_dense_mode(gamma, train: SampleSet, cfg: FitConfig, basis: BasisConfig,
+                   row_weights=None, u_base=None) -> DenseMode:
+    """Least-squares (or robust) fit of one dense mode to train.u.
 
-    The errors-in-variables path applies to plain rows only; row-weighted
-    fits (stochastic-mode subproblems of the separated driver) always use
-    least squares. u_base is the current model prediction excluding this
-    mode; together with the mode's own least-squares estimate it provides
-    the denoised response for the value-noise variance.
+    The errors-in-variables path applies to plain rows only, so a robust
+    ``cfg`` with row weights raises ValueError. u_base is the current model
+    prediction excluding this mode; together with the mode's own
+    least-squares estimate it provides the denoised response for the
+    value-noise variance.
 
     This is one ``_fit_passes`` refit on its own: one ``_ActiveMode`` built
     and refitted once for this call.
@@ -175,12 +176,13 @@ def fit_dense_mode(gamma, residual, train: SampleSet, cfg: FitConfig,
     gamma = tuple(int(d) for d in gamma)
     if len(gamma) > cfg.npc:
         raise ValueError(f"group {gamma} exceeds the dense cutoff npc={cfg.npc}")
-    return _fit_one(gamma, residual, train, cfg, basis, row_weights, table, u_base)
+    _check_plain_rows(cfg, row_weights)
+    return _fit_one(gamma, train, cfg, basis, row_weights, u_base)
 
 
-def fit_cp_mode(gamma, residual, train: SampleSet, cfg: FitConfig,
-                basis: BasisConfig, row_weights=None, table=None) -> CPMode:
-    """Greedy rank-by-rank ALS fit of a separated mode against a residual.
+def fit_cp_mode(gamma, train: SampleSet, cfg: FitConfig, basis: BasisConfig,
+                row_weights=None) -> CPMode:
+    """Greedy rank-by-rank ALS fit of a separated mode to train.u.
 
     Each rank starts from seeded uniform draws in [-1, 1], then cycles the
     dimensions solving the exact least-squares subproblem for one factor
@@ -189,20 +191,24 @@ def fit_cp_mode(gamma, residual, train: SampleSet, cfg: FitConfig,
     """
     gamma = tuple(int(d) for d in gamma)
     _check_cp_range(gamma, cfg)
-    return _fit_one(gamma, residual, train, cfg, basis, row_weights, table, None)
+    return _fit_one(gamma, train, cfg, basis, row_weights, None)
 
 
-def _fit_one(gamma, residual, train, cfg, basis, row_weights, table, u_base):
+def _fit_one(gamma, train, cfg, basis, row_weights, u_base):
     # the table spans every column of train.xi, so a group's columns are its dims
     fbasis = fit_basis(basis, cfg)
-    if table is None:
-        table = univariate_table(fbasis, train.xi)
-    residual = np.asarray(residual, dtype=float).ravel()
+    table = univariate_table(fbasis, train.xi)
     w = _vector(row_weights, np.ones(train.nq))
-    _check_finite(residual, w)
+    _check_finite(w)
     am = _ActiveMode(gamma, gamma, cfg, table, None, w, train, fbasis)
-    am.refit(residual, cfg, w, _vector(u_base, 0.0))
+    am.refit(train.u, cfg, w, _vector(u_base, 0.0))
     return am.mode()
+
+
+def _check_plain_rows(cfg: FitConfig, *row_weights) -> None:
+    if cfg.robust and any(w is not None for w in row_weights):
+        raise ValueError("robust fitting (weighted TLS) covers plain rows only: "
+                         "it does not apply to row-weighted fits")
 
 
 def _check_cp_range(gamma, cfg: FitConfig) -> None:
@@ -256,15 +262,13 @@ def _als_rank(target, blocks_t, fac, w, beta: float):
                     partial = partial * vals[j]
             if not np.any(partial):
                 return None, None
-            if w is not None:
-                partial = partial * w
+            partial = partial * w
             fac[i] = _gram_solve(blocks_t[i] * partial[:, None], target, beta)
             vals[i] = blocks_t[i] @ fac[i]
         contr = np.ones_like(target)
         for v in vals:
             contr = contr * v
-        if w is not None:
-            contr = contr * w
+        contr = contr * w
         res = float(np.linalg.norm(target - contr))
         if abs(prev - res) <= _ALS_TOL * max(res, _TINY):
             break
@@ -357,10 +361,9 @@ class _ActiveMode:
         if self.kind == "dense":
             self.indices = enumerate_dense_indices(dims, cfg.no)
             self.cov = None
-            # weighted TLS covers plain rows only; __post_init__ guarantees
-            # a NoiseModel whenever robust is set
-            if cfg.robust and (cfg.noise.s > 0 or cfg.noise.s_u > 0) \
-                    and bool(np.all(w == 1.0)):
+            # robust fits have plain rows (fit_hdmr and fit_dense_mode reject
+            # row weights), and __post_init__ guarantees a NoiseModel
+            if cfg.robust and (cfg.noise.s > 0 or cfg.noise.s_u > 0):
                 self.cov = covariance_blocks(train, dims, self.indices, cfg.noise,
                                              fbasis)
             self.design = dense_design(table, at, self.indices)
@@ -410,13 +413,12 @@ def _total(modes, n: int) -> np.ndarray:
 
 
 def merge_train_validation(train: SampleSet, validation: SampleSet,
-                           row_weights=None, val_row_weights=None,
-                           response=None, val_response=None):
+                           row_weights=None, val_row_weights=None):
     """Stack the validation rows under the training rows for a final refit.
 
-    Returns (combined SampleSet, row weights, response). The weights (the
-    response) are None when neither part overrides them; otherwise a missing
-    part is filled with ones (with the observed values).
+    Returns (combined SampleSet, row weights); the combined u stacks both
+    parts' u. The weights are None when neither part has them; otherwise a
+    missing part is filled with ones.
     """
     combined = SampleSet(
         np.vstack([train.x, validation.x]),
@@ -428,17 +430,12 @@ def merge_train_validation(train: SampleSet, validation: SampleSet,
     if row_weights is not None or val_row_weights is not None:
         weights = np.concatenate([_vector(row_weights, np.ones(train.nq)),
                                   _vector(val_row_weights, np.ones(validation.nq))])
-    merged = None
-    if response is not None or val_response is not None:
-        merged = np.concatenate([_vector(response, train.u),
-                                 _vector(val_response, validation.u)])
-    return combined, weights, merged
+    return combined, weights
 
 
 def fit_hdmr(train: SampleSet, validation: SampleSet | None, path, cfg: FitConfig,
-             basis: BasisConfig, row_weights=None, val_row_weights=None,
-             response=None, val_response=None):
-    """Multi-pass driver: grow the surrogate along a selection path.
+             basis: BasisConfig, row_weights=None, val_row_weights=None):
+    """Multi-pass driver: grow the surrogate of train.u along a selection path.
 
     ``path`` is a SelectionPath or any iterable of groups; its groups are
     added one per pass in order. Each pass fits the new mode on the current
@@ -453,41 +450,42 @@ def fit_hdmr(train: SampleSet, validation: SampleSet | None, path, cfg: FitConfi
     validation rows the cross-validated passes, whose model only decides how
     many groups to keep, fit by least squares, and the final refit on train
     plus validation is weighted TLS; with ``validation=None`` every pass is.
+    Weighted TLS covers plain rows only: a robust ``cfg`` with row weights
+    raises ValueError.
 
     Returns (HdmrModel, FitDiagnostics).
     """
+    _check_plain_rows(cfg, row_weights, val_row_weights)
     groups = [tuple(g) for g in path]
     cv_cfg = cfg if validation is None else replace(cfg, robust=False)
     t0 = time.perf_counter()
     model, diag = _fit_passes(train, validation, groups, cv_cfg, basis, row_weights,
-                              val_row_weights, response, val_response)
+                              val_row_weights)
     diag.cv_seconds = time.perf_counter() - t0
     if validation is None:
         return model, diag
 
-    combined, w_c, r_c = merge_train_validation(
-        train, validation, row_weights, val_row_weights, response, val_response)
+    combined, w_c = merge_train_validation(train, validation, row_weights,
+                                           val_row_weights)
     t0 = time.perf_counter()
     model, refit = _fit_passes(combined, None, groups[: diag.retained], cfg, basis,
-                               w_c, None, r_c, None)
+                               w_c, None)
     diag.refit_seconds = time.perf_counter() - t0
     diag.refit_records = refit.records
     return model, diag
 
 
 def _fit_passes(train, validation, groups, cfg, basis, row_weights,
-                val_row_weights, response, val_response):
+                val_row_weights):
     fbasis = fit_basis(basis, cfg)
     # the tables hold only the columns the path's groups touch; a group's
     # columns there are its 1-based positions among them
     cols = sorted({int(d) for g in groups for d in g})
     at = {d: k + 1 for k, d in enumerate(cols)}
     table = univariate_table(fbasis, train.xi[:, [d - 1 for d in cols]])
-    u = _vector(response, train.u)
-    if u.shape[0] != train.nq:
-        raise ValueError("response length does not match the training set")
+    u = train.u
     w = _vector(row_weights, np.ones(train.nq))
-    _check_finite(u, w)
+    _check_finite(w)
     wsq = float(w @ w)
     if wsq <= 0:
         raise ValueError("row weights are identically zero")
@@ -496,7 +494,7 @@ def _fit_passes(train, validation, groups, cfg, basis, row_weights,
     vtable = None
     if have_val:
         vtable = univariate_table(fbasis, validation.xi[:, [d - 1 for d in cols]])
-        uval = _vector(val_response, validation.u)
+        uval = validation.u
         wv = _vector(val_row_weights, np.ones(validation.nq))
         val_norm = float(np.linalg.norm(uval))
         if val_norm == 0.0:
@@ -619,14 +617,13 @@ def covariance_blocks(train: SampleSet, dims, indices, noise: NoiseModel,
         sub = train.xi[:, [d - 1 for d in dims]]
         vals = univariate_table(basis, sub)   # (nq, card, ord)
         ders = univariate_deriv_table(basis, sub)
-        for a, idx in enumerate(indices):
-            cols = [vals[:, i, al - 1] for i, al in enumerate(idx)]
-            for i in range(card):
-                prod = np.ones(nq)
-                for j in range(card):
-                    if j != i:
-                        prod = prod * cols[j]
-                jac[:, a, i] = ders[:, i, idx[i] - 1] * prod
+        local = tuple(range(1, card + 1))
+        for i in range(card):
+            # d psi_a / d xi_i is the tensor product with dimension i's
+            # values replaced by its derivatives
+            table = vals.copy()
+            table[:, i] = ders[:, i]
+            jac[:, :, i] = dense_design(table, local, indices)
         jac *= noise.s
     uref = train.u if u_ref is None else np.asarray(u_ref, dtype=float).ravel()
     return CovarianceBlocks(jac, (noise.s_u * uref) ** 2)

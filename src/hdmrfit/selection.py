@@ -229,20 +229,16 @@ def _direction(q, cols, r):
 
 
 def glars_select(train: SampleSet, cfg: SelectionConfig, basis: BasisConfig,
-                 response=None, row_weights=None) -> SelectionPath:
-    """Run the group selection path on a training set.
+                 row_weights=None) -> SelectionPath:
+    """Run the group selection path on a training set, targeting train.u.
 
-    ``response`` overrides train.u and ``row_weights`` scales every design
-    row (both used by the separated-representation driver); the response is
-    first centered by its (weighted) constant projection. A non-finite
-    response or row weight, or row weights that are identically zero, raise
-    ValueError.
+    ``row_weights`` scales every design row (the separated-representation
+    driver passes its spatial profile, with its deflated residual as
+    train.u); the response is first centered by its (weighted) constant
+    projection. A non-finite row weight, or row weights that are
+    identically zero, raise ValueError.
     """
-    u = np.asarray(train.u if response is None else response, dtype=float).ravel()
-    if u.shape[0] != train.nq:
-        raise ValueError("response length does not match the sample set")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("non-finite response values")
+    u = train.u
     if train.nq < 2:
         raise ValueError("selection needs at least two samples")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -136,27 +136,24 @@ class SeparatedModel:
         return len(self.pairs) - 1
 
 
-def fit_spatial_mode(residual, lam_values, train: SampleSet,
-                     sb: SpatialBasis):
-    """Solve min_c ||residual - (Phi c) * lam_values|| and normalize.
+def fit_spatial_mode(residual, lam_values, phi):
+    """Solve min_c ||residual - (phi c) * lam_values|| and normalize.
 
-    Returns (coefficients with unit empirical norm over the sample
-    locations, scale). The scale is meant to be absorbed into the stochastic
-    mode; it is 0 for an identically zero fit.
+    ``phi`` is the spatial design at the sample locations
+    (``spatial_design``). Returns (coefficients with unit empirical norm
+    over the sample locations, scale). The scale is meant to be absorbed
+    into the stochastic mode; it is 0 for an identically zero fit.
     """
     lam = np.asarray(lam_values, dtype=float).ravel()
     if not np.all(np.isfinite(lam)):
         raise ValueError("non-finite stochastic-mode values")
     if not np.any(lam):
         raise ValueError("stochastic-mode values are identically zero")
-    if train.ndx != 1:
-        raise ValueError("spatial fitting needs exactly one spatial column")
-    phi = spatial_design(sb, train.x[:, 0])
     c = ls_solve(phi * lam[:, None], residual, 0.0)
     wvals = phi @ c
     scale = float(np.linalg.norm(wvals))
     if scale == 0.0:
-        return np.zeros(sb.cardx), 0.0
+        return np.zeros(phi.shape[1]), 0.0
     return c / scale, scale
 
 
@@ -167,9 +164,11 @@ def fit_separated(train: SampleSet, sel_cfg: SelectionConfig, fit_cfg: FitConfig
     """Build the separated representation by rank-wise deflation.
 
     Rank 0 is the plain spatial least-squares fit (lambda_0 = 1). For every
-    later rank the group skeleton of lambda_n is selected once, on the first
-    inner alternation, and kept fixed while the spatial and stochastic
-    coefficients are alternated to convergence of ||lambda_n||. Ranks stop
+    later rank the selection and the stochastic fits target copies of
+    ``train`` and ``validation`` whose u is the deflated residual. The group
+    skeleton of lambda_n is selected once, on the first inner alternation,
+    and kept fixed while the spatial and stochastic coefficients are
+    alternated to convergence of ||lambda_n||. Ranks stop
     at sep_cfg.lmax or once ||lambda_n|| falls below
     _STOP_NORM_FRAC * ||u||; a rank whose pair fails to reduce the training
     residual is discarded. Weighted TLS (fit_cfg.robust) is rejected: it
@@ -188,50 +187,51 @@ def fit_separated(train: SampleSet, sel_cfg: SelectionConfig, fit_cfg: FitConfig
     c0 = ls_solve(phi, u, 0.0)
     pairs: list[tuple[np.ndarray, HdmrModel | None]] = [(c0, None)]
     res = u - phi @ c0
-    res_val = None
     if have_val:
         phi_val = spatial_design(sb, validation.x[:, 0])
         res_val = validation.u - phi_val @ c0
+    # every rank starts from the constant unit-norm profile and fits the
+    # stochastic mode first: after deflation the residual has ~zero
+    # conditional mean in x, so a spatial fit against lambda = 1 is pure noise
+    w_start = ls_solve(phi, np.ones(train.nq), 0.0)
+    w_start = w_start / float(np.linalg.norm(phi @ w_start))
 
     for _ in range(sep_cfg.lmax):
         if float(np.linalg.norm(res)) == 0.0:
             break
-        # start from the constant unit-norm profile and fit the stochastic
-        # mode first: after deflation the residual has ~zero conditional
-        # mean in x, so a spatial fit against lambda = 1 is pure noise
-        w_c = ls_solve(phi, np.ones(train.nq), 0.0)
-        w_c = w_c / float(np.linalg.norm(phi @ w_c))
+        # the stochastic fits of this rank target the deflated residual
+        r_train = replace(train, u=res)
+        r_val = replace(validation, u=res_val) if have_val else None
+        w_c = w_start
         prev_norm = None
-        kept_groups = None
-        degenerate = False
-        for _ in range(_MAX_OUTER_ITERS):
+        for it in range(_MAX_OUTER_ITERS):
             w_train = phi @ w_c
             w_val = phi_val @ w_c if have_val else None
-            if kept_groups is None:
-                path = glars_select(train, sel_cfg, basis,
-                                    response=res, row_weights=w_train)
-                lam_model, diag = fit_hdmr(
-                    train, validation, path, fit_cfg, basis, row_weights=w_train,
-                    val_row_weights=w_val, response=res, val_response=res_val)
-                kept_groups = path.groups()[: diag.retained]
+            if it == 0:
+                path = glars_select(r_train, sel_cfg, basis, row_weights=w_train)
+                lam_model, diag = fit_hdmr(r_train, r_val, path, fit_cfg, basis,
+                                           row_weights=w_train, val_row_weights=w_val)
+                groups = path.groups()[: diag.retained]
             else:
-                lam_model = _refit_lambda(train, validation, kept_groups, fit_cfg,
-                                          basis, w_train, w_val, res, res_val)
+                # coefficient-only refit on the frozen skeleton, on train plus
+                # validation like the first alternation's final refit
+                fit_set, w_fit = r_train, w_train
+                if have_val:
+                    fit_set, w_fit = merge_train_validation(r_train, r_val,
+                                                            w_train, w_val)
+                lam_model, _ = fit_hdmr(fit_set, None, groups, fit_cfg, basis,
+                                        row_weights=w_fit)
             lam_vals = evaluate_model(lam_model, train.xi)
             lam_norm = float(np.linalg.norm(lam_vals))
             if lam_norm == 0.0:
-                degenerate = True
-                break
+                return SeparatedModel(spatial_basis=sb, pairs=pairs)
             if prev_norm is not None and \
                     abs(lam_norm - prev_norm) <= _OUTER_TOL * lam_norm:
                 break
             prev_norm = lam_norm
-            w_c, scale = fit_spatial_mode(res, lam_vals, train, sb)
+            w_c, scale = fit_spatial_mode(res, lam_vals, phi)
             if scale == 0.0:
-                degenerate = True
-                break
-        if degenerate:
-            break
+                return SeparatedModel(spatial_basis=sb, pairs=pairs)
         if float(np.linalg.norm(lam_vals)) < _STOP_NORM_FRAC * unorm:
             break  # negligible stochastic content left; drop this rank
 
@@ -256,18 +256,6 @@ def fit_separated(train: SampleSet, sel_cfg: SelectionConfig, fit_cfg: FitConfig
                                                         validation.xi)
 
     return SeparatedModel(spatial_basis=sb, pairs=pairs)
-
-
-def _refit_lambda(train, validation, groups, fit_cfg, basis, w_train, w_val,
-                  res, res_val):
-    # coefficient-only refit on the frozen skeleton; fit on the union of
-    # train and validation to match the first iteration's final refit
-    if validation is not None:
-        train, w_train, res = merge_train_validation(
-            train, validation, w_train, w_val, res, res_val)
-    model, _ = fit_hdmr(train, None, groups, fit_cfg, basis,
-                        row_weights=w_train, response=res)
-    return model
 
 
 def _predict_pairs(pairs, phi, xi):

@@ -26,6 +26,12 @@ __all__ = [
     "save_spectrum",
 ]
 
+# the experiment's fixed data: mean diffusion coefficient nu0 and mean
+# forcing f0 of the two fields, on the spatial domain [0, 1]
+_NU0 = 1.0
+_F0 = -1.0
+_DOMAIN = (0.0, 1.0)
+
 
 @dataclass(frozen=True)
 class KLField:
@@ -169,7 +175,8 @@ def solve_diffusion(nu, f_rhs, u_minus, u_plus, m_x, length=1.0) -> np.ndarray:
 class DiffusionConfig:
     """Experiment configuration: two KL fields, grid sizes, boundary data.
 
-    The germ is uniform on [0,1]^(nd_nu + nd_f); coefficient dims come first,
+    The coefficient and forcing fields have means 1 and -1 on [0, 1]. The
+    germ is uniform on [0,1]^(nd_nu + nd_f); coefficient dims come first,
     forcing dims second, each block ordered by eigenvalue magnitude.
     """
 
@@ -178,13 +185,10 @@ class DiffusionConfig:
     sigma_nu: float = 0.7
     sigma_f: float = 0.7
     lc: float = 0.3
-    nu0: float = 1.0
-    f0: float = -1.0
     u_minus: float = 0.0
     u_plus: float = 0.0
     m_x: int = 64
     m_k: int = 400
-    domain: tuple[float, float] = (0.0, 1.0)
     x_star: float = 0.5
 
     def __post_init__(self):
@@ -198,19 +202,19 @@ class DiffusionConfig:
             raise ValueError(f"m_k (--mk) = {self.m_k} must be >= 1 and >= "
                              f"max(nd_nu, nd_f) = {max(self.nd_nu, self.nd_f)}: "
                              "the KL quadrature needs a node per term")
-        lo, hi = self.domain
+        lo, hi = _DOMAIN
         if not lo <= self.x_star <= hi:
-            raise ValueError(f"x_star {self.x_star} outside {self.domain}")
+            raise ValueError(f"x_star {self.x_star} outside {_DOMAIN}")
 
     @property
     def nd(self) -> int:
         return self.nd_nu + self.nd_f
 
     def fields(self) -> tuple[KLField, KLField]:
-        nu = kl_eigendecompose(self.sigma_nu, self.lc, self.domain,
-                               self.m_k, self.nd_nu, mean_value=self.nu0)
-        ff = kl_eigendecompose(self.sigma_f, self.lc, self.domain,
-                               self.m_k, self.nd_f, mean_value=self.f0)
+        nu = kl_eigendecompose(self.sigma_nu, self.lc, _DOMAIN,
+                               self.m_k, self.nd_nu, mean_value=_NU0)
+        ff = kl_eigendecompose(self.sigma_f, self.lc, _DOMAIN,
+                               self.m_k, self.nd_f, mean_value=_F0)
         return nu, ff
 
 
@@ -227,7 +231,7 @@ def generate_dataset(cfg: DiffusionConfig, nq: int, seed: int,
     if nq < 1:
         raise ValueError("nq must be >= 1")
     nu_f, ff = cfg.fields()
-    lo, hi = cfg.domain
+    lo, hi = _DOMAIN
     nodes = np.linspace(lo, hi, cfg.m_x + 1)
     # nodal eigenfunction tables, premultiplied by sqrt(eigenvalue)
     w_nu = np.sqrt(nu_f.eigenvalues)[:, None] * _interp_funcs(nu_f, nodes) \
@@ -241,8 +245,8 @@ def generate_dataset(cfg: DiffusionConfig, nq: int, seed: int,
         g = rng_stream(seed, 3, q)
         germ = g.uniform(0.0, 1.0, cfg.nd)
         xi[q] = germ
-        nu_nodes = cfg.nu0 + germ[:cfg.nd_nu] @ w_nu
-        f_nodes = cfg.f0 + germ[cfg.nd_nu:] @ w_f
+        nu_nodes = _NU0 + germ[:cfg.nd_nu] @ w_nu
+        f_nodes = _F0 + germ[cfg.nd_nu:] @ w_f
         sol = solve_diffusion(nu_nodes, f_nodes, cfg.u_minus, cfg.u_plus,
                               cfg.m_x, length=hi - lo)
         if mode == "scattered":

@@ -2,14 +2,16 @@
 
 perfbench/spans.py replaces library functions by traced wrappers in the
 namespace of the module that calls them, and its counter hooks read a few
-result attributes. The workloads build the stage configs by keyword. A
-refactor that renames or removes one of these breaks the benchmark without
-failing any other test.
+result attributes. The workloads build the stage configs by keyword and
+call library functions directly or through ``Tracer.call``. A refactor that
+renames or removes one of these, or one of their parameters, breaks the
+benchmark without failing any other test.
 """
 
 import ast
 import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -76,3 +78,44 @@ def test_config_keywords_are_fields():
     for fname, line, name, kw in used:
         fields = {f.name for f in dataclasses.fields(CONFIGS[name])}
         assert kw in fields, f"{fname}:{line}: {name}({kw}=...) is not a field"
+
+
+def _library_calls():
+    # (file, line, module, function, positional count, keywords) of every
+    # call of an hdmrfit function imported by name, made directly or through
+    # tr.call(span, fn, *args, **kwargs); read without importing the benchmark
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {alias.asname or alias.name: (node.module, alias.name)
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.module
+                 and node.module.startswith("hdmrfit")
+                 for alias in node.names}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func, args = node.func, node.args
+            if getattr(func, "attr", None) == "call" and len(args) >= 2:
+                # tr.call(span name, fn, *args, **kwargs)
+                func, args = args[1], args[2:]
+            target = names.get(getattr(func, "id", None))
+            if target is None:
+                continue
+            if any(isinstance(a, ast.Starred) for a in args) or \
+                    any(kw.arg is None for kw in node.keywords):
+                continue
+            yield (path.name, node.lineno, *target, len(args),
+                   [kw.arg for kw in node.keywords])
+
+
+def test_library_call_arguments_match_signatures():
+    calls = list(_library_calls())
+    called = {fn for _, _, _, fn, _, _ in calls}
+    assert {"glars_select", "fit_hdmr", "fit_separated", "generate_dataset"} <= called
+    for fname, line, modname, fn, npos, keywords in calls:
+        sig = inspect.signature(getattr(importlib.import_module(modname), fn))
+        try:
+            sig.bind_partial(*[None] * npos, **{kw: None for kw in keywords})
+        except TypeError as exc:
+            raise AssertionError(f"{fname}:{line}: {fn}(...) does not match "
+                                 f"{modname}.{fn}{sig}: {exc}") from None

@@ -71,7 +71,7 @@ def test_dense_mode_exact_recovery():
     ds, tab = uniform_set(400, 3)
     u = 2.0 * tab[:, 0, 1] * tab[:, 1, 1]
     cfg = FitConfig(no=3, npc=2, ninter=2)
-    mode = fit_dense_mode((1, 2), u, with_u(ds, u), cfg, B)
+    mode = fit_dense_mode((1, 2), with_u(ds, u), cfg, B)
     k = mode.indices.index((2, 2))
     assert mode.coeffs[k] == pytest.approx(2.0, abs=1e-10)
     others = [c for i, c in enumerate(mode.coeffs) if i != k]
@@ -84,7 +84,7 @@ def test_dense_mode_respects_row_weights():
     w = 0.5 + g.uniform(0, 1, size=500)
     u = w * (1.5 * tab[:, 0, 1])
     cfg = FitConfig(no=3, npc=1, ninter=1)
-    mode = fit_dense_mode((1,), u, with_u(ds, u), cfg, B, row_weights=w)
+    mode = fit_dense_mode((1,), with_u(ds, u), cfg, B, row_weights=w)
     k = mode.indices.index((2,))
     assert mode.coeffs[k] == pytest.approx(1.5, abs=1e-10)
 
@@ -93,14 +93,14 @@ def test_dense_mode_rejects_oversize_group():
     ds, _ = uniform_set(50, 3)
     cfg = FitConfig(no=2, npc=1, ninter=2)
     with pytest.raises(ValueError):
-        fit_dense_mode((1, 2), ds.u, ds, cfg, B)
+        fit_dense_mode((1, 2), ds, cfg, B)
 
 
 def test_cp_mode_rank_one_recovery():
     ds, tab = uniform_set(800, 4, seed=5)
     u = tab[:, 0, 1] * tab[:, 1, 1] * tab[:, 2, 1]
     cfg = FitConfig(no=3, npc=2, ninter=3, nr=2, seed=0)
-    mode = fit_cp_mode((1, 2, 3), u, with_u(ds, u), cfg, B)
+    mode = fit_cp_mode((1, 2, 3), with_u(ds, u), cfg, B)
     m = HdmrModel(f0=0.0, basis=B, nd=4, no=3, ninter=3, npc=2, nr=2,
                   dense=[], cp=[mode])
     pred = evaluate_model(m, ds.xi)
@@ -111,7 +111,7 @@ def test_cp_mode_range_check():
     ds, _ = uniform_set(50, 3)
     cfg = FitConfig(no=2, npc=2, ninter=3)
     with pytest.raises(ValueError):
-        fit_cp_mode((1, 2), ds.u, ds, cfg, B)
+        fit_cp_mode((1, 2), ds, cfg, B)
 
 
 def test_fit_hdmr_sparse_truth_cv_stopping():
@@ -165,18 +165,16 @@ def test_fit_hdmr_with_validation_is_refit_of_retained_on_merged_rows(tmp_path,
     kw = {}
     if weighted:
         kw = dict(row_weights=g.uniform(0.5, 1.5, 150),
-                  val_row_weights=g.uniform(0.5, 1.5, 80),
-                  response=truth(tab, 150), val_response=truth(vtab, 80))
+                  val_row_weights=g.uniform(0.5, 1.5, 80))
     groups = [(1,), (2, 3), (1, 2, 4), (4,), (2,), (1, 3), (3, 4), (1, 4), (2, 4), (3,)]
     cfg = FitConfig(no=3, npc=2, ninter=3, nr=2, seed=0)
     model, diag = fit_hdmr(train, val, groups, cfg, B, **kw)
     # CV stopped early, and the kept groups include the CP mode (1, 2, 4)
     assert len(diag.records) <= len(groups) and diag.retained >= 3
-    merged, w, r = merge_train_validation(
-        train, val, kw.get("row_weights"), kw.get("val_row_weights"),
-        kw.get("response"), kw.get("val_response"))
+    merged, w = merge_train_validation(train, val, kw.get("row_weights"),
+                                       kw.get("val_row_weights"))
     ref, ref_diag = fit_hdmr(merged, None, groups[: diag.retained], cfg, B,
-                             row_weights=w, response=r)
+                             row_weights=w)
     assert ref_diag.retained == diag.retained
     save_model(model, tmp_path / "cv.json")
     save_model(ref, tmp_path / "ref.json")
@@ -203,17 +201,6 @@ def test_update_sweeps_help_correlated_modes(monkeypatch):
     m0, _ = fit_hdmr(with_u(ds, u), None, groups, cfg, B)
     t = with_u(ds, u).retag("test")
     assert relative_error(m1, t) <= relative_error(m0, t) + 1e-12
-
-
-def test_response_override_changes_target():
-    ds, tab = uniform_set(300, 2, seed=13)
-    u = tab[:, 0, 1]
-    r = tab[:, 1, 1]
-    model, _ = fit_hdmr(with_u(ds, u), None, [(2,)],
-                        FitConfig(no=3, npc=1, ninter=1), B,
-                        response=r)
-    pred = evaluate_model(model, ds.xi)
-    assert np.linalg.norm(pred - r) / np.linalg.norm(r) < 1e-10
 
 
 def test_relative_error_zero_truth_rejected():
@@ -264,15 +251,16 @@ def test_covariance_blocks_match_per_sample():
     ds, _ = uniform_set(20, 3, seed=16)
     u = np.linspace(1, 2, 20)
     nm = NoiseModel(s=0.05, s_u=0.1)
-    idx = [(2,), (3,)]
-    blocks = covariance_blocks(with_u(ds, u), (2,), idx, nm, B)
-    for q in (0, 7, 19):
-        lam = build_sample_covariance(ds.xi[q], (2,), idx, nm, u[q], B)
-        jac = blocks.jac[q]
-        dense = np.zeros((len(idx) + 1, len(idx) + 1))
-        dense[:-1, :-1] = jac @ jac.T
-        dense[-1, -1] = blocks.value_var[q]
-        assert np.allclose(dense, lam, atol=1e-13)
+    for dims, idx in (((2,), [(2,), (3,)]),
+                      ((1, 2, 3), enumerate_dense_indices((1, 2, 3), 4))):
+        blocks = covariance_blocks(with_u(ds, u), dims, idx, nm, B)
+        for q in (0, 7, 19):
+            lam = build_sample_covariance(ds.xi[q], dims, idx, nm, u[q], B)
+            jac = blocks.jac[q]
+            dense = np.zeros((len(idx) + 1, len(idx) + 1))
+            dense[:-1, :-1] = jac @ jac.T
+            dense[-1, -1] = blocks.value_var[q]
+            assert np.max(np.abs(dense - lam)) <= 1e-12 * np.max(np.abs(lam))
 
 
 @pytest.mark.parametrize("s,s_u", [(0.05, 0.1), (0.0, 0.1), (0.05, 0.0)])
@@ -309,22 +297,45 @@ def test_wtls_solve_matches_dense_oracle_on_pair_group():
 
 def test_robust_dense_mode_weights_by_its_own_prediction():
     # the value-noise variance comes from psi c_ls + u_base, not from the
-    # observed response, which here is far from it
+    # fitted values train.u, which here are far from it
     ds, tab = uniform_set(250, 2, seed=21)
     nm = NoiseModel(s=0.01, s_u=0.2)
     idx = enumerate_dense_indices((2,), 4)
     g = rng_stream(21, 1)
     r = 0.8 * tab[:, 1, 1] - 0.2 * tab[:, 1, 3] + 0.05 * g.standard_normal(250)
     u_base = 2.0 + 0.5 * tab[:, 0, 1]
-    train = with_u(ds, g.uniform(5.0, 10.0, 250))
+    train = with_u(ds, r)
     cfg = FitConfig(no=4, npc=2, robust=True, noise=nm)
-    mode = fit_dense_mode((2,), r, train, cfg, B, table=tab, u_base=u_base)
+    mode = fit_dense_mode((2,), train, cfg, B, u_base=u_base)
     psi = dense_design(tab, (2,), idx)
     c_ls = dense_mode_lstsq(tab, (2,), idx, np.ones(250), r, 0.0)
     lam = stack_sample_covariance(train, (2,), idx, nm, B, u_ref=psi @ c_ls + u_base)
     c_ref = wtls_solve_dense(psi, r, lam, c0=c_ls)
     assert _rel(c_ref, c_ls) > 1e-6
     assert _rel(mode.coeffs, c_ref) < 1e-12
+    # weighting by train.u instead gives a different fit
+    by_u = wtls_solve_dense(psi, r, stack_sample_covariance(train, (2,), idx, nm, B),
+                            c0=c_ls)
+    assert _rel(mode.coeffs, by_u) > 1e-6
+
+
+def test_robust_fit_rejects_row_weights():
+    # weighted TLS covers plain rows only; a row-weighted fit would silently
+    # be least squares
+    ds, tab = uniform_set(100, 2, seed=24)
+    train = with_u(ds, tab[:, 0, 1] + 0.5 * tab[:, 1, 2])
+    vs, vtab = uniform_set(40, 2, seed=25)
+    val = with_u(vs, vtab[:, 0, 1] + 0.5 * vtab[:, 1, 2])
+    cfg = FitConfig(no=3, npc=2, robust=True, noise=NoiseModel(s=0.01, s_u=0.1))
+    w = np.full(100, 0.5)
+    with pytest.raises(ValueError, match="row-weighted"):
+        fit_hdmr(train, None, [(1,), (2,)], cfg, B, row_weights=w)
+    with pytest.raises(ValueError, match="row-weighted"):
+        fit_hdmr(train, val, [(1,), (2,)], cfg, B, val_row_weights=np.ones(40))
+    with pytest.raises(ValueError, match="row-weighted"):
+        fit_dense_mode((1,), train, cfg, B, row_weights=w)
+    # the plain-row robust fit itself runs
+    fit_dense_mode((1,), train, cfg, B)
 
 
 def test_wtls_zero_noise_equals_ls():
@@ -428,8 +439,8 @@ def test_dense_operator_matches_lstsq_oracle(beta):
         assert _rel(lsq @ r, dense_mode_lstsq(tab, (1, 3), idx, w, r, beta)) < 1e-10
     # the one-shot form solves the same system
     r = g.standard_normal(120)
-    mode = fit_dense_mode((1, 3), r, ds, FitConfig(no=4, npc=2, beta=beta), B,
-                          row_weights=w, table=tab)
+    mode = fit_dense_mode((1, 3), with_u(ds, r), FitConfig(no=4, npc=2, beta=beta), B,
+                          row_weights=w)
     assert _rel(mode.coeffs, dense_mode_lstsq(tab, (1, 3), idx, w, r, beta)) < 1e-10
 
 
@@ -564,7 +575,7 @@ def test_robust_fit_with_validation_is_robust_refit_of_plain_cv_choice():
     model, diag = fit_hdmr(train, val, groups, robust_cfg, B)
     assert diag.records == plain_diag.records
     assert diag.retained == plain_diag.retained >= 2
-    merged, _, _ = merge_train_validation(train, val)
+    merged, _ = merge_train_validation(train, val)
     ref, ref_diag = fit_hdmr(merged, None, groups[: plain_diag.retained], robust_cfg, B)
 
     def no_cv(records):

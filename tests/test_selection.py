@@ -431,25 +431,17 @@ def test_few_rows_respect_rank_budget(nq):
     assert (len(path) == 0) == (nq <= 4)
 
 
-@pytest.mark.parametrize("response, weights, match", [
-    (np.nan, None, "non-finite response"),
-    (np.inf, None, "non-finite response"),
-    (None, np.nan, "non-finite row weights"),
-    (None, 0.0, "identically zero"),
+@pytest.mark.parametrize("weights, match", [
+    (np.nan, "non-finite row weights"),
+    (0.0, "identically zero"),
 ])
-def test_glars_rejects_bad_response_or_weights(response, weights, match, caplog):
+def test_glars_rejects_bad_row_weights(weights, match, caplog):
     xi, tab = uniform_set(50, 3, seed=61)
     u = tab[:, 0, 1] + tab[:, 1, 1]
-    resp = None
-    if response is not None:
-        resp = u.copy()
-        resp[7] = response
-    w = None
-    if weights is not None:
-        w = np.ones(50) if weights != 0.0 else np.zeros(50)
-        w[7] = weights
+    w = np.ones(50) if weights != 0.0 else np.zeros(50)
+    w[7] = weights
     with caplog.at_level("WARNING", logger="hdmrfit.selection"):
         with pytest.raises(ValueError, match=match):
             glars_select(as_set(xi, u), SelectionConfig(nolars=2, ninter=2), B,
-                         response=resp, row_weights=w)
+                         row_weights=w)
     assert not caplog.records

@@ -3,10 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
+from hdmrfit import separated
 from hdmrfit.basis import BasisConfig, univariate_table
 from hdmrfit.data import NoiseModel, SampleSet, rng_stream
 from hdmrfit.fitting import FitConfig
-from hdmrfit.selection import SelectionConfig
+from hdmrfit.selection import SelectionConfig, glars_select
 from hdmrfit.separated import (
     SeparatedConfig,
     SeparatedModel,
@@ -71,19 +72,17 @@ def test_design_rejects_out_of_domain():
 def test_spatial_mode_unit_norm_and_scale():
     x, xi, _ = field_set(300)
     u = np.cos(np.pi * x[:, 0])
-    ds = SampleSet(x, xi, u)
-    sb = SpatialBasis(cardx=12)
-    c, scale = fit_spatial_mode(u, np.ones(300), ds, sb)
-    phi = spatial_design(sb, x[:, 0])
+    phi = spatial_design(SpatialBasis(cardx=12), x[:, 0])
+    c, scale = fit_spatial_mode(u, np.ones(300), phi)
     assert np.linalg.norm(phi @ c) == pytest.approx(1.0, abs=1e-12)
     assert scale == pytest.approx(float(np.linalg.norm(u)), rel=0.05)
 
 
 def test_spatial_mode_rejects_zero_lambda():
-    x, xi, _ = field_set(50)
-    ds = SampleSet(x, xi, np.ones(50))
+    x, _, _ = field_set(50)
+    phi = spatial_design(SpatialBasis(cardx=4), x[:, 0])
     with pytest.raises(ValueError):
-        fit_spatial_mode(ds.u, np.zeros(50), ds, SpatialBasis(cardx=4))
+        fit_spatial_mode(np.ones(50), np.zeros(50), phi)
 
 
 def test_fit_rejects_robust_config():
@@ -95,6 +94,28 @@ def test_fit_rejects_robust_config():
     with pytest.raises(ValueError, match="row-weighted"):
         fit_separated(SampleSet(x, xi, np.ones(50)), SEL, robust,
                       SeparatedConfig(lmax=1), SpatialBasis(cardx=4), B)
+
+
+def test_first_selection_targets_rank_zero_residual(monkeypatch):
+    # the first stochastic rank selects its skeleton on a copy of the
+    # training rows whose u is the residual of the rank-0 spatial fit
+    x, xi, tab = field_set(400, seed=8)
+    u = np.sin(np.pi * x[:, 0]) * (2.0 + tab[:, 0, 1])
+    ds = SampleSet(x, xi, u, "train")
+    sb = SpatialBasis(kind="legendre-tensor", cardx=6)
+    calls = []
+
+    def spy(train, *args, **kwargs):
+        calls.append(train)
+        return glars_select(train, *args, **kwargs)
+
+    monkeypatch.setattr(separated, "glars_select", spy)
+    fit_quiet(ds, SEL, FIT, SeparatedConfig(lmax=1), sb, B)
+    phi = spatial_design(sb, x[:, 0])
+    c0, *_ = np.linalg.lstsq(phi, u, rcond=None)
+    first = calls[0]
+    assert np.array_equal(first.x, ds.x) and np.array_equal(first.xi, ds.xi)
+    assert np.max(np.abs(first.u - (u - phi @ c0))) <= 1e-12 * np.max(np.abs(u))
 
 
 def test_rank_zero_captures_deterministic_profile():

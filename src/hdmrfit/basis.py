@@ -79,18 +79,21 @@ def univariate_table(cfg: BasisConfig, xi) -> np.ndarray:
         ``psi_{a+1}`` evaluated by the three-term Legendre recurrence on the
         affinely mapped coordinate, scaled to unit norm.
     """
-    t = _to_reference(cfg, xi)
-    no = cfg.max_order
-    out = np.empty(t.shape + (no,), dtype=float)
-    out[..., 0] = 1.0
+    out = _legendre(_to_reference(cfg, xi), cfg.max_order)
+    out *= np.sqrt(2.0 * np.arange(cfg.max_order) + 1.0)
+    return out
+
+
+def _legendre(t, no: int) -> np.ndarray:
+    # P_0..P_{no-1} at t (unnormalized), shape t.shape + (no,)
+    p = np.empty(t.shape + (no,), dtype=float)
+    p[..., 0] = 1.0
     if no > 1:
-        out[..., 1] = t
+        p[..., 1] = t
     for n in range(1, no - 1):
         # (n+1) P_{n+1} = (2n+1) t P_n - n P_{n-1}
-        out[..., n + 1] = ((2 * n + 1) * t * out[..., n] - n * out[..., n - 1]) / (n + 1)
-    norms = np.sqrt(2.0 * np.arange(no) + 1.0)
-    out *= norms
-    return out
+        p[..., n + 1] = ((2 * n + 1) * t * p[..., n] - n * p[..., n - 1]) / (n + 1)
+    return p
 
 
 def univariate_deriv_table(cfg: BasisConfig, xi) -> np.ndarray:
@@ -101,18 +104,13 @@ def univariate_deriv_table(cfg: BasisConfig, xi) -> np.ndarray:
     """
     t = _to_reference(cfg, xi)
     no = cfg.max_order
-    p = np.empty(t.shape + (no,), dtype=float)
-    dp = np.empty_like(p)
-    p[..., 0] = 1.0
-    dp[..., 0] = 0.0
+    p = _legendre(t, no)
+    dp = np.zeros_like(p)
     if no > 1:
-        p[..., 1] = t
         dp[..., 1] = 1.0
     for n in range(1, no - 1):
-        p[..., n + 1] = ((2 * n + 1) * t * p[..., n] - n * p[..., n - 1]) / (n + 1)
         dp[..., n + 1] = ((2 * n + 1) * (p[..., n] + t * dp[..., n]) - n * dp[..., n - 1]) / (n + 1)
-    norms = np.sqrt(2.0 * np.arange(no) + 1.0)
-    dp *= norms * (2.0 / (cfg.hi - cfg.lo))
+    dp *= np.sqrt(2.0 * np.arange(no) + 1.0) * (2.0 / (cfg.hi - cfg.lo))
     return dp
 
 

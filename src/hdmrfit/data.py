@@ -38,6 +38,21 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _check_row_weights(row_weights, nq: int) -> np.ndarray | None:
+    """Row weights for ``nq`` rows as a float vector (None for plain rows);
+    ValueError on another count, a non-finite entry, or a zero squared norm."""
+    if row_weights is None:
+        return None
+    w = np.asarray(row_weights, dtype=float).ravel()
+    if w.shape[0] != nq:
+        raise ValueError(f"row weights: {w.shape[0]} for {nq} rows")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("non-finite row weights")
+    if float(w @ w) <= 0:
+        raise ValueError("row weights are identically zero")
+    return w
+
+
 @dataclass(frozen=True)
 class SampleSet:
     """Immutable collection of samples.

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .basis import BasisConfig, univariate_deriv_table, univariate_table
-from .data import NoiseModel, SampleSet, rng_stream
+from .data import NoiseModel, SampleSet, _check_row_weights, rng_stream
 from .model import (
     CPMode,
     DenseMode,
@@ -122,6 +122,11 @@ def fit_basis(basis: BasisConfig, cfg: FitConfig) -> BasisConfig:
     return replace(basis, max_order=max(basis.max_order, cfg.no + 1))
 
 
+def _check_finite(*arrays) -> None:
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise ValueError("non-finite entries in the least-squares system")
+
+
 def ls_solve(psi, r, beta: float = 0.0) -> np.ndarray:
     """Minimize ||r - psi c||^2 + beta^2 ||c||^2.
 
@@ -129,8 +134,7 @@ def ls_solve(psi, r, beta: float = 0.0) -> np.ndarray:
     """
     psi = np.asarray(psi, dtype=float)
     r = np.asarray(r, dtype=float).ravel()
-    if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(r))):
-        raise ValueError("non-finite entries in the least-squares system")
+    _check_finite(psi, r)
     if psi.ndim != 2 or psi.shape[1] < 1:
         raise ValueError(f"bad design shape {psi.shape}")
     if beta > 0:
@@ -138,11 +142,6 @@ def ls_solve(psi, r, beta: float = 0.0) -> np.ndarray:
         r = np.concatenate([r, np.zeros(psi.shape[1])])
     c, *_ = np.linalg.lstsq(psi, r, rcond=None)
     return c
-
-
-def _check_finite(*arrays) -> None:
-    if not all(np.all(np.isfinite(a)) for a in arrays):
-        raise ValueError("non-finite entries in the least-squares system")
 
 
 def _lstsq_operator(psi, beta: float) -> np.ndarray:
@@ -198,8 +197,7 @@ def _fit_one(gamma, train, cfg, basis, row_weights, u_base):
     # the table spans every column of train.xi, so a group's columns are its dims
     fbasis = fit_basis(basis, cfg)
     table = univariate_table(fbasis, train.xi)
-    w = _vector(row_weights, np.ones(train.nq))
-    _check_finite(w)
+    w = _vector(_check_row_weights(row_weights, train.nq), np.ones(train.nq))
     am = _ActiveMode(gamma, gamma, cfg, table, None, w, train, fbasis)
     am.refit(train.u, cfg, w, _vector(u_base, 0.0))
     return am.mode()
@@ -484,18 +482,16 @@ def _fit_passes(train, validation, groups, cfg, basis, row_weights,
     at = {d: k + 1 for k, d in enumerate(cols)}
     table = univariate_table(fbasis, train.xi[:, [d - 1 for d in cols]])
     u = train.u
-    w = _vector(row_weights, np.ones(train.nq))
-    _check_finite(w)
+    w = _vector(_check_row_weights(row_weights, train.nq), np.ones(train.nq))
     wsq = float(w @ w)
-    if wsq <= 0:
-        raise ValueError("row weights are identically zero")
 
     have_val = validation is not None
     vtable = None
     if have_val:
         vtable = univariate_table(fbasis, validation.xi[:, [d - 1 for d in cols]])
         uval = validation.u
-        wv = _vector(val_row_weights, np.ones(validation.nq))
+        wv = _vector(_check_row_weights(val_row_weights, validation.nq),
+                     np.ones(validation.nq))
         val_norm = float(np.linalg.norm(uval))
         if val_norm == 0.0:
             warnings.warn("validation values are identically zero: no early stopping")
@@ -530,7 +526,7 @@ def _fit_passes(train, validation, groups, cfg, basis, row_weights,
         am.refit(u - w * base, cfg, w, base)
         modes.append(am)
 
-        f0, sweeps = _update_sweeps(modes, u, cfg, w, wsq, f0)
+        sweeps = _update_sweeps(modes, u, cfg, w, wsq, f0)
         f0 = float(w @ (u - w * _total(modes, train.nq))) / wsq
         rnorm = float(np.linalg.norm(u - w * (f0 + _total(modes, train.nq))))
         eps = cv_eps(f0)
@@ -555,7 +551,7 @@ def _fit_passes(train, validation, groups, cfg, basis, row_weights,
 
 
 def _update_sweeps(modes, u, cfg, w, wsq, f0):
-    # cyclic refits of every active mode; returns (f0, sweeps run)
+    # cyclic refits of every active mode; returns the number of sweeps run
     nq = u.shape[0]
     prev = float(np.linalg.norm(u - w * (f0 + _total(modes, nq))))
     sweeps = 0
@@ -568,7 +564,7 @@ def _update_sweeps(modes, u, cfg, w, wsq, f0):
         if abs(prev - cur) <= _UPDATE_SWEEPS_TOL * max(cur, _TINY):
             break
         prev = cur
-    return f0, sweeps
+    return sweeps
 
 
 def relative_error(model, test: SampleSet) -> float:

@@ -185,16 +185,18 @@ class HdmrModel:
         return [m.dims for m in self.dense] + [m.dims for m in self.cp]
 
 
-def dense_design(table: np.ndarray, dims: Group, indices) -> np.ndarray:
+def dense_design(table: np.ndarray, dims, indices) -> np.ndarray:
     """Design columns prod_i psi_{alpha_i}(xi_{dims_i}) from a univariate table.
 
     ``table`` is univariate_table(cfg, xi) with shape (Nq, Nd, max_order);
-    returns (Nq, len(indices)).
+    returns (Nq, len(indices)). With G groups of one cardinality stacked in
+    ``dims``, shape (G, card), it returns their designs, (G, Nq, len(indices)).
     """
-    cols = np.ones((table.shape[0], len(indices)))
+    dims = np.asarray(dims).T - 1
+    cols = np.ones(dims.shape[1:] + (table.shape[0], len(indices)))
     for k, idx in enumerate(indices):
         for d, a in zip(dims, idx):
-            cols[:, k] *= table[:, d - 1, a - 1]
+            cols[..., k] *= table[:, d, a - 1].T
     return cols
 
 

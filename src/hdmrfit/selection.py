@@ -20,8 +20,8 @@ from itertools import combinations
 import numpy as np
 
 from .basis import BasisConfig, univariate_table
-from .data import SampleSet
-from .model import Group, enumerate_dense_indices
+from .data import SampleSet, _check_row_weights
+from .model import Group, dense_design, enumerate_dense_indices
 
 __all__ = [
     "SelectionConfig",
@@ -137,35 +137,31 @@ class _Scan:
     rows ``start[g]:start[g] + min(nq, p_g)`` of ``basis``: there it holds
     U_g' of its design's thin SVD D = U S V', zeroed past the group's rank,
     so ``basis @ v`` holds the coordinates of v in every group's span. The
-    rank cutoff is lstsq's (eps * max(nq, p) * sigma_max). Design tensors
-    are built only here, chunk by chunk, and a chunk never spans a
+    rank cutoff is lstsq's (eps * max(nq, p) * sigma_max). ``dense_design``
+    stacks the designs of a chunk of groups, and a chunk never spans a
     cardinality class, so its groups share one predictor multi-index set.
     """
 
     def __init__(self, table, classes, weights):
         nq = table.shape[0]
         self.groups: list[Group] = []
-        # (first group, zero-based dims (g, l), zero-based indices (p, l))
+        # (first group, its groups, their predictor multi-indices)
         chunks = []
         rows = []
         for indices, groups in classes:
-            idx = np.asarray(indices, dtype=int) - 1
-            dims = np.asarray(groups, dtype=int) - 1
-            size = max(1, min(256, _CHUNK_FLOATS // max(1, nq * idx.shape[0])))
-            chunks += [(len(self.groups) + lo, dims[lo:lo + size], idx)
+            size = max(1, min(256, _CHUNK_FLOATS // max(1, nq * len(indices))))
+            chunks += [(len(self.groups) + lo, groups[lo:lo + size], indices)
                        for lo in range(0, len(groups), size)]
             self.groups += groups
-            rows += [min(nq, idx.shape[0])] * len(groups)
+            rows += [min(nq, len(indices))] * len(groups)
         self.start = np.cumsum([0] + rows[:-1])
         self.pcount = np.empty(len(self.groups), dtype=int)
         self.basis = np.empty((sum(rows), nq))
-        for lo, dims, idx in chunks:
-            self._factorize(table, weights, lo, dims, idx)
+        for lo, dims, indices in chunks:
+            self._factorize(table, weights, lo, dims, indices)
 
-    def _factorize(self, table, weights, lo, dims, idx):
-        d = np.ones((dims.shape[0], table.shape[0], idx.shape[0]))
-        for i in range(idx.shape[1]):
-            d *= table[:, dims[:, i], :][:, :, idx[:, i]].transpose(1, 0, 2)
+    def _factorize(self, table, weights, lo, dims, indices):
+        d = dense_design(table, dims, indices)
         if weights is not None:
             d *= weights[None, :, None]
         u, s, _ = np.linalg.svd(d, full_matrices=False)
@@ -235,26 +231,18 @@ def glars_select(train: SampleSet, cfg: SelectionConfig, basis: BasisConfig,
     ``row_weights`` scales every design row (the separated-representation
     driver passes its spatial profile, with its deflated residual as
     train.u); the response is first centered by its (weighted) constant
-    projection. A non-finite row weight, or row weights that are
-    identically zero, raise ValueError.
+    projection. Row weights of the wrong length, with a non-finite entry,
+    or identically zero raise ValueError.
     """
     u = train.u
     if train.nq < 2:
         raise ValueError("selection needs at least two samples")
 
-    if row_weights is None:
-        w = None
+    w = _check_row_weights(row_weights, train.nq)
+    if w is None:
         r = u - u.mean()
     else:
-        w = np.asarray(row_weights, dtype=float).ravel()
-        if w.shape[0] != train.nq:
-            raise ValueError("row_weights length does not match the sample set")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("non-finite row weights")
-        wsq = float(w @ w)
-        if wsq <= 0:
-            raise ValueError("row weights are identically zero")
-        r = u - w * (float(w @ u) / wsq)
+        r = u - w * (float(w @ u) / float(w @ w))
     unorm = float(np.linalg.norm(r))
     if unorm == 0.0:
         return SelectionPath(steps=[])

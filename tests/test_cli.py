@@ -374,6 +374,14 @@ def test_readme_cli_block_parses():
         parser.parse_args(shlex.split(ln)[1:])
 
 
+def test_readme_library_block_runs(capsys):
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Library.*?```python\n(.*?)```", text, re.S).group(1)
+    exec(compile(block, str(README), "exec"), {})
+    error = float(capsys.readouterr().out.split()[0])
+    assert 0.0 <= error < 0.05
+
+
 def test_bench_rejects_bad_counts(tmp_path):
     out = str(tmp_path / "bench.csv")
     assert main(["bench", "--seeds", "0", "--out", out]) == 2

@@ -338,6 +338,29 @@ def test_robust_fit_rejects_row_weights():
     fit_dense_mode((1,), train, cfg, B)
 
 
+@pytest.mark.parametrize("n", [79, 1])
+def test_row_weights_of_wrong_length_are_rejected(n):
+    # one rule at every row-weighted entry point, whose message names the
+    # weight count and the row count
+    ds, tab = uniform_set(80, 3, seed=26)
+    train = with_u(ds, tab[:, 0, 1] + tab[:, 1, 1] * tab[:, 2, 2])
+    vs, vtab = uniform_set(80, 3, seed=27)
+    val = with_u(vs, vtab[:, 0, 1] + vtab[:, 1, 1] * vtab[:, 2, 2])
+    cfg = FitConfig(no=3, npc=1, ninter=2, nr=1)
+    w = np.ones(n)
+    calls = [
+        lambda: glars_select(train, SelectionConfig(nolars=2, ninter=2), B,
+                             row_weights=w),
+        lambda: fit_hdmr(train, None, [(1,)], cfg, B, row_weights=w),
+        lambda: fit_hdmr(train, val, [(1,)], cfg, B, val_row_weights=w),
+        lambda: fit_dense_mode((1,), train, cfg, B, row_weights=w),
+        lambda: fit_cp_mode((1, 2), train, cfg, B, row_weights=w),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"^row weights: {n} for 80 rows$"):
+            call()
+
+
 def test_wtls_zero_noise_equals_ls():
     ds, tab = uniform_set(200, 2, seed=17)
     u = 1.2 * tab[:, 0, 1] - 0.4 * tab[:, 0, 2]

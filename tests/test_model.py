@@ -24,6 +24,7 @@ from hdmrfit.model import (
     total_sobol,
     variance_by_group,
 )
+from oracles import eval_tensor
 
 B = BasisConfig(lo=-1.0, hi=1.0, max_order=6)
 
@@ -170,6 +171,25 @@ def test_dense_design_columns():
     psi = dense_design(tab, (1, 3), idx)
     assert psi.shape == (25, 2)
     assert np.allclose(psi[:, 1], tab[:, 0, 1] * tab[:, 2, 2], atol=1e-14)
+
+
+def test_dense_design_matches_tensor_oracle_single_and_stacked():
+    # every column is eval_tensor's product, for one group and for a stack of
+    # groups that share dimensions; a stacked slice is the single-group call
+    xi = rng_stream(3, 8).uniform(-1, 1, size=(30, 4))
+    tab = univariate_table(B, xi)
+    for card in (1, 2, 3):
+        indices = enumerate_dense_indices(tuple(range(1, card + 1)), 3)
+        groups = list(itertools.combinations(range(1, 5), card))
+        stacked = dense_design(tab, np.array(groups), indices)
+        assert stacked.shape == (len(groups), 30, len(indices))
+        for g, dims in enumerate(groups):
+            single = dense_design(tab, dims, indices)
+            assert single.shape == (30, len(indices))
+            assert stacked[g].tobytes() == single.tobytes(), dims
+            for k, idx in enumerate(indices):
+                oracle = eval_tensor(B, dims, idx, xi)
+                assert np.max(np.abs(single[:, k] - oracle)) <= 1e-14, (dims, idx)
 
 
 def test_linear_in_each_coefficient():

@@ -184,6 +184,29 @@ def chunk_sizes(monkeypatch):
     return sizes
 
 
+def test_scan_builds_every_design_by_dense_design(monkeypatch):
+    # the scan has no tensor-product code of its own: each factored chunk
+    # stacks its groups' designs by one dense_design call
+    chunks, designs = [], []
+    factorize, build = _Scan._factorize, selection.dense_design
+
+    def counting_factorize(self, table, weights, lo, dims, indices):
+        chunks.append(len(dims))
+        return factorize(self, table, weights, lo, dims, indices)
+
+    def counting_build(table, dims, indices):
+        designs.append(len(dims))
+        return build(table, dims, indices)
+
+    monkeypatch.setattr(_Scan, "_factorize", counting_factorize)
+    monkeypatch.setattr(selection, "dense_design", counting_build)
+    xi, tab = uniform_set(60, 5, seed=71)
+    u = tab[:, 0, 1] + tab[:, 1, 2] * tab[:, 3, 1]
+    glars_select(as_set(xi, u), SelectionConfig(nolars=3, ninter=3), B)
+    assert chunks == [5, 10, 10]
+    assert designs == chunks
+
+
 def test_entry_score_matches_qr_oracle():
     # the batched scan's score of a group is ||Q' r||^2 / p, with Q the
     # group's design orthonormalized and r the centered response; the first

@@ -213,6 +213,7 @@ def cmd_fit(args) -> int:
             timings["fit"] = time.perf_counter() - t0
             timings["fit_cv"] = diag.cv_seconds
             timings["fit_refit"] = diag.refit_seconds
+            timings["fit_wtls"] = diag.wtls_seconds
             save_model(model, args.out)
             if args.diagnostics:
                 save_diagnostics(diag, args.diagnostics)
@@ -404,10 +405,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-groups", type=int, default=64)
     p.add_argument("--hierarchical", action="store_true")
     p.add_argument("--robust", action="store_true",
-                   help="errors-in-variables (weighted TLS) fitting for dense "
-                        "modes: the final refit on train plus validation rows, "
-                        "or every pass with --val 0; the cross-validation "
-                        "passes fit by least squares")
+                   help="errors-in-variables fitting: after the least-squares "
+                        "passes, one weighted TLS refit of all dense modes "
+                        "together on train plus validation rows (train "
+                        "alone with --val 0)")
     p.add_argument("--noise-s", type=float, default=0.0,
                    help="coordinate noise scale: adds synthetic noise to the "
                         "training rows before the fit; with --robust it also "

@@ -3,9 +3,9 @@
 Covers ordinary least squares, dense-mode fits, separated-rank (CP) mode
 fits by alternating least squares, the multi-pass driver with
 cross-validation stopping, and a weighted total least squares (WTLS) refit
-for data with noisy stochastic coordinates. With validation rows, the
-cross-validated passes fit by least squares and only the final refit on
-train plus validation is weighted TLS; without them every pass is.
+for data with noisy stochastic coordinates. Every pass fits by least
+squares; a robust fit then refits all dense modes' coefficients together,
+once, by weighted TLS on the rows of the final fit.
 
 Every fit targets the u of its SampleSet. All fits accept optional per-row
 weights w_q: the surrogate then predicts w_q * model(xi_q) at the sample
@@ -18,11 +18,9 @@ One ``_fit_passes`` call (the driver behind ``fit_hdmr``) owns everything its
 refits reuse, for the life of that call and no longer: the univariate tables
 over the columns its groups touch, and one ``_ActiveMode`` per mode that
 holds the train and validation designs (dense) or factor blocks (CP), plus
-for a dense mode the least-squares operator of its row-weighted design and,
-in a robust fit, the noise-covariance factor of its rows. A dense refit is
-then two matrix-vector products (and a weighted TLS solve that refreshes
-only the value-noise variances), and an ALS step solves a small Gram
-system. Nothing is cached between calls; ``fit_dense_mode`` and
+for a dense mode the least-squares operator of its row-weighted design. A
+dense refit is then two matrix-vector products, and an ALS step solves a
+small Gram system. Nothing is cached between calls; ``fit_dense_mode`` and
 ``fit_cp_mode`` build one ``_ActiveMode`` for a single refit.
 """
 
@@ -85,7 +83,7 @@ _GRAM_MIN_PIVOT_RATIO = 1e-2
 @dataclass(frozen=True)
 class FitConfig:
     """Structural choices of the coefficient stage; robust with a NoiseModel
-    selects weighted total least squares."""
+    adds a weighted total least squares refit of the dense modes."""
 
     no: int = 4
     npc: int = 2
@@ -160,23 +158,28 @@ def _lstsq_operator(psi, beta: float) -> np.ndarray:
 
 
 def fit_dense_mode(gamma, train: SampleSet, cfg: FitConfig, basis: BasisConfig,
-                   row_weights=None, u_base=None) -> DenseMode:
-    """Least-squares (or robust) fit of one dense mode to train.u.
+                   row_weights=None) -> DenseMode:
+    """Least-squares fit of one dense mode to train.u, refitted by weighted
+    TLS when ``cfg`` is robust.
 
-    The errors-in-variables path applies to plain rows only, so a robust
-    ``cfg`` with row weights raises ValueError. u_base is the current model
-    prediction excluding this mode; together with the mode's own
-    least-squares estimate it provides the denoised response for the
-    value-noise variance.
-
-    This is one ``_fit_passes`` refit on its own: one ``_ActiveMode`` built
-    and refitted once for this call.
+    The least-squares fit is one ``_fit_passes`` refit on its own: one
+    ``_ActiveMode`` built and refitted once for this call. A robust ``cfg``
+    then runs ``fit_hdmr``'s weighted TLS refit on a block of this one mode,
+    whose value-noise variance comes from the least-squares prediction. The
+    errors-in-variables path applies to plain rows only, so a robust ``cfg``
+    with row weights raises ValueError.
     """
     gamma = tuple(int(d) for d in gamma)
     if len(gamma) > cfg.npc:
         raise ValueError(f"group {gamma} exceeds the dense cutoff npc={cfg.npc}")
     _check_plain_rows(cfg, row_weights)
-    return _fit_one(gamma, train, cfg, basis, row_weights, u_base)
+    mode = _fit_one(gamma, train, cfg, basis, row_weights)
+    if not cfg.robust:
+        return mode
+    card = len(gamma)
+    block = HdmrModel(f0=0.0, basis=fit_basis(basis, cfg), nd=train.nd, no=cfg.no,
+                      ninter=card, npc=card, nr=cfg.nr, dense=[mode])
+    return _wtls_refit(block, train, cfg.noise).dense[0]
 
 
 def fit_cp_mode(gamma, train: SampleSet, cfg: FitConfig, basis: BasisConfig,
@@ -190,16 +193,15 @@ def fit_cp_mode(gamma, train: SampleSet, cfg: FitConfig, basis: BasisConfig,
     """
     gamma = tuple(int(d) for d in gamma)
     _check_cp_range(gamma, cfg)
-    return _fit_one(gamma, train, cfg, basis, row_weights, None)
+    return _fit_one(gamma, train, cfg, basis, row_weights)
 
 
-def _fit_one(gamma, train, cfg, basis, row_weights, u_base):
+def _fit_one(gamma, train, cfg, basis, row_weights):
     # the table spans every column of train.xi, so a group's columns are its dims
-    fbasis = fit_basis(basis, cfg)
-    table = univariate_table(fbasis, train.xi)
+    table = univariate_table(fit_basis(basis, cfg), train.xi)
     w = _vector(_check_row_weights(row_weights, train.nq), np.ones(train.nq))
-    am = _ActiveMode(gamma, gamma, cfg, table, None, w, train, fbasis)
-    am.refit(train.u, cfg, w, _vector(u_base, 0.0))
+    am = _ActiveMode(gamma, gamma, cfg, table, None, w)
+    am.refit(train.u, cfg, w)
     return am.mode()
 
 
@@ -311,14 +313,17 @@ class FitDiagnostics:
     """``records`` are the passes of the (cross-validated) pass loop and
     ``retained`` the number of groups the model keeps. With validation rows,
     ``refit_records`` are the passes of the final refit on train plus
-    validation (empty without them). ``cv_seconds`` times the pass loop and
-    ``refit_seconds`` the final refit (0 without validation rows)."""
+    validation (empty without them). ``cv_seconds`` times the pass loop,
+    ``refit_seconds`` the final refit (0 without validation rows) and
+    ``wtls_seconds`` the weighted TLS refit of a robust fit (0 for a plain
+    one)."""
 
     records: list[PassRecord] = field(default_factory=list)
     retained: int = 0
     refit_records: list[PassRecord] = field(default_factory=list)
     cv_seconds: float = 0.0
     refit_seconds: float = 0.0
+    wtls_seconds: float = 0.0
 
 
 def save_diagnostics(diag: FitDiagnostics, path) -> None:
@@ -338,51 +343,36 @@ class _ActiveMode:
     Built when its group enters a pass and kept for the rest of the call;
     ``at`` gives the group's columns in the call's tables (``vtable`` is the
     validation rows' table, or None). A dense mode holds its train and
-    validation designs, the row-weighted train design ``weighted`` and its
-    least-squares operator ``lsq``; when weighted TLS applies (a noisy
-    ``cfg`` and plain rows), also the noise covariance ``cov`` of ``train``,
-    whose ``value_var`` each refit replaces. A CP mode holds its train and
-    validation factor blocks. ``params`` are the current coefficients
-    (dense) or factors (CP), and ``values`` the mode's unweighted values at
-    the training rows.
+    validation designs and the least-squares operator ``lsq`` of its
+    row-weighted train design; a CP mode holds its train and validation
+    factor blocks. ``params`` are the current coefficients (dense) or
+    factors (CP), and ``values`` the mode's unweighted values at the
+    training rows.
     """
 
-    __slots__ = ("dims", "kind", "indices", "design", "vdesign", "weighted", "lsq",
-                 "cov", "blocks", "vblocks", "params", "values")
+    __slots__ = ("dims", "kind", "indices", "design", "vdesign", "lsq",
+                 "blocks", "vblocks", "params", "values")
 
-    def __init__(self, dims, at, cfg: FitConfig, table, vtable, w,
-                 train: SampleSet, fbasis: BasisConfig):
+    def __init__(self, dims, at, cfg: FitConfig, table, vtable, w):
         self.dims = dims
         self.kind = "dense" if len(dims) <= cfg.npc else "cp"
         self.params = None
         self.values = None
         if self.kind == "dense":
             self.indices = enumerate_dense_indices(dims, cfg.no)
-            self.cov = None
-            # robust fits have plain rows (fit_hdmr and fit_dense_mode reject
-            # row weights), and __post_init__ guarantees a NoiseModel
-            if cfg.robust and (cfg.noise.s > 0 or cfg.noise.s_u > 0):
-                self.cov = covariance_blocks(train, dims, self.indices, cfg.noise,
-                                             fbasis)
             self.design = dense_design(table, at, self.indices)
             self.vdesign = None if vtable is None else dense_design(vtable, at,
                                                                     self.indices)
-            self.weighted = self.design * w[:, None]
-            self.lsq = _lstsq_operator(self.weighted, cfg.beta)
+            self.lsq = _lstsq_operator(self.design * w[:, None], cfg.beta)
         else:
             _check_cp_range(dims, cfg)
             self.blocks = [np.ascontiguousarray(b) for b in _cp_blocks(table, at, cfg.no)]
             self.vblocks = None if vtable is None else _cp_blocks(vtable, at, cfg.no)
 
-    def refit(self, r, cfg, w, u_base) -> None:
+    def refit(self, r, cfg, w) -> None:
         if self.kind == "dense":
-            c = self.lsq @ r
-            if self.cov is not None:
-                u_ref = self.weighted @ c + u_base
-                cov = replace(self.cov, value_var=(cfg.noise.s_u * u_ref) ** 2)
-                c = wtls_solve(self.weighted, r, cov, c0=c)
-            self.params = c
-            self.values = self.design @ c
+            self.params = self.lsq @ r
+            self.values = self.design @ self.params
         else:
             self.params = _cp_factors(self.dims, r, self.blocks, cfg, w, self.params)
             self.values = _cp_values(self.blocks, self.params)
@@ -416,8 +406,11 @@ def merge_train_validation(train: SampleSet, validation: SampleSet,
 
     Returns (combined SampleSet, row weights); the combined u stacks both
     parts' u. The weights are None when neither part has them; otherwise a
-    missing part is filled with ones.
+    missing part is filled with ones. Each part's weights are checked
+    against its own row count.
     """
+    row_weights = _check_row_weights(row_weights, train.nq)
+    val_row_weights = _check_row_weights(val_row_weights, validation.nq)
     combined = SampleSet(
         np.vstack([train.x, validation.x]),
         np.vstack([train.xi, validation.xi]),
@@ -442,35 +435,75 @@ def fit_hdmr(train: SampleSet, validation: SampleSet | None, path, cfg: FitConfi
     validation error has increased over two consecutive passes; the
     returned model keeps the pass with the smallest validation error and is
     refitted on train plus validation. With ``validation=None`` every group
-    is fitted, with no early stopping (as for refits on a fixed skeleton).
+    is fitted, with no early stopping (as for refits on a fixed skeleton);
+    ``val_row_weights`` then raises ValueError.
 
-    A robust ``cfg`` applies weighted TLS where the model is fitted: with
-    validation rows the cross-validated passes, whose model only decides how
-    many groups to keep, fit by least squares, and the final refit on train
-    plus validation is weighted TLS; with ``validation=None`` every pass is.
+    Every pass fits by least squares (dense modes) and ALS (CP modes). A
+    robust ``cfg`` then refits all dense modes' coefficients together, once,
+    by weighted TLS on the rows the model was last fitted to: train plus
+    validation, or train with ``validation=None`` (see ``_wtls_refit``).
     Weighted TLS covers plain rows only: a robust ``cfg`` with row weights
     raises ValueError.
 
     Returns (HdmrModel, FitDiagnostics).
     """
+    if validation is None and val_row_weights is not None:
+        raise ValueError("val_row_weights given without validation rows")
     _check_plain_rows(cfg, row_weights, val_row_weights)
     groups = [tuple(g) for g in path]
-    cv_cfg = cfg if validation is None else replace(cfg, robust=False)
     t0 = time.perf_counter()
-    model, diag = _fit_passes(train, validation, groups, cv_cfg, basis, row_weights,
+    model, diag = _fit_passes(train, validation, groups, cfg, basis, row_weights,
                               val_row_weights)
     diag.cv_seconds = time.perf_counter() - t0
-    if validation is None:
-        return model, diag
-
-    combined, w_c = merge_train_validation(train, validation, row_weights,
+    rows = train
+    if validation is not None:
+        rows, w_c = merge_train_validation(train, validation, row_weights,
                                            val_row_weights)
-    t0 = time.perf_counter()
-    model, refit = _fit_passes(combined, None, groups[: diag.retained], cfg, basis,
-                               w_c, None)
-    diag.refit_seconds = time.perf_counter() - t0
-    diag.refit_records = refit.records
+        t0 = time.perf_counter()
+        model, refit = _fit_passes(rows, None, groups[: diag.retained], cfg, basis,
+                                   w_c, None)
+        diag.refit_seconds = time.perf_counter() - t0
+        diag.refit_records = refit.records
+    if cfg.robust:
+        t0 = time.perf_counter()
+        model = _wtls_refit(model, rows, cfg.noise)
+        diag.wtls_seconds = time.perf_counter() - t0
     return model, diag
+
+
+def _wtls_refit(model: HdmrModel, rows: SampleSet, noise: NoiseModel) -> HdmrModel:
+    """Weighted TLS refit of all dense modes' coefficients together.
+
+    The block's design stacks the dense modes' designs on ``rows``, and its
+    start point is their least-squares coefficients. ``f0`` and the CP
+    modes' values are held fixed and subtracted from ``rows.u``. Row q's
+    covariance is J_q J_q' (+) v_q: J_q (P_total, n_dims) places each
+    group's Jacobian in the columns of the dims it touches, so groups that
+    share a dim get cross terms, and v_q = (s_u * u_ref_q)^2 with u_ref the
+    least-squares model's prediction. With s = s_u = 0 the model is returned
+    untouched.
+    """
+    if not model.dense or (noise.s == 0 and noise.s_u == 0):
+        return model
+    table = univariate_table(model.basis, rows.xi)
+    psi = np.hstack([dense_design(table, m.dims, m.indices) for m in model.dense])
+    c0 = np.concatenate([m.coeffs for m in model.dense])
+    fixed = np.full(rows.nq, model.f0)
+    for m in model.cp:
+        fixed += _cp_values(_cp_blocks(table, m.dims, model.no), m.factors)
+    dims = sorted({d for m in model.dense for d in m.dims})
+    jac = np.zeros((rows.nq, psi.shape[1], len(dims)))
+    ends = np.cumsum([len(m.indices) for m in model.dense])
+    for m, end in zip(model.dense, ends):
+        cols = [dims.index(d) for d in m.dims]
+        jac[:, end - len(m.indices):end, cols] = covariance_blocks(
+            rows, m.dims, m.indices, noise, model.basis).jac
+    u_ref = fixed + psi @ c0
+    c = wtls_solve(psi, rows.u - fixed, CovarianceBlocks(jac, (noise.s_u * u_ref) ** 2),
+                   c0=c0)
+    dense = [DenseMode(m.dims, m.indices, part)
+             for m, part in zip(model.dense, np.split(c, ends[:-1]))]
+    return replace(model, dense=dense)
 
 
 def _fit_passes(train, validation, groups, cfg, basis, row_weights,
@@ -521,9 +554,8 @@ def _fit_passes(train, validation, groups, cfg, basis, row_weights,
             raise ValueError(f"group {dims} appears twice in the path")
         unique.add(dims)
         am = _ActiveMode(dims, tuple(at[d] for d in dims), cfg, table,
-                         vtable if have_val else None, w, train, fbasis)
-        base = f0 + _total(modes, train.nq)
-        am.refit(u - w * base, cfg, w, base)
+                         vtable if have_val else None, w)
+        am.refit(u - w * (f0 + _total(modes, train.nq)), cfg, w)
         modes.append(am)
 
         sweeps = _update_sweeps(modes, u, cfg, w, wsq, f0)
@@ -558,8 +590,7 @@ def _update_sweeps(modes, u, cfg, w, wsq, f0):
     for sweeps in range(1, _MAX_UPDATE_SWEEPS + 1):
         f0 = float(w @ (u - w * _total(modes, nq))) / wsq
         for m in modes:
-            base = f0 + _total(modes, nq) - m.values
-            m.refit(u - w * base, cfg, w, base)
+            m.refit(u - w * (f0 + _total(modes, nq) - m.values), cfg, w)
         cur = float(np.linalg.norm(u - w * (f0 + _total(modes, nq))))
         if abs(prev - cur) <= _UPDATE_SWEEPS_TOL * max(cur, _TINY):
             break
@@ -582,14 +613,16 @@ def relative_error(model, test: SampleSet) -> float:
 
 @dataclass(frozen=True)
 class CovarianceBlocks:
-    """First-order noise covariance of one group's (design row, response)
-    pair, for every training row, in factored form.
+    """First-order noise covariance of a (design row, response) pair, for
+    every training row, in factored form: of one group, or of a block of
+    groups side by side.
 
     Row q's (p+1)x(p+1) covariance is Lambda_q = J_q J_q' (+) v_q: ``jac``
-    (Nq, p, card) holds J_q = s * dpsi_a/dxi_i over the group's dimensions
-    i, and ``value_var`` (Nq,) holds v_q = (s_u * u_q)^2. Cross terms vanish
-    because coordinate and value noise are independent, and the form is
-    symmetric by construction.
+    (Nq, p, card) holds J_q = s * dpsi_a/dxi_i over the dimensions i the
+    predictors touch, and ``value_var`` (Nq,) holds v_q = (s_u * u_q)^2.
+    Cross terms between the predictors and the response vanish because
+    coordinate and value noise are independent, and the form is symmetric
+    by construction.
     """
 
     jac: np.ndarray

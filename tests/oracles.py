@@ -3,14 +3,16 @@
 Each function works one basis function or one sample at a time, straight
 from the defining formula: they are the pointwise forms of
 ``univariate_deriv_table``, of a ``dense_design`` column and of
-``covariance_blocks``. The least-squares oracles rebuild the design and
-solve it by ``ls_solve`` (an SVD ``lstsq``) every time, as the coefficient
-passes once did: they check the cached dense-mode operator and the Gram
-solves of the ALS subproblems. The weighted TLS oracle works on the dense
-(Nq, p+1, p+1) covariance blocks, stacked one sample at a time, that the
-factored form in ``fitting`` replaces. The selection path's direction
-oracle runs one lstsq on all active columns at every step: it checks the
-orthonormal basis of the active span that ``glars_select`` grows.
+``covariance_blocks``, the last also for a block of groups side by side
+as the weighted TLS refit of a robust fit builds it. The least-squares
+oracles rebuild the design and solve it by ``ls_solve`` (an SVD
+``lstsq``) every time, as the coefficient passes once did: they check the
+cached dense-mode operator and the Gram solves of the ALS subproblems. The
+weighted TLS oracle works on the dense (Nq, p+1, p+1) covariance blocks,
+stacked one sample at a time, that the factored form in ``fitting``
+replaces. The selection path's direction oracle runs one lstsq on all
+active columns at every step: it checks the orthonormal basis of the
+active span that ``glars_select`` grows.
 """
 
 import warnings
@@ -55,43 +57,64 @@ def eval_tensor(cfg: BasisConfig, gamma, alphas, xi_vec):
     return float(out[0]) if single else out
 
 
-def build_sample_covariance(xi_q, dims, indices, noise: NoiseModel, u_q,
+def block_sample_covariance(xi_q, groups, noise: NoiseModel, u_q,
                             basis: BasisConfig) -> np.ndarray:
-    """First-order noise covariance block for one sample.
+    """First-order noise covariance of one sample for dense groups side by
+    side, ``groups`` a list of (dims, indices).
 
-    Predictor rows get s^2 * sum_i (dpsi_a/dxi_i)(dpsi_b/dxi_i); the residual
-    row variance is (s_u * u_q)^2; cross terms vanish because coordinate and
-    value noise are independent.
+    Each predictor's gradient is taken over every dimension of the block,
+    zero along the dimensions its group does not touch; predictor rows get
+    s^2 times the inner products of those gradients, so groups that share
+    a dimension get cross terms. The residual row variance is
+    (s_u * u_q)^2; the predictor-response terms vanish because coordinate
+    and value noise are independent.
     """
     xi_q = np.asarray(xi_q, dtype=float).ravel()
-    dims = tuple(int(d) for d in dims)
-    p = len(indices)
+    groups = [(tuple(int(d) for d in dims), indices) for dims, indices in groups]
+    block_dims = sorted({d for dims, _ in groups for d in dims})
+    p = sum(len(indices) for _, indices in groups)
     lam = np.zeros((p + 1, p + 1))
     if noise.s > 0:
-        sub = xi_q[[d - 1 for d in dims]]
+        sub = xi_q[[d - 1 for d in block_dims]]
         vals = univariate_table(basis, sub)
         ders = univariate_deriv_table(basis, sub)
-        der = np.empty((p, len(dims)))
-        for a, idx in enumerate(indices):
-            for i, al in enumerate(idx):
-                prod = 1.0
-                for j, aj in enumerate(idx):
-                    if j != i:
-                        prod *= vals[j, aj - 1]
-                der[a, i] = ders[i, al - 1] * prod
+        der = np.zeros((p, len(block_dims)))
+        row = 0
+        for dims, indices in groups:
+            at = [block_dims.index(d) for d in dims]
+            for idx in indices:
+                for i, al in enumerate(idx):
+                    prod = 1.0
+                    for j, aj in enumerate(idx):
+                        if j != i:
+                            prod *= vals[at[j], aj - 1]
+                    der[row, at[i]] = ders[at[i], al - 1] * prod
+                row += 1
         lam[:p, :p] = noise.s**2 * (der @ der.T)
     lam[p, p] = (noise.s_u * float(u_q)) ** 2
     return lam
 
 
+def build_sample_covariance(xi_q, dims, indices, noise: NoiseModel, u_q,
+                            basis: BasisConfig) -> np.ndarray:
+    """First-order noise covariance block of one group for one sample."""
+    return block_sample_covariance(xi_q, [(dims, indices)], noise, u_q, basis)
+
+
+def stack_block_covariance(train: SampleSet, groups, noise: NoiseModel,
+                           basis: BasisConfig, u_ref=None) -> np.ndarray:
+    """(Nq, p+1, p+1) covariance blocks of every training row for dense
+    groups side by side, one ``block_sample_covariance`` per row; u_ref
+    defaults to train.u."""
+    u = train.u if u_ref is None else np.asarray(u_ref, dtype=float).ravel()
+    return np.stack([block_sample_covariance(train.xi[q], groups, noise, u[q], basis)
+                     for q in range(train.nq)])
+
+
 def stack_sample_covariance(train: SampleSet, dims, indices, noise: NoiseModel,
                             basis: BasisConfig, u_ref=None) -> np.ndarray:
-    """(Nq, p+1, p+1) covariance blocks of every training row, one
-    ``build_sample_covariance`` per row; u_ref defaults to train.u."""
-    u = train.u if u_ref is None else np.asarray(u_ref, dtype=float).ravel()
-    return np.stack([build_sample_covariance(train.xi[q], dims, indices, noise,
-                                             u[q], basis)
-                     for q in range(train.nq)])
+    """(Nq, p+1, p+1) covariance blocks of one group for every training row."""
+    return stack_block_covariance(train, [(dims, indices)], noise, basis, u_ref)
 
 
 def wtls_denominators_dense(lam, c) -> np.ndarray:

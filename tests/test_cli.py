@@ -119,13 +119,15 @@ def test_fit_manifest_splits_selection_time(ws, tmp_path):
 @pytest.mark.parametrize("extra", [(), ("--robust", "--noise-su", "0.05")],
                          ids=["plain", "robust"])
 def test_fit_manifest_splits_fit_time(ws, tmp_path, extra):
-    # the cross-validated passes and the final refit on train + validation
-    # are timed inside the fit stage and recorded next to it
+    # the cross-validated passes, the final refit on train + validation and
+    # a robust fit's weighted TLS refit are timed inside the fit stage and
+    # recorded next to it
     mf = tmp_path / "mf.json"
     assert main(_fit_args(ws, tmp_path / "m.json", "--manifest", str(mf), *extra)) == 0
     timings = json.loads(mf.read_text())["timings"]
     assert timings["fit_cv"] > 0 and timings["fit_refit"] > 0
-    assert timings["fit_cv"] + timings["fit_refit"] <= timings["fit"]
+    assert (timings["fit_wtls"] > 0) == ("--robust" in extra)
+    assert timings["fit_cv"] + timings["fit_refit"] + timings["fit_wtls"] <= timings["fit"]
 
 
 def test_fit_model_bytes_deterministic(ws, tmp_path):

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ from hdmrfit.model import (HdmrModel, dense_design, enumerate_dense_indices, eva
                            save_model)
 from hdmrfit.selection import SelectionConfig, glars_select
 from oracles import (als_factor_lstsq, build_sample_covariance, dense_mode_lstsq,
-                     eval_univariate_deriv, stack_sample_covariance,
-                     wtls_denominators_dense, wtls_solve_dense)
+                     eval_univariate_deriv, stack_block_covariance,
+                     stack_sample_covariance, wtls_denominators_dense, wtls_solve_dense)
 
 B = BasisConfig(lo=-1.0, hi=1.0, max_order=5)
 
@@ -296,20 +297,21 @@ def test_wtls_solve_matches_dense_oracle_on_pair_group():
 
 
 def test_robust_dense_mode_weights_by_its_own_prediction():
-    # the value-noise variance comes from psi c_ls + u_base, not from the
-    # fitted values train.u, which here are far from it
+    # the value-noise variance comes from the least-squares prediction
+    # psi c_ls, not from the fitted values train.u, which here carry an
+    # offset and a dim-1 term the mode cannot fit
     ds, tab = uniform_set(250, 2, seed=21)
     nm = NoiseModel(s=0.01, s_u=0.2)
     idx = enumerate_dense_indices((2,), 4)
     g = rng_stream(21, 1)
-    r = 0.8 * tab[:, 1, 1] - 0.2 * tab[:, 1, 3] + 0.05 * g.standard_normal(250)
-    u_base = 2.0 + 0.5 * tab[:, 0, 1]
+    r = (2.0 + 0.5 * tab[:, 0, 1] + 0.8 * tab[:, 1, 1] - 0.2 * tab[:, 1, 3]
+         + 0.05 * g.standard_normal(250))
     train = with_u(ds, r)
     cfg = FitConfig(no=4, npc=2, robust=True, noise=nm)
-    mode = fit_dense_mode((2,), train, cfg, B, u_base=u_base)
+    mode = fit_dense_mode((2,), train, cfg, B)
     psi = dense_design(tab, (2,), idx)
     c_ls = dense_mode_lstsq(tab, (2,), idx, np.ones(250), r, 0.0)
-    lam = stack_sample_covariance(train, (2,), idx, nm, B, u_ref=psi @ c_ls + u_base)
+    lam = stack_sample_covariance(train, (2,), idx, nm, B, u_ref=psi @ c_ls)
     c_ref = wtls_solve_dense(psi, r, lam, c0=c_ls)
     assert _rel(c_ref, c_ls) > 1e-6
     assert _rel(mode.coeffs, c_ref) < 1e-12
@@ -578,15 +580,17 @@ def test_robust_fit_builds_covariances_only_for_the_final_refit(monkeypatch):
     covs = _counting(monkeypatch, "covariance_blocks")
     solves = _counting(monkeypatch, "wtls_solve")
     passes = _counting(monkeypatch, "_fit_passes")
-    _, diag = fit_hdmr(train, val, groups, cfg, B)
+    model, diag = fit_hdmr(train, val, groups, cfg, B)
     assert len(passes) == 2
     kept = [g for g in groups[: diag.retained] if len(g) <= cfg.npc]
-    # the cross-validated passes fit by least squares; only the final refit
-    # on the 500 train + validation rows is weighted TLS, one covariance per
-    # kept dense mode
+    assert [m.dims for m in model.dense] == kept
+    # every pass fits by least squares; after them one weighted TLS solve on
+    # the 500 train + validation rows refits the kept dense modes together,
+    # with one covariance per kept dense mode
     assert [(args[0].nq, args[1]) for args in covs] == [(500, g) for g in kept]
-    assert len(solves) > 2 * len(kept)
-    assert all(args[0].shape[0] == 500 for args in solves)
+    width = sum(len(m.indices) for m in model.dense)
+    assert [args[0].shape for args in solves] == [(500, width)]
+    assert diag.wtls_seconds > 0
 
 
 def test_robust_fit_with_validation_is_robust_refit_of_plain_cv_choice():
@@ -616,6 +620,76 @@ def test_robust_fit_with_validation_is_robust_refit_of_plain_cv_choice():
     assert all(np.array_equal(a.factors, b.factors) for a, b in zip(model.cp, ref.cp))
     # and the final refit is weighted TLS, not the plain fit
     assert not np.array_equal(model.dense[0].coeffs, plain.dense[0].coeffs)
+
+
+def test_wtls_refit_matches_dense_block_oracle():
+    # groups (1,) and (1, 2) share dim 1, so the block's row covariance has
+    # cross terms between them; (3,) shares no dim with either; the CP mode
+    # and f0 are held at the plain fit's values
+    ds, tab = uniform_set(300, 4, seed=38)
+    clean = (2.0 + tab[:, 0, 1] + 0.6 * tab[:, 0, 1] * tab[:, 1, 2] + 0.4 * tab[:, 2, 1]
+             + 0.5 * tab[:, 1, 1] * tab[:, 2, 1] * tab[:, 3, 2])
+    nm = NoiseModel(s=0.02, s_u=0.15)
+    train = inject_noise(with_u(ds, clean), nm, seed=38)
+    groups = [(1,), (1, 2), (3,), (2, 3, 4)]
+    plain_cfg = FitConfig(no=3, npc=2, ninter=3, seed=0)
+    plain, _ = fit_hdmr(train, None, groups, plain_cfg, B)
+    robust, diag = fit_hdmr(train, None, groups,
+                            FitConfig(no=3, npc=2, ninter=3, seed=0, robust=True,
+                                      noise=nm), B)
+    assert diag.wtls_seconds > 0
+    assert robust.f0 == plain.f0
+    assert [m.dims for m in robust.cp] == [(2, 3, 4)]
+    assert np.array_equal(robust.cp[0].factors, plain.cp[0].factors)
+    assert [m.dims for m in robust.dense] == [m.dims for m in plain.dense] == groups[:3]
+
+    table = univariate_table(plain.basis, train.xi)
+    psi = np.hstack([dense_design(table, m.dims, m.indices) for m in plain.dense])
+    c_ls = np.concatenate([m.coeffs for m in plain.dense])
+    fixed = evaluate_model(replace(plain, dense=[]), train.xi)
+    lam = stack_block_covariance(train, [(m.dims, m.indices) for m in plain.dense], nm,
+                                 plain.basis, u_ref=evaluate_model(plain, train.xi))
+    p1, p12 = len(plain.dense[0].indices), len(plain.dense[1].indices)
+    assert np.any(lam[:, :p1, p1:p1 + p12])                  # (1,) with (1, 2)
+    assert not np.any(lam[:, :p1 + p12, p1 + p12:-1])        # (3,) with the rest
+    c_ref = wtls_solve_dense(psi, train.u - fixed, lam, c0=c_ls)
+    assert _rel(c_ref, c_ls) > 1e-6
+    assert _rel(np.concatenate([m.coeffs for m in robust.dense]), c_ref) < 1e-12
+
+
+@pytest.mark.parametrize("with_val", [False, True], ids=["no-val", "val"])
+def test_robust_fit_with_zero_noise_is_the_plain_fit(tmp_path, with_val):
+    train, val, groups, _ = _noisy_cv_instance()
+    val = val if with_val else None
+    plain, _ = fit_hdmr(train, val, groups, FitConfig(no=3, npc=2, ninter=3, seed=0), B)
+    robust, _ = fit_hdmr(train, val, groups,
+                         FitConfig(no=3, npc=2, ninter=3, seed=0, robust=True,
+                                   noise=NoiseModel(s=0.0, s_u=0.0)), B)
+    save_model(plain, tmp_path / "plain.json")
+    save_model(robust, tmp_path / "robust.json")
+    assert (tmp_path / "plain.json").read_bytes() == (tmp_path / "robust.json").read_bytes()
+
+
+def test_val_row_weights_without_validation_rows_are_rejected():
+    ds, tab = uniform_set(80, 3, seed=39)
+    train = with_u(ds, tab[:, 0, 1] + tab[:, 1, 2])
+    with pytest.raises(ValueError, match="without validation rows"):
+        fit_hdmr(train, None, [(1,)], FitConfig(no=3, npc=1, ninter=1), B,
+                 val_row_weights=[np.nan])
+
+
+@pytest.mark.parametrize("n_train,n_val,message", [(79, 101, "79 for 80"),
+                                                   (80, 101, "101 for 100"),
+                                                   (79, None, "79 for 80"),
+                                                   (None, 99, "99 for 100")])
+def test_merge_train_validation_checks_each_parts_weights(n_train, n_val, message):
+    # 79 + 101 weights add up to the 180 rows, but misaligned
+    ds, _ = uniform_set(80, 2, seed=40)
+    vs, _ = uniform_set(100, 2, seed=41)
+    w = None if n_train is None else np.ones(n_train)
+    wv = None if n_val is None else np.ones(n_val)
+    with pytest.raises(ValueError, match=rf"^row weights: {message} rows$"):
+        merge_train_validation(ds, vs, w, wv)
 
 
 def test_cp_refit_makes_no_ls_solve_call(monkeypatch):

@@ -14,7 +14,6 @@ import numpy as np
 
 __all__ = [
     "BasisConfig",
-    "eval_univariate",
     "univariate_table",
     "univariate_deriv_table",
 ]
@@ -32,29 +31,17 @@ class BasisConfig:
     max_order : int
         Largest admissible index alpha (alpha = degree + 1, so max_order = 4
         spans degrees 0..3).
-    family : str
-        Basis family. Only "legendre" is supported.
     """
 
     lo: float = -1.0
     hi: float = 1.0
     max_order: int = 10
-    family: str = "legendre"
 
     def __post_init__(self):
-        if self.family != "legendre":
-            raise ValueError(f"unsupported basis family {self.family!r}")
         if not self.lo < self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
         if self.max_order < 1:
             raise ValueError(f"max_order must be >= 1, got {self.max_order}")
-
-
-def _check_index(cfg: BasisConfig, alpha: int) -> None:
-    if not 1 <= alpha <= cfg.max_order:
-        raise IndexError(
-            f"basis index {alpha} outside 1..{cfg.max_order}"
-        )
 
 
 def _to_reference(cfg: BasisConfig, xi):
@@ -113,14 +100,3 @@ def univariate_deriv_table(cfg: BasisConfig, xi) -> np.ndarray:
     dp *= np.sqrt(2.0 * np.arange(no) + 1.0) * (2.0 / (cfg.hi - cfg.lo))
     return dp
 
-
-def eval_univariate(cfg: BasisConfig, alpha: int, xi):
-    """Value of ``psi_alpha`` at ``xi`` (scalar or array).
-
-    Raises IndexError when ``alpha`` is outside ``1..max_order``. Points
-    outside ``[lo, hi]`` are extrapolated by the recurrence.
-    """
-    _check_index(cfg, alpha)
-    table = univariate_table(cfg, xi)
-    val = table[..., alpha - 1]
-    return float(val) if np.isscalar(xi) else val

@@ -5,7 +5,8 @@ fits by alternating least squares, the multi-pass driver with
 cross-validation stopping, and a weighted total least squares (WTLS) refit
 for data with noisy stochastic coordinates. Every pass fits by least
 squares; a robust fit then refits all dense modes' coefficients together,
-once, by weighted TLS on the rows of the final fit.
+once, by weighted TLS on the rows of the final fit; the noise covariance
+is built for that whole block of modes.
 
 Every fit targets the u of its SampleSet. All fits accept optional per-row
 weights w_q: the surrogate then predicts w_q * model(xi_q) at the sample
@@ -476,12 +477,10 @@ def _wtls_refit(model: HdmrModel, rows: SampleSet, noise: NoiseModel) -> HdmrMod
 
     The block's design stacks the dense modes' designs on ``rows``, and its
     start point is their least-squares coefficients. ``f0`` and the CP
-    modes' values are held fixed and subtracted from ``rows.u``. Row q's
-    covariance is J_q J_q' (+) v_q: J_q (P_total, n_dims) places each
-    group's Jacobian in the columns of the dims it touches, so groups that
-    share a dim get cross terms, and v_q = (s_u * u_ref_q)^2 with u_ref the
-    least-squares model's prediction. With s = s_u = 0 the model is returned
-    untouched.
+    modes' values are held fixed and subtracted from ``rows.u``. The row
+    covariances are those of the whole block, from one ``covariance_blocks``
+    call whose u_ref is the least-squares model's prediction. With
+    s = s_u = 0 the model is returned untouched.
     """
     if not model.dense or (noise.s == 0 and noise.s_u == 0):
         return model
@@ -491,16 +490,10 @@ def _wtls_refit(model: HdmrModel, rows: SampleSet, noise: NoiseModel) -> HdmrMod
     fixed = np.full(rows.nq, model.f0)
     for m in model.cp:
         fixed += _cp_values(_cp_blocks(table, m.dims, model.no), m.factors)
-    dims = sorted({d for m in model.dense for d in m.dims})
-    jac = np.zeros((rows.nq, psi.shape[1], len(dims)))
+    blocks = covariance_blocks(rows, [(m.dims, m.indices) for m in model.dense],
+                               noise, model.basis, fixed + psi @ c0)
+    c = wtls_solve(psi, rows.u - fixed, blocks, c0=c0)
     ends = np.cumsum([len(m.indices) for m in model.dense])
-    for m, end in zip(model.dense, ends):
-        cols = [dims.index(d) for d in m.dims]
-        jac[:, end - len(m.indices):end, cols] = covariance_blocks(
-            rows, m.dims, m.indices, noise, model.basis).jac
-    u_ref = fixed + psi @ c0
-    c = wtls_solve(psi, rows.u - fixed, CovarianceBlocks(jac, (noise.s_u * u_ref) ** 2),
-                   c0=c0)
     dense = [DenseMode(m.dims, m.indices, part)
              for m, part in zip(model.dense, np.split(c, ends[:-1]))]
     return replace(model, dense=dense)
@@ -614,48 +607,53 @@ def relative_error(model, test: SampleSet) -> float:
 @dataclass(frozen=True)
 class CovarianceBlocks:
     """First-order noise covariance of a (design row, response) pair, for
-    every training row, in factored form: of one group, or of a block of
-    groups side by side.
+    every row, in factored form, built for a whole block of dense groups.
 
     Row q's (p+1)x(p+1) covariance is Lambda_q = J_q J_q' (+) v_q: ``jac``
-    (Nq, p, card) holds J_q = s * dpsi_a/dxi_i over the dimensions i the
-    predictors touch, and ``value_var`` (Nq,) holds v_q = (s_u * u_q)^2.
-    Cross terms between the predictors and the response vanish because
-    coordinate and value noise are independent, and the form is symmetric
-    by construction.
+    (Nq, p, n_dims) holds J_q = s * dpsi_a/dxi_i over the dimensions i the
+    block touches, zero where predictor a's group does not touch i, and
+    ``value_var`` (Nq,) holds v_q = (s_u * u_ref_q)^2. Cross terms between
+    the predictors and the response vanish because coordinate and value
+    noise are independent, and the form is symmetric by construction.
     """
 
     jac: np.ndarray
     value_var: np.ndarray
 
 
-def covariance_blocks(train: SampleSet, dims, indices, noise: NoiseModel,
-                      basis: BasisConfig, u_ref=None) -> CovarianceBlocks:
-    """First-order noise covariance of one group, for every training row.
+def covariance_blocks(rows: SampleSet, groups, noise: NoiseModel,
+                      basis: BasisConfig, u_ref) -> CovarianceBlocks:
+    """First-order noise covariance of dense groups side by side, for every
+    row; ``groups`` is a list of (dims, indices).
 
-    u_ref supplies the response values for the value-noise variance;
-    it defaults to the observed train.u. A denoised estimate (the current
-    model prediction) avoids feeding the value noise back into its own
-    weights, which otherwise biases the fit toward rows the noise happened
-    to pull toward zero.
+    J_q spans the sorted union of the groups' dims, so groups that share a
+    dim get cross terms. u_ref gives the response values of the value-noise
+    variance: a denoised estimate, such as a least-squares prediction, keeps
+    the value noise out of its own weights, which would otherwise favour
+    rows the noise pulled toward zero.
     """
-    dims = tuple(int(d) for d in dims)
-    nq, card = train.nq, len(dims)
-    jac = np.zeros((nq, len(indices), card))
+    block = sorted({d for dims, _ in groups for d in dims})
+    nb = len(block)
+    jac = np.zeros((rows.nq, sum(len(indices) for _, indices in groups), nb))
     if noise.s > 0:
-        sub = train.xi[:, [d - 1 for d in dims]]
-        vals = univariate_table(basis, sub)   # (nq, card, ord)
-        ders = univariate_deriv_table(basis, sub)
-        local = tuple(range(1, card + 1))
-        for i in range(card):
-            # d psi_a / d xi_i is the tensor product with dimension i's
-            # values replaced by its derivatives
-            table = vals.copy()
-            table[:, i] = ders[:, i]
-            jac[:, :, i] = dense_design(table, local, indices)
+        sub = rows.xi[:, [d - 1 for d in block]]
+        # dim block[k]'s values sit in table column k, its derivatives in
+        # column nb + k
+        table = np.concatenate([univariate_table(basis, sub),
+                                univariate_deriv_table(basis, sub)], axis=1)
+        start = 0
+        for dims, indices in groups:
+            at = [block.index(d) for d in dims]
+            end = start + len(indices)
+            for i, k in enumerate(at):
+                # d psi_a / d xi_i is the tensor product with dimension i's
+                # values replaced by its derivatives
+                slots = [a + 1 + nb * (j == i) for j, a in enumerate(at)]
+                jac[:, start:end, k] = dense_design(table, slots, indices)
+            start = end
         jac *= noise.s
-    uref = train.u if u_ref is None else np.asarray(u_ref, dtype=float).ravel()
-    return CovarianceBlocks(jac, (noise.s_u * uref) ** 2)
+    u_ref = np.asarray(u_ref, dtype=float).ravel()
+    return CovarianceBlocks(jac, (noise.s_u * u_ref) ** 2)
 
 
 def _wtls_denominator(blocks: CovarianceBlocks):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass, field
-from math import comb
 
 import numpy as np
 
@@ -30,7 +29,6 @@ __all__ = [
     "model_variance",
     "sobol_indices",
     "total_sobol",
-    "dictionary_cardinality",
     "save_model",
     "load_model",
 ]
@@ -268,23 +266,6 @@ def total_sobol(model: HdmrModel, dim: int) -> float:
     return float(sum(s for g, s in sobol_indices(model).items() if dim in g))
 
 
-def dictionary_cardinality(nd: int, no: int, ninter: int, npc: int, nr: int) -> int:
-    """Number of scalar coefficients the full dictionary could activate.
-
-    Dense classes (cardinality l <= npc) contribute comb(nd, l)*comb(no, l)
-    coefficients each; separated classes (npc < l <= ninter) contribute
-    nr*l*no per group, counting each univariate factor block.
-    """
-    if not 0 <= npc <= ninter <= nd:
-        raise ValueError("need 0 <= npc <= ninter <= nd")
-    total = 0
-    for l in range(0, min(npc, ninter) + 1):
-        total += comb(nd, l) * comb(no, l)
-    for l in range(npc + 1, ninter + 1):
-        total += comb(nd, l) * nr * l * no
-    return total
-
-
 _SCHEMA = 1
 
 
@@ -299,7 +280,7 @@ def _model_payload(model: HdmrModel) -> dict:
         "npc": model.npc,
         "nr": model.nr,
         "basis": {
-            "family": model.basis.family,
+            "family": "legendre",
             "lo": model.basis.lo,
             "hi": model.basis.hi,
             "max_order": model.basis.max_order,
@@ -350,8 +331,10 @@ def load_model(path) -> HdmrModel:
 
 def _model_from_document(doc, path) -> HdmrModel:
     """Rebuild a model from its document (a whole file, or a payload nested
-    in a separated model file); ValueError naming ``path`` when the schema
-    or kind is wrong or any field is missing or of the wrong type."""
+    in a separated model file); ValueError naming ``path`` when the schema,
+    kind or basis family is wrong or any field is missing or of the wrong
+    type. Only the Legendre family exists, so the family is checked, not
+    stored."""
     if doc.get("schema") != _SCHEMA:
         raise ValueError(f"{path}: unsupported model schema {doc.get('schema')!r}")
     if doc.get("kind", "hdmr") != "hdmr":
@@ -361,11 +344,12 @@ def _model_from_document(doc, path) -> HdmrModel:
         )
     integer = operator.index
     try:
+        if doc["basis"]["family"] != "legendre":
+            raise ValueError(f"unsupported basis family {doc['basis']['family']!r}")
         basis = BasisConfig(
             lo=float(doc["basis"]["lo"]),
             hi=float(doc["basis"]["hi"]),
             max_order=integer(doc["basis"]["max_order"]),
-            family=doc["basis"]["family"],
         )
         dense = [
             DenseMode(tuple(m["dims"]), tuple(tuple(i) for i in m["indices"]),

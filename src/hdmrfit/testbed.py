@@ -20,7 +20,6 @@ __all__ = [
     "KLField",
     "DiffusionConfig",
     "kl_eigendecompose",
-    "sample_field",
     "solve_diffusion",
     "generate_dataset",
     "save_spectrum",
@@ -125,23 +124,6 @@ def _interp_funcs(f: KLField, x: np.ndarray) -> np.ndarray:
     # piecewise-linear eigenfunction values at x, shape (nterms, len(x))
     return np.stack([np.interp(x, f.grid, f.eigenfunctions[k])
                      for k in range(f.nterms)])
-
-
-def sample_field(f: KLField, germ, x):
-    """Evaluate mean_value + sum_k sqrt(sigma_k) omega_k(x) germ_k at x."""
-    germ = np.asarray(germ, dtype=float).ravel()
-    if germ.shape[0] != f.nterms:
-        raise ValueError(f"germ has {germ.shape[0]} entries, field has {f.nterms}")
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    lo, hi = f.domain
-    if np.any(xa < lo) or np.any(xa > hi):
-        raise ValueError(f"x outside field domain [{lo}, {hi}]")
-    if f.nterms == 0:
-        vals = np.full(xa.shape, f.mean_value)
-    else:
-        weights = np.sqrt(f.eigenvalues) * germ
-        vals = f.mean_value + weights @ _interp_funcs(f, xa)
-    return float(vals[0]) if np.isscalar(x) or np.ndim(x) == 0 else vals
 
 
 def solve_diffusion(nu, f_rhs, u_minus, u_plus, m_x, length=1.0) -> np.ndarray:

@@ -1,38 +1,59 @@
 """Slow, obvious reference implementations the library is checked against.
 
 Each function works one basis function or one sample at a time, straight
-from the defining formula: they are the pointwise forms of
-``univariate_deriv_table``, of a ``dense_design`` column and of
-``covariance_blocks``, the last also for a block of groups side by side
-as the weighted TLS refit of a robust fit builds it. The least-squares
-oracles rebuild the design and solve it by ``ls_solve`` (an SVD
-``lstsq``) every time, as the coefficient passes once did: they check the
-cached dense-mode operator and the Gram solves of the ALS subproblems. The
-weighted TLS oracle works on the dense (Nq, p+1, p+1) covariance blocks,
-stacked one sample at a time, that the factored form in ``fitting``
-replaces. The selection path's direction oracle runs one lstsq on all
-active columns at every step: it checks the orthonormal basis of the
-active span that ``glars_select`` grows.
+from the defining formula. The basis oracles evaluate numpy's own Legendre
+series, independently of the library's recurrence tables; the others are
+the pointwise forms of a ``dense_design`` column and of
+``covariance_blocks``, which the library builds for a whole block of dense
+groups side by side, as the weighted TLS refit of a robust fit uses it.
+The least-squares oracles rebuild the design and solve it by ``ls_solve``
+(an SVD ``lstsq``) every time, as the coefficient passes once did: they
+check the cached dense-mode operator and the Gram solves of the ALS
+subproblems. The weighted TLS oracle works on the dense (Nq, p+1, p+1)
+covariance blocks, stacked one sample at a time, that the factored form in
+``fitting`` replaces. The selection path's direction oracle runs one lstsq
+on all active columns at every step: it checks the orthonormal basis of the
+active span that ``glars_select`` grows. ``kl_field`` sums a field's
+Karhunen-Loeve expansion term by term.
 """
 
 import warnings
 
 import numpy as np
+from numpy.polynomial.legendre import Legendre
 
 from hdmrfit import fitting
-from hdmrfit.basis import (BasisConfig, _check_index, eval_univariate,
-                           univariate_deriv_table, univariate_table)
+from hdmrfit.basis import BasisConfig, univariate_deriv_table, univariate_table
 from hdmrfit.data import NoiseModel, SampleSet
 from hdmrfit.fitting import ls_solve
 from hdmrfit.model import dense_design
+from hdmrfit.testbed import KLField
 
 
-def eval_univariate_deriv(cfg: BasisConfig, alpha: int, xi):
-    """Derivative of ``psi_alpha`` at ``xi`` (scalar or array)."""
-    _check_index(cfg, alpha)
-    table = univariate_deriv_table(cfg, xi)
-    val = table[..., alpha - 1]
-    return float(val) if np.isscalar(xi) else val
+def _legendre_series(cfg: BasisConfig, alpha: int) -> Legendre:
+    # psi_alpha as a series in the coordinate mapped from [lo, hi] to [-1, 1]
+    if not 1 <= alpha <= cfg.max_order:
+        raise IndexError(f"basis index {alpha} outside 1..{cfg.max_order}")
+    return np.sqrt(2.0 * alpha - 1.0) * Legendre.basis(alpha - 1)
+
+
+def _mapped(cfg: BasisConfig, xi):
+    return (2.0 * np.asarray(xi, dtype=float) - cfg.lo - cfg.hi) / (cfg.hi - cfg.lo)
+
+
+def legendre_psi(cfg: BasisConfig, alpha: int, xi):
+    """Value of ``psi_alpha`` at ``xi`` (scalar or array), by numpy's
+    Legendre series; IndexError when alpha is outside 1..max_order."""
+    val = _legendre_series(cfg, alpha)(_mapped(cfg, xi))
+    return float(val) if np.ndim(xi) == 0 else val
+
+
+def legendre_dpsi(cfg: BasisConfig, alpha: int, xi):
+    """Derivative of ``psi_alpha`` at ``xi``: the series' derivative times
+    the chain-rule factor 2 / (hi - lo) of the interval map."""
+    val = (_legendre_series(cfg, alpha).deriv()(_mapped(cfg, xi))
+           * (2.0 / (cfg.hi - cfg.lo)))
+    return float(val) if np.ndim(xi) == 0 else val
 
 
 def eval_tensor(cfg: BasisConfig, gamma, alphas, xi_vec):
@@ -53,7 +74,7 @@ def eval_tensor(cfg: BasisConfig, gamma, alphas, xi_vec):
     rows = xi_vec[None, :] if single else xi_vec
     out = np.ones(rows.shape[0])
     for i, a in zip(gamma, alphas):
-        out = out * eval_univariate(cfg, a, rows[:, i - 1])
+        out = out * legendre_psi(cfg, a, rows[:, i - 1])
     return float(out[0]) if single else out
 
 
@@ -186,3 +207,13 @@ def als_factor_lstsq(block, partial, w, target, beta: float) -> np.ndarray:
     if w is not None:
         psi = psi * w[:, None]
     return ls_solve(psi, target, beta)
+
+
+def kl_field(f: KLField, germ, x) -> np.ndarray:
+    """mean_value + sum_k sqrt(lambda_k) germ_k omega_k(x), one term at a
+    time, with omega_k interpolated linearly between its grid values."""
+    vals = np.full(np.shape(x), f.mean_value, dtype=float)
+    for k in range(f.nterms):
+        vals += np.sqrt(f.eigenvalues[k]) * germ[k] * np.interp(x, f.grid,
+                                                                 f.eigenfunctions[k])
+    return vals

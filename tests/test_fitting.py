@@ -22,8 +22,8 @@ from hdmrfit.fitting import (
 from hdmrfit.model import (HdmrModel, dense_design, enumerate_dense_indices, evaluate_model,
                            save_model)
 from hdmrfit.selection import SelectionConfig, glars_select
-from oracles import (als_factor_lstsq, build_sample_covariance, dense_mode_lstsq,
-                     eval_univariate_deriv, stack_block_covariance,
+from oracles import (als_factor_lstsq, block_sample_covariance, build_sample_covariance,
+                     dense_mode_lstsq, legendre_dpsi, stack_block_covariance,
                      stack_sample_covariance, wtls_denominators_dense, wtls_solve_dense)
 
 B = BasisConfig(lo=-1.0, hi=1.0, max_order=5)
@@ -243,7 +243,7 @@ def test_covariance_block_coordinate_part():
     xi = np.array([0.4, -0.2])
     lam = build_sample_covariance(xi, (1,), [(2,)],
                                   NoiseModel(s=0.1, s_u=0.0), 1.0, B)
-    d = eval_univariate_deriv(B, 2, 0.4)
+    d = legendre_dpsi(B, 2, 0.4)
     assert lam[0, 0] == pytest.approx(0.01 * d * d, rel=1e-12)
     assert lam[1, 1] == 0.0
 
@@ -252,13 +252,18 @@ def test_covariance_blocks_match_per_sample():
     ds, _ = uniform_set(20, 3, seed=16)
     u = np.linspace(1, 2, 20)
     nm = NoiseModel(s=0.05, s_u=0.1)
-    for dims, idx in (((2,), [(2,), (3,)]),
-                      ((1, 2, 3), enumerate_dense_indices((1, 2, 3), 4))):
-        blocks = covariance_blocks(with_u(ds, u), dims, idx, nm, B)
+    # one group, and a block whose groups (2,) and (1, 2) share dim 2
+    for block in ([((2,), [(2,), (3,)])],
+                  [((1, 2, 3), enumerate_dense_indices((1, 2, 3), 4))],
+                  [((2,), [(2,), (3,)]), ((1, 2), enumerate_dense_indices((1, 2), 4)),
+                   ((3,), [(2,)])]):
+        blocks = covariance_blocks(ds, block, nm, B, u)
+        p = sum(len(idx) for _, idx in block)
+        assert blocks.jac.shape == (20, p, len({d for dims, _ in block for d in dims}))
         for q in (0, 7, 19):
-            lam = build_sample_covariance(ds.xi[q], dims, idx, nm, u[q], B)
+            lam = block_sample_covariance(ds.xi[q], block, nm, u[q], B)
             jac = blocks.jac[q]
-            dense = np.zeros((len(idx) + 1, len(idx) + 1))
+            dense = np.zeros((p + 1, p + 1))
             dense[:-1, :-1] = jac @ jac.T
             dense[-1, -1] = blocks.value_var[q]
             assert np.max(np.abs(dense - lam)) <= 1e-12 * np.max(np.abs(lam))
@@ -271,7 +276,7 @@ def test_factored_denominators_match_dense_oracle(s, s_u, dims):
     u_ref = np.linspace(-1.5, 2.0, 40)
     nm = NoiseModel(s=s, s_u=s_u)
     idx = enumerate_dense_indices(dims, 4)
-    blocks = covariance_blocks(with_u(ds, np.ones(40)), dims, idx, nm, B, u_ref=u_ref)
+    blocks = covariance_blocks(ds, [(dims, idx)], nm, B, u_ref)
     assert blocks.jac.shape == (40, len(idx), len(dims))
     lam = stack_sample_covariance(ds, dims, idx, nm, B, u_ref=u_ref)
     g = rng_stream(19, 1)
@@ -288,7 +293,7 @@ def test_wtls_solve_matches_dense_oracle_on_pair_group():
     clean = 1.0 + tab[:, 0, 1] * tab[:, 2, 2] + 0.3 * tab[:, 0, 2]
     noisy = inject_noise(with_u(ds, clean), nm, seed=6)
     psi = dense_design(univariate_table(B, noisy.xi), (1, 3), idx)
-    blocks = covariance_blocks(noisy, (1, 3), idx, nm, B)
+    blocks = covariance_blocks(noisy, [((1, 3), idx)], nm, B, noisy.u)
     lam = stack_sample_covariance(noisy, (1, 3), idx, nm, B)
     c_ls = ls_solve(psi, noisy.u)
     c_ref = wtls_solve_dense(psi, noisy.u, lam, c0=c_ls)
@@ -367,8 +372,7 @@ def test_wtls_zero_noise_equals_ls():
     ds, tab = uniform_set(200, 2, seed=17)
     u = 1.2 * tab[:, 0, 1] - 0.4 * tab[:, 0, 2]
     psi = dense_design(tab, (1,), [(2,), (3,)])
-    blocks = covariance_blocks(with_u(ds, u), (1,), [(2,), (3,)],
-                               NoiseModel(), B)
+    blocks = covariance_blocks(ds, [((1,), [(2,), (3,)])], NoiseModel(), B, u)
     c_ls = ls_solve(psi, u)
     c_w = wtls_solve(psi, u, blocks)
     assert np.max(np.abs(c_ls - c_w)) < 1e-8
@@ -380,7 +384,7 @@ def test_wtls_objective_not_above_ls_start():
     noisy = inject_noise(with_u(ds, 1.0 + tab[:, 0, 1]), nm, seed=5)
     ntab = univariate_table(B, noisy.xi)
     psi = dense_design(ntab, (1,), [(2,), (3,)])
-    blocks = covariance_blocks(noisy, (1,), [(2,), (3,)], nm, B)
+    blocks = covariance_blocks(noisy, [((1,), [(2,), (3,)])], nm, B, noisy.u)
     lam = stack_sample_covariance(noisy, (1,), [(2,), (3,)], nm, B)
 
     def rho2(c):
@@ -411,7 +415,7 @@ def test_wtls_beats_ls_under_coordinate_noise():
         noisy = inject_noise(ds, nm, seed=seed)
         psi = dense_design(univariate_table(hb, noisy.xi), (1,), idx)
         c_ls = ls_solve(psi, noisy.u)
-        blocks = covariance_blocks(noisy, (1,), idx, nm, hb)
+        blocks = covariance_blocks(noisy, [((1,), idx)], nm, hb, noisy.u)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             c_w = wtls_solve(psi, noisy.u, blocks, c0=c_ls)
@@ -586,8 +590,13 @@ def test_robust_fit_builds_covariances_only_for_the_final_refit(monkeypatch):
     assert [m.dims for m in model.dense] == kept
     # every pass fits by least squares; after them one weighted TLS solve on
     # the 500 train + validation rows refits the kept dense modes together,
-    # with one covariance per kept dense mode
-    assert [(args[0].nq, args[1]) for args in covs] == [(500, g) for g in kept]
+    # with one covariance for the whole block, weighted by the least-squares
+    # model's prediction
+    assert len(covs) == 1
+    rows, block, _, _, u_ref = covs[0]
+    assert rows.nq == 500 and [dims for dims, _ in block] == kept
+    ls_model, _ = fit_hdmr(train, val, groups, replace(cfg, robust=False), B)
+    np.testing.assert_allclose(u_ref, evaluate_model(ls_model, rows.xi), rtol=1e-12)
     width = sum(len(m.indices) for m in model.dense)
     assert [args[0].shape for args in solves] == [(500, width)]
     assert diag.wtls_seconds > 0

@@ -13,7 +13,6 @@ from hdmrfit.model import (
     DenseMode,
     HdmrModel,
     dense_design,
-    dictionary_cardinality,
     enumerate_dense_indices,
     evaluate_model,
     load_model,
@@ -24,6 +23,7 @@ from hdmrfit.model import (
     total_sobol,
     variance_by_group,
 )
+from hdmrfit.selection import SelectionConfig, _group_classes
 from oracles import eval_tensor
 
 B = BasisConfig(lo=-1.0, hi=1.0, max_order=6)
@@ -59,14 +59,24 @@ def test_enumeration_is_lexicographic():
 
 
 def test_cardinality_pinned_examples():
-    assert dictionary_cardinality(2, 2, 1, 1, 1) == 5
-    assert dictionary_cardinality(3, 2, 2, 1, 1) == 19
-    assert dictionary_cardinality(8, 8, 3, 3, 1) == 3985
+    # coefficients of the selection dictionary: the constant plus, per
+    # cardinality l <= ninter, comb(nd, l) groups of comb(no, l) predictors
+    def size(nd, no, ninter):
+        classes = _group_classes(nd, SelectionConfig(nolars=no, ninter=ninter))
+        return 1 + sum(len(idx) * len(groups) for idx, groups in classes)
+
+    assert size(2, 2, 1) == 5
+    assert size(3, 2, 2) == 10
+    assert size(8, 8, 3) == 3985
+    # the acceptance suite's scan-timing pair
+    assert (size(24, 4, 3), size(30, 4, 3)) == (9849, 18971)
 
 
 def test_cardinality_rejects_bad_thresholds():
-    with pytest.raises(ValueError):
-        dictionary_cardinality(3, 2, 4, 1, 1)
+    # a model needs 0 <= npc <= ninter <= nd
+    for npc, ninter in ((1, 4), (2, 1), (-1, 1)):
+        with pytest.raises(ValueError, match="N_PC"):
+            HdmrModel(f0=0.0, basis=B, nd=3, no=2, ninter=ninter, npc=npc, nr=1)
 
 
 def test_evaluate_single_and_batch():
@@ -270,6 +280,18 @@ def test_load_rejects_fractional_dims_and_indices(tmp_path, field, value):
     doc["dense"][0][field] = value
     p.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="malformed model document"):
+        load_model(p)
+
+
+def test_load_rejects_unknown_basis_family(tmp_path):
+    # the family is always written as "legendre" and no other loads
+    p = tmp_path / "m.json"
+    save_model(small_model(), p)
+    doc = json.loads(p.read_text())
+    assert doc["basis"]["family"] == "legendre"
+    doc["basis"]["family"] = "hermite"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"m\.json.*unsupported basis family 'hermite'"):
         load_model(p)
 
 

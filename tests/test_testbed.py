@@ -6,10 +6,10 @@ from hdmrfit.testbed import (
     DiffusionConfig,
     generate_dataset,
     kl_eigendecompose,
-    sample_field,
     save_spectrum,
     solve_diffusion,
 )
+from oracles import kl_field
 
 
 def test_eigenvalues_sorted_and_nonnegative():
@@ -48,30 +48,6 @@ def test_canonical_signs_are_reproducible():
     a = kl_eigendecompose(0.7, 0.3, (0.0, 1.0), 200, 6)
     b = kl_eigendecompose(0.7, 0.3, (0.0, 1.0), 200, 6)
     assert np.array_equal(a.eigenfunctions, b.eigenfunctions)
-
-
-def test_sample_field_mean_at_zero_germ():
-    f = kl_eigendecompose(0.7, 0.3, (0.0, 1.0), 200, 6, mean_value=2.5)
-    x = np.linspace(0, 1, 11)
-    vals = sample_field(f, np.zeros(6), x)
-    assert np.allclose(vals, 2.5, atol=1e-14)
-
-
-def test_sample_field_linear_in_germ():
-    f = kl_eigendecompose(0.7, 0.3, (0.0, 1.0), 200, 6, mean_value=1.0)
-    x = np.array([0.25, 0.75])
-    g = np.array([1.0, -0.5, 0.0, 0.2, 0.0, 0.0])
-    a = sample_field(f, g, x) - sample_field(f, np.zeros(6), x)
-    b = sample_field(f, 2 * g, x) - sample_field(f, np.zeros(6), x)
-    assert np.allclose(b, 2 * a, atol=1e-12)
-
-
-def test_sample_field_scalar_point():
-    f = kl_eigendecompose(0.7, 0.3, (0.0, 1.0), 200, 4)
-    v = sample_field(f, np.zeros(4), 0.5)
-    assert isinstance(v, float)
-    with pytest.raises(ValueError):
-        sample_field(f, np.zeros(4), 1.5)
 
 
 def test_diffusion_unit_conductivity_parabola():
@@ -159,8 +135,8 @@ def test_dataset_responses_match_direct_solve():
     nu_f, f_f = cfg.fields()
     x = np.linspace(0, 1, cfg.m_x + 1)
     for q in range(5):
-        nu = sample_field(nu_f, ds.xi[q, :2], x)
-        ff = sample_field(f_f, ds.xi[q, 2:], x)
+        nu = kl_field(nu_f, ds.xi[q, :2], x)
+        ff = kl_field(f_f, ds.xi[q, 2:], x)
         u = solve_diffusion(nu, ff, cfg.u_minus, cfg.u_plus, cfg.m_x)
         assert ds.u[q] == pytest.approx(float(np.interp(0.5, x, u)), abs=1e-12)
 
@@ -174,7 +150,7 @@ def test_conductivity_stays_positive_over_germ_box():
     worst = np.inf
     for _ in range(200):
         germ = g.integers(0, 2, size=5).astype(float)  # corners
-        worst = min(worst, sample_field(nu_f, germ, x).min())
+        worst = min(worst, kl_field(nu_f, germ, x).min())
     assert worst > 0
 
 

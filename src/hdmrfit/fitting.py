@@ -17,12 +17,18 @@ raises ValueError.
 
 One ``_fit_passes`` call (the driver behind ``fit_hdmr``) owns everything its
 refits reuse, for the life of that call and no longer: the univariate tables
-over the columns its groups touch, and one ``_ActiveMode`` per mode that
-holds the train and validation designs (dense) or factor blocks (CP), plus
-for a dense mode the least-squares operator of its row-weighted design. A
-dense refit is then two matrix-vector products, and an ALS step solves a
-small Gram system. Nothing is cached between calls; ``fit_dense_mode`` and
-``fit_cp_mode`` build one ``_ActiveMode`` for a single refit.
+over the columns its groups touch, one ``_ActiveMode`` per mode that holds
+the train and validation designs (dense) or factor blocks (CP), and one
+``_DenseBlock`` that fits ``f0`` and every dense mode together as one
+least-squares problem, through an orthonormal basis of its columns that
+grows as modes enter. A CP mode enters by greedy rank-by-rank ALS; each
+later refit of it is one joint-rank ALS sweep (Kolda & Bader 2009, 3.4),
+whose step for one dimension solves one small Gram system for that
+dimension's factors of all ranks. A pass with no CP mode is one solve of
+the block; with CP modes, update sweeps alternate a block solve with a
+refit of each CP mode, each an exact minimum over its own coefficients, so
+the training residual does not rise. Nothing is cached between calls;
+``fit_dense_mode`` and ``fit_cp_mode`` build what one fit needs.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from .model import (
     HdmrModel,
     _cp_blocks,
     _cp_values,
+    _grow_basis,
     dense_design,
     enumerate_dense_indices,
     evaluate_model,
@@ -69,15 +76,15 @@ _TINY = 1e-300
 # tol (relative), or at its cap
 _ALS_TOL = 1e-8                 # ALS sweeps of one CP rank
 _ALS_MAX_SWEEPS = 100
-_UPDATE_SWEEPS_TOL = 1e-6       # cyclic refits of all active modes per pass
+_UPDATE_SWEEPS_TOL = 1e-6       # alternating refits of a pass with CP modes
 _MAX_UPDATE_SWEEPS = 20
 _WTLS_TOL = 1e-10               # reweighting iterations of wtls_solve
 _WTLS_MAX_ITER = 50
-# an ALS subproblem is solved through its Gram while the Cholesky pivots stay
-# within this ratio of each other, and by ls_solve otherwise: the Gram
-# squares the design's condition number. On ALS-shaped probes the Gram
-# solution stayed within 1e-9 of lstsq above the ratio (1e-7 at 1e-3); the
-# benchmark workloads' subproblems never go below 0.37.
+# an ALS subproblem is solved through its Gram, with the columns scaled to
+# unit norm, while the Cholesky pivots stay within this ratio of each other,
+# and by ls_solve otherwise: the Gram squares the design's condition number.
+# On ALS-shaped probes the Gram solution stayed within 1e-9 of lstsq above
+# the ratio (1e-7 at 1e-3).
 _GRAM_MIN_PIVOT_RATIO = 1e-2
 
 
@@ -143,28 +150,13 @@ def ls_solve(psi, r, beta: float = 0.0) -> np.ndarray:
     return c
 
 
-def _lstsq_operator(psi, beta: float) -> np.ndarray:
-    """Matrix P with P @ r == ls_solve(psi, r, beta) for every r.
-
-    One SVD of psi, stacked over beta * I when beta > 0, cut off where
-    numpy.linalg.lstsq(rcond=None) cuts off (eps * max(n, p) * sigma_max),
-    so rank-deficient designs still get the minimum-norm solution.
-    """
-    _check_finite(psi)
-    n, p = psi.shape
-    a = np.vstack([psi, beta * np.eye(p)]) if beta > 0 else psi
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    keep = s > np.finfo(float).eps * max(a.shape) * s[0]
-    return (vt[keep].T / s[keep]) @ u[:n, keep].T
-
-
 def fit_dense_mode(gamma, train: SampleSet, cfg: FitConfig, basis: BasisConfig,
                    row_weights=None) -> DenseMode:
     """Least-squares fit of one dense mode to train.u, refitted by weighted
     TLS when ``cfg`` is robust.
 
-    The least-squares fit is one ``_fit_passes`` refit on its own: one
-    ``_ActiveMode`` built and refitted once for this call. A robust ``cfg``
+    The least-squares fit is one ``_DenseBlock`` of this mode alone (no
+    ``f0``), built and solved once for this call. A robust ``cfg``
     then runs ``fit_hdmr``'s weighted TLS refit on a block of this one mode,
     whose value-noise variance comes from the least-squares prediction. The
     errors-in-variables path applies to plain rows only, so a robust ``cfg``
@@ -189,8 +181,8 @@ def fit_cp_mode(gamma, train: SampleSet, cfg: FitConfig, basis: BasisConfig,
 
     Each rank starts from seeded uniform draws in [-1, 1], then cycles the
     dimensions solving the exact least-squares subproblem for one factor
-    block at a time. This is one ``_fit_passes`` refit on its own, like
-    ``fit_dense_mode``.
+    block at a time. This is the entry fit of a CP mode in ``_fit_passes``,
+    on its own.
     """
     gamma = tuple(int(d) for d in gamma)
     _check_cp_range(gamma, cfg)
@@ -201,8 +193,13 @@ def _fit_one(gamma, train, cfg, basis, row_weights):
     # the table spans every column of train.xi, so a group's columns are its dims
     table = univariate_table(fit_basis(basis, cfg), train.xi)
     w = _vector(_check_row_weights(row_weights, train.nq), np.ones(train.nq))
-    am = _ActiveMode(gamma, gamma, cfg, table, None, w)
-    am.refit(train.u, cfg, w)
+    am = _ActiveMode(gamma, gamma, cfg, table, None)
+    if am.kind == "dense":
+        block = _DenseBlock(w, cfg.beta, with_f0=False)
+        block.add(am)
+        block.solve(train.u)
+    else:
+        am.refit(train.u, cfg, w)
     return am.mode()
 
 
@@ -219,8 +216,9 @@ def _check_cp_range(gamma, cfg: FitConfig) -> None:
         )
 
 
-def _cp_factors(gamma, residual, blocks_t, cfg: FitConfig, w, init) -> np.ndarray:
-    # rank-by-rank ALS on per-dimension design blocks over orders 2..no
+def _cp_factors(gamma, residual, blocks_t, cfg: FitConfig, w) -> np.ndarray:
+    # rank-by-rank ALS on per-dimension design blocks over orders 2..no, each
+    # rank from seeded draws, redrawn once if its factor values vanish
     card = len(gamma)
     nord = cfg.no - 1
     factors = np.zeros((cfg.nr, card, nord))
@@ -229,11 +227,8 @@ def _cp_factors(gamma, residual, blocks_t, cfg: FitConfig, w, init) -> np.ndarra
         if float(np.linalg.norm(target)) == 0.0:
             break
         for attempt in (0, 1):
-            if init is not None and attempt == 0:
-                fac = np.array(init[rank], dtype=float)
-            else:
-                g = rng_stream(cfg.seed, 4, *gamma, rank, attempt)
-                fac = g.uniform(-1.0, 1.0, size=(card, nord))
+            g = rng_stream(cfg.seed, 4, *gamma, rank, attempt)
+            fac = g.uniform(-1.0, 1.0, size=(card, nord))
             fac, contr = _als_rank(target, blocks_t, fac, w, cfg.beta)
             if fac is not None:
                 break
@@ -277,36 +272,68 @@ def _als_rank(target, blocks_t, fac, w, beta: float):
     return fac, contr
 
 
+def _cp_sweep(target, blocks_t, factors, w, beta: float) -> np.ndarray:
+    """One joint-rank ALS sweep of a CP mode: for each dimension in turn, the
+    factors of all ranks by one least-squares solve, the other dimensions'
+    factors held. A rank whose other factors vanish has no columns and gets
+    zero factors, the minimum-norm choice."""
+    nr, card, nord = factors.shape
+    factors = factors.copy()
+    vals = [blocks_t[i] @ factors[:, i].T for i in range(card)]
+    for i in range(card):
+        partial = np.repeat(w[:, None], nr, axis=1)
+        for j in range(card):
+            if j != i:
+                partial *= vals[j]
+        live = np.flatnonzero(np.any(partial, axis=0))
+        factors[:, i] = 0.0
+        if live.size:
+            # columns rank by rank: block i scaled by that rank's partial product
+            psi = blocks_t[i][:, None, :] * partial[:, live, None]
+            c = _gram_solve(psi.reshape(target.shape[0], -1), target, beta)
+            factors[live, i] = c.reshape(live.size, nord)
+        vals[i] = blocks_t[i] @ factors[:, i].T
+    return factors
+
+
 def _gram_solve(psi, r, beta: float) -> np.ndarray:
     """ls_solve(psi, r, beta) for a tall design with few columns, through
-    the Cholesky factor of psi'psi + beta^2 I; ls_solve itself when that
-    Gram is not numerically positive definite."""
+    the Cholesky factor of psi'psi + beta^2 I with its columns scaled to unit
+    norm; ls_solve itself when that Gram is not numerically positive
+    definite. The scaling keeps columns of very different norms, such as
+    the factors of a strong and a weak rank, from failing the pivot test."""
     g = psi.T @ psi
+    d = np.sqrt(g.diagonal())
+    d[d == 0.0] = 1.0
+    g /= np.outer(d, d)
     if beta > 0:
-        g[np.diag_indices_from(g)] += beta * beta
+        g[np.diag_indices_from(g)] += (beta / d) ** 2
     # LAPACK potrf flags a non-positive or NaN pivot with info > 0; a NaN
     # pivot also fails the ratio test, so non-finite systems reach ls_solve
     low, info = dpotrf(g, lower=1, clean=0)
     if info == 0:
         piv = low.diagonal()
         if piv.min() > _GRAM_MIN_PIVOT_RATIO * piv.max():
-            c, info = dpotrs(low, psi.T @ r, lower=1)
+            c, info = dpotrs(low, (psi.T @ r) / d, lower=1)
             if info == 0:
-                return c
+                return c / d
     return ls_solve(psi, r, beta)
 
 
 @dataclass(frozen=True)
 class PassRecord:
     """One driver pass: the group added, training residual norm after the
-    update sweeps, the validation error (nan without a validation set) and
-    the number of update sweeps the pass ran."""
+    update sweeps, the validation error (nan without a validation set), the
+    number of update sweeps the pass ran (0 without a CP mode, where the
+    pass is one solve of the dense block) and whether they stopped at the
+    sweep cap rather than at their tolerance."""
 
     s: int
     dims: Group | None
     train_residual_norm: float
     cv_eps: float
     update_sweeps: int
+    capped: bool = False
 
 
 @dataclass
@@ -329,13 +356,13 @@ class FitDiagnostics:
 
 def save_diagnostics(diag: FitDiagnostics, path) -> None:
     """CSV export: pass, dims (semicolon-joined), train residual norm, CVeps,
-    update sweeps."""
+    update sweeps, capped (0 or 1)."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("pass,dims,train_residual_norm,cv_eps,update_sweeps\n")
+        fh.write("pass,dims,train_residual_norm,cv_eps,update_sweeps,capped\n")
         for rec in diag.records:
             dims = ";".join(str(d) for d in rec.dims) if rec.dims else ""
             fh.write(f"{rec.s},{dims},{rec.train_residual_norm!r},{rec.cv_eps!r},"
-                     f"{rec.update_sweeps}\n")
+                     f"{rec.update_sweeps},{int(rec.capped)}\n")
 
 
 class _ActiveMode:
@@ -344,17 +371,17 @@ class _ActiveMode:
     Built when its group enters a pass and kept for the rest of the call;
     ``at`` gives the group's columns in the call's tables (``vtable`` is the
     validation rows' table, or None). A dense mode holds its train and
-    validation designs and the least-squares operator ``lsq`` of its
-    row-weighted train design; a CP mode holds its train and validation
-    factor blocks. ``params`` are the current coefficients (dense) or
+    validation designs, and the call's ``_DenseBlock`` sets its
+    coefficients; a CP mode holds its train and validation factor blocks and
+    refits itself. ``params`` are the current coefficients (dense) or
     factors (CP), and ``values`` the mode's unweighted values at the
     training rows.
     """
 
-    __slots__ = ("dims", "kind", "indices", "design", "vdesign", "lsq",
+    __slots__ = ("dims", "kind", "indices", "design", "vdesign",
                  "blocks", "vblocks", "params", "values")
 
-    def __init__(self, dims, at, cfg: FitConfig, table, vtable, w):
+    def __init__(self, dims, at, cfg: FitConfig, table, vtable):
         self.dims = dims
         self.kind = "dense" if len(dims) <= cfg.npc else "cp"
         self.params = None
@@ -364,19 +391,18 @@ class _ActiveMode:
             self.design = dense_design(table, at, self.indices)
             self.vdesign = None if vtable is None else dense_design(vtable, at,
                                                                     self.indices)
-            self.lsq = _lstsq_operator(self.design * w[:, None], cfg.beta)
         else:
             _check_cp_range(dims, cfg)
             self.blocks = [np.ascontiguousarray(b) for b in _cp_blocks(table, at, cfg.no)]
             self.vblocks = None if vtable is None else _cp_blocks(vtable, at, cfg.no)
 
     def refit(self, r, cfg, w) -> None:
-        if self.kind == "dense":
-            self.params = self.lsq @ r
-            self.values = self.design @ self.params
+        # a CP mode's refit: greedy ALS on entry, one joint-rank sweep after
+        if self.params is None:
+            self.params = _cp_factors(self.dims, r, self.blocks, cfg, w)
         else:
-            self.params = _cp_factors(self.dims, r, self.blocks, cfg, w, self.params)
-            self.values = _cp_values(self.blocks, self.params)
+            self.params = _cp_sweep(r, self.blocks, self.params, w, cfg.beta)
+        self.values = _cp_values(self.blocks, self.params)
 
     def val_values(self) -> np.ndarray:
         if self.kind == "dense":
@@ -389,16 +415,91 @@ class _ActiveMode:
         return CPMode(self.dims, self.params)
 
 
+class _DenseBlock:
+    """``f0`` (when ``with_f0``) and the dense modes of one fit as one
+    least-squares problem: minimize ||r - w * (f0 + sum_m psi_m c_m)||^2 +
+    beta^2 sum_m ||c_m||^2, with ``f0`` unridged.
+
+    ``q`` is an orthonormal basis of the block's row-weighted columns,
+    stacked over beta * I rows for the dense columns when beta > 0, and
+    ``cmap`` maps coordinates in ``q`` to coefficients, so a solve is the two
+    matrix-vector products cmap @ (q' r). Both grow as modes enter: new
+    columns A = q h + u s v' (``_grow_basis``) add u to ``q`` and the
+    columns [-cmap h v s^-1 ; v s^-1] to ``cmap``, the inverse of the
+    block-triangular factor. Directions dependent on earlier columns, or
+    within a mode, are dropped and get no coefficient; for a mode alone that
+    is lstsq's minimum-norm solution.
+    """
+
+    def __init__(self, w, beta: float, with_f0: bool):
+        self.w = w
+        self.beta = beta
+        self.q = np.empty((w.shape[0], 0))
+        self.cmap = np.empty((0, 0))
+        self.modes: list[_ActiveMode] = []
+        self.with_f0 = with_f0
+        self.f0 = 0.0
+        if with_f0:
+            self._extend(w[:, None], 0.0)
+
+    def add(self, mode: _ActiveMode) -> None:
+        self._extend(mode.design * self.w[:, None], self.beta)
+        self.modes.append(mode)
+
+    def _extend(self, cols, beta: float) -> None:
+        _check_finite(cols)
+        nq, p = cols.shape
+        pad = self.q.shape[0] - nq
+        if beta > 0:
+            # the new columns' ridge rows go below every earlier row
+            self.q = np.vstack([self.q, np.zeros((p, self.q.shape[1]))])
+            cols = np.vstack([cols, np.zeros((pad, p)), beta * np.eye(p)])
+        elif pad:
+            cols = np.vstack([cols, np.zeros((pad, p))])
+        # lstsq's cutoff eps * max(n, P) * sigma_max, with the largest column
+        # norm standing in for sigma_max
+        scale = float(np.sqrt((cols * cols).sum(axis=0).max()))
+        u, h, sv, vt = _grow_basis(self.q, cols,
+                                   np.finfo(float).eps * max(cols.shape) * scale)
+        inv = vt.T / sv
+        k = self.q.shape[1]
+        self.cmap = np.block([[self.cmap, -self.cmap @ (h @ inv)],
+                              [np.zeros((p, k)), inv]])
+        self.q = np.concatenate((self.q, u), axis=1)
+
+    def solve(self, r) -> None:
+        """Fit ``f0`` and every dense mode's coefficients to r."""
+        c = self.cmap @ (self.q[: r.shape[0]].T @ r)
+        start = 0
+        if self.with_f0:
+            self.f0 = float(c[0])
+            start = 1
+        for m in self.modes:
+            end = start + len(m.indices)
+            m.params = c[start:end]
+            m.values = m.design @ m.params
+            start = end
+
+    def values(self) -> np.ndarray:
+        # f0 plus the dense modes' values at the training rows, unweighted
+        return self.f0 + _total(self.modes, self.w.shape[0])
+
+
 def _vector(v, default):
     return default if v is None else np.asarray(v, dtype=float).ravel()
 
 
 def _total(modes, n: int) -> np.ndarray:
-    # sum of the active modes' values at the training rows
+    # sum of the modes' values at the training rows
     tot = np.zeros(n)
     for m in modes:
         tot += m.values
     return tot
+
+
+def _residual_norm(u, w, fitted) -> float:
+    # training residual norm of unweighted model values ``fitted``
+    return float(np.linalg.norm(u - w * fitted))
 
 
 def merge_train_validation(train: SampleSet, validation: SampleSet,
@@ -509,7 +610,6 @@ def _fit_passes(train, validation, groups, cfg, basis, row_weights,
     table = univariate_table(fbasis, train.xi[:, [d - 1 for d in cols]])
     u = train.u
     w = _vector(_check_row_weights(row_weights, train.nq), np.ones(train.nq))
-    wsq = float(w @ w)
 
     have_val = validation is not None
     vtable = None
@@ -523,20 +623,20 @@ def _fit_passes(train, validation, groups, cfg, basis, row_weights,
             warnings.warn("validation values are identically zero: no early stopping")
             have_val = False
 
-    modes: list[_ActiveMode] = []
+    block = _DenseBlock(w, cfg.beta, with_f0=True)
+    cps: list[_ActiveMode] = []
 
-    def cv_eps(f0):
+    def cv_eps():
         if not have_val:
             return float("nan")
         tot = np.zeros(validation.nq)
-        for m in modes:
+        for m in block.modes + cps:
             tot += m.val_values()
-        return float(np.linalg.norm(uval - wv * (f0 + tot)) / val_norm)
+        return float(np.linalg.norm(uval - wv * (block.f0 + tot)) / val_norm)
 
-    f0 = float(w @ u) / wsq
-    r0 = float(np.linalg.norm(u - w * f0))
-    eps0 = cv_eps(f0)
-    records = [PassRecord(0, None, r0, eps0, 0)]
+    block.solve(u)
+    eps0 = cv_eps()
+    records = [PassRecord(0, None, _residual_norm(u, w, block.values()), eps0, 0)]
     best_eps, best_s = (eps0, 0) if have_val else (np.inf, len(groups))
     prev_eps, inc = eps0, 0
     unique = set()
@@ -547,15 +647,18 @@ def _fit_passes(train, validation, groups, cfg, basis, row_weights,
             raise ValueError(f"group {dims} appears twice in the path")
         unique.add(dims)
         am = _ActiveMode(dims, tuple(at[d] for d in dims), cfg, table,
-                         vtable if have_val else None, w)
-        am.refit(u - w * (f0 + _total(modes, train.nq)), cfg, w)
-        modes.append(am)
+                         vtable if have_val else None)
+        if am.kind == "dense":
+            block.add(am)
+            block.solve(u - w * _total(cps, train.nq))
+        else:
+            am.refit(u - w * (block.values() + _total(cps, train.nq)), cfg, w)
+            cps.append(am)
 
-        sweeps = _update_sweeps(modes, u, cfg, w, wsq, f0)
-        f0 = float(w @ (u - w * _total(modes, train.nq))) / wsq
-        rnorm = float(np.linalg.norm(u - w * (f0 + _total(modes, train.nq))))
-        eps = cv_eps(f0)
-        records.append(PassRecord(s, dims, rnorm, eps, sweeps))
+        sweeps, capped = _update_sweeps(block, cps, u, cfg, w)
+        rnorm = _residual_norm(u, w, block.values() + _total(cps, train.nq))
+        eps = cv_eps()
+        records.append(PassRecord(s, dims, rnorm, eps, sweeps, capped))
 
         if have_val:
             inc = inc + 1 if eps > prev_eps else 0
@@ -565,30 +668,35 @@ def _fit_passes(train, validation, groups, cfg, basis, row_weights,
             if inc >= 2:
                 break
 
-    retained = best_s if have_val else len(modes)
     model = HdmrModel(
-        f0=f0, basis=fbasis, nd=train.nd, no=cfg.no, ninter=cfg.ninter,
+        f0=block.f0, basis=fbasis, nd=train.nd, no=cfg.no, ninter=cfg.ninter,
         npc=cfg.npc, nr=cfg.nr,
-        dense=[m.mode() for m in modes if m.kind == "dense"],
-        cp=[m.mode() for m in modes if m.kind == "cp"],
+        dense=[m.mode() for m in block.modes],
+        cp=[m.mode() for m in cps],
     )
-    return model, FitDiagnostics(records=records, retained=retained)
+    # without validation rows best_s stays at len(groups): every group is kept
+    return model, FitDiagnostics(records=records, retained=best_s)
 
 
-def _update_sweeps(modes, u, cfg, w, wsq, f0):
-    # cyclic refits of every active mode; returns the number of sweeps run
+def _update_sweeps(block, cps, u, cfg, w):
+    """Alternate a solve of the dense block with a joint-rank ALS sweep of
+    each CP mode until the training residual settles; returns (sweeps run,
+    whether they stopped at the cap). Without a CP mode the block is solved
+    already and no sweep runs."""
+    if not cps:
+        return 0, False
     nq = u.shape[0]
-    prev = float(np.linalg.norm(u - w * (f0 + _total(modes, nq))))
-    sweeps = 0
+    prev = _residual_norm(u, w, block.values() + _total(cps, nq))
     for sweeps in range(1, _MAX_UPDATE_SWEEPS + 1):
-        f0 = float(w @ (u - w * _total(modes, nq))) / wsq
-        for m in modes:
-            m.refit(u - w * (f0 + _total(modes, nq) - m.values), cfg, w)
-        cur = float(np.linalg.norm(u - w * (f0 + _total(modes, nq))))
+        block.solve(u - w * _total(cps, nq))
+        dense = block.values()
+        for m in cps:
+            m.refit(u - w * (dense + _total(cps, nq) - m.values), cfg, w)
+        cur = _residual_norm(u, w, dense + _total(cps, nq))
         if abs(prev - cur) <= _UPDATE_SWEEPS_TOL * max(cur, _TINY):
-            break
+            return sweeps, False
         prev = cur
-    return sweeps
+    return _MAX_UPDATE_SWEEPS, True
 
 
 def relative_error(model, test: SampleSet) -> float:

@@ -166,6 +166,12 @@ class HdmrModel:
             )
         for m in self.dense:
             _check_dims(m.dims, self.nd)
+            top = max((max(idx) for idx in m.indices), default=1)
+            if top > self.basis.max_order:
+                raise ValueError(
+                    f"dense mode on {m.dims} uses basis function {top}, "
+                    f"beyond the basis max_order {self.basis.max_order}"
+                )
         for m in self.cp:
             _check_dims(m.dims, self.nd)
             if m.factors.shape[2] != self.no - 1:
@@ -196,6 +202,25 @@ def dense_design(table: np.ndarray, dims, indices) -> np.ndarray:
         for d, a in zip(dims, idx):
             cols[..., k] *= table[:, d, a - 1].T
     return cols
+
+
+def _grow_basis(q, cols, cutoff: float):
+    """Extend q, an orthonormal basis, by the span of ``cols``.
+
+    Classical Gram-Schmidt with one reorthogonalization, then a thin SVD of
+    the remainder, keeping the directions whose singular value exceeds
+    ``cutoff`` (Golub & Van Loan, Matrix Computations, 4th ed., 6.5).
+    Returns (u, h, s, vt): the new orthonormal columns u, and h = q' cols
+    with cols = q h + u diag(s) vt up to the dropped directions.
+    """
+    h = np.zeros((q.shape[1], cols.shape[1]))
+    for _ in range(2):
+        step = q.T @ cols
+        cols = cols - q @ step
+        h += step
+    u, s, vt = np.linalg.svd(cols, full_matrices=False)
+    keep = s > cutoff
+    return u[:, keep], h, s[keep], vt[keep]
 
 
 def _cp_blocks(table: np.ndarray, dims: Group, no: int) -> list[np.ndarray]:

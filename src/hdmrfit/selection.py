@@ -21,7 +21,7 @@ import numpy as np
 
 from .basis import BasisConfig, univariate_table
 from .data import SampleSet, _check_row_weights
-from .model import Group, dense_design, enumerate_dense_indices
+from .model import Group, _grow_basis, dense_design, enumerate_dense_indices
 
 __all__ = [
     "SelectionConfig",
@@ -213,14 +213,11 @@ def _quadratic_step(uu, uw, ww, c_score):
 
 def _direction(q, cols, r):
     """Extend q, an orthonormal basis of the active span, by a group's
-    orthonormal columns (classical Gram-Schmidt with one reorthogonalization,
-    then a thin SVD of the remainder); return it and v = q q' r, lstsq's fit
-    of r. A direction joins q if its singular value clears eps * nq, lstsq's
-    cutoff eps * max(nq, P) * sigma_max for unit columns and P < nq."""
-    for _ in range(2):
-        cols = cols - q @ (q.T @ cols)
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    q = np.concatenate((q, u[:, s > np.finfo(float).eps * q.shape[0]]), axis=1)
+    orthonormal columns (``_grow_basis``); return it and v = q q' r, lstsq's
+    fit of r. A direction joins q if its singular value clears eps * nq,
+    lstsq's cutoff eps * max(nq, P) * sigma_max for unit columns and P < nq."""
+    u, *_ = _grow_basis(q, cols, np.finfo(float).eps * q.shape[0])
+    q = np.concatenate((q, u), axis=1)
     return q, q @ (q.T @ r)
 
 

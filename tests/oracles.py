@@ -8,8 +8,11 @@ the pointwise forms of a ``dense_design`` column and of
 groups side by side, as the weighted TLS refit of a robust fit uses it.
 The least-squares oracles rebuild the design and solve it by ``ls_solve``
 (an SVD ``lstsq``) every time, as the coefficient passes once did: they
-check the cached dense-mode operator and the Gram solves of the ALS
-subproblems. The weighted TLS oracle works on the dense (Nq, p+1, p+1)
+check the grown dense block and the Gram solves of the ALS subproblems.
+``backfit`` is the coefficient passes as they once ran: per-mode
+backfitting, with a CP mode refitted by greedy rank-by-rank ALS
+warm-started from its previous factors; the joint dense block must reach
+its limit. The weighted TLS oracle works on the dense (Nq, p+1, p+1)
 covariance blocks, stacked one sample at a time, that the factored form in
 ``fitting`` replaces. The selection path's direction oracle runs one lstsq
 on all active columns at every step: it checks the orthonormal basis of the
@@ -24,9 +27,10 @@ from numpy.polynomial.legendre import Legendre
 
 from hdmrfit import fitting
 from hdmrfit.basis import BasisConfig, univariate_deriv_table, univariate_table
-from hdmrfit.data import NoiseModel, SampleSet
-from hdmrfit.fitting import ls_solve
-from hdmrfit.model import dense_design
+from hdmrfit.data import NoiseModel, SampleSet, rng_stream
+from hdmrfit.fitting import FitConfig, fit_basis, ls_solve
+from hdmrfit.model import (CPMode, DenseMode, HdmrModel, _cp_blocks, _cp_values,
+                           dense_design, enumerate_dense_indices)
 from hdmrfit.testbed import KLField
 
 
@@ -207,6 +211,82 @@ def als_factor_lstsq(block, partial, w, target, beta: float) -> np.ndarray:
     if w is not None:
         psi = psi * w[:, None]
     return ls_solve(psi, target, beta)
+
+
+def greedy_cp_refit(gamma, residual, blocks, cfg: FitConfig, w, init=None):
+    """Rank-by-rank ALS of a CP mode, each rank fitted to what the earlier
+    ranks leave and started from its ``init`` factors; a rank without them,
+    or whose factor values vanish, starts from the seeded draws of
+    ``fitting._cp_factors``, the cold start (``init=None``)."""
+    factors = np.zeros((cfg.nr, len(gamma), cfg.no - 1))
+    target = residual.copy()
+    for rank in range(cfg.nr):
+        if float(np.linalg.norm(target)) == 0.0:
+            break
+        for attempt in (0, 1):
+            if init is not None and attempt == 0:
+                fac = np.array(init[rank], dtype=float)
+            else:
+                g = rng_stream(cfg.seed, 4, *gamma, rank, attempt)
+                fac = g.uniform(-1.0, 1.0, size=factors.shape[1:])
+            fac, contr = fitting._als_rank(target, blocks, fac, w, cfg.beta)
+            if fac is not None:
+                factors[rank] = fac
+                target = target - contr
+                break
+    return factors
+
+
+def backfit(train: SampleSet, groups, cfg: FitConfig, basis: BasisConfig,
+            row_weights=None, max_sweeps=20, tol=1e-6) -> HdmrModel:
+    """The coefficient passes by backfitting, with no validation rows.
+
+    Each group enters fitted to the current residual; then every pass
+    cycles f0 (the weighted mean of its residual) and each mode in turn,
+    refitted to its partial residual: a dense mode by ``ls_solve`` of its
+    rebuilt row-weighted design, a CP mode by greedy rank-by-rank ALS from
+    its previous factors. A pass stops once the training residual norm
+    changes by at most ``tol`` (relative), or after ``max_sweeps``.
+    """
+    table = univariate_table(fit_basis(basis, cfg), train.xi)
+    u = train.u
+    w = np.ones(train.nq) if row_weights is None else np.asarray(row_weights, float)
+    dense, cps = {}, {}
+    values = {}
+
+    def refit(dims, r):
+        if len(dims) <= cfg.npc:
+            idx = enumerate_dense_indices(dims, cfg.no)
+            dense[dims] = dense_mode_lstsq(table, dims, idx, w, r, cfg.beta)
+            values[dims] = dense_design(table, dims, idx) @ dense[dims]
+        else:
+            blocks = [np.ascontiguousarray(b) for b in _cp_blocks(table, dims, cfg.no)]
+            cps[dims] = greedy_cp_refit(dims, r, blocks, cfg, w, cps.get(dims))
+            values[dims] = _cp_values(blocks, cps[dims])
+
+    def total():
+        return sum(values.values(), np.zeros(train.nq))
+
+    f0 = float(w @ u) / float(w @ w)
+    for dims in groups:
+        dims = tuple(dims)
+        refit(dims, u - w * (f0 + total()))
+        prev = float(np.linalg.norm(u - w * (f0 + total())))
+        for _ in range(max_sweeps):
+            f0 = float(w @ (u - w * total())) / float(w @ w)
+            for d in list(values):
+                refit(d, u - w * (f0 + total() - values[d]))
+            cur = float(np.linalg.norm(u - w * (f0 + total())))
+            if abs(prev - cur) <= tol * max(cur, 1e-300):
+                break
+            prev = cur
+        f0 = float(w @ (u - w * total())) / float(w @ w)
+    return HdmrModel(
+        f0=f0, basis=fit_basis(basis, cfg), nd=train.nd, no=cfg.no,
+        ninter=cfg.ninter, npc=cfg.npc, nr=cfg.nr,
+        dense=[DenseMode(d, enumerate_dense_indices(d, cfg.no), c)
+               for d, c in dense.items()],
+        cp=[CPMode(d, f) for d, f in cps.items()])
 
 
 def kl_field(f: KLField, germ, x) -> np.ndarray:

@@ -348,13 +348,20 @@ def _fractional_dims_and_index(doc):
     return dict(doc, dense=[dict(doc["dense"][0], dims=[1.7], indices=[[2.5]])])
 
 
+def _index_beyond_basis(doc):
+    # basis function 9 of a max_order 4 basis: predict would index past the
+    # table, and stats would report S[1] = 1 for it
+    return dict(doc, dense=[dict(doc["dense"][0], indices=[[9]])])
+
+
 def _hermite_family(doc):
     # Legendre is the only basis family a model can hold
     return dict(doc, basis=dict(doc["basis"], family="hermite"))
 
 
 @pytest.mark.parametrize("corrupt", [_malformed_list, _malformed_dense, _malformed_f0,
-                                     _fractional_dims_and_index, _hermite_family])
+                                     _fractional_dims_and_index, _index_beyond_basis,
+                                     _hermite_family])
 def test_malformed_model_file_exits_3(tmp_path, capsys, corrupt):
     good = tmp_path / "good.json"
     save_model(HdmrModel(f0=0.5, basis=BasisConfig(lo=0.0, hi=1.0, max_order=4),

@@ -6,7 +6,7 @@ import pytest
 
 from hdmrfit import fitting
 from hdmrfit.basis import BasisConfig, univariate_table
-from hdmrfit.data import NoiseModel, SampleSet, inject_noise, rng_stream
+from hdmrfit.data import NoiseModel, SampleSet, inject_noise, rng_stream, split
 from hdmrfit.fitting import (
     FitConfig,
     covariance_blocks,
@@ -22,9 +22,11 @@ from hdmrfit.fitting import (
 from hdmrfit.model import (HdmrModel, dense_design, enumerate_dense_indices, evaluate_model,
                            save_model)
 from hdmrfit.selection import SelectionConfig, glars_select
-from oracles import (als_factor_lstsq, block_sample_covariance, build_sample_covariance,
-                     dense_mode_lstsq, legendre_dpsi, stack_block_covariance,
-                     stack_sample_covariance, wtls_denominators_dense, wtls_solve_dense)
+from hdmrfit.testbed import DiffusionConfig, generate_dataset
+from oracles import (als_factor_lstsq, backfit, block_sample_covariance,
+                     build_sample_covariance, dense_mode_lstsq, legendre_dpsi,
+                     stack_block_covariance, stack_sample_covariance,
+                     wtls_denominators_dense, wtls_solve_dense)
 
 B = BasisConfig(lo=-1.0, hi=1.0, max_order=5)
 
@@ -214,20 +216,25 @@ def test_relative_error_zero_truth_rejected():
 
 def test_diagnostics_csv(tmp_path):
     ds, tab = uniform_set(300, 3, seed=15)
-    u = tab[:, 0, 1] + 0.5 * tab[:, 1, 1]
-    _, diag = fit_hdmr(with_u(ds, u), None, [(1,), (2,)],
-                       FitConfig(no=3, npc=1, ninter=1), B)
+    u = tab[:, 0, 1] + 0.5 * tab[:, 1, 1] + 0.3 * tab[:, 0, 1] * tab[:, 1, 2] * tab[:, 2, 1]
+    _, diag = fit_hdmr(with_u(ds, u), None, [(1,), (2,), (1, 2, 3)],
+                       FitConfig(no=3, npc=1, ninter=3), B)
     p = tmp_path / "diag.csv"
     save_diagnostics(diag, p)
     lines = p.read_text().strip().splitlines()
-    assert lines[0] == "pass,dims,train_residual_norm,cv_eps,update_sweeps"
+    assert lines[0] == "pass,dims,train_residual_norm,cv_eps,update_sweeps,capped"
     assert len(lines) == len(diag.records) + 1
     assert lines[1].split(",")[1] == ""  # pass 0 has no group
-    # pass 0 runs no update sweep; every later pass runs at least one
-    sweeps = [int(ln.split(",")[-1]) for ln in lines[1:]]
+    sweeps = [int(ln.split(",")[-2]) for ln in lines[1:]]
+    capped = [int(ln.split(",")[-1]) for ln in lines[1:]]
     assert sweeps == [rec.update_sweeps for rec in diag.records]
-    assert sweeps[0] == 0 and all(1 <= k <= fitting._MAX_UPDATE_SWEEPS
-                                  for k in sweeps[1:])
+    assert capped == [int(rec.capped) for rec in diag.records]
+    # passes without a CP mode are one solve of the dense block and run no
+    # update sweep; the pass the CP mode enters runs at least one, and is
+    # capped exactly when it ran all of them without meeting its tolerance
+    assert sweeps[:3] == [0, 0, 0] and capped[:3] == [0, 0, 0]
+    assert 1 <= sweeps[3] <= fitting._MAX_UPDATE_SWEEPS
+    assert not capped[3] or sweeps[3] == fitting._MAX_UPDATE_SWEEPS
 
 
 def test_covariance_block_pinned_example():
@@ -456,21 +463,30 @@ def _counting(monkeypatch, name):
     return calls
 
 
+def _block_of(tab, dims, w, beta):
+    """A dense block (no f0) of one mode on ``dims``, at no = 4, and the mode."""
+    mode = fitting._ActiveMode(dims, dims, FitConfig(no=4, npc=2, beta=beta), tab, None)
+    block = fitting._DenseBlock(w, beta, with_f0=False)
+    block.add(mode)
+    return block, mode
+
+
 @pytest.mark.parametrize("beta", [0.0, 0.3])
 def test_dense_operator_matches_lstsq_oracle(beta):
     ds, tab = uniform_set(120, 3, seed=30)
     g = rng_stream(30, 1)
     w = g.uniform(0.2, 2.0, 120)
     idx = enumerate_dense_indices((1, 3), 4)
-    lsq = fitting._lstsq_operator(dense_design(tab, (1, 3), idx) * w[:, None], beta)
+    block, mode = _block_of(tab, (1, 3), w, beta)
     for _ in range(3):
         r = g.standard_normal(120)
-        assert _rel(lsq @ r, dense_mode_lstsq(tab, (1, 3), idx, w, r, beta)) < 1e-10
+        block.solve(r)
+        assert _rel(mode.params, dense_mode_lstsq(tab, (1, 3), idx, w, r, beta)) < 1e-10
     # the one-shot form solves the same system
     r = g.standard_normal(120)
-    mode = fit_dense_mode((1, 3), with_u(ds, r), FitConfig(no=4, npc=2, beta=beta), B,
-                          row_weights=w)
-    assert _rel(mode.coeffs, dense_mode_lstsq(tab, (1, 3), idx, w, r, beta)) < 1e-10
+    fitted = fit_dense_mode((1, 3), with_u(ds, r), FitConfig(no=4, npc=2, beta=beta), B,
+                            row_weights=w)
+    assert _rel(fitted.coeffs, dense_mode_lstsq(tab, (1, 3), idx, w, r, beta)) < 1e-10
 
 
 def test_dense_operator_minimum_norm_on_rank_deficient_group():
@@ -483,9 +499,10 @@ def test_dense_operator_minimum_norm_on_rank_deficient_group():
     w = g.uniform(0.5, 1.5, 150)
     psi = dense_design(tab, (1, 2), idx) * w[:, None]
     assert np.linalg.matrix_rank(psi) < len(idx)
-    lsq = fitting._lstsq_operator(dense_design(tab, (1, 2), idx) * w[:, None], 0.0)
+    block, mode = _block_of(tab, (1, 2), w, 0.0)
     r = g.standard_normal(150)
-    c = lsq @ r
+    block.solve(r)
+    c = mode.params
     c_ref = dense_mode_lstsq(tab, (1, 2), idx, w, r, 0.0)
     assert _rel(c, c_ref) < 1e-10
     # minimum norm: no component in the design's null space
@@ -711,3 +728,80 @@ def test_cp_refit_makes_no_ls_solve_call(monkeypatch):
     assert calls == []
     assert diag.records[1].update_sweeps >= 1
     assert relative_error(model, with_u(ds, u).retag("test")) < 0.05
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3])
+def test_dense_only_fit_is_the_joint_solution_and_the_backfitting_limit(beta):
+    # f0 and every dense mode form one least-squares block: on a dense-only
+    # path each pass is one solve, whose result is the hstacked solve of
+    # the whole block (f0 unridged, beta * I under the dense columns) and
+    # the limit that backfitting mode by mode converges to
+    ds, tab = uniform_set(300, 3, seed=42)
+    g = rng_stream(42, 1)
+    w = g.uniform(0.5, 1.5, 300)
+    u = w * (1.0 + tab[:, 0, 1] + 0.5 * tab[:, 0, 1] * tab[:, 1, 2] - 0.3 * tab[:, 2, 3]
+             + 0.2 * tab[:, 1, 1] * tab[:, 2, 1]) + 0.1 * g.standard_normal(300)
+    train = with_u(ds, u)
+    groups = [(1,), (1, 2), (3,), (2, 3)]
+    cfg = FitConfig(no=3, npc=2, ninter=2, beta=beta)
+    model, diag = fit_hdmr(train, None, groups, cfg, B, row_weights=w)
+    assert [(r.update_sweeps, r.capped) for r in diag.records] == [(0, False)] * 5
+    c = np.concatenate([[model.f0]] + [m.coeffs for m in model.dense])
+
+    psi = np.hstack([w[:, None]] + [dense_design(tab, m.dims, m.indices) * w[:, None]
+                                    for m in model.dense])
+    p = psi.shape[1] - 1
+    ridge = np.hstack([np.zeros((p, 1)), beta * np.eye(p)])
+    c_ls = ls_solve(np.vstack([psi, ridge]), np.concatenate([u, np.zeros(p)]))
+    assert _rel(c, c_ls) < 1e-8
+
+    ref = backfit(train, groups, cfg, B, row_weights=w, max_sweeps=60, tol=0.0)
+    assert [m.dims for m in ref.dense] == groups
+    c_bf = np.concatenate([[ref.f0]] + [m.coeffs for m in ref.dense])
+    assert _rel(c, c_bf) < 1e-8
+    if beta > 0:
+        assert _rel(c, ls_solve(psi, u)) > 1e-5   # the ridge moves the solution
+
+
+def test_no_update_sweep_raises_the_training_residual(monkeypatch):
+    # every step of the passes is an exact block minimum: the dense block's
+    # solve, and each dimension's joint-rank ALS solve of a CP mode; so the
+    # training residual norm never rises beyond rounding, pass or sweep
+    ds, tab = uniform_set(400, 4, seed=43)
+    g = rng_stream(43, 1)
+    u = (1.0 + tab[:, 0, 1] + tab[:, 0, 1] * tab[:, 1, 2] * tab[:, 2, 1]
+         + 0.5 * tab[:, 1, 1] * tab[:, 2, 2] * tab[:, 3, 1]
+         + 0.4 * tab[:, 1, 2] * tab[:, 2, 1] * tab[:, 3, 3]
+         + 0.3 * tab[:, 3, 2] + 0.05 * g.standard_normal(400))
+    norms = []
+    residual_norm = fitting._residual_norm
+
+    def recording(*args):
+        norms.append(residual_norm(*args))
+        return norms[-1]
+
+    monkeypatch.setattr(fitting, "_residual_norm", recording)
+    groups = [(1,), (1, 2, 3), (4,), (2, 3, 4), (2, 3)]
+    cfg = FitConfig(no=3, npc=2, ninter=3, nr=2, seed=0)
+    _, diag = fit_hdmr(with_u(ds, u), None, groups, cfg, B)
+    assert sum(r.update_sweeps for r in diag.records) >= 10
+    steps = np.diff(norms)
+    assert np.all(steps <= 1e-12 * np.asarray(norms[:-1])), steps.max()
+    # backfitting with greedy warm CP refits ends at a higher residual
+    ref = backfit(with_u(ds, u), groups, cfg, B)
+    assert (np.linalg.norm(u - evaluate_model(ref, ds.xi))
+            > diag.records[-1].train_residual_norm * (1 + 1e-4))
+
+
+def test_diffusion_fit_with_cp_modes_converges():
+    # a scaled-down form of a diffusion fit whose greedy warm CP refits once
+    # raised the training residual pass after pass (test error 0.15)
+    data = generate_dataset(DiffusionConfig(nd_nu=3, nd_f=3), 400, 0)
+    train, _, test = split(data, 300, 0, 100, 0)
+    basis = BasisConfig(lo=0.0, hi=1.0, max_order=7)
+    path = glars_select(train, SelectionConfig(nolars=3, ninter=3, max_groups=24), basis)
+    model, diag = fit_hdmr(train, None, path, FitConfig(no=6, npc=2, ninter=3), basis)
+    assert len(model.cp) >= 5
+    norms = [r.train_residual_norm for r in diag.records]
+    assert all(b <= a * (1 + 1e-9) for a, b in zip(norms, norms[1:]))
+    assert relative_error(model, test) <= 1e-2

@@ -227,6 +227,21 @@ def test_mode_validation():
                   dense=[], cp=[])  # basis too short for no+1
 
 
+def test_dense_index_beyond_basis_order_rejected(tmp_path):
+    # evaluation would index past the univariate table, and the statistics
+    # would report a basis function the model cannot evaluate
+    d = DenseMode((1,), ((2,), (7,)), np.array([1.0, 0.5]))
+    with pytest.raises(ValueError, match="basis function 7.*max_order 6"):
+        HdmrModel(f0=0.0, basis=B, nd=1, no=3, ninter=1, npc=1, nr=1, dense=[d])
+    p = tmp_path / "m.json"
+    save_model(small_model(), p)
+    doc = json.loads(p.read_text())
+    doc["dense"][0]["indices"] = [[7]]
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"m\.json: malformed model document"):
+        load_model(p)
+
+
 def test_duplicate_groups_rejected():
     d = DenseMode((1,), ((2,),), np.array([1.0]))
     with pytest.raises(ValueError):

@@ -21,7 +21,12 @@ over the columns its groups touch, one ``_ActiveMode`` per mode that holds
 the train and validation designs (dense) or factor blocks (CP), and one
 ``_DenseBlock`` that fits ``f0`` and every dense mode together as one
 least-squares problem, through an orthonormal basis of its columns that
-grows as modes enter. A CP mode enters by greedy rank-by-rank ALS; each
+grows as modes enter (``model._grow_basis``: Cholesky-QR2 of each entering
+mode's remainder, with a thin SVD as the rank-revealing fallback). The
+small tall subproblems, an ALS step here and the spatial fits of the
+separated driver, are solved through the Cholesky factor of their
+unit-scaled Gram (``_gram_solve``); ``ls_solve``, the plain lstsq, is the
+fallback and the reference. A CP mode enters by greedy rank-by-rank ALS; each
 later refit of it is one joint-rank ALS sweep (Kolda & Bader 2009, 3.4),
 whose step for one dimension solves one small Gram system for that
 dimension's factors of all ranks. A pass with no CP mode is one solve of
@@ -43,6 +48,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from .basis import BasisConfig, univariate_deriv_table, univariate_table
 from .data import NoiseModel, SampleSet, _check_row_weights, rng_stream
 from .model import (
+    _GRAM_MIN_PIVOT_RATIO,
     CPMode,
     DenseMode,
     Group,
@@ -80,12 +86,6 @@ _UPDATE_SWEEPS_TOL = 1e-6       # alternating refits of a pass with CP modes
 _MAX_UPDATE_SWEEPS = 20
 _WTLS_TOL = 1e-10               # reweighting iterations of wtls_solve
 _WTLS_MAX_ITER = 50
-# an ALS subproblem is solved through its Gram, with the columns scaled to
-# unit norm, while the Cholesky pivots stay within this ratio of each other,
-# and by ls_solve otherwise: the Gram squares the design's condition number.
-# On ALS-shaped probes the Gram solution stayed within 1e-9 of lstsq above
-# the ratio (1e-7 at 1e-3).
-_GRAM_MIN_PIVOT_RATIO = 1e-2
 
 
 @dataclass(frozen=True)
@@ -301,7 +301,8 @@ def _gram_solve(psi, r, beta: float) -> np.ndarray:
     the Cholesky factor of psi'psi + beta^2 I with its columns scaled to unit
     norm; ls_solve itself when that Gram is not numerically positive
     definite. The scaling keeps columns of very different norms, such as
-    the factors of a strong and a weak rank, from failing the pivot test."""
+    the factors of a strong and a weak rank, from failing the pivot test.
+    The ALS steps and the separated driver's spatial fits solve this way."""
     g = psi.T @ psi
     d = np.sqrt(g.diagonal())
     d[d == 0.0] = 1.0
@@ -424,11 +425,13 @@ class _DenseBlock:
     stacked over beta * I rows for the dense columns when beta > 0, and
     ``cmap`` maps coordinates in ``q`` to coefficients, so a solve is the two
     matrix-vector products cmap @ (q' r). Both grow as modes enter: new
-    columns A = q h + u s v' (``_grow_basis``) add u to ``q`` and the
-    columns [-cmap h v s^-1 ; v s^-1] to ``cmap``, the inverse of the
-    block-triangular factor. Directions dependent on earlier columns, or
-    within a mode, are dropped and get no coefficient; for a mode alone that
-    is lstsq's minimum-norm solution.
+    columns A = q h + u t (``_grow_basis``, which returns a right inverse
+    t^+ of t) add u to ``q`` and the columns [-cmap h t^+ ; t^+] to
+    ``cmap``, the inverse of the block-triangular factor. For well-separated
+    columns t is the triangular factor of Cholesky-QR2 and t^+ its inverse;
+    otherwise t = s v' from a thin SVD, t^+ = v s^-1, and directions
+    dependent on earlier columns, or within a mode, are dropped and get no
+    coefficient; for a mode alone that is lstsq's minimum-norm solution.
     """
 
     def __init__(self, w, beta: float, with_f0: bool):
@@ -459,9 +462,8 @@ class _DenseBlock:
         # lstsq's cutoff eps * max(n, P) * sigma_max, with the largest column
         # norm standing in for sigma_max
         scale = float(np.sqrt((cols * cols).sum(axis=0).max()))
-        u, h, sv, vt = _grow_basis(self.q, cols,
-                                   np.finfo(float).eps * max(cols.shape) * scale)
-        inv = vt.T / sv
+        u, h, inv = _grow_basis(self.q, cols,
+                                np.finfo(float).eps * max(cols.shape) * scale)
         k = self.q.shape[1]
         self.cmap = np.block([[self.cmap, -self.cmap @ (h @ inv)],
                               [np.zeros((p, k)), inv]])
@@ -788,9 +790,11 @@ def wtls_solve(psi, r, blocks: CovarianceBlocks, c0=None) -> np.ndarray:
 
     Minimizes rho^2 = sum_q (psi_q c - r_q)^2 / (a' Lambda_q a) with
     a = (c', -1)'. Each iteration freezes the denominators at the current c,
-    solves the induced weighted least-squares problem, and backtracks the
-    step until the full objective does not increase. Returns the iterate
-    with the smallest objective seen.
+    solves the induced weighted least-squares problem, and halves the step
+    (at most 30 times) until the full objective does not increase. An
+    iteration whose step can no longer move c beyond rounding (by more than
+    eps ||c||) leaves c where it is, and so ends the solve. Returns the
+    iterate with the smallest objective seen.
     """
     psi = np.asarray(psi, dtype=float)
     r = np.asarray(r, dtype=float).ravel()
@@ -818,16 +822,20 @@ def wtls_solve(psi, r, blocks: CovarianceBlocks, c0=None) -> np.ndarray:
     converged = False
     for _ in range(_WTLS_MAX_ITER):
         sw = 1.0 / np.sqrt(d)
-        c_prop = ls_solve(psi * sw[:, None], r * sw, 0.0)
+        delta = ls_solve(psi * sw[:, None], r * sw, 0.0) - c
+        move = float(np.linalg.norm(delta))
+        floor = np.finfo(float).eps * float(np.linalg.norm(c))
+        cand, rho_new, d_new = c, prev, d
         step = 1.0
         for _ in range(30):
-            cand = c + step * (c_prop - c)
-            rho_new, d_new = rho2(cand)
-            if rho_new <= prev * (1.0 + 1e-12):
+            if step * move <= floor:
+                break
+            trial = c + step * delta
+            rho_t, d_t = rho2(trial)
+            if rho_t <= prev * (1.0 + 1e-12):
+                cand, rho_new, d_new = trial, rho_t, d_t
                 break
             step *= 0.5
-        else:
-            cand, rho_new, d_new = c, prev, d
         c, d = cand, d_new
         if rho_new < best_rho:
             best_c, best_rho = c.copy(), rho_new

@@ -214,8 +214,10 @@ def _quadratic_step(uu, uw, ww, c_score):
 def _direction(q, cols, r):
     """Extend q, an orthonormal basis of the active span, by a group's
     orthonormal columns (``_grow_basis``); return it and v = q q' r, lstsq's
-    fit of r. A direction joins q if its singular value clears eps * nq,
-    lstsq's cutoff eps * max(nq, P) * sigma_max for unit columns and P < nq."""
+    fit of r. Columns well outside the active span join q by Cholesky-QR2;
+    otherwise a direction of the remainder's thin SVD joins q if its
+    singular value clears eps * nq, lstsq's cutoff eps * max(nq, P) *
+    sigma_max for unit columns and P < nq."""
     u, *_ = _grow_basis(q, cols, np.finfo(float).eps * q.shape[0])
     q = np.concatenate((q, u), axis=1)
     return q, q @ (q.T @ r)

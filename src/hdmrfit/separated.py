@@ -5,6 +5,12 @@ profiles times stochastic modes, built one rank at a time by deflation.
 Each rank alternates a spatial least-squares fit (rows weighted by the
 current lambda values) with a stochastic surrogate fit (design rows weighted
 by the current spatial profile) until the stochastic-mode norm settles.
+
+The spatial least-squares fits (rank 0, the start profile, each rank's
+profile, the joint re-solve) are solved through the Cholesky factor of their
+unit-scaled Gram (``fitting._gram_solve``), and by lstsq when that Gram is
+not numerically positive definite, as when lambda vanishes on a hat
+function's whole support; that hat gets the minimum-norm coefficient, zero.
 """
 
 from __future__ import annotations
@@ -18,7 +24,10 @@ import numpy as np
 
 from .basis import BasisConfig, univariate_table
 from .data import SampleSet
-from .fitting import FitConfig, fit_hdmr, ls_solve, merge_train_validation
+# perfbench/spans.py wraps the ls_solve global of this module by name, so it
+# stays importable here although the spatial fits reach it via _gram_solve
+from .fitting import (FitConfig, _gram_solve, fit_hdmr, ls_solve,  # noqa: F401
+                      merge_train_validation)
 from .model import (HdmrModel, _model_from_document, _model_payload, _read_document,
                     evaluate_model)
 from .selection import SelectionConfig, glars_select
@@ -149,7 +158,7 @@ def fit_spatial_mode(residual, lam_values, phi):
         raise ValueError("non-finite stochastic-mode values")
     if not np.any(lam):
         raise ValueError("stochastic-mode values are identically zero")
-    c = ls_solve(phi * lam[:, None], residual, 0.0)
+    c = _gram_solve(phi * lam[:, None], residual, 0.0)
     wvals = phi @ c
     scale = float(np.linalg.norm(wvals))
     if scale == 0.0:
@@ -184,7 +193,7 @@ def fit_separated(train: SampleSet, sel_cfg: SelectionConfig, fit_cfg: FitConfig
     phi = spatial_design(sb, train.x[:, 0])
     u = train.u
     unorm = float(np.linalg.norm(u))
-    c0 = ls_solve(phi, u, 0.0)
+    c0 = _gram_solve(phi, u, 0.0)
     pairs: list[tuple[np.ndarray, HdmrModel | None]] = [(c0, None)]
     res = u - phi @ c0
     if have_val:
@@ -193,7 +202,7 @@ def fit_separated(train: SampleSet, sel_cfg: SelectionConfig, fit_cfg: FitConfig
     # every rank starts from the constant unit-norm profile and fits the
     # stochastic mode first: after deflation the residual has ~zero
     # conditional mean in x, so a spatial fit against lambda = 1 is pure noise
-    w_start = ls_solve(phi, np.ones(train.nq), 0.0)
+    w_start = _gram_solve(phi, np.ones(train.nq), 0.0)
     w_start = w_start / float(np.linalg.norm(phi @ w_start))
 
     for _ in range(sep_cfg.lmax):
@@ -278,7 +287,7 @@ def _joint_spatial_update(pairs, phi, train, u):
                         else evaluate_model(lam, train.xi))
     blocks = [phi * lam[:, None] for lam in lam_cols]
     design = np.hstack(blocks)
-    coeffs = ls_solve(design, u, 0.0)
+    coeffs = _gram_solve(design, u, 0.0)
     cardx = phi.shape[1]
     for n in range(len(pairs)):
         pairs[n] = (coeffs[n * cardx:(n + 1) * cardx], pairs[n][1])

@@ -16,8 +16,10 @@ its limit. The weighted TLS oracle works on the dense (Nq, p+1, p+1)
 covariance blocks, stacked one sample at a time, that the factored form in
 ``fitting`` replaces. The selection path's direction oracle runs one lstsq
 on all active columns at every step: it checks the orthonormal basis of the
-active span that ``glars_select`` grows. ``kl_field`` sums a field's
-Karhunen-Loeve expansion term by term.
+active span that ``glars_select`` grows. ``grow_basis_svd`` extends that
+basis, and the dense block's, by a thin SVD of every remainder, as
+``model._grow_basis`` did before its Cholesky-QR2 path. ``kl_field`` sums
+a field's Karhunen-Loeve expansion term by term.
 """
 
 import warnings
@@ -170,15 +172,16 @@ def wtls_solve_dense(psi, r, lam, c0=None) -> np.ndarray:
     for _ in range(fitting._WTLS_MAX_ITER):
         sw = 1.0 / np.sqrt(wtls_denominators_dense(lam, c))
         c_prop = ls_solve(psi * sw[:, None], r * sw, 0.0)
-        step, cand, rho_new = 1.0, None, prev
+        step, cand, rho_new = 1.0, c, prev
         for _ in range(30):
-            cand = c + step * (c_prop - c)
-            rho_new = rho2(cand)
-            if rho_new <= prev * (1.0 + 1e-12):
+            if step * np.linalg.norm(c_prop - c) <= np.finfo(float).eps * np.linalg.norm(c):
+                break   # the step no longer moves c beyond rounding: c stays
+            trial = c + step * (c_prop - c)
+            rho_t = rho2(trial)
+            if rho_t <= prev * (1.0 + 1e-12):
+                cand, rho_new = trial, rho_t
                 break
             step *= 0.5
-        else:
-            cand, rho_new = c, prev
         c = cand
         if rho_new < best_rho:
             best_c, best_rho = c.copy(), rho_new
@@ -195,6 +198,20 @@ def lstsq_direction(active_cols, r) -> np.ndarray:
     x = np.hstack(active_cols)
     coef, *_ = np.linalg.lstsq(x, r, rcond=None)
     return x @ coef
+
+
+def grow_basis_svd(q, cols, cutoff: float):
+    """Extend the orthonormal basis q by the span of ``cols``: Gram-Schmidt
+    against q twice, then a thin SVD of the remainder, keeping the
+    directions whose singular value exceeds ``cutoff``. Returns (u, h, s, vt)
+    with cols = q h + u diag(s) vt up to the dropped directions."""
+    h = q.T @ cols
+    rem = cols - q @ h
+    step = q.T @ rem
+    rem = rem - q @ step
+    u, s, vt = np.linalg.svd(rem, full_matrices=False)
+    keep = s > cutoff
+    return u[:, keep], h + step, s[keep], vt[keep]
 
 
 def dense_mode_lstsq(table, dims, indices, w, r, beta: float) -> np.ndarray:

@@ -403,6 +403,47 @@ def test_wtls_objective_not_above_ls_start():
     assert rho2(c_w) <= rho2(c_ls) * (1 + 1e-10)
 
 
+def test_wtls_backtracking_stops_once_the_step_cannot_move_c(monkeypatch):
+    # rows fitted to 1e-9 relative by coefficients of size 1e3, and a
+    # proposal pointing away from the minimum: every step that moves c
+    # raises the objective by more than the 1e-12 acceptance margin. Without
+    # a floor the halvings run on to steps that move c only by rounding,
+    # where the objective's own rounding (about 1e-8 relative here) decides
+    # acceptance. They stop once the step moves c by at most eps ||c||, and
+    # c stays where it is.
+    g = rng_stream(80, 1)
+    psi = g.standard_normal((200, 6))
+    c0 = 1e3 * g.standard_normal(6)
+    r = psi @ c0 + 1e-6 * g.standard_normal(200)
+    blocks = fitting.CovarianceBlocks(np.zeros((200, 6, 1)), np.full(200, 1e-4))
+    delta = c0 - ls_solve(psi, r)
+    monkeypatch.setattr(fitting, "ls_solve", lambda *args: c0 + delta)
+    made = fitting._wtls_denominator
+    seen = []
+
+    def counting(blocks):
+        denom = made(blocks)
+
+        def wrapped(c):
+            seen.append(c.copy())
+            return denom(c)
+        return wrapped
+
+    monkeypatch.setattr(fitting, "_wtls_denominator", counting)
+    c = wtls_solve(psi, r, blocks, c0=c0)
+    assert np.array_equal(c, c0)
+    floor = np.finfo(float).eps * np.linalg.norm(c0)
+    halvings = sum(0.5 ** k * np.linalg.norm(delta) > floor for k in range(30))
+    assert 10 < halvings < 30
+    assert len(seen) == 1 + halvings   # the start, then one per halving
+    denom = made(blocks)
+
+    def rho2(c):
+        return float(np.sum((psi @ c - r) ** 2 / denom(c)))
+
+    assert all(rho2(t) > rho2(c0) * (1 + 1e-12) for t in seen[1:])
+
+
 def test_wtls_beats_ls_under_coordinate_noise():
     # noisy coordinates hit high-degree columns hardest near the domain
     # edges where their derivatives blow up; the covariance-weighted fit

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hdmrfit import model as hmodel
 from hdmrfit.basis import BasisConfig, univariate_table
 from hdmrfit.data import rng_stream
 from hdmrfit.model import (
@@ -24,7 +25,8 @@ from hdmrfit.model import (
     variance_by_group,
 )
 from hdmrfit.selection import SelectionConfig, _group_classes
-from oracles import eval_tensor
+from oracles import eval_tensor, grow_basis_svd
+from test_selection import degenerate_xi
 
 B = BasisConfig(lo=-1.0, hi=1.0, max_order=6)
 
@@ -391,3 +393,117 @@ def test_closed_form_statistics_match_tensor_quadrature(m, data):
     assert set(s_moved) == {move(g)[0] for g in s}
     for g, v in s.items():
         assert s_moved[move(g)[0]] == pytest.approx(v, abs=1e-14)
+
+
+# basis growth: the Cholesky-QR2 path against the thin-SVD oracle
+EPS = np.finfo(float).eps
+
+
+def _svd_calls(monkeypatch):
+    """Record the shape of every np.linalg.svd call."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def _cutoff(cols):
+    # the dense block's cutoff: eps * max(n, P) * the largest column norm
+    return EPS * max(cols.shape) * float(np.linalg.norm(cols, axis=0).max())
+
+
+def _orthonormal(a):
+    q, _ = np.linalg.qr(a)
+    return q
+
+
+def _growth_case(case):
+    """(q, cols): an orthonormal basis and the block that extends it."""
+    g = rng_stream(71, 1)
+    q = _orthonormal(g.standard_normal((300, 20)))
+    if case == "random":
+        return q, g.standard_normal((300, 15))
+    if case == "correlated":
+        # unit-scaled condition number about 100: one Cholesky-QR pass
+        # leaves u orthonormal only to about 4e-13, the second to 2e-15
+        return q, g.standard_normal((300, 1)) + 0.05 * g.standard_normal((300, 15))
+    xi = g.uniform(-1.0, 1.0, size=(300, 3))
+    tab = univariate_table(B, xi)
+    w = 10.0 ** g.uniform(-3.0, 0.0, 300)
+    old = np.hstack([w[:, None]] + [dense_design(tab, d, enumerate_dense_indices(d, 5))
+                                     * w[:, None] for d in [(1,), (2,)]])
+    new = np.hstack([dense_design(tab, d, enumerate_dense_indices(d, 5)) * w[:, None]
+                     for d in [(3,), (1, 2), (2, 3)]])
+    if case == "weighted":
+        return _orthonormal(old), new
+    # ridge-stacked, as the dense block stacks beta * I under each mode's
+    # columns: the old columns' ridge rows sit above the new ones'
+    beta, (k, p) = 0.05, (old.shape[1], new.shape[1])
+    old = np.vstack([old, beta * np.eye(k)])
+    q = np.vstack([_orthonormal(old), np.zeros((p, k))])
+    return q, np.vstack([new, np.zeros((k, p)), beta * np.eye(p)])
+
+
+def _check_against_oracle(q, cols, u, h, inv):
+    uo, ho, *_ = grow_basis_svd(q, cols, _cutoff(cols))
+    assert u.shape[1] == uo.shape[1]
+    assert np.abs(u @ u.T - uo @ uo.T).max() < 1e-12
+    full = np.hstack([q, u])
+    assert np.abs(full.T @ full - np.eye(full.shape[1])).max() < 1e-13
+    assert np.abs(h - ho).max(initial=0.0) <= 1e-13 * np.abs(cols).max()
+    rem = cols - q @ h
+    # cols = q h + u t up to the dropped directions, t = u' rem; and inv is
+    # a right inverse of t, so rem inv = u
+    assert np.abs(rem - u @ (u.T @ rem)).max() <= 1e-13 * np.abs(cols).max()
+    assert np.abs(rem @ inv - u).max() <= 1e-12 * np.abs(cols).max() * np.linalg.norm(inv, 2)
+
+
+@pytest.mark.parametrize("case", ["random", "correlated", "weighted", "ridge"])
+def test_grow_basis_matches_svd_oracle_without_svd(case, monkeypatch):
+    q, cols = _growth_case(case)
+    calls = _svd_calls(monkeypatch)
+    u, h, inv = hmodel._grow_basis(q, cols, _cutoff(cols))
+    # the first block of a basis, with nothing to orthogonalize against
+    u0, h0, inv0 = hmodel._grow_basis(q[:, :0], cols, _cutoff(cols))
+    assert calls == [] and h0.shape == (0, cols.shape[1])
+    assert u.shape[1] == u0.shape[1] == cols.shape[1]
+    _check_against_oracle(q, cols, u, h, inv)
+    _check_against_oracle(q[:, :0], cols, u0, h0, inv0)
+
+
+def _dependent_case(case):
+    g = rng_stream(72, 1)
+    if case == "duplicated":
+        # xi2 = xi1: group (2,) repeats (1,), and the 6 columns of (1, 2)
+        # are polynomials of degree <= 4 in xi1, whose remainders against
+        # (1,) all lie along one direction, the constant's
+        tab = univariate_table(B, degenerate_xi(case, nq=200))
+        old = dense_design(tab, (1,), enumerate_dense_indices((1,), 4))
+        cols = np.hstack([dense_design(tab, d, enumerate_dense_indices(d, 4))
+                          for d in [(2,), (1, 2)]])
+        return _orthonormal(old), cols
+    q = _orthonormal(g.standard_normal((200, 10)))
+    inside = q @ g.standard_normal(10)
+    other = g.standard_normal(200)
+    col = {"in-span": inside,
+           "noisy": inside + 1e-10 * g.standard_normal(200),
+           "zero": np.zeros(200)}[case]
+    return q, np.column_stack([other, col, g.standard_normal(200)])
+
+
+@pytest.mark.parametrize("case", ["in-span", "noisy", "zero", "duplicated"])
+def test_grow_basis_falls_back_to_svd_on_dependent_columns(case, monkeypatch):
+    # a remainder column that keeps too little of its norm takes the SVD,
+    # which drops the directions the oracle drops
+    q, cols = _dependent_case(case)
+    calls = _svd_calls(monkeypatch)
+    u, h, inv = hmodel._grow_basis(q, cols, _cutoff(cols))
+    assert calls == [cols.shape]
+    dropped = cols.shape[1] - u.shape[1]
+    assert dropped == {"in-span": 1, "noisy": 0, "zero": 1, "duplicated": 9}[case]
+    _check_against_oracle(q, cols, u, h, inv)

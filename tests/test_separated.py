@@ -3,10 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
-from hdmrfit import separated
+from hdmrfit import fitting, separated
 from hdmrfit.basis import BasisConfig, univariate_table
 from hdmrfit.data import NoiseModel, SampleSet, rng_stream
-from hdmrfit.fitting import FitConfig
+from hdmrfit.fitting import FitConfig, ls_solve
+from hdmrfit.model import DenseMode, HdmrModel, evaluate_model
 from hdmrfit.selection import SelectionConfig, glars_select
 from hdmrfit.separated import (
     SeparatedConfig,
@@ -76,6 +77,75 @@ def test_spatial_mode_unit_norm_and_scale():
     c, scale = fit_spatial_mode(u, np.ones(300), phi)
     assert np.linalg.norm(phi @ c) == pytest.approx(1.0, abs=1e-12)
     assert scale == pytest.approx(float(np.linalg.norm(u)), rel=0.05)
+
+
+def _ls_calls(monkeypatch):
+    """Record every ls_solve call, the Gram solves' fallback included."""
+    calls = []
+    orig = fitting.ls_solve
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(fitting, "ls_solve", counting)
+    monkeypatch.setattr(separated, "ls_solve", counting)
+    return calls
+
+
+def _rel(a, b):
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("kind", ["nodal-piecewise-linear", "legendre-tensor"])
+def test_spatial_mode_matches_ls_solve_oracle(kind, monkeypatch):
+    x, xi, tab = field_set(400, seed=9)
+    g = rng_stream(9, 3002)
+    phi = spatial_design(SpatialBasis(kind=kind, cardx=12), x[:, 0])
+    lam = 2.0 + tab[:, 0, 1] + 0.5 * tab[:, 1, 2]
+    res = np.sin(3.0 * x[:, 0]) * lam + 0.1 * g.standard_normal(400)
+    calls = _ls_calls(monkeypatch)
+    c, scale = fit_spatial_mode(res, lam, phi)
+    assert calls == []
+    assert _rel(c * scale, ls_solve(phi * lam[:, None], res)) < 1e-10
+
+
+def test_joint_spatial_update_matches_ls_solve_oracle(monkeypatch):
+    x, xi, tab = field_set(500, seed=10)
+    g = rng_stream(10, 3003)
+    lam1 = HdmrModel(f0=0.5, basis=B, nd=3, no=3, ninter=1, npc=1, nr=1,
+                     dense=[DenseMode((1,), ((2,), (3,)), np.array([1.0, -0.4]))])
+    u = (np.cos(np.pi * x[:, 0]) * (1.0 + tab[:, 0, 1])
+         + 0.05 * g.standard_normal(500))
+    ds = SampleSet(x, xi, u)
+    phi = spatial_design(SpatialBasis(cardx=10), x[:, 0])
+    pairs = [(np.zeros(10), None), (np.zeros(10), lam1)]
+    calls = _ls_calls(monkeypatch)
+    res = separated._joint_spatial_update(pairs, phi, ds, u)
+    assert calls == []
+    design = np.hstack([phi, phi * evaluate_model(lam1, xi)[:, None]])
+    ref = ls_solve(design, u)
+    assert _rel(np.concatenate([c for c, _ in pairs]), ref) < 1e-10
+    assert np.abs(res - (u - design @ ref)).max() <= 1e-10 * np.abs(u).max()
+
+
+def test_spatial_mode_falls_back_to_lstsq_where_lambda_vanishes(monkeypatch):
+    # lambda is zero on every sample in the support of hat 3, so that hat's
+    # column is zero and the Gram singular: lstsq gives it the minimum-norm
+    # coefficient, zero
+    x, xi, tab = field_set(400, seed=11)
+    sb = SpatialBasis(cardx=8)
+    phi = spatial_design(sb, x[:, 0])
+    nodes = np.linspace(0.0, 1.0, 8)
+    lam = np.where(np.abs(x[:, 0] - nodes[3]) < nodes[1], 0.0, 1.5 + tab[:, 0, 1])
+    assert not np.any(phi[:, 3] * lam) and np.all(np.any(phi * lam[:, None], axis=0)[[2, 4]])
+    res = np.sin(3.0 * x[:, 0]) * lam
+    calls = _ls_calls(monkeypatch)
+    c, scale = fit_spatial_mode(res, lam, phi)
+    assert len(calls) == 1
+    ref = ls_solve(phi * lam[:, None], res)
+    assert _rel(c * scale, ref) < 1e-10
+    assert abs(c[3]) <= 1e-12 * np.abs(c).max()
 
 
 def test_spatial_mode_rejects_zero_lambda():

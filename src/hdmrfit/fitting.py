@@ -26,14 +26,17 @@ mode's remainder, with a thin SVD as the rank-revealing fallback). The
 small tall subproblems, an ALS step here and the spatial fits of the
 separated driver, are solved through the Cholesky factor of their
 unit-scaled Gram (``_gram_solve``); ``ls_solve``, the plain lstsq, is the
-fallback and the reference. A CP mode enters by greedy rank-by-rank ALS; each
-later refit of it is one joint-rank ALS sweep (Kolda & Bader 2009, 3.4),
-whose step for one dimension solves one small Gram system for that
-dimension's factors of all ranks. A pass with no CP mode is one solve of
-the block; with CP modes, update sweeps alternate a block solve with a
-refit of each CP mode, each an exact minimum over its own coefficients, so
-the training residual does not rise. Nothing is cached between calls;
-``fit_dense_mode`` and ``fit_cp_mode`` build what one fit needs.
+fallback and the reference. Every CP fit is made of joint-rank ALS sweeps
+(``_cp_sweep``; Kolda & Bader 2009, 3.4), whose step for one dimension
+solves one small Gram system for that dimension's factors of all ranks. A
+CP mode enters greedily: each rank, from seeded draws, is fitted by
+repeating the sweep on that one rank against what the earlier ranks leave.
+Each later refit of the mode is one sweep over all its ranks. A pass with
+no CP mode is one solve of the block; with CP modes, update sweeps
+alternate a block solve with a refit of each CP mode, each an exact
+minimum over its own coefficients, so the training residual does not
+rise. Nothing is cached between calls; ``fit_dense_mode`` and
+``fit_cp_mode`` build what one fit needs.
 """
 
 from __future__ import annotations
@@ -179,10 +182,10 @@ def fit_cp_mode(gamma, train: SampleSet, cfg: FitConfig, basis: BasisConfig,
                 row_weights=None) -> CPMode:
     """Greedy rank-by-rank ALS fit of a separated mode to train.u.
 
-    Each rank starts from seeded uniform draws in [-1, 1], then cycles the
-    dimensions solving the exact least-squares subproblem for one factor
-    block at a time. This is the entry fit of a CP mode in ``_fit_passes``,
-    on its own.
+    Each rank starts from seeded uniform draws in [-1, 1], then repeats the
+    joint-rank sweep on that one rank, which cycles the dimensions solving
+    the exact least-squares subproblem for one factor block at a time. This
+    is the entry fit of a CP mode in ``_fit_passes``, on its own.
     """
     gamma = tuple(int(d) for d in gamma)
     _check_cp_range(gamma, cfg)
@@ -217,66 +220,39 @@ def _check_cp_range(gamma, cfg: FitConfig) -> None:
 
 
 def _cp_factors(gamma, residual, blocks_t, cfg: FitConfig, w) -> np.ndarray:
-    # rank-by-rank ALS on per-dimension design blocks over orders 2..no, each
-    # rank from seeded draws, redrawn once if its factor values vanish
+    # greedy: each rank from seeded draws, fitted by one-rank joint sweeps
+    # to what the earlier ranks leave; a rank the sweeps leave all zero (its
+    # factor values vanished) is skipped
     card = len(gamma)
-    nord = cfg.no - 1
-    factors = np.zeros((cfg.nr, card, nord))
+    factors = np.zeros((cfg.nr, card, cfg.no - 1))
     target = residual.copy()
     for rank in range(cfg.nr):
         if float(np.linalg.norm(target)) == 0.0:
             break
-        for attempt in (0, 1):
-            g = rng_stream(cfg.seed, 4, *gamma, rank, attempt)
-            fac = g.uniform(-1.0, 1.0, size=(card, nord))
-            fac, contr = _als_rank(target, blocks_t, fac, w, cfg.beta)
-            if fac is not None:
+        g = rng_stream(cfg.seed, 4, *gamma, rank, 0)
+        fac = g.uniform(-1.0, 1.0, size=(1,) + factors.shape[1:])
+        prev = np.inf
+        for _ in range(_ALS_MAX_SWEEPS):
+            fac = _cp_sweep(target, blocks_t, fac, w, cfg.beta)
+            contr = w * _cp_values(blocks_t, fac)
+            res = float(np.linalg.norm(target - contr))
+            if abs(prev - res) <= _ALS_TOL * max(res, _TINY):
                 break
-        else:
-            warnings.warn(
-                f"CP rank {rank + 1} on {gamma}: factor values vanished twice, "
-                "skipping this rank"
-            )
+            prev = res
+        if not fac.any():
+            warnings.warn(f"CP rank {rank + 1} on {gamma}: factor values vanished, "
+                          "skipping this rank")
             continue
-        factors[rank] = fac
+        factors[rank] = fac[0]
         target = target - contr
     return factors
 
 
-def _als_rank(target, blocks_t, fac, w, beta: float):
-    """ALS sweeps for one rank. Returns (factors, weighted contribution),
-    or (None, None) when a partial product vanishes."""
-    card = len(blocks_t)
-    vals = [blocks_t[i] @ fac[i] for i in range(card)]
-    prev = np.inf
-    contr = np.zeros_like(target)
-    for _ in range(_ALS_MAX_SWEEPS):
-        for i in range(card):
-            partial = np.ones_like(target)
-            for j in range(card):
-                if j != i:
-                    partial = partial * vals[j]
-            if not np.any(partial):
-                return None, None
-            partial = partial * w
-            fac[i] = _gram_solve(blocks_t[i] * partial[:, None], target, beta)
-            vals[i] = blocks_t[i] @ fac[i]
-        contr = np.ones_like(target)
-        for v in vals:
-            contr = contr * v
-        contr = contr * w
-        res = float(np.linalg.norm(target - contr))
-        if abs(prev - res) <= _ALS_TOL * max(res, _TINY):
-            break
-        prev = res
-    return fac, contr
-
-
 def _cp_sweep(target, blocks_t, factors, w, beta: float) -> np.ndarray:
-    """One joint-rank ALS sweep of a CP mode: for each dimension in turn, the
-    factors of all ranks by one least-squares solve, the other dimensions'
-    factors held. A rank whose other factors vanish has no columns and gets
-    zero factors, the minimum-norm choice."""
+    """One joint-rank ALS sweep of a CP mode, or of one rank of it: for each
+    dimension in turn, the factors of all ranks by one least-squares solve,
+    the other dimensions' factors held. A rank whose other factors vanish
+    has no columns and gets zero factors, the minimum-norm choice."""
     nr, card, nord = factors.shape
     factors = factors.copy()
     vals = [blocks_t[i] @ factors[:, i].T for i in range(card)]
@@ -398,7 +374,8 @@ class _ActiveMode:
             self.vblocks = None if vtable is None else _cp_blocks(vtable, at, cfg.no)
 
     def refit(self, r, cfg, w) -> None:
-        # a CP mode's refit: greedy ALS on entry, one joint-rank sweep after
+        # a CP mode's refit: greedy one-rank sweeps on entry, one joint-rank
+        # sweep after
         if self.params is None:
             self.params = _cp_factors(self.dims, r, self.blocks, cfg, w)
         else:

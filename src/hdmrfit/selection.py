@@ -42,6 +42,9 @@ _ROOT_FLOOR = 1e-10
 _RESIDUAL_TOL = 1e-10
 # predictor columns the active set leaves free below the sample count
 _DOF_BUFFER = 1
+# a group whose projection of the residual off the active span is below
+# this fraction of its score has its span inside the active span
+_INSIDE_TOL = 1e-20
 
 
 @dataclass(frozen=True)
@@ -303,6 +306,12 @@ def glars_select(train: SampleSet, cfg: SelectionConfig, basis: BasisConfig,
         proj_v = project(v)
         uw = group_sums(proj_r, proj_v)
         ww = group_sums(proj_v, proj_v)
+        # a group whose span lies inside the active span ties the active
+        # score identically, so its tie roots are rounding: it leaves the
+        # candidates for the rest of the path
+        off = proj_r - proj_v
+        usable &= group_sums(off, off) >= _INSIDE_TOL * uu
+        cand &= usable
         cand[gi] = False
         alpha = min(1.0, _quadratic_step(uu[cand], uw[cand], ww[cand], best_score))
 

@@ -9,11 +9,13 @@ groups side by side, as the weighted TLS refit of a robust fit uses it.
 The least-squares oracles rebuild the design and solve it by ``ls_solve``
 (an SVD ``lstsq``) every time, as the coefficient passes once did: they
 check the grown dense block and the Gram solves of the ALS subproblems.
+``greedy_cp_refit`` is rank-by-rank ALS that solves one factor at a time
+by lstsq: it checks the joint-rank sweeps that make a CP mode's entry fit.
 ``backfit`` is the coefficient passes as they once ran: per-mode
-backfitting, with a CP mode refitted by greedy rank-by-rank ALS
-warm-started from its previous factors; the joint dense block must reach
-its limit. The weighted TLS oracle works on the dense (Nq, p+1, p+1)
-covariance blocks, stacked one sample at a time, that the factored form in
+backfitting, with a CP mode refitted by ``greedy_cp_refit`` warm-started
+from its previous factors; the joint dense block must reach its limit.
+The weighted TLS oracle works on the dense (Nq, p+1, p+1) covariance
+blocks, stacked one sample at a time, that the factored form in
 ``fitting`` replaces. The selection path's direction oracle runs one lstsq
 on all active columns at every step: it checks the orthonormal basis of the
 active span that ``glars_select`` grows. ``grow_basis_svd`` extends that
@@ -232,25 +234,51 @@ def als_factor_lstsq(block, partial, w, target, beta: float) -> np.ndarray:
 
 def greedy_cp_refit(gamma, residual, blocks, cfg: FitConfig, w, init=None):
     """Rank-by-rank ALS of a CP mode, each rank fitted to what the earlier
-    ranks leave and started from its ``init`` factors; a rank without them,
-    or whose factor values vanish, starts from the seeded draws of
-    ``fitting._cp_factors``, the cold start (``init=None``)."""
-    factors = np.zeros((cfg.nr, len(gamma), cfg.no - 1))
+    ranks leave, one factor at a time by ``als_factor_lstsq``.
+
+    A rank starts from its ``init`` factors or, with ``init=None`` (the
+    cold start), from the seeded draws of stream (seed, 4, *gamma, rank, 0).
+    Its sweeps stop at the tolerance and cap of the library's ALS. A factor
+    whose other factors' product (times the row weights) vanishes is set
+    to zero, and a rank left all zero is skipped with a warning.
+    """
+    card, nord = len(gamma), cfg.no - 1
+    w = np.ones(residual.shape[0]) if w is None else np.asarray(w, dtype=float)
+    factors = np.zeros((cfg.nr, card, nord))
     target = residual.copy()
+
+    def product(fac, skip=None):
+        out = np.ones_like(target)
+        for j in range(card):
+            if j != skip:
+                out = out * (blocks[j] @ fac[j])
+        return out
+
     for rank in range(cfg.nr):
         if float(np.linalg.norm(target)) == 0.0:
             break
-        for attempt in (0, 1):
-            if init is not None and attempt == 0:
-                fac = np.array(init[rank], dtype=float)
-            else:
-                g = rng_stream(cfg.seed, 4, *gamma, rank, attempt)
-                fac = g.uniform(-1.0, 1.0, size=factors.shape[1:])
-            fac, contr = fitting._als_rank(target, blocks, fac, w, cfg.beta)
-            if fac is not None:
-                factors[rank] = fac
-                target = target - contr
+        if init is None:
+            g = rng_stream(cfg.seed, 4, *gamma, rank, 0)
+            fac = g.uniform(-1.0, 1.0, size=(card, nord))
+        else:
+            fac = np.array(init[rank], dtype=float)
+        prev = np.inf
+        for _ in range(fitting._ALS_MAX_SWEEPS):
+            for i in range(card):
+                partial = product(fac, skip=i)
+                fac[i] = (als_factor_lstsq(blocks[i], partial, w, target, cfg.beta)
+                          if np.any(partial * w) else 0.0)
+            contr = w * product(fac)
+            res = float(np.linalg.norm(target - contr))
+            if abs(prev - res) <= fitting._ALS_TOL * max(res, fitting._TINY):
                 break
+            prev = res
+        if not fac.any():
+            warnings.warn(f"CP rank {rank + 1} on {gamma}: factor values vanished, "
+                          "skipping this rank")
+            continue
+        factors[rank] = fac
+        target = target - contr
     return factors
 
 

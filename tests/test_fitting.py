@@ -10,6 +10,7 @@ from hdmrfit.data import NoiseModel, SampleSet, inject_noise, rng_stream, split
 from hdmrfit.fitting import (
     FitConfig,
     covariance_blocks,
+    fit_basis,
     fit_cp_mode,
     fit_dense_mode,
     fit_hdmr,
@@ -19,13 +20,13 @@ from hdmrfit.fitting import (
     save_diagnostics,
     wtls_solve,
 )
-from hdmrfit.model import (HdmrModel, dense_design, enumerate_dense_indices, evaluate_model,
-                           save_model)
+from hdmrfit.model import (HdmrModel, _cp_blocks, dense_design, enumerate_dense_indices,
+                           evaluate_model, save_model)
 from hdmrfit.selection import SelectionConfig, glars_select
 from hdmrfit.testbed import DiffusionConfig, generate_dataset
 from oracles import (als_factor_lstsq, backfit, block_sample_covariance,
-                     build_sample_covariance, dense_mode_lstsq, legendre_dpsi,
-                     stack_block_covariance, stack_sample_covariance,
+                     build_sample_covariance, dense_mode_lstsq, greedy_cp_refit,
+                     legendre_dpsi, stack_block_covariance, stack_sample_covariance,
                      wtls_denominators_dense, wtls_solve_dense)
 
 B = BasisConfig(lo=-1.0, hi=1.0, max_order=5)
@@ -115,6 +116,52 @@ def test_cp_mode_range_check():
     cfg = FitConfig(no=2, npc=2, ninter=3)
     with pytest.raises(ValueError):
         fit_cp_mode((1, 2), ds, cfg, B)
+
+
+def test_cp_rank_with_vanishing_factor_values_is_skipped():
+    # psi_2 is zero at the midpoint of [0, 1]: with xi3 = 0.5 and no = 2
+    # every factor block of dimension 3 is zero, so every rank's partial
+    # products vanish; each rank is skipped with a warning and zero factors
+    basis = BasisConfig(lo=0.0, hi=1.0, max_order=3)
+    g = rng_stream(61, 1)
+    xi = g.uniform(0.0, 1.0, size=(200, 3))
+    xi[:, 2] = 0.5
+    ds = SampleSet(np.empty((200, 0)), xi,
+                   xi[:, 0] * xi[:, 1] + 0.1 * g.standard_normal(200))
+    cfg = FitConfig(no=2, npc=2, ninter=3, nr=2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        mode = fit_cp_mode((1, 2, 3), ds, cfg, basis)
+    assert [str(w.message).endswith("skipping this rank") for w in caught] == [True] * 2
+    assert mode.factors.shape == (2, 3, 1) and not mode.factors.any()
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        model, _ = fit_hdmr(ds, None, [(1,), (1, 2, 3)], cfg, basis)
+    assert len(caught) == 2
+    assert [m.dims for m in model.cp] == [(1, 2, 3)] and not model.cp[0].factors.any()
+    dense_only, _ = fit_hdmr(ds, None, [(1,)], cfg, basis)
+    assert np.array_equal(evaluate_model(model, xi), evaluate_model(dense_only, xi))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("beta", [0.0, 0.05])
+def test_cp_mode_matches_greedy_lstsq_oracle(beta, weighted):
+    # a CP mode's entry fit is greedy rank-by-rank ALS: each rank's
+    # one-rank joint sweeps match the oracle's per-factor lstsq
+    ds, tab = uniform_set(400, 4, seed=47)
+    g = rng_stream(47, 1)
+    w = g.uniform(0.5, 1.5, 400) if weighted else None
+    u = (tab[:, 0, 1] * tab[:, 1, 2] * tab[:, 3, 1]
+         + 0.5 * tab[:, 0, 2] * tab[:, 1, 1] * tab[:, 3, 3]
+         + 0.05 * g.standard_normal(400))
+    dims = (1, 2, 4)
+    cfg = FitConfig(no=4, npc=2, ninter=3, nr=3, beta=beta, seed=3)
+    mode = fit_cp_mode(dims, with_u(ds, u), cfg, B, row_weights=w)
+    blocks = _cp_blocks(univariate_table(fit_basis(B, cfg), ds.xi), dims, cfg.no)
+    ref = greedy_cp_refit(dims, u, blocks, cfg, w)
+    assert np.all(np.linalg.norm(ref, axis=(1, 2)) > 0)
+    assert _rel(mode.factors, ref) < 1e-8
 
 
 def test_fit_hdmr_sparse_truth_cv_stopping():

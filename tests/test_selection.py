@@ -385,6 +385,13 @@ def test_degenerate_group_rank_matches_oracle(case, monkeypatch):
     assert deficient > 0
 
 
+def lstsq_step(x, cols, r):
+    # the path's direction by the oracle: x stacks the active groups'
+    # columns as they entered, not a basis
+    x = np.hstack([x, cols])
+    return x, lstsq_direction([x], r)
+
+
 @pytest.mark.parametrize("case", DEGENERATE)
 def test_degenerate_path_matches_lstsq_direction(case, monkeypatch):
     # dependent columns enter the active set here: the grown basis keeps only
@@ -393,14 +400,8 @@ def test_degenerate_path_matches_lstsq_direction(case, monkeypatch):
     # point both chase rounding noise with steps of about 0.5, and their
     # tails may differ by a group at residuals near 1e-9 relative.
     # With a duplicated or negated dimension, a group whose span lies inside
-    # the active span stays tied with the active groups, so rounding alone
-    # can decide a step there; this response (the one the rank test above
-    # scores) lets no such tie bind before the 1e-6 point.
-    def lstsq_step(x, cols, r):
-        # x stacks the active groups' columns as they entered, not a basis
-        x = np.hstack([x, cols])
-        return x, lstsq_direction([x], r)
-
+    # the active span ties the active score identically; it leaves the
+    # candidates, so rounding sets no step (see the test below).
     xi = degenerate_xi(case)
     tab = univariate_table(B5, xi)
     u = tab[:, 0, 1] + tab[:, 3, 2] * tab[:, 5, 1] + 0.5 * tab[:, 4, 1] - 0.2
@@ -419,6 +420,31 @@ def test_degenerate_path_matches_lstsq_direction(case, monkeypatch):
     else:
         assert len(path) == len(oracle)
     assert k > 0
+
+
+@pytest.mark.parametrize("case", ["duplicated", "negated"])
+def test_group_inside_active_span_sets_no_step(case, monkeypatch):
+    # once (1,) is active, the group of the duplicated or negated copy of
+    # dimension 1 spans what (1,) spans and ties the active score at every
+    # step size, so its tie roots are rounding noise. It leaves the
+    # candidates, and the grown-basis path is the lstsq-direction path at
+    # every step; with its tie roots kept, the two split at step 2.
+    xi = degenerate_xi(case)
+    tab = univariate_table(B5, xi)
+    u = (tab[:, 0, 1] + tab[:, 3, 2] * tab[:, 5, 1] + 0.5 * tab[:, 4, 1]
+         + 0.2 * tab[:, 1, 1] * tab[:, 2, 2] * tab[:, 6, 1])
+    cfg = SelectionConfig(nolars=4, ninter=3)
+    path = glars_select(as_set(xi, u), cfg, B5)
+    monkeypatch.setattr(selection, "_direction", lstsq_step)
+    oracle = glars_select(as_set(xi, u), cfg, B5)
+    unorm = float(np.linalg.norm(u - u.mean()))
+    assert path.groups() == oracle.groups()
+    assert len(path) >= 5
+    for a, b in zip(path.steps, oracle.steps):
+        assert a.entry_score == pytest.approx(b.entry_score, rel=1e-8)
+        assert a.step_size == pytest.approx(b.step_size, rel=1e-8)
+        assert a.residual_norm_after == pytest.approx(
+            b.residual_norm_after, rel=1e-8, abs=1e-12 * unorm)
 
 
 def test_repeated_rows_scale_entry_scores():

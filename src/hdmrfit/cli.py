@@ -84,22 +84,22 @@ def _write_manifest(path, command, args, inputs, outputs, timings) -> None:
 
 
 def _manifest_path(args, outputs):
-    if args.manifest:
-        return args.manifest
-    if outputs:
-        return str(outputs[0]) + ".manifest.json"
-    return "run-manifest.json"
+    return args.manifest or str(outputs[0]) + ".manifest.json"
 
 
 def _check_outputs(args) -> None:
     """Raise ValueError naming the first flag whose file cannot be written,
-    before the command does any work. The manifest's default path sits next
-    to the first output, or next to the model when stats writes no table."""
-    paths = [(f"--{dest.replace('_', '-')}", getattr(args, dest, None))
+    or whose path is empty, before the command does any work. The
+    manifest's default path sits next to the first output, or next to the
+    model when stats writes no table."""
+    paths = {f"--{dest.replace('_', '-')}": getattr(args, dest, None)
              for dest in ("out", "diagnostics", "path_csv", "spectrum_out",
-                          "spectrum_f_out")]
-    paths.append(("--manifest", _manifest_path(args, [args.out or args.model])))
-    for flag, path in paths:
+                          "spectrum_f_out", "manifest")}
+    for flag, path in paths.items():
+        if path == "":
+            raise ValueError(f"{flag}: empty path")
+    paths["--manifest"] = _manifest_path(args, [args.out or args.model])
+    for flag, path in paths.items():
         if path is None:
             continue
         parent = os.path.dirname(os.path.abspath(path))

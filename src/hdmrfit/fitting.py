@@ -28,9 +28,12 @@ separated driver, are solved through the Cholesky factor of their
 unit-scaled Gram (``_gram_solve``); ``ls_solve``, the plain lstsq, is the
 fallback and the reference. Every CP fit is made of joint-rank ALS sweeps
 (``_cp_sweep``; Kolda & Bader 2009, 3.4), whose step for one dimension
-solves one small Gram system for that dimension's factors of all ranks. A
-CP mode enters greedily: each rank, from seeded draws, is fitted by
-repeating the sweep on that one rank against what the earlier ranks leave.
+solves one small Gram system for that dimension's factors of all ranks; a
+rank whose other factors vanish has all-zero columns there and gets exactly
+zero factors (``_gram_solve`` falls back to lstsq's minimum-norm solution
+at beta = 0, and their right-hand side is zero at beta > 0). A CP mode
+enters greedily: each rank, from seeded draws, is fitted by repeating the
+sweep on that one rank against what the earlier ranks leave.
 Each later refit of the mode is one sweep over all its ranks. A pass with
 no CP mode is one solve of the block; with CP modes, update sweeps
 alternate a block solve with a refit of each CP mode, each an exact
@@ -250,9 +253,12 @@ def _cp_factors(gamma, residual, blocks_t, cfg: FitConfig, w) -> np.ndarray:
 
 def _cp_sweep(target, blocks_t, factors, w, beta: float) -> np.ndarray:
     """One joint-rank ALS sweep of a CP mode, or of one rank of it: for each
-    dimension in turn, the factors of all ranks by one least-squares solve,
-    the other dimensions' factors held. A rank whose other factors vanish
-    has no columns and gets zero factors, the minimum-norm choice."""
+    dimension in turn, the factors of all ranks by one ``_gram_solve``, the
+    other dimensions' factors held. A rank whose other factors vanish has
+    all-zero columns and gets exactly zero factors: at beta = 0 those
+    columns fail the Gram's pivot test and lstsq's minimum-norm solution
+    leaves them zero; at beta > 0 the ridge keeps the Cholesky path, and
+    their right-hand side is zero."""
     nr, card, nord = factors.shape
     factors = factors.copy()
     vals = [blocks_t[i] @ factors[:, i].T for i in range(card)]
@@ -261,13 +267,10 @@ def _cp_sweep(target, blocks_t, factors, w, beta: float) -> np.ndarray:
         for j in range(card):
             if j != i:
                 partial *= vals[j]
-        live = np.flatnonzero(np.any(partial, axis=0))
-        factors[:, i] = 0.0
-        if live.size:
-            # columns rank by rank: block i scaled by that rank's partial product
-            psi = blocks_t[i][:, None, :] * partial[:, live, None]
-            c = _gram_solve(psi.reshape(target.shape[0], -1), target, beta)
-            factors[live, i] = c.reshape(live.size, nord)
+        # columns rank by rank: block i scaled by that rank's partial product
+        psi = blocks_t[i][:, None, :] * partial[:, :, None]
+        c = _gram_solve(psi.reshape(target.shape[0], -1), target, beta)
+        factors[:, i] = c.reshape(nr, nord)
         vals[i] = blocks_t[i] @ factors[:, i].T
     return factors
 
@@ -429,13 +432,11 @@ class _DenseBlock:
     def _extend(self, cols, beta: float) -> None:
         _check_finite(cols)
         nq, p = cols.shape
-        pad = self.q.shape[0] - nq
         if beta > 0:
             # the new columns' ridge rows go below every earlier row
+            pad = self.q.shape[0] - nq
             self.q = np.vstack([self.q, np.zeros((p, self.q.shape[1]))])
             cols = np.vstack([cols, np.zeros((pad, p)), beta * np.eye(p)])
-        elif pad:
-            cols = np.vstack([cols, np.zeros((pad, p))])
         # lstsq's cutoff eps * max(n, P) * sigma_max, with the largest column
         # norm standing in for sigma_max
         scale = float(np.sqrt((cols * cols).sum(axis=0).max()))

@@ -130,10 +130,6 @@ class CPMode:
         object.__setattr__(self, "factors", factors)
 
     @property
-    def rank(self) -> int:
-        return self.factors.shape[0]
-
-    @property
     def variance(self) -> float:
         # E[f^2] = sum_{r,r'} prod_i <c_{r,i}, c_{r',i}>
         grams = np.einsum("rij,sij->rsi", self.factors, self.factors)
@@ -185,9 +181,6 @@ class HdmrModel:
             if m.dims in seen:
                 raise ValueError(f"duplicate mode on dims {m.dims}")
             seen.add(m.dims)
-
-    def groups(self) -> list[Group]:
-        return [m.dims for m in self.dense] + [m.dims for m in self.cp]
 
 
 def dense_design(table: np.ndarray, dims, indices) -> np.ndarray:

@@ -23,21 +23,22 @@ from hdmrfit.selection import SelectionConfig, glars_select
 from hdmrfit.separated import SeparatedConfig
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hdmrfit"
 SPANS = ROOT / "perfbench" / "spans.py"
 CONFIGS = {cls.__name__: cls for cls in (FitConfig, SelectionConfig, SeparatedConfig)}
 
 
-def _patches():
-    # read the PATCHES literal without importing the benchmark
+def _spans_literal(name):
+    # read a literal assigned in spans.py without importing the benchmark
     for node in ast.parse(SPANS.read_text(encoding="utf-8")).body:
         if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "PATCHES" for t in node.targets):
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
             return ast.literal_eval(node.value)
-    raise AssertionError(f"no PATCHES in {SPANS}")
+    raise AssertionError(f"no {name} in {SPANS}")
 
 
 def test_patched_attributes_are_module_callables():
-    patches = _patches()
+    patches = _spans_literal("PATCHES")
     assert patches
     for modname, attr, _ in patches:
         mod = importlib.import_module(modname)
@@ -56,6 +57,46 @@ def test_hook_attributes_exist():
     _, diag = fit_hdmr(train, val, path, FitConfig(no=2, npc=2, ninter=2), basis)
     assert len(diag.records) >= 1
     assert isinstance(diag.retained, int)
+
+
+def _library_calls_of(obj, attr):
+    # (file name, call) of every obj.attr(...) call in the library
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == attr
+                    and getattr(node.func.value, "id", None) == obj):
+                yield path.name, node
+
+
+def _literal_text(node) -> str:
+    # a string constant, or an f-string's constant parts joined
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(v.value for v in node.values if isinstance(v, ast.Constant))
+    return ""
+
+
+def test_warning_events_occur_in_library_warnings():
+    # the benchmark counts a warning as an event by a pattern in its text, so
+    # a reworded warning would read 0 in its counter instead of failing
+    texts = [_literal_text(call.args[0])
+             for _, call in _library_calls_of("warnings", "warn") if call.args]
+    events = _spans_literal("_WARNING_EVENTS")
+    assert events
+    for pattern, key in events:
+        assert any(pattern in t for t in texts), f"{key}: no warning says {pattern!r}"
+
+
+def test_dropped_columns_log_call_matches_its_parser():
+    # spans._DroppedColumns reads a selection log record holding "dropped"
+    # with 2 arguments, the second the number of dropped columns
+    calls = [call for name, call in _library_calls_of("log", "warning")
+             if name == "selection.py" and call.args
+             and "dropped" in _literal_text(call.args[0])]
+    assert len(calls) == 1
+    assert len(calls[0].args) == 1 + 2
 
 
 def _config_keywords():

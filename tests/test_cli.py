@@ -455,6 +455,27 @@ def test_unwritable_output_exits_2(tmp_path, capsys, monkeypatch, command, flag)
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("command, flag", [
+    (["gen-diffusion", "--nq", "10"], "--out"),
+    (["gen-diffusion", "--nq", "10"], "--spectrum-out"),
+    (["gen-diffusion", "--nq", "10"], "--manifest"),
+    (["fit", "data.csv"], "--out"),
+    (["fit", "data.csv"], "--diagnostics"),
+    (["fit", "data.csv"], "--path-csv"),
+    (["fit", "data.csv"], "--manifest"),
+    (["predict", "model.json", "data.csv"], "--out"),
+    (["stats", "model.json"], "--out"),
+    (["bench"], "--out"),
+], ids=["gen-diffusion", "gen-spectrum", "gen-manifest", "fit-out", "fit-diagnostics",
+        "fit-path-csv", "fit-manifest", "predict", "stats", "bench"])
+def test_empty_output_path_exits_2(tmp_path, capsys, monkeypatch, command, flag):
+    # an empty path is neither written nor silently ignored
+    monkeypatch.chdir(tmp_path)
+    assert main(command + [flag, ""]) == 2
+    assert f"{flag}: empty path" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fit_without_validation_rows_fits_whole_path(ws, tmp_path, capsys):
     diag, path_csv = tmp_path / "d.csv", tmp_path / "path.csv"
     with warnings.catch_warnings(record=True) as caught:

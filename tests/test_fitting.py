@@ -144,6 +144,33 @@ def test_cp_rank_with_vanishing_factor_values_is_skipped():
     assert np.array_equal(evaluate_model(model, xi), evaluate_model(dense_only, xi))
 
 
+@pytest.mark.parametrize("beta", [0.0, 0.05])
+def test_cp_sweep_gives_a_vanished_rank_zero_factors(beta):
+    # rank 2 is all zero, so its columns in every dimension's solve are zero:
+    # it stays exactly zero and rank 1 is swept as if it were alone
+    ds, tab = uniform_set(300, 3, seed=62)
+    g = rng_stream(62, 1)
+    w = g.uniform(0.5, 1.5, 300)
+    u = tab[:, 0, 1] * tab[:, 1, 2] * tab[:, 2, 1] + 0.05 * g.standard_normal(300)
+    blocks = _cp_blocks(tab, (1, 2, 3), 4)
+    factors = np.zeros((2, 3, 3))
+    factors[0] = g.uniform(-1.0, 1.0, (3, 3))
+    swept = fitting._cp_sweep(u, blocks, factors, w, beta)
+    assert not swept[1].any()
+    alone = fitting._cp_sweep(u, blocks, factors[:1], w, beta)
+    assert _rel(swept[:1], alone) < 1e-12
+
+
+def test_cp_mode_on_zero_values_is_zero_without_warnings():
+    ds, _ = uniform_set(200, 3, seed=63)
+    cfg = FitConfig(no=3, npc=2, ninter=3, nr=2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        mode = fit_cp_mode((1, 2, 3), ds, cfg, B)
+    assert caught == []
+    assert mode.factors.shape == (2, 3, 2) and not mode.factors.any()
+
+
 @pytest.mark.parametrize("weighted", [False, True])
 @pytest.mark.parametrize("beta", [0.0, 0.05])
 def test_cp_mode_matches_greedy_lstsq_oracle(beta, weighted):
@@ -195,6 +222,25 @@ def test_fit_hdmr_without_validation_fits_every_group():
     model, diag = fit_hdmr(with_u(ds, u), None, [(1,), (2,)],
                            FitConfig(no=3, npc=1, ninter=1), B)
     assert diag.retained == 2
+
+
+def test_fit_hdmr_rejects_a_path_that_repeats_a_group():
+    ds, tab = uniform_set(100, 2, seed=10)
+    with pytest.raises(ValueError, match=r"^group \(1,\) appears twice in the path$"):
+        fit_hdmr(with_u(ds, tab[:, 0, 1]), None, [(1,), (2,), (1,)],
+                 FitConfig(no=3, npc=1, ninter=1), B)
+
+
+def test_fit_hdmr_with_zero_validation_values_fits_every_group():
+    ds, tab = uniform_set(200, 3, seed=10)
+    vs, _ = uniform_set(50, 3, seed=11)
+    u = tab[:, 0, 1] + tab[:, 1, 1]
+    groups = [(1,), (2,), (3,)]
+    with pytest.warns(UserWarning, match="validation values are identically zero: "
+                                         "no early stopping"):
+        _, diag = fit_hdmr(with_u(ds, u), vs, groups, FitConfig(no=3, npc=1, ninter=1), B)
+    assert diag.retained == len(groups)
+    assert all(np.isnan(rec.cv_eps) for rec in diag.records)
 
 
 @pytest.mark.parametrize("weighted", [False, True])
@@ -432,12 +478,13 @@ def test_wtls_zero_noise_equals_ls():
     assert np.max(np.abs(c_ls - c_w)) < 1e-8
 
 
-def test_wtls_objective_not_above_ls_start():
+def _noisy_wtls_instance():
+    """(design, values, covariance blocks, the WTLS objective) of a noisy
+    one-dimensional fit, the objective from the dense covariance oracle."""
     ds, tab = uniform_set(300, 2, seed=18)
     nm = NoiseModel(s=0.02, s_u=0.15)
     noisy = inject_noise(with_u(ds, 1.0 + tab[:, 0, 1]), nm, seed=5)
-    ntab = univariate_table(B, noisy.xi)
-    psi = dense_design(ntab, (1,), [(2,), (3,)])
+    psi = dense_design(univariate_table(B, noisy.xi), (1,), [(2,), (3,)])
     blocks = covariance_blocks(noisy, [((1,), [(2,), (3,)])], nm, B, noisy.u)
     lam = stack_sample_covariance(noisy, (1,), [(2,), (3,)], nm, B)
 
@@ -445,8 +492,23 @@ def test_wtls_objective_not_above_ls_start():
         e = psi @ c - noisy.u
         return float(np.sum(e * e / wtls_denominators_dense(lam, c)))
 
-    c_ls = ls_solve(psi, noisy.u)
-    c_w = wtls_solve(psi, noisy.u, blocks, c0=c_ls)
+    return psi, noisy.u, blocks, rho2
+
+
+def test_wtls_objective_not_above_ls_start():
+    psi, u, blocks, rho2 = _noisy_wtls_instance()
+    c_ls = ls_solve(psi, u)
+    c_w = wtls_solve(psi, u, blocks, c0=c_ls)
+    assert rho2(c_w) <= rho2(c_ls) * (1 + 1e-10)
+
+
+def test_wtls_at_its_iteration_cap_warns_and_returns_the_best_iterate(monkeypatch):
+    psi, u, blocks, rho2 = _noisy_wtls_instance()
+    monkeypatch.setattr(fitting, "_WTLS_MAX_ITER", 1)
+    c_ls = ls_solve(psi, u)
+    with pytest.warns(UserWarning, match="^weighted TLS did not converge; "
+                                         "returning best iterate$"):
+        c_w = wtls_solve(psi, u, blocks, c0=c_ls)
     assert rho2(c_w) <= rho2(c_ls) * (1 + 1e-10)
 
 

@@ -16,8 +16,10 @@ profile. Weighted TLS covers plain rows only: a robust fit with row weights
 raises ValueError.
 
 One ``_fit_passes`` call (the driver behind ``fit_hdmr``) owns everything its
-refits reuse, for the life of that call and no longer: the univariate tables
-over the columns its groups touch, one ``_ActiveMode`` per mode that holds
+refits reuse, for the life of that call and no longer: the univariate
+tables, one per dim, each evaluated when the first group on that dim enters
+(``_Tables``; a path is read one group per pass, so the dims of groups that
+never enter are never evaluated), one ``_ActiveMode`` per mode that holds
 the train and validation designs (dense) or factor blocks (CP), and one
 ``_DenseBlock`` that fits ``f0`` and every dense mode together as one
 least-squares problem, through an orthonormal basis of its columns that
@@ -38,8 +40,11 @@ Each later refit of the mode is one sweep over all its ranks. A pass with
 no CP mode is one solve of the block; with CP modes, update sweeps
 alternate a block solve with a refit of each CP mode, each an exact
 minimum over its own coefficients, so the training residual does not
-rise. Nothing is cached between calls; ``fit_dense_mode`` and
-``fit_cp_mode`` build what one fit needs.
+rise. Nothing is cached between ``fit_hdmr`` calls; ``fit_dense_mode`` and
+``fit_cp_mode`` build what one fit needs. The one owner that outlives a
+pass loop is ``_Skeleton``: a separated rank's frozen skeleton keeps its
+modes' tables and designs on its rows, and each of the rank's refits reruns
+the passes over them with new row weights.
 """
 
 from __future__ import annotations
@@ -196,10 +201,8 @@ def fit_cp_mode(gamma, train: SampleSet, cfg: FitConfig, basis: BasisConfig,
 
 
 def _fit_one(gamma, train, cfg, basis, row_weights):
-    # the table spans every column of train.xi, so a group's columns are its dims
-    table = univariate_table(fit_basis(basis, cfg), train.xi)
     w = _vector(_check_row_weights(row_weights, train.nq), np.ones(train.nq))
-    am = _ActiveMode(gamma, gamma, cfg, table, None)
+    am = _enter(gamma, cfg, _Tables(fit_basis(basis, cfg), [train.xi]))
     if am.kind == "dense":
         block = _DenseBlock(w, cfg.beta, with_f0=False)
         block.add(am)
@@ -321,7 +324,8 @@ class FitDiagnostics:
     """``records`` are the passes of the (cross-validated) pass loop and
     ``retained`` the number of groups the model keeps. With validation rows,
     ``refit_records`` are the passes of the final refit on train plus
-    validation (empty without them). ``cv_seconds`` times the pass loop,
+    validation (empty without them). ``cv_seconds`` times the pass loop
+    (with the steps of a path computed as the passes read it),
     ``refit_seconds`` the final refit (0 without validation rows) and
     ``wtls_seconds`` the weighted TLS refit of a robust fit (0 for a plain
     one)."""
@@ -394,6 +398,49 @@ class _ActiveMode:
         if self.kind == "dense":
             return DenseMode(self.dims, tuple(self.indices), self.params)
         return CPMode(self.dims, self.params)
+
+
+class _Tables:
+    """Univariate tables of one or more row sets (the training rows, and
+    the validation rows of a cross-validated call), grown dim by dim.
+
+    The tables live in one dim-major store, one (rows, max_order) slab per
+    dim, that is allocated once and never copied; ``views`` are its
+    (rows, nd, max_order) views, one per row set, in which a group's
+    columns are its dims. A dim is evaluated when the first group on it
+    enters (``evaluate``), or up front for ``dims``: one evaluation covers
+    every row set and every dim not seen before, so no dim is evaluated
+    twice, and a dim that no group touches is never evaluated (nor its
+    slab's memory written).
+    """
+
+    __slots__ = ("basis", "xi", "store", "views", "done")
+
+    def __init__(self, basis: BasisConfig, xis, dims=()):
+        self.basis = basis
+        self.xi = np.concatenate(xis) if len(xis) > 1 else xis[0]
+        self.store = np.empty((self.xi.shape[1], self.xi.shape[0], basis.max_order))
+        ends = np.cumsum([0] + [x.shape[0] for x in xis]).tolist()
+        self.views = [self.store[:, a:b].transpose(1, 0, 2)
+                      for a, b in zip(ends, ends[1:])]
+        self.done: set[int] = set()
+        self.evaluate(dims)
+
+    def evaluate(self, dims) -> None:
+        new = sorted(set(dims) - self.done)
+        if new:
+            cols = [d - 1 for d in new]
+            self.store[cols] = univariate_table(self.basis,
+                                                self.xi[:, cols]).transpose(1, 0, 2)
+            self.done.update(new)
+
+
+def _enter(dims, cfg: FitConfig, tables: _Tables) -> _ActiveMode:
+    # the mode of an entering group, with the validation rows' table when
+    # ``tables`` has them
+    tables.evaluate(dims)
+    views = tables.views
+    return _ActiveMode(dims, dims, cfg, views[0], views[1] if len(views) > 1 else None)
 
 
 class _DenseBlock:
@@ -482,6 +529,17 @@ def _residual_norm(u, w, fitted) -> float:
     return float(np.linalg.norm(u - w * fitted))
 
 
+def _check_matching_rows(train: SampleSet, validation: SampleSet) -> None:
+    """ValueError unless the validation rows have the training rows' columns."""
+    if validation.x.shape[1:] != train.x.shape[1:] or \
+            validation.xi.shape[1:] != train.xi.shape[1:]:
+        raise ValueError(
+            f"validation rows (x {validation.x.shape}, xi {validation.xi.shape}) "
+            f"do not have the columns of the training rows (x {train.x.shape}, "
+            f"xi {train.xi.shape})"
+        )
+
+
 def merge_train_validation(train: SampleSet, validation: SampleSet,
                            row_weights=None, val_row_weights=None):
     """Stack the validation rows under the training rows for a final refit.
@@ -510,15 +568,20 @@ def fit_hdmr(train: SampleSet, validation: SampleSet | None, path, cfg: FitConfi
              basis: BasisConfig, row_weights=None, val_row_weights=None):
     """Multi-pass driver: grow the surrogate of train.u along a selection path.
 
-    ``path`` is a SelectionPath or any iterable of groups; its groups are
-    added one per pass in order. Each pass fits the new mode on the current
+    ``path`` is a SelectionPath or any iterable of groups, such as a
+    generator over ``selection.glars_steps``; its groups are added one per
+    pass in order. Each pass fits the new mode on the current
     residual, cyclically re-fits all active modes (update sweeps), and
     evaluates the error on the validation set. Growth stops once the
     validation error has increased over two consecutive passes; the
     returned model keeps the pass with the smallest validation error and is
-    refitted on train plus validation. With ``validation=None`` every group
-    is fitted, with no early stopping (as for refits on a fixed skeleton);
-    ``val_row_weights`` then raises ValueError.
+    refitted on train plus validation. With validation rows the path is
+    read lazily, one group per pass, and never past the pass at which
+    growth stops, so a generator computes only the steps the passes use.
+    With ``validation=None`` every group is fitted, with no early stopping
+    (as for refits on a fixed skeleton); ``val_row_weights`` then raises
+    ValueError. Validation rows whose x or xi column count differs from the
+    training rows' raise ValueError before any pass.
 
     Every pass fits by least squares (dense modes) and ALS (CP modes). A
     robust ``cfg`` then refits all dense modes' coefficients together, once,
@@ -529,21 +592,23 @@ def fit_hdmr(train: SampleSet, validation: SampleSet | None, path, cfg: FitConfi
 
     Returns (HdmrModel, FitDiagnostics).
     """
-    if validation is None and val_row_weights is not None:
-        raise ValueError("val_row_weights given without validation rows")
+    if validation is None:
+        if val_row_weights is not None:
+            raise ValueError("val_row_weights given without validation rows")
+    else:
+        _check_matching_rows(train, validation)
     _check_plain_rows(cfg, row_weights, val_row_weights)
-    groups = [tuple(g) for g in path]
     t0 = time.perf_counter()
-    model, diag = _fit_passes(train, validation, groups, cfg, basis, row_weights,
+    model, diag = _fit_passes(train, validation, path, cfg, basis, row_weights,
                               val_row_weights)
     diag.cv_seconds = time.perf_counter() - t0
     rows = train
     if validation is not None:
         rows, w_c = merge_train_validation(train, validation, row_weights,
                                            val_row_weights)
+        kept = [rec.dims for rec in diag.records[1: diag.retained + 1]]
         t0 = time.perf_counter()
-        model, refit = _fit_passes(rows, None, groups[: diag.retained], cfg, basis,
-                                   w_c, None)
+        model, refit = _fit_passes(rows, None, kept, cfg, basis, w_c, None)
         diag.refit_seconds = time.perf_counter() - t0
         diag.refit_records = refit.records
     if cfg.robust:
@@ -580,21 +645,48 @@ def _wtls_refit(model: HdmrModel, rows: SampleSet, noise: NoiseModel) -> HdmrMod
     return replace(model, dense=dense)
 
 
+def _passes(block, cps, modes, u, cfg, w):
+    """The coefficient passes: solve ``block`` for f0 alone, then add the
+    ``modes`` one per pass, each fitted to the current residual and
+    followed by the update sweeps. ``cps`` collects the CP modes that
+    entered. Yields (mode, update sweeps, capped) after every pass, with
+    (None, 0, False) for f0 alone; the next mode is read only when the next
+    pass is asked for."""
+    nq = u.shape[0]
+    block.solve(u)
+    yield None, 0, False
+    for am in modes:
+        if am.kind == "dense":
+            block.add(am)
+            block.solve(u - w * _total(cps, nq))
+        else:
+            # a CP mode enters from its seeded draws, also when it is reused
+            am.params = None
+            am.refit(u - w * (block.values() + _total(cps, nq)), cfg, w)
+            cps.append(am)
+        yield (am, *_update_sweeps(block, cps, u, cfg, w))
+
+
+def _hdmr_model(block, cps, fbasis, nd, cfg) -> HdmrModel:
+    return HdmrModel(
+        f0=block.f0, basis=fbasis, nd=nd, no=cfg.no, ninter=cfg.ninter,
+        npc=cfg.npc, nr=cfg.nr,
+        dense=[m.mode() for m in block.modes],
+        cp=[m.mode() for m in cps],
+    )
+
+
 def _fit_passes(train, validation, groups, cfg, basis, row_weights,
                 val_row_weights):
+    # the pass loop; with validation rows the groups are read one per pass
+    # and stop where the loop stops, and the tables hold only the dims of
+    # the groups that entered
     fbasis = fit_basis(basis, cfg)
-    # the tables hold only the columns the path's groups touch; a group's
-    # columns there are its 1-based positions among them
-    cols = sorted({int(d) for g in groups for d in g})
-    at = {d: k + 1 for k, d in enumerate(cols)}
-    table = univariate_table(fbasis, train.xi[:, [d - 1 for d in cols]])
     u = train.u
     w = _vector(_check_row_weights(row_weights, train.nq), np.ones(train.nq))
 
     have_val = validation is not None
-    vtable = None
     if have_val:
-        vtable = univariate_table(fbasis, validation.xi[:, [d - 1 for d in cols]])
         uval = validation.u
         wv = _vector(_check_row_weights(val_row_weights, validation.nq),
                      np.ones(validation.nq))
@@ -602,6 +694,12 @@ def _fit_passes(train, validation, groups, cfg, basis, row_weights,
         if val_norm == 0.0:
             warnings.warn("validation values are identically zero: no early stopping")
             have_val = False
+    if have_val:
+        tables = _Tables(fbasis, [train.xi, validation.xi])
+    else:
+        # every group enters: their dims are evaluated together
+        groups = [tuple(int(d) for d in g) for g in groups]
+        tables = _Tables(fbasis, [train.xi], [d for g in groups for d in g])
 
     block = _DenseBlock(w, cfg.beta, with_f0=True)
     cps: list[_ActiveMode] = []
@@ -614,48 +712,77 @@ def _fit_passes(train, validation, groups, cfg, basis, row_weights,
             tot += m.val_values()
         return float(np.linalg.norm(uval - wv * (block.f0 + tot)) / val_norm)
 
-    block.solve(u)
-    eps0 = cv_eps()
-    records = [PassRecord(0, None, _residual_norm(u, w, block.values()), eps0, 0)]
-    best_eps, best_s = (eps0, 0) if have_val else (np.inf, len(groups))
-    prev_eps, inc = eps0, 0
     unique = set()
 
-    for s, dims in enumerate(groups, start=1):
+    def enter(dims):
         dims = tuple(int(d) for d in dims)
         if dims in unique:
             raise ValueError(f"group {dims} appears twice in the path")
         unique.add(dims)
-        am = _ActiveMode(dims, tuple(at[d] for d in dims), cfg, table,
-                         vtable if have_val else None)
-        if am.kind == "dense":
-            block.add(am)
-            block.solve(u - w * _total(cps, train.nq))
-        else:
-            am.refit(u - w * (block.values() + _total(cps, train.nq)), cfg, w)
-            cps.append(am)
+        return _enter(dims, cfg, tables)
 
-        sweeps, capped = _update_sweeps(block, cps, u, cfg, w)
+    records = []
+    # without validation rows best_s follows the passes: every group is kept
+    best_eps, best_s, prev_eps, inc = np.inf, 0, np.inf, 0
+    for s, (am, sweeps, capped) in enumerate(
+            _passes(block, cps, map(enter, groups), u, cfg, w)):
         rnorm = _residual_norm(u, w, block.values() + _total(cps, train.nq))
         eps = cv_eps()
-        records.append(PassRecord(s, dims, rnorm, eps, sweeps, capped))
+        records.append(PassRecord(s, None if am is None else am.dims, rnorm, eps,
+                                  sweeps, capped))
+        if not have_val:
+            best_s = s
+            continue
+        inc = inc + 1 if eps > prev_eps else 0
+        if eps < best_eps:
+            best_eps, best_s = eps, s
+        prev_eps = eps
+        if inc >= 2:
+            break
 
-        if have_val:
-            inc = inc + 1 if eps > prev_eps else 0
-            if eps < best_eps:
-                best_eps, best_s = eps, s
-            prev_eps = eps
-            if inc >= 2:
-                break
-
-    model = HdmrModel(
-        f0=block.f0, basis=fbasis, nd=train.nd, no=cfg.no, ninter=cfg.ninter,
-        npc=cfg.npc, nr=cfg.nr,
-        dense=[m.mode() for m in block.modes],
-        cp=[m.mode() for m in cps],
-    )
-    # without validation rows best_s stays at len(groups): every group is kept
+    model = _hdmr_model(block, cps, fbasis, train.nd, cfg)
     return model, FitDiagnostics(records=records, retained=best_s)
+
+
+class _Skeleton:
+    """The modes of a frozen group skeleton on fixed rows, for refits that
+    change only the row weights (the inner alternations of a separated
+    rank). Tables and designs are built once, here; each ``fit`` reruns
+    the coefficient passes over these modes, so its model is the one
+    ``fit_hdmr(rows, None, groups, cfg, basis, row_weights=w)`` returns for
+    a plain ``cfg``, with no PassRecords."""
+
+    def __init__(self, rows: SampleSet, groups, cfg: FitConfig, basis: BasisConfig):
+        self.rows = rows
+        self.cfg = cfg
+        self.basis = fit_basis(basis, cfg)
+        groups = [tuple(g) for g in groups]
+        tables = _Tables(self.basis, [rows.xi], [d for g in groups for d in g])
+        self.modes = [_enter(g, cfg, tables) for g in groups]
+
+    def fit(self, row_weights) -> HdmrModel:
+        """Refit every mode's coefficients to rows.u under these row weights."""
+        nq = self.rows.nq
+        w = _vector(_check_row_weights(row_weights, nq), np.ones(nq))
+        block = _DenseBlock(w, self.cfg.beta, with_f0=True)
+        cps: list[_ActiveMode] = []
+        for _ in _passes(block, cps, self.modes, self.rows.u, self.cfg, w):
+            pass
+        return _hdmr_model(block, cps, self.basis, self.rows.nd, self.cfg)
+
+    def values(self, model: HdmrModel, rows: slice) -> np.ndarray:
+        """``model``, fitted on this skeleton, at a slice of the rows: the
+        values ``evaluate_model`` gives there, from this skeleton's designs
+        and with its arithmetic (a product per row slice, f0 first, then the
+        dense and the CP modes in order)."""
+        dense = [m for m in self.modes if m.kind == "dense"]
+        cp = [m for m in self.modes if m.kind == "cp"]
+        out = np.full(self.rows.nq, model.f0)[rows]
+        for m, mode in zip(dense, model.dense, strict=True):
+            out += m.design[rows] @ mode.coeffs
+        for m, mode in zip(cp, model.cp, strict=True):
+            out += _cp_values([b[rows] for b in m.blocks], mode.factors)
+        return out
 
 
 def _update_sweeps(block, cps, u, cfg, w):

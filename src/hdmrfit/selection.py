@@ -7,7 +7,9 @@ product and p_g counts its predictors. Groups enter one at a time; after each
 entry the residual moves along the least-squares direction of the active
 columns by the smallest step at which an inactive group ties the active
 score. The output is the ordered entry sequence: a skeleton of groups whose
-coefficients are discarded and re-estimated downstream.
+coefficients are discarded and re-estimated downstream. ``glars_steps``
+computes it one step at a time, as a caller asks for steps;
+``glars_select`` collects every step into a SelectionPath.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ __all__ = [
     "PathStep",
     "SelectionPath",
     "glars_select",
+    "glars_steps",
     "save_path",
 ]
 
@@ -228,13 +231,32 @@ def _direction(q, cols, r):
 
 def glars_select(train: SampleSet, cfg: SelectionConfig, basis: BasisConfig,
                  row_weights=None) -> SelectionPath:
-    """Run the group selection path on a training set, targeting train.u.
+    """Run the group selection path on a training set, targeting train.u:
+    every step of ``glars_steps``, collected with its timings."""
+    steps = []
+    walk = glars_steps(train, cfg, basis, row_weights)
+    while True:
+        try:
+            steps.append(next(walk))
+        except StopIteration as done:
+            return SelectionPath(steps, *done.value)
 
-    ``row_weights`` scales every design row (the separated-representation
-    driver passes its spatial profile, with its deflated residual as
-    train.u); the response is first centered by its (weighted) constant
-    projection. Row weights of the wrong length, with a non-finite entry,
-    or identically zero raise ValueError.
+
+def glars_steps(train: SampleSet, cfg: SelectionConfig, basis: BasisConfig,
+                row_weights=None):
+    """Generate the group selection path on a training set, one PathStep per
+    entering group, targeting train.u.
+
+    A step is computed when it is asked for, so a caller that stops early
+    (the cross-validated passes of ``fitting.fit_hdmr``) pays for the steps
+    it reads only; the dictionary is factored on the first. On exhaustion
+    the generator returns (scan seconds, direction seconds), which
+    ``glars_select`` keeps in its SelectionPath. ``row_weights`` scales
+    every design row (the separated-representation driver passes its
+    spatial profile, with its deflated residual as train.u); the response is
+    first centered by its (weighted) constant projection. Fewer than two
+    samples, or row weights of the wrong length, with a non-finite entry, or
+    identically zero raise ValueError when the first step is asked for.
     """
     u = train.u
     if train.nq < 2:
@@ -247,12 +269,13 @@ def glars_select(train: SampleSet, cfg: SelectionConfig, basis: BasisConfig,
         r = u - w * (float(w @ u) / float(w @ w))
     unorm = float(np.linalg.norm(r))
     if unorm == 0.0:
-        return SelectionPath(steps=[])
+        return 0.0, 0.0
 
     need = max(basis.max_order, cfg.nolars + 1)
-    table = univariate_table(replace(basis, max_order=need), train.xi)
-
-    scan = _Scan(table, _group_classes(train.nd, cfg), w)
+    # the table is not kept: the generator's frame lives as long as its caller
+    # reads steps
+    scan = _Scan(univariate_table(replace(basis, max_order=need), train.xi),
+                 _group_classes(train.nd, cfg), w)
     usable = scan.pcount > 0
     pk = np.maximum(scan.pcount, 1)
     scan_seconds = 0.0
@@ -272,7 +295,6 @@ def glars_select(train: SampleSet, cfg: SelectionConfig, basis: BasisConfig,
     active_set: set[Group] = set()
     q = np.empty((train.nq, 0))
     direction_seconds = 0.0
-    steps: list[PathStep] = []
     pred_count = 0
     dof_cap = train.nq - _DOF_BUFFER
 
@@ -317,10 +339,10 @@ def glars_select(train: SampleSet, cfg: SelectionConfig, basis: BasisConfig,
 
         r = r - alpha * v
         rnorm = float(np.linalg.norm(r))
-        steps.append(PathStep(scan.groups[gi], float(best_score), float(alpha), rnorm))
+        yield PathStep(scan.groups[gi], float(best_score), float(alpha), rnorm)
         if rnorm <= _RESIDUAL_TOL * unorm:
             break
         if pred_count >= dof_cap:
             break
 
-    return SelectionPath(steps, scan_seconds, direction_seconds)
+    return scan_seconds, direction_seconds

@@ -5,6 +5,10 @@ profiles times stochastic modes, built one rank at a time by deflation.
 Each rank alternates a spatial least-squares fit (rows weighted by the
 current lambda values) with a stochastic surrogate fit (design rows weighted
 by the current spatial profile) until the stochastic-mode norm settles.
+A rank selects its skeleton only as far as its cross-validated passes read
+the path (``selection.glars_steps``), then keeps that skeleton's designs for
+its later alternations (``fitting._Skeleton``), which also give every value
+of lambda the driver needs at the training and validation rows.
 
 The spatial least-squares fits (rank 0, the start profile, each rank's
 profile, the joint re-solve) are solved through the Cholesky factor of their
@@ -24,13 +28,14 @@ import numpy as np
 
 from .basis import BasisConfig, univariate_table
 from .data import SampleSet
-# perfbench/spans.py wraps the ls_solve global of this module by name, so it
-# stays importable here although the spatial fits reach it via _gram_solve
-from .fitting import (FitConfig, _gram_solve, fit_hdmr, ls_solve,  # noqa: F401
-                      merge_train_validation)
+# perfbench/spans.py wraps the ls_solve and glars_select globals of this module
+# by name, so they stay importable here although the spatial fits reach
+# ls_solve via _gram_solve and the driver selects through glars_steps
+from .fitting import (FitConfig, _check_matching_rows, _gram_solve,  # noqa: F401
+                      _Skeleton, fit_hdmr, ls_solve, merge_train_validation)
 from .model import (HdmrModel, _model_from_document, _model_payload, _read_document,
                     evaluate_model)
-from .selection import SelectionConfig, glars_select
+from .selection import SelectionConfig, glars_select, glars_steps  # noqa: F401
 
 __all__ = [
     "SpatialBasis",
@@ -175,13 +180,20 @@ def fit_separated(train: SampleSet, sel_cfg: SelectionConfig, fit_cfg: FitConfig
     Rank 0 is the plain spatial least-squares fit (lambda_0 = 1). For every
     later rank the selection and the stochastic fits target copies of
     ``train`` and ``validation`` whose u is the deflated residual. The group
-    skeleton of lambda_n is selected once, on the first inner alternation,
-    and kept fixed while the spatial and stochastic coefficients are
-    alternated to convergence of ||lambda_n||. Ranks stop
+    skeleton of lambda_n is selected once, on the first inner alternation:
+    ``fit_hdmr`` reads the steps of ``glars_steps`` as its cross-validated
+    passes ask for them, so the path stops where those passes stop. The
+    skeleton is then frozen: its modes are built once, on train plus
+    validation (``fitting._Skeleton``), and every later alternation refits
+    their coefficients with the new spatial profile as row weights, until
+    ||lambda_n|| settles. lambda_n's values at the training and validation
+    rows come from those designs. Ranks stop
     at sep_cfg.lmax or once ||lambda_n|| falls below
     _STOP_NORM_FRAC * ||u||; a rank whose pair fails to reduce the training
     residual is discarded. Weighted TLS (fit_cfg.robust) is rejected: it
     covers plain rows only, and every stochastic fit here is row-weighted.
+    Validation rows whose column counts differ from the training rows'
+    raise ValueError.
     """
     if fit_cfg.robust:
         raise ValueError("robust fitting does not apply to the separated "
@@ -189,12 +201,18 @@ def fit_separated(train: SampleSet, sel_cfg: SelectionConfig, fit_cfg: FitConfig
     if train.ndx != 1:
         raise ValueError("separated fitting needs one spatial column")
     have_val = validation is not None
+    if have_val:
+        _check_matching_rows(train, validation)
 
     phi = spatial_design(sb, train.x[:, 0])
     u = train.u
+    nq = train.nq
     unorm = float(np.linalg.norm(u))
     c0 = _gram_solve(phi, u, 0.0)
     pairs: list[tuple[np.ndarray, HdmrModel | None]] = [(c0, None)]
+    # each pair's lambda at the training (and validation) rows; None for 1
+    lam_train: list[np.ndarray | None] = [None]
+    lam_val: list[np.ndarray | None] = [None]
     res = u - phi @ c0
     if have_val:
         phi_val = spatial_design(sb, validation.x[:, 0])
@@ -202,7 +220,7 @@ def fit_separated(train: SampleSet, sel_cfg: SelectionConfig, fit_cfg: FitConfig
     # every rank starts from the constant unit-norm profile and fits the
     # stochastic mode first: after deflation the residual has ~zero
     # conditional mean in x, so a spatial fit against lambda = 1 is pure noise
-    w_start = _gram_solve(phi, np.ones(train.nq), 0.0)
+    w_start = _gram_solve(phi, np.ones(nq), 0.0)
     w_start = w_start / float(np.linalg.norm(phi @ w_start))
 
     for _ in range(sep_cfg.lmax):
@@ -211,26 +229,28 @@ def fit_separated(train: SampleSet, sel_cfg: SelectionConfig, fit_cfg: FitConfig
         # the stochastic fits of this rank target the deflated residual
         r_train = replace(train, u=res)
         r_val = replace(validation, u=res_val) if have_val else None
+        # the frozen skeleton is refitted on train plus validation, like the
+        # first alternation's final refit
+        fit_rows = merge_train_validation(r_train, r_val)[0] if have_val else r_train
         w_c = w_start
         prev_norm = None
         for it in range(_MAX_OUTER_ITERS):
             w_train = phi @ w_c
             w_val = phi_val @ w_c if have_val else None
             if it == 0:
-                path = glars_select(r_train, sel_cfg, basis, row_weights=w_train)
+                # the path generator holds the factored dictionary: it is
+                # dropped once fit_hdmr has read the steps it needs
+                path = (st.dims for st in
+                        glars_steps(r_train, sel_cfg, basis, row_weights=w_train))
                 lam_model, diag = fit_hdmr(r_train, r_val, path, fit_cfg, basis,
                                            row_weights=w_train, val_row_weights=w_val)
-                groups = path.groups()[: diag.retained]
+                del path
+                kept = [rec.dims for rec in diag.records[1: diag.retained + 1]]
+                skeleton = _Skeleton(fit_rows, kept, fit_cfg, basis)
             else:
-                # coefficient-only refit on the frozen skeleton, on train plus
-                # validation like the first alternation's final refit
-                fit_set, w_fit = r_train, w_train
-                if have_val:
-                    fit_set, w_fit = merge_train_validation(r_train, r_val,
-                                                            w_train, w_val)
-                lam_model, _ = fit_hdmr(fit_set, None, groups, fit_cfg, basis,
-                                        row_weights=w_fit)
-            lam_vals = evaluate_model(lam_model, train.xi)
+                lam_model = skeleton.fit(
+                    np.concatenate([w_train, w_val]) if have_val else w_train)
+            lam_vals = skeleton.values(lam_model, slice(0, nq))
             lam_norm = float(np.linalg.norm(lam_vals))
             if lam_norm == 0.0:
                 return SeparatedModel(spatial_basis=sb, pairs=pairs)
@@ -253,39 +273,39 @@ def fit_separated(train: SampleSet, sel_cfg: SelectionConfig, fit_cfg: FitConfig
             )
             break
         pairs.append((w_c, lam_model))
+        lam_train.append(lam_vals)
         res = new_res
         if have_val:
-            res_val = res_val - (phi_val @ w_c) * evaluate_model(
-                lam_model, validation.xi)
+            lam_val.append(skeleton.values(lam_model, slice(nq, None)))
+            res_val = res_val - (phi_val @ w_c) * lam_val[-1]
 
         if sep_cfg.update_spatial_joint:
-            res = _joint_spatial_update(pairs, phi, train, u)
+            res = _joint_spatial_update(pairs, lam_train, phi, u)
             if have_val:
-                res_val = validation.u - _predict_pairs(pairs, phi_val,
-                                                        validation.xi)
+                res_val = validation.u - _predict_pairs(pairs, lam_val, phi_val)
 
     return SeparatedModel(spatial_basis=sb, pairs=pairs)
 
 
-def _predict_pairs(pairs, phi, xi):
+def _predict_pairs(pairs, lam_values, phi):
+    # sum of w_n(x) lambda_n over the pairs, from each pair's lambda values
+    # at the rows of phi (None for lambda_0 = 1)
     out = np.zeros(phi.shape[0])
-    for c, lam in pairs:
+    for (c, _), lam in zip(pairs, lam_values):
         w = phi @ c
-        out += w if lam is None else w * evaluate_model(lam, xi)
+        out += w if lam is None else w * lam
     return out
 
 
-def _joint_spatial_update(pairs, phi, train, u):
+def _joint_spatial_update(pairs, lam_values, phi, u):
     """Re-solve every spatial coefficient vector at fixed stochastic modes.
 
     A single least-squares problem over the concatenated blocks
-    [phi * lam_n]; it can only reduce the training residual.
+    [phi * lam_n], with each pair's lambda values at the training rows in
+    ``lam_values`` (None for lambda_0 = 1); it can only reduce the training
+    residual.
     """
-    lam_cols = []
-    for _, lam in pairs:
-        lam_cols.append(np.ones(train.nq) if lam is None
-                        else evaluate_model(lam, train.xi))
-    blocks = [phi * lam[:, None] for lam in lam_cols]
+    blocks = [phi if lam is None else phi * lam[:, None] for lam in lam_values]
     design = np.hstack(blocks)
     coeffs = _gram_solve(design, u, 0.0)
     cardx = phi.shape[1]
@@ -307,7 +327,8 @@ def evaluate_separated(m: SeparatedModel, x, xi) -> np.ndarray:
             f"{xflat.shape[0]} spatial points for {xi.shape[0]} stochastic rows"
         )
     phi = spatial_design(m.spatial_basis, xflat)
-    out = _predict_pairs(m.pairs, phi, xi)
+    lam = [None if lam is None else evaluate_model(lam, xi) for _, lam in m.pairs]
+    out = _predict_pairs(m.pairs, lam, phi)
     return float(out[0]) if squeeze else out
 
 

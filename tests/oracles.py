@@ -14,6 +14,11 @@ by lstsq: it checks the joint-rank sweeps that make a CP mode's entry fit.
 ``backfit`` is the coefficient passes as they once ran: per-mode
 backfitting, with a CP mode refitted by ``greedy_cp_refit`` warm-started
 from its previous factors; the joint dense block must reach its limit.
+``fit_separated_reference`` is the separated driver as a loop of public
+calls: the whole selection path, ``fit_hdmr`` on every alternation and
+``evaluate_model`` for every value of lambda; the library's driver, which
+reads the path lazily and keeps each rank's skeleton designs, must write
+the same model bytes.
 The weighted TLS oracle works on the dense (Nq, p+1, p+1) covariance
 blocks, stacked one sample at a time, that the factored form in
 ``fitting`` replaces. The selection path's direction oracle runs one lstsq
@@ -25,6 +30,7 @@ a field's Karhunen-Loeve expansion term by term.
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 from numpy.polynomial.legendre import Legendre
@@ -32,9 +38,13 @@ from numpy.polynomial.legendre import Legendre
 from hdmrfit import fitting
 from hdmrfit.basis import BasisConfig, univariate_deriv_table, univariate_table
 from hdmrfit.data import NoiseModel, SampleSet, rng_stream
-from hdmrfit.fitting import FitConfig, fit_basis, ls_solve
+from hdmrfit.fitting import (FitConfig, fit_basis, fit_hdmr, ls_solve,
+                             merge_train_validation)
 from hdmrfit.model import (CPMode, DenseMode, HdmrModel, _cp_blocks, _cp_values,
-                           dense_design, enumerate_dense_indices)
+                           dense_design, enumerate_dense_indices, evaluate_model)
+from hdmrfit.selection import glars_select
+from hdmrfit.separated import (_MAX_OUTER_ITERS, _OUTER_TOL, _STOP_NORM_FRAC,
+                               SeparatedModel, fit_spatial_mode, spatial_design)
 from hdmrfit.testbed import KLField
 
 
@@ -332,6 +342,97 @@ def backfit(train: SampleSet, groups, cfg: FitConfig, basis: BasisConfig,
         dense=[DenseMode(d, enumerate_dense_indices(d, cfg.no), c)
                for d, c in dense.items()],
         cp=[CPMode(d, f) for d, f in cps.items()])
+
+
+def fit_separated_reference(train: SampleSet, sel_cfg, fit_cfg: FitConfig, sep_cfg,
+                            sb, basis: BasisConfig, solve,
+                            validation: SampleSet | None = None) -> SeparatedModel:
+    """``separated.fit_separated`` from public calls, evaluating everything.
+
+    Each rank selects its whole path by ``glars_select``, fits lambda by
+    ``fit_hdmr`` on that path, then refits it by ``fit_hdmr`` on the
+    retained groups at every later alternation (on train plus validation),
+    and takes every value of lambda from ``evaluate_model``. The spatial
+    least-squares fits other than ``fit_spatial_mode``'s (rank 0, the start
+    profile, the joint re-solve) are ``solve(design, r)``; the library
+    solves them by its unit-scaled Gram solve.
+    """
+    have_val = validation is not None
+    phi = spatial_design(sb, train.x[:, 0])
+    u = train.u
+    unorm = float(np.linalg.norm(u))
+    c0 = solve(phi, u)
+    pairs = [(c0, None)]
+    res = u - phi @ c0
+    if have_val:
+        phi_val = spatial_design(sb, validation.x[:, 0])
+        res_val = validation.u - phi_val @ c0
+    w_start = solve(phi, np.ones(train.nq))
+    w_start = w_start / float(np.linalg.norm(phi @ w_start))
+
+    def lam_at(lam, xi):
+        return np.ones(xi.shape[0]) if lam is None else evaluate_model(lam, xi)
+
+    for _ in range(sep_cfg.lmax):
+        if float(np.linalg.norm(res)) == 0.0:
+            break
+        r_train = replace(train, u=res)
+        r_val = replace(validation, u=res_val) if have_val else None
+        w_c = w_start
+        prev_norm = None
+        for it in range(_MAX_OUTER_ITERS):
+            w_train = phi @ w_c
+            w_val = phi_val @ w_c if have_val else None
+            if it == 0:
+                path = glars_select(r_train, sel_cfg, basis, row_weights=w_train)
+                lam_model, diag = fit_hdmr(r_train, r_val, path, fit_cfg, basis,
+                                           row_weights=w_train, val_row_weights=w_val)
+                groups = path.groups()[: diag.retained]
+            else:
+                fit_set, w_fit = r_train, w_train
+                if have_val:
+                    fit_set, w_fit = merge_train_validation(r_train, r_val,
+                                                            w_train, w_val)
+                lam_model, _ = fit_hdmr(fit_set, None, groups, fit_cfg, basis,
+                                        row_weights=w_fit)
+            lam_vals = evaluate_model(lam_model, train.xi)
+            lam_norm = float(np.linalg.norm(lam_vals))
+            if lam_norm == 0.0:
+                return SeparatedModel(spatial_basis=sb, pairs=pairs)
+            if prev_norm is not None and \
+                    abs(lam_norm - prev_norm) <= _OUTER_TOL * lam_norm:
+                break
+            prev_norm = lam_norm
+            w_c, scale = fit_spatial_mode(res, lam_vals, phi)
+            if scale == 0.0:
+                return SeparatedModel(spatial_basis=sb, pairs=pairs)
+        if lam_norm < _STOP_NORM_FRAC * unorm:
+            break
+        new_res = res - (phi @ w_c) * lam_vals
+        if float(np.linalg.norm(new_res)) > float(np.linalg.norm(res)):
+            warnings.warn("separated rank did not reduce the training residual; "
+                          "stopping")
+            break
+        pairs.append((w_c, lam_model))
+        res = new_res
+        if have_val:
+            res_val = res_val - (phi_val @ w_c) * evaluate_model(lam_model,
+                                                                 validation.xi)
+        if sep_cfg.update_spatial_joint:
+            design = np.hstack([phi * lam_at(lam, train.xi)[:, None]
+                                for _, lam in pairs])
+            coeffs = solve(design, u)
+            cardx = phi.shape[1]
+            pairs = [(coeffs[n * cardx:(n + 1) * cardx], lam)
+                     for n, (_, lam) in enumerate(pairs)]
+            res = u - design @ coeffs
+            if have_val:
+                pred = np.zeros(validation.nq)
+                for c, lam in pairs:
+                    w = phi_val @ c
+                    pred += w if lam is None else w * evaluate_model(lam, validation.xi)
+                res_val = validation.u - pred
+    return SeparatedModel(spatial_basis=sb, pairs=pairs)
 
 
 def kl_field(f: KLField, germ, x) -> np.ndarray:

@@ -955,3 +955,62 @@ def test_diffusion_fit_with_cp_modes_converges():
     norms = [r.train_residual_norm for r in diag.records]
     assert all(b <= a * (1 + 1e-9) for a, b in zip(norms, norms[1:]))
     assert relative_error(model, test) <= 1e-2
+
+
+def test_fit_tables_cover_only_the_dims_of_entered_groups(monkeypatch):
+    # column j of xi takes values in its own slice of [-1, 1), so every
+    # table the fit evaluates tells which columns it read
+    nd = 8
+    g = rng_stream(38, 1)
+
+    def rows(nq):
+        xi = -1.0 + (np.arange(nd) + g.uniform(0.0, 1.0, (nq, nd))) * 2.0 / nd
+        tab = univariate_table(B, xi)
+        u = tab[:, 0, 1] + 0.5 * tab[:, 1, 1] * tab[:, 2, 1] + 0.01 * g.standard_normal(nq)
+        return SampleSet(np.empty((nq, 0)), xi, u)
+
+    train, val = rows(300), rows(100)
+    path = [(1,), (2, 3), (2,), (4,), (5, 6), (7,), (8,), (6,)]
+    read = []
+
+    def groups():
+        for dims in path:
+            read.append(dims)
+            yield dims
+
+    calls = []   # per _fit_passes call: (rows, columns) of each table evaluated
+    orig_table, orig_passes = fitting.univariate_table, fitting._fit_passes
+
+    def table_spy(cfg, xi):
+        cols = np.floor((np.asarray(xi) + 1.0) * nd / 2.0).astype(int) + 1
+        calls[-1].append((np.shape(xi)[0], set(np.unique(cols).tolist())))
+        return orig_table(cfg, xi)
+
+    def passes_spy(*args):
+        calls.append([])
+        return orig_passes(*args)
+
+    monkeypatch.setattr(fitting, "univariate_table", table_spy)
+    monkeypatch.setattr(fitting, "_fit_passes", passes_spy)
+    _, diag = fit_hdmr(train, val, groups(), FitConfig(no=3, npc=2, ninter=2), B)
+    assert len(read) == len(diag.records) - 1 < len(path)
+    entered = {d for dims in read for d in dims}
+    kept = {d for rec in diag.records[1: diag.retained + 1] for d in rec.dims}
+    assert len(calls) == 2
+    for evaluated, dims, nq in ((calls[0], entered, 400), (calls[1], kept, 400)):
+        assert set().union(*(c for _, c in evaluated)) == dims
+        # every dim once per row: the train and validation rows of the
+        # cross-validated call, then the merged rows of the final refit
+        assert sum(n * len(c) for n, c in evaluated) == nq * len(dims)
+
+
+def test_fit_hdmr_rejects_validation_rows_of_another_shape():
+    ds, tab = uniform_set(120, 3, seed=39)
+    train = with_u(SampleSet(ds.x[:100], ds.xi[:100], np.zeros(100)), tab[:100, 0, 1])
+    narrow = SampleSet(np.empty((20, 0)), ds.xi[100:, :2], tab[100:, 0, 1], "validation")
+    cfg = FitConfig(no=3, npc=1, ninter=1)
+    with pytest.raises(ValueError, match=r"xi \(20, 2\).*xi \(100, 3\)"):
+        fit_hdmr(train, narrow, [(1,), (3,)], cfg, B)
+    spatial = SampleSet(np.zeros((20, 1)), ds.xi[100:], tab[100:, 0, 1], "validation")
+    with pytest.raises(ValueError, match=r"x \(20, 1\).*x \(100, 0\)"):
+        fit_hdmr(train, spatial, [(1,), (3,)], cfg, B)

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from hdmrfit.selection import (
     _group_classes,
     _Scan,
     glars_select,
+    glars_steps,
     save_path,
 )
 from oracles import lstsq_direction
@@ -494,3 +497,19 @@ def test_glars_rejects_bad_row_weights(weights, match, caplog):
             glars_select(as_set(xi, u), SelectionConfig(nolars=2, ninter=2), B,
                          row_weights=w)
     assert not caplog.records
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_steps_read_lazily_are_the_path_prefix(weighted):
+    # the generator behind glars_select gives the same steps, bit for bit,
+    # when a caller reads only the first k of them
+    xi, tab = uniform_set(300, 6, seed=63)
+    u = (tab[:, 0, 1] + 0.6 * tab[:, 1, 2] * tab[:, 2, 1] + 0.3 * tab[:, 3, 1]
+         + 0.1 * tab[:, 4, 2] * tab[:, 5, 1])
+    w = rng_stream(63, 1).uniform(0.5, 2.0, 300) if weighted else None
+    cfg = SelectionConfig(nolars=3, ninter=2, max_groups=12)
+    path = glars_select(as_set(xi, u), cfg, B, row_weights=w)
+    assert len(path) == 12
+    for k in (1, 4, 12):
+        steps = list(islice(glars_steps(as_set(xi, u), cfg, B, row_weights=w), k))
+        assert steps == path.steps[:k]

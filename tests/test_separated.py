@@ -8,7 +8,7 @@ from hdmrfit.basis import BasisConfig, univariate_table
 from hdmrfit.data import NoiseModel, SampleSet, rng_stream
 from hdmrfit.fitting import FitConfig, ls_solve
 from hdmrfit.model import DenseMode, HdmrModel, evaluate_model
-from hdmrfit.selection import SelectionConfig, glars_select
+from hdmrfit.selection import SelectionConfig, glars_select, glars_steps
 from hdmrfit.separated import (
     SeparatedConfig,
     SeparatedModel,
@@ -20,6 +20,7 @@ from hdmrfit.separated import (
     save_separated,
     spatial_design,
 )
+from oracles import fit_separated_reference
 
 B = BasisConfig(lo=0.0, hi=1.0, max_order=4)
 SEL = SelectionConfig(nolars=3, ninter=2, max_groups=6)
@@ -121,7 +122,8 @@ def test_joint_spatial_update_matches_ls_solve_oracle(monkeypatch):
     phi = spatial_design(SpatialBasis(cardx=10), x[:, 0])
     pairs = [(np.zeros(10), None), (np.zeros(10), lam1)]
     calls = _ls_calls(monkeypatch)
-    res = separated._joint_spatial_update(pairs, phi, ds, u)
+    res = separated._joint_spatial_update(pairs, [None, evaluate_model(lam1, xi)],
+                                          phi, u)
     assert calls == []
     design = np.hstack([phi, phi * evaluate_model(lam1, xi)[:, None]])
     ref = ls_solve(design, u)
@@ -177,9 +179,9 @@ def test_first_selection_targets_rank_zero_residual(monkeypatch):
 
     def spy(train, *args, **kwargs):
         calls.append(train)
-        return glars_select(train, *args, **kwargs)
+        return glars_steps(train, *args, **kwargs)
 
-    monkeypatch.setattr(separated, "glars_select", spy)
+    monkeypatch.setattr(separated, "glars_steps", spy)
     fit_quiet(ds, SEL, FIT, SeparatedConfig(lmax=1), sb, B)
     phi = spatial_design(sb, x[:, 0])
     c0, *_ = np.linalg.lstsq(phi, u, rcond=None)
@@ -291,3 +293,96 @@ def test_joint_spatial_update_helps_or_ties():
     e_plain = np.linalg.norm(evaluate_separated(plain, x, xi) - u)
     e_joint = np.linalg.norm(evaluate_separated(joint, x, xi) - u)
     assert e_joint <= e_plain * (1 + 1e-8)
+
+
+def _two_rank_field(nq, seed, nval=0):
+    # two separable terms and a small interaction, with light noise
+    x, xi, tab = field_set(nq + nval, seed=seed)
+    g = rng_stream(seed, 3004)
+    u = (np.sin(np.pi * x[:, 0]) * (2.0 + tab[:, 0, 1] + 0.5 * tab[:, 0, 1] * tab[:, 1, 2])
+         + 0.4 * x[:, 0] ** 2 * tab[:, 1, 1] + 0.01 * g.standard_normal(nq + nval))
+    train = SampleSet(x[:nq], xi[:nq], u[:nq], "train")
+    val = SampleSet(x[nq:], xi[nq:], u[nq:], "validation") if nval else None
+    return train, val
+
+
+# odd row counts and no = 10 give design products whose rounding depends on
+# the number of rows they are taken over, so a value of lambda computed over
+# other rows than evaluate_model's would change the bytes
+@pytest.mark.parametrize("fit_cfg, seed, nval, joint", [
+    (FitConfig(no=10, npc=2, ninter=2, seed=0), 16, 199, True),  # dense skeleton
+    (FitConfig(no=3, npc=1, ninter=2, nr=2, seed=0), 14, 0, False),  # with CP modes
+    (FitConfig(no=10, npc=1, ninter=2, nr=2, seed=0), 14, 199, True),
+])
+def test_fit_writes_the_bytes_of_the_public_call_reference(fit_cfg, seed, nval, joint,
+                                                           tmp_path, monkeypatch):
+    train, val = _two_rank_field(501, seed=seed, nval=nval)
+    sb = SpatialBasis(cardx=10)
+    sep = SeparatedConfig(lmax=2, update_spatial_joint=joint)
+    refits = []
+    orig = fitting._Skeleton.fit
+
+    def counting(self, *args):
+        refits.append(self)
+        return orig(self, *args)
+
+    monkeypatch.setattr(fitting._Skeleton, "fit", counting)
+    model = fit_quiet(train, SEL, fit_cfg, sep, sb, B, validation=val)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ref = fit_separated_reference(train, SEL, fit_cfg, sep, sb, B,
+                                      lambda a, r: fitting._gram_solve(a, r, 0.0),
+                                      validation=val)
+    assert model.rank == 2 and refits
+    if fit_cfg.ninter > fit_cfg.npc:
+        assert any(lam.cp for _, lam in model.pairs[1:])
+    save_separated(model, tmp_path / "lib.json")
+    save_separated(ref, tmp_path / "ref.json")
+    assert (tmp_path / "lib.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+def test_rank_reads_only_the_path_steps_its_passes_ask_for(monkeypatch):
+    train, val = _two_rank_field(500, seed=13, nval=200)
+    sel = SelectionConfig(nolars=3, ninter=2, max_groups=20)
+    ranks = []   # per rank: [selection inputs, steps read]
+    fits = []
+
+    def steps_spy(train, cfg, basis, row_weights=None):
+        ranks.append([(train, row_weights), 0])
+
+        def counted():
+            for st in glars_steps(train, cfg, basis, row_weights=row_weights):
+                ranks[-1][1] += 1
+                yield st
+        return counted()
+
+    def fit_spy(*args, **kwargs):
+        out = fitting.fit_hdmr(*args, **kwargs)
+        fits.append(out[1])
+        return out
+
+    monkeypatch.setattr(separated, "glars_steps", steps_spy)
+    monkeypatch.setattr(separated, "fit_hdmr", fit_spy)
+    fit_quiet(train, sel, FIT, SeparatedConfig(lmax=2), SpatialBasis(cardx=10), B,
+              validation=val)
+    assert len(ranks) == len(fits) == 2
+    shorter = 0
+    for ((rows, w), read), diag in zip(ranks, fits):
+        assert read == len(diag.records) - 1
+        full = glars_select(rows, sel, B, row_weights=w)
+        assert read <= len(full)
+        shorter += read < len(full)
+    assert shorter
+
+
+def test_fit_rejects_validation_rows_of_another_shape():
+    x, xi, _ = field_set(120, seed=14)
+    train = SampleSet(x[:100], xi[:100], np.ones(100))
+    no_x = SampleSet(np.empty((20, 0)), xi[100:], np.ones(20), "validation")
+    with pytest.raises(ValueError, match=r"x \(20, 0\).*x \(100, 1\)"):
+        fit_separated(train, SEL, FIT, SeparatedConfig(lmax=1), SpatialBasis(cardx=4),
+                      B, validation=no_x)
+    narrow = SampleSet(x[100:], xi[100:, :2], np.ones(20), "validation")
+    with pytest.raises(ValueError, match=r"xi \(20, 2\).*xi \(100, 3\)"):
+        fit_separated(train, SEL, FIT, SeparatedConfig(lmax=1), SpatialBasis(cardx=4),
+                      B, validation=narrow)

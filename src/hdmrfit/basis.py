@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _check_finite_fields
+
 __all__ = [
     "BasisConfig",
     "univariate_table",
@@ -38,6 +40,7 @@ class BasisConfig:
     max_order: int = 10
 
     def __post_init__(self):
+        _check_finite_fields(self, "lo", "hi")
         if not self.lo < self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
         if self.max_order < 1:

@@ -154,10 +154,10 @@ def cmd_fit(args) -> int:
             else data.nq - n_val - n_test
         if n_train < 1:
             raise ValueError("no training rows left after the split")
-        noise = NoiseModel(s=args.noise_s, s_u=args.noise_su,
-                           box=(args.basis_lo, args.basis_hi))
         basis = BasisConfig(lo=args.basis_lo, hi=args.basis_hi,
                             max_order=args.no + 1)
+        noise = NoiseModel(s=args.noise_s, s_u=args.noise_su,
+                           box=(args.basis_lo, args.basis_hi))
         sel_cfg = SelectionConfig(nolars=args.nolars, ninter=args.ninter,
                                   max_groups=args.max_groups,
                                   hierarchical=args.hierarchical)

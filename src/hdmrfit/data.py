@@ -38,6 +38,14 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _check_finite_fields(cfg, *names) -> None:
+    # ValueError naming the first of the fields ``names`` of cfg not finite
+    for name in names:
+        value = getattr(cfg, name)
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def _check_row_weights(row_weights, nq: int) -> np.ndarray | None:
     """Row weights for ``nq`` rows as a float vector (None for plain rows);
     ValueError on another count, a non-finite entry, or a zero squared norm."""
@@ -136,8 +144,7 @@ class NoiseModel:
     box: tuple[float, float] = (-1.0, 1.0)
 
     def __post_init__(self):
-        if not (np.isfinite(self.s) and np.isfinite(self.s_u)):
-            raise ValueError("noise scales must be finite")
+        _check_finite_fields(self, "s", "s_u", "box")
         if self.s < 0 or self.s_u < 0:
             raise ValueError("noise scales must be >= 0")
         lo, hi = self.box

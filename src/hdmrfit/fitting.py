@@ -15,36 +15,33 @@ stochastic mode is fitted to its deflated residual under a fixed spatial
 profile. Weighted TLS covers plain rows only: a robust fit with row weights
 raises ValueError.
 
-One ``_fit_passes`` call (the driver behind ``fit_hdmr``) owns everything its
-refits reuse, for the life of that call and no longer: the univariate
-tables, one per dim, each evaluated when the first group on that dim enters
-(``_Tables``; a path is read one group per pass, so the dims of groups that
-never enter are never evaluated), one ``_ActiveMode`` per mode that holds
-the train and validation designs (dense) or factor blocks (CP), and one
-``_DenseBlock`` that fits ``f0`` and every dense mode together as one
-least-squares problem, through an orthonormal basis of its columns that
-grows as modes enter (``model._grow_basis``: Cholesky-QR2 of each entering
-mode's remainder, with a thin SVD as the rank-revealing fallback). The
-small tall subproblems, an ALS step here and the spatial fits of the
-separated driver, are solved through the Cholesky factor of their
-unit-scaled Gram (``_gram_solve``); ``ls_solve``, the plain lstsq, is the
-fallback and the reference. Every CP fit is made of joint-rank ALS sweeps
-(``_cp_sweep``; Kolda & Bader 2009, 3.4), whose step for one dimension
-solves one small Gram system for that dimension's factors of all ranks; a
-rank whose other factors vanish has all-zero columns there and gets exactly
-zero factors (``_gram_solve`` falls back to lstsq's minimum-norm solution
-at beta = 0, and their right-hand side is zero at beta > 0). A CP mode
-enters greedily: each rank, from seeded draws, is fitted by repeating the
-sweep on that one rank against what the earlier ranks leave.
-Each later refit of the mode is one sweep over all its ranks. A pass with
-no CP mode is one solve of the block; with CP modes, update sweeps
-alternate a block solve with a refit of each CP mode, each an exact
-minimum over its own coefficients, so the training residual does not
-rise. Nothing is cached between ``fit_hdmr`` calls; ``fit_dense_mode`` and
-``fit_cp_mode`` build what one fit needs. The one owner that outlives a
-pass loop is ``_Skeleton``: a separated rank's frozen skeleton keeps its
-modes' tables and designs on its rows, and each of the rank's refits reruns
-the passes over them with new row weights.
+One ``_Skeleton`` owns what a fit reuses, for that fit and no longer: its
+rows (train, then validation), the univariate tables over all of them, each
+dim evaluated when the first group on it enters, and one ``_ActiveMode`` per
+entered group, whose design (dense) or factor blocks (CP) cover every row.
+The pass loop ``_passes`` fits the first rows of those modes: the
+cross-validated passes fit the training rows and read the validation error
+off the rest, and the final refit reruns the passes over the kept modes on
+all rows, building nothing again. Every validation-free fit (``fit_hdmr``
+without validation rows, and a separated rank's refits on its frozen
+skeleton) is the same ``_Skeleton.fit``. Within a pass loop, ``f0`` and the
+dense modes form one ``_DenseBlock``, a least-squares problem solved through
+an orthonormal basis of its columns that grows as modes enter
+(``model._grow_basis``: Cholesky-QR2 of each entering mode's remainder, with
+a thin SVD as the rank-revealing fallback). The small tall subproblems, an
+ALS step here and the spatial fits of the separated driver, are solved
+through the Cholesky factor of their unit-scaled Gram (``_gram_solve``);
+``ls_solve``, the plain lstsq, is the fallback and the reference. Every CP
+fit is made of joint-rank ALS sweeps (``_cp_sweep``; Kolda & Bader 2009,
+3.4), whose step for one dimension solves one small Gram system for that
+dimension's factors of all ranks; a rank whose other factors vanish gets
+exactly zero factors. A CP mode enters greedily: each rank, from seeded
+draws, is fitted by repeating the sweep on that one rank against what the
+earlier ranks leave; each later refit of the mode is one sweep over all its
+ranks. A pass with no CP mode is one solve of the block; with CP modes,
+update sweeps alternate a block solve with a refit of each CP mode, each an
+exact minimum over its own coefficients, so the training residual does not
+rise.
 """
 
 from __future__ import annotations
@@ -57,7 +54,8 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .basis import BasisConfig, univariate_deriv_table, univariate_table
-from .data import NoiseModel, SampleSet, _check_row_weights, rng_stream
+from .data import (NoiseModel, SampleSet, _check_finite_fields, _check_row_weights,
+                   rng_stream)
 from .model import (
     _GRAM_MIN_PIVOT_RATIO,
     CPMode,
@@ -114,6 +112,7 @@ class FitConfig:
     noise: NoiseModel | None = None
 
     def __post_init__(self):
+        _check_finite_fields(self, "beta")
         if self.npc > self.ninter:
             raise ValueError("npc must be <= ninter")
         if self.nr < 1:
@@ -193,7 +192,7 @@ def fit_cp_mode(gamma, train: SampleSet, cfg: FitConfig, basis: BasisConfig,
     Each rank starts from seeded uniform draws in [-1, 1], then repeats the
     joint-rank sweep on that one rank, which cycles the dimensions solving
     the exact least-squares subproblem for one factor block at a time. This
-    is the entry fit of a CP mode in ``_fit_passes``, on its own.
+    is the entry fit of a CP mode in ``_passes``, on its own.
     """
     gamma = tuple(int(d) for d in gamma)
     _check_cp_range(gamma, cfg)
@@ -201,8 +200,9 @@ def fit_cp_mode(gamma, train: SampleSet, cfg: FitConfig, basis: BasisConfig,
 
 
 def _fit_one(gamma, train, cfg, basis, row_weights):
-    w = _vector(_check_row_weights(row_weights, train.nq), np.ones(train.nq))
-    am = _enter(gamma, cfg, _Tables(fit_basis(basis, cfg), [train.xi]))
+    skeleton = _Skeleton(train, [gamma], cfg, basis)
+    w = skeleton._weights(row_weights)
+    am = skeleton.modes[0]
     if am.kind == "dense":
         block = _DenseBlock(w, cfg.beta, with_f0=False)
         block.add(am)
@@ -324,7 +324,9 @@ class FitDiagnostics:
     """``records`` are the passes of the (cross-validated) pass loop and
     ``retained`` the number of groups the model keeps. With validation rows,
     ``refit_records`` are the passes of the final refit on train plus
-    validation (empty without them). ``cv_seconds`` times the pass loop
+    validation (empty without them, and for identically zero validation
+    values, whose one fit is on train plus validation; ``records`` are its
+    passes). ``cv_seconds`` times the pass loop
     (with the steps of a path computed as the passes read it),
     ``refit_seconds`` the final refit (0 without validation rows) and
     ``wtls_seconds`` the weighted TLS refit of a robust fit (0 for a plain
@@ -350,49 +352,42 @@ def save_diagnostics(diag: FitDiagnostics, path) -> None:
 
 
 class _ActiveMode:
-    """One mode of a ``_fit_passes`` call with what its refits reuse.
+    """One entered group of a ``_Skeleton``: its design (dense) or factor
+    blocks (CP) over every row of the fit, of which a pass over the first n
+    rows reads the first n. The pass's ``_DenseBlock`` sets a dense mode's
+    coefficients; a CP mode refits itself. ``params`` are the current
+    coefficients (dense) or factors (CP), and ``values`` the mode's
+    unweighted values at the rows of the current pass."""
 
-    Built when its group enters a pass and kept for the rest of the call;
-    ``at`` gives the group's columns in the call's tables (``vtable`` is the
-    validation rows' table, or None). A dense mode holds its train and
-    validation designs, and the call's ``_DenseBlock`` sets its
-    coefficients; a CP mode holds its train and validation factor blocks and
-    refits itself. ``params`` are the current coefficients (dense) or
-    factors (CP), and ``values`` the mode's unweighted values at the
-    training rows.
-    """
+    __slots__ = ("dims", "kind", "indices", "design", "blocks", "params", "values")
 
-    __slots__ = ("dims", "kind", "indices", "design", "vdesign",
-                 "blocks", "vblocks", "params", "values")
-
-    def __init__(self, dims, at, cfg: FitConfig, table, vtable):
+    def __init__(self, dims, cfg: FitConfig, table):
         self.dims = dims
         self.kind = "dense" if len(dims) <= cfg.npc else "cp"
         self.params = None
         self.values = None
         if self.kind == "dense":
             self.indices = enumerate_dense_indices(dims, cfg.no)
-            self.design = dense_design(table, at, self.indices)
-            self.vdesign = None if vtable is None else dense_design(vtable, at,
-                                                                    self.indices)
+            self.design = dense_design(table, dims, self.indices)
         else:
             _check_cp_range(dims, cfg)
-            self.blocks = [np.ascontiguousarray(b) for b in _cp_blocks(table, at, cfg.no)]
-            self.vblocks = None if vtable is None else _cp_blocks(vtable, at, cfg.no)
+            self.blocks = [np.ascontiguousarray(b) for b in _cp_blocks(table, dims, cfg.no)]
 
     def refit(self, r, cfg, w) -> None:
-        # a CP mode's refit: greedy one-rank sweeps on entry, one joint-rank
-        # sweep after
+        # a CP mode's refit on the first len(r) rows: greedy one-rank sweeps
+        # on entry, one joint-rank sweep after
+        blocks = [b[: r.shape[0]] for b in self.blocks]
         if self.params is None:
-            self.params = _cp_factors(self.dims, r, self.blocks, cfg, w)
+            self.params = _cp_factors(self.dims, r, blocks, cfg, w)
         else:
-            self.params = _cp_sweep(r, self.blocks, self.params, w, cfg.beta)
-        self.values = _cp_values(self.blocks, self.params)
+            self.params = _cp_sweep(r, blocks, self.params, w, cfg.beta)
+        self.values = _cp_values(blocks, self.params)
 
-    def val_values(self) -> np.ndarray:
+    def values_at(self, params, rows: slice) -> np.ndarray:
+        """The mode's unweighted values under ``params`` at a slice of the rows."""
         if self.kind == "dense":
-            return self.vdesign @ self.params
-        return _cp_values(self.vblocks, self.params)
+            return self.design[rows] @ params
+        return _cp_values([b[rows] for b in self.blocks], params)
 
     def mode(self):
         if self.kind == "dense":
@@ -400,52 +395,10 @@ class _ActiveMode:
         return CPMode(self.dims, self.params)
 
 
-class _Tables:
-    """Univariate tables of one or more row sets (the training rows, and
-    the validation rows of a cross-validated call), grown dim by dim.
-
-    The tables live in one dim-major store, one (rows, max_order) slab per
-    dim, that is allocated once and never copied; ``views`` are its
-    (rows, nd, max_order) views, one per row set, in which a group's
-    columns are its dims. A dim is evaluated when the first group on it
-    enters (``evaluate``), or up front for ``dims``: one evaluation covers
-    every row set and every dim not seen before, so no dim is evaluated
-    twice, and a dim that no group touches is never evaluated (nor its
-    slab's memory written).
-    """
-
-    __slots__ = ("basis", "xi", "store", "views", "done")
-
-    def __init__(self, basis: BasisConfig, xis, dims=()):
-        self.basis = basis
-        self.xi = np.concatenate(xis) if len(xis) > 1 else xis[0]
-        self.store = np.empty((self.xi.shape[1], self.xi.shape[0], basis.max_order))
-        ends = np.cumsum([0] + [x.shape[0] for x in xis]).tolist()
-        self.views = [self.store[:, a:b].transpose(1, 0, 2)
-                      for a, b in zip(ends, ends[1:])]
-        self.done: set[int] = set()
-        self.evaluate(dims)
-
-    def evaluate(self, dims) -> None:
-        new = sorted(set(dims) - self.done)
-        if new:
-            cols = [d - 1 for d in new]
-            self.store[cols] = univariate_table(self.basis,
-                                                self.xi[:, cols]).transpose(1, 0, 2)
-            self.done.update(new)
-
-
-def _enter(dims, cfg: FitConfig, tables: _Tables) -> _ActiveMode:
-    # the mode of an entering group, with the validation rows' table when
-    # ``tables`` has them
-    tables.evaluate(dims)
-    views = tables.views
-    return _ActiveMode(dims, dims, cfg, views[0], views[1] if len(views) > 1 else None)
-
-
 class _DenseBlock:
-    """``f0`` (when ``with_f0``) and the dense modes of one fit as one
-    least-squares problem: minimize ||r - w * (f0 + sum_m psi_m c_m)||^2 +
+    """``f0`` (when ``with_f0``) and the dense modes of one pass loop as one
+    least-squares problem on its rows (the first len(w) rows of the modes'
+    designs): minimize ||r - w * (f0 + sum_m psi_m c_m)||^2 +
     beta^2 sum_m ||c_m||^2, with ``f0`` unridged.
 
     ``q`` is an orthonormal basis of the block's row-weighted columns,
@@ -473,7 +426,7 @@ class _DenseBlock:
             self._extend(w[:, None], 0.0)
 
     def add(self, mode: _ActiveMode) -> None:
-        self._extend(mode.design * self.w[:, None], self.beta)
+        self._extend(mode.design[: self.w.shape[0]] * self.w[:, None], self.beta)
         self.modes.append(mode)
 
     def _extend(self, cols, beta: float) -> None:
@@ -501,14 +454,15 @@ class _DenseBlock:
         if self.with_f0:
             self.f0 = float(c[0])
             start = 1
+        rows = slice(r.shape[0])
         for m in self.modes:
             end = start + len(m.indices)
             m.params = c[start:end]
-            m.values = m.design @ m.params
+            m.values = m.values_at(m.params, rows)
             start = end
 
     def values(self) -> np.ndarray:
-        # f0 plus the dense modes' values at the training rows, unweighted
+        # f0 plus the dense modes' values at the block's rows, unweighted
         return self.f0 + _total(self.modes, self.w.shape[0])
 
 
@@ -517,7 +471,7 @@ def _vector(v, default):
 
 
 def _total(modes, n: int) -> np.ndarray:
-    # sum of the modes' values at the training rows
+    # sum of the modes' values at the rows of the current pass
     tot = np.zeros(n)
     for m in modes:
         tot += m.values
@@ -578,10 +532,14 @@ def fit_hdmr(train: SampleSet, validation: SampleSet | None, path, cfg: FitConfi
     refitted on train plus validation. With validation rows the path is
     read lazily, one group per pass, and never past the pass at which
     growth stops, so a generator computes only the steps the passes use.
-    With ``validation=None`` every group is fitted, with no early stopping
-    (as for refits on a fixed skeleton); ``val_row_weights`` then raises
-    ValueError. Validation rows whose x or xi column count differs from the
-    training rows' raise ValueError before any pass.
+    One ``_Skeleton`` on train plus validation serves the passes and the
+    final refit. With ``validation=None`` every group is fitted, with no
+    early stopping; ``val_row_weights`` then raises ValueError. Validation
+    values that are identically zero give no early stopping either: the
+    call warns and fits every group on train plus validation, as
+    ``validation=None`` does on the merged rows. Validation rows whose x or
+    xi column count differs from the training rows' raise ValueError
+    before any pass.
 
     Every pass fits by least squares (dense modes) and ALS (CP modes). A
     robust ``cfg`` then refits all dense modes' coefficients together, once,
@@ -598,19 +556,25 @@ def fit_hdmr(train: SampleSet, validation: SampleSet | None, path, cfg: FitConfi
     else:
         _check_matching_rows(train, validation)
     _check_plain_rows(cfg, row_weights, val_row_weights)
-    t0 = time.perf_counter()
-    model, diag = _fit_passes(train, validation, path, cfg, basis, row_weights,
-                              val_row_weights)
-    diag.cv_seconds = time.perf_counter() - t0
-    rows = train
+    rows, w = train, row_weights
     if validation is not None:
-        rows, w_c = merge_train_validation(train, validation, row_weights,
-                                           val_row_weights)
-        kept = [rec.dims for rec in diag.records[1: diag.retained + 1]]
+        rows, w = merge_train_validation(train, validation, row_weights, val_row_weights)
+        if float(np.linalg.norm(validation.u)) == 0.0:
+            warnings.warn("validation values are identically zero: no early stopping")
+            validation = None
+    diag = FitDiagnostics()
+    t0 = time.perf_counter()
+    skeleton = _Skeleton(rows, path if validation is None else (), cfg, basis)
+    if validation is None:
+        model, diag.records = skeleton.fit(w)
+        diag.retained = len(skeleton.modes)
+        diag.cv_seconds = time.perf_counter() - t0
+    else:
+        diag.records, diag.retained = skeleton.cross_validate(path, train.nq, w)
+        diag.cv_seconds = time.perf_counter() - t0
         t0 = time.perf_counter()
-        model, refit = _fit_passes(rows, None, kept, cfg, basis, w_c, None)
+        model, diag.refit_records = skeleton.fit(w, diag.retained)
         diag.refit_seconds = time.perf_counter() - t0
-        diag.refit_records = refit.records
     if cfg.robust:
         t0 = time.perf_counter()
         model = _wtls_refit(model, rows, cfg.noise)
@@ -646,16 +610,21 @@ def _wtls_refit(model: HdmrModel, rows: SampleSet, noise: NoiseModel) -> HdmrMod
 
 
 def _passes(block, cps, modes, u, cfg, w):
-    """The coefficient passes: solve ``block`` for f0 alone, then add the
-    ``modes`` one per pass, each fitted to the current residual and
-    followed by the update sweeps. ``cps`` collects the CP modes that
-    entered. Yields (mode, update sweeps, capped) after every pass, with
-    (None, 0, False) for f0 alone; the next mode is read only when the next
-    pass is asked for."""
+    """The coefficient passes on the first len(u) rows of the modes: solve
+    ``block`` for f0 alone, then add the ``modes`` one per pass, each
+    fitted to the current residual and followed by the update sweeps.
+    ``cps`` collects the CP modes that entered. Yields the PassRecord of
+    every pass, f0 alone first, with a nan ``cv_eps``; the next mode is
+    read only when the next pass is asked for."""
     nq = u.shape[0]
+
+    def record(s, dims, sweeps, capped):
+        rnorm = _residual_norm(u, w, block.values() + _total(cps, nq))
+        return PassRecord(s, dims, rnorm, float("nan"), sweeps, capped)
+
     block.solve(u)
-    yield None, 0, False
-    for am in modes:
+    yield record(0, None, 0, False)
+    for s, am in enumerate(modes, 1):
         if am.kind == "dense":
             block.add(am)
             block.solve(u - w * _total(cps, nq))
@@ -664,124 +633,110 @@ def _passes(block, cps, modes, u, cfg, w):
             am.params = None
             am.refit(u - w * (block.values() + _total(cps, nq)), cfg, w)
             cps.append(am)
-        yield (am, *_update_sweeps(block, cps, u, cfg, w))
-
-
-def _hdmr_model(block, cps, fbasis, nd, cfg) -> HdmrModel:
-    return HdmrModel(
-        f0=block.f0, basis=fbasis, nd=nd, no=cfg.no, ninter=cfg.ninter,
-        npc=cfg.npc, nr=cfg.nr,
-        dense=[m.mode() for m in block.modes],
-        cp=[m.mode() for m in cps],
-    )
-
-
-def _fit_passes(train, validation, groups, cfg, basis, row_weights,
-                val_row_weights):
-    # the pass loop; with validation rows the groups are read one per pass
-    # and stop where the loop stops, and the tables hold only the dims of
-    # the groups that entered
-    fbasis = fit_basis(basis, cfg)
-    u = train.u
-    w = _vector(_check_row_weights(row_weights, train.nq), np.ones(train.nq))
-
-    have_val = validation is not None
-    if have_val:
-        uval = validation.u
-        wv = _vector(_check_row_weights(val_row_weights, validation.nq),
-                     np.ones(validation.nq))
-        val_norm = float(np.linalg.norm(uval))
-        if val_norm == 0.0:
-            warnings.warn("validation values are identically zero: no early stopping")
-            have_val = False
-    if have_val:
-        tables = _Tables(fbasis, [train.xi, validation.xi])
-    else:
-        # every group enters: their dims are evaluated together
-        groups = [tuple(int(d) for d in g) for g in groups]
-        tables = _Tables(fbasis, [train.xi], [d for g in groups for d in g])
-
-    block = _DenseBlock(w, cfg.beta, with_f0=True)
-    cps: list[_ActiveMode] = []
-
-    def cv_eps():
-        if not have_val:
-            return float("nan")
-        tot = np.zeros(validation.nq)
-        for m in block.modes + cps:
-            tot += m.val_values()
-        return float(np.linalg.norm(uval - wv * (block.f0 + tot)) / val_norm)
-
-    unique = set()
-
-    def enter(dims):
-        dims = tuple(int(d) for d in dims)
-        if dims in unique:
-            raise ValueError(f"group {dims} appears twice in the path")
-        unique.add(dims)
-        return _enter(dims, cfg, tables)
-
-    records = []
-    # without validation rows best_s follows the passes: every group is kept
-    best_eps, best_s, prev_eps, inc = np.inf, 0, np.inf, 0
-    for s, (am, sweeps, capped) in enumerate(
-            _passes(block, cps, map(enter, groups), u, cfg, w)):
-        rnorm = _residual_norm(u, w, block.values() + _total(cps, train.nq))
-        eps = cv_eps()
-        records.append(PassRecord(s, None if am is None else am.dims, rnorm, eps,
-                                  sweeps, capped))
-        if not have_val:
-            best_s = s
-            continue
-        inc = inc + 1 if eps > prev_eps else 0
-        if eps < best_eps:
-            best_eps, best_s = eps, s
-        prev_eps = eps
-        if inc >= 2:
-            break
-
-    model = _hdmr_model(block, cps, fbasis, train.nd, cfg)
-    return model, FitDiagnostics(records=records, retained=best_s)
+        yield record(s, am.dims, *_update_sweeps(block, cps, u, cfg, w))
 
 
 class _Skeleton:
-    """The modes of a frozen group skeleton on fixed rows, for refits that
-    change only the row weights (the inner alternations of a separated
-    rank). Tables and designs are built once, here; each ``fit`` reruns
-    the coefficient passes over these modes, so its model is the one
-    ``fit_hdmr(rows, None, groups, cfg, basis, row_weights=w)`` returns for
-    a plain ``cfg``, with no PassRecords."""
+    """The one owner of a fit's tables and modes, for the life of that fit.
+
+    ``rows`` are every row the fit reads: train, then the validation rows of
+    a cross-validated fit, in ``merge_train_validation``'s order. Their
+    univariate tables live in one dim-major store, allocated once; a dim is
+    evaluated when the first group on it enters (``enter``), or at once for
+    the ``groups`` given here, and a dim no group touches is never
+    evaluated. Each entered group gets one ``_ActiveMode`` over all rows.
+    ``cross_validate`` fits the training prefix pass by pass and reads the
+    validation error off the other rows; ``fit`` reruns the passes over a
+    prefix of the modes on all rows, so a fixed skeleton (a separated
+    rank's) is refitted under new row weights without building anything
+    again. For a plain ``cfg``, ``fit`` gives the model of
+    ``fit_hdmr(rows, None, groups, cfg, basis, row_weights=w)``.
+    """
 
     def __init__(self, rows: SampleSet, groups, cfg: FitConfig, basis: BasisConfig):
         self.rows = rows
         self.cfg = cfg
         self.basis = fit_basis(basis, cfg)
-        groups = [tuple(g) for g in groups]
-        tables = _Tables(self.basis, [rows.xi], [d for g in groups for d in g])
-        self.modes = [_enter(g, cfg, tables) for g in groups]
+        self.store = np.empty((rows.nd, rows.nq, self.basis.max_order))
+        self.table = self.store.transpose(1, 0, 2)
+        self.done: set[int] = set()
+        self.modes: list[_ActiveMode] = []
+        groups = [tuple(int(d) for d in g) for g in groups]
+        self._evaluate([d for g in groups for d in g])
+        for g in groups:
+            self.enter(g)
 
-    def fit(self, row_weights) -> HdmrModel:
-        """Refit every mode's coefficients to rows.u under these row weights."""
+    def _evaluate(self, dims) -> None:
+        new = sorted(set(dims) - self.done)
+        if new:
+            cols = [d - 1 for d in new]
+            self.store[cols] = univariate_table(self.basis,
+                                                self.rows.xi[:, cols]).transpose(1, 0, 2)
+            self.done.update(new)
+
+    def enter(self, dims) -> _ActiveMode:
+        """The mode of a group entering the fit, over all the rows."""
+        dims = tuple(int(d) for d in dims)
+        if any(m.dims == dims for m in self.modes):
+            raise ValueError(f"group {dims} appears twice in the path")
+        self._evaluate(dims)
+        self.modes.append(_ActiveMode(dims, self.cfg, self.table))
+        return self.modes[-1]
+
+    def _weights(self, row_weights) -> np.ndarray:
         nq = self.rows.nq
-        w = _vector(_check_row_weights(row_weights, nq), np.ones(nq))
-        block = _DenseBlock(w, self.cfg.beta, with_f0=True)
+        return _vector(_check_row_weights(row_weights, nq), np.ones(nq))
+
+    def cross_validate(self, groups, n: int, row_weights):
+        """The cross-validated passes: the first ``n`` rows are the training
+        rows, the rest the validation rows. The groups are read and entered
+        one per pass, until the validation error has risen over two
+        consecutive passes. Returns (PassRecords, passes kept: the pass
+        with the smallest validation error)."""
+        w = self._weights(row_weights)
+        uval, wv, val = self.rows.u[n:], w[n:], slice(n, None)
+        val_norm = float(np.linalg.norm(uval))
+        block = _DenseBlock(w[:n], self.cfg.beta, with_f0=True)
         cps: list[_ActiveMode] = []
-        for _ in _passes(block, cps, self.modes, self.rows.u, self.cfg, w):
-            pass
-        return _hdmr_model(block, cps, self.basis, self.rows.nd, self.cfg)
+        records = []
+        best_eps, best_s, prev_eps, inc = np.inf, 0, np.inf, 0
+        modes = map(self.enter, groups)
+        for rec in _passes(block, cps, modes, self.rows.u[:n], self.cfg, w[:n]):
+            tot = np.zeros(uval.shape[0])
+            for m in block.modes + cps:
+                tot += m.values_at(m.params, val)
+            eps = float(np.linalg.norm(uval - wv * (block.f0 + tot)) / val_norm)
+            records.append(replace(rec, cv_eps=eps))
+            inc = inc + 1 if eps > prev_eps else 0
+            if eps < best_eps:
+                best_eps, best_s = eps, rec.s
+            prev_eps = eps
+            if inc >= 2:
+                break
+        return records, best_s
+
+    def fit(self, row_weights, kept: int | None = None):
+        """Refit the first ``kept`` modes (all by default) to rows.u on all
+        the rows under these row weights. Returns (HdmrModel, PassRecords)."""
+        cfg, w = self.cfg, self._weights(row_weights)
+        block = _DenseBlock(w, cfg.beta, with_f0=True)
+        cps: list[_ActiveMode] = []
+        records = list(_passes(block, cps, self.modes[:kept], self.rows.u, cfg, w))
+        return HdmrModel(f0=block.f0, basis=self.basis, nd=self.rows.nd, no=cfg.no,
+                         ninter=cfg.ninter, npc=cfg.npc, nr=cfg.nr,
+                         dense=[m.mode() for m in block.modes],
+                         cp=[m.mode() for m in cps]), records
 
     def values(self, model: HdmrModel, rows: slice) -> np.ndarray:
-        """``model``, fitted on this skeleton, at a slice of the rows: the
-        values ``evaluate_model`` gives there, from this skeleton's designs
-        and with its arithmetic (a product per row slice, f0 first, then the
-        dense and the CP modes in order)."""
-        dense = [m for m in self.modes if m.kind == "dense"]
-        cp = [m for m in self.modes if m.kind == "cp"]
+        """``model``, fitted by ``fit`` with every mode, at a slice of the
+        rows: the values ``evaluate_model`` gives there, from this
+        skeleton's designs and with its arithmetic (a product per row
+        slice, f0 first, then the dense and the CP modes in order)."""
+        params = [m.coeffs for m in model.dense] + [m.factors for m in model.cp]
+        modes = sorted(self.modes, key=lambda m: m.kind == "cp")  # stable
         out = np.full(self.rows.nq, model.f0)[rows]
-        for m, mode in zip(dense, model.dense, strict=True):
-            out += m.design[rows] @ mode.coeffs
-        for m, mode in zip(cp, model.cp, strict=True):
-            out += _cp_values([b[rows] for b in m.blocks], mode.factors)
+        for m, p in zip(modes, params, strict=True):
+            out += m.values_at(p, rows)
         return out
 
 

@@ -6,9 +6,10 @@ Each rank alternates a spatial least-squares fit (rows weighted by the
 current lambda values) with a stochastic surrogate fit (design rows weighted
 by the current spatial profile) until the stochastic-mode norm settles.
 A rank selects its skeleton only as far as its cross-validated passes read
-the path (``selection.glars_steps``), then keeps that skeleton's designs for
-its later alternations (``fitting._Skeleton``), which also give every value
-of lambda the driver needs at the training and validation rows.
+the path (``selection.glars_steps``), then freezes it: one
+``fitting._Skeleton`` on train plus validation holds its tables and designs
+for the later alternations, each a ``_Skeleton.fit`` under new row weights,
+and gives every value of lambda the driver needs at those rows.
 
 The spatial least-squares fits (rank 0, the start profile, each rank's
 profile, the joint re-solve) are solved through the Cholesky factor of their
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .basis import BasisConfig, univariate_table
-from .data import SampleSet
+from .data import SampleSet, _check_finite_fields
 # perfbench/spans.py wraps the ls_solve and glars_select globals of this module
 # by name, so they stay importable here although the spatial fits reach
 # ls_solve via _gram_solve and the driver selects through glars_steps
@@ -76,6 +77,7 @@ class SpatialBasis:
             raise ValueError(f"unknown spatial basis kind {self.kind!r}")
         if self.cardx < 1:
             raise ValueError("cardx must be >= 1")
+        _check_finite_fields(self, "domain")
         lo, hi = self.domain
         if not lo < hi:
             raise ValueError(f"empty spatial domain [{lo}, {hi}]")
@@ -187,13 +189,12 @@ def fit_separated(train: SampleSet, sel_cfg: SelectionConfig, fit_cfg: FitConfig
     validation (``fitting._Skeleton``), and every later alternation refits
     their coefficients with the new spatial profile as row weights, until
     ||lambda_n|| settles. lambda_n's values at the training and validation
-    rows come from those designs. Ranks stop
-    at sep_cfg.lmax or once ||lambda_n|| falls below
-    _STOP_NORM_FRAC * ||u||; a rank whose pair fails to reduce the training
-    residual is discarded. Weighted TLS (fit_cfg.robust) is rejected: it
-    covers plain rows only, and every stochastic fit here is row-weighted.
-    Validation rows whose column counts differ from the training rows'
-    raise ValueError.
+    rows come from those designs. Ranks stop at sep_cfg.lmax or once
+    ||lambda_n|| falls below _STOP_NORM_FRAC * ||u||; a rank whose pair
+    fails to reduce the training residual is discarded. Weighted TLS
+    (fit_cfg.robust) is rejected: it covers plain rows only, and every
+    stochastic fit here is row-weighted. Validation rows whose column
+    counts differ from the training rows' raise ValueError.
     """
     if fit_cfg.robust:
         raise ValueError("robust fitting does not apply to the separated "
@@ -248,7 +249,7 @@ def fit_separated(train: SampleSet, sel_cfg: SelectionConfig, fit_cfg: FitConfig
                 kept = [rec.dims for rec in diag.records[1: diag.retained + 1]]
                 skeleton = _Skeleton(fit_rows, kept, fit_cfg, basis)
             else:
-                lam_model = skeleton.fit(
+                lam_model, _ = skeleton.fit(
                     np.concatenate([w_train, w_val]) if have_val else w_train)
             lam_vals = skeleton.values(lam_model, slice(0, nq))
             lam_norm = float(np.linalg.norm(lam_vals))

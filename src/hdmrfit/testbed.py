@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .data import SampleSet, rng_stream
+from .data import SampleSet, _check_finite_fields, rng_stream
 
 __all__ = [
     "KLField",
@@ -178,6 +178,7 @@ class DiffusionConfig:
             raise ValueError("need nd_nu + nd_f >= 1, both non-negative")
         if self.m_x < 16:
             raise ValueError("m_x (--mx) must be >= 16")
+        _check_finite_fields(self, "sigma_nu", "sigma_f", "lc", "u_minus", "u_plus")
         if not self.lc > 0:
             raise ValueError(f"lc (--lc) must be > 0, got {self.lc!r}")
         if self.m_k < max(1, self.nd_nu, self.nd_f):

@@ -266,6 +266,27 @@ def test_gen_diffusion_bad_config_exits_2(tmp_path, capsys, flags, name):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flags, field", [
+    ("fit", ("--beta", "nan"), "beta"),
+    ("fit", ("--beta", "inf"), "beta"),
+    ("fit", ("--basis-hi", "inf"), "hi"),
+    ("fit", ("--mode", "separated", "--x-hi", "inf"), "domain"),
+    ("gen-diffusion", ("--sigma-nu", "nan"), "sigma_nu"),
+    ("gen-diffusion", ("--sigma-f", "inf"), "sigma_f"),
+    ("gen-diffusion", ("--u-minus", "nan"), "u_minus"),
+])
+def test_non_finite_configuration_number_exits_2(ws, tmp_path, capsys, command,
+                                                 flags, field):
+    # --beta nan once fitted unridged (nan > 0 is false); the others failed
+    # inside the fit or the generation, with exit 4
+    out = tmp_path / "out"
+    argv = (_fit_args(ws, out, *flags) if command == "fit"
+            else ["gen-diffusion", "--out", str(out), "--nq", "5", *flags])
+    assert main(argv) == 2
+    assert f"error: {field} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_out_of_domain_spatial_exits_3(tmp_path, capsys):
     # x runs over [0, 2] but the spatial basis defaults to [0, 1]
     csv = tmp_path / "sp.csv"

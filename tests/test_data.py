@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdmrfit.basis import BasisConfig
 from hdmrfit.data import (
     NoiseModel,
     SampleSet,
@@ -12,6 +13,9 @@ from hdmrfit.data import (
     save_csv,
     split,
 )
+from hdmrfit.fitting import FitConfig
+from hdmrfit.separated import SpatialBasis
+from hdmrfit.testbed import DiffusionConfig
 
 
 def make_set(nq=20, nd=3, ndx=1, seed=0):
@@ -164,6 +168,24 @@ def test_value_noise_is_multiplicative():
 def test_negative_scale_rejected():
     with pytest.raises(ValueError):
         NoiseModel(s=-1.0)
+
+
+@pytest.mark.parametrize("cls, field, value", [
+    (FitConfig, "beta", np.nan), (FitConfig, "beta", np.inf),
+    (BasisConfig, "lo", -np.inf), (BasisConfig, "hi", np.inf),
+    (BasisConfig, "hi", np.nan),
+    (SpatialBasis, "domain", (0.0, np.inf)), (SpatialBasis, "domain", (-np.inf, 1.0)),
+    (NoiseModel, "s", np.nan), (NoiseModel, "s_u", np.inf),
+    (NoiseModel, "box", (0.0, np.inf)),
+    (DiffusionConfig, "sigma_nu", np.nan), (DiffusionConfig, "sigma_f", np.inf),
+    (DiffusionConfig, "lc", np.inf), (DiffusionConfig, "u_minus", np.nan),
+    (DiffusionConfig, "u_plus", -np.inf),
+])
+def test_configs_reject_non_finite_numbers(cls, field, value):
+    # each check names the field: a nan slips past every comparison (nan > 0
+    # is false), and an inf reaches the fit or the generator
+    with pytest.raises(ValueError, match=rf"^{field} must be finite, got "):
+        cls(**{field: value})
 
 
 def test_rng_stream_independent_keys():

@@ -243,6 +243,66 @@ def test_fit_hdmr_with_zero_validation_values_fits_every_group():
     assert all(np.isnan(rec.cv_eps) for rec in diag.records)
 
 
+def _weighted_parts(n_train, n_val, seed):
+    # train and validation rows of a target with a three-dim interaction,
+    # both parts row-weighted
+    g = rng_stream(seed, 1)
+    parts = []
+    for n, key in ((n_train, seed), (n_val, seed + 1)):
+        ds, t = uniform_set(n, 4, seed=key)
+        w = g.uniform(0.5, 1.5, n)
+        u = w * (1.0 + t[:, 0, 1] + 0.5 * t[:, 0, 1] * t[:, 1, 2]
+                 + 0.4 * t[:, 1, 1] * t[:, 2, 1] * t[:, 3, 2]) + 0.1 * g.standard_normal(n)
+        parts.append((with_u(ds, u), w))
+    return parts
+
+
+def test_each_cv_pass_is_the_validation_free_fit_of_its_prefix():
+    (train, w), (val, wv) = _weighted_parts(151, 79, seed=60)
+    groups = [(1,), (2, 3, 4), (1, 2), (3,), (2,), (1, 3), (4,), (2, 4), (1, 4), (3, 4)]
+    cfg = FitConfig(no=3, npc=2, ninter=3, nr=1, seed=0)
+    _, diag = fit_hdmr(train, val, groups, cfg, B, row_weights=w, val_row_weights=wv)
+    # validation stopped the passes, after the CP mode entered
+    assert (2, 3, 4) in [rec.dims for rec in diag.records] and len(diag.records) < len(groups)
+    for rec in diag.records:
+        model_s, ref = fit_hdmr(train, None, groups[: rec.s], cfg, B, row_weights=w)
+        last = ref.records[-1]
+        assert (rec.s, rec.dims, rec.train_residual_norm, rec.update_sweeps, rec.capped) \
+            == (last.s, last.dims, last.train_residual_norm, last.update_sweeps,
+                last.capped)
+        eps = (np.linalg.norm(val.u - wv * evaluate_model(model_s, val.xi))
+               / np.linalg.norm(val.u))
+        assert rec.cv_eps == pytest.approx(eps, rel=1e-12, abs=0.0)
+
+
+def test_zero_validation_fallback_is_the_fit_on_merged_rows(tmp_path):
+    (train, w), (val, wv) = _weighted_parts(150, 60, seed=46)
+    val = with_u(val, np.zeros(60))
+    groups = [(1,), (1, 2), (2, 3, 4), (3,)]
+    cfg = FitConfig(no=3, npc=2, ninter=3, nr=2, seed=0)
+    read = []
+
+    def path():
+        for dims in groups:
+            read.append(dims)
+            yield dims
+
+    with pytest.warns(UserWarning, match="validation values are identically zero"):
+        model, diag = fit_hdmr(train, val, path(), cfg, B, row_weights=w,
+                               val_row_weights=wv)
+    merged, w_c = merge_train_validation(train, val, w, wv)
+    ref, ref_diag = fit_hdmr(merged, None, groups, cfg, B, row_weights=w_c)
+    assert read == groups and diag.retained == ref_diag.retained == len(groups)
+    # its passes are those of the fit on the merged rows, and there is no
+    # separate final refit
+    assert [(r.s, r.dims, r.train_residual_norm, r.update_sweeps) for r in diag.records] \
+        == [(r.s, r.dims, r.train_residual_norm, r.update_sweeps) for r in ref_diag.records]
+    assert diag.refit_records == []
+    save_model(model, tmp_path / "fallback.json")
+    save_model(ref, tmp_path / "ref.json")
+    assert (tmp_path / "fallback.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
 @pytest.mark.parametrize("weighted", [False, True])
 def test_fit_hdmr_with_validation_is_refit_of_retained_on_merged_rows(tmp_path,
                                                                       weighted):
@@ -615,7 +675,7 @@ def _counting(monkeypatch, name):
 
 def _block_of(tab, dims, w, beta):
     """A dense block (no f0) of one mode on ``dims``, at no = 4, and the mode."""
-    mode = fitting._ActiveMode(dims, dims, FitConfig(no=4, npc=2, beta=beta), tab, None)
+    mode = fitting._ActiveMode(dims, FitConfig(no=4, npc=2, beta=beta), tab)
     block = fitting._DenseBlock(w, beta, with_f0=False)
     block.add(mode)
     return block, mode
@@ -718,20 +778,19 @@ def test_fit_builds_each_dense_design_once_per_pass_call(monkeypatch):
     groups = [(1,), (2,), (1, 2), (2, 3, 4), (3,), (1, 3)]
     cfg = FitConfig(no=3, npc=2, ninter=3, seed=0)
     designs = _counting(monkeypatch, "dense_design")
-    passes = _counting(monkeypatch, "_fit_passes")
+    passes = _counting(monkeypatch, "_passes")
     _, diag = fit_hdmr(with_u(ds, u), with_u(vs, uv), groups, cfg, B)
-    assert len(passes) == 2
+    # the cross-validated passes fit the 400 training rows, the final refit
+    # all 500 rows
+    assert [args[3].shape[0] for args in passes] == [400, 500]
     # the cyclic update sweeps refit every mode many times over
     assert sum(rec.update_sweeps for rec in diag.records) > len(diag.records)
     entered = [rec.dims for rec in diag.records[1:] if len(rec.dims) <= cfg.npc]
     kept = [g for g in groups[: diag.retained] if len(g) <= cfg.npc]
-    rows = [args[0].shape[0] for args in designs]
-    # first call: one train and one validation design per dense mode that
-    # entered; final refit on train + validation: one design per kept mode
-    assert rows.count(400) == len(entered)
-    assert rows.count(100) == len(entered)
-    assert rows.count(500) == len(kept)
-    assert len(rows) == 2 * len(entered) + len(kept)
+    assert kept and set(kept) <= set(entered)
+    # one design per dense mode that entered, over the train and validation
+    # rows together; the final refit reads the kept modes' and builds none
+    assert [args[0].shape[0] for args in designs] == [500] * len(entered)
 
 
 def _noisy_cv_instance():
@@ -750,9 +809,9 @@ def test_robust_fit_builds_covariances_only_for_the_final_refit(monkeypatch):
     train, val, groups, cfg = _noisy_cv_instance()
     covs = _counting(monkeypatch, "covariance_blocks")
     solves = _counting(monkeypatch, "wtls_solve")
-    passes = _counting(monkeypatch, "_fit_passes")
+    passes = _counting(monkeypatch, "_passes")
     model, diag = fit_hdmr(train, val, groups, cfg, B)
-    assert len(passes) == 2
+    assert [args[3].shape[0] for args in passes] == [400, 500]
     kept = [g for g in groups[: diag.retained] if len(g) <= cfg.npc]
     assert [m.dims for m in model.dense] == kept
     # every pass fits by least squares; after them one weighted TLS solve on
@@ -978,30 +1037,31 @@ def test_fit_tables_cover_only_the_dims_of_entered_groups(monkeypatch):
             read.append(dims)
             yield dims
 
-    calls = []   # per _fit_passes call: (rows, columns) of each table evaluated
-    orig_table, orig_passes = fitting.univariate_table, fitting._fit_passes
+    evaluated = []   # (rows, columns) of each table the fit evaluates
+    skeletons = []
+    orig_table, orig_init = fitting.univariate_table, fitting._Skeleton.__init__
 
     def table_spy(cfg, xi):
         cols = np.floor((np.asarray(xi) + 1.0) * nd / 2.0).astype(int) + 1
-        calls[-1].append((np.shape(xi)[0], set(np.unique(cols).tolist())))
+        evaluated.append((np.shape(xi)[0], set(np.unique(cols).tolist())))
         return orig_table(cfg, xi)
 
-    def passes_spy(*args):
-        calls.append([])
-        return orig_passes(*args)
+    def init_spy(self, *args):
+        skeletons.append(self)
+        orig_init(self, *args)
 
     monkeypatch.setattr(fitting, "univariate_table", table_spy)
-    monkeypatch.setattr(fitting, "_fit_passes", passes_spy)
+    monkeypatch.setattr(fitting._Skeleton, "__init__", init_spy)
     _, diag = fit_hdmr(train, val, groups(), FitConfig(no=3, npc=2, ninter=2), B)
     assert len(read) == len(diag.records) - 1 < len(path)
     entered = {d for dims in read for d in dims}
     kept = {d for rec in diag.records[1: diag.retained + 1] for d in rec.dims}
-    assert len(calls) == 2
-    for evaluated, dims, nq in ((calls[0], entered, 400), (calls[1], kept, 400)):
-        assert set().union(*(c for _, c in evaluated)) == dims
-        # every dim once per row: the train and validation rows of the
-        # cross-validated call, then the merged rows of the final refit
-        assert sum(n * len(c) for n, c in evaluated) == nq * len(dims)
+    assert len(skeletons) == 1 and kept and kept <= entered
+    assert set().union(*(c for _, c in evaluated)) == entered
+    # every entered dim once, over the train and validation rows together;
+    # the final refit of the kept groups evaluates no table
+    assert all(n == 400 for n, _ in evaluated)
+    assert sum(len(c) for _, c in evaluated) == len(entered)
 
 
 def test_fit_hdmr_rejects_validation_rows_of_another_shape():

@@ -1,0 +1,81 @@
+"""Digests of the benchmark workloads' fits, to compare two versions of the code.
+
+    PYTHONPATH=src python tests/workload_digest.py [SEED]
+
+For each perfbench workload, draws its inputs (``Workload.draw(SEED)``,
+SEED 11 by default), fits its surrogate once and prints one line: the first
+12 hex digits of the sha256 of the saved model JSON, of the repr of every
+PassRecord of every ``fit_hdmr`` call the fit made (its passes and its
+final refit's, ``cv_eps`` included), and the test error. Two versions of the
+code that print the same lines fitted the same models, byte for byte, along
+the same passes. The script reads ``perfbench/workloads.py`` and changes
+nothing there; it is not a pytest module.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+import tempfile
+from contextlib import nullcontext
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "src"))
+
+import workloads  # noqa: E402
+
+from hdmrfit import separated  # noqa: E402
+from hdmrfit.fitting import relative_error  # noqa: E402
+
+
+def _hex(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:12]
+
+
+class _Recorder:
+    """Stands in for the benchmark's tracer: runs every call untraced and
+    keeps the diagnostics of each ``fit_hdmr`` call."""
+
+    def __init__(self):
+        self.records: list = []
+
+    def call(self, name, fn, *args, **kwargs):
+        result = fn(*args, **kwargs)
+        if name == "fitting.fit_hdmr":
+            diag = result[1]
+            self.records.append((diag.retained, diag.records, diag.refit_records))
+        return result
+
+    def span(self, name):
+        return nullcontext()
+
+
+def digest(wl, seed: int, tmpdir: Path) -> str:
+    rec = _Recorder()
+    inp = wl.draw(seed, rec)
+    # the separated driver calls fit_hdmr itself: record those calls too
+    fit_hdmr = separated.fit_hdmr
+    separated.fit_hdmr = lambda *a, **k: rec.call("fitting.fit_hdmr", fit_hdmr, *a, **k)
+    try:
+        model, _ = wl.fit(inp, rec)
+    finally:
+        separated.fit_hdmr = fit_hdmr
+    path = tmpdir / f"{wl.name}.json"
+    wl.save(model, path)
+    return (f"{wl.name:16s} model={_hex(path.read_bytes())} "
+            f"passes={_hex(repr(rec.records).encode())} "
+            f"fits={len(rec.records)} test_error={relative_error(model, inp.test)!r}")
+
+
+def main(argv) -> int:
+    seed = int(argv[0]) if argv else 11
+    with tempfile.TemporaryDirectory() as tmp:
+        for wl in workloads.WORKLOADS.values():
+            print(digest(wl, seed, Path(tmp)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

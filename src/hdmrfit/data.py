@@ -7,6 +7,7 @@ CSV contract: UTF-8, comma-separated, mandatory header row with columns
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -192,7 +193,7 @@ def load_csv(path) -> SampleSet:
                 vals = [float(c) for c in row]
             except ValueError:
                 raise ValueError(f"{path}: row {lineno} has a non-numeric cell") from None
-            if not all(np.isfinite(v) for v in vals):
+            if not all(map(math.isfinite, vals)):
                 raise ValueError(f"{path}: row {lineno} has a non-finite cell")
             rows.append(vals)
     if not rows:
@@ -208,11 +209,8 @@ def save_csv(sset: SampleSet, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for q in range(sset.nq):
-            row = [repr(float(v)) for v in sset.x[q]]
-            row += [repr(float(v)) for v in sset.xi[q]]
-            row.append(repr(float(sset.u[q])))
-            writer.writerow(row)
+        for x, xi, u in zip(sset.x.tolist(), sset.xi.tolist(), sset.u.tolist()):
+            writer.writerow([*map(repr, x), *map(repr, xi), repr(u)])
 
 
 def split(sset: SampleSet, n_train: int, n_val: int, n_test: int, seed: int):
@@ -248,17 +246,18 @@ def inject_noise(sset: SampleSet, noise: NoiseModel, seed: int) -> SampleSet:
     """Perturb coordinates and values per ``noise``; identity when scales are 0.
 
     One counter-based stream per (seed, row) keeps the draws independent of
-    evaluation order.
+    evaluation order; the draws are made row by row, the arithmetic on the
+    whole array.
     """
-    xi = np.array(sset.xi)
-    u = np.array(sset.u)
-    lo, hi = noise.box
+    zeta = np.empty((sset.nq, sset.nd))
+    zeta_u = np.empty(sset.nq)
     for q in range(sset.nq):
         g = rng_stream(seed, 2, q)
-        zeta = g.standard_normal(sset.nd)
-        zeta_u = g.standard_normal()
-        if noise.s > 0:
-            xi[q] = _reflect(xi[q] + noise.s * zeta, lo, hi)
-        if noise.s_u > 0:
-            u[q] = u[q] * (1.0 + noise.s_u * zeta_u)
+        zeta[q] = g.standard_normal(sset.nd)
+        zeta_u[q] = g.standard_normal()
+    xi, u = sset.xi, sset.u
+    if noise.s > 0:
+        xi = _reflect(xi + noise.s * zeta, *noise.box)
+    if noise.s_u > 0:
+        u = u * (1.0 + noise.s_u * zeta_u)
     return SampleSet(sset.x, xi, u, sset.tag)

@@ -87,6 +87,8 @@ __all__ = [
 ]
 
 _TINY = 1e-300
+# the smallest norm whose square is a normal float
+_NORM_FLOOR = float(np.sqrt(np.finfo(float).tiny))
 # solver internals: each loop stops once its objective changes by at most its
 # tol (relative), or at its cap
 _ALS_TOL = 1e-8                 # ALS sweeps of one CP rank
@@ -176,13 +178,13 @@ def fit_dense_mode(gamma, train: SampleSet, cfg: FitConfig, basis: BasisConfig,
     if len(gamma) > cfg.npc:
         raise ValueError(f"group {gamma} exceeds the dense cutoff npc={cfg.npc}")
     _check_plain_rows(cfg, row_weights)
-    mode = _fit_one(gamma, train, cfg, basis, row_weights)
+    am = _fit_one(gamma, train, cfg, basis, row_weights)
     if not cfg.robust:
-        return mode
+        return am.mode()
     card = len(gamma)
     block = HdmrModel(f0=0.0, basis=fit_basis(basis, cfg), nd=train.nd, no=cfg.no,
-                      ninter=card, npc=card, nr=cfg.nr, dense=[mode])
-    return _wtls_refit(block, train, cfg.noise).dense[0]
+                      ninter=card, npc=card, nr=cfg.nr, dense=[am.mode()])
+    return _wtls_refit(block, [am], train, cfg.noise).dense[0]
 
 
 def fit_cp_mode(gamma, train: SampleSet, cfg: FitConfig, basis: BasisConfig,
@@ -196,10 +198,11 @@ def fit_cp_mode(gamma, train: SampleSet, cfg: FitConfig, basis: BasisConfig,
     """
     gamma = tuple(int(d) for d in gamma)
     _check_cp_range(gamma, cfg)
-    return _fit_one(gamma, train, cfg, basis, row_weights)
+    return _fit_one(gamma, train, cfg, basis, row_weights).mode()
 
 
-def _fit_one(gamma, train, cfg, basis, row_weights):
+def _fit_one(gamma, train, cfg, basis, row_weights) -> _ActiveMode:
+    # the one fitted mode of a skeleton on train
     skeleton = _Skeleton(train, [gamma], cfg, basis)
     w = skeleton._weights(row_weights)
     am = skeleton.modes[0]
@@ -209,7 +212,7 @@ def _fit_one(gamma, train, cfg, basis, row_weights):
         block.solve(train.u)
     else:
         am.refit(train.u, cfg, w)
-    return am.mode()
+    return am
 
 
 def _check_plain_rows(cfg: FitConfig, *row_weights) -> None:
@@ -483,6 +486,17 @@ def _residual_norm(u, w, fitted) -> float:
     return float(np.linalg.norm(u - w * fitted))
 
 
+def _relative_norm(r, u) -> float:
+    """||r|| / ||u|| for values ``u`` that are not all zero. Where ||u||^2
+    falls below the normal range (20 values of 1e-170 have norm 0.0), r and
+    u are first divided by u's largest magnitude."""
+    den = float(np.linalg.norm(u))
+    if den < _NORM_FLOOR:
+        scale = float(np.max(np.abs(u)))
+        r, den = r / scale, float(np.linalg.norm(u / scale))
+    return float(np.linalg.norm(r) / den)
+
+
 def _check_matching_rows(train: SampleSet, validation: SampleSet) -> None:
     """ValueError unless the validation rows have the training rows' columns."""
     if validation.x.shape[1:] != train.x.shape[1:] or \
@@ -559,7 +573,7 @@ def fit_hdmr(train: SampleSet, validation: SampleSet | None, path, cfg: FitConfi
     rows, w = train, row_weights
     if validation is not None:
         rows, w = merge_train_validation(train, validation, row_weights, val_row_weights)
-        if float(np.linalg.norm(validation.u)) == 0.0:
+        if not np.any(validation.u):
             warnings.warn("validation values are identically zero: no early stopping")
             validation = None
     diag = FitDiagnostics()
@@ -577,29 +591,32 @@ def fit_hdmr(train: SampleSet, validation: SampleSet | None, path, cfg: FitConfi
         diag.refit_seconds = time.perf_counter() - t0
     if cfg.robust:
         t0 = time.perf_counter()
-        model = _wtls_refit(model, rows, cfg.noise)
+        model = _wtls_refit(model, skeleton.modes[:diag.retained], rows, cfg.noise)
         diag.wtls_seconds = time.perf_counter() - t0
     return model, diag
 
 
-def _wtls_refit(model: HdmrModel, rows: SampleSet, noise: NoiseModel) -> HdmrModel:
+def _wtls_refit(model: HdmrModel, modes, rows: SampleSet,
+                noise: NoiseModel) -> HdmrModel:
     """Weighted TLS refit of all dense modes' coefficients together.
 
-    The block's design stacks the dense modes' designs on ``rows``, and its
-    start point is their least-squares coefficients. ``f0`` and the CP
-    modes' values are held fixed and subtracted from ``rows.u``. The row
+    ``modes`` are the ``_ActiveMode``s the model was fitted from, over
+    ``rows``, in entry order; their designs and CP blocks serve the refit.
+    The block's design stacks the dense modes' designs, and its start point
+    is their least-squares coefficients. ``f0`` and the CP modes' values
+    are held fixed and subtracted from ``rows.u``. The row
     covariances are those of the whole block, from one ``covariance_blocks``
     call whose u_ref is the least-squares model's prediction. With
     s = s_u = 0 the model is returned untouched.
     """
     if not model.dense or (noise.s == 0 and noise.s_u == 0):
         return model
-    table = univariate_table(model.basis, rows.xi)
-    psi = np.hstack([dense_design(table, m.dims, m.indices) for m in model.dense])
+    psi = np.hstack([m.design for m in modes if m.kind == "dense"])
     c0 = np.concatenate([m.coeffs for m in model.dense])
     fixed = np.full(rows.nq, model.f0)
-    for m in model.cp:
-        fixed += _cp_values(_cp_blocks(table, m.dims, model.no), m.factors)
+    for m in modes:
+        if m.kind == "cp":
+            fixed += m.values_at(m.params, slice(None))
     blocks = covariance_blocks(rows, [(m.dims, m.indices) for m in model.dense],
                                noise, model.basis, fixed + psi @ c0)
     c = wtls_solve(psi, rows.u - fixed, blocks, c0=c0)
@@ -695,7 +712,6 @@ class _Skeleton:
         with the smallest validation error)."""
         w = self._weights(row_weights)
         uval, wv, val = self.rows.u[n:], w[n:], slice(n, None)
-        val_norm = float(np.linalg.norm(uval))
         block = _DenseBlock(w[:n], self.cfg.beta, with_f0=True)
         cps: list[_ActiveMode] = []
         records = []
@@ -705,7 +721,7 @@ class _Skeleton:
             tot = np.zeros(uval.shape[0])
             for m in block.modes + cps:
                 tot += m.values_at(m.params, val)
-            eps = float(np.linalg.norm(uval - wv * (block.f0 + tot)) / val_norm)
+            eps = _relative_norm(uval - wv * (block.f0 + tot), uval)
             records.append(replace(rec, cv_eps=eps))
             inc = inc + 1 if eps > prev_eps else 0
             if eps < best_eps:
@@ -763,15 +779,14 @@ def _update_sweeps(block, cps, u, cfg, w):
 
 def relative_error(model, test: SampleSet) -> float:
     """Relative L2 error ||u - u_hat|| / ||u|| over a test set."""
-    denom = float(np.linalg.norm(test.u))
-    if denom == 0.0:
-        raise ValueError("zero-norm reference values: relative error undefined")
+    if not np.any(test.u):
+        raise ValueError("identically zero reference values: relative error undefined")
     if isinstance(model, HdmrModel):
         pred = evaluate_model(model, test.xi)
     else:
         from .separated import evaluate_separated
         pred = evaluate_separated(model, test.x, test.xi)
-    return float(np.linalg.norm(test.u - pred) / denom)
+    return _relative_norm(test.u - pred, test.u)
 
 
 @dataclass(frozen=True)

@@ -4,15 +4,17 @@ Random coefficient and forcing fields are built from truncated
 Karhunen-Loeve expansions of the Gaussian-kernel covariance
 C(x, y) = sigma^2 exp(-(x - y)^2 / (2 lc^2)), the steady
 diffusion equation d/dx(nu du/dx) = F is solved per draw on a uniform grid,
-and the solution is probed at a fixed location or at scattered points.
+and the solution is probed at a fixed location or at scattered points. The
+draws are solved in blocks, by one elimination sweep over the grid nodes
+vectorized across the block's rows, with the bits of one LAPACK solve per
+draw.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .data import SampleSet, _check_finite_fields, rng_stream
 
@@ -30,6 +32,9 @@ __all__ = [
 _NU0 = 1.0
 _F0 = -1.0
 _DOMAIN = (0.0, 1.0)
+# draws solved together by one elimination sweep in generate_dataset; it
+# bounds the transient arrays at O(_BLOCK_ROWS * m_x) for any nq
+_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -129,28 +134,91 @@ def _interp_funcs(f: KLField, x: np.ndarray) -> np.ndarray:
 def solve_diffusion(nu, f_rhs, u_minus, u_plus, m_x, length=1.0) -> np.ndarray:
     """Solve d/dx(nu du/dx) = F on a uniform grid of m_x cells.
 
-    ``nu`` and ``f_rhs`` hold nodal values (m_x + 1 entries each); Dirichlet
-    values u_minus, u_plus are imposed at the ends. Conservative second-order
-    scheme with harmonic-mean face coefficients.
+    ``nu`` and ``f_rhs`` hold nodal values: m_x + 1 entries for one draw,
+    or shape (nq, m_x + 1) for nq draws solved together; the solution has
+    the same shape. Dirichlet values u_minus, u_plus are imposed at the
+    ends. Conservative second-order scheme with harmonic-mean face
+    coefficients. The tridiagonal systems are solved by ``_gtsv``, which
+    gives each row the bits of LAPACK's dgtsv on that row alone.
     """
     nu = np.asarray(nu, dtype=float)
     f_rhs = np.asarray(f_rhs, dtype=float)
     n = m_x + 1
-    if nu.shape != (n,) or f_rhs.shape != (n,):
-        raise ValueError(f"need {n} nodal values, got {nu.shape} and {f_rhs.shape}")
+    if nu.ndim not in (1, 2) or nu.shape[-1] != n or f_rhs.shape != nu.shape:
+        raise ValueError(f"need {n} nodal values per row, "
+                         f"got {nu.shape} and {f_rhs.shape}")
+    if not (np.all(np.isfinite(nu)) and np.all(np.isfinite(f_rhs))):
+        raise ValueError("non-finite nodal values")
     if np.any(nu <= 0):
         raise ValueError("non-positive diffusion coefficient: problem not coercive")
     h = length / m_x
-    face = 2.0 * nu[:-1] * nu[1:] / (nu[:-1] + nu[1:])
-    ab = np.zeros((3, n))
-    rhs = np.empty(n)
-    ab[1, 0] = ab[1, -1] = 1.0
-    rhs[0], rhs[-1] = u_minus, u_plus
-    ab[0, 2:] = face[1:]                      # upper: nf_{j+1/2}
-    ab[2, :-2] = face[:-1]                    # lower: nf_{j-1/2}
-    ab[1, 1:-1] = -(face[:-1] + face[1:])
-    rhs[1:-1] = h * h * f_rhs[1:-1]
-    return solve_banded((1, 1), ab, rhs)
+    # node-major: entry [i] of each array holds node i of every row
+    nu_t = np.atleast_2d(nu).T
+    face = 2.0 * nu_t[:-1] * nu_t[1:] / (nu_t[:-1] + nu_t[1:])
+    # row i of a system is dl[i-1] u[i-1] + d[i] u[i] + du[i] u[i+1] = b[i];
+    # the Dirichlet rows 0 and n-1 are u = u_minus and u = u_plus
+    dl = np.zeros_like(face)
+    du = np.zeros_like(face)
+    dl[:-1] = face[:-1]                       # lower: nf_{j-1/2}
+    du[1:] = face[1:]                         # upper: nf_{j+1/2}
+    d = np.empty_like(nu_t)
+    b = np.empty_like(nu_t)
+    d[0] = d[-1] = 1.0
+    d[1:-1] = -(face[:-1] + face[1:])
+    b[0], b[-1] = u_minus, u_plus
+    b[1:-1] = h * h * np.atleast_2d(f_rhs).T[1:-1]
+    _gtsv(dl, d, du, b)
+    return b.T if nu.ndim == 2 else b[:, 0]
+
+
+def _gtsv(dl, d, du, b) -> None:
+    """Solve tridiagonal systems in place, one per column, into ``b``.
+
+    ``d`` (n, rows) is the diagonal, ``dl`` and ``du`` (n-1, rows) the sub-
+    and superdiagonal, ``b`` (n, rows) the right-hand sides. This is LAPACK
+    dgtsv's Gaussian elimination with partial pivoting, one sweep over the
+    nodes for all columns together: rows i and i+1 are interchanged where
+    |d_i| < |dl_i|, and ``dl`` then holds the second superdiagonal. Each
+    step repeats dgtsv's operations in its order, so every column gets the
+    bits of a dgtsv solve of that system alone. A zero pivot raises
+    LinAlgError("singular matrix"), as ``scipy.linalg.solve_banded`` does.
+    """
+    n = d.shape[0]
+    for i in range(n - 1):
+        swap = np.abs(d[i]) < np.abs(dl[i])
+        pivot = np.where(swap, dl[i], d[i])
+        if not pivot.all():
+            raise np.linalg.LinAlgError("singular matrix")
+        fact = np.where(swap, d[i], dl[i]) / pivot
+        # each right-hand side is evaluated before any row is written
+        dn, dui, bi, bn = d[i + 1], du[i], b[i], b[i + 1]
+        d[i], d[i + 1], du[i] = (pivot, np.where(swap, dui - fact * dn, dn - fact * dui),
+                                 np.where(swap, dn, dui))
+        b[i], b[i + 1] = (np.where(swap, bn, bi),
+                          np.where(swap, bi - fact * bn, bn - fact * bi))
+        if i < n - 2:
+            dl[i], du[i + 1] = (np.where(swap, du[i + 1], 0.0),
+                                np.where(swap, -fact * du[i + 1], du[i + 1]))
+    if not d[-1].all():
+        raise np.linalg.LinAlgError("singular matrix")
+    b[-1] /= d[-1]
+    b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+
+
+def _probe(nodes, sol, x) -> np.ndarray:
+    """np.interp(x[r], nodes, sol[r]) for every row r of ``sol`` at once,
+    with np.interp's arithmetic: the node value at a node and at the last
+    node, slope * (x - x_j) + y_j between x_j and x_{j+1}. Every x lies
+    in [nodes[0], nodes[-1]]."""
+    last = nodes.size - 1
+    j = np.searchsorted(nodes, x, side="right") - 1
+    k = np.minimum(j, last - 1)
+    r = np.arange(sol.shape[0])
+    slope = (sol[r, k + 1] - sol[r, k]) / (nodes[k + 1] - nodes[k])
+    between = slope * (x - nodes[k]) + sol[r, k]
+    return np.where((j == last) | (nodes[k] == x), sol[r, j], between)
 
 
 @dataclass(frozen=True)
@@ -194,11 +262,21 @@ class DiffusionConfig:
         return self.nd_nu + self.nd_f
 
     def fields(self) -> tuple[KLField, KLField]:
-        nu = kl_eigendecompose(self.sigma_nu, self.lc, _DOMAIN,
-                               self.m_k, self.nd_nu, mean_value=_NU0)
-        ff = kl_eigendecompose(self.sigma_f, self.lc, _DOMAIN,
-                               self.m_k, self.nd_f, mean_value=_F0)
-        return nu, ff
+        # the fields share lc, m_k and the domain, so one eigendecomposition
+        # per distinct sigma serves both: each takes its leading terms,
+        # whose bits do not depend on how many terms are kept
+        nterms = max(self.nd_nu, self.nd_f)
+        kl = {s: kl_eigendecompose(s, self.lc, _DOMAIN, self.m_k, nterms)
+              for s in {self.sigma_nu, self.sigma_f}}
+        return (_leading(kl[self.sigma_nu], self.nd_nu, _NU0),
+                _leading(kl[self.sigma_f], self.nd_f, _F0))
+
+
+def _leading(f: KLField, nterms: int, mean_value: float) -> KLField:
+    # the first nterms terms of f, about mean_value
+    return replace(f, mean_value=mean_value, nterms=nterms,
+                   eigenvalues=f.eigenvalues[:nterms],
+                   eigenfunctions=f.eigenfunctions[:nterms])
 
 
 def generate_dataset(cfg: DiffusionConfig, nq: int, seed: int,
@@ -208,6 +286,9 @@ def generate_dataset(cfg: DiffusionConfig, nq: int, seed: int,
     mode "point": u at cfg.x_star, Ndx = 0. mode "scattered": u at a
     per-sample uniform x, recorded in an Ndx = 1 spatial column. Bitwise
     deterministic per (cfg, nq, seed): sample q uses the stream (seed, q).
+    The draws are solved and probed together, ``_BLOCK_ROWS`` rows at a
+    time, with the bits of one ``scipy.linalg.solve_banded`` solve and one
+    ``np.interp`` probe per draw.
     """
     if mode not in ("point", "scattered"):
         raise ValueError(f"unknown sampling mode {mode!r}")
@@ -222,22 +303,26 @@ def generate_dataset(cfg: DiffusionConfig, nq: int, seed: int,
     w_f = np.sqrt(ff.eigenvalues)[:, None] * _interp_funcs(ff, nodes) \
         if cfg.nd_f else np.zeros((0, nodes.size))
     xi = np.empty((nq, cfg.nd))
-    xs = np.empty((nq, 1 if mode == "scattered" else 0))
+    x = np.full(nq, cfg.x_star, dtype=float)
     u = np.empty(nq)
-    for q in range(nq):
-        g = rng_stream(seed, 3, q)
-        germ = g.uniform(0.0, 1.0, cfg.nd)
-        xi[q] = germ
-        nu_nodes = _NU0 + germ[:cfg.nd_nu] @ w_nu
-        f_nodes = _F0 + germ[cfg.nd_nu:] @ w_f
-        sol = solve_diffusion(nu_nodes, f_nodes, cfg.u_minus, cfg.u_plus,
-                              cfg.m_x, length=hi - lo)
-        if mode == "scattered":
-            xq = g.uniform(lo, hi)
-            xs[q, 0] = xq
-            u[q] = np.interp(xq, nodes, sol)
-        else:
-            u[q] = np.interp(cfg.x_star, nodes, sol)
+    for start in range(0, nq, _BLOCK_ROWS):
+        block = slice(start, min(start + _BLOCK_ROWS, nq))
+        nu_nodes = np.empty((block.stop - start, nodes.size))
+        f_nodes = np.empty_like(nu_nodes)
+        # per draw: its stream, and the two field products (a GEMM over
+        # the block would change their bits)
+        for k, q in enumerate(range(start, block.stop)):
+            g = rng_stream(seed, 3, q)
+            germ = g.uniform(0.0, 1.0, cfg.nd)
+            xi[q] = germ
+            nu_nodes[k] = germ[:cfg.nd_nu] @ w_nu
+            f_nodes[k] = germ[cfg.nd_nu:] @ w_f
+            if mode == "scattered":
+                x[q] = g.uniform(lo, hi)
+        sol = solve_diffusion(_NU0 + nu_nodes, _F0 + f_nodes, cfg.u_minus,
+                              cfg.u_plus, cfg.m_x, length=hi - lo)
+        u[block] = _probe(nodes, sol, x[block])
+    xs = x[:, None] if mode == "scattered" else np.empty((nq, 0))
     return SampleSet(xs, xi, u)
 
 

@@ -26,7 +26,12 @@ on all active columns at every step: it checks the orthonormal basis of the
 active span that ``glars_select`` grows. ``grow_basis_svd`` extends that
 basis, and the dense block's, by a thin SVD of every remainder, as
 ``model._grow_basis`` did before its Cholesky-QR2 path. ``kl_field`` sums
-a field's Karhunen-Loeve expansion term by term.
+a field's Karhunen-Loeve expansion term by term. ``solve_diffusion_banded``
+solves one draw's diffusion system by ``scipy.linalg.solve_banded`` (LAPACK
+dgtsv), and ``generate_rows`` is the diffusion test bed one draw at a time:
+its own two eigendecompositions, one banded solve and one ``np.interp``
+probe per draw. ``inject_noise_rows`` perturbs one row at a time. The
+library's batched test bed and noise must give the same bytes.
 """
 
 import warnings
@@ -34,10 +39,11 @@ from dataclasses import replace
 
 import numpy as np
 from numpy.polynomial.legendre import Legendre
+from scipy.linalg import solve_banded
 
 from hdmrfit import fitting
 from hdmrfit.basis import BasisConfig, univariate_deriv_table, univariate_table
-from hdmrfit.data import NoiseModel, SampleSet, rng_stream
+from hdmrfit.data import NoiseModel, SampleSet, _reflect, rng_stream
 from hdmrfit.fitting import (FitConfig, fit_basis, fit_hdmr, ls_solve,
                              merge_train_validation)
 from hdmrfit.model import (CPMode, DenseMode, HdmrModel, _cp_blocks, _cp_values,
@@ -45,7 +51,7 @@ from hdmrfit.model import (CPMode, DenseMode, HdmrModel, _cp_blocks, _cp_values,
 from hdmrfit.selection import glars_select
 from hdmrfit.separated import (_MAX_OUTER_ITERS, _OUTER_TOL, _STOP_NORM_FRAC,
                                SeparatedModel, fit_spatial_mode, spatial_design)
-from hdmrfit.testbed import KLField
+from hdmrfit.testbed import DiffusionConfig, KLField, kl_eigendecompose
 
 
 def _legendre_series(cfg: BasisConfig, alpha: int) -> Legendre:
@@ -443,3 +449,65 @@ def kl_field(f: KLField, germ, x) -> np.ndarray:
         vals += np.sqrt(f.eigenvalues[k]) * germ[k] * np.interp(x, f.grid,
                                                                  f.eigenfunctions[k])
     return vals
+
+
+def solve_diffusion_banded(nu, f_rhs, u_minus, u_plus, m_x, length=1.0) -> np.ndarray:
+    """One draw of ``testbed.solve_diffusion``: the conservative scheme's
+    tridiagonal matrix in scipy's (1, 1) banded layout, solved by
+    ``solve_banded``."""
+    n = m_x + 1
+    h = length / m_x
+    face = 2.0 * nu[:-1] * nu[1:] / (nu[:-1] + nu[1:])
+    ab = np.zeros((3, n))
+    rhs = np.empty(n)
+    ab[1, 0] = ab[1, -1] = 1.0
+    rhs[0], rhs[-1] = u_minus, u_plus
+    ab[0, 2:] = face[1:]                      # upper: nf_{j+1/2}
+    ab[2, :-2] = face[:-1]                    # lower: nf_{j-1/2}
+    ab[1, 1:-1] = -(face[:-1] + face[1:])
+    rhs[1:-1] = h * h * f_rhs[1:-1]
+    return solve_banded((1, 1), ab, rhs)
+
+
+def generate_rows(cfg: DiffusionConfig, nq: int, seed: int, mode: str = "point"):
+    """``testbed.generate_dataset`` one draw at a time, each field from its
+    own eigendecomposition: draw q takes its germ (and its x) from stream
+    (seed, 3, q), builds the nodal fields, solves by
+    ``solve_diffusion_banded`` and probes by ``np.interp``."""
+    nodes = np.linspace(0.0, 1.0, cfg.m_x + 1)
+
+    def table(sigma, nterms):
+        f = kl_eigendecompose(sigma, cfg.lc, (0.0, 1.0), cfg.m_k, nterms)
+        rows = [np.sqrt(f.eigenvalues[k]) * np.interp(nodes, f.grid, f.eigenfunctions[k])
+                for k in range(nterms)]
+        return np.array(rows).reshape(nterms, nodes.size)
+
+    w_nu, w_f = table(cfg.sigma_nu, cfg.nd_nu), table(cfg.sigma_f, cfg.nd_f)
+    xi = np.empty((nq, cfg.nd))
+    x = np.empty((nq, 1 if mode == "scattered" else 0))
+    u = np.empty(nq)
+    for q in range(nq):
+        g = rng_stream(seed, 3, q)
+        xi[q] = g.uniform(0.0, 1.0, cfg.nd)
+        nu = 1.0 + xi[q, :cfg.nd_nu] @ w_nu
+        f = -1.0 + xi[q, cfg.nd_nu:] @ w_f
+        sol = solve_diffusion_banded(nu, f, cfg.u_minus, cfg.u_plus, cfg.m_x)
+        at = cfg.x_star
+        if mode == "scattered":
+            at = x[q, 0] = g.uniform(0.0, 1.0)
+        u[q] = np.interp(at, nodes, sol)
+    return SampleSet(x, xi, u)
+
+
+def inject_noise_rows(sset: SampleSet, noise: NoiseModel, seed: int) -> SampleSet:
+    """``data.inject_noise`` one row at a time: draw, reflect, scale."""
+    xi, u = np.array(sset.xi), np.array(sset.u)
+    for q in range(sset.nq):
+        g = rng_stream(seed, 2, q)
+        zeta = g.standard_normal(sset.nd)
+        zeta_u = g.standard_normal()
+        if noise.s > 0:
+            xi[q] = _reflect(xi[q] + noise.s * zeta, *noise.box)
+        if noise.s_u > 0:
+            u[q] = u[q] * (1.0 + noise.s_u * zeta_u)
+    return SampleSet(sset.x, xi, u, sset.tag)

@@ -212,6 +212,22 @@ def test_zero_test_response_exits_3_before_fitting(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_tiny_test_response_is_not_zero(tmp_path, capsys):
+    # values near 1e-170 have norm 0.0; they are not identically zero, so
+    # the fit runs and reports a finite test error
+    xi = np.random.default_rng(4).uniform(0.0, 1.0, (60, 2))
+    u = 2.0**-565 * (2.0 + xi[:, 0] + 0.5 * xi[:, 1])
+    assert np.linalg.norm(u[:10]) == 0.0
+    csv = tmp_path / "tiny.csv"
+    _write_rows(csv, np.column_stack([xi, u]))
+    out = tmp_path / "m.json"
+    rc = main(["fit", str(csv), "--out", str(out), "--no", "3", "--nolars", "2",
+               "--test", "10"])
+    assert rc == 0 and out.exists()
+    eps = float(re.search(r"test relative error: (\S+)", capsys.readouterr().out)[1])
+    assert 0.0 < eps < 1.0
+
+
 def test_separated_without_spatial_column_exits_3(ws, tmp_path):
     rc = main(_fit_args(ws, tmp_path / "m.json", "--mode", "separated"))
     assert rc == 3

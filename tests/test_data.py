@@ -16,6 +16,7 @@ from hdmrfit.data import (
 from hdmrfit.fitting import FitConfig
 from hdmrfit.separated import SpatialBasis
 from hdmrfit.testbed import DiffusionConfig
+from oracles import inject_noise_rows
 
 
 def make_set(nq=20, nd=3, ndx=1, seed=0):
@@ -70,6 +71,17 @@ def test_csv_round_trip_bit_exact(tmp_path):
     assert np.array_equal(r.u, s.u)
 
 
+def test_csv_bytes_are_the_repr_of_every_value(tmp_path):
+    s = make_set(nq=7, nd=2, ndx=1)
+    p = tmp_path / "d.csv"
+    save_csv(s, p)
+    lines = ["x1,xi1,xi2,u"]
+    for q in range(s.nq):
+        vals = [*s.x[q], *s.xi[q], s.u[q]]
+        lines.append(",".join(repr(float(v)) for v in vals))
+    assert p.read_bytes() == ("\r\n".join(lines) + "\r\n").encode()
+
+
 def test_csv_no_spatial_columns(tmp_path):
     s = make_set(ndx=0)
     p = tmp_path / "d.csv"
@@ -97,6 +109,14 @@ def test_load_row_numbers_skip_blank_lines(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("xi1,u\n0.5,1.0\n\n0.25,oops\n")
     with pytest.raises(ValueError, match="row 2 "):
+        load_csv(p)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_load_names_the_first_non_finite_row(tmp_path, cell):
+    p = tmp_path / "d.csv"
+    p.write_text(f"xi1,u\n0.5,1.0\n0.25,{cell}\n{cell},1.0\n")
+    with pytest.raises(ValueError, match=r"row 2 has a non-finite cell$"):
         load_csv(p)
 
 
@@ -163,6 +183,16 @@ def test_value_noise_is_multiplicative():
     # same stream with s > 0 leaves the value draw unchanged
     out2 = inject_noise(s, NoiseModel(s=0.01, s_u=0.2), seed=2)
     assert np.allclose(out2.u / s.u, ratio, atol=1e-15)
+
+
+@pytest.mark.parametrize("noise", [NoiseModel(s=0.3, s_u=0.2, box=(0.0, 1.0)),
+                                   NoiseModel(s=0.05), NoiseModel(s_u=0.1),
+                                   NoiseModel()])
+def test_noise_is_the_per_row_perturbation(noise):
+    s = make_set(nq=50, nd=4)
+    out, ref = inject_noise(s, noise, seed=9), inject_noise_rows(s, noise, seed=9)
+    for a, b in ((out.x, ref.x), (out.xi, ref.xi), (out.u, ref.u)):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_negative_scale_rejected():

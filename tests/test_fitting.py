@@ -243,6 +243,50 @@ def test_fit_hdmr_with_zero_validation_values_fits_every_group():
     assert all(np.isnan(rec.cv_eps) for rec in diag.records)
 
 
+# about 1.5e-170: the squares of such values underflow to 0.0, and a power
+# of two scales every least-squares step exactly
+_TINY_SCALE = 2.0**-565
+
+
+def _smooth(tab):
+    return 1.0 + tab[:, 0, 1] + 0.5 * tab[:, 1, 2] + 0.1 * tab[:, 2, 1]
+
+
+def test_tiny_validation_values_stop_the_passes_as_at_unit_scale():
+    ds, tab = uniform_set(120, 3, seed=20)
+    vs, vtab = uniform_set(20, 3, seed=21)
+    groups = [(1,), (2,), (3,), (1, 2), (2, 3), (1, 3)]
+    cfg = FitConfig(no=3, npc=2, ninter=2)
+    _, ref = fit_hdmr(with_u(ds, _smooth(tab)), with_u(vs, _smooth(vtab)), groups,
+                      cfg, B)
+    val = with_u(vs, _TINY_SCALE * _smooth(vtab))
+    assert np.linalg.norm(val.u) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, diag = fit_hdmr(with_u(ds, _TINY_SCALE * _smooth(tab)), val, groups, cfg, B)
+    assert diag.retained == ref.retained < len(groups)
+    assert [r.cv_eps for r in diag.records] \
+        == pytest.approx([r.cv_eps for r in ref.records], rel=1e-12)
+
+
+def test_relative_error_of_tiny_values_is_that_at_unit_scale():
+    ds, tab = uniform_set(100, 3, seed=22)
+    test, ttab = uniform_set(20, 3, seed=23)
+    cfg = FitConfig(no=3, npc=1, ninter=1)
+    model, _ = fit_hdmr(with_u(ds, _smooth(tab)), None, [(1,)], cfg, B)
+    ut = with_u(test, _smooth(ttab))
+    eps = relative_error(model, ut)
+    # ordinary values keep the plain ratio, bit for bit
+    assert eps == float(np.linalg.norm(ut.u - evaluate_model(model, ut.xi))
+                        / np.linalg.norm(ut.u))
+    tiny, _ = fit_hdmr(with_u(ds, _TINY_SCALE * _smooth(tab)), None, [(1,)], cfg, B)
+    tiny_test = with_u(test, _TINY_SCALE * _smooth(ttab))
+    assert np.linalg.norm(tiny_test.u) == 0.0
+    assert 0.0 < eps == pytest.approx(relative_error(tiny, tiny_test), rel=1e-12)
+    with pytest.raises(ValueError, match="identically zero"):
+        relative_error(model, with_u(test, np.zeros(20)))
+
+
 def _weighted_parts(n_train, n_val, seed):
     # train and validation rows of a target with a three-dim interaction,
     # both parts row-weighted

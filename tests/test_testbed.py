@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
+from hdmrfit import testbed
 from hdmrfit.data import rng_stream
 from hdmrfit.testbed import (
     DiffusionConfig,
@@ -9,7 +11,11 @@ from hdmrfit.testbed import (
     save_spectrum,
     solve_diffusion,
 )
-from oracles import kl_field
+from oracles import generate_rows, kl_field, solve_diffusion_banded
+
+
+def _same(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_eigenvalues_sorted_and_nonnegative():
@@ -97,6 +103,76 @@ def test_diffusion_rejects_nonpositive_conductivity():
         solve_diffusion(np.zeros(65), np.ones(65), 0.0, 0.0, 64)
 
 
+def test_diffusion_rejects_bad_nodal_arrays():
+    with pytest.raises(ValueError, match="nodal values"):
+        solve_diffusion(np.ones(64), np.ones(64), 0.0, 0.0, 64)
+    with pytest.raises(ValueError, match="nodal values"):
+        solve_diffusion(np.ones((3, 65)), np.ones((2, 65)), 0.0, 0.0, 64)
+    with pytest.raises(ValueError, match="nodal values"):
+        solve_diffusion(np.ones((1, 3, 65)), np.ones((1, 3, 65)), 0.0, 0.0, 64)
+    bad = np.ones((3, 65))
+    bad[1, 7] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_diffusion(np.ones((3, 65)), bad, 0.0, 0.0, 64)
+
+
+def _nodal_rows(m_x, nq, seed):
+    # smooth positive coefficients and forcings, one draw per row
+    g = rng_stream(seed, 7)
+    x = np.linspace(0, 1, m_x + 1)
+    a, b, c = (g.uniform(-1, 1, (nq, 1)) for _ in range(3))
+    nu = 1.0 + 0.6 * a * np.cos(np.pi * x) + 0.3 * b * np.sin(3 * x)
+    f = -1.0 + c * x
+    return nu, f
+
+
+def test_stacked_solve_is_the_banded_solve_of_each_row():
+    # the Dirichlet row 0 is interchanged with row 1 where the first face
+    # coefficient exceeds 1 (|d_0| = 1 < |dl_0|); both kinds of row occur
+    m_x = 40
+    nu, f = _nodal_rows(m_x, 60, seed=2)
+    face0 = 2.0 * nu[:, 0] * nu[:, 1] / (nu[:, 0] + nu[:, 1])
+    assert np.any(face0 > 1.0) and np.any(face0 < 1.0)
+    sol = solve_diffusion(nu, f, 0.3, -1.2, m_x, length=2.0)
+    assert sol.shape == nu.shape
+    for q in range(nu.shape[0]):
+        assert _same(sol[q], solve_diffusion_banded(nu[q], f[q], 0.3, -1.2, m_x,
+                                                    length=2.0))
+
+
+def test_one_row_solve_is_the_banded_solve():
+    m_x = 33
+    nu, f = _nodal_rows(m_x, 2, seed=3)
+    for q in range(2):
+        sol = solve_diffusion(nu[q], f[q], 1.0, 0.5, m_x)
+        assert sol.shape == (m_x + 1,)
+        assert _same(sol, solve_diffusion_banded(nu[q], f[q], 1.0, 0.5, m_x))
+
+
+def test_elimination_sweep_is_dgtsv_with_interior_interchanges():
+    # diagonals with no dominance: about half the columns interchange rows
+    # at every elimination step, the last one included; each column must
+    # get dgtsv's bits
+    n, cols = 12, 400
+    g = rng_stream(0, 8)
+    dl, du = g.uniform(-1, 1, (2, n - 1, cols))
+    d, b = g.uniform(-1, 1, (2, n, cols))
+    first = np.abs(d[0]) < np.abs(dl[0])
+    assert first.any() and not first.all()
+    expect = [solve_banded((1, 1), np.stack([np.r_[0.0, du[:, j]], d[:, j],
+                                             np.r_[dl[:, j], 0.0]]), b[:, j])
+              for j in range(cols)]
+    testbed._gtsv(dl.copy(), d.copy(), du.copy(), x := b.copy())
+    for j in range(cols):
+        assert _same(x[:, j], expect[j])
+
+
+def test_elimination_sweep_rejects_a_zero_pivot():
+    d = np.array([[1.0], [0.0], [1.0]])
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        testbed._gtsv(np.zeros((2, 1)), d, np.zeros((2, 1)), np.ones((3, 1)))
+
+
 def test_dataset_shapes_point_mode():
     cfg = DiffusionConfig(nd_nu=3, nd_f=2, m_x=32, m_k=100)
     ds = generate_dataset(cfg, 50, seed=1)
@@ -139,6 +215,69 @@ def test_dataset_responses_match_direct_solve():
         ff = kl_field(f_f, ds.xi[q, 2:], x)
         u = solve_diffusion(nu, ff, cfg.u_minus, cfg.u_plus, cfg.m_x)
         assert ds.u[q] == pytest.approx(float(np.interp(0.5, x, u)), abs=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["point", "scattered"])
+def test_dataset_is_the_per_draw_generator_over_several_blocks(mode, monkeypatch):
+    cfg = DiffusionConfig(nd_nu=3, nd_f=2, sigma_f=0.5, u_minus=0.5, m_x=17, m_k=60)
+    nq = testbed._BLOCK_ROWS + 3
+    rows = []
+    solve = testbed.solve_diffusion
+
+    def spy(nu, *args, **kwargs):
+        rows.append(nu.shape[0])
+        return solve(nu, *args, **kwargs)
+
+    monkeypatch.setattr(testbed, "solve_diffusion", spy)
+    ds = generate_dataset(cfg, nq, seed=12, mode=mode)
+    # one stacked solve per block of rows: transient arrays stay bounded
+    assert rows == [testbed._BLOCK_ROWS, 3]
+    ref = generate_rows(cfg, nq, seed=12, mode=mode)
+    assert _same(ds.x, ref.x) and _same(ds.xi, ref.xi) and _same(ds.u, ref.u)
+
+
+@pytest.mark.parametrize("x_star", [0.0, 1.0, 0.3, 1])
+def test_point_probe_is_interp_at_ends_and_between_nodes(x_star):
+    # x_star 0 and 1 fall on the first and the last node
+    cfg = DiffusionConfig(nd_nu=4, nd_f=0, m_x=20, m_k=40, u_minus=1.0,
+                          u_plus=2.0, x_star=x_star)
+    ds = generate_dataset(cfg, 40, seed=13)
+    ref = generate_rows(cfg, 40, seed=13)
+    assert _same(ds.u, ref.u) and _same(ds.xi, ref.xi)
+
+
+def test_probe_is_interp_of_each_row():
+    # at a node np.interp returns the node value, also a -0.0 that
+    # slope * 0 + y would turn into +0.0
+    nodes = np.linspace(0.0, 1.0, 11)
+    sol = rng_stream(0, 9).standard_normal((7, 11))
+    sol[:, 3], sol[:, 4] = -0.0, 1.0
+    x = np.array([0.0, nodes[3], 0.31, nodes[3], 1.0, 0.999, nodes[7]])
+    got = testbed._probe(nodes, sol, x)
+    for r in range(7):
+        assert _same(got[r], np.float64(np.interp(x[r], nodes, sol[r])))
+
+
+@pytest.mark.parametrize("sigmas, calls", [((0.7, 0.7), 1), ((0.7, 0.4), 2)])
+def test_fields_share_one_eigendecomposition_per_sigma(sigmas, calls, monkeypatch):
+    cfg = DiffusionConfig(nd_nu=4, nd_f=2, sigma_nu=sigmas[0], sigma_f=sigmas[1],
+                          m_k=80)
+    made = []
+
+    def spy(*args, **kwargs):
+        made.append(args)
+        return kl_eigendecompose(*args, **kwargs)
+
+    monkeypatch.setattr(testbed, "kl_eigendecompose", spy)
+    nu_f, ff = cfg.fields()
+    assert len(made) == calls
+    for fld, sigma, nterms, mean in ((nu_f, sigmas[0], 4, 1.0), (ff, sigmas[1], 2, -1.0)):
+        ref = kl_eigendecompose(sigma, cfg.lc, (0.0, 1.0), cfg.m_k, nterms,
+                                mean_value=mean)
+        assert (fld.nterms, fld.mean_value, fld.sigma) == (nterms, mean, sigma)
+        assert _same(fld.eigenvalues, ref.eigenvalues)
+        assert _same(fld.eigenfunctions, ref.eigenfunctions)
+        assert _same(fld.grid, ref.grid)
 
 
 def test_conductivity_stays_positive_over_germ_box():

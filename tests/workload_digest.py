@@ -6,9 +6,10 @@ For each perfbench workload, draws its inputs (``Workload.draw(SEED)``,
 SEED 11 by default), fits its surrogate once and prints one line: the first
 12 hex digits of the sha256 of the saved model JSON, of the repr of every
 PassRecord of every ``fit_hdmr`` call the fit made (its passes and its
-final refit's, ``cv_eps`` included), and the test error. Two versions of the
-code that print the same lines fitted the same models, byte for byte, along
-the same passes. The script reads ``perfbench/workloads.py`` and changes
+final refit's, ``cv_eps`` included), and of the bytes of the train,
+validation and test rows (x, xi and u of each), and the test error. Two
+versions of the code that print the same lines drew the same inputs and
+fitted the same models, byte for byte, along the same passes. The script reads ``perfbench/workloads.py`` and changes
 nothing there; it is not a pytest module.
 """
 
@@ -64,8 +65,10 @@ def digest(wl, seed: int, tmpdir: Path) -> str:
         separated.fit_hdmr = fit_hdmr
     path = tmpdir / f"{wl.name}.json"
     wl.save(model, path)
+    rows = b"".join(a.tobytes() for part in (inp.train, inp.val, inp.test)
+                    for a in (part.x, part.xi, part.u))
     return (f"{wl.name:16s} model={_hex(path.read_bytes())} "
-            f"passes={_hex(repr(rec.records).encode())} "
+            f"passes={_hex(repr(rec.records).encode())} inputs={_hex(rows)} "
             f"fits={len(rec.records)} test_error={relative_error(model, inp.test)!r}")
 
 

@@ -171,6 +171,12 @@ def cmd_fit(args) -> int:
                                  "separated driver fits row-weighted "
                                  "stochastic modes, which weighted TLS does "
                                  "not cover")
+            for flag, path in (("--diagnostics", args.diagnostics),
+                               ("--path-csv", args.path_csv)):
+                if path is not None:
+                    raise ValueError(f"{flag} applies to --mode hdmr only: the "
+                                     "separated driver writes no pass "
+                                     "diagnostics or selection path")
             sb = SpatialBasis(kind=args.spatial_kind, cardx=args.cardx,
                               domain=(args.x_lo, args.x_hi))
             sep_cfg = SeparatedConfig(lmax=args.rank)

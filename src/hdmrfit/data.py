@@ -23,6 +23,8 @@ __all__ = [
 ]
 
 _TAGS = ("train", "validation", "test", "unsplit")
+# the smallest norm whose square is a normal float
+_NORM_FLOOR = float(np.sqrt(np.finfo(float).tiny))
 
 
 def rng_stream(seed: int, *key: int) -> np.random.Generator:

@@ -24,15 +24,18 @@ cross-validated passes fit the training rows and read the validation error
 off the rest, and the final refit reruns the passes over the kept modes on
 all rows, building nothing again. Every validation-free fit (``fit_hdmr``
 without validation rows, and a separated rank's refits on its frozen
-skeleton) is the same ``_Skeleton.fit``. Within a pass loop, ``f0`` and the
-dense modes form one ``_DenseBlock``, a least-squares problem solved through
-an orthonormal basis of its columns that grows as modes enter
-(``model._grow_basis``: Cholesky-QR2 of each entering mode's remainder, with
-a thin SVD as the rank-revealing fallback). The small tall subproblems, an
-ALS step here and the spatial fits of the separated driver, are solved
-through the Cholesky factor of their unit-scaled Gram (``_gram_solve``);
-``ls_solve``, the plain lstsq, is the fallback and the reference. Every CP
-fit is made of joint-rank ALS sweeps (``_cp_sweep``; Kolda & Bader 2009,
+skeleton) is the same ``_Skeleton.fit``. One ``_Block`` owns a pass loop's
+fit: its row weights, ``f0``, the dense modes and the CP modes, each of
+which enters through it. ``f0`` and the dense modes are one least-squares
+problem, solved through an orthonormal basis of its columns that grows as
+modes enter (``model._grow_basis``: Cholesky-QR2 of each entering mode's
+remainder, with a thin SVD as the rank-revealing fallback). The robust
+refit reads the final block and writes its dense coefficients back, and
+``_Skeleton.model`` turns a block into an ``HdmrModel``. The small tall
+subproblems, an ALS step here and the spatial fits of the separated driver,
+are solved through the Cholesky factor of their unit-scaled Gram
+(``_gram_solve``); ``ls_solve``, the plain lstsq, is the fallback and the
+reference. Every CP fit is made of joint-rank ALS sweeps (``_cp_sweep``; Kolda & Bader 2009,
 3.4), whose step for one dimension solves one small Gram system for that
 dimension's factors of all ranks; a rank whose other factors vanish gets
 exactly zero factors. A CP mode enters greedily: each rank, from seeded
@@ -54,8 +57,8 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .basis import BasisConfig, univariate_deriv_table, univariate_table
-from .data import (NoiseModel, SampleSet, _check_finite_fields, _check_row_weights,
-                   rng_stream)
+from .data import (_NORM_FLOOR, NoiseModel, SampleSet, _check_finite_fields,
+                   _check_row_weights, rng_stream)
 from .model import (
     _GRAM_MIN_PIVOT_RATIO,
     CPMode,
@@ -87,8 +90,6 @@ __all__ = [
 ]
 
 _TINY = 1e-300
-# the smallest norm whose square is a normal float
-_NORM_FLOOR = float(np.sqrt(np.finfo(float).tiny))
 # solver internals: each loop stops once its objective changes by at most its
 # tol (relative), or at its cap
 _ALS_TOL = 1e-8                 # ALS sweeps of one CP rank
@@ -167,24 +168,21 @@ def fit_dense_mode(gamma, train: SampleSet, cfg: FitConfig, basis: BasisConfig,
     """Least-squares fit of one dense mode to train.u, refitted by weighted
     TLS when ``cfg`` is robust.
 
-    The least-squares fit is one ``_DenseBlock`` of this mode alone (no
-    ``f0``), built and solved once for this call. A robust ``cfg``
-    then runs ``fit_hdmr``'s weighted TLS refit on a block of this one mode,
-    whose value-noise variance comes from the least-squares prediction. The
-    errors-in-variables path applies to plain rows only, so a robust ``cfg``
-    with row weights raises ValueError.
+    The least-squares fit is one ``_Block`` of this mode alone (no ``f0``),
+    built and solved once for this call. A robust ``cfg`` then runs
+    ``fit_hdmr``'s weighted TLS refit on that block, whose value-noise
+    variance comes from the least-squares prediction. The errors-in-variables
+    path applies to plain rows only, so a robust ``cfg`` with row weights
+    raises ValueError.
     """
     gamma = tuple(int(d) for d in gamma)
     if len(gamma) > cfg.npc:
         raise ValueError(f"group {gamma} exceeds the dense cutoff npc={cfg.npc}")
     _check_plain_rows(cfg, row_weights)
-    am = _fit_one(gamma, train, cfg, basis, row_weights)
-    if not cfg.robust:
-        return am.mode()
-    card = len(gamma)
-    block = HdmrModel(f0=0.0, basis=fit_basis(basis, cfg), nd=train.nd, no=cfg.no,
-                      ninter=card, npc=card, nr=cfg.nr, dense=[am.mode()])
-    return _wtls_refit(block, [am], train, cfg.noise).dense[0]
+    block = _fit_one(gamma, train, cfg, basis, row_weights)
+    if cfg.robust:
+        _wtls_refit(block, train, cfg.noise, fit_basis(basis, cfg))
+    return block.dense[0].mode()
 
 
 def fit_cp_mode(gamma, train: SampleSet, cfg: FitConfig, basis: BasisConfig,
@@ -198,21 +196,15 @@ def fit_cp_mode(gamma, train: SampleSet, cfg: FitConfig, basis: BasisConfig,
     """
     gamma = tuple(int(d) for d in gamma)
     _check_cp_range(gamma, cfg)
-    return _fit_one(gamma, train, cfg, basis, row_weights).mode()
+    return _fit_one(gamma, train, cfg, basis, row_weights).cps[0].mode()
 
 
-def _fit_one(gamma, train, cfg, basis, row_weights) -> _ActiveMode:
-    # the one fitted mode of a skeleton on train
+def _fit_one(gamma, train, cfg, basis, row_weights) -> _Block:
+    # the block (no f0) of the one mode of a skeleton on train, entered
     skeleton = _Skeleton(train, [gamma], cfg, basis)
-    w = skeleton._weights(row_weights)
-    am = skeleton.modes[0]
-    if am.kind == "dense":
-        block = _DenseBlock(w, cfg.beta, with_f0=False)
-        block.add(am)
-        block.solve(train.u)
-    else:
-        am.refit(train.u, cfg, w)
-    return am
+    block = _Block(skeleton._weights(row_weights), cfg.beta, with_f0=False)
+    block.enter(skeleton.modes[0], train.u, cfg)
+    return block
 
 
 def _check_plain_rows(cfg: FitConfig, *row_weights) -> None:
@@ -236,7 +228,7 @@ def _cp_factors(gamma, residual, blocks_t, cfg: FitConfig, w) -> np.ndarray:
     factors = np.zeros((cfg.nr, card, cfg.no - 1))
     target = residual.copy()
     for rank in range(cfg.nr):
-        if float(np.linalg.norm(target)) == 0.0:
+        if not target.any():
             break
         g = rng_stream(cfg.seed, 4, *gamma, rank, 0)
         fac = g.uniform(-1.0, 1.0, size=(1,) + factors.shape[1:])
@@ -357,9 +349,9 @@ def save_diagnostics(diag: FitDiagnostics, path) -> None:
 class _ActiveMode:
     """One entered group of a ``_Skeleton``: its design (dense) or factor
     blocks (CP) over every row of the fit, of which a pass over the first n
-    rows reads the first n. The pass's ``_DenseBlock`` sets a dense mode's
+    rows reads the first n. The pass's ``_Block`` sets a dense mode's
     coefficients; a CP mode refits itself. ``params`` are the current
-    coefficients (dense) or factors (CP), and ``values`` the mode's
+    coefficients (dense) or factors (CP), and ``values`` a CP mode's
     unweighted values at the rows of the current pass."""
 
     __slots__ = ("dims", "kind", "indices", "design", "blocks", "params", "values")
@@ -398,23 +390,26 @@ class _ActiveMode:
         return CPMode(self.dims, self.params)
 
 
-class _DenseBlock:
-    """``f0`` (when ``with_f0``) and the dense modes of one pass loop as one
-    least-squares problem on its rows (the first len(w) rows of the modes'
-    designs): minimize ||r - w * (f0 + sum_m psi_m c_m)||^2 +
-    beta^2 sum_m ||c_m||^2, with ``f0`` unridged.
+class _Block:
+    """The fit of one pass loop on its rows (the first len(w) rows of the
+    modes' designs): ``f0`` (when ``with_f0``), the dense modes and the CP
+    modes, each of which enters through ``enter``.
 
-    ``q`` is an orthonormal basis of the block's row-weighted columns,
-    stacked over beta * I rows for the dense columns when beta > 0, and
-    ``cmap`` maps coordinates in ``q`` to coefficients, so a solve is the two
-    matrix-vector products cmap @ (q' r). Both grow as modes enter: new
-    columns A = q h + u t (``_grow_basis``, which returns a right inverse
-    t^+ of t) add u to ``q`` and the columns [-cmap h t^+ ; t^+] to
-    ``cmap``, the inverse of the block-triangular factor. For well-separated
-    columns t is the triangular factor of Cholesky-QR2 and t^+ its inverse;
-    otherwise t = s v' from a thin SVD, t^+ = v s^-1, and directions
-    dependent on earlier columns, or within a mode, are dropped and get no
-    coefficient; for a mode alone that is lstsq's minimum-norm solution.
+    ``f0`` and the dense modes are one least-squares problem: minimize
+    ||r - w * (f0 + sum_m psi_m c_m)||^2 + beta^2 sum_m ||c_m||^2, with
+    ``f0`` unridged, where r is what the CP modes leave. ``q`` is an
+    orthonormal basis of its row-weighted columns, stacked over beta * I
+    rows for the dense columns when beta > 0, and ``cmap`` maps coordinates
+    in ``q`` to coefficients, so a solve is the two matrix-vector products
+    cmap @ (q' r). Both grow as modes enter: new columns A = q h + u t
+    (``_grow_basis``, which returns a right inverse t^+ of t) add u to ``q``
+    and the columns [-cmap h t^+ ; t^+] to ``cmap``, the inverse of the
+    block-triangular factor. For well-separated columns t is the triangular
+    factor of Cholesky-QR2 and t^+ its inverse; otherwise t = s v' from a
+    thin SVD, t^+ = v s^-1, and directions dependent on earlier columns, or
+    within a mode, are dropped and get no coefficient; for a mode alone that
+    is lstsq's minimum-norm solution. ``fitted`` is f0 plus the dense modes'
+    values at the rows, unweighted, as the last solve left them.
     """
 
     def __init__(self, w, beta: float, with_f0: bool):
@@ -422,15 +417,27 @@ class _DenseBlock:
         self.beta = beta
         self.q = np.empty((w.shape[0], 0))
         self.cmap = np.empty((0, 0))
-        self.modes: list[_ActiveMode] = []
+        self.dense: list[_ActiveMode] = []
+        self.cps: list[_ActiveMode] = []
         self.with_f0 = with_f0
         self.f0 = 0.0
+        self.fitted = np.zeros(w.shape[0])
         if with_f0:
             self._extend(w[:, None], 0.0)
 
-    def add(self, mode: _ActiveMode) -> None:
-        self._extend(mode.design[: self.w.shape[0]] * self.w[:, None], self.beta)
-        self.modes.append(mode)
+    def enter(self, mode: _ActiveMode, u, cfg: FitConfig) -> None:
+        """Fit an entering mode to what the block leaves of u: a dense mode
+        extends the basis and the block is solved again; a CP mode enters
+        from its seeded draws, also when it is reused."""
+        w = self.w
+        if mode.kind == "dense":
+            self._extend(mode.design[: w.shape[0]] * w[:, None], self.beta)
+            self.dense.append(mode)
+            self.solve(u - w * self.cp_values())
+        else:
+            mode.params = None
+            mode.refit(u - w * (self.fitted + self.cp_values()), cfg, w)
+            self.cps.append(mode)
 
     def _extend(self, cols, beta: float) -> None:
         _check_finite(cols)
@@ -451,39 +458,36 @@ class _DenseBlock:
         self.q = np.concatenate((self.q, u), axis=1)
 
     def solve(self, r) -> None:
-        """Fit ``f0`` and every dense mode's coefficients to r."""
+        """Fit ``f0`` and every dense mode's coefficients to r, and leave
+        their values in ``fitted``."""
         c = self.cmap @ (self.q[: r.shape[0]].T @ r)
         start = 0
         if self.with_f0:
             self.f0 = float(c[0])
             start = 1
-        rows = slice(r.shape[0])
-        for m in self.modes:
+        tot = np.zeros(r.shape[0])
+        for m in self.dense:
             end = start + len(m.indices)
             m.params = c[start:end]
-            m.values = m.values_at(m.params, rows)
+            tot += m.design[: r.shape[0]] @ m.params
             start = end
+        self.fitted = self.f0 + tot
 
-    def values(self) -> np.ndarray:
-        # f0 plus the dense modes' values at the block's rows, unweighted
-        return self.f0 + _total(self.modes, self.w.shape[0])
+    def cp_values(self) -> np.ndarray:
+        # the CP modes' values at the block's rows, unweighted
+        tot = np.zeros(self.w.shape[0])
+        for m in self.cps:
+            tot += m.values
+        return tot
 
 
 def _vector(v, default):
     return default if v is None else np.asarray(v, dtype=float).ravel()
 
 
-def _total(modes, n: int) -> np.ndarray:
-    # sum of the modes' values at the rows of the current pass
-    tot = np.zeros(n)
-    for m in modes:
-        tot += m.values
-    return tot
-
-
-def _residual_norm(u, w, fitted) -> float:
-    # training residual norm of unweighted model values ``fitted``
-    return float(np.linalg.norm(u - w * fitted))
+def _residual_norm(block: _Block, u) -> float:
+    # training residual norm of the block's values
+    return float(np.linalg.norm(u - block.w * (block.fitted + block.cp_values())))
 
 
 def _relative_norm(r, u) -> float:
@@ -580,77 +584,63 @@ def fit_hdmr(train: SampleSet, validation: SampleSet | None, path, cfg: FitConfi
     t0 = time.perf_counter()
     skeleton = _Skeleton(rows, path if validation is None else (), cfg, basis)
     if validation is None:
-        model, diag.records = skeleton.fit(w)
+        block, diag.records = skeleton.fit(w)
         diag.retained = len(skeleton.modes)
         diag.cv_seconds = time.perf_counter() - t0
     else:
         diag.records, diag.retained = skeleton.cross_validate(path, train.nq, w)
         diag.cv_seconds = time.perf_counter() - t0
         t0 = time.perf_counter()
-        model, diag.refit_records = skeleton.fit(w, diag.retained)
+        block, diag.refit_records = skeleton.fit(w, diag.retained)
         diag.refit_seconds = time.perf_counter() - t0
     if cfg.robust:
         t0 = time.perf_counter()
-        model = _wtls_refit(model, skeleton.modes[:diag.retained], rows, cfg.noise)
+        _wtls_refit(block, rows, cfg.noise, skeleton.basis)
         diag.wtls_seconds = time.perf_counter() - t0
-    return model, diag
+    return skeleton.model(block), diag
 
 
-def _wtls_refit(model: HdmrModel, modes, rows: SampleSet,
-                noise: NoiseModel) -> HdmrModel:
-    """Weighted TLS refit of all dense modes' coefficients together.
+def _wtls_refit(block: _Block, rows: SampleSet, noise: NoiseModel,
+                basis: BasisConfig) -> None:
+    """Weighted TLS refit of all the block's dense coefficients together;
+    ``rows`` are the block's rows and ``basis`` its modes' basis.
 
-    ``modes`` are the ``_ActiveMode``s the model was fitted from, over
-    ``rows``, in entry order; their designs and CP blocks serve the refit.
-    The block's design stacks the dense modes' designs, and its start point
-    is their least-squares coefficients. ``f0`` and the CP modes' values
-    are held fixed and subtracted from ``rows.u``. The row
-    covariances are those of the whole block, from one ``covariance_blocks``
-    call whose u_ref is the least-squares model's prediction. With
-    s = s_u = 0 the model is returned untouched.
+    The refit's design stacks the dense modes' designs, and its start point
+    is their least-squares coefficients. ``f0`` and the CP modes' values are
+    held fixed and subtracted from ``rows.u``. The row covariances are those
+    of the whole block, from one ``covariance_blocks`` call whose u_ref is
+    the least-squares prediction. The new coefficients go back into the
+    block's dense modes (``fitted`` keeps the least-squares values); with
+    s = s_u = 0 they are left untouched.
     """
-    if not model.dense or (noise.s == 0 and noise.s_u == 0):
-        return model
-    psi = np.hstack([m.design for m in modes if m.kind == "dense"])
-    c0 = np.concatenate([m.coeffs for m in model.dense])
-    fixed = np.full(rows.nq, model.f0)
-    for m in modes:
-        if m.kind == "cp":
-            fixed += m.values_at(m.params, slice(None))
-    blocks = covariance_blocks(rows, [(m.dims, m.indices) for m in model.dense],
-                               noise, model.basis, fixed + psi @ c0)
-    c = wtls_solve(psi, rows.u - fixed, blocks, c0=c0)
-    ends = np.cumsum([len(m.indices) for m in model.dense])
-    dense = [DenseMode(m.dims, m.indices, part)
-             for m, part in zip(model.dense, np.split(c, ends[:-1]))]
-    return replace(model, dense=dense)
+    if not block.dense or (noise.s == 0 and noise.s_u == 0):
+        return
+    psi = np.hstack([m.design for m in block.dense])
+    c0 = np.concatenate([m.params for m in block.dense])
+    fixed = np.full(rows.nq, block.f0)
+    for m in block.cps:
+        fixed += m.values
+    cov = covariance_blocks(rows, [(m.dims, m.indices) for m in block.dense],
+                            noise, basis, fixed + psi @ c0)
+    c = wtls_solve(psi, rows.u - fixed, cov, c0=c0)
+    ends = np.cumsum([len(m.indices) for m in block.dense])
+    for m, part in zip(block.dense, np.split(c, ends[:-1])):
+        m.params = part
 
 
-def _passes(block, cps, modes, u, cfg, w):
+def _passes(block: _Block, modes, u, cfg):
     """The coefficient passes on the first len(u) rows of the modes: solve
-    ``block`` for f0 alone, then add the ``modes`` one per pass, each
-    fitted to the current residual and followed by the update sweeps.
-    ``cps`` collects the CP modes that entered. Yields the PassRecord of
-    every pass, f0 alone first, with a nan ``cv_eps``; the next mode is
-    read only when the next pass is asked for."""
-    nq = u.shape[0]
-
-    def record(s, dims, sweeps, capped):
-        rnorm = _residual_norm(u, w, block.values() + _total(cps, nq))
-        return PassRecord(s, dims, rnorm, float("nan"), sweeps, capped)
-
+    ``block`` for f0 alone, then enter the ``modes`` into it one per pass,
+    each fitted to the current residual and followed by the update sweeps.
+    Yields the PassRecord of every pass, f0 alone first, with a nan
+    ``cv_eps``; the next mode is read only when the next pass is asked
+    for."""
     block.solve(u)
-    yield record(0, None, 0, False)
+    yield PassRecord(0, None, _residual_norm(block, u), float("nan"), 0, False)
     for s, am in enumerate(modes, 1):
-        if am.kind == "dense":
-            block.add(am)
-            block.solve(u - w * _total(cps, nq))
-        else:
-            # a CP mode enters from its seeded draws, also when it is reused
-            am.params = None
-            am.refit(u - w * (block.values() + _total(cps, nq)), cfg, w)
-            cps.append(am)
-        yield record(s, am.dims, *_update_sweeps(block, cps, u, cfg, w))
+        block.enter(am, u, cfg)
+        rnorm, sweeps, capped = _update_sweeps(block, u, cfg)
+        yield PassRecord(s, am.dims, rnorm, float("nan"), sweeps, capped)
 
 
 class _Skeleton:
@@ -712,14 +702,13 @@ class _Skeleton:
         with the smallest validation error)."""
         w = self._weights(row_weights)
         uval, wv, val = self.rows.u[n:], w[n:], slice(n, None)
-        block = _DenseBlock(w[:n], self.cfg.beta, with_f0=True)
-        cps: list[_ActiveMode] = []
+        block = _Block(w[:n], self.cfg.beta, with_f0=True)
         records = []
         best_eps, best_s, prev_eps, inc = np.inf, 0, np.inf, 0
         modes = map(self.enter, groups)
-        for rec in _passes(block, cps, modes, self.rows.u[:n], self.cfg, w[:n]):
+        for rec in _passes(block, modes, self.rows.u[:n], self.cfg):
             tot = np.zeros(uval.shape[0])
-            for m in block.modes + cps:
+            for m in block.dense + block.cps:
                 tot += m.values_at(m.params, val)
             eps = _relative_norm(uval - wv * (block.f0 + tot), uval)
             records.append(replace(rec, cv_eps=eps))
@@ -733,15 +722,17 @@ class _Skeleton:
 
     def fit(self, row_weights, kept: int | None = None):
         """Refit the first ``kept`` modes (all by default) to rows.u on all
-        the rows under these row weights. Returns (HdmrModel, PassRecords)."""
-        cfg, w = self.cfg, self._weights(row_weights)
-        block = _DenseBlock(w, cfg.beta, with_f0=True)
-        cps: list[_ActiveMode] = []
-        records = list(_passes(block, cps, self.modes[:kept], self.rows.u, cfg, w))
+        the rows under these row weights. Returns (_Block, PassRecords)."""
+        block = _Block(self._weights(row_weights), self.cfg.beta, with_f0=True)
+        return block, list(_passes(block, self.modes[:kept], self.rows.u, self.cfg))
+
+    def model(self, block: _Block) -> HdmrModel:
+        """The HdmrModel of a block that ``fit`` returned."""
+        cfg = self.cfg
         return HdmrModel(f0=block.f0, basis=self.basis, nd=self.rows.nd, no=cfg.no,
                          ninter=cfg.ninter, npc=cfg.npc, nr=cfg.nr,
-                         dense=[m.mode() for m in block.modes],
-                         cp=[m.mode() for m in cps]), records
+                         dense=[m.mode() for m in block.dense],
+                         cp=[m.mode() for m in block.cps])
 
     def values(self, model: HdmrModel, rows: slice) -> np.ndarray:
         """``model``, fitted by ``fit`` with every mode, at a slice of the
@@ -756,25 +747,24 @@ class _Skeleton:
         return out
 
 
-def _update_sweeps(block, cps, u, cfg, w):
+def _update_sweeps(block: _Block, u, cfg):
     """Alternate a solve of the dense block with a joint-rank ALS sweep of
-    each CP mode until the training residual settles; returns (sweeps run,
-    whether they stopped at the cap). Without a CP mode the block is solved
-    already and no sweep runs."""
-    if not cps:
-        return 0, False
-    nq = u.shape[0]
-    prev = _residual_norm(u, w, block.values() + _total(cps, nq))
+    each CP mode until the training residual settles; returns (training
+    residual norm after them, sweeps run, whether they stopped at the cap).
+    Without a CP mode the block is solved already and no sweep runs."""
+    cur = _residual_norm(block, u)
+    if not block.cps:
+        return cur, 0, False
+    w = block.w
     for sweeps in range(1, _MAX_UPDATE_SWEEPS + 1):
-        block.solve(u - w * _total(cps, nq))
-        dense = block.values()
-        for m in cps:
-            m.refit(u - w * (dense + _total(cps, nq) - m.values), cfg, w)
-        cur = _residual_norm(u, w, dense + _total(cps, nq))
-        if abs(prev - cur) <= _UPDATE_SWEEPS_TOL * max(cur, _TINY):
-            return sweeps, False
         prev = cur
-    return _MAX_UPDATE_SWEEPS, True
+        block.solve(u - w * block.cp_values())
+        for m in block.cps:
+            m.refit(u - w * (block.fitted + block.cp_values() - m.values), cfg, w)
+        cur = _residual_norm(block, u)
+        if abs(prev - cur) <= _UPDATE_SWEEPS_TOL * max(cur, _TINY):
+            return cur, sweeps, False
+    return cur, _MAX_UPDATE_SWEEPS, True
 
 
 def relative_error(model, test: SampleSet) -> float:

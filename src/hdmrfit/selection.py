@@ -22,7 +22,7 @@ from itertools import combinations
 import numpy as np
 
 from .basis import BasisConfig, univariate_table
-from .data import SampleSet, _check_row_weights
+from .data import _NORM_FLOOR, SampleSet, _check_row_weights
 from .model import Group, _grow_basis, dense_design, enumerate_dense_indices
 
 __all__ = [
@@ -254,7 +254,11 @@ def glars_steps(train: SampleSet, cfg: SelectionConfig, basis: BasisConfig,
     ``glars_select`` keeps in its SelectionPath. ``row_weights`` scales
     every design row (the separated-representation driver passes its
     spatial profile, with its deflated residual as train.u); the response is
-    first centered by its (weighted) constant projection. Fewer than two
+    first centered by its (weighted) constant projection. A centered
+    response whose norm is below sqrt(float tiny) (twenty values of 1e-170
+    have norm 0.0) is first multiplied by a power of two, which scales every
+    step exactly: the steps are those at unit scale, with ``entry_score``
+    and ``residual_norm_after`` reported at train.u's scale. Fewer than two
     samples, or row weights of the wrong length, with a non-finite entry, or
     identically zero raise ValueError when the first step is asked for.
     """
@@ -267,9 +271,14 @@ def glars_steps(train: SampleSet, cfg: SelectionConfig, basis: BasisConfig,
         r = u - u.mean()
     else:
         r = u - w * (float(w @ u) / float(w @ w))
-    unorm = float(np.linalg.norm(r))
-    if unorm == 0.0:
+    if not np.any(r):
         return 0.0, 0.0
+    unorm = float(np.linalg.norm(r))
+    shift = 0
+    if unorm < _NORM_FLOOR:
+        shift = -int(np.frexp(np.max(np.abs(r)))[1])
+        r = np.ldexp(r, shift)
+        unorm = float(np.linalg.norm(r))
 
     need = max(basis.max_order, cfg.nolars + 1)
     # the table is not kept: the generator's frame lives as long as its caller
@@ -339,7 +348,8 @@ def glars_steps(train: SampleSet, cfg: SelectionConfig, basis: BasisConfig,
 
         r = r - alpha * v
         rnorm = float(np.linalg.norm(r))
-        yield PathStep(scan.groups[gi], float(best_score), float(alpha), rnorm)
+        yield PathStep(scan.groups[gi], float(np.ldexp(best_score, -2 * shift)),
+                       float(alpha), float(np.ldexp(rnorm, -shift)))
         if rnorm <= _RESIDUAL_TOL * unorm:
             break
         if pred_count >= dof_cap:

@@ -249,8 +249,8 @@ def fit_separated(train: SampleSet, sel_cfg: SelectionConfig, fit_cfg: FitConfig
                 kept = [rec.dims for rec in diag.records[1: diag.retained + 1]]
                 skeleton = _Skeleton(fit_rows, kept, fit_cfg, basis)
             else:
-                lam_model, _ = skeleton.fit(
-                    np.concatenate([w_train, w_val]) if have_val else w_train)
+                lam_model = skeleton.model(skeleton.fit(
+                    np.concatenate([w_train, w_val]) if have_val else w_train)[0])
             lam_vals = skeleton.values(lam_model, slice(0, nq))
             lam_norm = float(np.linalg.norm(lam_vals))
             if lam_norm == 0.0:

@@ -244,6 +244,25 @@ def test_separated_robust_exits_2(ws, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--diagnostics", "--path-csv"])
+def test_separated_hdmr_outputs_exit_2(tmp_path, capsys, flag):
+    # the separated driver writes neither file: on a scattered set the fit
+    # would exit 0 with the flag silently dropped and the manifest listing
+    # only the model
+    csv = tmp_path / "field.csv"
+    assert main(["gen-diffusion", "--out", str(csv), "--nq", "120", "--nd-nu", "2",
+                 "--nd-f", "2", "--mx", "32", "--mk", "48", "--sampling",
+                 "scattered", "--seed", "5"]) == 0
+    out = tmp_path / "m.json"
+    side = tmp_path / "side.csv"
+    rc = main(["fit", str(csv), "--mode", "separated", "--out", str(out), "--no", "3",
+               "--nolars", "2", "--ninter", "2", "--npc", "2", "--cardx", "8",
+               "--rank", "1", flag, str(side)])
+    assert rc == 2
+    assert f"{flag} applies to --mode hdmr only" in capsys.readouterr().err
+    assert not out.exists() and not side.exists()
+
+
 @pytest.mark.parametrize("flag", ["--val", "--test"])
 def test_negative_split_size_exits_2(ws, tmp_path, capsys, flag):
     out = tmp_path / "m.json"

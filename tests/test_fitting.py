@@ -287,6 +287,23 @@ def test_relative_error_of_tiny_values_is_that_at_unit_scale():
         relative_error(model, with_u(test, np.zeros(20)))
 
 
+def test_fit_hdmr_on_tiny_rows_keeps_the_unit_scale_groups():
+    # a tiny response selects its unit-scale path, and the dense-only passes
+    # keep the same groups
+    ds, tab = uniform_set(100, 3, seed=24)
+    vs, vtab = uniform_set(25, 3, seed=25)
+    sel = SelectionConfig(nolars=3, ninter=2, max_groups=8)
+    cfg = FitConfig(no=3, npc=2, ninter=2)
+    kept = []
+    for scale in (1.0, _TINY_SCALE):
+        train, val = with_u(ds, scale * _smooth(tab)), with_u(vs, scale * _smooth(vtab))
+        path = glars_select(train, sel, B)
+        model, diag = fit_hdmr(train, val, path, cfg, B)
+        assert diag.retained > 0 and model.cp == []
+        kept.append((path.groups(), diag.retained, [m.dims for m in model.dense]))
+    assert kept[0] == kept[1]
+
+
 def _weighted_parts(n_train, n_val, seed):
     # train and validation rows of a target with a three-dim interaction,
     # both parts row-weighted
@@ -718,10 +735,11 @@ def _counting(monkeypatch, name):
 
 
 def _block_of(tab, dims, w, beta):
-    """A dense block (no f0) of one mode on ``dims``, at no = 4, and the mode."""
-    mode = fitting._ActiveMode(dims, FitConfig(no=4, npc=2, beta=beta), tab)
-    block = fitting._DenseBlock(w, beta, with_f0=False)
-    block.add(mode)
+    """A block (no f0) of one dense mode on ``dims``, at no = 4, and the mode."""
+    cfg = FitConfig(no=4, npc=2, beta=beta)
+    mode = fitting._ActiveMode(dims, cfg, tab)
+    block = fitting._Block(w, beta, with_f0=False)
+    block.enter(mode, np.zeros(w.shape[0]), cfg)
     return block, mode
 
 
@@ -826,7 +844,7 @@ def test_fit_builds_each_dense_design_once_per_pass_call(monkeypatch):
     _, diag = fit_hdmr(with_u(ds, u), with_u(vs, uv), groups, cfg, B)
     # the cross-validated passes fit the 400 training rows, the final refit
     # all 500 rows
-    assert [args[3].shape[0] for args in passes] == [400, 500]
+    assert [args[2].shape[0] for args in passes] == [400, 500]
     # the cyclic update sweeps refit every mode many times over
     assert sum(rec.update_sweeps for rec in diag.records) > len(diag.records)
     entered = [rec.dims for rec in diag.records[1:] if len(rec.dims) <= cfg.npc]
@@ -855,7 +873,7 @@ def test_robust_fit_builds_covariances_only_for_the_final_refit(monkeypatch):
     solves = _counting(monkeypatch, "wtls_solve")
     passes = _counting(monkeypatch, "_passes")
     model, diag = fit_hdmr(train, val, groups, cfg, B)
-    assert [args[3].shape[0] for args in passes] == [400, 500]
+    assert [args[2].shape[0] for args in passes] == [400, 500]
     kept = [g for g in groups[: diag.retained] if len(g) <= cfg.npc]
     assert [m.dims for m in model.dense] == kept
     # every pass fits by least squares; after them one weighted TLS solve on

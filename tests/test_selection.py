@@ -513,3 +513,29 @@ def test_steps_read_lazily_are_the_path_prefix(weighted):
     for k in (1, 4, 12):
         steps = list(islice(glars_steps(as_set(xi, u), cfg, B, row_weights=w), k))
         assert steps == path.steps[:k]
+
+
+@pytest.mark.parametrize("scale", [2.0**-565, 1.5e-170], ids=["pow2", "1.5e-170"])
+def test_tiny_response_selects_the_unit_scale_path(scale):
+    # the squares of values near 1e-170 underflow to 0.0, so their norm is
+    # 0.0; the path is run on the response times a power of two
+    xi, _ = uniform_set(60, 2, seed=7)
+    u = 2.0 + xi[:, 0] + 0.5 * xi[:, 1]
+    cfg = SelectionConfig(nolars=3, ninter=2, max_groups=8)
+    unit = glars_select(as_set(xi, u), cfg, B)
+    assert unit.groups() == [(1,), (2,), (1, 2)]
+    assert np.linalg.norm(scale * (u - u.mean())) == 0.0
+    tiny = glars_select(as_set(xi, scale * u), cfg, B)
+    assert tiny.groups() == unit.groups()
+    steps = [s.step_size for s in tiny.steps]
+    norms = [s.residual_norm_after for s in tiny.steps]
+    if scale == 2.0**-565:
+        # a power of two scales every operation exactly
+        assert steps == [s.step_size for s in unit.steps]
+        assert norms == [s.residual_norm_after * scale for s in unit.steps]
+        assert [s.entry_score for s in tiny.steps] \
+            == [float(np.ldexp(s.entry_score, -1130)) for s in unit.steps]
+    else:
+        assert steps == pytest.approx([s.step_size for s in unit.steps], rel=1e-10)
+        assert norms == pytest.approx([s.residual_norm_after * scale for s in unit.steps],
+                                      rel=1e-10)

@@ -1,0 +1,67 @@
+"""Training-draw panel of the gated benchmark workloads.
+
+    PYTHONPATH=src python tests/workload_panel.py [WORKLOAD ...]
+
+The benchmark fits one fixed training instance per workload (stream
+``TRAIN_SEED`` of ``perfbench/workloads.py``), so its test error speaks for
+one draw only. For each workload named (the gated ones by default) this
+script re-draws the train and validation rows with seed s in place of every
+``TRAIN_SEED`` use, for ``TRAIN_SEED`` and s = 1..6, keeps the fixed
+``TEST_SEED`` test rows, fits the surrogate once per draw and prints one line
+per draw: the test error, the kept groups (one list per rank for a separated
+fit), the number of CP modes and the fit seconds (selection and fitting,
+wall clock). A last line per workload gives the geometric mean of the test
+errors. The ``TRAIN_SEED`` line repeats ``workload_digest.py``'s test error.
+The script reads ``perfbench/workloads.py`` and changes nothing there; it is
+not a pytest module and gates nothing.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+import time
+
+from workload_digest import _Recorder, workloads
+
+from hdmrfit.fitting import relative_error
+
+GATED = ("diffusion-point", "noisy-robust", "field-scattered")
+SEEDS = (workloads.TRAIN_SEED, 1, 2, 3, 4, 5, 6)
+
+
+def panel(wl) -> list[float]:
+    train_seed = workloads.TRAIN_SEED
+    errors = []
+    try:
+        for s in SEEDS:
+            workloads.TRAIN_SEED = s
+            rec = _Recorder()
+            inp = wl.draw(0, rec)
+            t0 = time.perf_counter()
+            model, _ = wl.fit(inp, rec)
+            seconds = time.perf_counter() - t0
+            err = relative_error(model, inp.test)
+            errors.append(err)
+            lams = wl.hdmr_models(model)
+            kept = [[m.dims for m in lam.dense + lam.cp] for lam in lams]
+            cp = sum(len(lam.cp) for lam in lams)
+            label = "TRAIN_SEED" if s == train_seed else str(s)
+            print(f"{wl.name:16s} seed={label:10s} test_error={err!r} "
+                  f"kept={[len(k) for k in kept]} cp={cp} fit_s={seconds:.3f} "
+                  f"groups={kept if wl.separated else kept[0]}", flush=True)
+    finally:
+        workloads.TRAIN_SEED = train_seed
+    return errors
+
+
+def main(argv) -> int:
+    for name in argv or GATED:
+        errors = panel(workloads.WORKLOADS[name])
+        gmean = math.exp(sum(math.log(e) for e in errors) / len(errors))
+        print(f"{name:16s} geometric_mean_test_error={gmean!r}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -56,9 +56,7 @@ BENCH_TEST_SEED = 2**40 + 1
 
 
 def _versions() -> dict:
-    import scipy
-    vers = {"python": sys.version.split()[0], "numpy": np.__version__,
-            "scipy": scipy.__version__}
+    vers = {"python": sys.version.split()[0], "numpy": np.__version__}
     try:
         from importlib.metadata import version
         vers["artifact"] = version("artifact")

@@ -32,19 +32,19 @@ modes enter (``model._grow_basis``: Cholesky-QR2 of each entering mode's
 remainder, with a thin SVD as the rank-revealing fallback). The robust
 refit reads the final block and writes its dense coefficients back, and
 ``_Skeleton.model`` turns a block into an ``HdmrModel``. The small tall
-subproblems, an ALS step here and the spatial fits of the separated driver,
-are solved through the Cholesky factor of their unit-scaled Gram
-(``_gram_solve``); ``ls_solve``, the plain lstsq, is the fallback and the
-reference. Every CP fit is made of joint-rank ALS sweeps (``_cp_sweep``; Kolda & Bader 2009,
-3.4), whose step for one dimension solves one small Gram system for that
-dimension's factors of all ranks; a rank whose other factors vanish gets
-exactly zero factors. A CP mode enters greedily: each rank, from seeded
-draws, is fitted by repeating the sweep on that one rank against what the
-earlier ranks leave; each later refit of the mode is one sweep over all its
-ranks. A pass with no CP mode is one solve of the block; with CP modes,
-update sweeps alternate a block solve with a refit of each CP mode, each an
-exact minimum over its own coefficients, so the training residual does not
-rise.
+subproblems, an ALS or a weighted TLS step here and the spatial fits of the
+separated driver, are solved through their unit-scaled Gram, whose Cholesky
+pivots decide (``_gram_solve``); ``ls_solve``, the plain lstsq, is the
+fallback and the reference. Every CP fit is made of joint-rank ALS sweeps
+(``_cp_sweep``; Kolda & Bader 2009, 3.4), whose step for one dimension
+solves one small Gram system for that dimension's factors of all ranks; a
+rank whose other factors vanish gets exactly zero factors. A CP mode enters
+greedily: each rank, from seeded draws, is fitted by repeating the sweep on
+that one rank against what the earlier ranks leave; each later refit of the
+mode is one sweep over all its ranks. A pass with no CP mode is one solve of
+the block; with CP modes, update sweeps alternate a block solve with a refit
+of each CP mode, each an exact minimum over its own coefficients, so the
+training residual does not rise.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .basis import BasisConfig, univariate_deriv_table, univariate_table
 from .data import (_NORM_FLOOR, NoiseModel, SampleSet, _check_finite_fields,
@@ -220,7 +219,7 @@ def _check_cp_range(gamma, cfg: FitConfig) -> None:
         )
 
 
-def _cp_factors(gamma, residual, blocks_t, cfg: FitConfig, w) -> np.ndarray:
+def _cp_factors(gamma, residual, blocks, cfg: FitConfig, w) -> np.ndarray:
     # greedy: each rank from seeded draws, fitted by one-rank joint sweeps
     # to what the earlier ranks leave; a rank the sweeps leave all zero (its
     # factor values vanished) is skipped
@@ -234,9 +233,9 @@ def _cp_factors(gamma, residual, blocks_t, cfg: FitConfig, w) -> np.ndarray:
         fac = g.uniform(-1.0, 1.0, size=(1,) + factors.shape[1:])
         prev = np.inf
         for _ in range(_ALS_MAX_SWEEPS):
-            fac = _cp_sweep(target, blocks_t, fac, w, cfg.beta)
-            contr = w * _cp_values(blocks_t, fac)
-            res = float(np.linalg.norm(target - contr))
+            fac = _cp_sweep(target, blocks, fac, w, cfg.beta)
+            contr = w * _cp_values([b.T for b in blocks], fac)
+            res = _norm(target - contr)
             if abs(prev - res) <= _ALS_TOL * max(res, _TINY):
                 break
             prev = res
@@ -249,52 +248,57 @@ def _cp_factors(gamma, residual, blocks_t, cfg: FitConfig, w) -> np.ndarray:
     return factors
 
 
-def _cp_sweep(target, blocks_t, factors, w, beta: float) -> np.ndarray:
+def _cp_sweep(target, blocks, factors, w, beta: float) -> np.ndarray:
     """One joint-rank ALS sweep of a CP mode, or of one rank of it: for each
     dimension in turn, the factors of all ranks by one ``_gram_solve``, the
-    other dimensions' factors held. A rank whose other factors vanish has
-    all-zero columns and gets exactly zero factors: at beta = 0 those
-    columns fail the Gram's pivot test and lstsq's minimum-norm solution
-    leaves them zero; at beta > 0 the ridge keeps the Cholesky path, and
-    their right-hand side is zero."""
+    other dimensions' factors held. ``blocks`` hold each dimension's basis
+    values as (orders, rows), and the factor values and partial products
+    are kept as (ranks, rows), so every product runs along contiguous rows.
+    A rank whose other factors vanish has all-zero columns and gets exactly
+    zero factors: at beta = 0 those columns fail the Gram's pivot test and
+    lstsq's minimum-norm solution leaves them zero; at beta > 0 the ridge
+    keeps the Cholesky path, and their right-hand side is zero."""
     nr, card, nord = factors.shape
     factors = factors.copy()
-    vals = [blocks_t[i] @ factors[:, i].T for i in range(card)]
+    vals = [factors[:, i] @ blocks[i] for i in range(card)]
     for i in range(card):
-        partial = np.repeat(w[:, None], nr, axis=1)
+        partial = np.repeat(w[None, :], nr, axis=0)
         for j in range(card):
             if j != i:
                 partial *= vals[j]
-        # columns rank by rank: block i scaled by that rank's partial product
-        psi = blocks_t[i][:, None, :] * partial[:, :, None]
-        c = _gram_solve(psi.reshape(target.shape[0], -1), target, beta)
+        # design rows rank by rank: block i scaled by that rank's partial
+        # product; the solve reads its transpose, one column per row here
+        psi = partial[:, None, :] * blocks[i]
+        c = _gram_solve(psi.reshape(nr * nord, -1).T, target, beta)
         factors[:, i] = c.reshape(nr, nord)
-        vals[i] = blocks_t[i] @ factors[:, i].T
+        vals[i] = factors[:, i] @ blocks[i]
     return factors
 
 
 def _gram_solve(psi, r, beta: float) -> np.ndarray:
     """ls_solve(psi, r, beta) for a tall design with few columns, through
-    the Cholesky factor of psi'psi + beta^2 I with its columns scaled to unit
-    norm; ls_solve itself when that Gram is not numerically positive
-    definite. The scaling keeps columns of very different norms, such as
-    the factors of a strong and a weak rank, from failing the pivot test.
-    The ALS steps and the separated driver's spatial fits solve this way."""
+    psi'psi + beta^2 I with its columns scaled to unit norm: its Cholesky
+    pivots decide whether it is numerically positive definite, and it is
+    then solved by np.linalg.solve; ls_solve itself when it is not. The
+    scaling keeps columns of very different norms, such as the factors of a
+    strong and a weak rank, from failing the pivot test. The ALS steps, the
+    weighted TLS steps and the separated driver's spatial fits solve this
+    way."""
     g = psi.T @ psi
     d = np.sqrt(g.diagonal())
     d[d == 0.0] = 1.0
-    g /= np.outer(d, d)
+    g /= d[:, None] * d
     if beta > 0:
         g[np.diag_indices_from(g)] += (beta / d) ** 2
-    # LAPACK potrf flags a non-positive or NaN pivot with info > 0; a NaN
-    # pivot also fails the ratio test, so non-finite systems reach ls_solve
-    low, info = dpotrf(g, lower=1, clean=0)
-    if info == 0:
-        piv = low.diagonal()
+    # the Cholesky pivots decide; numpy raises LinAlgError on a non-positive
+    # pivot, and a NaN pivot fails the ratio test, so non-finite systems
+    # reach ls_solve
+    try:
+        piv = np.linalg.cholesky(g).diagonal()
         if piv.min() > _GRAM_MIN_PIVOT_RATIO * piv.max():
-            c, info = dpotrs(low, (psi.T @ r) / d, lower=1)
-            if info == 0:
-                return c / d
+            return np.linalg.solve(g, (psi.T @ r) / d) / d
+    except np.linalg.LinAlgError:
+        pass
     return ls_solve(psi, r, beta)
 
 
@@ -348,9 +352,10 @@ def save_diagnostics(diag: FitDiagnostics, path) -> None:
 
 class _ActiveMode:
     """One entered group of a ``_Skeleton``: its design (dense) or factor
-    blocks (CP) over every row of the fit, of which a pass over the first n
-    rows reads the first n. The pass's ``_Block`` sets a dense mode's
-    coefficients; a CP mode refits itself. ``params`` are the current
+    blocks (CP, each (orders, rows) as ``_cp_sweep`` reads them) over every
+    row of the fit, of which a pass over the first n rows reads the first n.
+    The pass's ``_Block`` sets a dense mode's coefficients; a CP mode refits
+    itself. ``params`` are the current
     coefficients (dense) or factors (CP), and ``values`` a CP mode's
     unweighted values at the rows of the current pass."""
 
@@ -366,23 +371,23 @@ class _ActiveMode:
             self.design = dense_design(table, dims, self.indices)
         else:
             _check_cp_range(dims, cfg)
-            self.blocks = [np.ascontiguousarray(b) for b in _cp_blocks(table, dims, cfg.no)]
+            self.blocks = [np.ascontiguousarray(b.T) for b in _cp_blocks(table, dims, cfg.no)]
 
     def refit(self, r, cfg, w) -> None:
         # a CP mode's refit on the first len(r) rows: greedy one-rank sweeps
         # on entry, one joint-rank sweep after
-        blocks = [b[: r.shape[0]] for b in self.blocks]
+        blocks = [b[:, : r.shape[0]] for b in self.blocks]
         if self.params is None:
             self.params = _cp_factors(self.dims, r, blocks, cfg, w)
         else:
             self.params = _cp_sweep(r, blocks, self.params, w, cfg.beta)
-        self.values = _cp_values(blocks, self.params)
+        self.values = _cp_values([b.T for b in blocks], self.params)
 
     def values_at(self, params, rows: slice) -> np.ndarray:
         """The mode's unweighted values under ``params`` at a slice of the rows."""
         if self.kind == "dense":
             return self.design[rows] @ params
-        return _cp_values([b[rows] for b in self.blocks], params)
+        return _cp_values([b[:, rows].T for b in self.blocks], params)
 
     def mode(self):
         if self.kind == "dense":
@@ -449,12 +454,15 @@ class _Block:
             cols = np.vstack([cols, np.zeros((pad, p)), beta * np.eye(p)])
         # lstsq's cutoff eps * max(n, P) * sigma_max, with the largest column
         # norm standing in for sigma_max
-        scale = float(np.sqrt((cols * cols).sum(axis=0).max()))
+        scale = float(np.sqrt(np.einsum("ij,ij->j", cols, cols).max()))
         u, h, inv = _grow_basis(self.q, cols,
                                 np.finfo(float).eps * max(cols.shape) * scale)
-        k = self.q.shape[1]
-        self.cmap = np.block([[self.cmap, -self.cmap @ (h @ inv)],
-                              [np.zeros((p, k)), inv]])
+        n, k = self.cmap.shape
+        cmap = np.zeros((n + p, k + inv.shape[1]))
+        cmap[:n, :k] = self.cmap
+        cmap[:n, k:] = -self.cmap @ (h @ inv)
+        cmap[n:, k:] = inv
+        self.cmap = cmap
         self.q = np.concatenate((self.q, u), axis=1)
 
     def solve(self, r) -> None:
@@ -487,18 +495,19 @@ def _vector(v, default):
 
 def _residual_norm(block: _Block, u) -> float:
     # training residual norm of the block's values
-    return float(np.linalg.norm(u - block.w * (block.fitted + block.cp_values())))
+    return _norm(u - block.w * (block.fitted + block.cp_values()))
 
 
-def _relative_norm(r, u) -> float:
-    """||r|| / ||u|| for values ``u`` that are not all zero. Where ||u||^2
-    falls below the normal range (20 values of 1e-170 have norm 0.0), r and
-    u are first divided by u's largest magnitude."""
-    den = float(np.linalg.norm(u))
-    if den < _NORM_FLOOR:
-        scale = float(np.max(np.abs(u)))
-        r, den = r / scale, float(np.linalg.norm(u / scale))
-    return float(np.linalg.norm(r) / den)
+def _norm(v) -> float:
+    """||v||, also where ||v||^2 falls below the normal range (20 values of
+    1e-170 have np.linalg.norm 0.0): there v is first scaled by the power of
+    two that brings its largest magnitude near 1, and the norm scaled back,
+    exactly. Ordinary vectors get np.linalg.norm's bits."""
+    n = float(np.linalg.norm(v))
+    if n < _NORM_FLOOR and np.any(v):
+        shift = -int(np.frexp(np.max(np.abs(v)))[1])
+        n = float(np.ldexp(np.linalg.norm(np.ldexp(v, shift)), -shift))
+    return n
 
 
 def _check_matching_rows(train: SampleSet, validation: SampleSet) -> None:
@@ -710,7 +719,7 @@ class _Skeleton:
             tot = np.zeros(uval.shape[0])
             for m in block.dense + block.cps:
                 tot += m.values_at(m.params, val)
-            eps = _relative_norm(uval - wv * (block.f0 + tot), uval)
+            eps = _norm(uval - wv * (block.f0 + tot)) / _norm(uval)
             records.append(replace(rec, cv_eps=eps))
             inc = inc + 1 if eps > prev_eps else 0
             if eps < best_eps:
@@ -776,7 +785,7 @@ def relative_error(model, test: SampleSet) -> float:
     else:
         from .separated import evaluate_separated
         pred = evaluate_separated(model, test.x, test.xi)
-    return _relative_norm(test.u - pred, test.u)
+    return _norm(test.u - pred) / _norm(test.u)
 
 
 @dataclass(frozen=True)
@@ -855,7 +864,8 @@ def wtls_solve(psi, r, blocks: CovarianceBlocks, c0=None) -> np.ndarray:
 
     Minimizes rho^2 = sum_q (psi_q c - r_q)^2 / (a' Lambda_q a) with
     a = (c', -1)'. Each iteration freezes the denominators at the current c,
-    solves the induced weighted least-squares problem, and halves the step
+    solves the induced weighted least-squares problem (``_gram_solve``, with
+    lstsq as its fallback), and halves the step
     (at most 30 times) until the full objective does not increase. An
     iteration whose step can no longer move c beyond rounding (by more than
     eps ||c||) leaves c where it is, and so ends the solve. Returns the
@@ -887,7 +897,7 @@ def wtls_solve(psi, r, blocks: CovarianceBlocks, c0=None) -> np.ndarray:
     converged = False
     for _ in range(_WTLS_MAX_ITER):
         sw = 1.0 / np.sqrt(d)
-        delta = ls_solve(psi * sw[:, None], r * sw, 0.0) - c
+        delta = _gram_solve(psi * sw[:, None], r * sw, 0.0) - c
         move = float(np.linalg.norm(delta))
         floor = np.finfo(float).eps * float(np.linalg.norm(c))
         cand, rho_new, d_new = c, prev, d

@@ -14,7 +14,6 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .basis import BasisConfig, univariate_table
 
@@ -241,16 +240,20 @@ def _grow_basis(q, cols, cutoff: float):
 def _cholesky_qr2(a):
     """(u, inv) with a = u t, u orthonormal and inv = t^-1 upper triangular,
     by Cholesky-QR2 (Fukaya et al. 2014): twice, L L' = a'a and a <- a L'^-1.
-    None when a pivot is not positive or falls below _GRAM_MIN_PIVOT_RATIO
-    of the largest; two passes are accurate while a's condition number stays
-    far below eps^-1/2 (Yamamoto et al. 2015)."""
+    None when numpy's Cholesky finds a pivot not positive (LinAlgError), or
+    a pivot is NaN or falls below _GRAM_MIN_PIVOT_RATIO of the largest; two
+    passes are accurate while a's condition number stays far below eps^-1/2
+    (Yamamoto et al. 2015)."""
     inv = None
     for _ in range(2):
-        low, info = dpotrf(a.T @ a, lower=1, overwrite_a=1)
-        piv = low.diagonal()
-        if info != 0 or not piv.min() > _GRAM_MIN_PIVOT_RATIO * piv.max():
+        try:
+            low = np.linalg.cholesky(a.T @ a)
+        except np.linalg.LinAlgError:
             return None
-        lt = dtrtri(low, lower=1, overwrite_c=1)[0].T
+        piv = low.diagonal()
+        if not piv.min() > _GRAM_MIN_PIVOT_RATIO * piv.max():
+            return None
+        lt = np.linalg.inv(low).T
         a = a @ lt
         inv = lt if inv is None else inv @ lt
     return a, inv

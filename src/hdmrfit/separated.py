@@ -12,10 +12,10 @@ for the later alternations, each a ``_Skeleton.fit`` under new row weights,
 and gives every value of lambda the driver needs at those rows.
 
 The spatial least-squares fits (rank 0, the start profile, each rank's
-profile, the joint re-solve) are solved through the Cholesky factor of their
-unit-scaled Gram (``fitting._gram_solve``), and by lstsq when that Gram is
-not numerically positive definite, as when lambda vanishes on a hat
-function's whole support; that hat gets the minimum-norm coefficient, zero.
+profile, the joint re-solve) are solved through their unit-scaled Gram
+(``fitting._gram_solve``), and by lstsq when that Gram is not numerically
+positive definite, as when lambda vanishes on a hat function's whole
+support; that hat gets the minimum-norm coefficient, zero.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .data import SampleSet, _check_finite_fields
 # by name, so they stay importable here although the spatial fits reach
 # ls_solve via _gram_solve and the driver selects through glars_steps
 from .fitting import (FitConfig, _check_matching_rows, _gram_solve,  # noqa: F401
-                      _Skeleton, fit_hdmr, ls_solve, merge_train_validation)
+                      _norm, _Skeleton, fit_hdmr, ls_solve, merge_train_validation)
 from .model import (HdmrModel, _model_from_document, _model_payload, _read_document,
                     evaluate_model)
 from .selection import SelectionConfig, glars_select, glars_steps  # noqa: F401
@@ -167,9 +167,9 @@ def fit_spatial_mode(residual, lam_values, phi):
         raise ValueError("stochastic-mode values are identically zero")
     c = _gram_solve(phi * lam[:, None], residual, 0.0)
     wvals = phi @ c
-    scale = float(np.linalg.norm(wvals))
-    if scale == 0.0:
+    if not np.any(wvals):
         return np.zeros(phi.shape[1]), 0.0
+    scale = _norm(wvals)
     return c / scale, scale
 
 
@@ -208,7 +208,7 @@ def fit_separated(train: SampleSet, sel_cfg: SelectionConfig, fit_cfg: FitConfig
     phi = spatial_design(sb, train.x[:, 0])
     u = train.u
     nq = train.nq
-    unorm = float(np.linalg.norm(u))
+    unorm = _norm(u)
     c0 = _gram_solve(phi, u, 0.0)
     pairs: list[tuple[np.ndarray, HdmrModel | None]] = [(c0, None)]
     # each pair's lambda at the training (and validation) rows; None for 1
@@ -222,10 +222,10 @@ def fit_separated(train: SampleSet, sel_cfg: SelectionConfig, fit_cfg: FitConfig
     # stochastic mode first: after deflation the residual has ~zero
     # conditional mean in x, so a spatial fit against lambda = 1 is pure noise
     w_start = _gram_solve(phi, np.ones(nq), 0.0)
-    w_start = w_start / float(np.linalg.norm(phi @ w_start))
+    w_start = w_start / _norm(phi @ w_start)
 
     for _ in range(sep_cfg.lmax):
-        if float(np.linalg.norm(res)) == 0.0:
+        if not np.any(res):
             break
         # the stochastic fits of this rank target the deflated residual
         r_train = replace(train, u=res)
@@ -252,9 +252,9 @@ def fit_separated(train: SampleSet, sel_cfg: SelectionConfig, fit_cfg: FitConfig
                 lam_model = skeleton.model(skeleton.fit(
                     np.concatenate([w_train, w_val]) if have_val else w_train)[0])
             lam_vals = skeleton.values(lam_model, slice(0, nq))
-            lam_norm = float(np.linalg.norm(lam_vals))
-            if lam_norm == 0.0:
+            if not np.any(lam_vals):
                 return SeparatedModel(spatial_basis=sb, pairs=pairs)
+            lam_norm = _norm(lam_vals)
             if prev_norm is not None and \
                     abs(lam_norm - prev_norm) <= _OUTER_TOL * lam_norm:
                 break
@@ -262,13 +262,13 @@ def fit_separated(train: SampleSet, sel_cfg: SelectionConfig, fit_cfg: FitConfig
             w_c, scale = fit_spatial_mode(res, lam_vals, phi)
             if scale == 0.0:
                 return SeparatedModel(spatial_basis=sb, pairs=pairs)
-        if float(np.linalg.norm(lam_vals)) < _STOP_NORM_FRAC * unorm:
+        if lam_norm < _STOP_NORM_FRAC * unorm:
             break  # negligible stochastic content left; drop this rank
 
         w_train = phi @ w_c
         pair_vals = w_train * lam_vals
         new_res = res - pair_vals
-        if float(np.linalg.norm(new_res)) > float(np.linalg.norm(res)):
+        if _norm(new_res) > _norm(res):
             warnings.warn(
                 "separated rank did not reduce the training residual; stopping"
             )

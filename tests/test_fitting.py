@@ -152,7 +152,8 @@ def test_cp_sweep_gives_a_vanished_rank_zero_factors(beta):
     g = rng_stream(62, 1)
     w = g.uniform(0.5, 1.5, 300)
     u = tab[:, 0, 1] * tab[:, 1, 2] * tab[:, 2, 1] + 0.05 * g.standard_normal(300)
-    blocks = _cp_blocks(tab, (1, 2, 3), 4)
+    # the sweep reads each dimension's block as (orders, rows)
+    blocks = [b.T for b in _cp_blocks(tab, (1, 2, 3), 4)]
     factors = np.zeros((2, 3, 3))
     factors[0] = g.uniform(-1.0, 1.0, (3, 3))
     swept = fitting._cp_sweep(u, blocks, factors, w, beta)
@@ -257,14 +258,18 @@ def test_tiny_validation_values_stop_the_passes_as_at_unit_scale():
     vs, vtab = uniform_set(20, 3, seed=21)
     groups = [(1,), (2,), (3,), (1, 2), (2, 3), (1, 3)]
     cfg = FitConfig(no=3, npc=2, ninter=2)
-    _, ref = fit_hdmr(with_u(ds, _smooth(tab)), with_u(vs, _smooth(vtab)), groups,
-                      cfg, B)
+    # a fixed component outside every group's span, so that the pair groups
+    # fit it and the validation error rises by far more than rounding: the
+    # data, not the arithmetic, stop the passes
+    u = _smooth(tab) + 0.05 * rng_stream(20, 1).standard_normal(120)
+    _, ref = fit_hdmr(with_u(ds, u), with_u(vs, _smooth(vtab)), groups, cfg, B)
     val = with_u(vs, _TINY_SCALE * _smooth(vtab))
     assert np.linalg.norm(val.u) == 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, diag = fit_hdmr(with_u(ds, _TINY_SCALE * _smooth(tab)), val, groups, cfg, B)
+        _, diag = fit_hdmr(with_u(ds, _TINY_SCALE * u), val, groups, cfg, B)
     assert diag.retained == ref.retained < len(groups)
+    assert len(diag.records) == len(ref.records) < len(groups) + 1
     assert [r.cv_eps for r in diag.records] \
         == pytest.approx([r.cv_eps for r in ref.records], rel=1e-12)
 
@@ -302,6 +307,31 @@ def test_fit_hdmr_on_tiny_rows_keeps_the_unit_scale_groups():
         assert diag.retained > 0 and model.cp == []
         kept.append((path.groups(), diag.retained, [m.dims for m in model.dense]))
     assert kept[0] == kept[1]
+
+
+def test_cp_passes_on_tiny_rows_run_the_unit_scale_sweeps():
+    # the update sweeps and the rank fits stop on residual norms, whose
+    # squares underflow at 1e-170: they run the unit-scale counts and record
+    # the unit-scale norms, scaled
+    ds, tab = uniform_set(300, 4, seed=30)
+    u = (1.0 + tab[:, 0, 1] + tab[:, 0, 1] * tab[:, 1, 2] * tab[:, 2, 1]
+         + 0.5 * tab[:, 1, 1] * tab[:, 2, 2] * tab[:, 3, 1])
+    groups = [(1,), (1, 2, 3), (2, 3, 4)]
+    cfg = FitConfig(no=3, npc=2, ninter=3, nr=2)
+    runs = []
+    for scale in (1.0, _TINY_SCALE):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, diag = fit_hdmr(with_u(ds, scale * u), None, groups, cfg, B)
+        runs.append(diag.records)
+    unit, tiny = runs
+    assert [(r.update_sweeps, r.capped) for r in tiny] \
+        == [(r.update_sweeps, r.capped) for r in unit]
+    assert max(r.update_sweeps for r in unit) > 1
+    # the last pass fits u exactly, to a rounding-level residual
+    assert [r.train_residual_norm / _TINY_SCALE for r in tiny[:-1]] \
+        == pytest.approx([r.train_residual_norm for r in unit[:-1]], rel=1e-12)
+    assert 0.0 < tiny[-1].train_residual_norm
 
 
 def _weighted_parts(n_train, n_val, seed):
@@ -647,7 +677,7 @@ def test_wtls_backtracking_stops_once_the_step_cannot_move_c(monkeypatch):
     r = psi @ c0 + 1e-6 * g.standard_normal(200)
     blocks = fitting.CovarianceBlocks(np.zeros((200, 6, 1)), np.full(200, 1e-4))
     delta = c0 - ls_solve(psi, r)
-    monkeypatch.setattr(fitting, "ls_solve", lambda *args: c0 + delta)
+    monkeypatch.setattr(fitting, "_gram_solve", lambda *args: c0 + delta)
     made = fitting._wtls_denominator
     seen = []
 

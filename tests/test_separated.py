@@ -295,6 +295,29 @@ def test_joint_spatial_update_helps_or_ties():
     assert e_joint <= e_plain * (1 + 1e-8)
 
 
+def test_tiny_field_keeps_the_unit_scale_pairs():
+    # the rank loop tests its residual, lambda and spatial values for zero and
+    # compares their norms, whose squares underflow at 1e-170: a tiny field
+    # keeps the unit-scale pairs and groups, and its values scaled
+    x, xi, tab = field_set(300, nd=4, seed=5)
+    g = rng_stream(5, 3004)
+    u = (np.sin(np.pi * x[:, 0]) * (2.0 + tab[:, 0, 1] + 0.5 * tab[:, 0, 1] * tab[:, 1, 2])
+         + 0.4 * x[:, 0] ** 2 * tab[:, 1, 1] + 0.01 * g.standard_normal(300))
+    sb = SpatialBasis(cardx=10)
+    fits = []
+    for scale in (1.0, 2.0**-565):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = fit_separated(SampleSet(x, xi, scale * u), SEL, FIT,
+                              SeparatedConfig(lmax=2), sb, B)
+        fits.append((m, evaluate_separated(m, x, xi) / scale))
+    (unit, pred), (tiny, tiny_pred) = fits
+    assert unit.rank == tiny.rank == 2
+    assert [[d.dims for d in lam.dense] for _, lam in tiny.pairs[1:]] \
+        == [[d.dims for d in lam.dense] for _, lam in unit.pairs[1:]]
+    assert _rel(tiny_pred, pred) < 1e-12
+
+
 def _two_rank_field(nq, seed, nval=0):
     # two separable terms and a small interaction, with light noise
     x, xi, tab = field_set(nq + nval, seed=seed)

@@ -21,14 +21,14 @@ dim evaluated when the first group on it enters, and one ``_ActiveMode`` per
 entered group, whose design (dense) or factor blocks (CP) cover every row.
 The pass loop ``_passes`` fits the first rows of those modes: the
 cross-validated passes fit the training rows and read the validation error
-off the rest, and the final refit reruns the passes over the kept modes on
-all rows, building nothing again. Every validation-free fit (``fit_hdmr``
-without validation rows, and a separated rank's refits on its frozen
-skeleton) is the same ``_Skeleton.fit``. One ``_Block`` owns a pass loop's
-fit: its row weights, ``f0``, the dense modes and the CP modes, each of
-which enters through it. ``f0`` and the dense modes are one least-squares
-problem, solved through an orthonormal basis of its columns that grows as
-modes enter (``model._grow_basis``: Cholesky-QR2 of each entering mode's
+off the rest, and the final refit (``_Skeleton.fit``) reruns the passes over
+the kept modes on all rows, building nothing again, as do a fit without
+validation rows and a separated rank's later refits of the skeleton its
+cross-validated fit built. One ``_Block`` owns a pass loop's fit: its row
+weights, ``f0``, the dense modes and the CP modes, each of which enters
+through it. ``f0`` and the dense modes are one least-squares problem,
+solved through an orthonormal basis of its columns that grows as modes
+enter (``model._grow_basis``: Cholesky-QR2 of each entering mode's
 remainder, with a thin SVD as the rank-revealing fallback). The robust
 refit reads the final block and writes its dense coefficients back, and
 ``_Skeleton.model`` turns a block into an ``HdmrModel``. The small tall
@@ -233,8 +233,8 @@ def _cp_factors(gamma, residual, blocks, cfg: FitConfig, w) -> np.ndarray:
         fac = g.uniform(-1.0, 1.0, size=(1,) + factors.shape[1:])
         prev = np.inf
         for _ in range(_ALS_MAX_SWEEPS):
-            fac = _cp_sweep(target, blocks, fac, w, cfg.beta)
-            contr = w * _cp_values([b.T for b in blocks], fac)
+            fac, vals = _cp_sweep(target, blocks, fac, w, cfg.beta)
+            contr = w * vals
             res = _norm(target - contr)
             if abs(prev - res) <= _ALS_TOL * max(res, _TINY):
                 break
@@ -248,7 +248,7 @@ def _cp_factors(gamma, residual, blocks, cfg: FitConfig, w) -> np.ndarray:
     return factors
 
 
-def _cp_sweep(target, blocks, factors, w, beta: float) -> np.ndarray:
+def _cp_sweep(target, blocks, factors, w, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """One joint-rank ALS sweep of a CP mode, or of one rank of it: for each
     dimension in turn, the factors of all ranks by one ``_gram_solve``, the
     other dimensions' factors held. ``blocks`` hold each dimension's basis
@@ -257,7 +257,8 @@ def _cp_sweep(target, blocks, factors, w, beta: float) -> np.ndarray:
     A rank whose other factors vanish has all-zero columns and gets exactly
     zero factors: at beta = 0 those columns fail the Gram's pivot test and
     lstsq's minimum-norm solution leaves them zero; at beta > 0 the ridge
-    keeps the Cholesky path, and their right-hand side is zero."""
+    keeps the Cholesky path, and their right-hand side is zero. Returns
+    (factors, the mode's values by ``_cp_values``' arithmetic)."""
     nr, card, nord = factors.shape
     factors = factors.copy()
     vals = [factors[:, i] @ blocks[i] for i in range(card)]
@@ -272,7 +273,10 @@ def _cp_sweep(target, blocks, factors, w, beta: float) -> np.ndarray:
         c = _gram_solve(psi.reshape(nr * nord, -1).T, target, beta)
         factors[:, i] = c.reshape(nr, nord)
         vals[i] = factors[:, i] @ blocks[i]
-    return factors
+    values = np.ones_like(vals[0])
+    for v in vals:
+        values *= v
+    return factors, values.sum(axis=0)
 
 
 def _gram_solve(psi, r, beta: float) -> np.ndarray:
@@ -379,9 +383,9 @@ class _ActiveMode:
         blocks = [b[:, : r.shape[0]] for b in self.blocks]
         if self.params is None:
             self.params = _cp_factors(self.dims, r, blocks, cfg, w)
+            self.values = _cp_values([b.T for b in blocks], self.params)
         else:
-            self.params = _cp_sweep(r, blocks, self.params, w, cfg.beta)
-        self.values = _cp_values([b.T for b in blocks], self.params)
+            self.params, self.values = _cp_sweep(r, blocks, self.params, w, cfg.beta)
 
     def values_at(self, params, rows: slice) -> np.ndarray:
         """The mode's unweighted values under ``params`` at a slice of the rows."""
@@ -577,6 +581,13 @@ def fit_hdmr(train: SampleSet, validation: SampleSet | None, path, cfg: FitConfi
 
     Returns (HdmrModel, FitDiagnostics).
     """
+    skeleton, block, diag = _fit_hdmr(train, validation, path, cfg, basis,
+                                      row_weights, val_row_weights)
+    return skeleton.model(block), diag
+
+
+def _fit_hdmr(train, validation, path, cfg, basis, row_weights, val_row_weights):
+    # fit_hdmr's fit, as (_Skeleton, its final _Block, FitDiagnostics)
     if validation is None:
         if val_row_weights is not None:
             raise ValueError("val_row_weights given without validation rows")
@@ -606,7 +617,7 @@ def fit_hdmr(train: SampleSet, validation: SampleSet | None, path, cfg: FitConfi
         t0 = time.perf_counter()
         _wtls_refit(block, rows, cfg.noise, skeleton.basis)
         diag.wtls_seconds = time.perf_counter() - t0
-    return skeleton.model(block), diag
+    return skeleton, block, diag
 
 
 def _wtls_refit(block: _Block, rows: SampleSet, noise: NoiseModel,
@@ -663,10 +674,10 @@ class _Skeleton:
     evaluated. Each entered group gets one ``_ActiveMode`` over all rows.
     ``cross_validate`` fits the training prefix pass by pass and reads the
     validation error off the other rows; ``fit`` reruns the passes over a
-    prefix of the modes on all rows, so a fixed skeleton (a separated
-    rank's) is refitted under new row weights without building anything
-    again. For a plain ``cfg``, ``fit`` gives the model of
-    ``fit_hdmr(rows, None, groups, cfg, basis, row_weights=w)``.
+    prefix of the modes on all rows under any row weights, building nothing
+    again, as a separated rank's later alternations do. For a plain
+    ``cfg``, ``fit(w, k)`` gives the model of ``fit_hdmr(rows, None,
+    groups[:k], cfg, basis, row_weights=w)`` for the entered ``groups``.
     """
 
     def __init__(self, rows: SampleSet, groups, cfg: FitConfig, basis: BasisConfig):
@@ -743,16 +754,13 @@ class _Skeleton:
                          dense=[m.mode() for m in block.dense],
                          cp=[m.mode() for m in block.cps])
 
-    def values(self, model: HdmrModel, rows: slice) -> np.ndarray:
-        """``model``, fitted by ``fit`` with every mode, at a slice of the
-        rows: the values ``evaluate_model`` gives there, from this
-        skeleton's designs and with its arithmetic (a product per row
-        slice, f0 first, then the dense and the CP modes in order)."""
-        params = [m.coeffs for m in model.dense] + [m.factors for m in model.cp]
-        modes = sorted(self.modes, key=lambda m: m.kind == "cp")  # stable
-        out = np.full(self.rows.nq, model.f0)[rows]
-        for m, p in zip(modes, params, strict=True):
-            out += m.values_at(p, rows)
+    def values(self, block: _Block, rows: slice) -> np.ndarray:
+        """The values, at a slice of the rows, of the model of the block ``fit``
+        last returned: ``evaluate_model``'s values there, from the designs (a
+        product per row slice, f0 first, then dense and CP modes in entry order)."""
+        out = np.full(self.rows.nq, block.f0)[rows]
+        for m in block.dense + block.cps:
+            out += m.values_at(m.params, rows)
         return out
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import BasisConfig, univariate_table
+from .data import _check_finite_fields
 
 __all__ = [
     "Group",
@@ -97,6 +98,7 @@ class DenseMode:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "coeffs", coeffs)
+        _check_finite_fields(self, "coeffs")
 
     @property
     def variance(self) -> float:
@@ -127,6 +129,7 @@ class CPMode:
         factors.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "factors", factors)
+        _check_finite_fields(self, "factors")
 
     @property
     def variance(self) -> float:
@@ -150,6 +153,7 @@ class HdmrModel:
     cp: list[CPMode] = field(default_factory=list)
 
     def __post_init__(self):
+        _check_finite_fields(self, "f0")
         if self.nd < 1 or self.no < 1:
             raise ValueError("need Nd >= 1 and No >= 1")
         if not 0 <= self.npc <= self.ninter <= self.nd:
@@ -364,8 +368,12 @@ def _model_payload(model: HdmrModel) -> dict:
 def save_model(model: HdmrModel, path) -> None:
     """Serialize to JSON. Keys are sorted and floats use shortest round-trip
     repr, so identical models produce byte-identical files."""
+    _write_document(_model_payload(model), path)
+
+
+def _write_document(doc: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_model_payload(model), fh, sort_keys=True, indent=1)
+        json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 

@@ -6,10 +6,9 @@ Each rank alternates a spatial least-squares fit (rows weighted by the
 current lambda values) with a stochastic surrogate fit (design rows weighted
 by the current spatial profile) until the stochastic-mode norm settles.
 A rank selects its skeleton only as far as its cross-validated passes read
-the path (``selection.glars_steps``), then freezes it: one
-``fitting._Skeleton`` on train plus validation holds its tables and designs
-for the later alternations, each a ``_Skeleton.fit`` under new row weights,
-and gives every value of lambda the driver needs at those rows.
+the path (``selection.glars_steps``). The ``fitting._Skeleton`` that fit
+built on train plus validation then serves every later alternation, a
+``_Skeleton.fit`` under new row weights, and every value of lambda needed.
 
 The spatial least-squares fits (rank 0, the start profile, each rank's
 profile, the joint re-solve) are solved through their unit-scaled Gram
@@ -20,7 +19,6 @@ support; that hat gets the minimum-norm coefficient, zero.
 
 from __future__ import annotations
 
-import json
 import operator
 import warnings
 from dataclasses import dataclass, field, replace
@@ -29,13 +27,12 @@ import numpy as np
 
 from .basis import BasisConfig, univariate_table
 from .data import SampleSet, _check_finite_fields
-# perfbench/spans.py wraps the ls_solve and glars_select globals of this module
-# by name, so they stay importable here although the spatial fits reach
-# ls_solve via _gram_solve and the driver selects through glars_steps
-from .fitting import (FitConfig, _check_matching_rows, _gram_solve,  # noqa: F401
-                      _norm, _Skeleton, fit_hdmr, ls_solve, merge_train_validation)
-from .model import (HdmrModel, _model_from_document, _model_payload, _read_document,
-                    evaluate_model)
+# perfbench/spans.py wraps ls_solve, glars_select and fit_hdmr here by name; the
+# driver itself calls _gram_solve, glars_steps and _fit_hdmr
+from .fitting import (FitConfig, _check_matching_rows, _fit_hdmr,  # noqa: F401
+                      _gram_solve, _norm, fit_hdmr, ls_solve)
+from .model import (_SCHEMA, HdmrModel, _model_from_document, _model_payload,
+                    _read_document, _write_document, evaluate_model)
 from .selection import SelectionConfig, glars_select, glars_steps  # noqa: F401
 
 __all__ = [
@@ -144,6 +141,8 @@ class SeparatedModel:
                     f"spatial coefficients have length {c.shape[0]}, "
                     f"expected {self.spatial_basis.cardx}"
                 )
+            if not np.all(np.isfinite(c)):
+                raise ValueError(f"spatial coefficients must be finite, got {c!r}")
             fixed.append((c, lam))
         self.pairs = fixed
 
@@ -183,13 +182,13 @@ def fit_separated(train: SampleSet, sel_cfg: SelectionConfig, fit_cfg: FitConfig
     later rank the selection and the stochastic fits target copies of
     ``train`` and ``validation`` whose u is the deflated residual. The group
     skeleton of lambda_n is selected once, on the first inner alternation:
-    ``fit_hdmr`` reads the steps of ``glars_steps`` as its cross-validated
-    passes ask for them, so the path stops where those passes stop. The
-    skeleton is then frozen: its modes are built once, on train plus
-    validation (``fitting._Skeleton``), and every later alternation refits
-    their coefficients with the new spatial profile as row weights, until
-    ||lambda_n|| settles. lambda_n's values at the training and validation
-    rows come from those designs. Ranks stop at sep_cfg.lmax or once
+    its cross-validated fit (``fitting._fit_hdmr``) reads the steps of
+    ``glars_steps`` as its passes ask for them, so the path stops where
+    those passes stop. Every later alternation refits the skeleton of that
+    fit (``fitting._Skeleton``, its modes built once on train plus
+    validation) with the new spatial profile as row weights, until
+    ||lambda_n|| settles; lambda_n's values at the training and validation
+    rows come from its designs. Ranks stop at sep_cfg.lmax or once
     ||lambda_n|| falls below _STOP_NORM_FRAC * ||u||; a rank whose pair
     fails to reduce the training residual is discarded. Weighted TLS
     (fit_cfg.robust) is rejected: it covers plain rows only, and every
@@ -230,28 +229,22 @@ def fit_separated(train: SampleSet, sel_cfg: SelectionConfig, fit_cfg: FitConfig
         # the stochastic fits of this rank target the deflated residual
         r_train = replace(train, u=res)
         r_val = replace(validation, u=res_val) if have_val else None
-        # the frozen skeleton is refitted on train plus validation, like the
-        # first alternation's final refit
-        fit_rows = merge_train_validation(r_train, r_val)[0] if have_val else r_train
         w_c = w_start
         prev_norm = None
         for it in range(_MAX_OUTER_ITERS):
             w_train = phi @ w_c
             w_val = phi_val @ w_c if have_val else None
             if it == 0:
-                # the path generator holds the factored dictionary: it is
-                # dropped once fit_hdmr has read the steps it needs
-                path = (st.dims for st in
-                        glars_steps(r_train, sel_cfg, basis, row_weights=w_train))
-                lam_model, diag = fit_hdmr(r_train, r_val, path, fit_cfg, basis,
-                                           row_weights=w_train, val_row_weights=w_val)
-                del path
-                kept = [rec.dims for rec in diag.records[1: diag.retained + 1]]
-                skeleton = _Skeleton(fit_rows, kept, fit_cfg, basis)
+                # the path generator, which holds the factored dictionary,
+                # lives only as long as the call that reads it
+                skeleton, block, diag = _fit_hdmr(
+                    r_train, r_val, (st.dims for st in glars_steps(
+                        r_train, sel_cfg, basis, row_weights=w_train)),
+                    fit_cfg, basis, w_train, w_val)
             else:
-                lam_model = skeleton.model(skeleton.fit(
-                    np.concatenate([w_train, w_val]) if have_val else w_train)[0])
-            lam_vals = skeleton.values(lam_model, slice(0, nq))
+                block = skeleton.fit(np.concatenate([w_train, w_val]) if have_val
+                                     else w_train, diag.retained)[0]
+            lam_vals = skeleton.values(block, slice(0, nq))
             if not np.any(lam_vals):
                 return SeparatedModel(spatial_basis=sb, pairs=pairs)
             lam_norm = _norm(lam_vals)
@@ -273,11 +266,11 @@ def fit_separated(train: SampleSet, sel_cfg: SelectionConfig, fit_cfg: FitConfig
                 "separated rank did not reduce the training residual; stopping"
             )
             break
-        pairs.append((w_c, lam_model))
+        pairs.append((w_c, skeleton.model(block)))
         lam_train.append(lam_vals)
         res = new_res
         if have_val:
-            lam_val.append(skeleton.values(lam_model, slice(nq, None)))
+            lam_val.append(skeleton.values(block, slice(nq, None)))
             res_val = res_val - (phi_val @ w_c) * lam_val[-1]
 
         if sep_cfg.update_spatial_joint:
@@ -335,8 +328,8 @@ def evaluate_separated(m: SeparatedModel, x, xi) -> np.ndarray:
 
 def save_separated(m: SeparatedModel, path) -> None:
     """JSON export mirroring the plain model schema (sorted keys, repr floats)."""
-    doc = {
-        "schema": 1,
+    _write_document({
+        "schema": _SCHEMA,
         "kind": "separated",
         "spatial_basis": {
             "kind": m.spatial_basis.kind,
@@ -350,10 +343,7 @@ def save_separated(m: SeparatedModel, path) -> None:
             }
             for c, lam in m.pairs
         ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    }, path)
 
 
 def load_separated(path) -> SeparatedModel:
@@ -370,7 +360,7 @@ def load_any_model(path) -> HdmrModel | SeparatedModel:
 
 
 def _separated_from_document(doc: dict, path) -> SeparatedModel:
-    if doc.get("schema") != 1 or doc.get("kind") != "separated":
+    if doc.get("schema") != _SCHEMA or doc.get("kind") != "separated":
         raise ValueError(f"{path}: not a separated model file")
     try:
         spec = doc["spatial_basis"]

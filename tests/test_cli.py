@@ -416,9 +416,29 @@ def _hermite_family(doc):
     return dict(doc, basis=dict(doc["basis"], family="hermite"))
 
 
+def _nan_f0(doc):
+    # json reads NaN and Infinity without complaint: predict would write nan
+    # and stats print mean nan
+    return dict(doc, f0=float("nan"))
+
+
+def _infinite_coefficient(doc):
+    return dict(doc, dense=[dict(doc["dense"][0], coeffs=[float("inf")])])
+
+
+def _separated_nan_spatial_coefficient(doc):
+    # a separated file whose rank-1 stochastic mode is the plain model
+    return {"schema": 1, "kind": "separated",
+            "spatial_basis": {"kind": "nodal-piecewise-linear", "cardx": 2,
+                              "domain": [0.0, 1.0]},
+            "pairs": [{"w": [1.0, 0.5], "lambda": "unit"},
+                      {"w": [float("nan"), 0.5], "lambda": doc}]}
+
+
 @pytest.mark.parametrize("corrupt", [_malformed_list, _malformed_dense, _malformed_f0,
                                      _fractional_dims_and_index, _index_beyond_basis,
-                                     _hermite_family])
+                                     _hermite_family, _nan_f0, _infinite_coefficient,
+                                     _separated_nan_spatial_coefficient])
 def test_malformed_model_file_exits_3(tmp_path, capsys, corrupt):
     good = tmp_path / "good.json"
     save_model(HdmrModel(f0=0.5, basis=BasisConfig(lo=0.0, hi=1.0, max_order=4),
@@ -426,8 +446,9 @@ def test_malformed_model_file_exits_3(tmp_path, capsys, corrupt):
                          dense=[DenseMode((1,), ((2,),), np.array([1.0]))]), good)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(corrupt(json.loads(good.read_text()))))
+    # the x column is read by a separated model only
     csv = tmp_path / "d.csv"
-    csv.write_text("xi1,u\n0.5,1.0\n")
+    csv.write_text("x1,xi1,u\n0.5,0.5,1.0\n")
     assert main(["predict", str(bad), str(csv), "--out", str(tmp_path / "p.csv")]) == 3
     assert main(["stats", str(bad)]) == 3
     err = capsys.readouterr().err

@@ -156,9 +156,9 @@ def test_cp_sweep_gives_a_vanished_rank_zero_factors(beta):
     blocks = [b.T for b in _cp_blocks(tab, (1, 2, 3), 4)]
     factors = np.zeros((2, 3, 3))
     factors[0] = g.uniform(-1.0, 1.0, (3, 3))
-    swept = fitting._cp_sweep(u, blocks, factors, w, beta)
+    swept = fitting._cp_sweep(u, blocks, factors, w, beta)[0]
     assert not swept[1].any()
-    alone = fitting._cp_sweep(u, blocks, factors[:1], w, beta)
+    alone = fitting._cp_sweep(u, blocks, factors[:1], w, beta)[0]
     assert _rel(swept[:1], alone) < 1e-12
 
 

@@ -229,6 +229,16 @@ def test_mode_validation():
                   dense=[], cp=[])  # basis too short for no+1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_model_containers_reject_non_finite_numbers(bad):
+    with pytest.raises(ValueError, match="coeffs must be finite"):
+        DenseMode((1,), ((2,), (3,)), np.array([1.0, bad]))
+    with pytest.raises(ValueError, match="factors must be finite"):
+        CPMode((1, 2), np.full((1, 2, 2), bad))
+    with pytest.raises(ValueError, match="f0 must be finite"):
+        HdmrModel(f0=bad, basis=B, nd=1, no=3, ninter=1, npc=1, nr=1)
+
+
 def test_dense_index_beyond_basis_order_rejected(tmp_path):
     # evaluation would index past the univariate table, and the statistics
     # would report a basis function the model cannot evaluate

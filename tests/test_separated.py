@@ -380,12 +380,12 @@ def test_rank_reads_only_the_path_steps_its_passes_ask_for(monkeypatch):
         return counted()
 
     def fit_spy(*args, **kwargs):
-        out = fitting.fit_hdmr(*args, **kwargs)
-        fits.append(out[1])
+        out = fitting._fit_hdmr(*args, **kwargs)
+        fits.append(out[2])
         return out
 
     monkeypatch.setattr(separated, "glars_steps", steps_spy)
-    monkeypatch.setattr(separated, "fit_hdmr", fit_spy)
+    monkeypatch.setattr(separated, "_fit_hdmr", fit_spy)
     fit_quiet(train, sel, FIT, SeparatedConfig(lmax=2), SpatialBasis(cardx=10), B,
               validation=val)
     assert len(ranks) == len(fits) == 2
@@ -396,6 +396,25 @@ def test_rank_reads_only_the_path_steps_its_passes_ask_for(monkeypatch):
         assert read <= len(full)
         shorter += read < len(full)
     assert shorter
+
+
+@pytest.mark.parametrize("nval", [0, 200])
+def test_rank_builds_one_skeleton(nval, monkeypatch):
+    # every alternation of a rank refits the skeleton its first,
+    # cross-validated fit built
+    train, val = _two_rank_field(500, seed=13, nval=nval)
+    built = []
+    orig = fitting._Skeleton.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        orig(self, *args)
+
+    monkeypatch.setattr(fitting._Skeleton, "__init__", counting)
+    model = fit_quiet(train, SEL, FIT, SeparatedConfig(lmax=2), SpatialBasis(cardx=10),
+                      B, validation=val)
+    assert model.rank == 2
+    assert len(built) == 2
 
 
 def test_fit_rejects_validation_rows_of_another_shape():

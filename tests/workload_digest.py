@@ -5,8 +5,9 @@
 For each perfbench workload, draws its inputs (``Workload.draw(SEED)``,
 SEED 11 by default), fits its surrogate once and prints one line: the first
 12 hex digits of the sha256 of the saved model JSON, of the repr of every
-PassRecord of every ``fit_hdmr`` call the fit made (its passes and its
-final refit's, ``cv_eps`` included), and of the bytes of the train,
+PassRecord of every ``fit_hdmr`` call the fit made, the separated driver's
+``_fit_hdmr`` calls included (their passes and their final refits',
+``cv_eps`` included), and of the bytes of the train,
 validation and test rows (x, xi and u of each), and the test error. Two
 versions of the code that print the same lines drew the same inputs and
 fitted the same models, byte for byte, along the same passes. The script reads ``perfbench/workloads.py`` and changes
@@ -37,15 +38,16 @@ def _hex(data: bytes) -> str:
 
 class _Recorder:
     """Stands in for the benchmark's tracer: runs every call untraced and
-    keeps the diagnostics of each ``fit_hdmr`` call."""
+    keeps the diagnostics of each ``fit_hdmr`` and ``_fit_hdmr`` call."""
 
     def __init__(self):
         self.records: list = []
 
     def call(self, name, fn, *args, **kwargs):
         result = fn(*args, **kwargs)
-        if name == "fitting.fit_hdmr":
-            diag = result[1]
+        if name in ("fitting.fit_hdmr", "fitting._fit_hdmr"):
+            # fit_hdmr returns (model, diag), _fit_hdmr (skeleton, block, diag)
+            diag = result[-1]
             self.records.append((diag.retained, diag.records, diag.refit_records))
         return result
 
@@ -56,13 +58,13 @@ class _Recorder:
 def digest(wl, seed: int, tmpdir: Path) -> str:
     rec = _Recorder()
     inp = wl.draw(seed, rec)
-    # the separated driver calls fit_hdmr itself: record those calls too
-    fit_hdmr = separated.fit_hdmr
-    separated.fit_hdmr = lambda *a, **k: rec.call("fitting.fit_hdmr", fit_hdmr, *a, **k)
+    # the separated driver makes its cross-validated fits itself: record them too
+    fit = separated._fit_hdmr
+    separated._fit_hdmr = lambda *a, **k: rec.call("fitting._fit_hdmr", fit, *a, **k)
     try:
         model, _ = wl.fit(inp, rec)
     finally:
-        separated.fit_hdmr = fit_hdmr
+        separated._fit_hdmr = fit
     path = tmpdir / f"{wl.name}.json"
     wl.save(model, path)
     rows = b"".join(a.tobytes() for part in (inp.train, inp.val, inp.test)

@@ -16,9 +16,10 @@ profile. Weighted TLS covers plain rows only: a robust fit with row weights
 raises ValueError.
 
 One ``_Skeleton`` owns what a fit reuses, for that fit and no longer: its
-rows (train, then validation), the univariate tables over all of them, each
-dim evaluated when the first group on it enters, and one ``_ActiveMode`` per
-entered group, whose design (dense) or factor blocks (CP) cover every row.
+rows (train, then validation), one univariate table over all of them in
+``basis``' layout, each dim evaluated when the first group on it enters, and
+one ``_ActiveMode`` per entered group, whose design (dense) or factor blocks
+(CP, views of the table) cover every row.
 The pass loop ``_passes`` fits the first rows of those modes: the
 cross-validated passes fit the training rows and read the validation error
 off the rest, and the final refit (``_Skeleton.fit``) reruns the passes over
@@ -55,7 +56,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import BasisConfig, univariate_deriv_table, univariate_table
+from .basis import BasisConfig, _empty_table, univariate_deriv_table, univariate_table
 from .data import (_NORM_FLOOR, NoiseModel, SampleSet, _check_finite_fields,
                    _check_row_weights, rng_stream)
 from .model import (
@@ -219,10 +220,10 @@ def _check_cp_range(gamma, cfg: FitConfig) -> None:
         )
 
 
-def _cp_factors(gamma, residual, blocks, cfg: FitConfig, w) -> np.ndarray:
+def _cp_factors(gamma, residual, blocks, cfg: FitConfig, w):
     # greedy: each rank from seeded draws, fitted by one-rank joint sweeps
     # to what the earlier ranks leave; a rank the sweeps leave all zero (its
-    # factor values vanished) is skipped
+    # factor values vanished) is skipped. Returns (factors, the mode's values)
     card = len(gamma)
     factors = np.zeros((cfg.nr, card, cfg.no - 1))
     target = residual.copy()
@@ -245,20 +246,20 @@ def _cp_factors(gamma, residual, blocks, cfg: FitConfig, w) -> np.ndarray:
             continue
         factors[rank] = fac[0]
         target = target - contr
-    return factors
+    return factors, _cp_values(blocks, factors)
 
 
 def _cp_sweep(target, blocks, factors, w, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """One joint-rank ALS sweep of a CP mode, or of one rank of it: for each
     dimension in turn, the factors of all ranks by one ``_gram_solve``, the
-    other dimensions' factors held. ``blocks`` hold each dimension's basis
-    values as (orders, rows), and the factor values and partial products
-    are kept as (ranks, rows), so every product runs along contiguous rows.
-    A rank whose other factors vanish has all-zero columns and gets exactly
-    zero factors: at beta = 0 those columns fail the Gram's pivot test and
-    lstsq's minimum-norm solution leaves them zero; at beta > 0 the ridge
-    keeps the Cholesky path, and their right-hand side is zero. Returns
-    (factors, the mode's values by ``_cp_values``' arithmetic)."""
+    other dimensions' factors held. ``blocks`` are each dimension's
+    (orders, rows) ``_cp_blocks`` of the table, and the factor values and
+    partial products are (ranks, rows), so every product runs along
+    contiguous rows. A rank whose other factors vanish has all-zero columns
+    and gets exactly zero factors: at beta = 0 those columns fail the Gram's
+    pivot test and lstsq's minimum-norm solution leaves them zero; at
+    beta > 0 the ridge keeps the Cholesky path, and their right-hand side is
+    zero. Returns (factors, the mode's values by ``_cp_values``' arithmetic)."""
     nr, card, nord = factors.shape
     factors = factors.copy()
     vals = [factors[:, i] @ blocks[i] for i in range(card)]
@@ -355,11 +356,11 @@ def save_diagnostics(diag: FitDiagnostics, path) -> None:
 
 
 class _ActiveMode:
-    """One entered group of a ``_Skeleton``: its design (dense) or factor
-    blocks (CP, each (orders, rows) as ``_cp_sweep`` reads them) over every
-    row of the fit, of which a pass over the first n rows reads the first n.
-    The pass's ``_Block`` sets a dense mode's coefficients; a CP mode refits
-    itself. ``params`` are the current
+    """One entered group of a ``_Skeleton``: its design (dense, (rows, P))
+    or factor blocks (CP, the table's (orders, rows) views that ``_cp_sweep``
+    reads) over every row of the fit, of which a pass over the first n rows
+    reads the first n. The pass's ``_Block`` sets a dense mode's
+    coefficients; a CP mode refits itself. ``params`` are the current
     coefficients (dense) or factors (CP), and ``values`` a CP mode's
     unweighted values at the rows of the current pass."""
 
@@ -375,23 +376,16 @@ class _ActiveMode:
             self.design = dense_design(table, dims, self.indices)
         else:
             _check_cp_range(dims, cfg)
-            self.blocks = [np.ascontiguousarray(b.T) for b in _cp_blocks(table, dims, cfg.no)]
+            self.blocks = _cp_blocks(table, dims, cfg.no)
 
     def refit(self, r, cfg, w) -> None:
         # a CP mode's refit on the first len(r) rows: greedy one-rank sweeps
         # on entry, one joint-rank sweep after
         blocks = [b[:, : r.shape[0]] for b in self.blocks]
         if self.params is None:
-            self.params = _cp_factors(self.dims, r, blocks, cfg, w)
-            self.values = _cp_values([b.T for b in blocks], self.params)
+            self.params, self.values = _cp_factors(self.dims, r, blocks, cfg, w)
         else:
             self.params, self.values = _cp_sweep(r, blocks, self.params, w, cfg.beta)
-
-    def values_at(self, params, rows: slice) -> np.ndarray:
-        """The mode's unweighted values under ``params`` at a slice of the rows."""
-        if self.kind == "dense":
-            return self.design[rows] @ params
-        return _cp_values([b[:, rows].T for b in self.blocks], params)
 
     def mode(self):
         if self.kind == "dense":
@@ -667,8 +661,8 @@ class _Skeleton:
     """The one owner of a fit's tables and modes, for the life of that fit.
 
     ``rows`` are every row the fit reads: train, then the validation rows of
-    a cross-validated fit, in ``merge_train_validation``'s order. Their
-    univariate tables live in one dim-major store, allocated once; a dim is
+    a cross-validated fit, in ``merge_train_validation``'s order. Their one
+    univariate ``table`` is allocated once, in ``basis``' layout; a dim is
     evaluated when the first group on it enters (``enter``), or at once for
     the ``groups`` given here, and a dim no group touches is never
     evaluated. Each entered group gets one ``_ActiveMode`` over all rows.
@@ -684,9 +678,8 @@ class _Skeleton:
         self.rows = rows
         self.cfg = cfg
         self.basis = fit_basis(basis, cfg)
-        self.store = np.empty((rows.nd, rows.nq, self.basis.max_order))
-        self.table = self.store.transpose(1, 0, 2)
-        self.done: set[int] = set()
+        self.table = _empty_table((rows.nq, rows.nd), self.basis.max_order)
+        self.done: set[int] = set()     # the table columns evaluated
         self.modes: list[_ActiveMode] = []
         groups = [tuple(int(d) for d in g) for g in groups]
         self._evaluate([d for g in groups for d in g])
@@ -694,11 +687,9 @@ class _Skeleton:
             self.enter(g)
 
     def _evaluate(self, dims) -> None:
-        new = sorted(set(dims) - self.done)
+        new = sorted({d - 1 for d in dims} - self.done)
         if new:
-            cols = [d - 1 for d in new]
-            self.store[cols] = univariate_table(self.basis,
-                                                self.rows.xi[:, cols]).transpose(1, 0, 2)
+            self.table[:, new] = univariate_table(self.basis, self.rows.xi[:, new])
             self.done.update(new)
 
     def enter(self, dims) -> _ActiveMode:
@@ -721,16 +712,13 @@ class _Skeleton:
         consecutive passes. Returns (PassRecords, passes kept: the pass
         with the smallest validation error)."""
         w = self._weights(row_weights)
-        uval, wv, val = self.rows.u[n:], w[n:], slice(n, None)
+        uval, wv = self.rows.u[n:], w[n:]
         block = _Block(w[:n], self.cfg.beta, with_f0=True)
         records = []
         best_eps, best_s, prev_eps, inc = np.inf, 0, np.inf, 0
         modes = map(self.enter, groups)
         for rec in _passes(block, modes, self.rows.u[:n], self.cfg):
-            tot = np.zeros(uval.shape[0])
-            for m in block.dense + block.cps:
-                tot += m.values_at(m.params, val)
-            eps = _norm(uval - wv * (block.f0 + tot)) / _norm(uval)
+            eps = _norm(uval - wv * self.values(block, slice(n, None))) / _norm(uval)
             records.append(replace(rec, cv_eps=eps))
             inc = inc + 1 if eps > prev_eps else 0
             if eps < best_eps:
@@ -755,12 +743,14 @@ class _Skeleton:
                          cp=[m.mode() for m in block.cps])
 
     def values(self, block: _Block, rows: slice) -> np.ndarray:
-        """The values, at a slice of the rows, of the model of the block ``fit``
-        last returned: ``evaluate_model``'s values there, from the designs (a
-        product per row slice, f0 first, then dense and CP modes in entry order)."""
+        """The values at a slice of the rows of a block's model, as
+        ``evaluate_model`` gives them, from the designs and CP blocks (f0,
+        then dense and CP modes in entry order); the validation error reads them."""
         out = np.full(self.rows.nq, block.f0)[rows]
-        for m in block.dense + block.cps:
-            out += m.values_at(m.params, rows)
+        for m in block.dense:
+            out += m.design[rows] @ m.params
+        for m in block.cps:
+            out += _cp_values([b[:, rows] for b in m.blocks], m.params)
         return out
 
 

@@ -190,8 +190,9 @@ def dense_design(table: np.ndarray, dims, indices) -> np.ndarray:
     """Design columns prod_i psi_{alpha_i}(xi_{dims_i}) from a univariate table.
 
     ``table`` is univariate_table(cfg, xi) with shape (Nq, Nd, max_order);
-    returns (Nq, len(indices)). With G groups of one cardinality stacked in
-    ``dims``, shape (G, card), it returns their designs, (G, Nq, len(indices)).
+    returns (Nq, len(indices)) in C order, each factor read as a contiguous
+    table row. With G groups of one cardinality stacked in ``dims``, shape
+    (G, card), it returns their designs, (G, Nq, len(indices)).
     """
     dims = np.asarray(dims).T - 1
     cols = np.ones(dims.shape[1:] + (table.shape[0], len(indices)))
@@ -264,16 +265,16 @@ def _cholesky_qr2(a):
 
 
 def _cp_blocks(table: np.ndarray, dims: Group, no: int) -> list[np.ndarray]:
-    # per dimension, the columns alpha = 2..no (table slots 1..no-1) that a
-    # CP factor multiplies
-    return [table[:, d - 1, 1:no] for d in dims]
+    # per dimension, the rows alpha = 2..no (table slots 1..no-1) that a CP
+    # factor multiplies: C-contiguous (orders, rows) views of the table
+    return [table[:, d - 1, 1:no].T for d in dims]
 
 
 def _cp_values(blocks: list[np.ndarray], factors: np.ndarray) -> np.ndarray:
-    # per-rank products of univariate factor evaluations, summed over ranks
-    vals = np.ones((factors.shape[0], blocks[0].shape[0]))
+    # per-rank products of factor evaluations on (orders, rows) blocks, summed
+    vals = np.ones((factors.shape[0], blocks[0].shape[1]))
     for i, block in enumerate(blocks):
-        vals *= factors[:, i, :] @ block.T
+        vals *= factors[:, i, :] @ block
     return vals.sum(axis=0)
 
 

@@ -83,14 +83,14 @@ class SpatialBasis:
 
 
 def spatial_design(sb: SpatialBasis, x) -> np.ndarray:
-    """Evaluate the cardx basis functions at x, shape (len(x), cardx)."""
+    """Evaluate the cardx basis functions at x, shape (len(x), cardx),
+    C-contiguous (the spatial fits' bits depend on it)."""
     x = np.asarray(x, dtype=float).ravel()
     lo, hi = sb.domain
     if np.any(x < lo) or np.any(x > hi):
         raise ValueError(f"spatial basis undefined outside [{lo}, {hi}]")
     if sb.kind == "legendre-tensor":
-        return univariate_table(
-            BasisConfig(lo=lo, hi=hi, max_order=sb.cardx), x)
+        return univariate_table(BasisConfig(lo=lo, hi=hi, max_order=sb.cardx), x).copy()
     nodes = np.linspace(lo, hi, sb.cardx)
     h = nodes[1] - nodes[0]
     cell = np.clip(((x - lo) / h).astype(int), 0, sb.cardx - 2)

@@ -46,7 +46,7 @@ from hdmrfit.basis import BasisConfig, univariate_deriv_table, univariate_table
 from hdmrfit.data import NoiseModel, SampleSet, _reflect, rng_stream
 from hdmrfit.fitting import (FitConfig, fit_basis, fit_hdmr, ls_solve,
                              merge_train_validation)
-from hdmrfit.model import (CPMode, DenseMode, HdmrModel, _cp_blocks, _cp_values,
+from hdmrfit.model import (CPMode, DenseMode, HdmrModel, _cp_values,
                            dense_design, enumerate_dense_indices, evaluate_model)
 from hdmrfit.selection import glars_select
 from hdmrfit.separated import (_MAX_OUTER_ITERS, _OUTER_TOL, _STOP_NORM_FRAC,
@@ -250,7 +250,8 @@ def als_factor_lstsq(block, partial, w, target, beta: float) -> np.ndarray:
 
 def greedy_cp_refit(gamma, residual, blocks, cfg: FitConfig, w, init=None):
     """Rank-by-rank ALS of a CP mode, each rank fitted to what the earlier
-    ranks leave, one factor at a time by ``als_factor_lstsq``.
+    ranks leave, one factor at a time by ``als_factor_lstsq``; ``blocks``
+    hold each dimension's (rows, orders) columns of the public table.
 
     A rank starts from its ``init`` factors or, with ``init=None`` (the
     cold start), from the seeded draws of stream (seed, 4, *gamma, rank, 0).
@@ -321,9 +322,9 @@ def backfit(train: SampleSet, groups, cfg: FitConfig, basis: BasisConfig,
             dense[dims] = dense_mode_lstsq(table, dims, idx, w, r, cfg.beta)
             values[dims] = dense_design(table, dims, idx) @ dense[dims]
         else:
-            blocks = [np.ascontiguousarray(b) for b in _cp_blocks(table, dims, cfg.no)]
+            blocks = [table[:, d - 1, 1:cfg.no] for d in dims]
             cps[dims] = greedy_cp_refit(dims, r, blocks, cfg, w, cps.get(dims))
-            values[dims] = _cp_values(blocks, cps[dims])
+            values[dims] = _cp_values([b.T for b in blocks], cps[dims])
 
     def total():
         return sum(values.values(), np.zeros(train.nq))

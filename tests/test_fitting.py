@@ -23,6 +23,7 @@ from hdmrfit.fitting import (
 from hdmrfit.model import (HdmrModel, _cp_blocks, dense_design, enumerate_dense_indices,
                            evaluate_model, save_model)
 from hdmrfit.selection import SelectionConfig, glars_select
+from hdmrfit.separated import SpatialBasis, spatial_design
 from hdmrfit.testbed import DiffusionConfig, generate_dataset
 from oracles import (als_factor_lstsq, backfit, block_sample_covariance,
                      build_sample_covariance, dense_mode_lstsq, greedy_cp_refit,
@@ -153,7 +154,7 @@ def test_cp_sweep_gives_a_vanished_rank_zero_factors(beta):
     w = g.uniform(0.5, 1.5, 300)
     u = tab[:, 0, 1] * tab[:, 1, 2] * tab[:, 2, 1] + 0.05 * g.standard_normal(300)
     # the sweep reads each dimension's block as (orders, rows)
-    blocks = [b.T for b in _cp_blocks(tab, (1, 2, 3), 4)]
+    blocks = _cp_blocks(tab, (1, 2, 3), 4)
     factors = np.zeros((2, 3, 3))
     factors[0] = g.uniform(-1.0, 1.0, (3, 3))
     swept = fitting._cp_sweep(u, blocks, factors, w, beta)[0]
@@ -186,8 +187,8 @@ def test_cp_mode_matches_greedy_lstsq_oracle(beta, weighted):
     dims = (1, 2, 4)
     cfg = FitConfig(no=4, npc=2, ninter=3, nr=3, beta=beta, seed=3)
     mode = fit_cp_mode(dims, with_u(ds, u), cfg, B, row_weights=w)
-    blocks = _cp_blocks(univariate_table(fit_basis(B, cfg), ds.xi), dims, cfg.no)
-    ref = greedy_cp_refit(dims, u, blocks, cfg, w)
+    fit_tab = univariate_table(fit_basis(B, cfg), ds.xi)
+    ref = greedy_cp_refit(dims, u, [fit_tab[:, d - 1, 1:cfg.no] for d in dims], cfg, w)
     assert np.all(np.linalg.norm(ref, axis=(1, 2)) > 0)
     assert _rel(mode.factors, ref) < 1e-8
 
@@ -1154,6 +1155,40 @@ def test_fit_tables_cover_only_the_dims_of_entered_groups(monkeypatch):
     # the final refit of the kept groups evaluates no table
     assert all(n == 400 for n, _ in evaluated)
     assert sum(len(c) for _, c in evaluated) == len(entered)
+
+
+def test_tables_keep_one_layout_that_blocks_and_designs_read_without_copies():
+    # a table's CP blocks, and those of a fit's skeleton, are C-contiguous
+    # (orders, rows) views of it; dense and spatial designs are C-contiguous
+    # (rows, P)
+    ds, tab = uniform_set(40, 4, seed=44)
+    skeleton = fitting._Skeleton(ds, [(1, 2, 4)], FitConfig(no=4, npc=1, ninter=3), B)
+    for table, blocks in ((tab, _cp_blocks(tab, (1, 2, 4), 4)),
+                          (skeleton.table, skeleton.modes[0].blocks)):
+        for b in blocks:
+            assert b.shape == (3, 40) and b.flags.c_contiguous
+            assert np.shares_memory(b, table)
+    designs = [(dense_design(tab, (1, 3), enumerate_dense_indices((1, 3), 4)), 6)]
+    designs += [(spatial_design(SpatialBasis(kind=kind, cardx=5), (ds.xi[:, 0] + 1) / 2), 5)
+                for kind in ("nodal-piecewise-linear", "legendre-tensor")]
+    for design, p in designs:
+        assert design.shape == (40, p) and design.flags.c_contiguous
+
+
+@pytest.mark.parametrize("nr", [1, 3])
+def test_skeleton_values_are_the_bits_of_evaluate_model(nr):
+    # the fit reads its values (validation errors, a separated rank's lambda)
+    # from the tables and designs it holds; they are evaluate_model's values,
+    # bit for bit, a one-rank CP mode's included
+    ds, tab = uniform_set(500, 4, seed=45)
+    u = tab[:, 0, 1] + tab[:, 0, 2] * tab[:, 1, 1] * tab[:, 2, 3] + 0.5 * tab[:, 3, 2]
+    cfg = FitConfig(no=4, npc=2, ninter=3, nr=nr)
+    groups = [(1,), (1, 2, 3), (4,), (2, 3, 4)]
+    skeleton, block, _ = fitting._fit_hdmr(with_u(ds, u), None, groups, cfg, B, None, None)
+    model = skeleton.model(block)
+    assert len(model.cp) == 2
+    assert (skeleton.values(block, slice(None)).tobytes()
+            == evaluate_model(model, ds.xi).tobytes())
 
 
 def test_fit_hdmr_rejects_validation_rows_of_another_shape():

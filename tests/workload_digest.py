@@ -8,9 +8,12 @@ SEED 11 by default), fits its surrogate once and prints one line: the first
 PassRecord of every ``fit_hdmr`` call the fit made, the separated driver's
 ``_fit_hdmr`` calls included (their passes and their final refits',
 ``cv_eps`` included), and of the bytes of the train,
-validation and test rows (x, xi and u of each), and the test error. Two
-versions of the code that print the same lines drew the same inputs and
-fitted the same models, byte for byte, along the same passes. The script reads ``perfbench/workloads.py`` and changes
+validation and test rows (x, xi and u of each), of the bytes of the
+surrogate's predictions on the 20,000-row evaluation batch
+(``wl.evaluate(model, batch_x, batch_xi)``, the batch ``predict_rows_per_s``
+times), and the test error. Two versions of the code that print the same
+lines drew the same inputs, fitted the same models and predicted the same
+values, byte for byte, along the same passes. The script reads ``perfbench/workloads.py`` and changes
 nothing there; it is not a pytest module.
 """
 
@@ -71,7 +74,9 @@ def digest(wl, seed: int, tmpdir: Path) -> str:
                     for a in (part.x, part.xi, part.u))
     return (f"{wl.name:16s} model={_hex(path.read_bytes())} "
             f"passes={_hex(repr(rec.records).encode())} inputs={_hex(rows)} "
-            f"fits={len(rec.records)} test_error={relative_error(model, inp.test)!r}")
+            f"fits={len(rec.records)} "
+            f"predict={_hex(wl.evaluate(model, inp.batch_x, inp.batch_xi).tobytes())} "
+            f"test_error={relative_error(model, inp.test)!r}")
 
 
 def main(argv) -> int:

@@ -152,6 +152,9 @@ def cmd_fit(args) -> int:
             else data.nq - n_val - n_test
         if n_train < 1:
             raise ValueError("no training rows left after the split")
+        if args.ninter > data.nd:
+            raise ValueError(f"--ninter {args.ninter} exceeds the data's "
+                             f"{data.nd} stochastic columns (Nd)")
         basis = BasisConfig(lo=args.basis_lo, hi=args.basis_hi,
                             max_order=args.no + 1)
         noise = NoiseModel(s=args.noise_s, s_u=args.noise_su,
@@ -341,9 +344,12 @@ def _bench_convergence(args):
         raise ValueError("--seeds must be >= 1")
     cfg = DiffusionConfig(nd_nu=args.nd_nu, nd_f=args.nd_f, m_x=args.mx,
                           m_k=args.mk)
+    sel = SelectionConfig(nolars=args.nolars, ninter=3, max_groups=48)
+    if cfg.nd < sel.ninter:
+        raise ValueError(f"bench fits groups of up to {sel.ninter} dims: "
+                         f"--nd-nu + --nd-f = {cfg.nd} is too few")
     test = generate_dataset(cfg, args.ntest, BENCH_TEST_SEED)
     basis = BasisConfig(lo=0.0, hi=1.0, max_order=args.no + 1)
-    sel = SelectionConfig(nolars=args.nolars, ninter=3, max_groups=48)
     rows = []
     for nq in args.nq_list:
         errs = []

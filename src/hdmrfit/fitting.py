@@ -19,33 +19,28 @@ One ``_Skeleton`` owns what a fit reuses, for that fit and no longer: its
 rows (train, then validation), one univariate table over all of them in
 ``basis``' layout, each dim evaluated when the first group on it enters, and
 one ``_ActiveMode`` per entered group, whose design (dense) or factor blocks
-(CP, views of the table) cover every row.
-The pass loop ``_passes`` fits the first rows of those modes: the
-cross-validated passes fit the training rows and read the validation error
-off the rest, and the final refit (``_Skeleton.fit``) reruns the passes over
-the kept modes on all rows, building nothing again, as do a fit without
-validation rows and a separated rank's later refits of the skeleton its
-cross-validated fit built. One ``_Block`` owns a pass loop's fit: its row
-weights, ``f0``, the dense modes and the CP modes, each of which enters
-through it. ``f0`` and the dense modes are one least-squares problem,
-solved through an orthonormal basis of its columns that grows as modes
-enter (``model._grow_basis``: Cholesky-QR2 of each entering mode's
-remainder, with a thin SVD as the rank-revealing fallback). The robust
-refit reads the final block and writes its dense coefficients back, and
-``_Skeleton.model`` turns a block into an ``HdmrModel``. The small tall
-subproblems, an ALS or a weighted TLS step here and the spatial fits of the
-separated driver, are solved through their unit-scaled Gram, whose Cholesky
-pivots decide (``_gram_solve``); ``ls_solve``, the plain lstsq, is the
-fallback and the reference. Every CP fit is made of joint-rank ALS sweeps
-(``_cp_sweep``; Kolda & Bader 2009, 3.4), whose step for one dimension
-solves one small Gram system for that dimension's factors of all ranks; a
-rank whose other factors vanish gets exactly zero factors. A CP mode enters
-greedily: each rank, from seeded draws, is fitted by repeating the sweep on
-that one rank against what the earlier ranks leave; each later refit of the
-mode is one sweep over all its ranks. A pass with no CP mode is one solve of
-the block; with CP modes, update sweeps alternate a block solve with a refit
-of each CP mode, each an exact minimum over its own coefficients, so the
-training residual does not rise.
+(CP, views of the table) cover every row. Its one pass loop
+(``_Skeleton.passes``) fits the training rows pass by pass and reads the
+validation error off the rest to stop, or fits every row of a fit without
+validation rows. Its one continuation (``_Skeleton.refit``) takes the kept
+modes on all rows as the passes left them, solves once and runs one round
+of update sweeps, building nothing again: the final refit of a
+cross-validated fit, and each later alternation of a separated rank. One
+``_Block`` owns the fit of a pass loop or a continuation: its row weights,
+``f0``, the dense modes, one least-squares problem solved through an
+orthonormal basis that grows as modes enter (``model._grow_basis``), and
+the CP modes. The robust refit reads the final block and writes its dense
+coefficients back, and ``_Skeleton.model`` turns a block into an
+``HdmrModel``. The small tall subproblems, an ALS or a weighted TLS step
+here and the spatial fits of the separated driver, are solved through
+their unit-scaled Gram (``_gram_solve``), with ``ls_solve``, the plain
+lstsq, as the fallback and the reference. Every CP fit is made of
+joint-rank ALS sweeps (``_cp_sweep``; Kolda & Bader 2009, 3.4). A CP mode
+enters greedily, rank by rank from seeded draws (``_cp_factors``); each
+later refit of the mode is one sweep over all its ranks. A pass with no CP
+mode is one solve of the block; with CP modes, update sweeps alternate a
+block solve with a refit of each CP mode, each an exact minimum over its
+own coefficients, so the training residual does not rise.
 """
 
 from __future__ import annotations
@@ -192,7 +187,7 @@ def fit_cp_mode(gamma, train: SampleSet, cfg: FitConfig, basis: BasisConfig,
     Each rank starts from seeded uniform draws in [-1, 1], then repeats the
     joint-rank sweep on that one rank, which cycles the dimensions solving
     the exact least-squares subproblem for one factor block at a time. This
-    is the entry fit of a CP mode in ``_passes``, on its own.
+    is the entry fit of a CP mode in the pass loop, on its own.
     """
     gamma = tuple(int(d) for d in gamma)
     _check_cp_range(gamma, cfg)
@@ -201,9 +196,9 @@ def fit_cp_mode(gamma, train: SampleSet, cfg: FitConfig, basis: BasisConfig,
 
 def _fit_one(gamma, train, cfg, basis, row_weights) -> _Block:
     # the block (no f0) of the one mode of a skeleton on train, entered
-    skeleton = _Skeleton(train, [gamma], cfg, basis)
+    skeleton = _Skeleton(train, cfg, basis)
     block = _Block(skeleton._weights(row_weights), cfg.beta, with_f0=False)
-    block.enter(skeleton.modes[0], train.u, cfg)
+    block.enter(skeleton.enter(gamma), train.u, cfg)
     return block
 
 
@@ -313,7 +308,8 @@ class PassRecord:
     update sweeps, the validation error (nan without a validation set), the
     number of update sweeps the pass ran (0 without a CP mode, where the
     pass is one solve of the dense block) and whether they stopped at the
-    sweep cap rather than at their tolerance."""
+    sweep cap rather than at their tolerance. The final refit's record has
+    the kept pass count as ``s`` and no ``dims`` or ``cv_eps``."""
 
     s: int
     dims: Group | None
@@ -326,19 +322,17 @@ class PassRecord:
 @dataclass
 class FitDiagnostics:
     """``records`` are the passes of the (cross-validated) pass loop and
-    ``retained`` the number of groups the model keeps. With validation rows,
-    ``refit_records`` are the passes of the final refit on train plus
-    validation (empty without them, and for identically zero validation
-    values, whose one fit is on train plus validation; ``records`` are its
-    passes). ``cv_seconds`` times the pass loop
+    ``retained`` the number of groups the model keeps. ``refit`` is the
+    record of the final refit on train plus validation (None without
+    validation rows, or for identically zero validation values, whose
+    passes fit train plus validation). ``cv_seconds`` times the pass loop
     (with the steps of a path computed as the passes read it),
-    ``refit_seconds`` the final refit (0 without validation rows) and
-    ``wtls_seconds`` the weighted TLS refit of a robust fit (0 for a plain
-    one)."""
+    ``refit_seconds`` the final refit (0 without it) and ``wtls_seconds``
+    the weighted TLS refit of a robust fit (0 for a plain one)."""
 
     records: list[PassRecord] = field(default_factory=list)
     retained: int = 0
-    refit_records: list[PassRecord] = field(default_factory=list)
+    refit: PassRecord | None = None
     cv_seconds: float = 0.0
     refit_seconds: float = 0.0
     wtls_seconds: float = 0.0
@@ -362,7 +356,7 @@ class _ActiveMode:
     reads the first n. The pass's ``_Block`` sets a dense mode's
     coefficients; a CP mode refits itself. ``params`` are the current
     coefficients (dense) or factors (CP), and ``values`` a CP mode's
-    unweighted values at the rows of the current pass."""
+    unweighted values at the rows of the current block."""
 
     __slots__ = ("dims", "kind", "indices", "design", "blocks", "params", "values")
 
@@ -394,9 +388,9 @@ class _ActiveMode:
 
 
 class _Block:
-    """The fit of one pass loop on its rows (the first len(w) rows of the
-    modes' designs): ``f0`` (when ``with_f0``), the dense modes and the CP
-    modes, each of which enters through ``enter``.
+    """The fit of a pass loop or a continuation on its rows (the first
+    len(w) rows of the modes' designs): ``f0`` (when ``with_f0``), the
+    dense modes and the CP modes, each fitted by ``enter`` or taken by ``add``.
 
     ``f0`` and the dense modes are one least-squares problem: minimize
     ||r - w * (f0 + sum_m psi_m c_m)||^2 + beta^2 sum_m ||c_m||^2, with
@@ -431,15 +425,23 @@ class _Block:
     def enter(self, mode: _ActiveMode, u, cfg: FitConfig) -> None:
         """Fit an entering mode to what the block leaves of u: a dense mode
         extends the basis and the block is solved again; a CP mode enters
-        from its seeded draws, also when it is reused."""
+        from its seeded draws."""
         w = self.w
         if mode.kind == "dense":
-            self._extend(mode.design[: w.shape[0]] * w[:, None], self.beta)
-            self.dense.append(mode)
+            self.add(mode)
             self.solve(u - w * self.cp_values())
         else:
-            mode.params = None
             mode.refit(u - w * (self.fitted + self.cp_values()), cfg, w)
+            self.cps.append(mode)
+
+    def add(self, mode: _ActiveMode) -> None:
+        """Take a mode as it stands, a CP mode's values recomputed at the rows."""
+        n = self.w.shape[0]
+        if mode.kind == "dense":
+            self._extend(mode.design[:n] * self.w[:, None], self.beta)
+            self.dense.append(mode)
+        else:
+            mode.values = _cp_values([b[:, :n] for b in mode.blocks], mode.params)
             self.cps.append(mode)
 
     def _extend(self, cols, beta: float) -> None:
@@ -549,22 +551,23 @@ def fit_hdmr(train: SampleSet, validation: SampleSet | None, path, cfg: FitConfi
 
     ``path`` is a SelectionPath or any iterable of groups, such as a
     generator over ``selection.glars_steps``; its groups are added one per
-    pass in order. Each pass fits the new mode on the current
-    residual, cyclically re-fits all active modes (update sweeps), and
-    evaluates the error on the validation set. Growth stops once the
-    validation error has increased over two consecutive passes; the
-    returned model keeps the pass with the smallest validation error and is
-    refitted on train plus validation. With validation rows the path is
-    read lazily, one group per pass, and never past the pass at which
-    growth stops, so a generator computes only the steps the passes use.
-    One ``_Skeleton`` on train plus validation serves the passes and the
-    final refit. With ``validation=None`` every group is fitted, with no
-    early stopping; ``val_row_weights`` then raises ValueError. Validation
-    values that are identically zero give no early stopping either: the
-    call warns and fits every group on train plus validation, as
-    ``validation=None`` does on the merged rows. Validation rows whose x or
-    xi column count differs from the training rows' raise ValueError
-    before any pass.
+    pass in order. Each pass fits the new mode on the current residual,
+    cyclically re-fits all active modes (update sweeps), and evaluates the
+    error on the validation set. Growth stops once the validation error has
+    increased over two consecutive passes; the returned model keeps the
+    pass with the smallest validation error, and its modes are refitted on
+    train plus validation from where the passes left them (with no CP mode
+    kept, the model of a ``validation=None`` fit of the kept groups on
+    those rows). The path is read lazily, one group per pass, and never
+    past the pass at which growth stops, so a generator computes only the
+    steps the passes use. One ``_Skeleton`` on train plus validation serves
+    the passes and the final refit. With ``validation=None`` every group is
+    fitted, with no early stopping; ``val_row_weights`` then raises
+    ValueError. Validation values that are identically zero give no early
+    stopping either: the call warns and fits every group on train plus
+    validation. Validation rows whose x or xi column count differs from the
+    training rows', and a ``cfg.ninter`` above the rows' dimension count
+    Nd, raise ValueError before the path is read.
 
     Every pass fits by least squares (dense modes) and ALS (CP modes). A
     robust ``cfg`` then refits all dense modes' coefficients together, once,
@@ -587,25 +590,24 @@ def _fit_hdmr(train, validation, path, cfg, basis, row_weights, val_row_weights)
             raise ValueError("val_row_weights given without validation rows")
     else:
         _check_matching_rows(train, validation)
+    if cfg.ninter > train.nd:
+        raise ValueError(f"ninter={cfg.ninter} exceeds the rows' stochastic "
+                         f"dimension count Nd={train.nd}")
     _check_plain_rows(cfg, row_weights, val_row_weights)
-    rows, w = train, row_weights
+    rows, w, n = train, row_weights, train.nq
     if validation is not None:
         rows, w = merge_train_validation(train, validation, row_weights, val_row_weights)
         if not np.any(validation.u):
             warnings.warn("validation values are identically zero: no early stopping")
-            validation = None
+            n = rows.nq
     diag = FitDiagnostics()
     t0 = time.perf_counter()
-    skeleton = _Skeleton(rows, path if validation is None else (), cfg, basis)
-    if validation is None:
-        block, diag.records = skeleton.fit(w)
-        diag.retained = len(skeleton.modes)
-        diag.cv_seconds = time.perf_counter() - t0
-    else:
-        diag.records, diag.retained = skeleton.cross_validate(path, train.nq, w)
-        diag.cv_seconds = time.perf_counter() - t0
+    skeleton = _Skeleton(rows, cfg, basis)
+    block, diag.records, diag.retained = skeleton.passes(path, n, w)
+    diag.cv_seconds = time.perf_counter() - t0
+    if n < rows.nq:
         t0 = time.perf_counter()
-        block, diag.refit_records = skeleton.fit(w, diag.retained)
+        block, diag.refit = skeleton.refit(w, diag.retained)
         diag.refit_seconds = time.perf_counter() - t0
     if cfg.robust:
         t0 = time.perf_counter()
@@ -642,62 +644,38 @@ def _wtls_refit(block: _Block, rows: SampleSet, noise: NoiseModel,
         m.params = part
 
 
-def _passes(block: _Block, modes, u, cfg):
-    """The coefficient passes on the first len(u) rows of the modes: solve
-    ``block`` for f0 alone, then enter the ``modes`` into it one per pass,
-    each fitted to the current residual and followed by the update sweeps.
-    Yields the PassRecord of every pass, f0 alone first, with a nan
-    ``cv_eps``; the next mode is read only when the next pass is asked
-    for."""
-    block.solve(u)
-    yield PassRecord(0, None, _residual_norm(block, u), float("nan"), 0, False)
-    for s, am in enumerate(modes, 1):
-        block.enter(am, u, cfg)
-        rnorm, sweeps, capped = _update_sweeps(block, u, cfg)
-        yield PassRecord(s, am.dims, rnorm, float("nan"), sweeps, capped)
-
-
 class _Skeleton:
     """The one owner of a fit's tables and modes, for the life of that fit.
 
     ``rows`` are every row the fit reads: train, then the validation rows of
     a cross-validated fit, in ``merge_train_validation``'s order. Their one
     univariate ``table`` is allocated once, in ``basis``' layout; a dim is
-    evaluated when the first group on it enters (``enter``), or at once for
-    the ``groups`` given here, and a dim no group touches is never
-    evaluated. Each entered group gets one ``_ActiveMode`` over all rows.
-    ``cross_validate`` fits the training prefix pass by pass and reads the
-    validation error off the other rows; ``fit`` reruns the passes over a
-    prefix of the modes on all rows under any row weights, building nothing
-    again, as a separated rank's later alternations do. For a plain
-    ``cfg``, ``fit(w, k)`` gives the model of ``fit_hdmr(rows, None,
-    groups[:k], cfg, basis, row_weights=w)`` for the entered ``groups``.
+    evaluated when the first group on it enters (``enter``), and a dim no
+    group touches is never evaluated. Each entered group gets one
+    ``_ActiveMode`` over all rows, which the one pass loop (``passes``) and
+    the one continuation (``refit``) read. For a plain ``cfg`` and no CP
+    mode among the first k, ``refit(w, k)`` gives the bytes of
+    ``fit_hdmr(rows, None, groups[:k], cfg, basis, row_weights=w)`` for the
+    entered ``groups``: its one solve follows that fit's basis extensions.
     """
 
-    def __init__(self, rows: SampleSet, groups, cfg: FitConfig, basis: BasisConfig):
+    def __init__(self, rows: SampleSet, cfg: FitConfig, basis: BasisConfig):
         self.rows = rows
         self.cfg = cfg
         self.basis = fit_basis(basis, cfg)
         self.table = _empty_table((rows.nq, rows.nd), self.basis.max_order)
         self.done: set[int] = set()     # the table columns evaluated
         self.modes: list[_ActiveMode] = []
-        groups = [tuple(int(d) for d in g) for g in groups]
-        self._evaluate([d for g in groups for d in g])
-        for g in groups:
-            self.enter(g)
-
-    def _evaluate(self, dims) -> None:
-        new = sorted({d - 1 for d in dims} - self.done)
-        if new:
-            self.table[:, new] = univariate_table(self.basis, self.rows.xi[:, new])
-            self.done.update(new)
 
     def enter(self, dims) -> _ActiveMode:
         """The mode of a group entering the fit, over all the rows."""
         dims = tuple(int(d) for d in dims)
         if any(m.dims == dims for m in self.modes):
             raise ValueError(f"group {dims} appears twice in the path")
-        self._evaluate(dims)
+        new = sorted({d - 1 for d in dims} - self.done)
+        if new:
+            self.table[:, new] = univariate_table(self.basis, self.rows.xi[:, new])
+            self.done.update(new)
         self.modes.append(_ActiveMode(dims, self.cfg, self.table))
         return self.modes[-1]
 
@@ -705,37 +683,52 @@ class _Skeleton:
         nq = self.rows.nq
         return _vector(_check_row_weights(row_weights, nq), np.ones(nq))
 
-    def cross_validate(self, groups, n: int, row_weights):
-        """The cross-validated passes: the first ``n`` rows are the training
-        rows, the rest the validation rows. The groups are read and entered
-        one per pass, until the validation error has risen over two
-        consecutive passes. Returns (PassRecords, passes kept: the pass
-        with the smallest validation error)."""
+    def passes(self, groups, n: int, row_weights):
+        """The coefficient passes on the first ``n`` rows: f0 alone, then one
+        group entered per pass, fitted to the current residual and followed
+        by the update sweeps; a group is read only when its pass starts.
+        While rows remain past ``n``, each pass reads the validation error
+        off them, and the passes stop once it has risen over two consecutive
+        passes. Returns (the block, the PassRecords, the passes kept: the
+        one with the smallest validation error, or all)."""
+        cv = n < self.rows.nq
         w = self._weights(row_weights)
-        uval, wv = self.rows.u[n:], w[n:]
+        u, uval, wv = self.rows.u[:n], self.rows.u[n:], w[n:]
         block = _Block(w[:n], self.cfg.beta, with_f0=True)
+        block.solve(u)
+        rec = PassRecord(0, None, _residual_norm(block, u), float("nan"), 0, False)
+        groups = iter(groups)
         records = []
-        best_eps, best_s, prev_eps, inc = np.inf, 0, np.inf, 0
-        modes = map(self.enter, groups)
-        for rec in _passes(block, modes, self.rows.u[:n], self.cfg):
-            eps = _norm(uval - wv * self.values(block, slice(n, None))) / _norm(uval)
-            records.append(replace(rec, cv_eps=eps))
-            inc = inc + 1 if eps > prev_eps else 0
-            if eps < best_eps:
-                best_eps, best_s = eps, rec.s
-            prev_eps = eps
-            if inc >= 2:
-                break
-        return records, best_s
+        while True:
+            if cv:
+                eps = _norm(uval - wv * self.values(block, slice(n, None))) / _norm(uval)
+                rec = replace(rec, cv_eps=eps)
+            records.append(rec)
+            rose = cv and len(records) > 2 and eps > records[-2].cv_eps > records[-3].cv_eps
+            dims = None if rose else next(groups, None)
+            if dims is None:
+                kept = min(records, key=lambda r: r.cv_eps) if cv else rec
+                return block, records, kept.s
+            mode = self.enter(dims)
+            block.enter(mode, u, self.cfg)
+            rnorm, sweeps, capped = _update_sweeps(block, u, self.cfg)
+            rec = PassRecord(rec.s + 1, mode.dims, rnorm, float("nan"), sweeps, capped)
 
-    def fit(self, row_weights, kept: int | None = None):
-        """Refit the first ``kept`` modes (all by default) to rows.u on all
-        the rows under these row weights. Returns (_Block, PassRecords)."""
+    def refit(self, row_weights, kept: int):
+        """The continuation: the first ``kept`` modes on all rows under these
+        row weights, from where they were left (dense modes in entry order,
+        CP modes with their factors), solved once and then swept by
+        ``_update_sweeps``. Returns (_Block, its PassRecord)."""
+        u = self.rows.u
         block = _Block(self._weights(row_weights), self.cfg.beta, with_f0=True)
-        return block, list(_passes(block, self.modes[:kept], self.rows.u, self.cfg))
+        for m in self.modes[:kept]:
+            block.add(m)
+        block.solve(u - block.w * block.cp_values())
+        rnorm, sweeps, capped = _update_sweeps(block, u, self.cfg)
+        return block, PassRecord(kept, None, rnorm, float("nan"), sweeps, capped)
 
     def model(self, block: _Block) -> HdmrModel:
-        """The HdmrModel of a block that ``fit`` returned."""
+        """The HdmrModel of a block that ``passes`` or ``refit`` returned."""
         cfg = self.cfg
         return HdmrModel(f0=block.f0, basis=self.basis, nd=self.rows.nd, no=cfg.no,
                          ninter=cfg.ninter, npc=cfg.npc, nr=cfg.nr,

@@ -8,7 +8,8 @@ by the current spatial profile) until the stochastic-mode norm settles.
 A rank selects its skeleton only as far as its cross-validated passes read
 the path (``selection.glars_steps``). The ``fitting._Skeleton`` that fit
 built on train plus validation then serves every later alternation, a
-``_Skeleton.fit`` under new row weights, and every value of lambda needed.
+``_Skeleton.refit`` continuing it under new row weights, and every value of
+lambda needed.
 
 The spatial least-squares fits (rank 0, the start profile, each rank's
 profile, the joint re-solve) are solved through their unit-scaled Gram
@@ -184,9 +185,9 @@ def fit_separated(train: SampleSet, sel_cfg: SelectionConfig, fit_cfg: FitConfig
     skeleton of lambda_n is selected once, on the first inner alternation:
     its cross-validated fit (``fitting._fit_hdmr``) reads the steps of
     ``glars_steps`` as its passes ask for them, so the path stops where
-    those passes stop. Every later alternation refits the skeleton of that
-    fit (``fitting._Skeleton``, its modes built once on train plus
-    validation) with the new spatial profile as row weights, until
+    those passes stop. Every later alternation continues the kept modes of
+    that fit (``fitting._Skeleton.refit``, its modes built once on train
+    plus validation) with the new spatial profile as row weights, until
     ||lambda_n|| settles; lambda_n's values at the training and validation
     rows come from its designs. Ranks stop at sep_cfg.lmax or once
     ||lambda_n|| falls below _STOP_NORM_FRAC * ||u||; a rank whose pair
@@ -242,8 +243,8 @@ def fit_separated(train: SampleSet, sel_cfg: SelectionConfig, fit_cfg: FitConfig
                         r_train, sel_cfg, basis, row_weights=w_train)),
                     fit_cfg, basis, w_train, w_val)
             else:
-                block = skeleton.fit(np.concatenate([w_train, w_val]) if have_val
-                                     else w_train, diag.retained)[0]
+                block = skeleton.refit(np.concatenate([w_train, w_val]) if have_val
+                                       else w_train, diag.retained)[0]
             lam_vals = skeleton.values(block, slice(0, nq))
             if not np.any(lam_vals):
                 return SeparatedModel(spatial_basis=sb, pairs=pairs)

@@ -14,11 +14,18 @@ by lstsq: it checks the joint-rank sweeps that make a CP mode's entry fit.
 ``backfit`` is the coefficient passes as they once ran: per-mode
 backfitting, with a CP mode refitted by ``greedy_cp_refit`` warm-started
 from its previous factors; the joint dense block must reach its limit.
-``fit_separated_reference`` is the separated driver as a loop of public
-calls: the whole selection path, ``fit_hdmr`` on every alternation and
-``evaluate_model`` for every value of lambda; the library's driver, which
-reads the path lazily and keeps each rank's skeleton designs, must write
-the same model bytes.
+``continued_fit`` is the final refit of a fit by lstsq: the kept groups
+on all rows, each CP mode from the factors the passes left, alternating
+one lstsq of f0 and the dense modes with one joint-rank lstsq sweep per CP
+mode (``cp_sweep_lstsq``); ``cv_fit_reference`` is a cross-validated
+``fit_hdmr`` whose final refit it is. ``fit_separated_reference`` is the
+separated driver as a loop of public calls and these oracles: the whole
+selection path, ``cv_fit_reference`` or ``fit_hdmr`` on the first
+alternation, ``continued_fit`` on every later one and ``evaluate_model``
+for every value of lambda; the library's driver, which reads the path
+lazily and keeps each rank's skeleton designs, must write the same model
+bytes when no CP mode is kept, and the same model up to the lstsq's
+rounding otherwise.
 The weighted TLS oracle works on the dense (Nq, p+1, p+1) covariance
 blocks, stacked one sample at a time, that the factored form in
 ``fitting`` replaces. The selection path's direction oracle runs one lstsq
@@ -351,15 +358,129 @@ def backfit(train: SampleSet, groups, cfg: FitConfig, basis: BasisConfig,
         cp=[CPMode(d, f) for d, f in cps.items()])
 
 
+def cp_sweep_lstsq(residual, blocks, factors, w, beta: float) -> np.ndarray:
+    """One joint-rank ALS sweep of a CP mode: for each dimension in turn,
+    the factors of all ranks by one ``ls_solve`` of the design whose
+    columns are that dimension's (rows, orders) block scaled row by row by
+    each rank's product of the other dimensions' factor values and the row
+    weights, the other dimensions' factors held."""
+    nr, card, nord = factors.shape
+    fac = np.array(factors, dtype=float)
+    for i in range(card):
+        cols = []
+        for r in range(nr):
+            partial = np.array(w, dtype=float)
+            for j in range(card):
+                if j != i:
+                    partial = partial * (blocks[j] @ fac[r, j])
+            cols.append(blocks[i] * partial[:, None])
+        fac[:, i] = ls_solve(np.hstack(cols), residual, beta).reshape(nr, nord)
+    return fac
+
+
+def continued_fit(rows: SampleSet, groups, cp_start, cfg: FitConfig, basis: BasisConfig,
+                  row_weights=None):
+    """The final refit of a fit, which continues it: the ``groups`` on all
+    ``rows``, each CP mode from its factors in ``cp_start`` (dims ->
+    factors). One lstsq of f0 and the dense modes, f0 unridged and the
+    CP modes' values held, alternates with one ``cp_sweep_lstsq`` per CP
+    mode in path order until the residual norm changes by at most
+    ``_UPDATE_SWEEPS_TOL`` (relative), or for ``_MAX_UPDATE_SWEEPS``
+    sweeps; the lstsq comes first, once alone. Returns (HdmrModel,
+    (residual norm, sweeps, capped)).
+
+    With no CP mode the continuation is one solve of the dense block, the
+    last pass of a fit of the groups afresh: the result is then
+    ``fit_hdmr(rows, None, groups, ...)``, whose bytes the library gives.
+    """
+    groups = [tuple(g) for g in groups]
+    if all(len(g) <= cfg.npc for g in groups):
+        model, diag = fit_hdmr(rows, None, groups, cfg, basis, row_weights=row_weights)
+        last = diag.records[-1]
+        return model, (last.train_residual_norm, last.update_sweeps, last.capped)
+    if cfg.robust:
+        raise NotImplementedError("no weighted TLS refit after CP modes here")
+    fbasis = fit_basis(basis, cfg)
+    table = univariate_table(fbasis, rows.xi)
+    u = rows.u
+    w = np.ones(rows.nq) if row_weights is None else np.asarray(row_weights, float)
+    dense = [(g, enumerate_dense_indices(g, cfg.no)) for g in groups if len(g) <= cfg.npc]
+    plain = np.hstack([np.ones((rows.nq, 1))] + [dense_design(table, g, idx)
+                                                 for g, idx in dense])
+    psi = plain * w[:, None]
+    p = psi.shape[1] - 1
+    design = np.vstack([psi, np.hstack([np.zeros((p, 1)), cfg.beta * np.eye(p)])])
+    cps = {g: np.array(cp_start[g], dtype=float) for g in groups if len(g) > cfg.npc}
+    blocks = {g: [table[:, d - 1, 1:cfg.no] for d in g] for g in cps}
+
+    def cp_values(g):
+        out = np.zeros(rows.nq)
+        for fac in cps[g]:
+            out += np.prod([b @ f for b, f in zip(blocks[g], fac)], axis=0)
+        return out
+
+    def solve():
+        r = u - w * sum((cp_values(g) for g in cps), np.zeros(rows.nq))
+        c = ls_solve(design, np.concatenate([r, np.zeros(p)]))
+        return c, plain @ c
+
+    def norm():
+        return float(np.linalg.norm(u - w * (fitted + sum(cp_values(g) for g in cps))))
+
+    c, fitted = solve()
+    cur, sweeps, capped = norm(), 0, True
+    for sweeps in range(1, fitting._MAX_UPDATE_SWEEPS + 1):
+        prev = cur
+        c, fitted = solve()
+        for g in cps:
+            others = sum((cp_values(h) for h in cps if h != g), np.zeros(rows.nq))
+            cps[g] = cp_sweep_lstsq(u - w * (fitted + others), blocks[g], cps[g], w,
+                                    cfg.beta)
+        cur = norm()
+        if abs(prev - cur) <= fitting._UPDATE_SWEEPS_TOL * max(cur, fitting._TINY):
+            capped = False
+            break
+    ends = np.cumsum([1] + [len(idx) for _, idx in dense])
+    model = HdmrModel(
+        f0=float(c[0]), basis=fbasis, nd=rows.nd, no=cfg.no, ninter=cfg.ninter,
+        npc=cfg.npc, nr=cfg.nr,
+        dense=[DenseMode(g, idx, part)
+               for (g, idx), part in zip(dense, np.split(c, ends)[1:])],
+        cp=[CPMode(g, f) for g, f in cps.items()])
+    return model, (cur, sweeps, capped)
+
+
+def cv_fit_reference(train: SampleSet, validation: SampleSet, path, cfg: FitConfig,
+                     basis: BasisConfig, row_weights=None, val_row_weights=None):
+    """A cross-validated ``fit_hdmr`` whose final refit is ``continued_fit``.
+    The passes, the groups they read and the number kept are ``fit_hdmr``'s;
+    the CP modes start from the factors of ``fit_hdmr(train, None, groups
+    read)``, the fit the passes had reached when they stopped, and the kept
+    groups are continued on train plus validation. Returns (HdmrModel,
+    the passes' FitDiagnostics, the continuation's (residual norm, sweeps,
+    capped))."""
+    _, diag = fit_hdmr(train, validation, path, cfg, basis, row_weights=row_weights,
+                       val_row_weights=val_row_weights)
+    groups = [rec.dims for rec in diag.records[1:]]
+    start, _ = fit_hdmr(train, None, groups, replace(cfg, robust=False), basis,
+                        row_weights=row_weights)
+    rows, w = merge_train_validation(train, validation, row_weights, val_row_weights)
+    model, rec = continued_fit(rows, groups[: diag.retained],
+                               {m.dims: m.factors for m in start.cp}, cfg, basis, w)
+    return model, diag, rec
+
+
 def fit_separated_reference(train: SampleSet, sel_cfg, fit_cfg: FitConfig, sep_cfg,
                             sb, basis: BasisConfig, solve,
                             validation: SampleSet | None = None) -> SeparatedModel:
     """``separated.fit_separated`` from public calls, evaluating everything.
 
-    Each rank selects its whole path by ``glars_select``, fits lambda by
-    ``fit_hdmr`` on that path, then refits it by ``fit_hdmr`` on the
-    retained groups at every later alternation (on train plus validation),
-    and takes every value of lambda from ``evaluate_model``. The spatial
+    Each rank selects its whole path by ``glars_select`` and fits lambda
+    on that path, by ``cv_fit_reference`` with validation rows and by
+    ``fit_hdmr`` without. Every later alternation continues the retained
+    groups from the last fit's CP factors by ``continued_fit`` (on train
+    plus validation), and every value of lambda is taken from
+    ``evaluate_model``. The spatial
     least-squares fits other than ``fit_spatial_mode``'s (rank 0, the start
     profile, the joint re-solve) are ``solve(design, r)``; the library
     solves them by its unit-scaled Gram solve.
@@ -392,16 +513,21 @@ def fit_separated_reference(train: SampleSet, sel_cfg, fit_cfg: FitConfig, sep_c
             w_val = phi_val @ w_c if have_val else None
             if it == 0:
                 path = glars_select(r_train, sel_cfg, basis, row_weights=w_train)
-                lam_model, diag = fit_hdmr(r_train, r_val, path, fit_cfg, basis,
-                                           row_weights=w_train, val_row_weights=w_val)
+                if have_val:
+                    lam_model, diag, _ = cv_fit_reference(r_train, r_val, path, fit_cfg,
+                                                          basis, w_train, w_val)
+                else:
+                    lam_model, diag = fit_hdmr(r_train, None, path, fit_cfg, basis,
+                                               row_weights=w_train)
                 groups = path.groups()[: diag.retained]
             else:
                 fit_set, w_fit = r_train, w_train
                 if have_val:
                     fit_set, w_fit = merge_train_validation(r_train, r_val,
                                                             w_train, w_val)
-                lam_model, _ = fit_hdmr(fit_set, None, groups, fit_cfg, basis,
-                                        row_weights=w_fit)
+                lam_model, _ = continued_fit(fit_set, groups,
+                                             {m.dims: m.factors for m in lam_model.cp},
+                                             fit_cfg, basis, w_fit)
             lam_vals = evaluate_model(lam_model, train.xi)
             lam_norm = float(np.linalg.norm(lam_vals))
             if lam_norm == 0.0:

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hdmrfit import cli
 from hdmrfit.basis import BasisConfig
 from hdmrfit.cli import build_parser, main
 from hdmrfit.model import DenseMode, HdmrModel, evaluate_model, load_model, save_model
@@ -286,6 +287,27 @@ def test_degree_below_group_classes_exits_2(ws, tmp_path, capsys, flags):
     err = capsys.readouterr().err
     assert f"no={flags[1]} must be >= " in err and "fit failed" not in err
     assert not out.exists()
+
+
+def test_ninter_above_the_data_dimension_count_exits_2_before_any_work(tmp_path, capsys,
+                                                                      monkeypatch):
+    # two stochastic columns hold no group of three: fit is rejected before
+    # selection, and bench before it draws its data
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ran past the configuration checks")
+
+    monkeypatch.setattr(cli, "glars_select", unreachable)
+    monkeypatch.setattr(cli, "generate_dataset", unreachable)
+    xi = np.random.default_rng(5).uniform(0.0, 1.0, (60, 2))
+    csv, out = tmp_path / "d2.csv", tmp_path / "m.json"
+    _write_rows(csv, np.column_stack([xi, xi.sum(axis=1)]))
+    assert main(["fit", str(csv), "--out", str(out), "--ninter", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "--ninter 3 exceeds the data's 2 stochastic columns (Nd)" in err
+    assert "fit failed" not in err and not out.exists()
+    assert main(["bench", "--out", str(tmp_path / "b.csv"), "--nd-nu", "1",
+                 "--nd-f", "1"]) == 2
+    assert "--nd-nu + --nd-f = 2 is too few" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags, name", [

@@ -26,9 +26,9 @@ from hdmrfit.selection import SelectionConfig, glars_select
 from hdmrfit.separated import SpatialBasis, spatial_design
 from hdmrfit.testbed import DiffusionConfig, generate_dataset
 from oracles import (als_factor_lstsq, backfit, block_sample_covariance,
-                     build_sample_covariance, dense_mode_lstsq, greedy_cp_refit,
-                     legendre_dpsi, stack_block_covariance, stack_sample_covariance,
-                     wtls_denominators_dense, wtls_solve_dense)
+                     build_sample_covariance, cv_fit_reference, dense_mode_lstsq,
+                     greedy_cp_refit, legendre_dpsi, stack_block_covariance,
+                     stack_sample_covariance, wtls_denominators_dense, wtls_solve_dense)
 
 B = BasisConfig(lo=-1.0, hi=1.0, max_order=5)
 
@@ -233,6 +233,51 @@ def test_fit_hdmr_rejects_a_path_that_repeats_a_group():
                  FitConfig(no=3, npc=1, ninter=1), B)
 
 
+def test_fit_hdmr_rejects_ninter_above_the_dimension_count_before_any_pass():
+    # groups of three dims on two: rejected before the path is read
+    ds, tab = uniform_set(100, 2, seed=10)
+    vs, vtab = uniform_set(30, 2, seed=11)
+    read = []
+
+    def path():
+        for dims in [(1,), (2,), (1, 2)]:
+            read.append(dims)
+            yield dims
+
+    cfg = FitConfig(no=3, npc=2, ninter=3)
+    for val in (None, with_u(vs, vtab[:, 0, 1])):
+        with pytest.raises(ValueError, match=r"^ninter=3 exceeds the rows' stochastic "
+                                             r"dimension count Nd=2$"):
+            fit_hdmr(with_u(ds, tab[:, 0, 1]), val, path(), cfg, B)
+    assert read == []
+
+
+def test_final_refit_continues_the_cp_modes_without_a_new_entry(monkeypatch):
+    # the kept CP mode keeps the factors the passes left: every greedy
+    # entry (_cp_factors) is a pass's, and the final refit is one round of
+    # update sweeps, whose record is diag.refit
+    train, val, groups, _ = _noisy_cv_instance()
+    cfg = FitConfig(no=3, npc=2, ninter=3, seed=0)
+    entries = _counting(monkeypatch, "_cp_factors")
+    sweeps = []
+    update_sweeps = fitting._update_sweeps
+
+    def recording(*args):
+        sweeps.append(update_sweeps(*args))
+        return sweeps[-1]
+
+    monkeypatch.setattr(fitting, "_update_sweeps", recording)
+    model, diag = fit_hdmr(train, val, groups, cfg, B)
+    assert [m.dims for m in model.cp] == [(2, 3, 4)]
+    assert [args[0] for args in entries] \
+        == [rec.dims for rec in diag.records[1:] if len(rec.dims) > cfg.npc]
+    assert [s[1:] for s in sweeps[:-1]] \
+        == [(rec.update_sweeps, rec.capped) for rec in diag.records[1:]]
+    assert sweeps[-1] == (diag.refit.train_residual_norm, diag.refit.update_sweeps,
+                          diag.refit.capped)
+    assert (diag.refit.s, diag.refit.dims) == (diag.retained, None)
+
+
 def test_fit_hdmr_with_zero_validation_values_fits_every_group():
     ds, tab = uniform_set(200, 3, seed=10)
     vs, _ = uniform_set(50, 3, seed=11)
@@ -389,7 +434,7 @@ def test_zero_validation_fallback_is_the_fit_on_merged_rows(tmp_path):
     # separate final refit
     assert [(r.s, r.dims, r.train_residual_norm, r.update_sweeps) for r in diag.records] \
         == [(r.s, r.dims, r.train_residual_norm, r.update_sweeps) for r in ref_diag.records]
-    assert diag.refit_records == []
+    assert diag.refit is None
     save_model(model, tmp_path / "fallback.json")
     save_model(ref, tmp_path / "ref.json")
     assert (tmp_path / "fallback.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
@@ -398,9 +443,11 @@ def test_zero_validation_fallback_is_the_fit_on_merged_rows(tmp_path):
 @pytest.mark.parametrize("weighted", [False, True])
 def test_fit_hdmr_with_validation_is_refit_of_retained_on_merged_rows(tmp_path,
                                                                       weighted):
-    # the cross-validated fit equals a fit of its retained groups on train
-    # plus validation with no validation rows, which the separated driver's
-    # refits on a frozen skeleton rely on
+    # the final refit continues the retained groups on train plus
+    # validation from the factors the passes left: with a CP mode kept it is
+    # the lstsq continuation oracle's fit up to rounding, and without one
+    # (ninter = 2) it is, byte for byte, a fit of the retained groups on the
+    # merged rows with no validation rows
     ds, tab = uniform_set(150, 4, seed=22)
     vs, vtab = uniform_set(80, 4, seed=23)
     g = rng_stream(22, 1)
@@ -419,11 +466,26 @@ def test_fit_hdmr_with_validation_is_refit_of_retained_on_merged_rows(tmp_path,
     model, diag = fit_hdmr(train, val, groups, cfg, B, **kw)
     # CV stopped early, and the kept groups include the CP mode (1, 2, 4)
     assert len(diag.records) <= len(groups) and diag.retained >= 3
+    assert [m.dims for m in model.cp] == [(1, 2, 4)]
+    ref, _, (rnorm, sweeps, capped) = cv_fit_reference(train, val, groups, cfg, B, **kw)
+    assert (diag.refit.s, diag.refit.dims, diag.refit.update_sweeps, diag.refit.capped) \
+        == (diag.retained, None, sweeps, capped) and sweeps > 1
+    assert diag.refit.train_residual_norm == pytest.approx(rnorm, rel=1e-12)
+    assert [m.dims for m in model.dense] == [m.dims for m in ref.dense]
+    assert [m.dims for m in model.cp] == [m.dims for m in ref.cp]
+    assert model.f0 == pytest.approx(ref.f0, rel=1e-10)
+    assert all(_rel(a.coeffs, b.coeffs) < 1e-10 for a, b in zip(model.dense, ref.dense))
+    assert all(_rel(a.factors, b.factors) < 1e-10 for a, b in zip(model.cp, ref.cp))
+
+    dense_cfg = replace(cfg, ninter=2)
+    dense_groups = [dims for dims in groups if len(dims) <= 2]
+    model, diag = fit_hdmr(train, val, dense_groups, dense_cfg, B, **kw)
+    assert diag.retained >= 2 and diag.refit.update_sweeps == 0
     merged, w = merge_train_validation(train, val, kw.get("row_weights"),
                                        kw.get("val_row_weights"))
-    ref, ref_diag = fit_hdmr(merged, None, groups[: diag.retained], cfg, B,
+    ref, ref_diag = fit_hdmr(merged, None, dense_groups[: diag.retained], dense_cfg, B,
                              row_weights=w)
-    assert ref_diag.retained == diag.retained
+    assert diag.refit.train_residual_norm == ref_diag.records[-1].train_residual_norm
     save_model(model, tmp_path / "cv.json")
     save_model(ref, tmp_path / "ref.json")
     assert (tmp_path / "cv.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
@@ -871,11 +933,11 @@ def test_fit_builds_each_dense_design_once_per_pass_call(monkeypatch):
     groups = [(1,), (2,), (1, 2), (2, 3, 4), (3,), (1, 3)]
     cfg = FitConfig(no=3, npc=2, ninter=3, seed=0)
     designs = _counting(monkeypatch, "dense_design")
-    passes = _counting(monkeypatch, "_passes")
+    blocks = _counting(monkeypatch, "_Block")
     _, diag = fit_hdmr(with_u(ds, u), with_u(vs, uv), groups, cfg, B)
     # the cross-validated passes fit the 400 training rows, the final refit
     # all 500 rows
-    assert [args[2].shape[0] for args in passes] == [400, 500]
+    assert [args[0].shape[0] for args in blocks] == [400, 500]
     # the cyclic update sweeps refit every mode many times over
     assert sum(rec.update_sweeps for rec in diag.records) > len(diag.records)
     entered = [rec.dims for rec in diag.records[1:] if len(rec.dims) <= cfg.npc]
@@ -902,9 +964,9 @@ def test_robust_fit_builds_covariances_only_for_the_final_refit(monkeypatch):
     train, val, groups, cfg = _noisy_cv_instance()
     covs = _counting(monkeypatch, "covariance_blocks")
     solves = _counting(monkeypatch, "wtls_solve")
-    passes = _counting(monkeypatch, "_passes")
+    blocks = _counting(monkeypatch, "_Block")
     model, diag = fit_hdmr(train, val, groups, cfg, B)
-    assert [args[2].shape[0] for args in passes] == [400, 500]
+    assert [args[0].shape[0] for args in blocks] == [400, 500]
     kept = [g for g in groups[: diag.retained] if len(g) <= cfg.npc]
     assert [m.dims for m in model.dense] == kept
     # every pass fits by least squares; after them one weighted TLS solve on
@@ -922,32 +984,36 @@ def test_robust_fit_builds_covariances_only_for_the_final_refit(monkeypatch):
 
 
 def test_robust_fit_with_validation_is_robust_refit_of_plain_cv_choice():
-    # the robust fit keeps what a least-squares CV fit keeps, and its model
-    # is the weighted TLS fit of those groups on train plus validation
+    # the robust fit keeps what a least-squares CV fit keeps, continues it
+    # on train plus validation as that fit does, and its dense coefficients
+    # are then the weighted TLS fit of that block, f0 and the CP mode held
     train, val, groups, robust_cfg = _noisy_cv_instance()
     plain_cfg = FitConfig(no=3, npc=2, ninter=3, seed=0)
     plain, plain_diag = fit_hdmr(train, val, groups, plain_cfg, B)
     model, diag = fit_hdmr(train, val, groups, robust_cfg, B)
     assert diag.records == plain_diag.records
+    assert replace(diag.refit, cv_eps=0.0) == replace(plain_diag.refit, cv_eps=0.0)
     assert diag.retained == plain_diag.retained >= 2
-    merged, _ = merge_train_validation(train, val)
-    ref, ref_diag = fit_hdmr(merged, None, groups[: plain_diag.retained], robust_cfg, B)
-
-    def no_cv(records):
-        return [(r.s, r.dims, r.train_residual_norm, r.update_sweeps) for r in records]
-
-    # the diagnostics keep the final refit's passes; a fit without
-    # validation rows has no final refit
-    assert no_cv(diag.refit_records) == no_cv(ref_diag.records)
-    assert ref_diag.refit_records == [] and ref_diag.refit_seconds == 0.0
+    # a fit without validation rows has no final refit
+    _, ref_diag = fit_hdmr(train, None, groups, robust_cfg, B)
+    assert ref_diag.refit is None and ref_diag.refit_seconds == 0.0
     assert diag.cv_seconds > 0 and diag.refit_seconds > 0
-    assert model.f0 == ref.f0
-    assert [m.dims for m in model.dense] == [m.dims for m in ref.dense]
-    assert all(np.array_equal(a.coeffs, b.coeffs) for a, b in zip(model.dense, ref.dense))
-    assert [m.dims for m in model.cp] == [m.dims for m in ref.cp]
-    assert all(np.array_equal(a.factors, b.factors) for a, b in zip(model.cp, ref.cp))
-    # and the final refit is weighted TLS, not the plain fit
-    assert not np.array_equal(model.dense[0].coeffs, plain.dense[0].coeffs)
+    assert model.f0 == plain.f0 and [m.dims for m in model.cp] == [(2, 3, 4)]
+    assert all(np.array_equal(a.factors, b.factors) for a, b in zip(model.cp, plain.cp))
+    assert [m.dims for m in model.dense] == [m.dims for m in plain.dense]
+
+    merged, _ = merge_train_validation(train, val)
+    table = univariate_table(plain.basis, merged.xi)
+    psi = np.hstack([dense_design(table, m.dims, m.indices) for m in plain.dense])
+    c_ls = np.concatenate([m.coeffs for m in plain.dense])
+    fixed = evaluate_model(replace(plain, dense=[]), merged.xi)
+    lam = stack_block_covariance(merged, [(m.dims, m.indices) for m in plain.dense],
+                                 robust_cfg.noise, plain.basis,
+                                 u_ref=evaluate_model(plain, merged.xi))
+    c_ref = wtls_solve_dense(psi, merged.u - fixed, lam, c0=c_ls)
+    # the final refit is weighted TLS, not the plain fit
+    assert _rel(c_ref, c_ls) > 1e-6
+    assert _rel(np.concatenate([m.coeffs for m in model.dense]), c_ref) < 1e-12
 
 
 def test_wtls_refit_matches_dense_block_oracle():
@@ -1162,9 +1228,9 @@ def test_tables_keep_one_layout_that_blocks_and_designs_read_without_copies():
     # (orders, rows) views of it; dense and spatial designs are C-contiguous
     # (rows, P)
     ds, tab = uniform_set(40, 4, seed=44)
-    skeleton = fitting._Skeleton(ds, [(1, 2, 4)], FitConfig(no=4, npc=1, ninter=3), B)
+    skeleton = fitting._Skeleton(ds, FitConfig(no=4, npc=1, ninter=3), B)
     for table, blocks in ((tab, _cp_blocks(tab, (1, 2, 4), 4)),
-                          (skeleton.table, skeleton.modes[0].blocks)):
+                          (skeleton.table, skeleton.enter((1, 2, 4)).blocks)):
         for b in blocks:
             assert b.shape == (3, 40) and b.flags.c_contiguous
             assert np.shares_memory(b, table)

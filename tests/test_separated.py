@@ -343,13 +343,13 @@ def test_fit_writes_the_bytes_of_the_public_call_reference(fit_cfg, seed, nval, 
     sb = SpatialBasis(cardx=10)
     sep = SeparatedConfig(lmax=2, update_spatial_joint=joint)
     refits = []
-    orig = fitting._Skeleton.fit
+    orig = fitting._Skeleton.refit
 
     def counting(self, *args):
         refits.append(self)
         return orig(self, *args)
 
-    monkeypatch.setattr(fitting._Skeleton, "fit", counting)
+    monkeypatch.setattr(fitting._Skeleton, "refit", counting)
     model = fit_quiet(train, SEL, fit_cfg, sep, sb, B, validation=val)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -357,11 +357,26 @@ def test_fit_writes_the_bytes_of_the_public_call_reference(fit_cfg, seed, nval, 
                                       lambda a, r: fitting._gram_solve(a, r, 0.0),
                                       validation=val)
     assert model.rank == 2 and refits
-    if fit_cfg.ninter > fit_cfg.npc:
-        assert any(lam.cp for _, lam in model.pairs[1:])
-    save_separated(model, tmp_path / "lib.json")
-    save_separated(ref, tmp_path / "ref.json")
-    assert (tmp_path / "lib.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+    if fit_cfg.ninter == fit_cfg.npc:
+        # a dense skeleton's continuation is one solve after the same basis
+        # extensions as the reference's fit: the same bytes
+        save_separated(model, tmp_path / "lib.json")
+        save_separated(ref, tmp_path / "ref.json")
+        assert (tmp_path / "lib.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+        return
+    # CP modes are continued by the reference's lstsq sweeps: the same
+    # model up to their rounding
+    assert any(lam.cp for _, lam in model.pairs[1:]) and ref.rank == model.rank
+    for (c, lam), (c_ref, lam_ref) in zip(model.pairs, ref.pairs):
+        assert _rel(c, c_ref) < 1e-10
+        if lam is not None:
+            assert [m.dims for m in lam.dense + lam.cp] \
+                == [m.dims for m in lam_ref.dense + lam_ref.cp]
+            assert lam.f0 == pytest.approx(lam_ref.f0, rel=1e-10)
+            assert all(_rel(a.coeffs, b.coeffs) < 1e-10
+                       for a, b in zip(lam.dense, lam_ref.dense))
+            assert all(_rel(a.factors, b.factors) < 1e-10
+                       for a, b in zip(lam.cp, lam_ref.cp))
 
 
 def test_rank_reads_only_the_path_steps_its_passes_ask_for(monkeypatch):

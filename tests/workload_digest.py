@@ -6,8 +6,8 @@ For each perfbench workload, draws its inputs (``Workload.draw(SEED)``,
 SEED 11 by default), fits its surrogate once and prints one line: the first
 12 hex digits of the sha256 of the saved model JSON, of the repr of every
 PassRecord of every ``fit_hdmr`` call the fit made, the separated driver's
-``_fit_hdmr`` calls included (their passes and their final refits',
-``cv_eps`` included), and of the bytes of the train,
+``_fit_hdmr`` calls included (their passes, ``cv_eps`` included, and
+their final refit's one record, ``diag.refit``), and of the bytes of the train,
 validation and test rows (x, xi and u of each), of the bytes of the
 surrogate's predictions on the 20,000-row evaluation batch
 (``wl.evaluate(model, batch_x, batch_xi)``, the batch ``predict_rows_per_s``
@@ -51,7 +51,7 @@ class _Recorder:
         if name in ("fitting.fit_hdmr", "fitting._fit_hdmr"):
             # fit_hdmr returns (model, diag), _fit_hdmr (skeleton, block, diag)
             diag = result[-1]
-            self.records.append((diag.retained, diag.records, diag.refit_records))
+            self.records.append((diag.retained, diag.records, diag.refit))
         return result
 
     def span(self, name):

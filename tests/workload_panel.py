@@ -1,12 +1,14 @@
 """Training-draw panel of the gated benchmark workloads.
 
-    PYTHONPATH=src python tests/workload_panel.py [WORKLOAD ...]
+    PYTHONPATH=src python tests/workload_panel.py [--seeds A-B] [WORKLOAD ...]
 
 The benchmark fits one fixed training instance per workload (stream
 ``TRAIN_SEED`` of ``perfbench/workloads.py``), so its test error speaks for
 one draw only. For each workload named (the gated ones by default) this
 script re-draws the train and validation rows with seed s in place of every
-``TRAIN_SEED`` use, for ``TRAIN_SEED`` and s = 1..6, keeps the fixed
+``TRAIN_SEED`` use, for ``TRAIN_SEED`` and s = 1..6 or, with ``--seeds``,
+for the draws named there (a range such as 31-60, or a comma list such as
+5,8,22), keeps the fixed
 ``TEST_SEED`` test rows, fits the surrogate once per draw and prints one line
 per draw: the test error, the kept groups (one list per rank for a separated
 fit), the number of CP modes and the fit seconds (selection and fitting,
@@ -18,6 +20,7 @@ not a pytest module and gates nothing.
 
 from __future__ import annotations
 
+import argparse
 import math
 import sys
 import time
@@ -30,11 +33,19 @@ GATED = ("diffusion-point", "noisy-robust", "field-scattered")
 SEEDS = (workloads.TRAIN_SEED, 1, 2, 3, 4, 5, 6)
 
 
-def panel(wl) -> list[float]:
+def seed_list(text: str) -> list[int]:
+    """Draw seeds from "A-B" (A to B inclusive) or "a,b,c"."""
+    if "-" in text:
+        lo, hi = (int(v) for v in text.split("-"))
+        return list(range(lo, hi + 1))
+    return [int(v) for v in text.split(",")]
+
+
+def panel(wl, seeds=SEEDS) -> list[float]:
     train_seed = workloads.TRAIN_SEED
     errors = []
     try:
-        for s in SEEDS:
+        for s in seeds:
             workloads.TRAIN_SEED = s
             rec = _Recorder()
             inp = wl.draw(0, rec)
@@ -56,8 +67,14 @@ def panel(wl) -> list[float]:
 
 
 def main(argv) -> int:
-    for name in argv or GATED:
-        errors = panel(workloads.WORKLOADS[name])
+    ap = argparse.ArgumentParser(description="Training-draw panel of the gated "
+                                             "benchmark workloads.")
+    ap.add_argument("workloads", nargs="*", default=GATED)
+    ap.add_argument("--seeds", type=seed_list, default=SEEDS,
+                    help="draw seeds, A-B or a,b,c (default: TRAIN_SEED and 1-6)")
+    args = ap.parse_args(argv)
+    for name in args.workloads:
+        errors = panel(workloads.WORKLOADS[name], args.seeds)
         gmean = math.exp(sum(math.log(e) for e in errors) / len(errors))
         print(f"{name:16s} geometric_mean_test_error={gmean!r}", flush=True)
     return 0

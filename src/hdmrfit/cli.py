@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -348,6 +349,12 @@ def _bench_convergence(args):
     if cfg.nd < sel.ninter:
         raise ValueError(f"bench fits groups of up to {sel.ninter} dims: "
                          f"--nd-nu + --nd-f = {cfg.nd} is too few")
+    if min(args.nq_list) < 2:
+        raise ValueError("--nq-list entries must be >= 2: selection needs at least "
+                         "two training samples")
+    if args.ntest < 1:
+        raise ValueError("--ntest must be >= 1")
+    fit_cfg = FitConfig(no=args.no, npc=3, ninter=3)
     test = generate_dataset(cfg, args.ntest, BENCH_TEST_SEED)
     basis = BasisConfig(lo=0.0, hi=1.0, max_order=args.no + 1)
     rows = []
@@ -357,9 +364,7 @@ def _bench_convergence(args):
             data = generate_dataset(cfg, nq + max(1, nq // 5), seed)
             train, val, _ = split(data, nq, max(1, nq // 5), 0, seed)
             path = glars_select(train, sel, basis)
-            model, _ = fit_hdmr(train, val, path,
-                                FitConfig(no=args.no, npc=3, ninter=3, seed=seed),
-                                basis)
+            model, _ = fit_hdmr(train, val, path, replace(fit_cfg, seed=seed), basis)
             errs.append(relative_error(model, test))
             rows.append(("eps", nq, seed, errs[-1]))
         print(f"nq {nq}: median test error {np.median(errs):.4e} "

@@ -38,9 +38,9 @@ lstsq, as the fallback and the reference. Every CP fit is made of
 joint-rank ALS sweeps (``_cp_sweep``; Kolda & Bader 2009, 3.4). A CP mode
 enters greedily, rank by rank from seeded draws (``_cp_factors``); each
 later refit of the mode is one sweep over all its ranks. A pass with no CP
-mode is one solve of the block; with CP modes, update sweeps alternate a
-block solve with a refit of each CP mode, each an exact minimum over its
-own coefficients, so the training residual does not rise.
+mode is one solve of the block; with CP modes, ``_MAX_UPDATE_SWEEPS`` update
+sweeps alternate a block solve with a refit of each CP mode, each an exact
+minimum over its own coefficients, so the training residual does not rise.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from .model import (
     DenseMode,
     Group,
     HdmrModel,
+    _check_dims,
     _cp_blocks,
     _cp_values,
     _grow_basis,
@@ -86,11 +87,10 @@ __all__ = [
 
 _TINY = 1e-300
 # solver internals: each loop stops once its objective changes by at most its
-# tol (relative), or at its cap
+# tol (relative), or at its cap; the update sweeps always run their count
 _ALS_TOL = 1e-8                 # ALS sweeps of one CP rank
 _ALS_MAX_SWEEPS = 100
-_UPDATE_SWEEPS_TOL = 1e-6       # alternating refits of a pass with CP modes
-_MAX_UPDATE_SWEEPS = 20
+_MAX_UPDATE_SWEEPS = 20         # alternating refits of a pass with CP modes
 _WTLS_TOL = 1e-10               # reweighting iterations of wtls_solve
 _WTLS_MAX_ITER = 50
 
@@ -305,18 +305,17 @@ def _gram_solve(psi, r, beta: float) -> np.ndarray:
 @dataclass(frozen=True)
 class PassRecord:
     """One driver pass: the group added, training residual norm after the
-    update sweeps, the validation error (nan without a validation set), the
-    number of update sweeps the pass ran (0 without a CP mode, where the
-    pass is one solve of the dense block) and whether they stopped at the
-    sweep cap rather than at their tolerance. The final refit's record has
-    the kept pass count as ``s`` and no ``dims`` or ``cv_eps``."""
+    update sweeps, the validation error (nan without a validation set) and
+    the number of update sweeps the pass ran (``_MAX_UPDATE_SWEEPS`` with a
+    CP mode, 0 without, where the pass is one solve of the dense block).
+    The final refit's record has the kept pass count as ``s`` and no
+    ``dims`` or ``cv_eps``."""
 
     s: int
     dims: Group | None
     train_residual_norm: float
     cv_eps: float
     update_sweeps: int
-    capped: bool = False
 
 
 @dataclass
@@ -340,13 +339,13 @@ class FitDiagnostics:
 
 def save_diagnostics(diag: FitDiagnostics, path) -> None:
     """CSV export: pass, dims (semicolon-joined), train residual norm, CVeps,
-    update sweeps, capped (0 or 1)."""
+    update sweeps."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("pass,dims,train_residual_norm,cv_eps,update_sweeps,capped\n")
+        fh.write("pass,dims,train_residual_norm,cv_eps,update_sweeps\n")
         for rec in diag.records:
             dims = ";".join(str(d) for d in rec.dims) if rec.dims else ""
             fh.write(f"{rec.s},{dims},{rec.train_residual_norm!r},{rec.cv_eps!r},"
-                     f"{rec.update_sweeps},{int(rec.capped)}\n")
+                     f"{rec.update_sweeps}\n")
 
 
 class _ActiveMode:
@@ -567,7 +566,8 @@ def fit_hdmr(train: SampleSet, validation: SampleSet | None, path, cfg: FitConfi
     stopping either: the call warns and fits every group on train plus
     validation. Validation rows whose x or xi column count differs from the
     training rows', and a ``cfg.ninter`` above the rows' dimension count
-    Nd, raise ValueError before the path is read.
+    Nd, raise ValueError before the path is read; a group with a dim
+    outside 1..Nd raises it when its pass starts.
 
     Every pass fits by least squares (dense modes) and ALS (CP modes). A
     robust ``cfg`` then refits all dense modes' coefficients together, once,
@@ -668,8 +668,10 @@ class _Skeleton:
         self.modes: list[_ActiveMode] = []
 
     def enter(self, dims) -> _ActiveMode:
-        """The mode of a group entering the fit, over all the rows."""
-        dims = tuple(int(d) for d in dims)
+        """The mode of a group entering the fit, over all the rows; a group
+        with a dim outside 1..Nd raises ValueError before any table column
+        is evaluated."""
+        dims = _check_dims(tuple(int(d) for d in dims), self.rows.nd)
         if any(m.dims == dims for m in self.modes):
             raise ValueError(f"group {dims} appears twice in the path")
         new = sorted({d - 1 for d in dims} - self.done)
@@ -696,7 +698,7 @@ class _Skeleton:
         u, uval, wv = self.rows.u[:n], self.rows.u[n:], w[n:]
         block = _Block(w[:n], self.cfg.beta, with_f0=True)
         block.solve(u)
-        rec = PassRecord(0, None, _residual_norm(block, u), float("nan"), 0, False)
+        rec = PassRecord(0, None, _residual_norm(block, u), float("nan"), 0)
         groups = iter(groups)
         records = []
         while True:
@@ -711,8 +713,8 @@ class _Skeleton:
                 return block, records, kept.s
             mode = self.enter(dims)
             block.enter(mode, u, self.cfg)
-            rnorm, sweeps, capped = _update_sweeps(block, u, self.cfg)
-            rec = PassRecord(rec.s + 1, mode.dims, rnorm, float("nan"), sweeps, capped)
+            rnorm, sweeps = _update_sweeps(block, u, self.cfg)
+            rec = PassRecord(rec.s + 1, mode.dims, rnorm, float("nan"), sweeps)
 
     def refit(self, row_weights, kept: int):
         """The continuation: the first ``kept`` modes on all rows under these
@@ -724,8 +726,8 @@ class _Skeleton:
         for m in self.modes[:kept]:
             block.add(m)
         block.solve(u - block.w * block.cp_values())
-        rnorm, sweeps, capped = _update_sweeps(block, u, self.cfg)
-        return block, PassRecord(kept, None, rnorm, float("nan"), sweeps, capped)
+        rnorm, sweeps = _update_sweeps(block, u, self.cfg)
+        return block, PassRecord(kept, None, rnorm, float("nan"), sweeps)
 
     def model(self, block: _Block) -> HdmrModel:
         """The HdmrModel of a block that ``passes`` or ``refit`` returned."""
@@ -748,23 +750,17 @@ class _Skeleton:
 
 
 def _update_sweeps(block: _Block, u, cfg):
-    """Alternate a solve of the dense block with a joint-rank ALS sweep of
-    each CP mode until the training residual settles; returns (training
-    residual norm after them, sweeps run, whether they stopped at the cap).
-    Without a CP mode the block is solved already and no sweep runs."""
-    cur = _residual_norm(block, u)
-    if not block.cps:
-        return cur, 0, False
+    """``_MAX_UPDATE_SWEEPS`` sweeps when the block holds a CP mode, each a
+    solve of the dense block and then a joint-rank ALS sweep of each CP mode;
+    none without one, where the block is solved already. Returns (training
+    residual norm after them, sweeps run)."""
+    sweeps = _MAX_UPDATE_SWEEPS if block.cps else 0
     w = block.w
-    for sweeps in range(1, _MAX_UPDATE_SWEEPS + 1):
-        prev = cur
+    for _ in range(sweeps):
         block.solve(u - w * block.cp_values())
         for m in block.cps:
             m.refit(u - w * (block.fitted + block.cp_values() - m.values), cfg, w)
-        cur = _residual_norm(block, u)
-        if abs(prev - cur) <= _UPDATE_SWEEPS_TOL * max(cur, _TINY):
-            return cur, sweeps, False
-    return cur, _MAX_UPDATE_SWEEPS, True
+    return _residual_norm(block, u), sweeps
 
 
 def relative_error(model, test: SampleSet) -> float:

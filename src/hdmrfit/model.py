@@ -41,10 +41,12 @@ def _check_dims(dims: Group, nd: int | None = None) -> Group:
     dims = tuple(operator.index(d) for d in dims)
     if not dims:
         raise ValueError("a mode needs at least one dimension")
-    if any(b <= a for a, b in zip(dims, dims[1:])) or dims[0] < 1:
-        raise ValueError(f"dims must be sorted, strictly increasing, 1-based: {dims}")
-    if nd is not None and dims[-1] > nd:
-        raise ValueError(f"dim {dims[-1]} exceeds Nd={nd}")
+    if any(b <= a for a, b in zip(dims, dims[1:])):
+        raise ValueError(f"dims must be sorted, strictly increasing: {dims}")
+    if dims[0] < 1 or (nd is not None and dims[-1] > nd):
+        bad = dims[0] if dims[0] < 1 else dims[-1]
+        span = "1-based" if nd is None else f"in 1..Nd={nd}"
+        raise ValueError(f"dim {bad} of {dims} is not {span}")
     return dims
 
 

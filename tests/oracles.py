@@ -384,10 +384,8 @@ def continued_fit(rows: SampleSet, groups, cp_start, cfg: FitConfig, basis: Basi
     ``rows``, each CP mode from its factors in ``cp_start`` (dims ->
     factors). One lstsq of f0 and the dense modes, f0 unridged and the
     CP modes' values held, alternates with one ``cp_sweep_lstsq`` per CP
-    mode in path order until the residual norm changes by at most
-    ``_UPDATE_SWEEPS_TOL`` (relative), or for ``_MAX_UPDATE_SWEEPS``
-    sweeps; the lstsq comes first, once alone. Returns (HdmrModel,
-    (residual norm, sweeps, capped)).
+    mode in path order for ``_MAX_UPDATE_SWEEPS`` sweeps; the lstsq comes
+    first, once alone. Returns (HdmrModel, (residual norm, sweeps)).
 
     With no CP mode the continuation is one solve of the dense block, the
     last pass of a fit of the groups afresh: the result is then
@@ -397,7 +395,7 @@ def continued_fit(rows: SampleSet, groups, cp_start, cfg: FitConfig, basis: Basi
     if all(len(g) <= cfg.npc for g in groups):
         model, diag = fit_hdmr(rows, None, groups, cfg, basis, row_weights=row_weights)
         last = diag.records[-1]
-        return model, (last.train_residual_norm, last.update_sweeps, last.capped)
+        return model, (last.train_residual_norm, last.update_sweeps)
     if cfg.robust:
         raise NotImplementedError("no weighted TLS refit after CP modes here")
     fbasis = fit_basis(basis, cfg)
@@ -428,18 +426,12 @@ def continued_fit(rows: SampleSet, groups, cp_start, cfg: FitConfig, basis: Basi
         return float(np.linalg.norm(u - w * (fitted + sum(cp_values(g) for g in cps))))
 
     c, fitted = solve()
-    cur, sweeps, capped = norm(), 0, True
-    for sweeps in range(1, fitting._MAX_UPDATE_SWEEPS + 1):
-        prev = cur
+    for _ in range(fitting._MAX_UPDATE_SWEEPS):
         c, fitted = solve()
         for g in cps:
             others = sum((cp_values(h) for h in cps if h != g), np.zeros(rows.nq))
             cps[g] = cp_sweep_lstsq(u - w * (fitted + others), blocks[g], cps[g], w,
                                     cfg.beta)
-        cur = norm()
-        if abs(prev - cur) <= fitting._UPDATE_SWEEPS_TOL * max(cur, fitting._TINY):
-            capped = False
-            break
     ends = np.cumsum([1] + [len(idx) for _, idx in dense])
     model = HdmrModel(
         f0=float(c[0]), basis=fbasis, nd=rows.nd, no=cfg.no, ninter=cfg.ninter,
@@ -447,7 +439,7 @@ def continued_fit(rows: SampleSet, groups, cp_start, cfg: FitConfig, basis: Basi
         dense=[DenseMode(g, idx, part)
                for (g, idx), part in zip(dense, np.split(c, ends)[1:])],
         cp=[CPMode(g, f) for g, f in cps.items()])
-    return model, (cur, sweeps, capped)
+    return model, (norm(), fitting._MAX_UPDATE_SWEEPS)
 
 
 def cv_fit_reference(train: SampleSet, validation: SampleSet, path, cfg: FitConfig,
@@ -457,8 +449,8 @@ def cv_fit_reference(train: SampleSet, validation: SampleSet, path, cfg: FitConf
     the CP modes start from the factors of ``fit_hdmr(train, None, groups
     read)``, the fit the passes had reached when they stopped, and the kept
     groups are continued on train plus validation. Returns (HdmrModel,
-    the passes' FitDiagnostics, the continuation's (residual norm, sweeps,
-    capped))."""
+    the passes' FitDiagnostics, the continuation's (residual norm,
+    sweeps))."""
     _, diag = fit_hdmr(train, validation, path, cfg, basis, row_weights=row_weights,
                        val_row_weights=val_row_weights)
     groups = [rec.dims for rec in diag.records[1:]]

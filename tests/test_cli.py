@@ -496,9 +496,22 @@ def test_readme_library_block_runs(capsys):
     assert 0.0 <= error < 0.05
 
 
-def test_bench_rejects_bad_counts(tmp_path):
+def test_bench_rejects_bad_counts(tmp_path, capsys, monkeypatch):
+    # every count is checked before any data is drawn
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ran past the configuration checks")
+
+    monkeypatch.setattr(cli, "generate_dataset", unreachable)
     out = str(tmp_path / "bench.csv")
-    assert main(["bench", "--seeds", "0", "--out", out]) == 2
+    for flags, message in [
+        (("--seeds", "0"), "--seeds must be >= 1"),
+        (("--ntest", "0"), "--ntest must be >= 1"),
+        (("--nq-list", "0"), "--nq-list entries must be >= 2"),
+        (("--nq-list", "300,1"), "--nq-list entries must be >= 2"),
+        (("--no", "2"), "no=2 must be >= npc=3"),
+    ]:
+        assert main(["bench", "--out", out, *flags]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_bench_convergence_writes_rows(tmp_path):

@@ -252,6 +252,23 @@ def test_fit_hdmr_rejects_ninter_above_the_dimension_count_before_any_pass():
     assert read == []
 
 
+@pytest.mark.parametrize("groups, cfg, dim", [
+    ([(1,), (2, 3, 4)], FitConfig(no=3, npc=1, ninter=3), 4),
+    ([(3, 4)], FitConfig(no=3, npc=2, ninter=2), 4),
+    ([(0,)], FitConfig(no=3, npc=1, ninter=1), 0),
+])
+def test_a_group_outside_the_rows_dims_is_rejected_on_entry(monkeypatch, groups, cfg,
+                                                            dim):
+    # on 3 stochastic columns: the group is rejected before its table
+    # columns are evaluated; only the groups before it evaluated theirs
+    ds, tab = uniform_set(60, 3, seed=26)
+    tables = _counting(monkeypatch, "univariate_table")
+    with pytest.raises(ValueError, match=rf"^dim {dim} of .* is not in 1\.\.Nd=3$"):
+        fit_hdmr(with_u(ds, tab[:, 0, 1]), None, groups, cfg, B)
+    before = {d for g in groups[:-1] for d in g}
+    assert sum(args[1].shape[1] for args in tables) == len(before)
+
+
 def test_final_refit_continues_the_cp_modes_without_a_new_entry(monkeypatch):
     # the kept CP mode keeps the factors the passes left: every greedy
     # entry (_cp_factors) is a pass's, and the final refit is one round of
@@ -271,10 +288,8 @@ def test_final_refit_continues_the_cp_modes_without_a_new_entry(monkeypatch):
     assert [m.dims for m in model.cp] == [(2, 3, 4)]
     assert [args[0] for args in entries] \
         == [rec.dims for rec in diag.records[1:] if len(rec.dims) > cfg.npc]
-    assert [s[1:] for s in sweeps[:-1]] \
-        == [(rec.update_sweeps, rec.capped) for rec in diag.records[1:]]
-    assert sweeps[-1] == (diag.refit.train_residual_norm, diag.refit.update_sweeps,
-                          diag.refit.capped)
+    assert [s[1] for s in sweeps[:-1]] == [rec.update_sweeps for rec in diag.records[1:]]
+    assert sweeps[-1] == (diag.refit.train_residual_norm, diag.refit.update_sweeps)
     assert (diag.refit.s, diag.refit.dims) == (diag.retained, None)
 
 
@@ -356,9 +371,9 @@ def test_fit_hdmr_on_tiny_rows_keeps_the_unit_scale_groups():
 
 
 def test_cp_passes_on_tiny_rows_run_the_unit_scale_sweeps():
-    # the update sweeps and the rank fits stop on residual norms, whose
-    # squares underflow at 1e-170: they run the unit-scale counts and record
-    # the unit-scale norms, scaled
+    # the rank fits stop on residual norms, whose squares underflow at
+    # 1e-170: the passes run the unit-scale fits and record the unit-scale
+    # norms, scaled
     ds, tab = uniform_set(300, 4, seed=30)
     u = (1.0 + tab[:, 0, 1] + tab[:, 0, 1] * tab[:, 1, 2] * tab[:, 2, 1]
          + 0.5 * tab[:, 1, 1] * tab[:, 2, 2] * tab[:, 3, 1])
@@ -371,9 +386,8 @@ def test_cp_passes_on_tiny_rows_run_the_unit_scale_sweeps():
             _, diag = fit_hdmr(with_u(ds, scale * u), None, groups, cfg, B)
         runs.append(diag.records)
     unit, tiny = runs
-    assert [(r.update_sweeps, r.capped) for r in tiny] \
-        == [(r.update_sweeps, r.capped) for r in unit]
-    assert max(r.update_sweeps for r in unit) > 1
+    assert [r.update_sweeps for r in tiny] == [r.update_sweeps for r in unit] \
+        == [0, 0, fitting._MAX_UPDATE_SWEEPS, fitting._MAX_UPDATE_SWEEPS]
     # the last pass fits u exactly, to a rounding-level residual
     assert [r.train_residual_norm / _TINY_SCALE for r in tiny[:-1]] \
         == pytest.approx([r.train_residual_norm for r in unit[:-1]], rel=1e-12)
@@ -404,12 +418,30 @@ def test_each_cv_pass_is_the_validation_free_fit_of_its_prefix():
     for rec in diag.records:
         model_s, ref = fit_hdmr(train, None, groups[: rec.s], cfg, B, row_weights=w)
         last = ref.records[-1]
-        assert (rec.s, rec.dims, rec.train_residual_norm, rec.update_sweeps, rec.capped) \
-            == (last.s, last.dims, last.train_residual_norm, last.update_sweeps,
-                last.capped)
+        assert (rec.s, rec.dims, rec.train_residual_norm, rec.update_sweeps) \
+            == (last.s, last.dims, last.train_residual_norm, last.update_sweeps)
         eps = (np.linalg.norm(val.u - wv * evaluate_model(model_s, val.xi))
                / np.linalg.norm(val.u))
         assert rec.cv_eps == pytest.approx(eps, rel=1e-12, abs=0.0)
+
+
+def test_every_pass_with_a_cp_mode_runs_the_full_sweep_count():
+    # the CV passes of this instance settle within a few sweeps, and still
+    # run all of them; the final refit too, while passes without a CP mode
+    # are one solve and run none
+    (train, w), (val, wv) = _weighted_parts(151, 79, seed=60)
+    groups = [(1,), (2, 3, 4), (1, 2), (3,), (2,), (1, 3), (4,), (2, 4), (1, 4), (3, 4)]
+    cfg = FitConfig(no=3, npc=2, ninter=3, nr=1, seed=0)
+    _, diag = fit_hdmr(train, val, groups, cfg, B, row_weights=w, val_row_weights=wv)
+
+    full = fitting._MAX_UPDATE_SWEEPS
+
+    def expected(s):
+        return full if any(len(g) > cfg.npc for g in groups[:s]) else 0
+
+    assert [r.update_sweeps for r in diag.records] == [expected(r.s) for r in diag.records]
+    assert {r.update_sweeps for r in diag.records} == {0, full}
+    assert diag.refit.update_sweeps == expected(diag.retained) == full
 
 
 def test_zero_validation_fallback_is_the_fit_on_merged_rows(tmp_path):
@@ -467,9 +499,9 @@ def test_fit_hdmr_with_validation_is_refit_of_retained_on_merged_rows(tmp_path,
     # CV stopped early, and the kept groups include the CP mode (1, 2, 4)
     assert len(diag.records) <= len(groups) and diag.retained >= 3
     assert [m.dims for m in model.cp] == [(1, 2, 4)]
-    ref, _, (rnorm, sweeps, capped) = cv_fit_reference(train, val, groups, cfg, B, **kw)
-    assert (diag.refit.s, diag.refit.dims, diag.refit.update_sweeps, diag.refit.capped) \
-        == (diag.retained, None, sweeps, capped) and sweeps > 1
+    ref, _, (rnorm, sweeps) = cv_fit_reference(train, val, groups, cfg, B, **kw)
+    assert (diag.refit.s, diag.refit.dims, diag.refit.update_sweeps) \
+        == (diag.retained, None, sweeps) and sweeps == fitting._MAX_UPDATE_SWEEPS
     assert diag.refit.train_residual_norm == pytest.approx(rnorm, rel=1e-12)
     assert [m.dims for m in model.dense] == [m.dims for m in ref.dense]
     assert [m.dims for m in model.cp] == [m.dims for m in ref.cp]
@@ -529,19 +561,14 @@ def test_diagnostics_csv(tmp_path):
     p = tmp_path / "diag.csv"
     save_diagnostics(diag, p)
     lines = p.read_text().strip().splitlines()
-    assert lines[0] == "pass,dims,train_residual_norm,cv_eps,update_sweeps,capped"
+    assert lines[0] == "pass,dims,train_residual_norm,cv_eps,update_sweeps"
     assert len(lines) == len(diag.records) + 1
     assert lines[1].split(",")[1] == ""  # pass 0 has no group
-    sweeps = [int(ln.split(",")[-2]) for ln in lines[1:]]
-    capped = [int(ln.split(",")[-1]) for ln in lines[1:]]
+    sweeps = [int(ln.split(",")[-1]) for ln in lines[1:]]
     assert sweeps == [rec.update_sweeps for rec in diag.records]
-    assert capped == [int(rec.capped) for rec in diag.records]
     # passes without a CP mode are one solve of the dense block and run no
-    # update sweep; the pass the CP mode enters runs at least one, and is
-    # capped exactly when it ran all of them without meeting its tolerance
-    assert sweeps[:3] == [0, 0, 0] and capped[:3] == [0, 0, 0]
-    assert 1 <= sweeps[3] <= fitting._MAX_UPDATE_SWEEPS
-    assert not capped[3] or sweeps[3] == fitting._MAX_UPDATE_SWEEPS
+    # update sweep; the pass the CP mode enters runs all of them
+    assert sweeps == [0, 0, 0, fitting._MAX_UPDATE_SWEEPS]
 
 
 def test_covariance_block_pinned_example():
@@ -1113,7 +1140,7 @@ def test_dense_only_fit_is_the_joint_solution_and_the_backfitting_limit(beta):
     groups = [(1,), (1, 2), (3,), (2, 3)]
     cfg = FitConfig(no=3, npc=2, ninter=2, beta=beta)
     model, diag = fit_hdmr(train, None, groups, cfg, B, row_weights=w)
-    assert [(r.update_sweeps, r.capped) for r in diag.records] == [(0, False)] * 5
+    assert [r.update_sweeps for r in diag.records] == [0] * 5
     c = np.concatenate([[model.f0]] + [m.coeffs for m in model.dense])
 
     psi = np.hstack([w[:, None]] + [dense_design(tab, m.dims, m.indices) * w[:, None]

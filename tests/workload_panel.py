@@ -11,9 +11,13 @@ for the draws named there (a range such as 31-60, or a comma list such as
 5,8,22), keeps the fixed
 ``TEST_SEED`` test rows, fits the surrogate once per draw and prints one line
 per draw: the test error, the kept groups (one list per rank for a separated
-fit), the number of CP modes and the fit seconds (selection and fitting,
-wall clock). A last line per workload gives the geometric mean of the test
-errors. The ``TRAIN_SEED`` line repeats ``workload_digest.py``'s test error.
+fit), the number of CP modes, the fit seconds (selection and fitting,
+wall clock) and ``model=``, the first 12 hex digits of the sha256 of the
+saved model JSON, as ``workload_digest.py`` computes it. Two versions of the
+code that print the same ``model=`` for a draw fitted the same model, byte
+for byte. A last line per workload gives the geometric mean of the test
+errors. The ``TRAIN_SEED`` line repeats ``workload_digest.py``'s test error
+and ``model=``.
 The script reads ``perfbench/workloads.py`` and changes nothing there; it is
 not a pytest module and gates nothing.
 """
@@ -23,9 +27,11 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import tempfile
 import time
+from pathlib import Path
 
-from workload_digest import _Recorder, workloads
+from workload_digest import _hex, _Recorder, workloads
 
 from hdmrfit.fitting import relative_error
 
@@ -39,6 +45,15 @@ def seed_list(text: str) -> list[int]:
         lo, hi = (int(v) for v in text.split("-"))
         return list(range(lo, hi + 1))
     return [int(v) for v in text.split(",")]
+
+
+def model_digest(wl, model) -> str:
+    """``workload_digest.py``'s ``model=``: the saved model JSON's sha256, cut
+    to 12 hex digits."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"{wl.name}.json"
+        wl.save(model, path)
+        return _hex(path.read_bytes())
 
 
 def panel(wl, seeds=SEEDS) -> list[float]:
@@ -60,6 +75,7 @@ def panel(wl, seeds=SEEDS) -> list[float]:
             label = "TRAIN_SEED" if s == train_seed else str(s)
             print(f"{wl.name:16s} seed={label:10s} test_error={err!r} "
                   f"kept={[len(k) for k in kept]} cp={cp} fit_s={seconds:.3f} "
+                  f"model={model_digest(wl, model)} "
                   f"groups={kept if wl.separated else kept[0]}", flush=True)
     finally:
         workloads.TRAIN_SEED = train_seed

@@ -1161,7 +1161,10 @@ def test_dense_only_fit_is_the_joint_solution_and_the_backfitting_limit(beta):
 def test_no_update_sweep_raises_the_training_residual(monkeypatch):
     # every step of the passes is an exact block minimum: the dense block's
     # solve, and each dimension's joint-rank ALS solve of a CP mode; so the
-    # training residual norm never rises beyond rounding, pass or sweep
+    # training residual norm never rises beyond rounding, pass or sweep.
+    # Each update sweep and each dense entry starts with a solve, so the norm
+    # taken before every solve is the norm after the previous sweep or entry
+    # (unit weights, no validation rows: the block's rows are all of u)
     ds, tab = uniform_set(400, 4, seed=43)
     g = rng_stream(43, 1)
     u = (1.0 + tab[:, 0, 1] + tab[:, 0, 1] * tab[:, 1, 2] * tab[:, 2, 1]
@@ -1169,17 +1172,19 @@ def test_no_update_sweep_raises_the_training_residual(monkeypatch):
          + 0.4 * tab[:, 1, 2] * tab[:, 2, 1] * tab[:, 3, 3]
          + 0.3 * tab[:, 3, 2] + 0.05 * g.standard_normal(400))
     norms = []
-    residual_norm = fitting._residual_norm
+    solve = fitting._Block.solve
 
-    def recording(*args):
-        norms.append(residual_norm(*args))
-        return norms[-1]
+    def recording(block, r):
+        norms.append(fitting._residual_norm(block, u))
+        solve(block, r)
 
-    monkeypatch.setattr(fitting, "_residual_norm", recording)
+    monkeypatch.setattr(fitting._Block, "solve", recording)
     groups = [(1,), (1, 2, 3), (4,), (2, 3, 4), (2, 3)]
     cfg = FitConfig(no=3, npc=2, ninter=3, nr=2, seed=0)
     _, diag = fit_hdmr(with_u(ds, u), None, groups, cfg, B)
-    assert sum(r.update_sweeps for r in diag.records) >= 10
+    sweeps = sum(r.update_sweeps for r in diag.records)
+    assert sweeps >= 10 and len(norms) > sweeps
+    norms.append(diag.records[-1].train_residual_norm)
     steps = np.diff(norms)
     assert np.all(steps <= 1e-12 * np.asarray(norms[:-1])), steps.max()
     # backfitting with greedy warm CP refits ends at a higher residual

@@ -61,9 +61,11 @@ from .model import (
     Group,
     HdmrModel,
     _check_dims,
-    _cp_blocks,
     _cp_values,
+    _dense_scatter,
+    _dense_values,
     _grow_basis,
+    _order_blocks,
     dense_design,
     enumerate_dense_indices,
     evaluate_model,
@@ -248,7 +250,7 @@ def _cp_sweep(target, blocks, factors, w, beta: float) -> tuple[np.ndarray, np.n
     """One joint-rank ALS sweep of a CP mode, or of one rank of it: for each
     dimension in turn, the factors of all ranks by one ``_gram_solve``, the
     other dimensions' factors held. ``blocks`` are each dimension's
-    (orders, rows) ``_cp_blocks`` of the table, and the factor values and
+    (orders, rows) ``_order_blocks`` of the table, and the factor values and
     partial products are (ranks, rows), so every product runs along
     contiguous rows. A rank whose other factors vanish has all-zero columns
     and gets exactly zero factors: at beta = 0 those columns fail the Gram's
@@ -349,15 +351,18 @@ def save_diagnostics(diag: FitDiagnostics, path) -> None:
 
 
 class _ActiveMode:
-    """One entered group of a ``_Skeleton``: its design (dense, (rows, P))
-    or factor blocks (CP, the table's (orders, rows) views that ``_cp_sweep``
-    reads) over every row of the fit, of which a pass over the first n rows
-    reads the first n. The pass's ``_Block`` sets a dense mode's
-    coefficients; a CP mode refits itself. ``params`` are the current
-    coefficients (dense) or factors (CP), and ``values`` a CP mode's
-    unweighted values at the rows of the current block."""
+    """One entered group of a ``_Skeleton`` over every row of the fit, of
+    which a pass over the first n rows reads the first n: its ``blocks``,
+    the table's (orders, rows) views that ``_cp_sweep`` and
+    ``_Skeleton.values`` read, and for a dense mode its design (rows, P)
+    and the positions ``flat`` of its coefficients (``_dense_scatter``).
+    The pass's ``_Block`` sets a dense mode's coefficients; a CP mode
+    refits itself. ``params`` are the current coefficients (dense) or
+    factors (CP), and ``values`` a CP mode's unweighted values at the rows
+    of the current block."""
 
-    __slots__ = ("dims", "kind", "indices", "design", "blocks", "params", "values")
+    __slots__ = ("dims", "kind", "indices", "design", "flat", "blocks", "params",
+                 "values")
 
     def __init__(self, dims, cfg: FitConfig, table):
         self.dims = dims
@@ -367,9 +372,11 @@ class _ActiveMode:
         if self.kind == "dense":
             self.indices = enumerate_dense_indices(dims, cfg.no)
             self.design = dense_design(table, dims, self.indices)
+            top, self.flat = _dense_scatter(dims, self.indices)
+            self.blocks = _order_blocks(table, dims, top)
         else:
             _check_cp_range(dims, cfg)
-            self.blocks = _cp_blocks(table, dims, cfg.no)
+            self.blocks = _order_blocks(table, dims, cfg.no)
 
     def refit(self, r, cfg, w) -> None:
         # a CP mode's refit on the first len(r) rows: greedy one-rank sweeps
@@ -739,11 +746,13 @@ class _Skeleton:
 
     def values(self, block: _Block, rows: slice) -> np.ndarray:
         """The values at a slice of the rows of a block's model, as
-        ``evaluate_model`` gives them, from the designs and CP blocks (f0,
-        then dense and CP modes in entry order); the validation error reads them."""
+        ``evaluate_model`` gives them: f0, then the dense modes by
+        ``_dense_values`` on the table's (orders, rows) blocks and the CP
+        modes by ``_cp_values`` on theirs, in entry order. The validation
+        error and a separated rank's lambda read them."""
         out = np.full(self.rows.nq, block.f0)[rows]
         for m in block.dense:
-            out += m.design[rows] @ m.params
+            out += _dense_values([b[:, rows] for b in m.blocks], m.flat, m.params)
         for m in block.cps:
             out += _cp_values([b[:, rows] for b in m.blocks], m.params)
         return out

@@ -266,10 +266,11 @@ def _cholesky_qr2(a):
     return a, inv
 
 
-def _cp_blocks(table: np.ndarray, dims: Group, no: int) -> list[np.ndarray]:
-    # per dimension, the rows alpha = 2..no (table slots 1..no-1) that a CP
-    # factor multiplies: C-contiguous (orders, rows) views of the table
-    return [table[:, d - 1, 1:no].T for d in dims]
+def _order_blocks(table: np.ndarray, dims: Group, top: int) -> list[np.ndarray]:
+    # per dimension, the rows alpha = 2..top (table slots 1..top-1) that a CP
+    # factor or a dense mode's coefficients multiply: C-contiguous (orders,
+    # rows) views of the table
+    return [table[:, d - 1, 1:top].T for d in dims]
 
 
 def _cp_values(blocks: list[np.ndarray], factors: np.ndarray) -> np.ndarray:
@@ -280,20 +281,60 @@ def _cp_values(blocks: list[np.ndarray], factors: np.ndarray) -> np.ndarray:
     return vals.sum(axis=0)
 
 
+def _dense_scatter(dims: Group, indices) -> tuple[int, np.ndarray]:
+    # (top, flat): a dense mode's coefficients are the entries ``flat`` of a
+    # tensor over the orders alpha = 2..top of each of its dims, the rows of
+    # its ``_order_blocks(table, dims, top)``
+    idx = np.asarray(indices, dtype=np.intp).reshape(-1, len(dims)).T - 2
+    top = 2 + int(idx.max(initial=0))
+    return top, np.ravel_multi_index(tuple(idx), (top - 1,) * len(dims))
+
+
+def _dense_values(blocks: list[np.ndarray], flat: np.ndarray, coeffs) -> np.ndarray:
+    """A dense mode's values sum_k c_k prod_i psi_{alpha_ki}(xi_{dims_i}) from
+    its dims' (orders, rows) blocks and the positions ``_dense_scatter``
+    gives its coefficients.
+
+    The coefficients are placed in a tensor over the blocks' orders by
+    ``np.add.at``, so repeated multi-indices add up, and the tensor is
+    contracted with one block at a time, last dim first (an n-mode product,
+    Kolda & Bader 2009, 2.5): one GEMM, then per dim a product with the
+    block summed over its orders. No design is built, and no intermediate
+    holds more than orders^(card-1) values per row.
+    """
+    orders = blocks[0].shape[0]
+    coef = np.zeros(orders ** len(blocks))
+    np.add.at(coef, flat, coeffs)
+    vals = coef.reshape(-1, orders) @ blocks[-1]
+    for b in blocks[-2::-1]:
+        vals = (vals.reshape((-1,) + b.shape) * b).sum(axis=1)
+    return vals[0]
+
+
 def evaluate_model(model: HdmrModel, xi) -> np.ndarray:
-    """Evaluate the surrogate at rows of ``xi`` (shape (Nq, Nd) or (Nd,))."""
+    """Evaluate the surrogate at rows of ``xi`` (shape (Nq, Nd) or (Nd,)).
+
+    The univariate table covers only the dims some mode touches, in sorted
+    order; a dense mode's values come from ``_dense_values`` and a CP mode's
+    from ``_cp_values``, both on that table's (orders, rows) blocks.
+    """
     xi = np.asarray(xi, dtype=float)
     squeeze = xi.ndim == 1
     if squeeze:
         xi = xi[None, :]
     if xi.shape[1] != model.nd:
         raise ValueError(f"xi has {xi.shape[1]} columns, model has Nd={model.nd}")
-    table = univariate_table(model.basis, xi)
+    used = sorted({d for m in model.dense + model.cp for d in m.dims})
+    # a model that uses every dim reads xi itself, not a copy of it
+    cols = xi if len(used) == model.nd else xi[:, [d - 1 for d in used]]
+    table = univariate_table(model.basis, cols)
+    block = {d: table[:, k].T for k, d in enumerate(used)}
     out = np.full(xi.shape[0], model.f0)
     for m in model.dense:
-        out += dense_design(table, m.dims, m.indices) @ m.coeffs
+        top, flat = _dense_scatter(m.dims, m.indices)
+        out += _dense_values([block[d][1:top] for d in m.dims], flat, m.coeffs)
     for m in model.cp:
-        out += _cp_values(_cp_blocks(table, m.dims, model.no), m.factors)
+        out += _cp_values([block[d][1:model.no] for d in m.dims], m.factors)
     return out[0] if squeeze else out
 
 

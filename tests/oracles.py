@@ -6,6 +6,9 @@ series, independently of the library's recurrence tables; the others are
 the pointwise forms of a ``dense_design`` column and of
 ``covariance_blocks``, which the library builds for a whole block of dense
 groups side by side, as the weighted TLS refit of a robust fit uses it.
+``evaluate_model_design`` evaluates a model as ``evaluate_model`` once did:
+the table on every dim and one ``dense_design`` per dense mode, which the
+library's contraction of each mode's coefficients with the table replaces.
 The least-squares oracles rebuild the design and solve it by ``ls_solve``
 (an SVD ``lstsq``) every time, as the coefficient passes once did: they
 check the grown dense block and the Gram solves of the ALS subproblems.
@@ -107,6 +110,22 @@ def eval_tensor(cfg: BasisConfig, gamma, alphas, xi_vec):
     for i, a in zip(gamma, alphas):
         out = out * legendre_psi(cfg, a, rows[:, i - 1])
     return float(out[0]) if single else out
+
+
+def evaluate_model_design(model: HdmrModel, xi) -> np.ndarray:
+    """``evaluate_model`` in its design form: the table on every dim, each
+    dense mode's full ``dense_design`` times its coefficients, and each CP
+    mode's per-rank products, added to f0 in the model's order."""
+    xi = np.asarray(xi, dtype=float)
+    squeeze = xi.ndim == 1
+    rows = xi[None, :] if squeeze else xi
+    table = univariate_table(model.basis, rows)
+    out = np.full(rows.shape[0], model.f0)
+    for m in model.dense:
+        out += dense_design(table, m.dims, m.indices) @ m.coeffs
+    for m in model.cp:
+        out += _cp_values([table[:, d - 1, 1:model.no].T for d in m.dims], m.factors)
+    return out[0] if squeeze else out
 
 
 def block_sample_covariance(xi_q, groups, noise: NoiseModel, u_q,

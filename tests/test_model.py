@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hdmrfit import model as hmodel
@@ -25,7 +25,7 @@ from hdmrfit.model import (
     variance_by_group,
 )
 from hdmrfit.selection import SelectionConfig, _group_classes
-from oracles import eval_tensor, grow_basis_svd
+from oracles import eval_tensor, evaluate_model_design, grow_basis_svd
 from test_selection import degenerate_xi
 
 B = BasisConfig(lo=-1.0, hi=1.0, max_order=6)
@@ -90,6 +90,83 @@ def test_evaluate_single_and_batch():
     got = evaluate_model(m, xi)
     assert np.allclose(got, expect, atol=1e-13)
     assert evaluate_model(m, xi[0]) == pytest.approx(expect[0])
+
+
+_COEF = st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False)
+
+
+@st.composite
+def _eval_models(draw):
+    # dense modes of cardinality 1-3 on distinct groups of 1..nd, their
+    # multi-indices in any order and with repeats, and at times a CP mode;
+    # most draws leave some dims to no mode
+    nd = draw(st.integers(1, 6))
+    top = draw(st.integers(3, 6))
+    group = st.integers(1, min(3, nd)).flatmap(
+        lambda c: st.lists(st.integers(1, nd), min_size=c, max_size=c, unique=True))
+    groups = draw(st.lists(group.map(lambda g: tuple(sorted(g))), max_size=5,
+                           unique=True))
+    cp = []
+    if len(groups) > 1 and len(groups[-1]) > 1 and draw(st.booleans()):
+        nr, card = draw(st.integers(1, 2)), len(groups[-1])
+        c = draw(st.lists(_COEF, min_size=nr * card * (top - 2),
+                          max_size=nr * card * (top - 2)))
+        cp.append(CPMode(groups.pop(), np.reshape(c, (nr, card, top - 2))))
+    dense = []
+    for dims in groups:
+        idx = draw(st.lists(st.tuples(*[st.integers(2, top)] * len(dims)), max_size=8))
+        c = draw(st.lists(_COEF, min_size=len(idx), max_size=len(idx)))
+        dense.append(DenseMode(dims, tuple(idx), np.array(c)))
+    return HdmrModel(f0=draw(_COEF), basis=BasisConfig(max_order=top), nd=nd,
+                     no=top - 1, ninter=nd, npc=nd, nr=2, dense=dense, cp=cp)
+
+
+def _term_scale(m, xi):
+    # per row, |f0| plus the absolute value of every term of every mode: it
+    # bounds the rounding of any order of the sums, and equals the value's
+    # magnitude where no terms cancel
+    tab = np.abs(univariate_table(m.basis, np.atleast_2d(xi)))
+    out = np.full(tab.shape[0], abs(m.f0))
+    for d in m.dense:
+        out += dense_design(tab, d.dims, d.indices) @ np.abs(d.coeffs)
+    for c in m.cp:
+        ranks = np.ones((c.factors.shape[0], tab.shape[0]))
+        for i, dim in enumerate(c.dims):
+            ranks *= np.abs(c.factors[:, i]) @ tab[:, dim - 1, 1:m.no].T
+        out += ranks.sum(axis=0)
+    return out
+
+
+_SKIPPING = HdmrModel(
+    f0=0.5, basis=B, nd=6, no=5, ninter=3, npc=3, nr=1,
+    dense=[DenseMode((2,), ((4,), (2,), (4,)), np.array([1.0, -0.5, 0.25])),
+           DenseMode((2, 5), ((3, 2), (2, 2), (3, 2), (2, 4)),
+                     np.array([0.3, 1.0, -0.7, 2.0])),
+           DenseMode((1, 2, 5), ((2, 3, 2), (2, 2, 2), (2, 3, 2), (4, 2, 2)),
+                     np.array([1.0, 0.5, -1.5, 0.25]))],
+    cp=[CPMode((1, 5), np.arange(8.0).reshape(1, 2, 4) / 8)])
+
+
+@given(_eval_models(), st.integers(1, 65), st.booleans(), st.integers(0, 2**16))
+@example(HdmrModel(f0=-1.25, basis=B, nd=3, no=3, ninter=2, npc=2, nr=1), 7, False, 0)
+@example(HdmrModel(f0=-1.25, basis=B, nd=3, no=3, ninter=2, npc=2, nr=1), 1, True, 0)
+@example(_SKIPPING, 1, False, 1)
+@example(_SKIPPING, 1, True, 2)
+@example(_SKIPPING, 33, False, 3)
+@settings(max_examples=150, deadline=None)
+def test_evaluate_model_matches_the_design_form(m, nq, flat, seed):
+    # the contraction of each dense mode's coefficients with the table of
+    # the dims the model uses, against the full table and one dense_design
+    # per mode: cards 1-3, multi-indices unsorted and repeated, dims left to
+    # no mode (the f0-only model's table has no column), one row or odd row
+    # counts, and a one-row xi given as a vector
+    xi = rng_stream(seed, 3).uniform(-1, 1, (nq, m.nd))
+    if flat:
+        xi = xi[0]
+    got, want = evaluate_model(m, xi), evaluate_model_design(m, xi)
+    assert np.shape(got) == np.shape(want) == (() if flat else (nq,))
+    # rtol 1e-13 of the row's summed term magnitudes
+    assert np.all(np.abs(got - want) <= 1e-13 * _term_scale(m, xi))
 
 
 def test_mean_is_constant_term():
@@ -323,7 +400,6 @@ def test_load_rejects_unknown_basis_family(tmp_path):
 
 
 QB = BasisConfig(lo=0.0, hi=1.0, max_order=4)
-_COEF = st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False)
 
 
 @st.composite

@@ -17,7 +17,6 @@ from .data import _check_finite_fields
 __all__ = [
     "BasisConfig",
     "univariate_table",
-    "univariate_deriv_table",
 ]
 
 
@@ -72,15 +71,8 @@ def univariate_table(cfg: BasisConfig, xi) -> np.ndarray:
         affinely mapped coordinate, scaled to unit norm, in the one table
         layout (``_empty_table``): every ``table[:, d, a]`` is contiguous.
     """
-    out = _legendre(cfg, xi)[1].T
-    out *= np.sqrt(2.0 * np.arange(cfg.max_order) + 1.0)
-    return out
-
-
-def _legendre(cfg: BasisConfig, xi):
-    # (t, p): t the points mapped affinely [lo, hi] -> [-1, 1] (values outside
-    # are extrapolated; callers flag them if they care) and transposed; p
-    # P_0..P_{no-1} at t, unnormalized and order-major, (no,) + t.shape
+    # t: the points mapped [lo, hi] -> [-1, 1] (outside, extrapolated) and
+    # transposed; p: P_0..P_{no-1} at t on the table's order-major view
     no = cfg.max_order
     t = (np.multiply(2.0, np.asarray(xi, dtype=float).T, order="C")
          - cfg.lo - cfg.hi) / (cfg.hi - cfg.lo)
@@ -91,22 +83,20 @@ def _legendre(cfg: BasisConfig, xi):
     for n in range(1, no - 1):
         # (n+1) P_{n+1} = (2n+1) t P_n - n P_{n-1}
         p[n + 1] = ((2 * n + 1) * t * p[n] - n * p[n - 1]) / (n + 1)
-    return t, p
+    out = p.T
+    out *= np.sqrt(2.0 * np.arange(no) + 1.0)
+    return out
 
 
-def univariate_deriv_table(cfg: BasisConfig, xi) -> np.ndarray:
-    """Evaluate all basis-function derivatives d psi_alpha / d xi at ``xi``.
-
-    Same shape and memory layout as :func:`univariate_table`. Includes the
-    chain-rule factor of the affine interval map.
-    """
-    t, p = _legendre(cfg, xi)
-    no = cfg.max_order
-    dp = np.zeros_like(p)
-    if no > 1:
-        dp[1] = 1.0
-    for n in range(1, no - 1):
-        dp[n + 1] = ((2 * n + 1) * (p[n] + t * dp[n]) - n * dp[n - 1]) / (n + 1)
-    dp = dp.T
-    dp *= np.sqrt(2.0 * np.arange(no) + 1.0) * (2.0 / (cfg.hi - cfg.lo))
-    return dp
+def _deriv_table(cfg: BasisConfig, table) -> np.ndarray:
+    # d psi_alpha / d xi from a values table of univariate_table's shape, in
+    # the one table layout: slot a holds sqrt(2a+1) P_a, so the recurrence
+    # P'_a = P'_{a-2} + (2a-1) P_{a-1} reads sqrt(2a-1) times slot a-1; the
+    # result is scaled to unit norm and by the interval map's 2 / (hi - lo)
+    no = table.shape[-1]
+    vals = table.T
+    dp = _empty_table(table.shape[:-1], no).T
+    dp[0] = 0.0
+    for a in range(1, no):
+        dp[a] = np.sqrt(2.0 * a - 1.0) * vals[a - 1] + (dp[a - 2] if a > 1 else 0.0)
+    return dp.T * (np.sqrt(2.0 * np.arange(no) + 1.0) * (2.0 / (cfg.hi - cfg.lo)))

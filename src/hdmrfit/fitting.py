@@ -51,11 +51,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .basis import BasisConfig, _empty_table, univariate_deriv_table, univariate_table
+from .basis import BasisConfig, _deriv_table, _empty_table, univariate_table
 from .data import (_NORM_FLOOR, NoiseModel, SampleSet, _check_finite_fields,
                    _check_row_weights, rng_stream)
 from .model import (
-    _GRAM_MIN_PIVOT_RATIO,
     CPMode,
     DenseMode,
     Group,
@@ -64,6 +63,7 @@ from .model import (
     _cp_values,
     _dense_scatter,
     _dense_values,
+    _gram_cholesky,
     _grow_basis,
     _order_blocks,
     dense_design,
@@ -280,27 +280,20 @@ def _cp_sweep(target, blocks, factors, w, beta: float) -> tuple[np.ndarray, np.n
 def _gram_solve(psi, r, beta: float) -> np.ndarray:
     """ls_solve(psi, r, beta) for a tall design with few columns, through
     psi'psi + beta^2 I with its columns scaled to unit norm: its Cholesky
-    pivots decide whether it is numerically positive definite, and it is
-    then solved by np.linalg.solve; ls_solve itself when it is not. The
-    scaling keeps columns of very different norms, such as the factors of a
-    strong and a weak rank, from failing the pivot test. The ALS steps, the
-    weighted TLS steps and the separated driver's spatial fits solve this
-    way."""
+    pivots (``_gram_cholesky``) decide whether it is numerically positive
+    definite, and it is then solved by np.linalg.solve; ls_solve itself when
+    it is not, non-finite systems included. The scaling keeps columns of
+    very different norms, such as the factors of a strong and a weak rank,
+    from failing the pivot test. The ALS steps, the weighted TLS steps and
+    the separated driver's spatial fits solve this way."""
     g = psi.T @ psi
     d = np.sqrt(g.diagonal())
     d[d == 0.0] = 1.0
     g /= d[:, None] * d
     if beta > 0:
         g[np.diag_indices_from(g)] += (beta / d) ** 2
-    # the Cholesky pivots decide; numpy raises LinAlgError on a non-positive
-    # pivot, and a NaN pivot fails the ratio test, so non-finite systems
-    # reach ls_solve
-    try:
-        piv = np.linalg.cholesky(g).diagonal()
-        if piv.min() > _GRAM_MIN_PIVOT_RATIO * piv.max():
-            return np.linalg.solve(g, (psi.T @ r) / d) / d
-    except np.linalg.LinAlgError:
-        pass
+    if _gram_cholesky(g) is not None:
+        return np.linalg.solve(g, (psi.T @ r) / d) / d
     return ls_solve(psi, r, beta)
 
 
@@ -810,17 +803,27 @@ def covariance_blocks(rows: SampleSet, groups, noise: NoiseModel,
     dim get cross terms. u_ref gives the response values of the value-noise
     variance: a denoised estimate, such as a least-squares prediction, keeps
     the value noise out of its own weights, which would otherwise favour
-    rows the noise pulled toward zero.
+    rows the noise pulled toward zero. Dims not sorted in 1..Nd, multi-indices
+    without one order in 2..max_order per dim and a u_ref without one value
+    per row raise ValueError.
     """
+    groups = [(_check_dims(dims, rows.nd), indices) for dims, indices in groups]
+    for dims, indices in groups:
+        for idx in indices:
+            if len(idx) != len(dims) or not all(2 <= a <= basis.max_order for a in idx):
+                raise ValueError(f"group {dims} has multi-index {tuple(idx)}, not "
+                                 f"{len(dims)} orders in 2..{basis.max_order}")
+    u_ref = np.asarray(u_ref, dtype=float).ravel()
+    if u_ref.shape != (rows.nq,):
+        raise ValueError(f"u_ref has {u_ref.size} values for {rows.nq} rows")
     block = sorted({d for dims, _ in groups for d in dims})
     nb = len(block)
     jac = np.zeros((rows.nq, sum(len(indices) for _, indices in groups), nb))
     if noise.s > 0:
-        sub = rows.xi[:, [d - 1 for d in block]]
+        vals = univariate_table(basis, rows.xi[:, [d - 1 for d in block]])
         # dim block[k]'s values sit in table column k, its derivatives in
         # column nb + k
-        table = np.concatenate([univariate_table(basis, sub),
-                                univariate_deriv_table(basis, sub)], axis=1)
+        table = np.concatenate([vals, _deriv_table(basis, vals)], axis=1)
         start = 0
         for dims, indices in groups:
             at = [block.index(d) for d in dims]
@@ -832,7 +835,6 @@ def covariance_blocks(rows: SampleSet, groups, noise: NoiseModel,
                 jac[:, start:end, k] = dense_design(table, slots, indices)
             start = end
         jac *= noise.s
-    u_ref = np.asarray(u_ref, dtype=float).ravel()
     return CovarianceBlocks(jac, (noise.s_u * u_ref) ** 2)
 
 

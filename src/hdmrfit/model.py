@@ -212,6 +212,17 @@ def dense_design(table: np.ndarray, dims, indices) -> np.ndarray:
 _GRAM_MIN_PIVOT_RATIO = 1e-2
 
 
+def _gram_cholesky(g):
+    """Lower Cholesky factor of g, a Gram of unit-scaled columns, or None on
+    LinAlgError, a NaN pivot or one below _GRAM_MIN_PIVOT_RATIO of the largest."""
+    try:
+        low = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return None
+    piv = low.diagonal()
+    return low if piv.min() > _GRAM_MIN_PIVOT_RATIO * piv.max() else None
+
+
 def _grow_basis(q, cols, cutoff: float):
     """Extend q, an orthonormal basis, by the span of ``cols``.
 
@@ -246,19 +257,13 @@ def _grow_basis(q, cols, cutoff: float):
 
 def _cholesky_qr2(a):
     """(u, inv) with a = u t, u orthonormal and inv = t^-1 upper triangular,
-    by Cholesky-QR2 (Fukaya et al. 2014): twice, L L' = a'a and a <- a L'^-1.
-    None when numpy's Cholesky finds a pivot not positive (LinAlgError), or
-    a pivot is NaN or falls below _GRAM_MIN_PIVOT_RATIO of the largest; two
-    passes are accurate while a's condition number stays far below eps^-1/2
-    (Yamamoto et al. 2015)."""
+    by Cholesky-QR2 (Fukaya et al. 2014): twice, L L' = a'a and a <- a L'^-1;
+    None when a'a fails ``_gram_cholesky``. Two passes are accurate while a's
+    condition number stays far below eps^-1/2 (Yamamoto et al. 2015)."""
     inv = None
     for _ in range(2):
-        try:
-            low = np.linalg.cholesky(a.T @ a)
-        except np.linalg.LinAlgError:
-            return None
-        piv = low.diagonal()
-        if not piv.min() > _GRAM_MIN_PIVOT_RATIO * piv.max():
+        low = _gram_cholesky(a.T @ a)
+        if low is None:
             return None
         lt = np.linalg.inv(low).T
         a = a @ lt

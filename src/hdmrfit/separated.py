@@ -189,7 +189,8 @@ def fit_separated(train: SampleSet, sel_cfg: SelectionConfig, fit_cfg: FitConfig
     that fit (``fitting._Skeleton.refit``, its modes built once on train
     plus validation) with the new spatial profile as row weights, until
     ||lambda_n|| settles; lambda_n's values at the training and validation
-    rows come from its designs. Ranks stop at sep_cfg.lmax or once
+    rows come from ``fitting._Skeleton.values``, which reads the skeleton's
+    table and builds no design. Ranks stop at sep_cfg.lmax or once
     ||lambda_n|| falls below _STOP_NORM_FRAC * ||u||; a rank whose pair
     fails to reduce the training residual is discarded. Weighted TLS
     (fit_cfg.robust) is rejected: it covers plain rows only, and every

@@ -5,7 +5,8 @@ from the defining formula. The basis oracles evaluate numpy's own Legendre
 series, independently of the library's recurrence tables; the others are
 the pointwise forms of a ``dense_design`` column and of
 ``covariance_blocks``, which the library builds for a whole block of dense
-groups side by side, as the weighted TLS refit of a robust fit uses it.
+groups side by side, as the weighted TLS refit of a robust fit uses it;
+the covariance oracle reads its values and derivatives off the same series.
 ``evaluate_model_design`` evaluates a model as ``evaluate_model`` once did:
 the table on every dim and one ``dense_design`` per dense mode, which the
 library's contraction of each mode's coefficients with the table replaces.
@@ -52,7 +53,7 @@ from numpy.polynomial.legendre import Legendre
 from scipy.linalg import solve_banded
 
 from hdmrfit import fitting
-from hdmrfit.basis import BasisConfig, univariate_deriv_table, univariate_table
+from hdmrfit.basis import BasisConfig, univariate_table
 from hdmrfit.data import NoiseModel, SampleSet, _reflect, rng_stream
 from hdmrfit.fitting import (FitConfig, fit_basis, fit_hdmr, ls_solve,
                              merge_train_validation)
@@ -147,8 +148,9 @@ def block_sample_covariance(xi_q, groups, noise: NoiseModel, u_q,
     lam = np.zeros((p + 1, p + 1))
     if noise.s > 0:
         sub = xi_q[[d - 1 for d in block_dims]]
-        vals = univariate_table(basis, sub)
-        ders = univariate_deriv_table(basis, sub)
+        orders = range(1, basis.max_order + 1)
+        vals = np.stack([legendre_psi(basis, a, sub) for a in orders], axis=1)
+        ders = np.stack([legendre_dpsi(basis, a, sub) for a in orders], axis=1)
         der = np.zeros((p, len(block_dims)))
         row = 0
         for dims, indices in groups:

@@ -620,6 +620,22 @@ def test_covariance_blocks_match_per_sample():
             assert np.max(np.abs(dense - lam)) <= 1e-12 * np.max(np.abs(lam))
 
 
+@pytest.mark.parametrize("groups,nu,match", [
+    ([((0,), [(2,)])], 20, r"dim 0 of \(0,\)"),
+    ([((1, 2), [(2,)])], 20, r"group \(1, 2\)"),
+    ([((4,), [(2,)])], 20, r"dim 4 of \(4,\)"),
+    ([((1,), [(2,), (7,)])], 20, r"group \(1,\)"),
+    ([((2,), [(1,)])], 20, r"group \(2,\)"),
+    ([((2,), [(2,)])], 5, "u_ref"),
+], ids=["dim-0", "short-index", "dim-past-nd", "order-past-max", "order-1", "u_ref"])
+def test_covariance_blocks_rejects_bad_groups(groups, nu, match):
+    # 20 rows, 3 dims, max_order 5: each group must be sorted dims in 1..3
+    # with one order in 2..5 per dim, and u_ref one value per row
+    ds, _ = uniform_set(20, 3, seed=16)
+    with pytest.raises(ValueError, match=match):
+        covariance_blocks(ds, groups, NoiseModel(s=0.05, s_u=0.1), B, np.ones(nu))
+
+
 @pytest.mark.parametrize("s,s_u", [(0.05, 0.1), (0.0, 0.1), (0.05, 0.0)])
 @pytest.mark.parametrize("dims", [(2,), (1, 3)])
 def test_factored_denominators_match_dense_oracle(s, s_u, dims):

@@ -338,9 +338,10 @@ def cmd_gen_diffusion(args) -> int:
 
 
 def _bench_convergence(args):
-    """Test error of the full pipeline vs training-set size, one row per
-    training seed (seed .. seed + seeds - 1), all on the same held-out rows
-    (BENCH_TEST_SEED)."""
+    """Test error of the full pipeline vs training-set size, all on the same
+    held-out rows (BENCH_TEST_SEED): per training seed (seed .. seed +
+    seeds - 1), an ``eps`` row and the wall seconds of its selection
+    (``select_s``) and of its fit (``fit_s``)."""
     if args.seeds < 1:
         raise ValueError("--seeds must be >= 1")
     cfg = DiffusionConfig(nd_nu=args.nd_nu, nd_f=args.nd_f, m_x=args.mx,
@@ -363,10 +364,14 @@ def _bench_convergence(args):
         for seed in range(args.seed, args.seed + args.seeds):
             data = generate_dataset(cfg, nq + max(1, nq // 5), seed)
             train, val, _ = split(data, nq, max(1, nq // 5), 0, seed)
+            t0 = time.perf_counter()
             path = glars_select(train, sel, basis)
+            t1 = time.perf_counter()
             model, _ = fit_hdmr(train, val, path, replace(fit_cfg, seed=seed), basis)
+            t2 = time.perf_counter()
             errs.append(relative_error(model, test))
-            rows.append(("eps", nq, seed, errs[-1]))
+            rows += [("eps", nq, seed, errs[-1]), ("select_s", nq, seed, t1 - t0),
+                     ("fit_s", nq, seed, t2 - t1)]
         print(f"nq {nq}: median test error {np.median(errs):.4e} "
               f"over {args.seeds} seed(s)")
     return rows
@@ -382,7 +387,7 @@ def cmd_bench(args) -> int:
         fh.write("measure,size,detail,value\n")
         for m, a, b, v in rows:
             fh.write(f"{m},{a},{b},{v!r}\n")
-            print(f"{m:6s} size={a:<6} detail={b:<8} value={v:.6g}")
+            print(f"{m:8s} size={a:<6} detail={b:<8} value={v:.6g}")
     _write_manifest(_manifest_path(args, [args.out]), "bench", args, [],
                     [args.out], {"total": time.perf_counter() - t_all})
     return EXIT_OK

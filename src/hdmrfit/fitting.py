@@ -27,14 +27,16 @@ modes on all rows as the passes left them, solves once and runs one round
 of update sweeps, building nothing again: the final refit of a
 cross-validated fit, and each later alternation of a separated rank. One
 ``_Block`` owns the fit of a pass loop or a continuation: its row weights,
-``f0``, the dense modes, one least-squares problem solved through an
-orthonormal basis that grows as modes enter (``model._grow_basis``), and
-the CP modes. The robust refit reads the final block and writes its dense
-coefficients back, and ``_Skeleton.model`` turns a block into an
-``HdmrModel``. The small tall subproblems, an ALS or a weighted TLS step
-here and the spatial fits of the separated driver, are solved through
-their unit-scaled Gram (``_gram_solve``), with ``ls_solve``, the plain
-lstsq, as the fallback and the reference. Every CP fit is made of
+``f0``, the dense modes, one least-squares problem held as its row-weighted
+columns and an inverse Cholesky factor of their ridged Gram, which a mode
+extends by bordering (``model._bordered_inverse``; ``model._grow_basis``
+only for columns that fail its pivot tests), and the CP modes. The robust
+refit reads the final block and writes its dense coefficients back, and
+``_Skeleton.model`` turns a block into an ``HdmrModel``. The small tall
+subproblems, an ALS or a weighted TLS step here and the spatial fits of the
+separated driver, are solved through their unit-scaled Gram
+(``_gram_solve``), with ``ls_solve``, the plain lstsq, as the fallback and
+the reference. Every CP fit is made of
 joint-rank ALS sweeps (``_cp_sweep``; Kolda & Bader 2009, 3.4). A CP mode
 enters greedily, rank by rank from seeded draws (``_cp_factors``); each
 later refit of the mode is one sweep over all its ranks. A pass with no CP
@@ -59,6 +61,7 @@ from .model import (
     DenseMode,
     Group,
     HdmrModel,
+    _bordered_inverse,
     _check_dims,
     _cp_values,
     _dense_scatter,
@@ -393,25 +396,31 @@ class _Block:
 
     ``f0`` and the dense modes are one least-squares problem: minimize
     ||r - w * (f0 + sum_m psi_m c_m)||^2 + beta^2 sum_m ||c_m||^2, with
-    ``f0`` unridged, where r is what the CP modes leave. ``q`` is an
-    orthonormal basis of its row-weighted columns, stacked over beta * I
-    rows for the dense columns when beta > 0, and ``cmap`` maps coordinates
-    in ``q`` to coefficients, so a solve is the two matrix-vector products
-    cmap @ (q' r). Both grow as modes enter: new columns A = q h + u t
-    (``_grow_basis``, which returns a right inverse t^+ of t) add u to ``q``
-    and the columns [-cmap h t^+ ; t^+] to ``cmap``, the inverse of the
-    block-triangular factor. For well-separated columns t is the triangular
-    factor of Cholesky-QR2 and t^+ its inverse; otherwise t = s v' from a
-    thin SVD, t^+ = v s^-1, and directions dependent on earlier columns, or
-    within a mode, are dropped and get no coefficient; for a mode alone that
-    is lstsq's minimum-norm solution. ``fitted`` is f0 plus the dense modes'
-    values at the rows, unweighted, as the last solve left them.
+    ``f0`` unridged, where r is what the CP modes leave. ``a`` holds its
+    row-weighted columns and ``ridge`` each column's ridge (0 for ``f0``,
+    beta for a dense column). ``cmap`` is an inverse factor of their Gram
+    a'a + diag(ridge)^2: the columns stacked over their ridge rows, times
+    ``cmap``, are orthonormal, so a solve is c = cmap (cmap' (a' r)). Both
+    grow as modes enter, by bordering (``_extend``): the new columns'
+    coordinates h = cmap' (a' cols) and the Gram of their remainder,
+    S = cols' cols + beta^2 I - h'h, give S = t't with t upper triangular
+    (``model._bordered_inverse``), and ``cmap`` gains the columns
+    [-cmap h t^-1 ; t^-1], the inverse of the block-triangular factor. When
+    S fails the pivot tests (columns dependent on earlier ones or within a
+    mode, or ill conditioned), that one extension builds the orthonormal
+    basis q of the stacked columns from ``cmap`` and grows it by
+    ``model._grow_basis``, whose thin SVD gives t = s v' and the right
+    inverse t^+ = v s^-1 over the kept directions: dropped directions get no
+    coefficient, and for a mode alone that is lstsq's minimum-norm solution.
+    ``fitted`` is f0 plus the dense modes' values at the rows, unweighted,
+    as the last solve left them.
     """
 
     def __init__(self, w, beta: float, with_f0: bool):
         self.w = w
         self.beta = beta
-        self.q = np.empty((w.shape[0], 0))
+        self.a = np.empty((w.shape[0], 0))
+        self.ridge = np.empty(0)
         self.cmap = np.empty((0, 0))
         self.dense: list[_ActiveMode] = []
         self.cps: list[_ActiveMode] = []
@@ -423,7 +432,7 @@ class _Block:
 
     def enter(self, mode: _ActiveMode, u, cfg: FitConfig) -> None:
         """Fit an entering mode to what the block leaves of u: a dense mode
-        extends the basis and the block is solved again; a CP mode enters
+        extends the block and the block is solved again; a CP mode enters
         from its seeded draws."""
         w = self.w
         if mode.kind == "dense":
@@ -445,29 +454,46 @@ class _Block:
 
     def _extend(self, cols, beta: float) -> None:
         _check_finite(cols)
-        nq, p = cols.shape
-        if beta > 0:
-            # the new columns' ridge rows go below every earlier row
-            pad = self.q.shape[0] - nq
-            self.q = np.vstack([self.q, np.zeros((p, self.q.shape[1]))])
-            cols = np.vstack([cols, np.zeros((pad, p)), beta * np.eye(p)])
-        # lstsq's cutoff eps * max(n, P) * sigma_max, with the largest column
-        # norm standing in for sigma_max
-        scale = float(np.sqrt(np.einsum("ij,ij->j", cols, cols).max()))
-        u, h, inv = _grow_basis(self.q, cols,
-                                np.finfo(float).eps * max(cols.shape) * scale)
+        p = cols.shape[1]
+        ridge = np.concatenate((self.ridge, np.full(p, beta)))
+        norm2 = np.einsum("ij,ij->j", cols, cols) + beta ** 2
+        # lstsq's cutoff eps * max(n, P) * sigma_max on the columns stacked
+        # over their ridge rows, the largest column norm standing in for
+        # sigma_max
+        cutoff = (np.finfo(float).eps * max(cols.shape[0] + np.count_nonzero(ridge), p)
+                  * float(np.sqrt(norm2.max())))
+        h = self.cmap.T @ (self.a.T @ cols)
+        s = cols.T @ cols - h.T @ h
+        s[np.diag_indices_from(s)] += beta ** 2
+        inv = _bordered_inverse(s, norm2, cutoff)
+        if inv is None:
+            h, inv = self._grow(cols, beta, cutoff)
         n, k = self.cmap.shape
         cmap = np.zeros((n + p, k + inv.shape[1]))
         cmap[:n, :k] = self.cmap
         cmap[:n, k:] = -self.cmap @ (h @ inv)
         cmap[n:, k:] = inv
         self.cmap = cmap
-        self.q = np.concatenate((self.q, u), axis=1)
+        self.a = np.concatenate((self.a, cols), axis=1)
+        self.ridge = ridge
+
+    def _grow(self, cols, beta: float, cutoff: float):
+        # the fallback: q and the new columns stacked over every ridge row,
+        # the new columns' below the earlier ones', grown by _grow_basis;
+        # returns its (h, t^+)
+        ridged = self.ridge > 0
+        q = np.vstack([self.a, np.diag(self.ridge)[ridged]]) @ self.cmap
+        cols = np.vstack([cols, np.zeros((np.count_nonzero(ridged), cols.shape[1]))])
+        if beta > 0:
+            q = np.vstack([q, np.zeros((cols.shape[1], q.shape[1]))])
+            cols = np.vstack([cols, beta * np.eye(cols.shape[1])])
+        _, h, inv = _grow_basis(q, cols, cutoff)
+        return h, inv
 
     def solve(self, r) -> None:
         """Fit ``f0`` and every dense mode's coefficients to r, and leave
         their values in ``fitted``."""
-        c = self.cmap @ (self.q[: r.shape[0]].T @ r)
+        c = self.cmap @ (self.cmap.T @ (self.a.T @ r))
         start = 0
         if self.with_f0:
             self.f0 = float(c[0])
@@ -656,7 +682,7 @@ class _Skeleton:
     the one continuation (``refit``) read. For a plain ``cfg`` and no CP
     mode among the first k, ``refit(w, k)`` gives the bytes of
     ``fit_hdmr(rows, None, groups[:k], cfg, basis, row_weights=w)`` for the
-    entered ``groups``: its one solve follows that fit's basis extensions.
+    entered ``groups``: its one solve follows that fit's block extensions.
     """
 
     def __init__(self, rows: SampleSet, cfg: FitConfig, basis: BasisConfig):

@@ -206,9 +206,10 @@ def dense_design(table: np.ndarray, dims, indices) -> np.ndarray:
 
 # a Gram matrix, its columns scaled to unit norm, is factored by Cholesky
 # while the pivots stay within this ratio of each other; below it the SVD
-# (``_grow_basis``) or lstsq (``fitting._gram_solve``) takes over, since the
-# Gram squares the condition number. On ALS-shaped probes the Gram solution
-# stayed within 1e-9 of lstsq above the ratio (1e-7 at 1e-3).
+# (``_grow_basis``, also for the dense block's bordering) or lstsq
+# (``fitting._gram_solve``) takes over, since the Gram squares the condition
+# number. On ALS-shaped probes the Gram solution stayed within 1e-9 of
+# lstsq above the ratio (1e-7 at 1e-3).
 _GRAM_MIN_PIVOT_RATIO = 1e-2
 
 
@@ -253,6 +254,22 @@ def _grow_basis(q, cols, cutoff: float):
     u, s, vt = np.linalg.svd(rem, full_matrices=False)
     keep = s > cutoff
     return u[:, keep], h, vt[keep].T / s[keep]
+
+
+def _bordered_inverse(s, norm2, cutoff: float):
+    """Inverse factor of remainder columns whose Gram is s: with L L' the
+    Cholesky factor of s scaled to unit diagonal, s = t't for t = L' diag(d),
+    d = sqrt(diag s), and this returns t^-1 = diag(1/d) L'^-1. None unless
+    every diagonal entry keeps more than _GRAM_MIN_PIVOT_RATIO^2 of its
+    column's squared norm ``norm2`` and exceeds cutoff^2, and
+    ``_gram_cholesky`` takes the scaled s: the tests ``_grow_basis`` puts to
+    a remainder's norms and to the first Gram of its Cholesky-QR2."""
+    d2 = s.diagonal()
+    if not np.all(d2 > np.maximum(_GRAM_MIN_PIVOT_RATIO ** 2 * norm2, cutoff ** 2)):
+        return None
+    d = np.sqrt(d2)
+    low = _gram_cholesky(s / (d[:, None] * d))
+    return None if low is None else np.linalg.inv(low).T / d[:, None]
 
 
 def _cholesky_qr2(a):

@@ -9,10 +9,14 @@ groups side by side, as the weighted TLS refit of a robust fit uses it;
 the covariance oracle reads its values and derivatives off the same series.
 ``evaluate_model_design`` evaluates a model as ``evaluate_model`` once did:
 the table on every dim and one ``dense_design`` per dense mode, which the
-library's contraction of each mode's coefficients with the table replaces.
+library's contraction of each mode's coefficients with the table replaces;
+its CP modes' values are per-rank products of table columns
+(``cp_mode_values``), which the other oracles share.
 The least-squares oracles rebuild the design and solve it by ``ls_solve``
 (an SVD ``lstsq``) every time, as the coefficient passes once did: they
-check the grown dense block and the Gram solves of the ALS subproblems.
+check the bordered dense block and the Gram solves of the ALS subproblems;
+``dense_block_lstsq`` stacks f0 and several dense modes over their ridge
+rows, as one block holds them.
 ``greedy_cp_refit`` is rank-by-rank ALS that solves one factor at a time
 by lstsq: it checks the joint-rank sweeps that make a CP mode's entry fit.
 ``backfit`` is the coefficient passes as they once ran: per-mode
@@ -35,8 +39,9 @@ blocks, stacked one sample at a time, that the factored form in
 ``fitting`` replaces. The selection path's direction oracle runs one lstsq
 on all active columns at every step: it checks the orthonormal basis of the
 active span that ``glars_select`` grows. ``grow_basis_svd`` extends that
-basis, and the dense block's, by a thin SVD of every remainder, as
-``model._grow_basis`` did before its Cholesky-QR2 path. ``kl_field`` sums
+basis by a thin SVD of every remainder, as ``model._grow_basis`` did before
+its Cholesky-QR2 path; it also counts the directions the dense block's
+fallback drops from dependent columns. ``kl_field`` sums
 a field's Karhunen-Loeve expansion term by term. ``solve_diffusion_banded``
 solves one draw's diffusion system by ``scipy.linalg.solve_banded`` (LAPACK
 dgtsv), and ``generate_rows`` is the diffusion test bed one draw at a time:
@@ -57,8 +62,8 @@ from hdmrfit.basis import BasisConfig, univariate_table
 from hdmrfit.data import NoiseModel, SampleSet, _reflect, rng_stream
 from hdmrfit.fitting import (FitConfig, fit_basis, fit_hdmr, ls_solve,
                              merge_train_validation)
-from hdmrfit.model import (CPMode, DenseMode, HdmrModel, _cp_values,
-                           dense_design, enumerate_dense_indices, evaluate_model)
+from hdmrfit.model import (CPMode, DenseMode, HdmrModel, dense_design,
+                           enumerate_dense_indices, evaluate_model)
 from hdmrfit.selection import glars_select
 from hdmrfit.separated import (_MAX_OUTER_ITERS, _OUTER_TOL, _STOP_NORM_FRAC,
                                SeparatedModel, fit_spatial_mode, spatial_design)
@@ -113,10 +118,21 @@ def eval_tensor(cfg: BasisConfig, gamma, alphas, xi_vec):
     return float(out[0]) if single else out
 
 
+def cp_mode_values(blocks, factors) -> np.ndarray:
+    """A CP mode's values: per rank, the product over its dims of each
+    dim's (rows, orders) table columns times that rank's factor, summed
+    over the ranks."""
+    out = np.zeros(blocks[0].shape[0])
+    for fac in factors:
+        out += np.prod([b @ f for b, f in zip(blocks, fac)], axis=0)
+    return out
+
+
 def evaluate_model_design(model: HdmrModel, xi) -> np.ndarray:
     """``evaluate_model`` in its design form: the table on every dim, each
     dense mode's full ``dense_design`` times its coefficients, and each CP
-    mode's per-rank products, added to f0 in the model's order."""
+    mode's per-rank products (``cp_mode_values``), added to f0 in the
+    model's order."""
     xi = np.asarray(xi, dtype=float)
     squeeze = xi.ndim == 1
     rows = xi[None, :] if squeeze else xi
@@ -125,7 +141,7 @@ def evaluate_model_design(model: HdmrModel, xi) -> np.ndarray:
     for m in model.dense:
         out += dense_design(table, m.dims, m.indices) @ m.coeffs
     for m in model.cp:
-        out += _cp_values([table[:, d - 1, 1:model.no].T for d in m.dims], m.factors)
+        out += cp_mode_values([table[:, d - 1, 1:model.no] for d in m.dims], m.factors)
     return out[0] if squeeze else out
 
 
@@ -260,6 +276,21 @@ def grow_basis_svd(q, cols, cutoff: float):
     return u[:, keep], h + step, s[keep], vt[keep]
 
 
+def dense_block_lstsq(table, groups, no: int, w, r, beta: float) -> np.ndarray:
+    """f0 and the coefficients of the dense modes on ``groups``, in order:
+    one lstsq of the row-weighted columns [1, psi_1, ..., psi_m], stacked
+    over beta * I rows under the modes' columns (f0 unridged) and a zero
+    right-hand side there."""
+    w = np.asarray(w, dtype=float)
+    psi = np.hstack([np.ones((w.shape[0], 1))]
+                    + [dense_design(table, g, enumerate_dense_indices(g, no))
+                       for g in groups]) * w[:, None]
+    p = psi.shape[1] - 1
+    stacked = np.vstack([psi, np.hstack([np.zeros((p, 1)), beta * np.eye(p)])])
+    c, *_ = np.linalg.lstsq(stacked, np.concatenate([r, np.zeros(p)]), rcond=None)
+    return c
+
+
 def dense_mode_lstsq(table, dims, indices, w, r, beta: float) -> np.ndarray:
     """Coefficients of one dense mode: minimize ||r - w * (psi c)||^2 +
     beta^2 ||c||^2 with psi rebuilt from the table."""
@@ -352,7 +383,7 @@ def backfit(train: SampleSet, groups, cfg: FitConfig, basis: BasisConfig,
         else:
             blocks = [table[:, d - 1, 1:cfg.no] for d in dims]
             cps[dims] = greedy_cp_refit(dims, r, blocks, cfg, w, cps.get(dims))
-            values[dims] = _cp_values([b.T for b in blocks], cps[dims])
+            values[dims] = cp_mode_values(blocks, cps[dims])
 
     def total():
         return sum(values.values(), np.zeros(train.nq))
@@ -433,10 +464,7 @@ def continued_fit(rows: SampleSet, groups, cp_start, cfg: FitConfig, basis: Basi
     blocks = {g: [table[:, d - 1, 1:cfg.no] for d in g] for g in cps}
 
     def cp_values(g):
-        out = np.zeros(rows.nq)
-        for fac in cps[g]:
-            out += np.prod([b @ f for b, f in zip(blocks[g], fac)], axis=0)
-        return out
+        return cp_mode_values(blocks[g], cps[g])
 
     def solve():
         r = u - w * sum((cp_values(g) for g in cps), np.zeros(rows.nq))

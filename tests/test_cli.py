@@ -522,9 +522,11 @@ def test_bench_convergence_writes_rows(tmp_path):
                "--nolars", "3"])
     assert rc == 0
     rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
-    assert [r[0] for r in rows] == ["eps", "eps"]
-    assert [int(r[1]) for r in rows] == [80, 160]
-    assert all(0 <= float(r[3]) < 1 for r in rows)
+    # per (nq, seed): the test error, then the selection and fit seconds
+    assert [r[0] for r in rows] == ["eps", "select_s", "fit_s"] * 2
+    assert [int(r[1]) for r in rows] == [80] * 3 + [160] * 3
+    assert all(0 <= float(r[3]) < 1 for r in rows if r[0] == "eps")
+    assert all(float(r[3]) > 0 for r in rows if r[0] != "eps")
 
 
 def test_bench_convergence_test_rows_do_not_depend_on_seeds(tmp_path):
@@ -535,7 +537,8 @@ def test_bench_convergence_test_rows_do_not_depend_on_seeds(tmp_path):
         out = tmp_path / f"conv{seeds}.csv"
         assert main(["bench", "--out", str(out),
                      "--seeds", seeds] + small) == 0
-        values.append([ln.split(",") for ln in out.read_text().splitlines()[1:]])
+        values.append([ln.split(",") for ln in out.read_text().splitlines()[1:]
+                       if ln.startswith("eps,")])
     # the (nq, seed 0) row is the same fit on the same held-out rows
     assert values[0][0] == values[1][0]
     assert [int(r[2]) for r in values[1]] == [0, 1]

@@ -26,9 +26,10 @@ from hdmrfit.selection import SelectionConfig, glars_select
 from hdmrfit.separated import SpatialBasis, spatial_design
 from hdmrfit.testbed import DiffusionConfig, generate_dataset
 from oracles import (als_factor_lstsq, backfit, block_sample_covariance,
-                     build_sample_covariance, cv_fit_reference, dense_mode_lstsq,
-                     greedy_cp_refit, legendre_dpsi, stack_block_covariance,
-                     stack_sample_covariance, wtls_denominators_dense, wtls_solve_dense)
+                     build_sample_covariance, cv_fit_reference, dense_block_lstsq,
+                     dense_mode_lstsq, greedy_cp_refit, grow_basis_svd, legendre_dpsi,
+                     stack_block_covariance, stack_sample_covariance,
+                     wtls_denominators_dense, wtls_solve_dense)
 
 B = BasisConfig(lo=-1.0, hi=1.0, max_order=5)
 
@@ -867,16 +868,17 @@ def _rel(a, b):
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
 
-def _counting(monkeypatch, name):
-    """Replace fitting.<name> by a wrapper that records its positional args."""
+def _counting(monkeypatch, name, module=fitting):
+    """Replace module.<name> (fitting's by default) by a wrapper that
+    records its positional args."""
     calls = []
-    orig = getattr(fitting, name)
+    orig = getattr(module, name)
 
     def wrapper(*args, **kwargs):
         calls.append(args)
         return orig(*args, **kwargs)
 
-    monkeypatch.setattr(fitting, name, wrapper)
+    monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
@@ -927,6 +929,117 @@ def test_dense_operator_minimum_norm_on_rank_deficient_group():
     _, s, vt = np.linalg.svd(psi)
     null = vt[np.sum(s > 1e-10 * s[0]):]
     assert np.linalg.norm(null @ c) < 1e-10 * np.linalg.norm(c)
+
+
+def _stacked_basis(block):
+    # the block's columns stacked over their ridge rows, times cmap: an
+    # orthonormal basis of the block's least-squares problem
+    return np.vstack([block.a, np.diag(block.ridge)[block.ridge > 0]]) @ block.cmap
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3])
+def test_bordered_block_matches_stacked_lstsq_oracle(monkeypatch, beta):
+    # f0 and three dense modes under row weights enter by bordering alone:
+    # no Gram-Schmidt, no SVD
+    ds, tab = uniform_set(200, 3, seed=35)
+    g = rng_stream(35, 1)
+    w = g.uniform(0.2, 2.0, 200)
+    groups = [(1,), (2, 3), (1, 3)]
+    cfg = FitConfig(no=4, npc=2, beta=beta)
+    grows = _counting(monkeypatch, "_grow_basis")
+    svds = _counting(monkeypatch, "svd", np.linalg)
+    block = fitting._Block(w, beta, with_f0=True)
+    for dims in groups:
+        block.add(fitting._ActiveMode(dims, cfg, tab))
+    assert grows == [] and svds == []
+    assert block.cmap.shape == (1 + sum(len(m.indices) for m in block.dense),) * 2
+    q = _stacked_basis(block)
+    assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-13
+    for _ in range(3):
+        r = g.standard_normal(200)
+        block.solve(r)
+        c = np.concatenate([[block.f0]] + [m.params for m in block.dense])
+        assert _rel(c, dense_block_lstsq(tab, groups, 4, w, r, beta)) < 1e-10
+
+
+def _dependent_extension(case):
+    """(table, the block's dense groups, the entering columns): the columns
+    of a duplicated dim, or a column in the span of f0 and (1,), one that
+    keeps about 1e-3 of its norm outside it, or a zero column, between two
+    random ones."""
+    g = rng_stream(36, 1)
+    xi = g.uniform(-1.0, 1.0, size=(150, 2))
+    if case == "duplicated":
+        xi[:, 1] = xi[:, 0]
+        tab = univariate_table(B, xi)
+        return tab, [(1,)], dense_design(tab, (2,), enumerate_dense_indices((2,), 4))
+    tab = univariate_table(B, xi)
+    old = np.hstack([np.ones((150, 1)),
+                     dense_design(tab, (1,), enumerate_dense_indices((1,), 4))])
+    inside = old @ g.standard_normal(old.shape[1])
+    col = {"in-span": inside,
+           "near-span": inside + 1e-3 * np.linalg.norm(inside) * g.standard_normal(150)
+           / np.sqrt(150),
+           "zero": np.zeros(150)}[case]
+    return tab, [(1,)], np.column_stack([g.standard_normal(150), col,
+                                         g.standard_normal(150)])
+
+
+@pytest.mark.parametrize("case", ["duplicated", "in-span", "near-span", "zero"])
+def test_bordered_block_falls_back_on_dependent_columns(monkeypatch, case):
+    # columns whose remainder keeps too little of its norm take _grow_basis
+    # and its SVD, which drop as many directions as the oracle drops
+    tab, groups, cols = _dependent_extension(case)
+    g = rng_stream(36, 2)
+    w = g.uniform(0.5, 1.5, 150)
+    cfg = FitConfig(no=4, npc=2)
+    block = fitting._Block(w, 0.0, with_f0=True)
+    for dims in groups:
+        block.add(fitting._ActiveMode(dims, cfg, tab))
+    old = block.a.copy()
+    kept = block.cmap.shape[1]
+    grows = _counting(monkeypatch, "_grow_basis")
+    svds = _counting(monkeypatch, "svd", np.linalg)
+    cols = cols * w[:, None]
+    block._extend(cols, 0.0)
+    assert len(grows) == 1 and len(svds) == 1
+    # the oracle grows an orthonormal basis of the earlier columns by the
+    # SVD of the new columns' remainder, with the block's cutoff
+    cutoff = np.finfo(float).eps * max(cols.shape) * np.linalg.norm(cols, axis=0).max()
+    *_, s, _ = grow_basis_svd(np.linalg.qr(old)[0], cols, cutoff)
+    dropped = cols.shape[1] - (block.cmap.shape[1] - kept)
+    assert dropped == cols.shape[1] - len(s)
+    assert dropped == {"duplicated": 4, "in-span": 1, "near-span": 0, "zero": 1}[case]
+    q = _stacked_basis(block)
+    assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-13
+    # the fit's values are lstsq's: the dropped directions add nothing
+    r = g.standard_normal(150)
+    c = block.cmap @ (block.cmap.T @ (block.a.T @ r))
+    ref, *_ = np.linalg.lstsq(block.a, r, rcond=None)
+    assert np.abs(block.a @ (c - ref)).max() <= 1e-12 * np.linalg.norm(r)
+
+
+def test_bordered_block_falls_back_under_a_ridge(monkeypatch):
+    # a duplicated dim under a small ridge keeps about 2e-5 of its columns'
+    # squared norms: the fallback stacks both modes' ridge rows and drops
+    # nothing, and the solve stays the ridge lstsq's
+    g = rng_stream(37, 1)
+    xi = g.uniform(-1.0, 1.0, size=(150, 2))
+    xi[:, 1] = xi[:, 0]
+    tab = univariate_table(B, xi)
+    w = g.uniform(0.5, 1.5, 150)
+    cfg = FitConfig(no=4, npc=2, beta=0.05)
+    block = fitting._Block(w, cfg.beta, with_f0=True)
+    block.add(fitting._ActiveMode((1,), cfg, tab))
+    grows = _counting(monkeypatch, "_grow_basis")
+    block.add(fitting._ActiveMode((2,), cfg, tab))
+    assert len(grows) == 1 and block.cmap.shape == (9, 9)
+    q = _stacked_basis(block)
+    assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-13
+    r = g.standard_normal(150)
+    block.solve(r)
+    c = np.concatenate([[block.f0]] + [m.params for m in block.dense])
+    assert _rel(c, dense_block_lstsq(tab, [(1,), (2,)], 4, w, r, cfg.beta)) < 1e-10
 
 
 def _als_subproblem(seed, n=300, nord=5):

@@ -1,18 +1,19 @@
 """The references of the optimized layers do not call the code they check.
 
 ``tests/oracles.py`` may read the public functions of ``hdmrfit.basis``,
-``hdmrfit.fitting`` and ``hdmrfit.selection`` and the private stop-rule
-constants it mirrors (upper-case names such as ``_WTLS_TOL``), but no
-other ``_``-prefixed name of those modules, such as the basis derivatives'
-``_deriv_table``: an oracle that calls the optimized code checks the
-library against itself.
+``hdmrfit.fitting``, ``hdmrfit.model`` and ``hdmrfit.selection`` and the
+private stop-rule constants it mirrors (upper-case names such as
+``_WTLS_TOL``), but no other ``_``-prefixed name of those modules, such as
+the basis derivatives' ``_deriv_table`` or a CP mode's ``_cp_values``: an
+oracle that calls the optimized code checks the library against itself.
 """
 
 import ast
 from pathlib import Path
 
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
-CHECKED = ("hdmrfit.basis", "hdmrfit.fitting", "hdmrfit.selection")
+CHECKED = ("hdmrfit.basis", "hdmrfit.fitting", "hdmrfit.model",
+           "hdmrfit.selection")
 
 
 def _private(name: str) -> bool:
@@ -48,12 +49,14 @@ def test_guard_sees_every_form_of_private_use():
             "import hdmrfit.selection as sel\n"
             "from hdmrfit.fitting import _gram_solve, _TINY, ls_solve\n"
             "from hdmrfit.basis import _deriv_table, univariate_table\n"
+            "from hdmrfit.model import _cp_values, dense_design\n"
             "fitting._als_rank(1)\n"
             "sel._Scan(2)\n"
             "fitting._WTLS_TOL * fitting._TINY\n")
     assert private_uses(text) == ["hdmrfit.basis._deriv_table",
                                   "hdmrfit.fitting._als_rank",
                                   "hdmrfit.fitting._gram_solve",
+                                  "hdmrfit.model._cp_values",
                                   "hdmrfit.selection._Scan"]
 
 

@@ -35,14 +35,18 @@ refit reads the final block and writes its dense coefficients back, and
 ``_Skeleton.model`` turns a block into an ``HdmrModel``. The small tall
 subproblems, an ALS or a weighted TLS step here and the spatial fits of the
 separated driver, are solved through their unit-scaled Gram
-(``_gram_solve``), with ``ls_solve``, the plain lstsq, as the fallback and
+(``_normal_solve``), with ``ls_solve``, the plain lstsq, as the fallback and
 the reference. Every CP fit is made of
 joint-rank ALS sweeps (``_cp_sweep``; Kolda & Bader 2009, 3.4). A CP mode
 enters greedily, rank by rank from seeded draws (``_cp_factors``); each
-later refit of the mode is one sweep over all its ranks. A pass with no CP
-mode is one solve of the block; with CP modes, ``_MAX_UPDATE_SWEEPS`` update
-sweeps alternate a block solve with a refit of each CP mode, each an exact
-minimum over its own coefficients, so the training residual does not rise.
+later refit of the mode is one sweep over all its ranks. An ALS step forms
+its Gram from the products of pairs of its ranks' partial products and the
+products of pairs of its dim's table rows, which the mode computes once
+over every row, and builds its design only for the fallback. A pass with
+no CP mode is one solve of the block; with CP modes, ``_MAX_UPDATE_SWEEPS``
+update sweeps alternate a block solve with a refit of each CP mode, each an
+exact minimum over its own coefficients, so the training residual does not
+rise.
 """
 
 from __future__ import annotations
@@ -220,13 +224,15 @@ def _check_cp_range(gamma, cfg: FitConfig) -> None:
         )
 
 
-def _cp_factors(gamma, residual, blocks, cfg: FitConfig, w):
+def _cp_factors(gamma, residual, blocks, pairs, index, cfg: FitConfig, w):
     # greedy: each rank from seeded draws, fitted by one-rank joint sweeps
     # to what the earlier ranks leave; a rank the sweeps leave all zero (its
-    # factor values vanished) is skipped. Returns (factors, the mode's values)
+    # factor values vanished) is skipped. Returns (factors, the mode's
+    # values, the sweeps run over all ranks)
     card = len(gamma)
     factors = np.zeros((cfg.nr, card, cfg.no - 1))
     target = residual.copy()
+    sweeps = 0
     for rank in range(cfg.nr):
         if not target.any():
             break
@@ -234,7 +240,8 @@ def _cp_factors(gamma, residual, blocks, cfg: FitConfig, w):
         fac = g.uniform(-1.0, 1.0, size=(1,) + factors.shape[1:])
         prev = np.inf
         for _ in range(_ALS_MAX_SWEEPS):
-            fac, vals = _cp_sweep(target, blocks, fac, w, cfg.beta)
+            fac, vals = _cp_sweep(target, blocks, pairs, index, fac, w, cfg.beta)
+            sweeps += 1
             contr = w * vals
             res = _norm(target - contr)
             if abs(prev - res) <= _ALS_TOL * max(res, _TINY):
@@ -246,21 +253,44 @@ def _cp_factors(gamma, residual, blocks, cfg: FitConfig, w):
             continue
         factors[rank] = fac[0]
         target = target - contr
-    return factors, _cp_values(blocks, factors)
+    return factors, _cp_values(blocks, factors), sweeps
 
 
-def _cp_sweep(target, blocks, factors, w, beta: float) -> tuple[np.ndarray, np.ndarray]:
+def _pairs(n: int):
+    """(i, j, pos): the pairs i <= j of 0..n-1, ordered by j and then i, so
+    that the pairs among the first m come first for every m, and the (n, n)
+    map pos[a, b] = pos[b, a] from two indices to the place of their pair."""
+    j, i = np.tril_indices(n)
+    pos = np.empty((n, n), dtype=np.intp)
+    pos[i, j] = pos[j, i] = np.arange(i.shape[0])
+    return i, j, pos
+
+
+def _cp_sweep(target, blocks, pairs, index, factors, w,
+              beta: float) -> tuple[np.ndarray, np.ndarray]:
     """One joint-rank ALS sweep of a CP mode, or of one rank of it: for each
-    dimension in turn, the factors of all ranks by one ``_gram_solve``, the
-    other dimensions' factors held. ``blocks`` are each dimension's
+    dimension in turn, the factors of all ranks by one ``_normal_solve``,
+    the other dimensions' factors held. ``blocks`` are each dimension's
     (orders, rows) ``_order_blocks`` of the table, and the factor values and
     partial products are (ranks, rows), so every product runs along
-    contiguous rows. A rank whose other factors vanish has all-zero columns
-    and gets exactly zero factors: at beta = 0 those columns fail the Gram's
-    pivot test and lstsq's minimum-norm solution leaves them zero; at
-    beta > 0 the ridge keeps the Cholesky path, and their right-hand side is
-    zero. Returns (factors, the mode's values by ``_cp_values``' arithmetic)."""
+    contiguous rows.
+
+    A step's design has one column per (rank r, order a): rank r's partial
+    product, row weights included, times row a of the dimension's block.
+    Its Gram is one GEMM of the rank-pair products partial_k partial_l
+    (k <= l) with the dimension's order-pair products ``pairs``, sliced like
+    the blocks, gathered into the (ranks * orders)^2 matrix by the mode's
+    ``index`` = (k, l, gather), whose leading part serves fewer ranks. The
+    design is built only if the solve falls back to lstsq. A rank whose other factors vanish
+    has all-zero columns and gets exactly zero factors: at beta = 0 those
+    columns fail the Gram's pivot test and lstsq's minimum-norm solution
+    leaves them zero; at beta > 0 the ridge keeps the Cholesky path, and
+    their right-hand side is zero. Returns (factors, the mode's values by
+    ``_cp_values``' arithmetic)."""
     nr, card, nord = factors.shape
+    k, l, gather = index
+    npair = nr * (nr + 1) // 2
+    k, l, gather = k[:npair], l[:npair], gather[: nr * nord, : nr * nord]
     factors = factors.copy()
     vals = [factors[:, i] @ blocks[i] for i in range(card)]
     for i in range(card):
@@ -268,10 +298,12 @@ def _cp_sweep(target, blocks, factors, w, beta: float) -> tuple[np.ndarray, np.n
         for j in range(card):
             if j != i:
                 partial *= vals[j]
+        g = ((partial[k] * partial[l]) @ pairs[i].T).ravel()[gather]
+        rhs = ((partial * target) @ blocks[i].T).ravel()
         # design rows rank by rank: block i scaled by that rank's partial
-        # product; the solve reads its transpose, one column per row here
-        psi = partial[:, None, :] * blocks[i]
-        c = _gram_solve(psi.reshape(nr * nord, -1).T, target, beta)
+        # product, transposed to one column per (rank, order)
+        c = _normal_solve(g, rhs, target, beta, lambda: (
+            partial[:, None, :] * blocks[i]).reshape(nr * nord, -1).T)
         factors[:, i] = c.reshape(nr, nord)
         vals[i] = factors[:, i] @ blocks[i]
     values = np.ones_like(vals[0])
@@ -281,39 +313,48 @@ def _cp_sweep(target, blocks, factors, w, beta: float) -> tuple[np.ndarray, np.n
 
 
 def _gram_solve(psi, r, beta: float) -> np.ndarray:
-    """ls_solve(psi, r, beta) for a tall design with few columns, through
-    psi'psi + beta^2 I with its columns scaled to unit norm: its Cholesky
-    pivots (``_gram_cholesky``) decide whether it is numerically positive
-    definite, and it is then solved by np.linalg.solve; ls_solve itself when
-    it is not, non-finite systems included. The scaling keeps columns of
-    very different norms, such as the factors of a strong and a weak rank,
-    from failing the pivot test. The ALS steps, the weighted TLS steps and
-    the separated driver's spatial fits solve this way."""
-    g = psi.T @ psi
+    """ls_solve(psi, r, beta) for a tall design with few columns, by
+    ``_normal_solve`` of its Gram psi'psi and psi'r. The weighted TLS steps
+    and the separated driver's spatial fits solve this way."""
+    return _normal_solve(psi.T @ psi, psi.T @ r, r, beta, lambda: psi)
+
+
+def _normal_solve(g, rhs, r, beta: float, design) -> np.ndarray:
+    """ls_solve(psi, r, beta) from the Gram g = psi'psi (overwritten) and
+    rhs = psi'r, with psi = design() built only when needed: g + beta^2 I
+    with its columns scaled to unit norm goes to its Cholesky pivots
+    (``_gram_cholesky``), which decide whether it is numerically positive
+    definite, and it is then solved by np.linalg.solve; ls_solve itself
+    when it is not, non-finite systems included. The scaling keeps columns
+    of very different norms, such as the factors of a strong and a weak
+    rank, from failing the pivot test. The one normal-equation solve of
+    the ALS steps, the weighted TLS steps and the spatial fits."""
     d = np.sqrt(g.diagonal())
     d[d == 0.0] = 1.0
     g /= d[:, None] * d
     if beta > 0:
         g[np.diag_indices_from(g)] += (beta / d) ** 2
     if _gram_cholesky(g) is not None:
-        return np.linalg.solve(g, (psi.T @ r) / d) / d
-    return ls_solve(psi, r, beta)
+        return np.linalg.solve(g, rhs / d) / d
+    return ls_solve(design(), r, beta)
 
 
 @dataclass(frozen=True)
 class PassRecord:
     """One driver pass: the group added, training residual norm after the
-    update sweeps, the validation error (nan without a validation set) and
-    the number of update sweeps the pass ran (``_MAX_UPDATE_SWEEPS`` with a
-    CP mode, 0 without, where the pass is one solve of the dense block).
-    The final refit's record has the kept pass count as ``s`` and no
-    ``dims`` or ``cv_eps``."""
+    update sweeps, the validation error (nan without a validation set), the
+    number of update sweeps the pass ran (``_MAX_UPDATE_SWEEPS`` with a CP
+    mode, 0 without, where the pass is one solve of the dense block) and
+    the number of ALS sweeps the greedy entry of its group ran, summed over
+    the ranks (0 for a dense group). The final refit's record has the kept
+    pass count as ``s``, no ``dims`` or ``cv_eps`` and no entry sweeps."""
 
     s: int
     dims: Group | None
     train_residual_norm: float
     cv_eps: float
     update_sweeps: int
+    entry_sweeps: int
 
 
 @dataclass
@@ -337,28 +378,32 @@ class FitDiagnostics:
 
 def save_diagnostics(diag: FitDiagnostics, path) -> None:
     """CSV export: pass, dims (semicolon-joined), train residual norm, CVeps,
-    update sweeps."""
+    update sweeps, entry sweeps."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("pass,dims,train_residual_norm,cv_eps,update_sweeps\n")
+        fh.write("pass,dims,train_residual_norm,cv_eps,update_sweeps,entry_sweeps\n")
         for rec in diag.records:
             dims = ";".join(str(d) for d in rec.dims) if rec.dims else ""
             fh.write(f"{rec.s},{dims},{rec.train_residual_norm!r},{rec.cv_eps!r},"
-                     f"{rec.update_sweeps}\n")
+                     f"{rec.update_sweeps},{rec.entry_sweeps}\n")
 
 
 class _ActiveMode:
     """One entered group of a ``_Skeleton`` over every row of the fit, of
     which a pass over the first n rows reads the first n: its ``blocks``,
     the table's (orders, rows) views that ``_cp_sweep`` and
-    ``_Skeleton.values`` read, and for a dense mode its design (rows, P)
-    and the positions ``flat`` of its coefficients (``_dense_scatter``).
-    The pass's ``_Block`` sets a dense mode's coefficients; a CP mode
-    refits itself. ``params`` are the current coefficients (dense) or
-    factors (CP), and ``values`` a CP mode's unweighted values at the rows
-    of the current block."""
+    ``_Skeleton.values`` read, for a dense mode its design (rows, P) and
+    the positions ``flat`` of its coefficients (``_dense_scatter``), and for
+    a CP mode what ``_cp_sweep`` builds its Grams from: per dim the (order
+    pairs, rows) products ``pairs`` of its block's rows a <= b, and
+    ``index``, the rank pairs k <= l of ``cfg.nr`` ranks (``_pairs``' order)
+    and the gather map from the (rank pairs, order pairs) products to the
+    (ranks * orders)^2 Gram. The pass's ``_Block`` sets a dense mode's
+    coefficients; a CP mode refits itself. ``params`` are the current
+    coefficients (dense) or factors (CP), and ``values`` a CP mode's
+    unweighted values at the rows of the current block."""
 
-    __slots__ = ("dims", "kind", "indices", "design", "flat", "blocks", "params",
-                 "values")
+    __slots__ = ("dims", "kind", "indices", "design", "flat", "blocks", "pairs",
+                 "index", "params", "values")
 
     def __init__(self, dims, cfg: FitConfig, table):
         self.dims = dims
@@ -373,15 +418,26 @@ class _ActiveMode:
         else:
             _check_cp_range(dims, cfg)
             self.blocks = _order_blocks(table, dims, cfg.no)
+            oi, oj, opos = _pairs(cfg.no - 1)
+            self.pairs = [b[oi] * b[oj] for b in self.blocks]
+            ri, rj, rpos = _pairs(cfg.nr)
+            # Gram entry ((r, a), (s, b)) is product (pair(r, s), pair(a, b))
+            gather = rpos[:, None, :, None] * oi.shape[0] + opos[None, :, None, :]
+            self.index = (ri, rj, gather.reshape((cfg.nr * (cfg.no - 1),) * 2))
 
-    def refit(self, r, cfg, w) -> None:
+    def refit(self, r, cfg, w) -> int:
         # a CP mode's refit on the first len(r) rows: greedy one-rank sweeps
-        # on entry, one joint-rank sweep after
-        blocks = [b[:, : r.shape[0]] for b in self.blocks]
+        # on entry, one joint-rank sweep after; returns the sweeps run
+        n = r.shape[0]
+        blocks = [b[:, :n] for b in self.blocks]
+        pairs = [p[:, :n] for p in self.pairs]
         if self.params is None:
-            self.params, self.values = _cp_factors(self.dims, r, blocks, cfg, w)
-        else:
-            self.params, self.values = _cp_sweep(r, blocks, self.params, w, cfg.beta)
+            self.params, self.values, sweeps = _cp_factors(
+                self.dims, r, blocks, pairs, self.index, cfg, w)
+            return sweeps
+        self.params, self.values = _cp_sweep(r, blocks, pairs, self.index, self.params,
+                                             w, cfg.beta)
+        return 1
 
     def mode(self):
         if self.kind == "dense":
@@ -412,8 +468,8 @@ class _Block:
     ``model._grow_basis``, whose thin SVD gives t = s v' and the right
     inverse t^+ = v s^-1 over the kept directions: dropped directions get no
     coefficient, and for a mode alone that is lstsq's minimum-norm solution.
-    ``fitted`` is f0 plus the dense modes' values at the rows, unweighted,
-    as the last solve left them.
+    ``fitted`` is the row-weighted w * (f0 plus the dense modes' values)
+    at the rows, ``a`` times the coefficients, as the last solve left them.
     """
 
     def __init__(self, w, beta: float, with_f0: bool):
@@ -430,17 +486,19 @@ class _Block:
         if with_f0:
             self._extend(w[:, None], 0.0)
 
-    def enter(self, mode: _ActiveMode, u, cfg: FitConfig) -> None:
+    def enter(self, mode: _ActiveMode, u, cfg: FitConfig) -> int:
         """Fit an entering mode to what the block leaves of u: a dense mode
         extends the block and the block is solved again; a CP mode enters
-        from its seeded draws."""
+        from its seeded draws. Returns the ALS sweeps of a CP mode's entry,
+        0 for a dense mode."""
         w = self.w
         if mode.kind == "dense":
             self.add(mode)
             self.solve(u - w * self.cp_values())
-        else:
-            mode.refit(u - w * (self.fitted + self.cp_values()), cfg, w)
-            self.cps.append(mode)
+            return 0
+        sweeps = mode.refit(u - self.fitted - w * self.cp_values(), cfg, w)
+        self.cps.append(mode)
+        return sweeps
 
     def add(self, mode: _ActiveMode) -> None:
         """Take a mode as it stands, a CP mode's values recomputed at the rows."""
@@ -492,19 +550,17 @@ class _Block:
 
     def solve(self, r) -> None:
         """Fit ``f0`` and every dense mode's coefficients to r, and leave
-        their values in ``fitted``."""
+        their row-weighted values in ``fitted``."""
         c = self.cmap @ (self.cmap.T @ (self.a.T @ r))
+        self.fitted = self.a @ c
         start = 0
         if self.with_f0:
             self.f0 = float(c[0])
             start = 1
-        tot = np.zeros(r.shape[0])
         for m in self.dense:
             end = start + len(m.indices)
             m.params = c[start:end]
-            tot += m.design[: r.shape[0]] @ m.params
             start = end
-        self.fitted = self.f0 + tot
 
     def cp_values(self) -> np.ndarray:
         # the CP modes' values at the block's rows, unweighted
@@ -520,7 +576,7 @@ def _vector(v, default):
 
 def _residual_norm(block: _Block, u) -> float:
     # training residual norm of the block's values
-    return _norm(u - block.w * (block.fitted + block.cp_values()))
+    return _norm(u - block.fitted - block.w * block.cp_values())
 
 
 def _norm(v) -> float:
@@ -652,8 +708,8 @@ def _wtls_refit(block: _Block, rows: SampleSet, noise: NoiseModel,
     held fixed and subtracted from ``rows.u``. The row covariances are those
     of the whole block, from one ``covariance_blocks`` call whose u_ref is
     the least-squares prediction. The new coefficients go back into the
-    block's dense modes (``fitted`` keeps the least-squares values); with
-    s = s_u = 0 they are left untouched.
+    block's dense modes (``fitted`` keeps the row-weighted least-squares
+    values); with s = s_u = 0 they are left untouched.
     """
     if not block.dense or (noise.s == 0 and noise.s_u == 0):
         return
@@ -724,7 +780,7 @@ class _Skeleton:
         u, uval, wv = self.rows.u[:n], self.rows.u[n:], w[n:]
         block = _Block(w[:n], self.cfg.beta, with_f0=True)
         block.solve(u)
-        rec = PassRecord(0, None, _residual_norm(block, u), float("nan"), 0)
+        rec = PassRecord(0, None, _residual_norm(block, u), float("nan"), 0, 0)
         groups = iter(groups)
         records = []
         while True:
@@ -738,9 +794,9 @@ class _Skeleton:
                 kept = min(records, key=lambda r: r.cv_eps) if cv else rec
                 return block, records, kept.s
             mode = self.enter(dims)
-            block.enter(mode, u, self.cfg)
+            entry = block.enter(mode, u, self.cfg)
             rnorm, sweeps = _update_sweeps(block, u, self.cfg)
-            rec = PassRecord(rec.s + 1, mode.dims, rnorm, float("nan"), sweeps)
+            rec = PassRecord(rec.s + 1, mode.dims, rnorm, float("nan"), sweeps, entry)
 
     def refit(self, row_weights, kept: int):
         """The continuation: the first ``kept`` modes on all rows under these
@@ -753,7 +809,7 @@ class _Skeleton:
             block.add(m)
         block.solve(u - block.w * block.cp_values())
         rnorm, sweeps = _update_sweeps(block, u, self.cfg)
-        return block, PassRecord(kept, None, rnorm, float("nan"), sweeps)
+        return block, PassRecord(kept, None, rnorm, float("nan"), sweeps, 0)
 
     def model(self, block: _Block) -> HdmrModel:
         """The HdmrModel of a block that ``passes`` or ``refit`` returned."""
@@ -787,7 +843,7 @@ def _update_sweeps(block: _Block, u, cfg):
     for _ in range(sweeps):
         block.solve(u - w * block.cp_values())
         for m in block.cps:
-            m.refit(u - w * (block.fitted + block.cp_values() - m.values), cfg, w)
+            m.refit(u - block.fitted - w * (block.cp_values() - m.values), cfg, w)
     return _residual_norm(block, u), sweeps
 
 

@@ -98,7 +98,8 @@ def test_fit_manifest_records_run(ws, tmp_path):
     rc = main(_fit_args(ws, model_path, "--diagnostics", str(diag_path),
                         "--manifest", str(tmp_path / "mf.json")))
     assert rc == 0
-    assert diag_path.exists()
+    assert diag_path.read_text().splitlines()[0] \
+        == "pass,dims,train_residual_norm,cv_eps,update_sweeps,entry_sweeps"
     doc = json.loads((tmp_path / "mf.json").read_text())
     assert doc["command"] == "fit"
     assert doc["seed"] == 1

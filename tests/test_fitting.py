@@ -26,7 +26,8 @@ from hdmrfit.selection import SelectionConfig, glars_select
 from hdmrfit.separated import SpatialBasis, spatial_design
 from hdmrfit.testbed import DiffusionConfig, generate_dataset
 from oracles import (als_factor_lstsq, backfit, block_sample_covariance,
-                     build_sample_covariance, cv_fit_reference, dense_block_lstsq,
+                     build_sample_covariance, cp_mode_values, cp_sweep_lstsq,
+                     cv_fit_reference, dense_block_lstsq,
                      dense_mode_lstsq, greedy_cp_refit, grow_basis_svd, legendre_dpsi,
                      stack_block_covariance, stack_sample_covariance,
                      wtls_denominators_dense, wtls_solve_dense)
@@ -154,14 +155,40 @@ def test_cp_sweep_gives_a_vanished_rank_zero_factors(beta):
     g = rng_stream(62, 1)
     w = g.uniform(0.5, 1.5, 300)
     u = tab[:, 0, 1] * tab[:, 1, 2] * tab[:, 2, 1] + 0.05 * g.standard_normal(300)
-    # the sweep reads each dimension's block as (orders, rows)
-    blocks = _order_blocks(tab, (1, 2, 3), 4)
+    # the sweep reads each dimension's block as (orders, rows), and the
+    # mode's order-pair products and Gram map
+    mode = fitting._ActiveMode((1, 2, 3), FitConfig(no=4, npc=2, ninter=3, nr=2), tab)
+    operands = (mode.blocks, mode.pairs, mode.index)
     factors = np.zeros((2, 3, 3))
     factors[0] = g.uniform(-1.0, 1.0, (3, 3))
-    swept = fitting._cp_sweep(u, blocks, factors, w, beta)[0]
+    swept = fitting._cp_sweep(u, *operands, factors, w, beta)[0]
     assert not swept[1].any()
-    alone = fitting._cp_sweep(u, blocks, factors[:1], w, beta)[0]
+    alone = fitting._cp_sweep(u, *operands, factors[:1], w, beta)[0]
     assert _rel(swept[:1], alone) < 1e-12
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.05])
+@pytest.mark.parametrize("nr", [1, 3])
+def test_cp_sweep_matches_lstsq_oracle(monkeypatch, nr, beta):
+    # the sweep's Grams come from the mode's order-pair products: on the
+    # first 300 of 400 rows, as a pass reads them, under uneven row weights,
+    # it is the sweep of lstsq solves of the designs themselves
+    ds, tab = uniform_set(400, 3, seed=64)
+    g = rng_stream(64, 1)
+    n = 300
+    w = g.uniform(0.2, 2.0, n)
+    u = (tab[:n, 0, 1] * tab[:n, 1, 2] * tab[:n, 2, 1] + 0.3 * tab[:n, 0, 3] * tab[:n, 2, 2]
+         + 0.05 * g.standard_normal(n))
+    mode = fitting._ActiveMode((1, 2, 3), FitConfig(no=5, npc=2, ninter=3, nr=3), tab)
+    blocks = [b[:, :n] for b in mode.blocks]
+    pairs = [p[:, :n] for p in mode.pairs]
+    factors = g.uniform(-1.0, 1.0, (nr, 3, 4))
+    fallbacks = _counting(monkeypatch, "ls_solve")
+    swept, values = fitting._cp_sweep(u, blocks, pairs, mode.index, factors, w, beta)
+    assert not fallbacks
+    cols = [tab[:n, d, 1:5] for d in range(3)]
+    assert _rel(swept, cp_sweep_lstsq(u, cols, factors, w, beta)) < 1e-8
+    assert _rel(values, cp_mode_values(cols, swept)) < 1e-12
 
 
 def test_cp_mode_on_zero_values_is_zero_without_warnings():
@@ -443,6 +470,7 @@ def test_every_pass_with_a_cp_mode_runs_the_full_sweep_count():
     assert [r.update_sweeps for r in diag.records] == [expected(r.s) for r in diag.records]
     assert {r.update_sweeps for r in diag.records} == {0, full}
     assert diag.refit.update_sweeps == expected(diag.retained) == full
+    assert diag.refit.entry_sweeps == 0
 
 
 def test_zero_validation_fallback_is_the_fit_on_merged_rows(tmp_path):
@@ -564,22 +592,29 @@ def test_relative_error_zero_truth_rejected():
         relative_error(m, with_u(ds, np.zeros(50)).retag("test"))
 
 
-def test_diagnostics_csv(tmp_path):
+def test_diagnostics_csv(monkeypatch, tmp_path):
     ds, tab = uniform_set(300, 3, seed=15)
     u = tab[:, 0, 1] + 0.5 * tab[:, 1, 1] + 0.3 * tab[:, 0, 1] * tab[:, 1, 2] * tab[:, 2, 1]
+    cp_sweeps = _counting(monkeypatch, "_cp_sweep")
     _, diag = fit_hdmr(with_u(ds, u), None, [(1,), (2,), (1, 2, 3)],
                        FitConfig(no=3, npc=1, ninter=3), B)
     p = tmp_path / "diag.csv"
     save_diagnostics(diag, p)
     lines = p.read_text().strip().splitlines()
-    assert lines[0] == "pass,dims,train_residual_norm,cv_eps,update_sweeps"
+    assert lines[0] == "pass,dims,train_residual_norm,cv_eps,update_sweeps,entry_sweeps"
     assert len(lines) == len(diag.records) + 1
     assert lines[1].split(",")[1] == ""  # pass 0 has no group
-    sweeps = [int(ln.split(",")[-1]) for ln in lines[1:]]
+    sweeps = [int(ln.split(",")[4]) for ln in lines[1:]]
     assert sweeps == [rec.update_sweeps for rec in diag.records]
     # passes without a CP mode are one solve of the dense block and run no
     # update sweep; the pass the CP mode enters runs all of them
     assert sweeps == [0, 0, 0, fitting._MAX_UPDATE_SWEEPS]
+    # the CP mode's greedy entry ran every ALS sweep the update sweeps did
+    # not, and the dense passes none
+    entry = [int(ln.split(",")[5]) for ln in lines[1:]]
+    assert entry == [rec.entry_sweeps for rec in diag.records]
+    assert entry[:3] == [0, 0, 0] and entry[3] >= 1
+    assert len(cp_sweeps) == entry[3] + fitting._MAX_UPDATE_SWEEPS
 
 
 def test_covariance_block_pinned_example():
@@ -960,6 +995,30 @@ def test_bordered_block_matches_stacked_lstsq_oracle(monkeypatch, beta):
         block.solve(r)
         c = np.concatenate([[block.f0]] + [m.params for m in block.dense])
         assert _rel(c, dense_block_lstsq(tab, groups, 4, w, r, beta)) < 1e-10
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.3])
+def test_block_fitted_values_are_row_weighted(beta):
+    # fitted is a c, the row-weighted values of f0 and the dense modes, also
+    # on rows of zero weight, and the residual norm is the oracle's
+    ds, tab = uniform_set(200, 3, seed=38)
+    g = rng_stream(38, 1)
+    w = g.uniform(0.2, 2.0, 200)
+    w[::7] = 0.0
+    groups = [(1,), (2, 3)]
+    cfg = FitConfig(no=4, npc=2, beta=beta)
+    block = fitting._Block(w, beta, with_f0=True)
+    for dims in groups:
+        block.add(fitting._ActiveMode(dims, cfg, tab))
+    r = g.standard_normal(200)
+    block.solve(r)
+    values = block.f0 + sum(m.design @ m.params for m in block.dense)
+    assert _rel(block.fitted, w * values) < 1e-13
+    assert not block.fitted[::7].any()
+    c = dense_block_lstsq(tab, groups, 4, w, r, beta)
+    psi = np.hstack([np.ones((200, 1))] + [m.design for m in block.dense])
+    oracle = np.linalg.norm(r - w * (psi @ c))
+    assert fitting._residual_norm(block, r) == pytest.approx(oracle, rel=1e-12)
 
 
 def _dependent_extension(case):

@@ -27,12 +27,12 @@ modes on all rows as the passes left them, solves once and runs one round
 of update sweeps, building nothing again: the final refit of a
 cross-validated fit, and each later alternation of a separated rank. One
 ``_Block`` owns the fit of a pass loop or a continuation: its row weights,
-``f0``, the dense modes, one least-squares problem held as its row-weighted
-columns and an inverse Cholesky factor of their ridged Gram, which a mode
-extends by bordering (``model._bordered_inverse``; ``model._grow_basis``
-only for columns that fail its pivot tests), and the CP modes. The robust
-refit reads the final block and writes its dense coefficients back, and
-``_Skeleton.model`` turns a block into an ``HdmrModel``. The small tall
+``f0``, the dense modes, one least-squares problem held as a
+``model._Span`` of its row-weighted columns, which a mode extends by
+bordering the inverse Cholesky factor of their ridged Gram, and the CP
+modes. The robust refit reads the final block and writes its dense
+coefficients back, and ``_Skeleton.model`` turns a block into an
+``HdmrModel``. The small tall
 subproblems, an ALS or a weighted TLS step here and the spatial fits of the
 separated driver, are solved through their unit-scaled Gram
 (``_normal_solve``), with ``ls_solve``, the plain lstsq, as the fallback and
@@ -65,14 +65,14 @@ from .model import (
     DenseMode,
     Group,
     HdmrModel,
-    _bordered_inverse,
     _check_dims,
+    _check_finite,
     _cp_values,
     _dense_scatter,
     _dense_values,
     _gram_cholesky,
-    _grow_basis,
     _order_blocks,
+    _Span,
     dense_design,
     enumerate_dense_indices,
     evaluate_model,
@@ -143,11 +143,6 @@ class FitConfig:
 def fit_basis(basis: BasisConfig, cfg: FitConfig) -> BasisConfig:
     """Basis table wide enough for single-dimension modes of total degree no."""
     return replace(basis, max_order=max(basis.max_order, cfg.no + 1))
-
-
-def _check_finite(*arrays) -> None:
-    if not all(np.all(np.isfinite(a)) for a in arrays):
-        raise ValueError("non-finite entries in the least-squares system")
 
 
 def ls_solve(psi, r, beta: float = 0.0) -> np.ndarray:
@@ -445,39 +440,24 @@ class _ActiveMode:
         return CPMode(self.dims, self.params)
 
 
-class _Block:
+class _Block(_Span):
     """The fit of a pass loop or a continuation on its rows (the first
     len(w) rows of the modes' designs): ``f0`` (when ``with_f0``), the
     dense modes and the CP modes, each fitted by ``enter`` or taken by ``add``.
 
-    ``f0`` and the dense modes are one least-squares problem: minimize
+    ``f0`` and the dense modes are one least-squares ``_Span``: minimize
     ||r - w * (f0 + sum_m psi_m c_m)||^2 + beta^2 sum_m ||c_m||^2, with
-    ``f0`` unridged, where r is what the CP modes leave. ``a`` holds its
-    row-weighted columns and ``ridge`` each column's ridge (0 for ``f0``,
-    beta for a dense column). ``cmap`` is an inverse factor of their Gram
-    a'a + diag(ridge)^2: the columns stacked over their ridge rows, times
-    ``cmap``, are orthonormal, so a solve is c = cmap (cmap' (a' r)). Both
-    grow as modes enter, by bordering (``_extend``): the new columns'
-    coordinates h = cmap' (a' cols) and the Gram of their remainder,
-    S = cols' cols + beta^2 I - h'h, give S = t't with t upper triangular
-    (``model._bordered_inverse``), and ``cmap`` gains the columns
-    [-cmap h t^-1 ; t^-1], the inverse of the block-triangular factor. When
-    S fails the pivot tests (columns dependent on earlier ones or within a
-    mode, or ill conditioned), that one extension builds the orthonormal
-    basis q of the stacked columns from ``cmap`` and grows it by
-    ``model._grow_basis``, whose thin SVD gives t = s v' and the right
-    inverse t^+ = v s^-1 over the kept directions: dropped directions get no
-    coefficient, and for a mode alone that is lstsq's minimum-norm solution.
+    ``f0`` unridged, where r is what the CP modes leave. Its columns are
+    the row-weighted w and w * psi_m, with ridge 0 for ``f0`` and beta for a
+    dense column, and a mode extends it as it enters.
     ``fitted`` is the row-weighted w * (f0 plus the dense modes' values)
     at the rows, ``a`` times the coefficients, as the last solve left them.
     """
 
     def __init__(self, w, beta: float, with_f0: bool):
+        super().__init__(w.shape[0])
         self.w = w
         self.beta = beta
-        self.a = np.empty((w.shape[0], 0))
-        self.ridge = np.empty(0)
-        self.cmap = np.empty((0, 0))
         self.dense: list[_ActiveMode] = []
         self.cps: list[_ActiveMode] = []
         self.with_f0 = with_f0
@@ -510,48 +490,10 @@ class _Block:
             mode.values = _cp_values([b[:, :n] for b in mode.blocks], mode.params)
             self.cps.append(mode)
 
-    def _extend(self, cols, beta: float) -> None:
-        _check_finite(cols)
-        p = cols.shape[1]
-        ridge = np.concatenate((self.ridge, np.full(p, beta)))
-        norm2 = np.einsum("ij,ij->j", cols, cols) + beta ** 2
-        # lstsq's cutoff eps * max(n, P) * sigma_max on the columns stacked
-        # over their ridge rows, the largest column norm standing in for
-        # sigma_max
-        cutoff = (np.finfo(float).eps * max(cols.shape[0] + np.count_nonzero(ridge), p)
-                  * float(np.sqrt(norm2.max())))
-        h = self.cmap.T @ (self.a.T @ cols)
-        s = cols.T @ cols - h.T @ h
-        s[np.diag_indices_from(s)] += beta ** 2
-        inv = _bordered_inverse(s, norm2, cutoff)
-        if inv is None:
-            h, inv = self._grow(cols, beta, cutoff)
-        n, k = self.cmap.shape
-        cmap = np.zeros((n + p, k + inv.shape[1]))
-        cmap[:n, :k] = self.cmap
-        cmap[:n, k:] = -self.cmap @ (h @ inv)
-        cmap[n:, k:] = inv
-        self.cmap = cmap
-        self.a = np.concatenate((self.a, cols), axis=1)
-        self.ridge = ridge
-
-    def _grow(self, cols, beta: float, cutoff: float):
-        # the fallback: q and the new columns stacked over every ridge row,
-        # the new columns' below the earlier ones', grown by _grow_basis;
-        # returns its (h, t^+)
-        ridged = self.ridge > 0
-        q = np.vstack([self.a, np.diag(self.ridge)[ridged]]) @ self.cmap
-        cols = np.vstack([cols, np.zeros((np.count_nonzero(ridged), cols.shape[1]))])
-        if beta > 0:
-            q = np.vstack([q, np.zeros((cols.shape[1], q.shape[1]))])
-            cols = np.vstack([cols, beta * np.eye(cols.shape[1])])
-        _, h, inv = _grow_basis(q, cols, cutoff)
-        return h, inv
-
     def solve(self, r) -> None:
         """Fit ``f0`` and every dense mode's coefficients to r, and leave
         their row-weighted values in ``fitted``."""
-        c = self.cmap @ (self.cmap.T @ (self.a.T @ r))
+        c = super().solve(r)
         self.fitted = self.a @ c
         start = 0
         if self.with_f0:

@@ -5,6 +5,10 @@ sorted tuple of 1-based stochastic dimensions. Low-cardinality modes carry a
 dense tensor-product polynomial expansion; higher-cardinality modes carry a
 rank-nr separated (CP) expansion whose univariate factors exclude the
 constant, so every mode has zero mean under the uniform measure.
+
+The module also holds ``_Span``, the one least-squares problem over columns
+that grow a group at a time: the selection path's active span and the
+coefficient passes' dense block are each one.
 """
 
 from __future__ import annotations
@@ -206,10 +210,9 @@ def dense_design(table: np.ndarray, dims, indices) -> np.ndarray:
 
 # a Gram matrix, its columns scaled to unit norm, is factored by Cholesky
 # while the pivots stay within this ratio of each other; below it the SVD
-# (``_grow_basis``, also for the dense block's bordering) or lstsq
-# (``fitting._gram_solve``) takes over, since the Gram squares the condition
-# number. On ALS-shaped probes the Gram solution stayed within 1e-9 of
-# lstsq above the ratio (1e-7 at 1e-3).
+# (``_Span._grow``) or lstsq (``fitting._gram_solve``) takes over, since the
+# Gram squares the condition number. On ALS-shaped probes the Gram solution
+# stayed within 1e-9 of lstsq above the ratio (1e-7 at 1e-3).
 _GRAM_MIN_PIVOT_RATIO = 1e-2
 
 
@@ -224,36 +227,9 @@ def _gram_cholesky(g):
     return low if piv.min() > _GRAM_MIN_PIVOT_RATIO * piv.max() else None
 
 
-def _grow_basis(q, cols, cutoff: float):
-    """Extend q, an orthonormal basis, by the span of ``cols``.
-
-    Classical Gram-Schmidt with one reorthogonalization leaves the remainder
-    cols - q h, h = q' cols, factored as u t with u orthonormal: by
-    Cholesky-QR2 of the unit-scaled remainder while each remainder column
-    keeps more than _GRAM_MIN_PIVOT_RATIO of its norm and exceeds
-    ``cutoff``, and while the Cholesky pivots pass; otherwise by a thin SVD
-    u diag(s) vt that keeps the directions whose singular value exceeds
-    ``cutoff`` (Golub & Van Loan, Matrix Computations, 4th ed., 5.4, 6.5).
-    Returns (u, h, inv) with inv a right inverse of t, so (cols - q h) inv
-    = u: the triangular inverse, or vt' / s over the kept directions.
-    """
-    h = np.zeros((q.shape[1], cols.shape[1]))
-    rem = cols
-    for _ in range(2):
-        step = q.T @ rem
-        rem = rem - q @ step
-        h += step
-    norm = np.sqrt(np.einsum("ij,ij->j", rem, rem))
-    kept = norm > np.maximum(_GRAM_MIN_PIVOT_RATIO
-                             * np.sqrt(np.einsum("ij,ij->j", cols, cols)), cutoff)
-    if kept.all():
-        fast = _cholesky_qr2(rem / norm)
-        if fast is not None:
-            u, inv = fast
-            return u, h, inv / norm[:, None]
-    u, s, vt = np.linalg.svd(rem, full_matrices=False)
-    keep = s > cutoff
-    return u[:, keep], h, vt[keep].T / s[keep]
+def _check_finite(*arrays) -> None:
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise ValueError("non-finite entries in the least-squares system")
 
 
 def _bordered_inverse(s, norm2, cutoff: float):
@@ -262,8 +238,7 @@ def _bordered_inverse(s, norm2, cutoff: float):
     d = sqrt(diag s), and this returns t^-1 = diag(1/d) L'^-1. None unless
     every diagonal entry keeps more than _GRAM_MIN_PIVOT_RATIO^2 of its
     column's squared norm ``norm2`` and exceeds cutoff^2, and
-    ``_gram_cholesky`` takes the scaled s: the tests ``_grow_basis`` puts to
-    a remainder's norms and to the first Gram of its Cholesky-QR2."""
+    ``_gram_cholesky`` takes the scaled s."""
     d2 = s.diagonal()
     if not np.all(d2 > np.maximum(_GRAM_MIN_PIVOT_RATIO ** 2 * norm2, cutoff ** 2)):
         return None
@@ -272,20 +247,83 @@ def _bordered_inverse(s, norm2, cutoff: float):
     return None if low is None else np.linalg.inv(low).T / d[:, None]
 
 
-def _cholesky_qr2(a):
-    """(u, inv) with a = u t, u orthonormal and inv = t^-1 upper triangular,
-    by Cholesky-QR2 (Fukaya et al. 2014): twice, L L' = a'a and a <- a L'^-1;
-    None when a'a fails ``_gram_cholesky``. Two passes are accurate while a's
-    condition number stays far below eps^-1/2 (Yamamoto et al. 2015)."""
-    inv = None
-    for _ in range(2):
-        low = _gram_cholesky(a.T @ a)
-        if low is None:
-            return None
-        lt = np.linalg.inv(low).T
-        a = a @ lt
-        inv = lt if inv is None else inv @ lt
-    return a, inv
+class _Span:
+    """A least-squares problem whose columns grow a group at a time: the
+    active span of the selection path, and the dense block of a fit.
+
+    It minimizes ||r - a c||^2 + sum_j ridge_j^2 c_j^2 over rows of n
+    values. ``a`` holds the columns as they entered, ``ridge`` each column's
+    ridge, and ``cmap`` an inverse factor of their Gram a'a + diag(ridge)^2:
+    the columns stacked over their ridge rows, times ``cmap``, are
+    orthonormal, so a solve is c = cmap (cmap' (a' r)). All three grow by
+    bordering (``_extend``; Efron et al. 2004, "Least angle regression", 7):
+    the new columns' coordinates h = cmap' (a' cols) and the Gram of their
+    remainder, S = cols' cols + beta^2 I - h'h, give S = t't with t upper
+    triangular (``_bordered_inverse``), and ``cmap`` gains the columns
+    [-cmap h t^-1 ; t^-1], the inverse of the block-triangular factor. When
+    S fails the pivot tests (columns dependent on earlier ones or on each
+    other, or ill conditioned), that one extension takes ``_grow``: the
+    orthonormal basis q of the stacked columns from ``cmap``, Gram-Schmidt
+    against it twice and a thin SVD u s v' of the remainder, which give h
+    and the right inverse t^+ = v s^-1 over the directions whose singular
+    value clears the cutoff (Golub & Van Loan, Matrix Computations, 4th
+    ed., 5.4, 6.5). Dropped directions get no coefficient: for unridged
+    columns the fit is lstsq's, and for one group alone so are the
+    minimum-norm coefficients. The cutoff is lstsq's, eps * max(n, P) *
+    sigma_max of the columns stacked over their ridge rows, the largest
+    column norm standing in for sigma_max; for the unit columns of the
+    selection scan it is eps * n.
+    """
+
+    def __init__(self, n: int):
+        self.a = np.empty((n, 0))
+        self.ridge = np.empty(0)
+        self.cmap = np.empty((0, 0))
+
+    def _extend(self, cols, beta: float) -> None:
+        _check_finite(cols)
+        p = cols.shape[1]
+        ridge = np.concatenate((self.ridge, np.full(p, beta)))
+        norm2 = np.einsum("ij,ij->j", cols, cols) + beta ** 2
+        cutoff = (np.finfo(float).eps * max(cols.shape[0] + np.count_nonzero(ridge), p)
+                  * float(np.sqrt(norm2.max())))
+        h = self.cmap.T @ (self.a.T @ cols)
+        s = cols.T @ cols - h.T @ h
+        s[np.diag_indices_from(s)] += beta ** 2
+        inv = _bordered_inverse(s, norm2, cutoff)
+        if inv is None:
+            h, inv = self._grow(cols, beta, cutoff)
+        n, k = self.cmap.shape
+        cmap = np.zeros((n + p, k + inv.shape[1]))
+        cmap[:n, :k] = self.cmap
+        cmap[:n, k:] = -self.cmap @ (h @ inv)
+        cmap[n:, k:] = inv
+        self.cmap = cmap
+        self.a = np.concatenate((self.a, cols), axis=1)
+        self.ridge = ridge
+
+    def _grow(self, cols, beta: float, cutoff: float):
+        # the fallback: q and the new columns stacked over every ridge row,
+        # the new columns' below the earlier ones'; returns (h, t^+)
+        ridged = self.ridge > 0
+        q = np.vstack([self.a, np.diag(self.ridge)[ridged]]) @ self.cmap
+        cols = np.vstack([cols, np.zeros((np.count_nonzero(ridged), cols.shape[1]))])
+        if beta > 0:
+            q = np.vstack([q, np.zeros((cols.shape[1], q.shape[1]))])
+            cols = np.vstack([cols, beta * np.eye(cols.shape[1])])
+        h = np.zeros((q.shape[1], cols.shape[1]))
+        rem = cols
+        for _ in range(2):
+            step = q.T @ rem
+            rem = rem - q @ step
+            h += step
+        _, s, vt = np.linalg.svd(rem, full_matrices=False)
+        keep = s > cutoff
+        return h, vt[keep].T / s[keep]
+
+    def solve(self, r) -> np.ndarray:
+        """The coefficients of the columns' fit to r."""
+        return self.cmap @ (self.cmap.T @ (self.a.T @ r))
 
 
 def _order_blocks(table: np.ndarray, dims: Group, top: int) -> list[np.ndarray]:

@@ -6,10 +6,14 @@ holds the group's design columns orthonormalized under the empirical inner
 product and p_g counts its predictors. Groups enter one at a time; after each
 entry the residual moves along the least-squares direction of the active
 columns by the smallest step at which an inactive group ties the active
-score. The output is the ordered entry sequence: a skeleton of groups whose
-coefficients are discarded and re-estimated downstream. ``glars_steps``
-computes it one step at a time, as a caller asks for steps;
-``glars_select`` collects every step into a SelectionPath.
+score. The active columns are held as a ``model._Span``, the structure the
+coefficient passes fit their dense block with: a group extends it by
+bordering the inverse Cholesky factor of the active Gram, and the
+direction is the span's fit of the residual. The output is the ordered
+entry sequence: a skeleton of groups whose coefficients are discarded and
+re-estimated downstream. ``glars_steps`` computes it one step at a time,
+as a caller asks for steps; ``glars_select`` collects every step into a
+SelectionPath.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from .basis import BasisConfig, univariate_table
 from .data import _NORM_FLOOR, SampleSet, _check_row_weights
-from .model import Group, _grow_basis, dense_design, enumerate_dense_indices
+from .model import Group, _Span, dense_design, enumerate_dense_indices
 
 __all__ = [
     "SelectionConfig",
@@ -217,18 +221,6 @@ def _quadratic_step(uu, uw, ww, c_score):
     return best
 
 
-def _direction(q, cols, r):
-    """Extend q, an orthonormal basis of the active span, by a group's
-    orthonormal columns (``_grow_basis``); return it and v = q q' r, lstsq's
-    fit of r. Columns well outside the active span join q by Cholesky-QR2;
-    otherwise a direction of the remainder's thin SVD joins q if its
-    singular value clears eps * nq, lstsq's cutoff eps * max(nq, P) *
-    sigma_max for unit columns and P < nq."""
-    u, *_ = _grow_basis(q, cols, np.finfo(float).eps * q.shape[0])
-    q = np.concatenate((q, u), axis=1)
-    return q, q @ (q.T @ r)
-
-
 def glars_select(train: SampleSet, cfg: SelectionConfig, basis: BasisConfig,
                  row_weights=None) -> SelectionPath:
     """Run the group selection path on a training set, targeting train.u:
@@ -302,7 +294,7 @@ def glars_steps(train: SampleSet, cfg: SelectionConfig, basis: BasisConfig,
 
     active: list[int] = []
     active_set: set[Group] = set()
-    q = np.empty((train.nq, 0))
+    span = _Span(train.nq)
     direction_seconds = 0.0
     pred_count = 0
     dof_cap = train.nq - _DOF_BUFFER
@@ -331,7 +323,8 @@ def glars_steps(train: SampleSet, cfg: SelectionConfig, basis: BasisConfig,
         pred_count += p_gi
 
         t0 = time.perf_counter()
-        q, v = _direction(q, scan.columns(gi), r)
+        span._extend(scan.columns(gi), 0.0)
+        v = span.a @ span.solve(r)
         direction_seconds += time.perf_counter() - t0
 
         proj_v = project(v)

@@ -36,12 +36,13 @@ bytes when no CP mode is kept, and the same model up to the lstsq's
 rounding otherwise.
 The weighted TLS oracle works on the dense (Nq, p+1, p+1) covariance
 blocks, stacked one sample at a time, that the factored form in
-``fitting`` replaces. The selection path's direction oracle runs one lstsq
-on all active columns at every step: it checks the orthonormal basis of the
-active span that ``glars_select`` grows. ``grow_basis_svd`` extends that
-basis by a thin SVD of every remainder, as ``model._grow_basis`` did before
-its Cholesky-QR2 path; it also counts the directions the dense block's
-fallback drops from dependent columns. ``kl_field`` sums
+``fitting`` replaces. ``LstsqSpan`` is the selection path's active span
+by one lstsq on all active columns at every step: it checks the bordered
+span (``model._Span``) that ``glars_select`` grows. ``grow_basis_svd``
+extends an orthonormal basis by a thin SVD of every remainder, as the
+span's fallback does once its pivot tests fail: it checks the bordered
+extensions, and counts the directions the fallback drops from dependent
+columns. ``kl_field`` sums
 a field's Karhunen-Loeve expansion term by term. ``solve_diffusion_banded``
 solves one draw's diffusion system by ``scipy.linalg.solve_banded`` (LAPACK
 dgtsv), and ``generate_rows`` is the diffusion test bed one draw at a time:
@@ -254,12 +255,22 @@ def wtls_solve_dense(psi, r, lam, c0=None) -> np.ndarray:
     return best_c
 
 
-def lstsq_direction(active_cols, r) -> np.ndarray:
-    """Least-squares fit of r on the stacked columns of every active group:
-    the path's direction, solved by one lstsq on the whole active set."""
-    x = np.hstack(active_cols)
-    coef, *_ = np.linalg.lstsq(x, r, rcond=None)
-    return x @ coef
+class LstsqSpan:
+    """The selection path's active span by lstsq: ``a`` stacks the active
+    groups' columns as they entered, and ``solve`` fits r on all of them by
+    one lstsq, so ``a @ solve(r)`` is the path's direction. It takes the
+    selection's calls of ``model._Span``, which carry no ridge."""
+
+    def __init__(self, n: int):
+        self.a = np.empty((n, 0))
+
+    def _extend(self, cols, beta: float) -> None:
+        assert beta == 0.0
+        self.a = np.hstack([self.a, cols])
+
+    def solve(self, r) -> np.ndarray:
+        coef, *_ = np.linalg.lstsq(self.a, r, rcond=None)
+        return coef
 
 
 def grow_basis_svd(q, cols, cutoff: float):

@@ -20,7 +20,7 @@ from hdmrfit.fitting import (
     save_diagnostics,
     wtls_solve,
 )
-from hdmrfit.model import (HdmrModel, _order_blocks, dense_design,
+from hdmrfit.model import (HdmrModel, _order_blocks, _Span, dense_design,
                            enumerate_dense_indices, evaluate_model, save_model)
 from hdmrfit.selection import SelectionConfig, glars_select
 from hdmrfit.separated import SpatialBasis, spatial_design
@@ -903,17 +903,17 @@ def _rel(a, b):
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
 
-def _counting(monkeypatch, name, module=fitting):
-    """Replace module.<name> (fitting's by default) by a wrapper that
-    records its positional args."""
+def _counting(monkeypatch, name, owner=fitting):
+    """Replace owner.<name>, of a module (fitting by default) or a class, by
+    a wrapper that records its positional args."""
     calls = []
-    orig = getattr(module, name)
+    orig = getattr(owner, name)
 
     def wrapper(*args, **kwargs):
         calls.append(args)
         return orig(*args, **kwargs)
 
-    monkeypatch.setattr(module, name, wrapper)
+    monkeypatch.setattr(owner, name, wrapper)
     return calls
 
 
@@ -981,7 +981,7 @@ def test_bordered_block_matches_stacked_lstsq_oracle(monkeypatch, beta):
     w = g.uniform(0.2, 2.0, 200)
     groups = [(1,), (2, 3), (1, 3)]
     cfg = FitConfig(no=4, npc=2, beta=beta)
-    grows = _counting(monkeypatch, "_grow_basis")
+    grows = _counting(monkeypatch, "_grow", _Span)
     svds = _counting(monkeypatch, "svd", np.linalg)
     block = fitting._Block(w, beta, with_f0=True)
     for dims in groups:
@@ -1046,8 +1046,8 @@ def _dependent_extension(case):
 
 @pytest.mark.parametrize("case", ["duplicated", "in-span", "near-span", "zero"])
 def test_bordered_block_falls_back_on_dependent_columns(monkeypatch, case):
-    # columns whose remainder keeps too little of its norm take _grow_basis
-    # and its SVD, which drop as many directions as the oracle drops
+    # columns whose remainder keeps too little of its norm take the span's
+    # fallback and its SVD, which drop as many directions as the oracle drops
     tab, groups, cols = _dependent_extension(case)
     g = rng_stream(36, 2)
     w = g.uniform(0.5, 1.5, 150)
@@ -1057,7 +1057,7 @@ def test_bordered_block_falls_back_on_dependent_columns(monkeypatch, case):
         block.add(fitting._ActiveMode(dims, cfg, tab))
     old = block.a.copy()
     kept = block.cmap.shape[1]
-    grows = _counting(monkeypatch, "_grow_basis")
+    grows = _counting(monkeypatch, "_grow", _Span)
     svds = _counting(monkeypatch, "svd", np.linalg)
     cols = cols * w[:, None]
     block._extend(cols, 0.0)
@@ -1090,7 +1090,7 @@ def test_bordered_block_falls_back_under_a_ridge(monkeypatch):
     cfg = FitConfig(no=4, npc=2, beta=0.05)
     block = fitting._Block(w, cfg.beta, with_f0=True)
     block.add(fitting._ActiveMode((1,), cfg, tab))
-    grows = _counting(monkeypatch, "_grow_basis")
+    grows = _counting(monkeypatch, "_grow", _Span)
     block.add(fitting._ActiveMode((2,), cfg, tab))
     assert len(grows) == 1 and block.cmap.shape == (9, 9)
     q = _stacked_basis(block)

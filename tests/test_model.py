@@ -481,7 +481,7 @@ def test_closed_form_statistics_match_tensor_quadrature(m, data):
         assert s_moved[move(g)[0]] == pytest.approx(v, abs=1e-14)
 
 
-# basis growth: the Cholesky-QR2 path against the thin-SVD oracle
+# span growth: the bordered extension against the thin-SVD oracle
 EPS = np.finfo(float).eps
 
 
@@ -499,7 +499,7 @@ def _svd_calls(monkeypatch):
 
 
 def _cutoff(cols):
-    # the dense block's cutoff: eps * max(n, P) * the largest column norm
+    # the span's cutoff: eps * max(n, P) * the largest column norm
     return EPS * max(cols.shape) * float(np.linalg.norm(cols, axis=0).max())
 
 
@@ -509,15 +509,15 @@ def _orthonormal(a):
 
 
 def _growth_case(case):
-    """(q, cols): an orthonormal basis and the block that extends it."""
+    """(old, new, beta): the columns a span holds, the block that extends
+    it, and their ridge."""
     g = rng_stream(71, 1)
     q = _orthonormal(g.standard_normal((300, 20)))
     if case == "random":
-        return q, g.standard_normal((300, 15))
+        return q, g.standard_normal((300, 15)), 0.0
     if case == "correlated":
-        # unit-scaled condition number about 100: one Cholesky-QR pass
-        # leaves u orthonormal only to about 4e-13, the second to 2e-15
-        return q, g.standard_normal((300, 1)) + 0.05 * g.standard_normal((300, 15))
+        # unit-scaled condition number about 100
+        return q, g.standard_normal((300, 1)) + 0.05 * g.standard_normal((300, 15)), 0.0
     xi = g.uniform(-1.0, 1.0, size=(300, 3))
     tab = univariate_table(B, xi)
     w = 10.0 ** g.uniform(-3.0, 0.0, 300)
@@ -525,41 +525,67 @@ def _growth_case(case):
                                      * w[:, None] for d in [(1,), (2,)]])
     new = np.hstack([dense_design(tab, d, enumerate_dense_indices(d, 5)) * w[:, None]
                      for d in [(3,), (1, 2), (2, 3)]])
-    if case == "weighted":
-        return _orthonormal(old), new
-    # ridge-stacked, as the dense block stacks beta * I under each mode's
-    # columns: the old columns' ridge rows sit above the new ones'
-    beta, (k, p) = 0.05, (old.shape[1], new.shape[1])
-    old = np.vstack([old, beta * np.eye(k)])
-    q = np.vstack([_orthonormal(old), np.zeros((p, k))])
-    return q, np.vstack([new, np.zeros((k, p)), beta * np.eye(p)])
+    # ridged, as the dense block ridges each mode's columns
+    return old, new, 0.05 if case == "ridge" else 0.0
 
 
-def _check_against_oracle(q, cols, u, h, inv):
-    uo, ho, *_ = grow_basis_svd(q, cols, _cutoff(cols))
+def _stacked(span):
+    # the span's columns stacked over their ridge rows, times cmap
+    return np.vstack([span.a, np.diag(span.ridge)[span.ridge > 0]]) @ span.cmap
+
+
+def _extended(old, new, beta):
+    """(span, q, cols): a span of ``old`` extended by ``new``, both at ridge
+    beta; q, the orthonormal basis of the stacked old columns before the
+    extension, and the new columns, each stacked over every ridge row as the
+    span stacks them, the new columns' rows below the old ones'."""
+    span = hmodel._Span(old.shape[0])
+    if old.shape[1]:
+        span._extend(old, beta)
+    q = _stacked(span)
+    span._extend(new, beta)
+    p = new.shape[1]
+    if beta > 0:
+        q = np.vstack([q, np.zeros((p, q.shape[1]))])
+        new = np.vstack([new, np.zeros((old.shape[1], p)), beta * np.eye(p)])
+    return span, q, new
+
+
+def _check_against_oracle(span, q, cols, power):
+    """The span's new basis columns against the oracle's, to 100 eps
+    kappa^power, kappa the condition number of the new columns' remainder:
+    a bordered extension factors the remainder's Gram, which squares kappa
+    (power 2; about 4e-13 at the "correlated" case's kappa of 100), and a
+    fallback's right inverse carries kappa once (power 1)."""
+    uo, ho, s, _ = grow_basis_svd(q, cols, _cutoff(cols))
+    tol = 100 * EPS * (s.max() / s.min()) ** power
+    full = _stacked(span)
+    k = q.shape[1]
+    u = full[:, k:]
+    # the new columns' rows of cmap: the right inverse of their remainder's
+    # factor t, so rem inv = u
+    inv = span.cmap[-cols.shape[1]:, k:]
     assert u.shape[1] == uo.shape[1]
-    assert np.abs(u @ u.T - uo @ uo.T).max() < 1e-12
-    full = np.hstack([q, u])
-    assert np.abs(full.T @ full - np.eye(full.shape[1])).max() < 1e-13
-    assert np.abs(h - ho).max(initial=0.0) <= 1e-13 * np.abs(cols).max()
-    rem = cols - q @ h
-    # cols = q h + u t up to the dropped directions, t = u' rem; and inv is
-    # a right inverse of t, so rem inv = u
-    assert np.abs(rem - u @ (u.T @ rem)).max() <= 1e-13 * np.abs(cols).max()
+    assert np.abs(u @ u.T - uo @ uo.T).max() <= tol
+    assert np.abs(full.T @ full - np.eye(full.shape[1])).max() <= tol
+    rem = cols - q @ ho
+    # cols = q h + u t up to the dropped directions, t = u' rem
+    assert np.abs(rem - u @ (u.T @ rem)).max() <= tol * np.abs(cols).max()
     assert np.abs(rem @ inv - u).max() <= 1e-12 * np.abs(cols).max() * np.linalg.norm(inv, 2)
 
 
 @pytest.mark.parametrize("case", ["random", "correlated", "weighted", "ridge"])
 def test_grow_basis_matches_svd_oracle_without_svd(case, monkeypatch):
-    q, cols = _growth_case(case)
+    old, new, beta = _growth_case(case)
     calls = _svd_calls(monkeypatch)
-    u, h, inv = hmodel._grow_basis(q, cols, _cutoff(cols))
-    # the first block of a basis, with nothing to orthogonalize against
-    u0, h0, inv0 = hmodel._grow_basis(q[:, :0], cols, _cutoff(cols))
-    assert calls == [] and h0.shape == (0, cols.shape[1])
-    assert u.shape[1] == u0.shape[1] == cols.shape[1]
-    _check_against_oracle(q, cols, u, h, inv)
-    _check_against_oracle(q[:, :0], cols, u0, h0, inv0)
+    grown = _extended(old, new, beta)
+    # the first block of a span, with nothing to orthogonalize against
+    first = _extended(old[:, :0], new, beta)
+    assert calls == []
+    assert grown[0].cmap.shape[1] == old.shape[1] + new.shape[1]
+    assert first[0].cmap.shape == (new.shape[1],) * 2
+    _check_against_oracle(*grown, power=2)
+    _check_against_oracle(*first, power=2)
 
 
 def _dependent_case(case):
@@ -572,7 +598,7 @@ def _dependent_case(case):
         old = dense_design(tab, (1,), enumerate_dense_indices((1,), 4))
         cols = np.hstack([dense_design(tab, d, enumerate_dense_indices(d, 4))
                           for d in [(2,), (1, 2)]])
-        return _orthonormal(old), cols
+        return old, cols
     q = _orthonormal(g.standard_normal((200, 10)))
     inside = q @ g.standard_normal(10)
     other = g.standard_normal(200)
@@ -584,12 +610,16 @@ def _dependent_case(case):
 
 @pytest.mark.parametrize("case", ["in-span", "noisy", "zero", "duplicated"])
 def test_grow_basis_falls_back_to_svd_on_dependent_columns(case, monkeypatch):
-    # a remainder column that keeps too little of its norm takes the SVD,
-    # which drops the directions the oracle drops
-    q, cols = _dependent_case(case)
+    # a remainder column that keeps too little of its norm fails the
+    # bordering's pivot tests: that extension takes the SVD, which drops
+    # the directions the oracle drops
+    old, cols = _dependent_case(case)
+    span = hmodel._Span(old.shape[0])
+    span._extend(old, 0.0)
+    q, k = _stacked(span), span.cmap.shape[1]
     calls = _svd_calls(monkeypatch)
-    u, h, inv = hmodel._grow_basis(q, cols, _cutoff(cols))
+    span._extend(cols, 0.0)
     assert calls == [cols.shape]
-    dropped = cols.shape[1] - u.shape[1]
+    dropped = cols.shape[1] - (span.cmap.shape[1] - k)
     assert dropped == {"in-span": 1, "noisy": 0, "zero": 1, "duplicated": 9}[case]
-    _check_against_oracle(q, cols, u, h, inv)
+    _check_against_oracle(span, q, cols, power=1)

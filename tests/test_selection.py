@@ -6,7 +6,7 @@ import pytest
 from hdmrfit import selection
 from hdmrfit.basis import BasisConfig, univariate_table
 from hdmrfit.data import SampleSet, rng_stream
-from hdmrfit.model import dense_design
+from hdmrfit.model import _Span, dense_design
 from hdmrfit.selection import (
     SelectionConfig,
     _group_classes,
@@ -15,7 +15,7 @@ from hdmrfit.selection import (
     glars_steps,
     save_path,
 )
-from oracles import lstsq_direction
+from oracles import LstsqSpan
 
 B = BasisConfig(lo=-1.0, hi=1.0, max_order=4)
 
@@ -315,27 +315,56 @@ def test_scan_seconds_populated():
     assert path.direction_seconds > 0
 
 
-def test_grown_basis_direction_matches_lstsq_oracle(monkeypatch):
-    # on a 64-group path every direction of the grown basis equals the
-    # lstsq fit of the residual on all active columns, and the basis stays
-    # orthonormal
-    xi, tab = uniform_set(400, 12, seed=71)
-    noise = rng_stream(71, 1009).standard_normal(400)
+def _path_64(seed=71):
+    # a 64-group path on 12 dims under noise
+    xi, tab = uniform_set(400, 12, seed=seed)
+    noise = rng_stream(seed, 1009).standard_normal(400)
     u = tab[:, 0, 1] + tab[:, 1, 2] * tab[:, 4, 1] + 0.3 * tab[:, 7, 3] + 0.5 * noise
-    active, errors, grown = [], [], selection._direction
+    return as_set(xi, u), SelectionConfig(nolars=3, ninter=2)
 
-    def checked(q, cols, r):
-        active.append(cols)
-        q, v = grown(q, cols, r)
-        errors.append(np.linalg.norm(v - lstsq_direction(active, r))
-                      / np.linalg.norm(r))
-        assert np.allclose(q.T @ q, np.eye(q.shape[1]), rtol=0, atol=1e-12)
-        return q, v
 
-    monkeypatch.setattr(selection, "_direction", checked)
-    path = glars_select(as_set(xi, u), SelectionConfig(nolars=3, ninter=2), B)
+def test_grown_basis_direction_matches_lstsq_oracle(monkeypatch):
+    # on a 64-group path every direction of the bordered span equals the
+    # lstsq fit of the residual on all active columns, and the span's
+    # columns times cmap stay orthonormal
+    errors = []
+
+    class Checked(_Span):
+        def __init__(self, n):
+            super().__init__(n)
+            self.oracle = LstsqSpan(n)
+
+        def _extend(self, cols, beta):
+            super()._extend(cols, beta)
+            self.oracle._extend(cols, beta)
+
+        def solve(self, r):
+            c = super().solve(r)
+            ref = self.oracle.a @ self.oracle.solve(r)
+            errors.append(np.linalg.norm(self.a @ c - ref) / np.linalg.norm(r))
+            q = self.a @ self.cmap
+            assert np.allclose(q.T @ q, np.eye(q.shape[1]), rtol=0, atol=1e-12)
+            return c
+
+    monkeypatch.setattr(selection, "_Span", Checked)
+    path = glars_select(*_path_64(), B)
     assert len(path) == len(errors) == 64
     assert max(errors) <= 1e-10
+
+
+def test_path_directions_take_no_fallback(monkeypatch):
+    # every group of the 64-group path enters the active span by bordering:
+    # its orthonormal columns keep most of their norm off the active span
+    grows = []
+    grow = _Span._grow
+
+    def counted(self, *args):
+        grows.append(args)
+        return grow(self, *args)
+
+    monkeypatch.setattr(_Span, "_grow", counted)
+    path = glars_select(*_path_64(), B)
+    assert len(path) == 64 and grows == []
 
 
 # degenerate data: each case makes some group designs rank-deficient
@@ -388,13 +417,6 @@ def test_degenerate_group_rank_matches_oracle(case, monkeypatch):
     assert deficient > 0
 
 
-def lstsq_step(x, cols, r):
-    # the path's direction by the oracle: x stacks the active groups'
-    # columns as they entered, not a basis
-    x = np.hstack([x, cols])
-    return x, lstsq_direction([x], r)
-
-
 @pytest.mark.parametrize("case", DEGENERATE)
 def test_degenerate_path_matches_lstsq_direction(case, monkeypatch):
     # dependent columns enter the active set here: the grown basis keeps only
@@ -410,7 +432,7 @@ def test_degenerate_path_matches_lstsq_direction(case, monkeypatch):
     u = tab[:, 0, 1] + tab[:, 3, 2] * tab[:, 5, 1] + 0.5 * tab[:, 4, 1] - 0.2
     cfg = SelectionConfig(nolars=4, ninter=3)
     path = glars_select(as_set(xi, u), cfg, B5)
-    monkeypatch.setattr(selection, "_direction", lstsq_step)
+    monkeypatch.setattr(selection, "_Span", LstsqSpan)
     oracle = glars_select(as_set(xi, u), cfg, B5)
     unorm = float(np.linalg.norm(u - u.mean()))
     for k, (a, b) in enumerate(zip(path.steps, oracle.steps)):
@@ -438,7 +460,7 @@ def test_group_inside_active_span_sets_no_step(case, monkeypatch):
          + 0.2 * tab[:, 1, 1] * tab[:, 2, 2] * tab[:, 6, 1])
     cfg = SelectionConfig(nolars=4, ninter=3)
     path = glars_select(as_set(xi, u), cfg, B5)
-    monkeypatch.setattr(selection, "_direction", lstsq_step)
+    monkeypatch.setattr(selection, "_Span", LstsqSpan)
     oracle = glars_select(as_set(xi, u), cfg, B5)
     unorm = float(np.linalg.norm(u - u.mean()))
     assert path.groups() == oracle.groups()

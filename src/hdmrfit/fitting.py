@@ -464,7 +464,7 @@ class _Block(_Span):
         self.f0 = 0.0
         self.fitted = np.zeros(w.shape[0])
         if with_f0:
-            self._extend(w[:, None], 0.0)
+            self.extend(w[:, None], 0.0)
 
     def enter(self, mode: _ActiveMode, u, cfg: FitConfig) -> int:
         """Fit an entering mode to what the block leaves of u: a dense mode
@@ -474,7 +474,7 @@ class _Block(_Span):
         w = self.w
         if mode.kind == "dense":
             self.add(mode)
-            self.solve(u - w * self.cp_values())
+            self.fit(u - w * self.cp_values())
             return 0
         sweeps = mode.refit(u - self.fitted - w * self.cp_values(), cfg, w)
         self.cps.append(mode)
@@ -484,16 +484,16 @@ class _Block(_Span):
         """Take a mode as it stands, a CP mode's values recomputed at the rows."""
         n = self.w.shape[0]
         if mode.kind == "dense":
-            self._extend(mode.design[:n] * self.w[:, None], self.beta)
+            self.extend(mode.design[:n] * self.w[:, None], self.beta)
             self.dense.append(mode)
         else:
             mode.values = _cp_values([b[:, :n] for b in mode.blocks], mode.params)
             self.cps.append(mode)
 
-    def solve(self, r) -> None:
+    def fit(self, r) -> None:
         """Fit ``f0`` and every dense mode's coefficients to r, and leave
         their row-weighted values in ``fitted``."""
-        c = super().solve(r)
+        c = self.solve(r)
         self.fitted = self.a @ c
         start = 0
         if self.with_f0:
@@ -721,7 +721,7 @@ class _Skeleton:
         w = self._weights(row_weights)
         u, uval, wv = self.rows.u[:n], self.rows.u[n:], w[n:]
         block = _Block(w[:n], self.cfg.beta, with_f0=True)
-        block.solve(u)
+        block.fit(u)
         rec = PassRecord(0, None, _residual_norm(block, u), float("nan"), 0, 0)
         groups = iter(groups)
         records = []
@@ -749,7 +749,7 @@ class _Skeleton:
         block = _Block(self._weights(row_weights), self.cfg.beta, with_f0=True)
         for m in self.modes[:kept]:
             block.add(m)
-        block.solve(u - block.w * block.cp_values())
+        block.fit(u - block.w * block.cp_values())
         rnorm, sweeps = _update_sweeps(block, u, self.cfg)
         return block, PassRecord(kept, None, rnorm, float("nan"), sweeps, 0)
 
@@ -783,7 +783,7 @@ def _update_sweeps(block: _Block, u, cfg):
     sweeps = _MAX_UPDATE_SWEEPS if block.cps else 0
     w = block.w
     for _ in range(sweeps):
-        block.solve(u - w * block.cp_values())
+        block.fit(u - w * block.cp_values())
         for m in block.cps:
             m.refit(u - block.fitted - w * (block.cp_values() - m.values), cfg, w)
     return _residual_norm(block, u), sweeps

@@ -210,8 +210,8 @@ def dense_design(table: np.ndarray, dims, indices) -> np.ndarray:
 
 # a Gram matrix, its columns scaled to unit norm, is factored by Cholesky
 # while the pivots stay within this ratio of each other; below it the SVD
-# (``_Span._grow``) or lstsq (``fitting._gram_solve``) takes over, since the
-# Gram squares the condition number. On ALS-shaped probes the Gram solution
+# (``_Span._refactor``) or lstsq (``fitting._gram_solve``) takes over, since
+# the Gram squares the condition number. On ALS-shaped probes the Gram solution
 # stayed within 1e-9 of lstsq above the ratio (1e-7 at 1e-3).
 _GRAM_MIN_PIVOT_RATIO = 1e-2
 
@@ -256,23 +256,27 @@ class _Span:
     ridge, and ``cmap`` an inverse factor of their Gram a'a + diag(ridge)^2:
     the columns stacked over their ridge rows, times ``cmap``, are
     orthonormal, so a solve is c = cmap (cmap' (a' r)). All three grow by
-    bordering (``_extend``; Efron et al. 2004, "Least angle regression", 7):
+    bordering (``extend``; Efron et al. 2004, "Least angle regression", 7):
     the new columns' coordinates h = cmap' (a' cols) and the Gram of their
     remainder, S = cols' cols + beta^2 I - h'h, give S = t't with t upper
-    triangular (``_bordered_inverse``), and ``cmap`` gains the columns
-    [-cmap h t^-1 ; t^-1], the inverse of the block-triangular factor. When
-    S fails the pivot tests (columns dependent on earlier ones or on each
-    other, or ill conditioned), that one extension takes ``_grow``: the
-    orthonormal basis q of the stacked columns from ``cmap``, Gram-Schmidt
-    against it twice and a thin SVD u s v' of the remainder, which give h
-    and the right inverse t^+ = v s^-1 over the directions whose singular
-    value clears the cutoff (Golub & Van Loan, Matrix Computations, 4th
-    ed., 5.4, 6.5). Dropped directions get no coefficient: for unridged
-    columns the fit is lstsq's, and for one group alone so are the
-    minimum-norm coefficients. The cutoff is lstsq's, eps * max(n, P) *
-    sigma_max of the columns stacked over their ridge rows, the largest
-    column norm standing in for sigma_max; for the unit columns of the
-    selection scan it is eps * n.
+    triangular (``_bordered_inverse``, whose cutoff is eps * max(n, P) times
+    the largest stacked column norm), and ``cmap`` gains the columns
+    [-cmap h t^-1 ; t^-1], the inverse of the block-triangular factor.
+
+    When S fails the pivot tests (columns dependent on earlier ones or on
+    each other, or ill conditioned), ``_refactor`` takes ``cmap`` anew from
+    a thin SVD u s v' of all the columns stacked over their ridge rows:
+    v s^-1 over the directions whose singular value clears lstsq's cutoff,
+    eps * max(N, P) * s_max (Golub & Van Loan, Matrix Computations, 4th
+    ed., 5.5), so dropped directions get no coefficient and the solve is
+    lstsq's minimum-norm one. The basis that gives is orthonormal only to
+    the SVD's rounding, eps times the kept columns' condition number, and
+    ``cmap`` is multiplied once by the inverse Cholesky factor of its Gram
+    (``_gram_cholesky``), which leaves the rounding of the product. Each
+    fallback starts afresh from the columns: extending the earlier
+    ``cmap`` from a basis that carried a nearly dependent group's rounding
+    would carry it into the new columns, and a second such group would
+    compound it.
     """
 
     def __init__(self, n: int):
@@ -280,7 +284,8 @@ class _Span:
         self.ridge = np.empty(0)
         self.cmap = np.empty((0, 0))
 
-    def _extend(self, cols, beta: float) -> None:
+    def extend(self, cols, beta: float) -> None:
+        """Add the columns ``cols``, each with ridge beta."""
         _check_finite(cols)
         p = cols.shape[1]
         ridge = np.concatenate((self.ridge, np.full(p, beta)))
@@ -291,35 +296,28 @@ class _Span:
         s = cols.T @ cols - h.T @ h
         s[np.diag_indices_from(s)] += beta ** 2
         inv = _bordered_inverse(s, norm2, cutoff)
-        if inv is None:
-            h, inv = self._grow(cols, beta, cutoff)
         n, k = self.cmap.shape
-        cmap = np.zeros((n + p, k + inv.shape[1]))
+        self.a = np.concatenate((self.a, cols), axis=1)
+        self.ridge = ridge
+        if inv is None:
+            self._refactor()
+            return
+        cmap = np.zeros((n + p, k + p))
         cmap[:n, :k] = self.cmap
         cmap[:n, k:] = -self.cmap @ (h @ inv)
         cmap[n:, k:] = inv
         self.cmap = cmap
-        self.a = np.concatenate((self.a, cols), axis=1)
-        self.ridge = ridge
 
-    def _grow(self, cols, beta: float, cutoff: float):
-        # the fallback: q and the new columns stacked over every ridge row,
-        # the new columns' below the earlier ones'; returns (h, t^+)
-        ridged = self.ridge > 0
-        q = np.vstack([self.a, np.diag(self.ridge)[ridged]]) @ self.cmap
-        cols = np.vstack([cols, np.zeros((np.count_nonzero(ridged), cols.shape[1]))])
-        if beta > 0:
-            q = np.vstack([q, np.zeros((cols.shape[1], q.shape[1]))])
-            cols = np.vstack([cols, beta * np.eye(cols.shape[1])])
-        h = np.zeros((q.shape[1], cols.shape[1]))
-        rem = cols
-        for _ in range(2):
-            step = q.T @ rem
-            rem = rem - q @ step
-            h += step
-        _, s, vt = np.linalg.svd(rem, full_matrices=False)
-        keep = s > cutoff
-        return h, vt[keep].T / s[keep]
+    def _refactor(self) -> None:
+        # the fallback: v s^-1 over the directions lstsq keeps, times the
+        # inverse Cholesky factor of the Gram of the basis that gives
+        x = np.vstack([self.a, np.diag(self.ridge)[self.ridge > 0]])
+        _, s, vt = np.linalg.svd(x, full_matrices=False)
+        keep = s > np.finfo(float).eps * max(x.shape) * s[0]
+        cmap = vt[keep].T / s[keep]
+        q = x @ cmap
+        low = _gram_cholesky(q.T @ q)
+        self.cmap = cmap if low is None else np.linalg.solve(low, cmap.T).T
 
     def solve(self, r) -> np.ndarray:
         """The coefficients of the columns' fit to r."""

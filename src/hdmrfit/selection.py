@@ -323,7 +323,7 @@ def glars_steps(train: SampleSet, cfg: SelectionConfig, basis: BasisConfig,
         pred_count += p_gi
 
         t0 = time.perf_counter()
-        span._extend(scan.columns(gi), 0.0)
+        span.extend(scan.columns(gi), 0.0)
         v = span.a @ span.solve(r)
         direction_seconds += time.perf_counter() - t0
 

@@ -39,11 +39,10 @@ blocks, stacked one sample at a time, that the factored form in
 ``fitting`` replaces. ``LstsqSpan`` is the selection path's active span
 by one lstsq on all active columns at every step: it checks the bordered
 span (``model._Span``) that ``glars_select`` grows. ``grow_basis_svd``
-extends an orthonormal basis by a thin SVD of every remainder, as the
-span's fallback does once its pivot tests fail: it checks the bordered
-extensions, and counts the directions the fallback drops from dependent
-columns. ``kl_field`` sums
-a field's Karhunen-Loeve expansion term by term. ``solve_diffusion_banded``
+extends an orthonormal basis by Gram-Schmidt and a thin SVD of every
+remainder: it checks the bordered extensions, and the directions the
+span's fallback keeps and drops when it takes a dependent group. ``kl_field``
+sums a field's Karhunen-Loeve expansion term by term. ``solve_diffusion_banded``
 solves one draw's diffusion system by ``scipy.linalg.solve_banded`` (LAPACK
 dgtsv), and ``generate_rows`` is the diffusion test bed one draw at a time:
 its own two eigendecompositions, one banded solve and one ``np.interp``
@@ -264,7 +263,7 @@ class LstsqSpan:
     def __init__(self, n: int):
         self.a = np.empty((n, 0))
 
-    def _extend(self, cols, beta: float) -> None:
+    def extend(self, cols, beta: float) -> None:
         assert beta == 0.0
         self.a = np.hstack([self.a, cols])
 

@@ -935,7 +935,7 @@ def test_dense_operator_matches_lstsq_oracle(beta):
     block, mode = _block_of(tab, (1, 3), w, beta)
     for _ in range(3):
         r = g.standard_normal(120)
-        block.solve(r)
+        block.fit(r)
         assert _rel(mode.params, dense_mode_lstsq(tab, (1, 3), idx, w, r, beta)) < 1e-10
     # the one-shot form solves the same system
     r = g.standard_normal(120)
@@ -956,7 +956,7 @@ def test_dense_operator_minimum_norm_on_rank_deficient_group():
     assert np.linalg.matrix_rank(psi) < len(idx)
     block, mode = _block_of(tab, (1, 2), w, 0.0)
     r = g.standard_normal(150)
-    block.solve(r)
+    block.fit(r)
     c = mode.params
     c_ref = dense_mode_lstsq(tab, (1, 2), idx, w, r, 0.0)
     assert _rel(c, c_ref) < 1e-10
@@ -981,18 +981,18 @@ def test_bordered_block_matches_stacked_lstsq_oracle(monkeypatch, beta):
     w = g.uniform(0.2, 2.0, 200)
     groups = [(1,), (2, 3), (1, 3)]
     cfg = FitConfig(no=4, npc=2, beta=beta)
-    grows = _counting(monkeypatch, "_grow", _Span)
+    refactors = _counting(monkeypatch, "_refactor", _Span)
     svds = _counting(monkeypatch, "svd", np.linalg)
     block = fitting._Block(w, beta, with_f0=True)
     for dims in groups:
         block.add(fitting._ActiveMode(dims, cfg, tab))
-    assert grows == [] and svds == []
+    assert refactors == [] and svds == []
     assert block.cmap.shape == (1 + sum(len(m.indices) for m in block.dense),) * 2
     q = _stacked_basis(block)
     assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-13
     for _ in range(3):
         r = g.standard_normal(200)
-        block.solve(r)
+        block.fit(r)
         c = np.concatenate([[block.f0]] + [m.params for m in block.dense])
         assert _rel(c, dense_block_lstsq(tab, groups, 4, w, r, beta)) < 1e-10
 
@@ -1011,7 +1011,7 @@ def test_block_fitted_values_are_row_weighted(beta):
     for dims in groups:
         block.add(fitting._ActiveMode(dims, cfg, tab))
     r = g.standard_normal(200)
-    block.solve(r)
+    block.fit(r)
     values = block.f0 + sum(m.design @ m.params for m in block.dense)
     assert _rel(block.fitted, w * values) < 1e-13
     assert not block.fitted[::7].any()
@@ -1057,11 +1057,11 @@ def test_bordered_block_falls_back_on_dependent_columns(monkeypatch, case):
         block.add(fitting._ActiveMode(dims, cfg, tab))
     old = block.a.copy()
     kept = block.cmap.shape[1]
-    grows = _counting(monkeypatch, "_grow", _Span)
+    refactors = _counting(monkeypatch, "_refactor", _Span)
     svds = _counting(monkeypatch, "svd", np.linalg)
     cols = cols * w[:, None]
-    block._extend(cols, 0.0)
-    assert len(grows) == 1 and len(svds) == 1
+    block.extend(cols, 0.0)
+    assert len(refactors) == 1 and len(svds) == 1
     # the oracle grows an orthonormal basis of the earlier columns by the
     # SVD of the new columns' remainder, with the block's cutoff
     cutoff = np.finfo(float).eps * max(cols.shape) * np.linalg.norm(cols, axis=0).max()
@@ -1090,13 +1090,13 @@ def test_bordered_block_falls_back_under_a_ridge(monkeypatch):
     cfg = FitConfig(no=4, npc=2, beta=0.05)
     block = fitting._Block(w, cfg.beta, with_f0=True)
     block.add(fitting._ActiveMode((1,), cfg, tab))
-    grows = _counting(monkeypatch, "_grow", _Span)
+    refactors = _counting(monkeypatch, "_refactor", _Span)
     block.add(fitting._ActiveMode((2,), cfg, tab))
-    assert len(grows) == 1 and block.cmap.shape == (9, 9)
+    assert len(refactors) == 1 and block.cmap.shape == (9, 9)
     q = _stacked_basis(block)
     assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 1e-13
     r = g.standard_normal(150)
-    block.solve(r)
+    block.fit(r)
     c = np.concatenate([[block.f0]] + [m.params for m in block.dense])
     assert _rel(c, dense_block_lstsq(tab, [(1,), (2,)], 4, w, r, cfg.beta)) < 1e-10
 
@@ -1370,13 +1370,13 @@ def test_no_update_sweep_raises_the_training_residual(monkeypatch):
          + 0.4 * tab[:, 1, 2] * tab[:, 2, 1] * tab[:, 3, 3]
          + 0.3 * tab[:, 3, 2] + 0.05 * g.standard_normal(400))
     norms = []
-    solve = fitting._Block.solve
+    fit = fitting._Block.fit
 
     def recording(block, r):
         norms.append(fitting._residual_norm(block, u))
-        solve(block, r)
+        fit(block, r)
 
-    monkeypatch.setattr(fitting._Block, "solve", recording)
+    monkeypatch.setattr(fitting._Block, "fit", recording)
     groups = [(1,), (1, 2, 3), (4,), (2, 3, 4), (2, 3)]
     cfg = FitConfig(no=3, npc=2, ninter=3, nr=2, seed=0)
     _, diag = fit_hdmr(with_u(ds, u), None, groups, cfg, B)

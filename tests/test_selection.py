@@ -18,6 +18,7 @@ from hdmrfit.selection import (
 from oracles import LstsqSpan
 
 B = BasisConfig(lo=-1.0, hi=1.0, max_order=4)
+EPS = np.finfo(float).eps
 
 
 def uniform_set(nq, nd, seed=0, lo=-1.0, hi=1.0):
@@ -323,48 +324,59 @@ def _path_64(seed=71):
     return as_set(xi, u), SelectionConfig(nolars=3, ninter=2)
 
 
+class _CheckedSpan(_Span):
+    """The active span, each of whose solves appends to ``records`` the
+    direction's distance from LstsqSpan's, relative to r, the departure of
+    the span's columns times cmap from orthonormality, and the condition
+    number of the columns' kept directions."""
+
+    records: list = []
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.oracle = LstsqSpan(n)
+
+    def extend(self, cols, beta):
+        super().extend(cols, beta)
+        self.oracle.extend(cols, beta)
+
+    def solve(self, r):
+        c = super().solve(r)
+        ref = self.oracle.a @ self.oracle.solve(r)
+        q = self.a @ self.cmap
+        s = np.linalg.svd(self.a, compute_uv=False)
+        self.records.append((np.linalg.norm(self.a @ c - ref) / np.linalg.norm(r),
+                             np.abs(q.T @ q - np.eye(q.shape[1])).max(),
+                             s[0] / s[q.shape[1] - 1]))
+        return c
+
+
 def test_grown_basis_direction_matches_lstsq_oracle(monkeypatch):
     # on a 64-group path every direction of the bordered span equals the
     # lstsq fit of the residual on all active columns, and the span's
     # columns times cmap stay orthonormal
-    errors = []
-
-    class Checked(_Span):
-        def __init__(self, n):
-            super().__init__(n)
-            self.oracle = LstsqSpan(n)
-
-        def _extend(self, cols, beta):
-            super()._extend(cols, beta)
-            self.oracle._extend(cols, beta)
-
-        def solve(self, r):
-            c = super().solve(r)
-            ref = self.oracle.a @ self.oracle.solve(r)
-            errors.append(np.linalg.norm(self.a @ c - ref) / np.linalg.norm(r))
-            q = self.a @ self.cmap
-            assert np.allclose(q.T @ q, np.eye(q.shape[1]), rtol=0, atol=1e-12)
-            return c
-
-    monkeypatch.setattr(selection, "_Span", Checked)
+    monkeypatch.setattr(_CheckedSpan, "records", [])
+    monkeypatch.setattr(selection, "_Span", _CheckedSpan)
     path = glars_select(*_path_64(), B)
+    errors, orth, _ = np.array(_CheckedSpan.records).T
     assert len(path) == len(errors) == 64
     assert max(errors) <= 1e-10
+    assert max(orth) <= 1e-12
 
 
 def test_path_directions_take_no_fallback(monkeypatch):
     # every group of the 64-group path enters the active span by bordering:
     # its orthonormal columns keep most of their norm off the active span
-    grows = []
-    grow = _Span._grow
+    refactors = []
+    refactor = _Span._refactor
 
-    def counted(self, *args):
-        grows.append(args)
-        return grow(self, *args)
+    def counted(self):
+        refactors.append(self.a.shape)
+        return refactor(self)
 
-    monkeypatch.setattr(_Span, "_grow", counted)
+    monkeypatch.setattr(_Span, "_refactor", counted)
     path = glars_select(*_path_64(), B)
-    assert len(path) == 64 and grows == []
+    assert len(path) == 64 and refactors == []
 
 
 # degenerate data: each case makes some group designs rank-deficient
@@ -385,6 +397,8 @@ def degenerate_xi(case, nq=120, nd=8, seed=47):
         xi[:, 3] = g.choice([-0.5, 0.5], size=nq)
     elif case == "repeated-rows":
         xi = np.repeat(xi[:5], 6, axis=0)
+    elif case == "near-duplicated":
+        xi[:, 1] = xi[:, 0] + 1e-9 * g.standard_normal(nq)
     return xi
 
 
@@ -445,6 +459,46 @@ def test_degenerate_path_matches_lstsq_direction(case, monkeypatch):
     else:
         assert len(path) == len(oracle)
     assert k > 0
+
+
+def test_near_duplicated_dim_path_matches_lstsq_direction(monkeypatch):
+    # xi2 = xi1 + 1e-9 noise: (1, 2) keeps about 1e-9 of its norm off the
+    # span of its dim-1 twins, enters by the span's fallback, and the
+    # active columns' condition number grows past 1e9. A direction is then
+    # set only to about eps times that condition number, by the span as by
+    # the oracle's lstsq: after every extension the span's basis stays
+    # orthonormal, and its direction the oracle's, within the 64-group
+    # path's bounds plus 10 eps times the condition number of the kept
+    # columns. (A fallback that extends the earlier cmap, not one that
+    # starts afresh, loses orthonormality at the second such group, and the
+    # residual norm rises.) The path is the oracle's until the residual
+    # falls to 1e-6 of the centred response, which (1, 2) takes it past.
+    # With noise in u the twins' tie roots rest on 1e-9 differences, and
+    # the steps of this span and of an explicit orthonormal basis part from
+    # lstsq's by 1e-4 and more.
+    xi = degenerate_xi("near-duplicated")
+    tab = univariate_table(B5, xi)
+    u = (tab[:, 0, 1] + tab[:, 3, 2] * tab[:, 5, 1] + 0.5 * tab[:, 4, 1]
+         + 0.2 * tab[:, 1, 1] * tab[:, 2, 2] * tab[:, 6, 1])
+    cfg = SelectionConfig(nolars=4, ninter=3)
+    monkeypatch.setattr(_CheckedSpan, "records", [])
+    monkeypatch.setattr(selection, "_Span", _CheckedSpan)
+    path = glars_select(as_set(xi, u), cfg, B5)
+    errors, orth, kappa = np.array(_CheckedSpan.records).T
+    assert len(errors) == len(path) and max(kappa) > 1e9
+    assert np.all(errors <= 1e-10 + 10 * EPS * kappa)
+    assert np.all(orth <= 1e-12 + 10 * EPS * kappa)
+    monkeypatch.setattr(selection, "_Span", LstsqSpan)
+    oracle = glars_select(as_set(xi, u), cfg, B5)
+    unorm = float(np.linalg.norm(u - u.mean()))
+    for k, (a, b) in enumerate(zip(path.steps, oracle.steps)):
+        assert a.dims == b.dims
+        if b.residual_norm_after <= 1e-6 * unorm:
+            break
+        assert a.entry_score == pytest.approx(b.entry_score, rel=1e-8)
+        assert a.step_size == pytest.approx(b.step_size, rel=1e-8)
+        assert a.residual_norm_after == pytest.approx(b.residual_norm_after, rel=1e-8)
+    assert (1, 2) in path.groups()[:k + 1]
 
 
 @pytest.mark.parametrize("case", ["duplicated", "negated"])

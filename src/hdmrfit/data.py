@@ -41,6 +41,104 @@ def rng_stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+# numpy's SeedSequence hash constants, and Philox4x64-10's multipliers and
+# key bumps (Random123's PHILOX_M4x64_* and PHILOX_W64_*)
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_M32 = 0xFFFFFFFF
+
+
+def _stream_uniforms(seed: int, key: int, rows: np.ndarray, count: int) -> np.ndarray:
+    """Row i holds the first ``count`` values of
+    ``rng_stream(seed, key, rows[i]).uniform(0.0, 1.0, count)``, bit for bit,
+    computed for all rows at once. ``key`` and the ``rows`` are below 2**32.
+
+    Philox is counter-based: a stream is set by its 128-bit key, and its
+    j-th block of four 64-bit words is the cipher of the counter j + 1
+    (numpy starts the counter at 0 and increments it before each block).
+    The steps, in numpy's arithmetic on uint32 and uint64 arrays:
+
+    - Key: SeedSequence (pool size 4) over the uint32 entropy words
+      [seed & 0xFFFFFFFF, seed >> 32, 0, 0, key, row]; the run entropy is
+      padded to 4 words because a spawn key is present. hashmix(v) xors v
+      with the running constant (INIT_A 0x43b0d7e5), multiplies the
+      constant by MULT_A 0x931e8875, multiplies v by it and xor-shifts v by
+      16; mix(x, y) = L x - R y (L 0xca01f9dd, R 0x4973f715), xor-shifted
+      by 16. The pool takes hashmix of the first 4 words, then mixes every
+      word into every other, then mixes each later word into every pool
+      word. generate_state(2, uint64) hashes the 4 pool words the same way
+      with INIT_B 0x8b51f9dd and MULT_B 0x58f38ded, and joins them
+      little-endian into two uint64 words.
+    - Philox4x64-10: each round maps the counter (c0, c1, c2, c3) to
+      (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)) with
+      M0 0xD2E7470EE14C6C93 and M1 0xCA5A826395121157; the key gains
+      0x9E3779B97F4A7C15 and 0xBB67AE8584CAA73B before each round after the
+      first.
+    - Doubles: (word >> 11) * 2**-53, which uniform(0.0, 1.0) returns as
+      0.0 + 1.0 times it.
+    """
+    seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+    rows = np.asarray(rows, dtype=np.uint32).ravel()
+    words = np.empty((6, rows.size), dtype=np.uint32)
+    words[:5] = np.array([seed & _M32, seed >> 32, 0, 0, key], dtype=np.uint32)[:, None]
+    words[5] = rows
+    hashmix = _hasher(_SS_INIT_A, _SS_MULT_A)
+
+    def mix(x, y):
+        r = np.uint32(_SS_MIX_L) * x - np.uint32(_SS_MIX_R) * y
+        return r ^ (r >> np.uint32(16))
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    state = [v.astype(np.uint64) for v in map(_hasher(_SS_INIT_B, _SS_MULT_B), pool)]
+    k0 = (state[0] | state[1] << np.uint64(32))[:, None]
+    k1 = (state[2] | state[3] << np.uint64(32))[:, None]
+    blocks = -(-count // 4)
+    zero = np.zeros((rows.size, blocks), dtype=np.uint64)
+    c0 = zero + np.arange(1, blocks + 1, dtype=np.uint64)
+    c1, c2, c3 = zero, zero, zero
+    for r in range(10):
+        if r:
+            k0, k1 = k0 + np.uint64(_PHILOX_W[0]), k1 + np.uint64(_PHILOX_W[1])
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    out = np.stack((c0, c1, c2, c3), axis=-1).reshape(rows.size, 4 * blocks)[:, :count]
+    return (out >> np.uint64(11)) * 2.0**-53
+
+
+def _hasher(const: int, mult: int):
+    # SeedSequence's hashmix on uint32 arrays, with its running constant:
+    # each call xors the words with it, multiplies it by mult, multiplies
+    # the words by it and xor-shifts them by 16
+    def hashmix(v):
+        nonlocal const
+        v = v ^ np.uint32(const)
+        const = const * mult & _M32
+        v = v * np.uint32(const)
+        return v ^ (v >> np.uint32(16))
+    return hashmix
+
+
+def _mulhilo(m: int, x: np.ndarray):
+    # high and low 64-bit words of the 128-bit products m * x
+    m_lo, m_hi = np.uint64(m & _M32), np.uint64(m >> 32)
+    x_lo, x_hi = x & np.uint64(_M32), x >> np.uint64(32)
+    p00, p01, p10 = x_lo * m_lo, x_lo * m_hi, x_hi * m_lo
+    mid = (p00 >> np.uint64(32)) + (p01 & np.uint64(_M32)) + (p10 & np.uint64(_M32))
+    hi = x_hi * m_hi + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32)) + (mid >> np.uint64(32))
+    return hi, x * np.uint64(m)
+
+
 def _check_finite_fields(cfg, *names) -> None:
     # ValueError naming the first of the fields ``names`` of cfg not finite
     for name in names:

@@ -3,20 +3,22 @@
 Random coefficient and forcing fields are built from truncated
 Karhunen-Loeve expansions of the Gaussian-kernel covariance
 C(x, y) = sigma^2 exp(-(x - y)^2 / (2 lc^2)), the steady
-diffusion equation d/dx(nu du/dx) = F is solved per draw on a uniform grid,
-and the solution is probed at a fixed location or at scattered points. The
-draws are solved in blocks, by one elimination sweep over the grid nodes
-vectorized across the block's rows, with the bits of one LAPACK solve per
-draw.
+diffusion equation d/dx(nu du/dx) = F is solved for each draw on a uniform
+grid, and the solution is probed at a fixed location or at scattered points.
+The draws are made in blocks with no loop over them: every draw's random
+stream is computed at once, and the block is solved by one elimination
+sweep over the grid nodes vectorized across its rows, with the bits of one
+LAPACK solve per draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .data import SampleSet, _check_finite_fields, rng_stream
+from .data import SampleSet, _check_finite_fields, _stream_uniforms
 
 __all__ = [
     "KLField",
@@ -262,6 +264,12 @@ class DiffusionConfig:
         return self.nd_nu + self.nd_f
 
     def fields(self) -> tuple[KLField, KLField]:
+        """The coefficient and forcing fields, eigendecomposed once per
+        config object (``dataclasses.replace`` makes a new one)."""
+        return self._fields
+
+    @cached_property
+    def _fields(self) -> tuple[KLField, KLField]:
         # the fields share lc, m_k and the domain, so one eigendecomposition
         # per distinct sigma serves both: each takes its leading terms,
         # whose bits do not depend on how many terms are kept
@@ -281,14 +289,17 @@ def _leading(f: KLField, nterms: int, mean_value: float) -> KLField:
 
 def generate_dataset(cfg: DiffusionConfig, nq: int, seed: int,
                      mode: str = "point") -> SampleSet:
-    """Draw germ vectors, solve the PDE per draw, record the solution.
+    """Draw germ vectors, solve the PDE for each, record the solution.
 
     mode "point": u at cfg.x_star, Ndx = 0. mode "scattered": u at a
     per-sample uniform x, recorded in an Ndx = 1 spatial column. Bitwise
-    deterministic per (cfg, nq, seed): sample q uses the stream (seed, q).
-    The draws are solved and probed together, ``_BLOCK_ROWS`` rows at a
-    time, with the bits of one ``scipy.linalg.solve_banded`` solve and one
-    ``np.interp`` probe per draw.
+    deterministic per (cfg, nq, seed): sample q draws its germ, then its x,
+    from the stream ``rng_stream(seed, 3, q)``. The draws are made
+    ``_BLOCK_ROWS`` rows at a time with no loop over them: the block's
+    streams are computed together (``data._stream_uniforms``), its field
+    products are stacked, and it is solved and probed together, with the
+    bits of one ``rng_stream`` draw, one vector-matrix product, one
+    ``scipy.linalg.solve_banded`` solve and one ``np.interp`` probe per draw.
     """
     if mode not in ("point", "scattered"):
         raise ValueError(f"unknown sampling mode {mode!r}")
@@ -305,20 +316,19 @@ def generate_dataset(cfg: DiffusionConfig, nq: int, seed: int,
     xi = np.empty((nq, cfg.nd))
     x = np.full(nq, cfg.x_star, dtype=float)
     u = np.empty(nq)
+    draws = cfg.nd + (mode == "scattered")
     for start in range(0, nq, _BLOCK_ROWS):
         block = slice(start, min(start + _BLOCK_ROWS, nq))
-        nu_nodes = np.empty((block.stop - start, nodes.size))
-        f_nodes = np.empty_like(nu_nodes)
-        # per draw: its stream, and the two field products (a GEMM over
-        # the block would change their bits)
-        for k, q in enumerate(range(start, block.stop)):
-            g = rng_stream(seed, 3, q)
-            germ = g.uniform(0.0, 1.0, cfg.nd)
-            xi[q] = germ
-            nu_nodes[k] = germ[:cfg.nd_nu] @ w_nu
-            f_nodes[k] = germ[cfg.nd_nu:] @ w_f
-            if mode == "scattered":
-                x[q] = g.uniform(lo, hi)
+        # each draw's stream, all at once: its germ, then (scattered) its x
+        d = _stream_uniforms(seed, 3, np.arange(start, block.stop), draws)
+        germ = xi[block] = d[:, :cfg.nd]
+        if mode == "scattered":
+            x[block] = lo + (hi - lo) * d[:, cfg.nd]
+        # numpy runs a stacked (1, k) @ (k, nodes) matmul as one
+        # vector-matrix product per draw, which keeps each draw's bits; a
+        # plain GEMM, einsum or running sum over the block does not
+        nu_nodes = np.matmul(germ[:, None, :cfg.nd_nu], w_nu)[:, 0]
+        f_nodes = np.matmul(germ[:, None, cfg.nd_nu:], w_f)[:, 0]
         sol = solve_diffusion(_NU0 + nu_nodes, _F0 + f_nodes, cfg.u_minus,
                               cfg.u_plus, cfg.m_x, length=hi - lo)
         u[block] = _probe(nodes, sol, x[block])

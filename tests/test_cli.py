@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hdmrfit import cli
+from hdmrfit import cli, testbed
 from hdmrfit.basis import BasisConfig
 from hdmrfit.cli import build_parser, main
 from hdmrfit.model import DenseMode, HdmrModel, evaluate_model, load_model, save_model
@@ -55,6 +55,24 @@ def test_gen_writes_csv_and_manifest(ws):
     lines = spec.read_text().splitlines()
     assert lines[0] == "k,eigenvalue" and len(lines) == 1 + 2
     assert doc["outputs"] == [str(csv), str(spec)]
+
+
+@pytest.mark.parametrize("sigma_f, calls", [("0.7", 1), ("0.4", 2)])
+def test_gen_diffusion_factors_each_sigma_once(tmp_path, monkeypatch, sigma_f, calls):
+    # the data and both spectra come from the config's one set of fields
+    made = []
+    kl = testbed.kl_eigendecompose
+
+    def spy(*args, **kwargs):
+        made.append(args[0])
+        return kl(*args, **kwargs)
+
+    monkeypatch.setattr(testbed, "kl_eigendecompose", spy)
+    rc = main(["gen-diffusion", "--out", str(tmp_path / "d.csv"), "--nq", "5",
+               "--nd-nu", "2", "--nd-f", "2", "--mx", "16", "--mk", "30",
+               "--sigma-f", sigma_f, "--spectrum-out", str(tmp_path / "s.csv"),
+               "--spectrum-f-out", str(tmp_path / "sf.csv")])
+    assert rc == 0 and len(made) == calls
 
 
 def test_fit_predict_stats_round_trip(ws, tmp_path, capsys):

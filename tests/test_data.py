@@ -7,6 +7,7 @@ from hdmrfit.basis import BasisConfig
 from hdmrfit.data import (
     NoiseModel,
     SampleSet,
+    _stream_uniforms,
     inject_noise,
     load_csv,
     rng_stream,
@@ -224,6 +225,19 @@ def test_rng_stream_independent_keys():
     c = rng_stream(7, 1, 0).standard_normal(5)
     assert np.array_equal(a, c)
     assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**40, 2**64 - 1, -1, 2**64 + 5])
+@pytest.mark.parametrize("count", [1, 4, 5, 11])
+def test_stream_uniforms_are_the_streams_first_draws(seed, count):
+    # counts below, at and across Philox's 4-word blocks; rows on both sides
+    # of 1024; seeds with one and two 32-bit words, masked as rng_stream does
+    rows = np.r_[0:4, 1022:1027]
+    got = _stream_uniforms(seed, 3, rows, count)
+    assert got.shape == (rows.size, count) and got.dtype == np.float64
+    for r, q in zip(got, rows):
+        ref = rng_stream(seed, 3, int(q)).uniform(0.0, 1.0, count)
+        assert r.tobytes() == ref.tobytes()
 
 
 @given(st.floats(min_value=-5, max_value=5),

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from hdmrfit import testbed
+from hdmrfit import data, testbed
 from hdmrfit.data import rng_stream
 from hdmrfit.testbed import (
     DiffusionConfig,
@@ -228,10 +230,21 @@ def test_dataset_is_the_per_draw_generator_over_several_blocks(mode, monkeypatch
         rows.append(nu.shape[0])
         return solve(nu, *args, **kwargs)
 
+    streams = []
+
+    def counted(*key):
+        streams.append(key)
+        return rng_stream(*key)
+
     monkeypatch.setattr(testbed, "solve_diffusion", spy)
+    # the name is looked up in both modules, wherever the generator reads it
+    monkeypatch.setattr(data, "rng_stream", counted)
+    monkeypatch.setattr(testbed, "rng_stream", counted, raising=False)
     ds = generate_dataset(cfg, nq, seed=12, mode=mode)
     # one stacked solve per block of rows: transient arrays stay bounded
     assert rows == [testbed._BLOCK_ROWS, 3]
+    # every draw's stream is computed at once, none through a Generator
+    assert streams == []
     ref = generate_rows(cfg, nq, seed=12, mode=mode)
     assert _same(ds.x, ref.x) and _same(ds.xi, ref.xi) and _same(ds.u, ref.u)
 
@@ -278,6 +291,30 @@ def test_fields_share_one_eigendecomposition_per_sigma(sigmas, calls, monkeypatc
         assert _same(fld.eigenvalues, ref.eigenvalues)
         assert _same(fld.eigenfunctions, ref.eigenfunctions)
         assert _same(fld.grid, ref.grid)
+
+
+@pytest.mark.parametrize("sigmas", [(0.7, 0.7), (0.7, 0.4)])
+def test_one_eigendecomposition_per_config(sigmas, monkeypatch):
+    cfg = DiffusionConfig(nd_nu=3, nd_f=2, sigma_nu=sigmas[0], sigma_f=sigmas[1],
+                          m_x=17, m_k=60)
+    made = []
+
+    def spy(*args, **kwargs):
+        made.append(args[0])
+        return kl_eigendecompose(*args, **kwargs)
+
+    monkeypatch.setattr(testbed, "kl_eigendecompose", spy)
+    a = generate_dataset(cfg, 9, seed=1)
+    b = generate_dataset(cfg, 4, seed=2, mode="scattered")
+    fields = cfg.fields()
+    assert sorted(made) == sorted(set(sigmas))
+    assert cfg.fields() is fields
+    # a replaced config is a new object and factors afresh, to the same bits
+    again = replace(cfg)
+    assert _same(generate_dataset(again, 9, seed=1).u, a.u)
+    assert len(made) == 2 * len(set(sigmas))
+    assert _same(generate_dataset(cfg, 4, seed=2, mode="scattered").x, b.x)
+    assert len(made) == 2 * len(set(sigmas))
 
 
 def test_conductivity_stays_positive_over_germ_box():
